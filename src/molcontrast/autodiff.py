@@ -11,6 +11,11 @@ one of its inputs is connected to a tensor with ``requires_grad`` set, so
 inference forward passes stay cheap.  :func:`backward` walks the records in
 reverse with a fixed accumulation order, making gradients bit-identical for
 identical tapes.
+
+Every scatter (segment sums and means, the embedding-lookup backward) adds
+the rows that land in one output row sequentially, in their original row
+order: the same order as ``numpy.add.at``, so its results equal
+``numpy.add.at``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -179,6 +184,45 @@ def _accum_dtype_matmul(a: np.ndarray, b: np.ndarray, out_dtype) -> np.ndarray:
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(out_dtype)
 
 
+def _scatter_add(
+    x: np.ndarray, ids: np.ndarray, rows: int, dtype
+) -> np.ndarray:
+    """``out[ids[i]] += x[i]`` for i in order, into ``rows`` zero rows.
+
+    Bit-identical to ``numpy.add.at`` on ``np.zeros((rows, d), dtype)``: each
+    output row receives its input rows one by one in original order.  After
+    one stable sort, either loop over slot rank ``j`` (the j-th row of every
+    segment at once; a segment appears at most once per slot, so the fancy
+    ``+=`` is safe) when segments are narrow, or sum each non-empty segment
+    as a contiguous block when a few segments are wide.
+    """
+    out = np.zeros((rows, x.shape[1]), dtype=dtype)
+    if ids.size == 0:
+        return out
+    order = np.argsort(ids, kind="stable")
+    counts = np.bincount(ids, minlength=rows)
+    ends = np.cumsum(counts)
+    widest = int(counts.max())
+    if widest <= rows:
+        sorted_ids = ids[order]
+        rank = np.arange(ids.size) - (ends - counts)[sorted_ids]
+        for j in range(widest):
+            slot = rank == j
+            out[sorted_ids[slot]] += x[order[slot]]
+        return out
+    xs = x[order]
+    for s in np.flatnonzero(counts):
+        block = xs[ends[s] - counts[s] : ends[s]]
+        if block.shape[1] == 1:
+            # A one-column sum is pairwise; cumsum is strictly sequential.
+            out[s] += np.cumsum(block, axis=0, dtype=dtype)[-1]
+        else:
+            # Summing axis 0 of a C-ordered block of two or more columns
+            # adds whole rows one after another.
+            out[s] += block.sum(axis=0, dtype=dtype)
+    return out
+
+
 def _check_2d(name: str, t: Tensor) -> None:
     if t.data.ndim != 2:
         raise ValueError(f"{name} must be 2-d, got shape {t.data.shape}")
@@ -200,9 +244,7 @@ def embedding_lookup(tape: Tape, table: Tensor, indices) -> Tensor:
     out = Tensor(table.data[idx])
 
     def bwd(g: np.ndarray):
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, idx, g)
-        return (dt,)
+        return (_scatter_add(g, idx, table.data.shape[0], table.data.dtype),)
 
     tape._record(out, (table,), bwd)
     return out
@@ -218,8 +260,7 @@ def segment_sum(tape: Tape, x: Tensor, segment_ids, num_segments: int) -> Tensor
         )
     if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
         raise IndexError(f"segment id out of range for {num_segments} segments")
-    acc = np.zeros((num_segments, x.data.shape[1]), dtype=np.float64)
-    np.add.at(acc, seg, x.data.astype(np.float64))
+    acc = _scatter_add(x.data, seg, num_segments, np.float64)
     out = Tensor(acc.astype(x.data.dtype))
 
     def bwd(g: np.ndarray):
@@ -243,8 +284,7 @@ def segment_mean(tape: Tape, x: Tensor, segment_ids, num_segments: int) -> Tenso
     if (counts == 0).any():
         empty = int(np.nonzero(counts == 0)[0][0])
         raise ValueError(f"segment {empty} is empty; mean is undefined")
-    acc = np.zeros((num_segments, x.data.shape[1]), dtype=np.float64)
-    np.add.at(acc, seg, x.data.astype(np.float64))
+    acc = _scatter_add(x.data, seg, num_segments, np.float64)
     out = Tensor((acc / counts[:, None]).astype(x.data.dtype))
     inv = (1.0 / counts).astype(x.data.dtype)
 
@@ -275,9 +315,10 @@ def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     )
 
     def bwd(g: np.ndarray):
-        dx = _accum_dtype_matmul(g, w.data.T, x.data.dtype)
-        dw = _accum_dtype_matmul(x.data.T, g, w.data.dtype)
-        db = g.astype(np.float64).sum(axis=0).astype(b.data.dtype)
+        g64 = g.astype(np.float64)
+        dx = (g64 @ w.data.T.astype(np.float64)).astype(x.data.dtype)
+        dw = (x.data.T.astype(np.float64) @ g64).astype(w.data.dtype)
+        db = g64.sum(axis=0).astype(b.data.dtype)
         return (dx, dw, db)
 
     tape._record(out, (x, w, b), bwd)

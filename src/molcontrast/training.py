@@ -217,9 +217,13 @@ def model_to_checkpoint(
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> EncoderModel:
+    """A model owning copies of the checkpoint's parameters.
+
+    Training updates parameters in place, so the copy keeps ``ckpt`` intact.
+    """
     cfg = EncoderConfig(**ckpt.config["encoder"])
     params = {
-        name: ad.tensor(arr, requires_grad=True)
+        name: ad.tensor(arr.copy(), requires_grad=True)
         for name, arr in ckpt.arrays.items()
         if not name.startswith("adam.")
     }

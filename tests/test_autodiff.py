@@ -1,5 +1,10 @@
 """Tape autodiff: forward values, backward rules, finite-difference oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +177,82 @@ def test_float64_accumulation_in_matmul():
     b = tensor([[1.0, 1.0, 1.0]])
     out = matmul_t(tape, a, b)
     assert float(out.data[0, 0]) == 1.0
+
+
+# -- scatter order ----------------------------------------------------------
+# Every scatter must add rows exactly as np.add.at does, so np.add.at is the
+# oracle: results are compared byte for byte, on magnitudes spread widely
+# enough that any other summation order changes the low bits.
+
+# (rows, segment ids): empty segments, zero-length ids, narrow segments
+# (the slot-wise path) and a wide fan-in into a 5-row table (the per-segment
+# path).
+_SCATTER_CASES = {
+    "empty_segments": (6, np.array([0, 4, 0, 4, 4, 1, 0])),
+    "zero_length": (3, np.array([], dtype=np.int64)),
+    "narrow": (
+        40,
+        np.random.default_rng(1).permutation(
+            np.repeat(np.arange(40), 1 + np.arange(40) % 4)
+        ),
+    ),
+    "wide_fan_in": (5, np.random.default_rng(2).integers(0, 5, 3000)),
+}
+
+
+def _spread_rows(n, width, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-7, 8, (n, 1))
+    return (rng.standard_normal((n, width)) * scale).astype(dtype)
+
+
+def _add_at(x, ids, rows, dtype):
+    out = np.zeros((rows, x.shape[1]), dtype=dtype)
+    np.add.at(out, ids, x)
+    return out
+
+
+@pytest.mark.parametrize("width", [1, 3, 16])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(_SCATTER_CASES))
+def test_segment_sum_matches_add_at_bitwise(case, dtype, width):
+    rows, ids = _SCATTER_CASES[case]
+    x = _spread_rows(ids.size, width, dtype)
+    got = segment_sum(Tape(), tensor(x, dtype=dtype), ids, rows).data
+    want = _add_at(x.astype(np.float64), ids, rows, np.float64).astype(dtype)
+    assert got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 3, 16])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", ["narrow", "wide_fan_in"])
+def test_segment_mean_matches_add_at_bitwise(case, dtype, width):
+    rows, ids = _SCATTER_CASES[case]
+    x = _spread_rows(ids.size, width, dtype)
+    got = segment_mean(Tape(), tensor(x, dtype=dtype), ids, rows).data
+    counts = np.bincount(ids, minlength=rows)
+    acc = _add_at(x.astype(np.float64), ids, rows, np.float64)
+    want = (acc / counts[:, None]).astype(dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 3, 16])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(_SCATTER_CASES))
+def test_embedding_lookup_backward_matches_add_at_bitwise(case, dtype, width):
+    rows, ids = _SCATTER_CASES[case]
+    table = tensor(
+        _spread_rows(rows, width, dtype, seed=1), requires_grad=True, dtype=dtype
+    )
+    upstream = _spread_rows(ids.size, width, dtype, seed=2)
+    tape = Tape()
+    out = embedding_lookup(tape, table, ids)
+    loss = tsum(tape, mul(tape, out, constant(upstream, dtype=dtype)))
+    got = backward(tape, loss)[table]
+    want = _add_at(upstream, ids, rows, dtype)
+    assert got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
 
 
 # -- dropout ----------------------------------------------------------------
@@ -349,3 +430,49 @@ def test_add_then_mean_matches_finite_difference(a):
         return mean(tape, mul(tape, add(tape, x, y), x))
 
     assert check_gradients(build, [a, a + 0.5]) < 1e-5
+
+
+# -- determinism across BLAS thread counts ------------------------------------
+
+_PRETRAIN_SCRIPT = """
+import sys
+from molcontrast.encoder import EncoderConfig
+from molcontrast.training import PretrainConfig, pretrain, save_checkpoint
+from molgen import unlabeled_corpus
+
+corpus = unlabeled_corpus(160, seed=20)
+for backbone in ("gin", "gcn"):
+    enc = EncoderConfig(num_layers=3, hidden_dim=64, latent_dim=32, backbone=backbone)
+    cfg = PretrainConfig(
+        epochs=1, batch_size=16, lr=1e-3, warm_epochs=0, encoder=enc, seed=21
+    )
+    save_checkpoint(f"{sys.argv[1]}/{backbone}.ckpt", pretrain(corpus, cfg).checkpoint)
+"""
+
+
+def test_pretrain_checkpoints_identical_across_blas_threads(tmp_path):
+    # The fixture config (3 layers, hidden 64, latent 32, batch 16), run in
+    # fresh processes because BLAS reads its thread count at import.
+    src = Path(__file__).resolve().parents[1] / "src"
+    tests = Path(__file__).resolve().parent
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ)
+        env.update(
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            MKL_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join([str(src), str(tests)]),
+        )
+        subprocess.run(
+            [sys.executable, "-c", _PRETRAIN_SCRIPT, str(out)],
+            env=env,
+            check=True,
+            timeout=300,
+        )
+        outputs[threads] = {
+            name: (out / f"{name}.ckpt").read_bytes() for name in ("gin", "gcn")
+        }
+    assert outputs["1"] == outputs["2"]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from molcontrast.encoder import EncoderConfig, EncoderModel
 from molcontrast.fingerprints import (
     Fingerprint,
+    _cosine_distances,
     circular_fp,
     cosine_distance,
     dice,
@@ -239,6 +240,26 @@ def test_cosine_distance_errors():
         cosine_distance([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ValueError):
         cosine_distance([1.0, 0.0], [1.0, 0.0, 0.0])
+
+
+def test_vector_cosine_distances_match_per_row():
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal((50, 16)).astype(np.float32)
+    rows[7] = rows[3]  # exact duplicates
+    rows[9] = -2.5 * rows[3]  # antipodal
+    q = rows[3]
+    got = _cosine_distances(q, rows)
+    want = [cosine_distance(q, r) for r in rows]
+    np.testing.assert_array_equal(got, want)
+
+
+def test_vector_cosine_distances_reject_zero_vectors():
+    rows = np.ones((3, 4))
+    with pytest.raises(ValueError):
+        _cosine_distances(np.zeros(4), rows)
+    rows[1] = 0.0
+    with pytest.raises(ValueError):
+        _cosine_distances(np.ones(4), rows)
 
 
 # -- retrieval analysis ------------------------------------------------------

@@ -1,5 +1,6 @@
 """Optimizer, schedule, checkpoints, and both training loops."""
 
+import hashlib
 import math
 import struct
 
@@ -438,6 +439,24 @@ def test_finetune_from_checkpoint_and_conflict():
             checkpoint=pre.checkpoint,
             encoder=EncoderConfig(num_layers=3, hidden_dim=8, latent_dim=4),
         )
+
+
+def test_finetune_leaves_checkpoint_unchanged():
+    corpus = unlabeled_corpus(8, seed=3)
+    pre = pretrain(
+        corpus,
+        PretrainConfig(
+            epochs=1, batch_size=4, warm_epochs=0, encoder=SMALL_ENCODER, val_fraction=0.0, seed=0
+        ),
+    )
+
+    def digest(ckpt):
+        return {name: hashlib.sha256(arr.tobytes()).hexdigest() for name, arr in ckpt.arrays.items()}
+
+    before = digest(pre.checkpoint)
+    cfg = FinetuneConfig(epochs=2, batch_size=32, hidden_dim=16, seed=0)
+    finetune(oxygen_dataset(30, seed=6), cfg, checkpoint=pre.checkpoint)
+    assert digest(pre.checkpoint) == before
 
 
 def test_finetune_augment_changes_training():
