@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .graph import BondEdge, MoleculeGraph, mask_token, neighbors
 
 __all__ = [
@@ -61,15 +62,15 @@ class AugmentSpec:
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
-            raise ValueError(
+            raise ConfigError(
                 f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
         for name in ("mask_ratio", "delete_ratio", "subgraph_ratio"):
             value = getattr(self, name)
             if not 0 <= value <= 1:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+                raise ConfigError(f"{name} must be in [0, 1], got {value}")
         if self.rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
+            raise ConfigError("rng_seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,22 @@ precision.  A whole tape can also be run in float64, which is how the
 finite-difference oracles compare gradients without float32 noise.
 
 Ops are free functions taking the tape first; an op is recorded only when
-one of its inputs is connected to a tensor with ``requires_grad`` set, so
-inference forward passes stay cheap.  :func:`backward` walks the records in
-reverse with a fixed accumulation order, making gradients bit-identical for
-identical tapes.
+one of its inputs is connected to a tensor with ``requires_grad`` set.
+Inference relies on that rule: it runs on parameter tensors without
+``requires_grad`` that share the trained arrays (``EncoderModel.frozen``),
+so nothing is recorded and each intermediate is freed once used, with the
+same forward values as a recording pass.  An op records which of its
+inputs are tracked, and its backward computes gradients for those only.
+:func:`backward` walks the records in reverse with a fixed accumulation
+order, making gradients bit-identical for identical tapes.
 
-Every scatter (segment sums and means, the embedding-lookup backward) adds
-the rows that land in one output row sequentially, in their original row
-order: the same order as ``numpy.add.at``, so its results equal
-``numpy.add.at``'s bit for bit.
+Every scatter (segment sums and means, the embedding-lookup backward, the
+:func:`message_sum` aggregate) adds the rows that land in one output row
+sequentially, in their original row order: the same order as
+``numpy.add.at``, so its results equal ``numpy.add.at``'s bit for bit.  The
+index work behind a scatter (validation, one stable sort, the split into
+slots or blocks) lives in an :class:`IndexPlan`, built once per index array
+and reused by every op that takes it.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
+    "IndexPlan",
     "tensor",
     "constant",
     "backward",
@@ -38,6 +46,7 @@ __all__ = [
     "softplus",
     "segment_sum",
     "segment_mean",
+    "message_sum",
     "l2_normalize_rows",
     "matmul_t",
     "add",
@@ -184,10 +193,77 @@ def _accum_dtype_matmul(a: np.ndarray, b: np.ndarray, out_dtype) -> np.ndarray:
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(out_dtype)
 
 
-def _scatter_add(
-    x: np.ndarray, ids: np.ndarray, rows: int, dtype
-) -> np.ndarray:
-    """``out[ids[i]] += x[i]`` for i in order, into ``rows`` zero rows.
+class IndexPlan:
+    """Validated row ids plus the order in which to scatter-add by them.
+
+    Built once per ``(ids, rows)`` and reusable by every op that gathers
+    or scatters by those ids, forward and backward: range checks, the
+    stable sort, the segment counts and the slot or block split are paid
+    once, not per call.  The scatter schedule is built lazily, on the first
+    scatter, so a plan used only for gathers (inference lookups) never
+    sorts.
+    """
+
+    __slots__ = ("ids", "rows", "_counts", "_schedule")
+
+    def __init__(self, ids, rows: int):
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.ndim != 1:
+            raise ValueError(f"ids must be 1-d, got shape {ids.shape}")
+        if ids.size and (ids.min() < 0 or ids.max() >= rows):
+            raise IndexError(f"id out of range for {rows} rows")
+        self.ids = ids
+        self.rows = rows
+        self._counts: np.ndarray | None = None
+        self._schedule: tuple | None = None
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    @property
+    def counts(self) -> np.ndarray:
+        """How many ids land in each of the ``rows`` rows."""
+        if self._counts is None:
+            self._counts = np.bincount(self.ids, minlength=self.rows)
+        return self._counts
+
+    def schedule(self) -> tuple:
+        """``("slots", [(dst, src), ...])`` or ``("blocks", order, [(row, lo,
+        hi), ...])``; see :func:`_scatter_add`."""
+        if self._schedule is None:
+            ids = self.ids
+            counts = self.counts
+            widest = int(counts.max()) if ids.size else 0
+            order = np.argsort(ids, kind="stable")
+            ends = np.cumsum(counts)
+            if widest <= self.rows:
+                sorted_ids = ids[order]
+                rank = np.arange(ids.size) - (ends - counts)[sorted_ids]
+                slots = []
+                for j in range(widest):
+                    slot = rank == j
+                    slots.append((sorted_ids[slot], order[slot]))
+                self._schedule = ("slots", slots)
+            else:
+                blocks = [
+                    (int(s), int(ends[s] - counts[s]), int(ends[s]))
+                    for s in np.flatnonzero(counts)
+                ]
+                self._schedule = ("blocks", order, blocks)
+        return self._schedule
+
+
+def _as_plan(ids, rows: int) -> IndexPlan:
+    """``ids`` as a plan over ``rows`` rows; raw id arrays get a fresh one."""
+    if not isinstance(ids, IndexPlan):
+        return IndexPlan(ids, rows)
+    if ids.rows != rows:
+        raise ValueError(f"plan covers {ids.rows} rows, expected {rows}")
+    return ids
+
+
+def _scatter_add(x: np.ndarray, plan: IndexPlan, dtype) -> np.ndarray:
+    """``out[ids[i]] += x[i]`` for i in order, into ``plan.rows`` zero rows.
 
     Bit-identical to ``numpy.add.at`` on ``np.zeros((rows, d), dtype)``: each
     output row receives its input rows one by one in original order.  After
@@ -196,23 +272,16 @@ def _scatter_add(
     ``+=`` is safe) when segments are narrow, or sum each non-empty segment
     as a contiguous block when a few segments are wide.
     """
-    out = np.zeros((rows, x.shape[1]), dtype=dtype)
-    if ids.size == 0:
+    out = np.zeros((plan.rows, x.shape[1]), dtype=dtype)
+    schedule = plan.schedule()
+    if schedule[0] == "slots":
+        for dst, src in schedule[1]:
+            out[dst] += x[src]
         return out
-    order = np.argsort(ids, kind="stable")
-    counts = np.bincount(ids, minlength=rows)
-    ends = np.cumsum(counts)
-    widest = int(counts.max())
-    if widest <= rows:
-        sorted_ids = ids[order]
-        rank = np.arange(ids.size) - (ends - counts)[sorted_ids]
-        for j in range(widest):
-            slot = rank == j
-            out[sorted_ids[slot]] += x[order[slot]]
-        return out
+    _, order, blocks = schedule
     xs = x[order]
-    for s in np.flatnonzero(counts):
-        block = xs[ends[s] - counts[s] : ends[s]]
+    for s, lo, hi in blocks:
+        block = xs[lo:hi]
         if block.shape[1] == 1:
             # A one-column sum is pairwise; cumsum is strictly sequential.
             out[s] += np.cumsum(block, axis=0, dtype=dtype)[-1]
@@ -232,66 +301,130 @@ def _check_2d(name: str, t: Tensor) -> None:
 
 
 def embedding_lookup(tape: Tape, table: Tensor, indices) -> Tensor:
-    """Row gather ``table[indices]``; backward scatter-adds into the table."""
+    """Row gather ``table[indices]``; backward scatter-adds into the table.
+
+    ``indices`` is an id array or an :class:`IndexPlan` over the table rows.
+    """
     _check_2d("table", table)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError(f"indices must be 1-d, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
-        raise IndexError(
-            f"index out of range for table with {table.data.shape[0]} rows"
-        )
-    out = Tensor(table.data[idx])
+    plan = _as_plan(indices, table.data.shape[0])
+    out = Tensor(table.data[plan.ids])
 
     def bwd(g: np.ndarray):
-        return (_scatter_add(g, idx, table.data.shape[0], table.data.dtype),)
+        return (_scatter_add(g, plan, table.data.dtype),)
 
     tape._record(out, (table,), bwd)
     return out
 
 
-def segment_sum(tape: Tape, x: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Sum rows of ``x`` into ``num_segments`` buckets."""
+def _segment_plan(x: Tensor, segment_ids, num_segments: int | None) -> IndexPlan:
     _check_2d("x", x)
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    if seg.shape != (x.data.shape[0],):
+    if num_segments is None:
+        if not isinstance(segment_ids, IndexPlan):
+            raise ValueError("num_segments is required with raw segment ids")
+        num_segments = segment_ids.rows
+    plan = _as_plan(segment_ids, num_segments)
+    if plan.ids.shape != (x.data.shape[0],):
         raise ValueError(
-            f"segment_ids shape {seg.shape} does not match {x.data.shape[0]} rows"
+            f"segment_ids shape {plan.ids.shape} does not match "
+            f"{x.data.shape[0]} rows"
         )
-    if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
-        raise IndexError(f"segment id out of range for {num_segments} segments")
-    acc = _scatter_add(x.data, seg, num_segments, np.float64)
+    return plan
+
+
+def segment_sum(
+    tape: Tape, x: Tensor, segment_ids, num_segments: int | None = None
+) -> Tensor:
+    """Sum rows of ``x`` into ``num_segments`` buckets.
+
+    ``segment_ids`` is an id array or an :class:`IndexPlan`, whose row count
+    stands in for ``num_segments``.
+    """
+    plan = _segment_plan(x, segment_ids, num_segments)
+    acc = _scatter_add(x.data, plan, np.float64)
     out = Tensor(acc.astype(x.data.dtype))
 
     def bwd(g: np.ndarray):
-        return (g[seg],)
+        return (g[plan.ids],)
 
     tape._record(out, (x,), bwd)
     return out
 
 
-def segment_mean(tape: Tape, x: Tensor, segment_ids, num_segments: int) -> Tensor:
+def segment_mean(
+    tape: Tape, x: Tensor, segment_ids, num_segments: int | None = None
+) -> Tensor:
     """Mean of rows per segment; empty segments are an error."""
-    _check_2d("x", x)
-    seg = np.asarray(segment_ids, dtype=np.int64)
-    if seg.shape != (x.data.shape[0],):
-        raise ValueError(
-            f"segment_ids shape {seg.shape} does not match {x.data.shape[0]} rows"
-        )
-    if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
-        raise IndexError(f"segment id out of range for {num_segments} segments")
-    counts = np.bincount(seg, minlength=num_segments)
+    plan = _segment_plan(x, segment_ids, num_segments)
+    counts = plan.counts
     if (counts == 0).any():
         empty = int(np.nonzero(counts == 0)[0][0])
         raise ValueError(f"segment {empty} is empty; mean is undefined")
-    acc = _scatter_add(x.data, seg, num_segments, np.float64)
+    acc = _scatter_add(x.data, plan, np.float64)
     out = Tensor((acc / counts[:, None]).astype(x.data.dtype))
-    inv = (1.0 / counts).astype(x.data.dtype)
 
     def bwd(g: np.ndarray):
-        return (g[seg] * inv[seg][:, None],)
+        inv = (1.0 / counts).astype(x.data.dtype)
+        return (g[plan.ids] * inv[plan.ids][:, None],)
 
     tape._record(out, (x,), bwd)
+    return out
+
+
+def message_sum(
+    tape: Tape,
+    x: Tensor,
+    src,
+    dst,
+    type_table: Tensor,
+    type_ids,
+    dir_table: Tensor,
+    dir_ids,
+    coeff: np.ndarray | None = None,
+) -> Tensor:
+    """Message-passing aggregate in one tape record.
+
+    ``out[v] = sum over edges i with dst[i] == v of m[i]``, where
+    ``m[i] = x[src[i]] + (type_table[type_ids[i]] + dir_table[dir_ids[i]])``,
+    times ``coeff[i]`` when given.  Messages are formed at ``x``'s precision
+    and summed in float64 in edge order, so the result equals the chain
+    ``embedding_lookup`` -> ``add`` -> [``mul``] -> ``segment_sum`` bit for
+    bit without keeping any of its edge-by-width intermediates.  Every index
+    argument is an id array or an :class:`IndexPlan`; ``src`` and ``dst``
+    index the rows of ``x``.  ``coeff`` is a constant of one value per edge.
+    """
+    _check_2d("x", x)
+    _check_2d("type_table", type_table)
+    _check_2d("dir_table", dir_table)
+    n = x.data.shape[0]
+    src = _as_plan(src, n)
+    dst = _as_plan(dst, n)
+    tplan = _as_plan(type_ids, type_table.data.shape[0])
+    dplan = _as_plan(dir_ids, dir_table.data.shape[0])
+    edges = len(src)
+    if not len(dst) == len(tplan) == len(dplan) == edges:
+        raise ValueError("src, dst, type_ids and dir_ids differ in length")
+    edge = type_table.data[tplan.ids] + dir_table.data[dplan.ids]
+    msg = x.data[src.ids] + edge
+    if coeff is not None:
+        col = np.asarray(coeff, dtype=x.data.dtype).reshape(-1, 1)
+        if col.shape[0] != edges:
+            raise ValueError(f"coeff has {col.shape[0]} values for {edges} edges")
+        msg = msg * col
+    out = Tensor(_scatter_add(msg, dst, np.float64).astype(x.data.dtype))
+    need = [tape._tracked(t) for t in (x, type_table, dir_table)]
+    plans = (src, tplan, dplan)
+    tables = (x, type_table, dir_table)
+
+    def bwd(g: np.ndarray):
+        gm = g[dst.ids]
+        if coeff is not None:
+            gm = gm * col
+        return tuple(
+            _scatter_add(gm, plan, t.data.dtype) if needed else None
+            for plan, t, needed in zip(plans, tables, need)
+        )
+
+    tape._record(out, tables, bwd)
     return out
 
 
@@ -334,10 +467,11 @@ def matmul_t(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
             f"matmul_t inner dims differ: {a.data.shape} vs {b.data.shape}"
         )
     out = Tensor(_accum_dtype_matmul(a.data, b.data.T, a.data.dtype))
+    need_a, need_b = tape._tracked(a), tape._tracked(b)
 
     def bwd(g: np.ndarray):
-        da = _accum_dtype_matmul(g, b.data, a.data.dtype)
-        db = _accum_dtype_matmul(g.T, a.data, b.data.dtype)
+        da = _accum_dtype_matmul(g, b.data, a.data.dtype) if need_a else None
+        db = _accum_dtype_matmul(g.T, a.data, b.data.dtype) if need_b else None
         return (da, db)
 
     tape._record(out, (a, b), bwd)
@@ -381,12 +515,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _elementwise_pair(tape, a, b, fwd, da_fn, db_fn):
-    out_data = fwd(a.data, b.data)
-    out = Tensor(out_data)
+    out = Tensor(fwd(a.data, b.data))
+    # Decided at record time: constants (masks, shifts, labels) get no
+    # gradient computed only to be dropped by backward().
+    need_a, need_b = tape._tracked(a), tape._tracked(b)
 
     def bwd(g: np.ndarray):
-        da = _unbroadcast(da_fn(g), a.data.shape).astype(a.data.dtype)
-        db = _unbroadcast(db_fn(g), b.data.shape).astype(b.data.dtype)
+        da = db = None
+        if need_a:
+            da = _unbroadcast(da_fn(g), a.data.shape).astype(a.data.dtype)
+        if need_b:
+            db = _unbroadcast(db_fn(g), b.data.shape).astype(b.data.dtype)
         return (da, db)
 
     tape._record(out, (a, b), bwd)
@@ -713,6 +852,29 @@ def gradcheck_report(seed: int = 0, eps: float = 1e-4) -> dict[str, float]:
         ),
         [a0],
     )
+
+    # Appended last so the draws above, and their reports, stay as they were.
+    e_src = np.array([0, 1, 1, 2, 3, 4, 4, 2])
+    e_dst = np.array([1, 0, 2, 1, 4, 3, 0, 0])
+    e_type = np.array([0, 2, 1, 2, 2, 0, 1, 2])
+    e_dir = np.array([1, 0, 0, 1, 1, 1, 0, 0])
+    coeff = rng.uniform(0.2, 1.0, e_src.size)
+    msg_inputs = [
+        rng.uniform(-2, 2, (n, d)),
+        rng.uniform(-2, 2, (3, d)),
+        rng.uniform(-2, 2, (2, d)),
+    ]
+    for name, c in (("message_sum", None), ("message_sum_coeff", coeff)):
+        cases[name] = (
+            lambda tape, p, c=c: project(
+                tape,
+                message_sum(
+                    tape, p[0], e_src, e_dst, p[1], e_type, p[2], e_dir, c
+                ),
+                r_nd,
+            ),
+            msg_inputs,
+        )
 
     for name, (build, arrays) in cases.items():
         report[name] = check_gradients(build, arrays, eps=eps)

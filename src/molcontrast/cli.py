@@ -18,6 +18,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, DataError, NumericAbort
@@ -256,7 +257,6 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     _require(args, "data")
     from .training import PretrainConfig, pretrain, save_checkpoint
 
-    corpus = _load_corpus(args.data)
     cfg = PretrainConfig(
         epochs=args.epochs,
         batch_size=args.batch,
@@ -269,6 +269,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
         val_fraction=args.val_fraction,
         seed=args.seed,
     )
+    corpus = _load_corpus(args.data)
     out = _out_dir(args)
     result = pretrain(corpus.graphs, cfg, trace_path=out / "loss.csv")
     save_checkpoint(out / "checkpoint.bin", result.checkpoint)
@@ -311,12 +312,6 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         raise ConfigError("--checkpoint and --no-pretrain are mutually exclusive")
     from .datasets import load_labeled_csv
 
-    dataset, failures = load_labeled_csv(args.data, args.task)
-    if failures:
-        print(f"warning: {len(failures)} rows failed to parse", file=sys.stderr)
-    if not dataset.records:
-        raise DataError(f"no parseable molecules in {args.data}")
-    checkpoint = load_checkpoint(args.checkpoint) if args.checkpoint else None
     cfg = FinetuneConfig(
         epochs=args.epochs,
         batch_size=args.batch,
@@ -332,12 +327,20 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         free_values=args.free_values,
     )
     augment = _augment_spec(args) if args.augment else None
+    # Encoder flags apply only without a checkpoint, which fixes the encoder.
+    encoder = None if args.checkpoint else _encoder_config(args)
+    dataset, failures = load_labeled_csv(args.data, args.task)
+    if failures:
+        print(f"warning: {len(failures)} rows failed to parse", file=sys.stderr)
+    if not dataset.records:
+        raise DataError(f"no parseable molecules in {args.data}")
+    checkpoint = load_checkpoint(args.checkpoint) if args.checkpoint else None
     out = _out_dir(args)
     result = finetune(
         dataset,
         cfg,
         checkpoint=checkpoint,
-        encoder=None if checkpoint else _encoder_config(args),
+        encoder=encoder,
         augment=augment,
         trace_path=out / "trace.csv",
     )
@@ -545,8 +548,12 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ablate_once(args, dataset, spec, temperature, seed):
-    from .training import FinetuneConfig, PretrainConfig, finetune, pretrain
+def _ablation_inputs(args: argparse.Namespace, temperature: float):
+    """The labeled dataset plus the pre-training and fine-tuning configs
+    each sweep run varies; the configs come first, so bad flags fail
+    before any data is read."""
+    from .datasets import load_labeled_csv
+    from .training import FinetuneConfig, PretrainConfig
 
     warm = (
         args.warm_epochs
@@ -558,42 +565,44 @@ def _ablate_once(args, dataset, spec, temperature, seed):
         batch_size=args.batch,
         warm_epochs=warm,
         temperature=temperature,
-        augment=spec,
+        augment=_augment_spec(args),
         encoder=_encoder_config(args),
-        seed=seed,
+        seed=args.seed,
     )
-    graphs = [r.graph for r in dataset.records]
-    pre = pretrain(graphs, pre_cfg)
     ft_cfg = FinetuneConfig(
         epochs=args.finetune_epochs,
         batch_size=args.finetune_batch,
         lr_head=args.lr_head,
         lr_base=args.lr_base,
-        seed=seed,
+        seed=args.seed,
         free_values=args.free_values,
     )
+    dataset, _ = load_labeled_csv(args.data, args.task)
+    if not dataset.records:
+        raise DataError(f"no parseable molecules in {args.data}")
+    return dataset, pre_cfg, ft_cfg
+
+
+def _ablate_once(dataset, pre_cfg, ft_cfg):
+    from .training import finetune, pretrain
+
+    graphs = [r.graph for r in dataset.records]
+    pre = pretrain(graphs, pre_cfg)
     result = finetune(dataset, ft_cfg, checkpoint=pre.checkpoint)
     return pre.history[-1].train_loss, result
 
 
 def cmd_ablate_aug(args: argparse.Namespace) -> int:
     _require(args, "data")
-    from .augment import STRATEGIES, AugmentSpec
-    from .datasets import load_labeled_csv
+    from .augment import STRATEGIES
 
-    dataset, _ = load_labeled_csv(args.data, args.task)
-    if not dataset.records:
-        raise DataError(f"no parseable molecules in {args.data}")
+    dataset, pre_cfg, ft_cfg = _ablation_inputs(args, args.temperature)
     rows = []
     for strategy in STRATEGIES:
-        spec = AugmentSpec(
-            strategy=strategy,
-            mask_ratio=args.mask_ratio,
-            delete_ratio=args.delete_ratio,
-            subgraph_ratio=args.ratio,
-            rng_seed=args.seed,
+        spec = replace(pre_cfg.augment, strategy=strategy)
+        loss, result = _ablate_once(
+            dataset, replace(pre_cfg, augment=spec), ft_cfg
         )
-        loss, result = _ablate_once(args, dataset, spec, args.temperature, args.seed)
         rows.append(
             [
                 strategy,
@@ -623,15 +632,12 @@ _TEMPERATURES = (0.05, 0.1, 0.5)
 
 def cmd_ablate_temp(args: argparse.Namespace) -> int:
     _require(args, "data")
-    from .datasets import load_labeled_csv
-
-    dataset, _ = load_labeled_csv(args.data, args.task)
-    if not dataset.records:
-        raise DataError(f"no parseable molecules in {args.data}")
-    spec = _augment_spec(args)
+    dataset, pre_cfg, ft_cfg = _ablation_inputs(args, _TEMPERATURES[0])
     rows = []
     for tau in _TEMPERATURES:
-        loss, result = _ablate_once(args, dataset, spec, tau, args.seed)
+        loss, result = _ablate_once(
+            dataset, replace(pre_cfg, temperature=tau), ft_cfg
+        )
         rows.append(
             [
                 tau,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import NumericAbort
+from .errors import ConfigError, NumericAbort
 
 __all__ = ["ContrastiveConfig", "cosine_sim_matrix", "nt_xent"]
 
@@ -32,9 +32,9 @@ class ContrastiveConfig:
 
     def __post_init__(self) -> None:
         if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+            raise ConfigError(f"temperature must be positive, got {self.temperature}")
         if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
 
 
 def cosine_sim_matrix(tape: Tape, z: Tensor) -> Tensor:

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
+from .errors import ConfigError
 from .graph import (
     BondDirection,
     BondType,
@@ -71,13 +72,13 @@ class EncoderConfig:
 
     def __post_init__(self) -> None:
         if self.backbone not in BACKBONES:
-            raise ValueError(f"backbone must be one of {BACKBONES}, got {self.backbone!r}")
+            raise ConfigError(f"backbone must be one of {BACKBONES}, got {self.backbone!r}")
         if self.num_layers < 1:
-            raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
+            raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.hidden_dim < 1 or self.latent_dim < 1:
-            raise ValueError("hidden_dim and latent_dim must be positive")
+            raise ConfigError("hidden_dim and latent_dim must be positive")
         if not 0 <= self.dropout < 1:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 @dataclass(frozen=True)
@@ -93,15 +94,15 @@ class HeadSpec:
 
     def __post_init__(self) -> None:
         if self.task_kind not in TASK_KINDS:
-            raise ValueError(f"task_kind must be one of {TASK_KINDS}")
+            raise ConfigError(f"task_kind must be one of {TASK_KINDS}")
         if self.task_count < 1:
-            raise ValueError("task_count must be >= 1")
+            raise ConfigError("task_count must be >= 1")
         if self.hidden_layers < 1:
-            raise ValueError("hidden_layers must be >= 1")
+            raise ConfigError("hidden_layers must be >= 1")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
+            raise ConfigError(f"activation must be one of {ACTIVATIONS}")
         if not 0 <= self.dropout < 1:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def out_dim(self) -> int:
@@ -115,6 +116,13 @@ class GraphBatch:
     Undirected bonds are materialized as two directed edges; the direction
     feature is flipped on the reversed copy so `/` and `\\` markers stay
     orientation-consistent.
+
+    The index arrays are fixed for the life of a batch, so everything
+    derived from them is built on first use and cached here: one
+    :class:`~molcontrast.autodiff.IndexPlan` per index array (validated ids
+    and their scatter schedule, see :meth:`plan`) and the GCN self-loop
+    arrays (:meth:`gcn_arrays`).  Every layer, forward and backward, then
+    shares one copy of that index work.
     """
 
     def __init__(
@@ -136,7 +144,7 @@ class GraphBatch:
         self.edge_dir = edge_dir
         self.node_graph = node_graph
         self.num_graphs = num_graphs
-        self._gcn_cache: tuple[np.ndarray, ...] | None = None
+        self._cache: dict[str, object] = {}
 
     @property
     def num_nodes(self) -> int:
@@ -180,23 +188,58 @@ class GraphBatch:
             len(graphs),
         )
 
+    def _cached(self, key: str, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def gcn_arrays(self) -> tuple[np.ndarray, ...]:
         """Edge arrays extended with self-loops plus normalization weights."""
-        if self._gcn_cache is None:
-            n = self.num_nodes
-            loop = np.arange(n, dtype=np.int64)
-            src = np.concatenate([self.edge_src, loop])
-            dst = np.concatenate([self.edge_dst, loop])
-            etype = np.concatenate(
-                [self.edge_type, np.full(n, int(BondType.SELF_LOOP), dtype=np.int64)]
-            )
-            edir = np.concatenate(
-                [self.edge_dir, np.full(n, int(BondDirection.NONE), dtype=np.int64)]
-            )
-            deg = np.bincount(self.edge_dst, minlength=n).astype(np.float64) + 1.0
-            coeff = 1.0 / np.sqrt(deg[src] * deg[dst])
-            self._gcn_cache = (src, dst, etype, edir, coeff)
-        return self._gcn_cache
+        return self._cached("gcn_arrays", self._build_gcn_arrays)
+
+    def _build_gcn_arrays(self) -> tuple[np.ndarray, ...]:
+        n = self.num_nodes
+        loop = np.arange(n, dtype=np.int64)
+        src = np.concatenate([self.edge_src, loop])
+        dst = np.concatenate([self.edge_dst, loop])
+        etype = np.concatenate(
+            [self.edge_type, np.full(n, int(BondType.SELF_LOOP), dtype=np.int64)]
+        )
+        edir = np.concatenate(
+            [self.edge_dir, np.full(n, int(BondDirection.NONE), dtype=np.int64)]
+        )
+        deg = np.bincount(self.edge_dst, minlength=n).astype(np.float64) + 1.0
+        coeff = 1.0 / np.sqrt(deg[src] * deg[dst])
+        return (src, dst, etype, edir, coeff)
+
+    def plan(self, name: str) -> ad.IndexPlan:
+        """The cached plan of one index array.
+
+        ``name`` is an index attribute (``node_atomic``, ``node_chirality``,
+        ``node_graph``, ``edge_src``, ``edge_dst``, ``edge_type``,
+        ``edge_dir``) or ``gcn_src``, ``gcn_dst``, ``gcn_type``, ``gcn_dir``
+        for the self-loop edge set of :meth:`gcn_arrays`.
+        """
+        return self._cached("plan." + name, lambda: self._build_plan(name))
+
+    def _build_plan(self, name: str) -> ad.IndexPlan:
+        n = self.num_nodes
+        if name.startswith("gcn_"):
+            column = ("src", "dst", "type", "dir").index(name[4:])
+            ids = self.gcn_arrays()[column]
+            name = "edge_" + name[4:]
+        else:
+            ids = getattr(self, name)
+        rows = {
+            "node_atomic": NUM_ATOM_TYPES,
+            "node_chirality": NUM_CHIRALITY_TYPES,
+            "node_graph": self.num_graphs,
+            "edge_src": n,
+            "edge_dst": n,
+            "edge_type": NUM_BOND_TYPES,
+            "edge_dir": NUM_BOND_DIRECTIONS,
+        }[name]
+        return ad.IndexPlan(ids, rows)
 
 
 def _uniform_linear(rng: np.random.Generator, fan_in: int, fan_out: int):
@@ -278,40 +321,57 @@ class EncoderModel:
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data for name, t in self.params.items()}
 
+    def frozen(self) -> "EncoderModel":
+        """This model with non-trainable parameters sharing its arrays.
+
+        No array is copied.  No op on a frozen model's parameters is
+        connected to a tensor that needs a gradient, so a forward pass on a
+        recording tape records nothing and frees each intermediate as soon
+        as the next op has used it: that is the inference path.
+        """
+        params = {name: Tensor(t.data) for name, t in self.params.items()}
+        return EncoderModel(self.config, params, self.head)
+
 
 def embed_nodes(tape: Tape, model: EncoderModel, batch: GraphBatch) -> Tensor:
     """Initial node states: atomic-number plus chirality embeddings."""
-    a = ad.embedding_lookup(tape, model.params["atom_embedding"], batch.node_atomic)
+    a = ad.embedding_lookup(
+        tape, model.params["atom_embedding"], batch.plan("node_atomic")
+    )
     c = ad.embedding_lookup(
-        tape, model.params["chirality_embedding"], batch.node_chirality
+        tape, model.params["chirality_embedding"], batch.plan("node_chirality")
     )
     return ad.add(tape, a, c)
 
 
-def _edge_states(
+def _aggregate(
     tape: Tape,
     model: EncoderModel,
     k: int,
-    etype: np.ndarray,
-    edir: np.ndarray,
+    states: Tensor,
+    batch: GraphBatch,
+    self_loops: bool,
 ) -> Tensor:
-    t = ad.embedding_lookup(
-        tape, model.params[f"layers.{k}.bond_type_embedding"], etype
+    """``sum_u (h_u + e_uv)`` per node, GCN-normalized over self-loop edges."""
+    prefix = "gcn_" if self_loops else "edge_"
+    return ad.message_sum(
+        tape,
+        states,
+        batch.plan(prefix + "src"),
+        batch.plan(prefix + "dst"),
+        model.params[f"layers.{k}.bond_type_embedding"],
+        batch.plan(prefix + "type"),
+        model.params[f"layers.{k}.bond_direction_embedding"],
+        batch.plan(prefix + "dir"),
+        batch.gcn_arrays()[4] if self_loops else None,
     )
-    d = ad.embedding_lookup(
-        tape, model.params[f"layers.{k}.bond_direction_embedding"], edir
-    )
-    return ad.add(tape, t, d)
 
 
 def gin_layer(
     tape: Tape, model: EncoderModel, k: int, states: Tensor, batch: GraphBatch
 ) -> Tensor:
     cfg = model.config
-    e = _edge_states(tape, model, k, batch.edge_type, batch.edge_dir)
-    gathered = ad.embedding_lookup(tape, states, batch.edge_src)
-    msg = ad.add(tape, gathered, e)
-    agg = ad.segment_sum(tape, msg, batch.edge_dst, batch.num_nodes)
+    agg = _aggregate(tape, model, k, states, batch, self_loops=False)
     combined = ad.add(tape, ad.scale(tape, states, 1.0 + cfg.gin_epsilon), agg)
     hidden = ad.relu(
         tape,
@@ -337,12 +397,7 @@ def gcn_layer(
     tape: Tape, model: EncoderModel, k: int, states: Tensor, batch: GraphBatch
 ) -> Tensor:
     cfg = model.config
-    src, dst, etype, edir, coeff = batch.gcn_arrays()
-    e = _edge_states(tape, model, k, etype, edir)
-    gathered = ad.embedding_lookup(tape, states, src)
-    msg = ad.add(tape, gathered, e)
-    msg = ad.mul(tape, msg, ad.constant(coeff[:, None].astype(np.float32)))
-    agg = ad.segment_sum(tape, msg, dst, batch.num_nodes)
+    agg = _aggregate(tape, model, k, states, batch, self_loops=True)
     out = ad.linear(
         tape,
         agg,
@@ -376,7 +431,7 @@ def encode_nodes(
 
 def readout(tape: Tape, states: Tensor, batch: GraphBatch) -> Tensor:
     """Mean-pool node states per molecule; empty graphs are an error."""
-    return ad.segment_mean(tape, states, batch.node_graph, batch.num_graphs)
+    return ad.segment_mean(tape, states, batch.plan("node_graph"))
 
 
 def represent(
@@ -438,12 +493,16 @@ def embed_molecules(
     graphs: Sequence[MoleculeGraph],
     batch_size: int = 256,
 ) -> np.ndarray:
-    """Inference representations ``h`` for a list of graphs, in order."""
+    """Inference representations ``h`` for a list of graphs, in order.
+
+    Runs on :meth:`EncoderModel.frozen`, so nothing is recorded.
+    """
     if not graphs:
         return np.zeros((0, model.config.hidden_dim), dtype=np.float32)
+    frozen = model.frozen()
     chunks = []
     for start in range(0, len(graphs), batch_size):
         batch = GraphBatch.from_graphs(graphs[start : start + batch_size])
-        h = represent(Tape(), model, batch)
+        h = represent(Tape(), frozen, batch)
         chunks.append(h.data)
     return np.concatenate(chunks, axis=0)

@@ -11,8 +11,12 @@ class MolContrastError(Exception):
     """Base class for all package-specific failures."""
 
 
-class ConfigError(MolContrastError):
-    """A flag, config file entry, or parameter combination is invalid."""
+class ConfigError(MolContrastError, ValueError):
+    """A flag, config file entry, or parameter combination is invalid.
+
+    Also a ``ValueError``: the config dataclasses reject bad values with it,
+    and callers that catch ``ValueError`` keep working.
+    """
 
 
 class DataError(MolContrastError):

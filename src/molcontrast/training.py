@@ -320,8 +320,12 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if self.temperature <= 0:
+            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         if not 0 <= self.warm_epochs <= self.epochs:
             raise ConfigError(
                 f"warm_epochs {self.warm_epochs} outside [0, {self.epochs}]"
@@ -447,13 +451,14 @@ def pretrain(
         train_loss = total / seen if seen else float("nan")
         val_loss = float("nan")
         if len(val_idx) >= 2:
+            frozen = model.frozen()  # nothing to record
             vals = []
             for start in range(0, len(val_idx), cfg.batch_size):
                 chunk = val_idx[start : start + cfg.batch_size]
                 if len(chunk) < 2:
                     continue
                 _, loss = _contrastive_batch(
-                    model, graphs, chunk, cfg, epoch, _TAG_VAL_AUGMENT, None
+                    frozen, graphs, chunk, cfg, epoch, _TAG_VAL_AUGMENT, None
                 )
                 vals.append((float(loss.data), len(chunk)))
             if vals:
@@ -590,11 +595,12 @@ def predict_molecules(
     """
     if model.head is None:
         raise ValueError("model has no prediction head")
+    frozen = model.frozen()  # nothing to record
     rows = []
     for start in range(0, len(graphs), batch_size):
         tape = Tape()
         batch = GraphBatch.from_graphs(graphs[start : start + batch_size])
-        out = predict(tape, model, represent(tape, model, batch)).data
+        out = predict(tape, frozen, represent(tape, frozen, batch)).data
         rows.append(np.asarray(out, dtype=np.float64))
     raw = (
         np.concatenate(rows, axis=0)

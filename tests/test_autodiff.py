@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from molcontrast.autodiff import (
+    IndexPlan,
     Tape,
     add,
     backward,
@@ -26,6 +27,7 @@ from molcontrast.autodiff import (
     log,
     matmul_t,
     mean,
+    message_sum,
     mul,
     numeric_gradients,
     relu,
@@ -255,6 +257,155 @@ def test_embedding_lookup_backward_matches_add_at_bitwise(case, dtype, width):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("width", [1, 3, 16])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(_SCATTER_CASES))
+def test_one_plan_reused_across_ops_matches_add_at_bitwise(case, dtype, width):
+    rows, ids = _SCATTER_CASES[case]
+    plan = IndexPlan(ids, rows)
+    x = tensor(_spread_rows(ids.size, width, dtype), requires_grad=True, dtype=dtype)
+    table = tensor(
+        _spread_rows(rows, width, dtype, seed=1), requires_grad=True, dtype=dtype
+    )
+    up_rows = _spread_rows(rows, width, dtype, seed=2)
+    up_ids = _spread_rows(ids.size, width, dtype, seed=3)
+    acc = _add_at(x.data.astype(np.float64), ids, rows, np.float64)
+    counts = np.bincount(ids, minlength=rows)
+    for _ in range(2):  # the second pass runs on the plan's cached schedule
+        tape = Tape()
+        summed = segment_sum(tape, x, plan)
+        looked = embedding_lookup(tape, table, plan)
+        assert summed.data.tobytes() == acc.astype(dtype).tobytes()
+        assert looked.data.tobytes() == table.data[ids].tobytes()
+        loss = add(
+            tape,
+            tsum(tape, mul(tape, summed, constant(up_rows, dtype=dtype))),
+            tsum(tape, mul(tape, looked, constant(up_ids, dtype=dtype))),
+        )
+        grads = backward(tape, loss)
+        assert grads[x].tobytes() == up_rows[ids].tobytes()
+        assert grads[table].tobytes() == _add_at(up_ids, ids, rows, dtype).tobytes()
+        if (counts == 0).any():
+            with pytest.raises(ValueError):
+                segment_mean(Tape(), x, plan)
+            continue
+        tape = Tape()
+        mean_out = segment_mean(tape, x, plan)
+        assert mean_out.data.tobytes() == (acc / counts[:, None]).astype(dtype).tobytes()
+        loss = tsum(tape, mul(tape, mean_out, constant(up_rows, dtype=dtype)))
+        inv = (1.0 / counts).astype(dtype)
+        want = up_rows[ids] * inv[ids][:, None]
+        assert backward(tape, loss)[x].tobytes() == want.tobytes()
+
+
+def test_index_plan_validates_once_and_checks_rows():
+    with pytest.raises(IndexError):
+        IndexPlan(np.array([0, 3]), 3)
+    with pytest.raises(IndexError):
+        IndexPlan(np.array([-1]), 3)
+    with pytest.raises(ValueError):
+        IndexPlan(np.zeros((2, 2), dtype=np.int64), 3)
+    plan = IndexPlan(np.array([0, 2, 2]), 3)
+    x = tensor(np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        segment_sum(Tape(), x, plan, 4)  # plan and num_segments disagree
+    with pytest.raises(ValueError):
+        embedding_lookup(Tape(), tensor(np.ones((4, 2))), plan)  # 4-row table
+    with pytest.raises(ValueError):
+        segment_sum(Tape(), tensor(np.ones((2, 2))), plan)  # 2 rows, 3 ids
+    with pytest.raises(ValueError):
+        segment_sum(Tape(), x, np.array([0, 2, 2]))  # raw ids need a count
+    assert plan.schedule() is plan.schedule()
+    assert plan.counts.tolist() == [1, 0, 2]
+
+
+def _message_chain(tape, x, src, dst, types, type_ids, dirs, dir_ids, coeff):
+    # The public-op chain the encoder layers ran before message_sum.
+    edge = add(
+        tape,
+        embedding_lookup(tape, types, type_ids),
+        embedding_lookup(tape, dirs, dir_ids),
+    )
+    msg = add(tape, embedding_lookup(tape, x, src), edge)
+    if coeff is not None:
+        col = constant(coeff[:, None].astype(x.dtype), dtype=x.dtype)
+        msg = mul(tape, msg, col)
+    return segment_sum(tape, msg, dst, x.shape[0])
+
+
+@pytest.mark.parametrize("with_coeff", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_message_sum_matches_public_op_chain_bitwise(with_coeff, dtype):
+    rng = np.random.default_rng(5)
+    nodes, edges, width = 30, 90, 16
+    src = rng.integers(0, nodes, edges)
+    dst = rng.integers(0, nodes, edges)  # narrow fan-in: the slot path
+    type_ids = rng.integers(0, 5, edges)  # wide fan-in: the block path
+    dir_ids = rng.integers(0, 3, edges)
+    coeff = rng.uniform(0.1, 1.0, edges) if with_coeff else None
+    arrays = [
+        _spread_rows(nodes, width, dtype, seed=6),
+        _spread_rows(5, width, dtype, seed=7),
+        _spread_rows(3, width, dtype, seed=8),
+    ]
+    upstream = constant(_spread_rows(nodes, width, dtype, seed=9), dtype=dtype)
+    plans = [
+        IndexPlan(src, nodes),
+        IndexPlan(dst, nodes),
+        IndexPlan(type_ids, 5),
+        IndexPlan(dir_ids, 3),
+    ]
+    results = {}
+    for way in ("chain", "raw ids", "plans", "plans again"):
+        tape = Tape()
+        x, types, dirs = (tensor(a, requires_grad=True, dtype=dtype) for a in arrays)
+        if way == "chain":
+            out = _message_chain(
+                tape, x, src, dst, types, type_ids, dirs, dir_ids, coeff
+            )
+        else:
+            ids = (src, dst, type_ids, dir_ids) if way == "raw ids" else plans
+            out = message_sum(
+                tape, x, ids[0], ids[1], types, ids[2], dirs, ids[3], coeff
+            )
+        grads = backward(tape, tsum(tape, mul(tape, out, upstream)))
+        results[way] = [out.data.tobytes()] + [
+            grads[t].tobytes() for t in (x, types, dirs)
+        ]
+    for way in ("raw ids", "plans", "plans again"):
+        assert results[way] == results["chain"], way
+
+
+def test_message_sum_is_one_record_and_skips_constant_tables():
+    tape = Tape()
+    x = tensor(np.ones((3, 2)), requires_grad=True)
+    types = constant(np.ones((2, 2)))
+    dirs = constant(np.ones((2, 2)))
+    out = message_sum(tape, x, [0, 1, 2], [1, 2, 0], types, [0, 1, 1], dirs, [1, 1, 0])
+    assert len(tape) == 1
+    np.testing.assert_array_equal(out.data, np.full((3, 2), 3.0))
+    grads = tape._records[0].backward_fn(np.ones((3, 2), dtype=np.float32))
+    assert grads[0] is not None and grads[1] is None and grads[2] is None
+    with pytest.raises(ValueError):
+        message_sum(tape, x, [0, 1], [1, 2, 0], types, [0, 1, 1], dirs, [1, 1, 0])
+    with pytest.raises(IndexError):
+        message_sum(tape, x, [0, 1, 3], [1, 2, 0], types, [0, 1, 1], dirs, [1, 1, 0])
+
+
+def test_constant_operands_get_no_gradient_computed():
+    tape = Tape()
+    p = tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+    c = constant(np.array([[3.0, 4.0]]))
+    for op in (add, sub, mul, div, matmul_t):
+        out = op(tape, p, c)
+        g = np.ones_like(out.data)
+        dp, dc = tape._records[-1].backward_fn(g)
+        assert dp is not None and dc is None, op.__name__
+        out = op(tape, c, p)
+        dc, dp = tape._records[-1].backward_fn(g)
+        assert dp is not None and dc is None, op.__name__
+
+
 # -- dropout ----------------------------------------------------------------
 
 
@@ -385,7 +536,7 @@ def test_check_gradients_flags_wrong_derivative():
 
 def test_gradcheck_report_all_ops_pass():
     report = gradcheck_report(seed=0, eps=1e-4)
-    assert len(report) == 18
+    assert len(report) == 20
     for op, err in report.items():
         assert err < 1e-4, f"{op}: {err}"
 

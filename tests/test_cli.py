@@ -1,5 +1,10 @@
 """End-to-end command-line interface runs, in process via main()."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -72,6 +77,48 @@ def test_warm_epochs_must_fit_inside_epochs(corpus_csv, tmp_path):
     rc = main(["pretrain", "--data", str(corpus_csv), "--epochs", "2",
                "--batch", "8", "--out", str(tmp_path / "o")])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--layers", "0"),
+        ("--hidden", "0"),
+        ("--temperature", "0"),
+        ("--ratio", "1.5"),
+        ("--epochs", "0"),
+    ],
+)
+def test_bad_hyper_parameter_is_a_config_error_before_data(flag, value, tmp_path):
+    # A fresh process, so an escaping exception shows as a traceback.  The
+    # data file does not exist: validation must come before the corpus is
+    # read, or this would be a data error (exit 2).
+    argv = ["pretrain", "--data", str(tmp_path / "absent.csv"),
+            "--out", str(tmp_path / "o")] + PRETRAIN_FAST + [flag, value]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "molcontrast.cli"] + argv,
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["finetune", "--layers", "0"],
+        ["finetune", "--augment", "--ratio", "1.5"],
+        ["ablate_aug", "--temperature", "0"],
+        ["ablate_temp", "--hidden", "0"],
+    ],
+)
+def test_other_commands_validate_before_data(argv, tmp_path, capsys):
+    rc = main(argv + ["--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 # -- pretrain / embed / retrieve round trip ----------------------------------
@@ -243,11 +290,11 @@ def test_gradcheck_reports_all_ops(tmp_path, capsys):
     rc = main(["gradcheck", "--out", str(out)])
     assert rc == 0
     text = capsys.readouterr().out
-    assert "all 18 ops within" in text
-    assert text.count(" ok") == 18
+    assert "all 20 ops within" in text
+    assert text.count(" ok") == 20
     lines = (out / "gradcheck.csv").read_text().strip().splitlines()
     assert lines[0] == "op,max_rel_error"
-    assert len(lines) == 19
+    assert len(lines) == 21
 
 
 # -- config files ------------------------------------------------------------

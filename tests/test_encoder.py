@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import molcontrast.encoder as encoder_module
 from molcontrast.autodiff import Tape, backward, check_gradients, tensor
 from molcontrast.contrastive import ContrastiveConfig, nt_xent
 from molcontrast.encoder import (
@@ -557,3 +558,66 @@ def test_embed_molecules_empty():
     model = EncoderModel.initialize(small_config(), 4)
     out = embed_molecules(model, [])
     assert out.shape == (0, 8)
+
+
+@pytest.mark.parametrize("backbone", ["gin", "gcn"])
+def test_embed_molecules_equals_recording_forward_and_records_nothing(
+    backbone, monkeypatch
+):
+    model = EncoderModel.initialize(small_config(backbone), 4)
+    graphs = [parse_smiles(s) for s in ["CCO", "c1ccccc1", "CC(=O)O", "C/C=C/C", "N"]]
+    tape = Tape()
+    want = represent(tape, model, GraphBatch.from_graphs(graphs)).data
+    assert len(tape) > 0  # trainable parameters: the forward is recorded
+    tapes = []
+
+    class CountingTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(encoder_module, "Tape", CountingTape)
+    got = embed_molecules(model, graphs)
+    assert got.tobytes() == want.tobytes()
+    assert tapes and all(len(t) == 0 for t in tapes)
+
+
+def test_frozen_model_shares_arrays_and_is_untracked():
+    model = EncoderModel.initialize(small_config(), 4)
+    model.add_head(HeadSpec("regression", 1), 5)
+    frozen = model.frozen()
+    assert frozen.config == model.config and frozen.head == model.head
+    assert frozen.params.keys() == model.params.keys()
+    for name, t in model.params.items():
+        assert frozen.params[name].data is t.data
+        assert t.requires_grad and not frozen.params[name].requires_grad
+
+
+@pytest.mark.parametrize("backbone", ["gin", "gcn"])
+def test_layer_aggregate_is_one_tape_record(backbone):
+    model = EncoderModel.initialize(small_config(backbone), 4)
+    batch = GraphBatch.from_graphs([parse_smiles("CC(=O)O"), parse_smiles("CN")])
+    layer = gin_layer if backbone == "gin" else gcn_layer
+    tape = Tape()
+    states = embed_nodes(tape, model, batch)
+    before = len(tape)
+    layer(tape, model, 0, states, batch)
+    # GIN: aggregate, scale, add, linear, relu, linear, relu.
+    # GCN: aggregate, linear, relu.
+    assert len(tape) - before == (7 if backbone == "gin" else 3)
+
+
+def test_batch_plans_are_cached_and_match_index_arrays():
+    batch = GraphBatch.from_graphs([parse_smiles("CC(=O)O"), parse_smiles("CN")])
+    for name in ("node_atomic", "node_chirality", "node_graph", "edge_src",
+                 "edge_dst", "edge_type", "edge_dir"):
+        plan = batch.plan(name)
+        assert plan is batch.plan(name)
+        np.testing.assert_array_equal(plan.ids, getattr(batch, name))
+    src, dst, etype, edir, _ = batch.gcn_arrays()
+    assert batch.gcn_arrays() is batch.gcn_arrays()
+    for name, ids in (("gcn_src", src), ("gcn_dst", dst), ("gcn_type", etype),
+                      ("gcn_dir", edir)):
+        np.testing.assert_array_equal(batch.plan(name).ids, ids)
+    assert batch.plan("node_graph").rows == 2
+    assert batch.plan("edge_src").rows == batch.num_nodes

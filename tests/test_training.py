@@ -7,10 +7,19 @@ import struct
 import numpy as np
 import pytest
 
+import molcontrast.training as training_module
 from molcontrast import autodiff as ad
 from molcontrast.augment import AugmentSpec
 from molcontrast.datasets import Split, SplitAssignment
-from molcontrast.encoder import EncoderConfig, EncoderModel, embed_molecules
+from molcontrast.encoder import (
+    EncoderConfig,
+    EncoderModel,
+    GraphBatch,
+    HeadSpec,
+    embed_molecules,
+    predict,
+    represent,
+)
 from molcontrast.errors import ConfigError, DataError
 from molcontrast.smiles import parse_smiles
 from molcontrast.training import (
@@ -523,8 +532,6 @@ def test_predict_molecules_contracts():
 
 
 def test_predict_molecules_denormalizes():
-    from molcontrast.encoder import HeadSpec
-
     model = make_model()
     model.add_head(HeadSpec(task_kind="regression", task_count=1), 5)
     graphs = [parse_smiles("CCO"), parse_smiles("CCC")]
@@ -537,3 +544,67 @@ def test_predict_molecules_denormalizes():
 def test_write_trace_csv_requires_history(tmp_path):
     with pytest.raises(ValueError):
         write_trace_csv(tmp_path / "t.csv", [])
+
+
+# -- tape-free inference -----------------------------------------------------
+
+
+def test_predict_molecules_equals_recording_forward_and_records_nothing(
+    monkeypatch,
+):
+    model = make_model()
+    model.add_head(HeadSpec(task_kind="regression", task_count=2), 1)  # raw values
+    graphs = [parse_smiles(s) for s in ["CCO", "CCC", "c1ccccc1", "CC(=O)N"]]
+    tape = ad.Tape()
+    want = predict(tape, model, represent(tape, model, GraphBatch.from_graphs(graphs)))
+    assert len(tape) > 0
+    tapes = []
+
+    class CountingTape(ad.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(training_module, "Tape", CountingTape)
+    got = predict_molecules(model, graphs)
+    assert got.tobytes() == np.asarray(want.data, dtype=np.float64).tobytes()
+    assert tapes and all(len(t) == 0 for t in tapes)
+
+
+def test_pretrain_validation_loss_equals_recording_forward(monkeypatch):
+    corpus = unlabeled_corpus(40, seed=3)
+    cfg = PretrainConfig(
+        epochs=1, batch_size=8, warm_epochs=0, encoder=SMALL_ENCODER,
+        val_fraction=0.25, seed=2,
+    )
+    calls = []
+    original = training_module._contrastive_batch
+
+    def spy(model, graphs, indices, cfg, epoch, tag, dropout_rng):
+        tape, loss = original(model, graphs, indices, cfg, epoch, tag, dropout_rng)
+        calls.append((tag, len(tape)))
+        return tape, loss
+
+    monkeypatch.setattr(training_module, "_contrastive_batch", spy)
+    result = pretrain(corpus, cfg)
+    monkeypatch.undo()
+    val_records = [n for tag, n in calls if tag == training_module._TAG_VAL_AUGMENT]
+    train_records = [n for tag, n in calls if tag == training_module._TAG_AUGMENT]
+    assert val_records and all(n == 0 for n in val_records)
+    assert train_records and all(n > 0 for n in train_records)
+
+    # The same validation batches on the trainable model, recorded.
+    perm = training_module.derive_rng(cfg.seed, training_module._TAG_SPLIT).permutation(40)
+    val_idx = perm[: int(40 * cfg.val_fraction)]
+    vals = []
+    for start in range(0, len(val_idx), cfg.batch_size):
+        chunk = val_idx[start : start + cfg.batch_size]
+        if len(chunk) < 2:
+            continue
+        tape, loss = training_module._contrastive_batch(
+            result.model, corpus, chunk, cfg, 0, training_module._TAG_VAL_AUGMENT, None
+        )
+        assert len(tape) > 0
+        vals.append((float(loss.data), len(chunk)))
+    want = sum(v * w for v, w in vals) / sum(w for _, w in vals)
+    assert result.history[0].val_loss == want
