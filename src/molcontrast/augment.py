@@ -58,7 +58,6 @@ class AugmentSpec:
     mask_ratio: float = 0.25
     delete_ratio: float = 0.25
     subgraph_ratio: float = 0.25
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -69,8 +68,6 @@ class AugmentSpec:
             value = getattr(self, name)
             if not 0 <= value <= 1:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        if self.rng_seed < 0:
-            raise ConfigError("rng_seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -93,6 +90,12 @@ def _count(p: float, n: int) -> int:
     if p <= 0 or n == 0:
         return 0
     return min(n, max(1, math.floor(p * n + 0.5)))
+
+
+def _random_ratio(spec: AugmentSpec, rng: np.random.Generator) -> float:
+    """A subgraph ratio drawn from U[0, spec.subgraph_ratio]; no draw at 0."""
+    p = spec.subgraph_ratio
+    return float(rng.uniform(0.0, p)) if p > 0 else 0.0
 
 
 def _with_masks(g: MoleculeGraph, masked: set[int]) -> tuple:
@@ -185,8 +188,7 @@ def compose_view(
     subgraph step counting toward that quota.
     """
     n, m = g.num_nodes, g.num_edges
-    ratio = float(rng.uniform(0.0, spec.subgraph_ratio)) if spec.subgraph_ratio > 0 else 0.0
-    view = remove_subgraph(g, ratio, rng, source_index)
+    view = remove_subgraph(g, _random_ratio(spec, rng), rng, source_index)
     masked = set(view.masked_nodes)
     deleted = set(view.deleted_edges)
     graph = view.graph
@@ -227,12 +229,7 @@ def augment_view(
             dropped.graph, masked.masked_nodes, dropped.deleted_edges, source_index
         )
     if spec.strategy == SUBGRAPH_RANDOM:
-        ratio = (
-            float(rng.uniform(0.0, spec.subgraph_ratio))
-            if spec.subgraph_ratio > 0
-            else 0.0
-        )
-        return remove_subgraph(g, ratio, rng, source_index)
+        return remove_subgraph(g, _random_ratio(spec, rng), rng, source_index)
     if spec.strategy == SUBGRAPH:
         return remove_subgraph(g, spec.subgraph_ratio, rng, source_index)
     return compose_view(g, spec, rng, source_index)

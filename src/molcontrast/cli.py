@@ -210,6 +210,37 @@ def _add_encoder_flags(sp: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_ablation_flags(sp: argparse.ArgumentParser, temperature: bool) -> None:
+    sp.add_argument("--data", help="labeled CSV (pre-training uses the same molecules)")
+    sp.add_argument(
+        "--task",
+        choices=("classification", "regression"),
+        default="classification",
+        help="(default: %(default)s)",
+    )
+    sp.add_argument("--pretrain-epochs", type=int, default=20, help="(default: %(default)s)")
+    sp.add_argument(
+        "--warm-epochs",
+        type=int,
+        default=None,
+        help="flat-rate epochs before decay (default: min(10, pretrain epochs))",
+    )
+    sp.add_argument("--finetune-epochs", type=int, default=30, help="(default: %(default)s)")
+    sp.add_argument("--batch", type=int, default=64, help="pre-training batch (default: %(default)s)")
+    sp.add_argument("--finetune-batch", type=int, default=32, help="(default: %(default)s)")
+    if temperature:
+        sp.add_argument("--temperature", type=float, default=0.1, help="(default: %(default)s)")
+    sp.add_argument("--lr-head", type=float, default=5e-4, help="(default: %(default)s)")
+    sp.add_argument("--lr-base", type=float, default=1e-4, help="(default: %(default)s)")
+    sp.add_argument(
+        "--free-values",
+        action="store_true",
+        help="allow fine-tune values outside the search grid",
+    )
+    _add_augment_flags(sp)
+    _add_encoder_flags(sp)
+
+
 def _augment_spec(args: argparse.Namespace):
     from .augment import AugmentSpec
 
@@ -218,7 +249,6 @@ def _augment_spec(args: argparse.Namespace):
         mask_ratio=args.mask_ratio,
         delete_ratio=args.delete_ratio,
         subgraph_ratio=args.ratio,
-        rng_seed=args.seed,
     )
 
 
@@ -548,12 +578,17 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ablation_inputs(args: argparse.Namespace, temperature: float):
-    """The labeled dataset plus the pre-training and fine-tuning configs
-    each sweep run varies; the configs come first, so bad flags fail
-    before any data is read."""
+_TEMPERATURES = (0.05, 0.1, 0.5)
+
+
+def _ablation_sweep(args, column, values, vary, label) -> int:
+    """Pre-train then fine-tune once per value, on the pre-training config
+    ``vary(cfg, value)``; prints ``label.format(value)`` and the run's
+    scores, and writes one CSV row per run to ``<command>.csv``.  The
+    configs are built first, so bad flags fail before any data is read."""
+    _require(args, "data")
     from .datasets import load_labeled_csv
-    from .training import FinetuneConfig, PretrainConfig
+    from .training import FinetuneConfig, PretrainConfig, finetune, pretrain
 
     warm = (
         args.warm_epochs
@@ -564,7 +599,8 @@ def _ablation_inputs(args: argparse.Namespace, temperature: float):
         epochs=args.pretrain_epochs,
         batch_size=args.batch,
         warm_epochs=warm,
-        temperature=temperature,
+        # ablate_temp has no --temperature: each run sets its own.
+        temperature=getattr(args, "temperature", _TEMPERATURES[0]),
         augment=_augment_spec(args),
         encoder=_encoder_config(args),
         seed=args.seed,
@@ -580,86 +616,36 @@ def _ablation_inputs(args: argparse.Namespace, temperature: float):
     dataset, _ = load_labeled_csv(args.data, args.task)
     if not dataset.records:
         raise DataError(f"no parseable molecules in {args.data}")
-    return dataset, pre_cfg, ft_cfg
-
-
-def _ablate_once(dataset, pre_cfg, ft_cfg):
-    from .training import finetune, pretrain
-
     graphs = [r.graph for r in dataset.records]
-    pre = pretrain(graphs, pre_cfg)
-    result = finetune(dataset, ft_cfg, checkpoint=pre.checkpoint)
-    return pre.history[-1].train_loss, result
+    rows = []
+    for value in values:
+        pre = pretrain(graphs, vary(pre_cfg, value))
+        result = finetune(dataset, ft_cfg, checkpoint=pre.checkpoint)
+        loss = pre.history[-1].train_loss
+        val, test = result.val_metric, result.test_metric
+        rows.append([value, f"{loss:.6f}", result.best_epoch, f"{val:.6f}", f"{test:.6f}"])
+        print(
+            f"{label.format(value)} pretrain loss {loss:.4f}  "
+            f"test {result.metric_name} {test:.4f}"
+        )
+    out = _out_dir(args)
+    path = out / f"{args.command}.csv"
+    _write_csv(path, [column, "pretrain_loss", "best_epoch", "val_metric", "test_metric"], rows)
+    _write_resolved_config(out, args)
+    print(f"wrote {path}")
+    return 0
 
 
 def cmd_ablate_aug(args: argparse.Namespace) -> int:
-    _require(args, "data")
     from .augment import STRATEGIES
 
-    dataset, pre_cfg, ft_cfg = _ablation_inputs(args, args.temperature)
-    rows = []
-    for strategy in STRATEGIES:
-        spec = replace(pre_cfg.augment, strategy=strategy)
-        loss, result = _ablate_once(
-            dataset, replace(pre_cfg, augment=spec), ft_cfg
-        )
-        rows.append(
-            [
-                strategy,
-                f"{loss:.6f}",
-                result.best_epoch,
-                f"{result.val_metric:.6f}",
-                f"{result.test_metric:.6f}",
-            ]
-        )
-        print(
-            f"{strategy:<16s} pretrain loss {loss:.4f}  "
-            f"test {result.metric_name} {result.test_metric:.4f}"
-        )
-    out = _out_dir(args)
-    _write_csv(
-        out / "ablate_aug.csv",
-        ["strategy", "pretrain_loss", "best_epoch", "val_metric", "test_metric"],
-        rows,
-    )
-    _write_resolved_config(out, args)
-    print(f"wrote {out / 'ablate_aug.csv'}")
-    return 0
-
-
-_TEMPERATURES = (0.05, 0.1, 0.5)
+    vary = lambda cfg, s: replace(cfg, augment=replace(cfg.augment, strategy=s))  # noqa: E731
+    return _ablation_sweep(args, "strategy", STRATEGIES, vary, "{:<16s}")
 
 
 def cmd_ablate_temp(args: argparse.Namespace) -> int:
-    _require(args, "data")
-    dataset, pre_cfg, ft_cfg = _ablation_inputs(args, _TEMPERATURES[0])
-    rows = []
-    for tau in _TEMPERATURES:
-        loss, result = _ablate_once(
-            dataset, replace(pre_cfg, temperature=tau), ft_cfg
-        )
-        rows.append(
-            [
-                tau,
-                f"{loss:.6f}",
-                result.best_epoch,
-                f"{result.val_metric:.6f}",
-                f"{result.test_metric:.6f}",
-            ]
-        )
-        print(
-            f"tau {tau:<5g} pretrain loss {loss:.4f}  "
-            f"test {result.metric_name} {result.test_metric:.4f}"
-        )
-    out = _out_dir(args)
-    _write_csv(
-        out / "ablate_temp.csv",
-        ["temperature", "pretrain_loss", "best_epoch", "val_metric", "test_metric"],
-        rows,
-    )
-    _write_resolved_config(out, args)
-    print(f"wrote {out / 'ablate_temp.csv'}")
-    return 0
+    vary = lambda cfg, tau: replace(cfg, temperature=tau)  # noqa: E731
+    return _ablation_sweep(args, "temperature", _TEMPERATURES, vary, "tau {:<5g}")
 
 
 # ---------------------------------------------------------------------------
@@ -806,62 +792,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.set_defaults(func=cmd_gradcheck)
 
     sp = sub("ablate_aug", "compare augmentation strategies end to end", "ablate_aug_run")
-    sp.add_argument("--data", help="labeled CSV (pre-training uses the same molecules)")
-    sp.add_argument(
-        "--task",
-        choices=("classification", "regression"),
-        default="classification",
-        help="(default: %(default)s)",
-    )
-    sp.add_argument("--pretrain-epochs", type=int, default=20, help="(default: %(default)s)")
-    sp.add_argument(
-        "--warm-epochs",
-        type=int,
-        default=None,
-        help="flat-rate epochs before decay (default: min(10, pretrain epochs))",
-    )
-    sp.add_argument("--finetune-epochs", type=int, default=30, help="(default: %(default)s)")
-    sp.add_argument("--batch", type=int, default=64, help="pre-training batch (default: %(default)s)")
-    sp.add_argument("--finetune-batch", type=int, default=32, help="(default: %(default)s)")
-    sp.add_argument("--temperature", type=float, default=0.1, help="(default: %(default)s)")
-    sp.add_argument("--lr-head", type=float, default=5e-4, help="(default: %(default)s)")
-    sp.add_argument("--lr-base", type=float, default=1e-4, help="(default: %(default)s)")
-    sp.add_argument(
-        "--free-values",
-        action="store_true",
-        help="allow fine-tune values outside the search grid",
-    )
-    _add_augment_flags(sp)
-    _add_encoder_flags(sp)
+    _add_ablation_flags(sp, temperature=True)
     sp.set_defaults(func=cmd_ablate_aug)
 
     sp = sub("ablate_temp", "sweep the contrastive temperature", "ablate_temp_run")
-    sp.add_argument("--data", help="labeled CSV (pre-training uses the same molecules)")
-    sp.add_argument(
-        "--task",
-        choices=("classification", "regression"),
-        default="classification",
-        help="(default: %(default)s)",
-    )
-    sp.add_argument("--pretrain-epochs", type=int, default=20, help="(default: %(default)s)")
-    sp.add_argument(
-        "--warm-epochs",
-        type=int,
-        default=None,
-        help="flat-rate epochs before decay (default: min(10, pretrain epochs))",
-    )
-    sp.add_argument("--finetune-epochs", type=int, default=30, help="(default: %(default)s)")
-    sp.add_argument("--batch", type=int, default=64, help="pre-training batch (default: %(default)s)")
-    sp.add_argument("--finetune-batch", type=int, default=32, help="(default: %(default)s)")
-    sp.add_argument("--lr-head", type=float, default=5e-4, help="(default: %(default)s)")
-    sp.add_argument("--lr-base", type=float, default=1e-4, help="(default: %(default)s)")
-    sp.add_argument(
-        "--free-values",
-        action="store_true",
-        help="allow fine-tune values outside the search grid",
-    )
-    _add_augment_flags(sp)
-    _add_encoder_flags(sp)
+    _add_ablation_flags(sp, temperature=False)
     sp.set_defaults(func=cmd_ablate_temp)
 
     return parser, index

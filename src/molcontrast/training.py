@@ -6,6 +6,9 @@ stochastic choice (validation split, epoch shuffles, augmentation draws,
 dropout masks) runs on its own stream derived from the config seed and a
 fixed tag, so no consumer can perturb another.
 
+A checkpoint holds model parameters and the config that rebuilds the
+model, and no optimizer state: it cannot resume a training run.
+
 The checkpoint file layout, all little-endian:
 
     8 bytes   magic "MOLCLRCK"
@@ -197,7 +200,6 @@ def model_to_checkpoint(
     model: EncoderModel,
     epoch: int = 0,
     extra: Mapping[str, object] | None = None,
-    optimizer: AdamState | None = None,
 ) -> Checkpoint:
     config: dict = {"encoder": asdict(model.config), "epoch": epoch}
     if model.head is not None:
@@ -208,11 +210,6 @@ def model_to_checkpoint(
         name: arr.astype(np.float32, copy=True)
         for name, arr in model.state_arrays().items()
     }
-    if optimizer is not None:
-        config["adam_step"] = optimizer.step
-        for name, m in optimizer.m.items():
-            arrays[f"adam.m.{name}"] = m.astype(np.float32)
-            arrays[f"adam.v.{name}"] = optimizer.v[name].astype(np.float32)
     return Checkpoint(config, arrays)
 
 
@@ -225,7 +222,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> EncoderModel:
     params = {
         name: ad.tensor(arr.copy(), requires_grad=True)
         for name, arr in ckpt.arrays.items()
-        if not name.startswith("adam.")
+        if not name.startswith("adam.")  # Adam moments in older files
     }
     head = HeadSpec(**ckpt.config["head"]) if "head" in ckpt.config else None
     return EncoderModel(cfg, params, head)
@@ -248,8 +245,8 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         fh.write(struct.pack("<I", ckpt.version))
         fh.write(struct.pack("<Q", len(meta)))
         fh.write(meta)
-        fh.write(bytes(payload))
-        fh.write(struct.pack("<I", zlib.crc32(bytes(payload)) & 0xFFFFFFFF))
+        fh.write(payload)
+        fh.write(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -276,7 +273,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         meta = json.loads(data[header:body].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpointError(f"{path}: unreadable metadata") from exc
-    payload = data[body:-4]
+    payload = memoryview(data)[body:-4]
     (crc_stored,) = struct.unpack_from("<I", data, len(data) - 4)
     if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
         raise CorruptCheckpointError(f"{path}: payload checksum mismatch")
@@ -365,6 +362,33 @@ def write_trace_csv(path: str | Path, history: Sequence[object]) -> None:
             writer.writerow([getattr(row, n) for n in names])
 
 
+def _epoch_batches(cfg, indices: np.ndarray, epoch: int, dropout: bool):
+    """(offset, indices, dropout stream or None) of each batch of
+    ``cfg.batch_size`` training molecules, in this epoch's shuffled order."""
+    order = indices[derive_rng(cfg.seed, _TAG_SHUFFLE, epoch).permutation(len(indices))]
+    for start in range(0, len(order), cfg.batch_size):
+        drop_rng = derive_rng(cfg.seed, _TAG_DROPOUT, epoch, start) if dropout else None
+        yield start, order[start : start + cfg.batch_size], drop_rng
+
+
+def _optimizer_step(
+    model: EncoderModel, tape: Tape, loss: Tensor, state: AdamState,
+    lr: float | Callable[[str], float], weight_decay: float,
+    kind: str, epoch: int, start: int,
+) -> float:
+    """Abort on a non-finite loss, else back-propagate it and take one Adam
+    step on every parameter that received a gradient; returns the loss."""
+    value = float(loss.data)
+    if not math.isfinite(value):
+        raise NumericAbort(
+            f"non-finite {kind} loss at epoch {epoch}, batch offset {start}"
+        )
+    grads = backward(tape, loss)
+    named = {name: grads[t] for name, t in model.params.items() if t in grads}
+    adam_step(model.params, named, state, lr, weight_decay)
+    return value
+
+
 def _contrastive_batch(
     model: EncoderModel,
     graphs: Sequence[MoleculeGraph],
@@ -416,36 +440,19 @@ def pretrain(
     history: list[EpochTrace] = []
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg.epochs, cfg.lr, cfg.warm_epochs)
-        order = train_idx[
-            derive_rng(cfg.seed, _TAG_SHUFFLE, epoch).permutation(len(train_idx))
-        ]
         total = 0.0
         seen = 0
-        for start in range(0, len(order), cfg.batch_size):
-            chunk = order[start : start + cfg.batch_size]
+        batches = _epoch_batches(cfg, train_idx, epoch, cfg.encoder.dropout > 0)
+        for start, chunk, drop_rng in batches:
             if len(chunk) < 2:
                 continue
-            drop_rng = (
-                derive_rng(cfg.seed, _TAG_DROPOUT, epoch, start)
-                if cfg.encoder.dropout > 0
-                else None
-            )
             tape, loss = _contrastive_batch(
                 model, graphs, chunk, cfg, epoch, _TAG_AUGMENT, drop_rng
             )
-            value = float(loss.data)
-            if not math.isfinite(value):
-                raise NumericAbort(
-                    f"non-finite contrastive loss at epoch {epoch}, "
-                    f"batch offset {start}"
-                )
-            grads = backward(tape, loss)
-            named = {
-                name: grads[t]
-                for name, t in model.params.items()
-                if t in grads
-            }
-            adam_step(model.params, named, state, lr, cfg.weight_decay)
+            value = _optimizer_step(
+                model, tape, loss, state, lr, cfg.weight_decay,
+                "contrastive", epoch, start,
+            )
             total += value * len(chunk)
             seen += len(chunk)
         train_loss = total / seen if seen else float("nan")
@@ -465,10 +472,7 @@ def pretrain(
                 val_loss = sum(v * w for v, w in vals) / sum(w for _, w in vals)
         history.append(EpochTrace(epoch, train_loss, val_loss, lr))
     ckpt = model_to_checkpoint(
-        model,
-        epoch=cfg.epochs,
-        extra={"pretrain": _jsonable_config(cfg)},
-        optimizer=state,
+        model, epoch=cfg.epochs, extra={"pretrain": _jsonable_config(cfg)}
     )
     if trace_path is not None:
         write_trace_csv(trace_path, history)
@@ -752,13 +756,9 @@ def finetune(
             lr_at(epoch, cfg.epochs, cfg.lr_base) if cfg.cosine_decay else cfg.lr_base
         )
         rate = lambda name: lr_head if name.startswith("head.") else lr_base  # noqa: E731
-        order = train_idx[
-            derive_rng(cfg.seed, _TAG_SHUFFLE, epoch).permutation(len(train_idx))
-        ]
         total = 0.0
         seen = 0
-        for start in range(0, len(order), cfg.batch_size):
-            chunk = order[start : start + cfg.batch_size]
+        for start, chunk, drop_rng in _epoch_batches(cfg, train_idx, epoch, use_dropout):
             if not observed[chunk].any():
                 continue
             inputs = []
@@ -768,11 +768,6 @@ def finetune(
                     rng = derive_rng(cfg.seed, _TAG_FT_AUGMENT, epoch, int(i))
                     g = augment_view(g, augment, rng, int(i)).graph
                 inputs.append(g)
-            drop_rng = (
-                derive_rng(cfg.seed, _TAG_DROPOUT, epoch, start)
-                if use_dropout
-                else None
-            )
             tape, loss, count = _supervised_loss(
                 model,
                 inputs,
@@ -781,17 +776,9 @@ def finetune(
                 classify_basis,
                 drop_rng,
             )
-            value = float(loss.data)
-            if not math.isfinite(value):
-                raise NumericAbort(
-                    f"non-finite supervised loss at epoch {epoch}, "
-                    f"batch offset {start}"
-                )
-            grads = backward(tape, loss)
-            named = {
-                name: grads[t] for name, t in model.params.items() if t in grads
-            }
-            adam_step(model.params, named, state, rate)
+            value = _optimizer_step(
+                model, tape, loss, state, rate, 0.0, "supervised", epoch, start
+            )
             total += value * count
             seen += count
         train_loss = total / seen if seen else float("nan")

@@ -44,8 +44,6 @@ def test_spec_validation():
         AugmentSpec(delete_ratio=-0.1)
     with pytest.raises(ValueError):
         AugmentSpec(subgraph_ratio=2.0)
-    with pytest.raises(ValueError):
-        AugmentSpec(rng_seed=-1)
 
 
 def test_derive_rng_streams():
@@ -261,6 +259,23 @@ def test_random_subgraph_bounded():
         assert 1 <= len(view.masked_nodes) <= 5
         sizes.add(len(view.masked_nodes))
     assert len(sizes) > 1  # the ratio really is random
+
+
+def test_random_subgraph_ratio_is_one_draw_and_none_at_zero():
+    # Both random-ratio strategies draw the ratio as the stream's first
+    # value, U[0, subgraph_ratio], and draw nothing when it is 0.
+    g = path_graph(20)
+    for strategy in (SUBGRAPH_RANDOM, COMPOSE_ALL):
+        spec = AugmentSpec(strategy=strategy, subgraph_ratio=0.4, mask_ratio=0, delete_ratio=0)
+        for seed in range(20):
+            rng = rng_for(seed)
+            ratio = float(rng.uniform(0.0, 0.4))
+            want = remove_subgraph(g, ratio, rng)
+            assert augment_view(g, spec, rng_for(seed)).masked_nodes == want.masked_nodes
+        zero = AugmentSpec(strategy=strategy, subgraph_ratio=0, mask_ratio=0, delete_ratio=0)
+        rng = rng_for(3)
+        assert augment_view(g, zero, rng).graph == g
+        assert rng.random() == rng_for(3).random()
 
 
 def test_mask_delete_strategy_composition():

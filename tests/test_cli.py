@@ -376,6 +376,24 @@ ABLATE_FAST = [
 ]
 
 
+ABLATE_KEYS = {
+    "backbone", "batch", "data", "delete_ratio", "finetune_batch", "finetune_epochs",
+    "free_values", "hidden", "latent", "layers", "lr_base", "lr_head", "mask_ratio",
+    "out", "pretrain_epochs", "ratio", "seed", "strategy", "task", "warm_epochs",
+}
+
+
+def check_ablation_stdout(printed, csv_lines, labels, csv_path):
+    # One line per run, its label padded as before, then the CSV path.
+    assert len(printed) == len(labels) + 1
+    for line, label, row in zip(printed, labels, csv_lines[1:]):
+        loss, test = row.split(",")[1], row.split(",")[4]
+        assert line == (
+            f"{label} pretrain loss {float(loss):.4f}  test roc_auc {float(test):.4f}"
+        )
+    assert printed[-1] == f"wrote {csv_path}"
+
+
 def test_ablate_aug_sweeps_strategies(labeled_csv, tmp_path, capsys):
     out = tmp_path / "aa"
     rc = main(["ablate_aug", "--data", str(labeled_csv), "--out", str(out)]
@@ -386,9 +404,15 @@ def test_ablate_aug_sweeps_strategies(labeled_csv, tmp_path, capsys):
     assert len(lines) == 5  # four strategies
     strategies = [line.split(",")[0] for line in lines[1:]]
     assert strategies == ["mask_delete", "subgraph_random", "subgraph", "compose_all"]
+    labels = ["mask_delete     ", "subgraph_random ", "subgraph        ", "compose_all     "]
+    printed = capsys.readouterr().out.splitlines()
+    check_ablation_stdout(printed, lines, labels, out / "ablate_aug.csv")
+    resolved = load_config_file(out / "config_resolved.txt")
+    assert set(resolved) == ABLATE_KEYS | {"temperature"}
+    assert resolved["temperature"] == "0.1"
 
 
-def test_ablate_temp_sweeps_temperatures(labeled_csv, tmp_path):
+def test_ablate_temp_sweeps_temperatures(labeled_csv, tmp_path, capsys):
     out = tmp_path / "at"
     rc = main(["ablate_temp", "--data", str(labeled_csv), "--out", str(out)]
               + ABLATE_FAST)
@@ -397,3 +421,10 @@ def test_ablate_temp_sweeps_temperatures(labeled_csv, tmp_path):
     assert lines[0] == "temperature,pretrain_loss,best_epoch,val_metric,test_metric"
     temps = [line.split(",")[0] for line in lines[1:]]
     assert temps == ["0.05", "0.1", "0.5"]
+    printed = capsys.readouterr().out.splitlines()
+    check_ablation_stdout(
+        printed, lines, ["tau 0.05 ", "tau 0.1  ", "tau 0.5  "], out / "ablate_temp.csv"
+    )
+    resolved = load_config_file(out / "config_resolved.txt")
+    assert set(resolved) == ABLATE_KEYS  # no --temperature flag to record
+    assert resolved["pretrain_epochs"] == "1"

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ from molcontrast.encoder import (
     predict,
     represent,
 )
-from molcontrast.errors import ConfigError, DataError
+from molcontrast.errors import ConfigError, DataError, NumericAbort
 from molcontrast.smiles import parse_smiles
 from molcontrast.training import (
     CHECKPOINT_MAGIC,
     AdamState,
+    Checkpoint,
     CheckpointError,
     CheckpointVersionError,
     CorruptCheckpointError,
@@ -167,20 +169,52 @@ def make_model(seed=0, head=False):
 
 def test_checkpoint_roundtrip_bit_identical(tmp_path):
     model = make_model(head=True)
-    state = AdamState()
-    state.step = 3
-    state.m["node_embed.atom"] = np.full((120, 8), 0.25)
-    state.v["node_embed.atom"] = np.full((120, 8), 0.5)
-    ckpt = model_to_checkpoint(model, epoch=7, optimizer=state)
+    ckpt = model_to_checkpoint(model, epoch=7)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, ckpt)
     loaded = load_checkpoint(path)
     assert loaded.version == ckpt.version
     assert loaded.config["epoch"] == 7
-    assert loaded.config["adam_step"] == 3
-    assert set(loaded.arrays) == set(ckpt.arrays)
+    assert set(loaded.arrays) == set(ckpt.arrays) == set(model.params)
     for name, arr in ckpt.arrays.items():
         np.testing.assert_array_equal(loaded.arrays[name], arr)
+
+
+def test_checkpoint_with_adam_moments_still_loads(tmp_path):
+    # Files written before checkpoints became parameter-only also carry
+    # float32 Adam moments; they load, and the model drops them.
+    model = make_model()
+    ckpt = model_to_checkpoint(model)
+    ckpt.arrays["adam.m.x"] = np.full((3, 2), 0.25, dtype=np.float32)
+    ckpt.arrays["adam.v.x"] = np.full((3, 2), 0.5, dtype=np.float32)
+    ckpt.config["adam_step"] = 3
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, ckpt)
+    loaded = load_checkpoint(path)
+    assert loaded.config["adam_step"] == 3
+    np.testing.assert_array_equal(loaded.arrays["adam.m.x"], ckpt.arrays["adam.m.x"])
+    np.testing.assert_array_equal(loaded.arrays["adam.v.x"], ckpt.arrays["adam.v.x"])
+    revived = model_from_checkpoint(loaded)
+    assert set(revived.params) == set(model.params)
+    graphs = [parse_smiles("CCO")]
+    np.testing.assert_array_equal(
+        embed_molecules(model, graphs), embed_molecules(revived, graphs)
+    )
+
+
+def test_checkpoint_file_layout_is_exact(tmp_path):
+    # Header, metadata, raw little-endian float32 payload, CRC-32 trailer.
+    ckpt = Checkpoint({"epoch": 1}, {"a": np.arange(3, dtype=np.float32), "b": np.ones((2, 2))})
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, ckpt)
+    blob = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<Q", blob, 12)
+    payload = np.arange(3, dtype="<f4").tobytes() + np.ones(4, dtype="<f4").tobytes()
+    assert blob[20 + meta_len : -4] == payload
+    assert struct.unpack("<I", blob[-4:])[0] == zlib.crc32(payload)
+    loaded = load_checkpoint(path)
+    np.testing.assert_array_equal(loaded.arrays["b"], np.ones((2, 2), dtype=np.float32))
+    assert loaded.arrays["a"].flags.writeable and loaded.arrays["a"].dtype == np.float32
 
 
 def test_checkpoint_roundtrip_same_embeddings(tmp_path):
@@ -381,6 +415,12 @@ def test_pretrain_checkpoint_is_loadable(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.config["epoch"] == 2
     assert loaded.config["pretrain"]["batch_size"] == 4
+    # Parameters only: no optimizer state, no resume.
+    assert "adam_step" not in loaded.config
+    assert "rng_seed" not in loaded.config["pretrain"]["augment"]
+    assert list(loaded.arrays) == list(result.model.params)
+    for name, t in result.model.params.items():
+        assert loaded.arrays[name].tobytes() == t.data.astype(np.float32).tobytes()
     revived = model_from_checkpoint(loaded)
     graphs = [parse_smiles("CCO")]
     np.testing.assert_array_equal(
@@ -608,3 +648,53 @@ def test_pretrain_validation_loss_equals_recording_forward(monkeypatch):
         vals.append((float(loss.data), len(chunk)))
     want = sum(v * w for v, w in vals) / sum(w for _, w in vals)
     assert result.history[0].val_loss == want
+
+
+def test_epoch_batches_follow_the_shuffle_and_dropout_streams():
+    cfg = FinetuneConfig(batch_size=32, seed=5)
+    indices = np.arange(100, 170)
+    got = list(training_module._epoch_batches(cfg, indices, 3, dropout=True))
+    order = indices[
+        training_module.derive_rng(5, training_module._TAG_SHUFFLE, 3).permutation(70)
+    ]
+    assert [start for start, _, _ in got] == [0, 32, 64]
+    np.testing.assert_array_equal(np.concatenate([chunk for _, chunk, _ in got]), order)
+    for start, _, drop_rng in got:
+        want = training_module.derive_rng(5, training_module._TAG_DROPOUT, 3, start)
+        assert drop_rng.random() == want.random()
+    assert all(rng is None for _, _, rng in training_module._epoch_batches(cfg, indices, 3, False))
+
+
+def test_non_finite_losses_abort_with_their_batch(monkeypatch):
+    corpus = unlabeled_corpus(12, seed=1)
+    cfg = PretrainConfig(
+        epochs=2, batch_size=4, warm_epochs=0, encoder=SMALL_ENCODER,
+        val_fraction=0.0, seed=0,
+    )
+    original = training_module._contrastive_batch
+
+    def poisoned(model, graphs, indices, cfg, epoch, tag, dropout_rng):
+        tape, loss = original(model, graphs, indices, cfg, epoch, tag, dropout_rng)
+        if epoch == 1 and len(tape):
+            loss = ad.scale(tape, loss, float("nan"))
+        return tape, loss
+
+    monkeypatch.setattr(training_module, "_contrastive_batch", poisoned)
+    with pytest.raises(NumericAbort) as info:
+        pretrain(corpus, cfg)
+    assert str(info.value) == "non-finite contrastive loss at epoch 1, batch offset 0"
+
+    original_sup = training_module._supervised_loss
+
+    def poisoned_sup(model, inputs, labels, observed, basis, dropout_rng):
+        tape, loss, count = original_sup(model, inputs, labels, observed, basis, dropout_rng)
+        return tape, ad.scale(tape, loss, float("inf")), count
+
+    monkeypatch.setattr(training_module, "_supervised_loss", poisoned_sup)
+    with pytest.raises(NumericAbort) as info:
+        finetune(
+            oxygen_dataset(30, seed=6),
+            FinetuneConfig(epochs=1, batch_size=32, hidden_dim=16),
+            encoder=SMALL_ENCODER,
+        )
+    assert str(info.value) == "non-finite supervised loss at epoch 0, batch offset 0"
