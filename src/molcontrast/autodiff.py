@@ -20,9 +20,9 @@ Every scatter (segment sums and means, the embedding-lookup backward, the
 :func:`message_sum` aggregate) adds the rows that land in one output row
 sequentially, in their original row order: the same order as
 ``numpy.add.at``, so its results equal ``numpy.add.at``'s bit for bit.  The
-index work behind a scatter (validation, one stable sort, the split into
-slots or blocks) lives in an :class:`IndexPlan`, built once per index array
-and reused by every op that takes it.
+index work behind a scatter (validation, the sorts, the degree-sorted slot
+layout or the block split) lives in an :class:`IndexPlan`, built once per
+index array and reused by every op that takes it.
 """
 
 from __future__ import annotations
@@ -198,13 +198,26 @@ class IndexPlan:
 
     Built once per ``(ids, rows)`` and reusable by every op that gathers
     or scatters by those ids, forward and backward: range checks, the
-    stable sort, the segment counts and the slot or block split are paid
-    once, not per call.  The scatter schedule is built lazily, on the first
-    scatter, so a plan used only for gathers (inference lookups) never
-    sorts.
+    sorts and the segment counts are paid once, not per call.  The scatter
+    schedule is built lazily, on the first scatter, so a plan used only for
+    gathers (inference lookups) never sorts.
+
+    The schedule is one of two layouts, picked by :attr:`narrow`:
+
+    * **degree-sorted** (:meth:`layout`, narrow plans: no row receives more
+      ids than there are rows, e.g. edges by node): rows are ordered by
+      falling count, so the rows that receive a j-th id form a prefix of
+      that order, of length ``n_j`` (``n_0 >= n_1 >= ...``).  Slot ``j``
+      lists, for each of those rows in that order, the position in ``ids``
+      of the row's j-th id.  A scatter adds slot after slot into the first
+      ``n_j`` rows of a row-sorted accumulator, in place, and un-permutes
+      once at the end.
+    * **blocks** (:meth:`blocks`, wide plans: few rows with many ids each,
+      e.g. atoms by embedding-table row): ids sorted stably by row, and the
+      ``(row, lo, hi)`` range of every non-empty row in that order.
     """
 
-    __slots__ = ("ids", "rows", "_counts", "_schedule")
+    __slots__ = ("ids", "rows", "_counts", "_layout", "_blocks")
 
     def __init__(self, ids, rows: int):
         ids = np.asarray(ids, dtype=np.int64)
@@ -215,7 +228,8 @@ class IndexPlan:
         self.ids = ids
         self.rows = rows
         self._counts: np.ndarray | None = None
-        self._schedule: tuple | None = None
+        self._layout: tuple | None = None
+        self._blocks: tuple | None = None
 
     def __len__(self) -> int:
         return self.ids.shape[0]
@@ -227,30 +241,51 @@ class IndexPlan:
             self._counts = np.bincount(self.ids, minlength=self.rows)
         return self._counts
 
-    def schedule(self) -> tuple:
-        """``("slots", [(dst, src), ...])`` or ``("blocks", order, [(row, lo,
-        hi), ...])``; see :func:`_scatter_add`."""
-        if self._schedule is None:
-            ids = self.ids
+    @property
+    def narrow(self) -> bool:
+        """No row receives more ids than there are rows."""
+        return not self.ids.size or int(self.counts.max()) <= self.rows
+
+    def layout(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The degree-sorted layout ``(position, slots, sizes)``.
+
+        ``position[r]`` is row ``r``'s place in the falling-count order
+        (ties keep row order), ``sizes[j]`` is ``n_j`` and
+        ``slots[sum(sizes[:j]):][:sizes[j]]`` is slot ``j``.
+        """
+        if self._layout is None:
             counts = self.counts
-            widest = int(counts.max()) if ids.size else 0
-            order = np.argsort(ids, kind="stable")
+            by_count = np.argsort(-counts, kind="stable")
+            position = np.empty(self.rows, dtype=np.int64)
+            position[by_count] = np.arange(self.rows)
+            key = position[self.ids]
+            order = np.argsort(key, kind="stable")  # by row, then id order
+            sorted_counts = counts[by_count]
+            starts = np.cumsum(sorted_counts) - sorted_counts
+            key = key[order]
+            rank = np.arange(order.size) - starts[key]
+            sizes = np.bincount(rank)
+            # Slot j holds the rows of positions 0..n_j-1, so an id of rank j
+            # at position p goes to place p of slot j.
+            slots = np.empty_like(order)
+            slots[(np.cumsum(sizes) - sizes)[rank] + key] = order
+            self._layout = (position, slots, sizes.tolist())
+        return self._layout
+
+    def blocks(self) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+        """``(order, [(row, lo, hi), ...])``: ids stably sorted by row, and
+        each non-empty row's range in that order."""
+        if self._blocks is None:
+            counts = self.counts
             ends = np.cumsum(counts)
-            if widest <= self.rows:
-                sorted_ids = ids[order]
-                rank = np.arange(ids.size) - (ends - counts)[sorted_ids]
-                slots = []
-                for j in range(widest):
-                    slot = rank == j
-                    slots.append((sorted_ids[slot], order[slot]))
-                self._schedule = ("slots", slots)
-            else:
-                blocks = [
+            self._blocks = (
+                np.argsort(self.ids, kind="stable"),
+                [
                     (int(s), int(ends[s] - counts[s]), int(ends[s]))
                     for s in np.flatnonzero(counts)
-                ]
-                self._schedule = ("blocks", order, blocks)
-        return self._schedule
+                ],
+            )
+        return self._blocks
 
 
 def _as_plan(ids, rows: int) -> IndexPlan:
@@ -262,34 +297,68 @@ def _as_plan(ids, rows: int) -> IndexPlan:
     return ids
 
 
-def _scatter_add(x: np.ndarray, plan: IndexPlan, dtype) -> np.ndarray:
-    """``out[ids[i]] += x[i]`` for i in order, into ``plan.rows`` zero rows.
+def _scatter_rows(
+    plan: IndexPlan, rows: Callable, width: int, row_dtype, dtype, out_dtype=None
+) -> np.ndarray:
+    """``out[ids[i]] += m[i]`` for i in order, into ``plan.rows`` zero rows
+    accumulated in ``dtype``, returned as ``out_dtype`` (default ``dtype``).
 
-    Bit-identical to ``numpy.add.at`` on ``np.zeros((rows, d), dtype)``: each
-    output row receives its input rows one by one in original order.  After
-    one stable sort, either loop over slot rank ``j`` (the j-th row of every
-    segment at once; a segment appears at most once per slot, so the fancy
-    ``+=`` is safe) when segments are narrow, or sum each non-empty segment
-    as a contiguous block when a few segments are wide.
+    The messages ``m`` are never materialised in id order: ``rows(e, buf)``
+    writes ``m[e]`` for an index array ``e`` into ``buf`` (``len(e)`` by
+    ``width``, ``row_dtype``) and returns it.  Each output row receives its
+    messages one by one in id order, which makes the result bit-identical
+    to ``numpy.add.at`` on ``np.zeros((rows, width), dtype)``.
+
+    Narrow plans run on the degree-sorted :meth:`IndexPlan.layout`: slot
+    ``j`` is gathered into one reused buffer and added in place into the
+    first ``n_j`` rows of the row-sorted accumulator; the accumulator is
+    cast to ``out_dtype`` before the one un-permuting gather, so no second
+    accumulator-precision array is made.  Wide plans gather all messages
+    in :meth:`IndexPlan.blocks` order and sum each row's contiguous block.
     """
-    out = np.zeros((plan.rows, x.shape[1]), dtype=dtype)
-    schedule = plan.schedule()
-    if schedule[0] == "slots":
-        for dst, src in schedule[1]:
-            out[dst] += x[src]
-        return out
-    _, order, blocks = schedule
-    xs = x[order]
+    dtype = np.dtype(dtype)
+    out_dtype = dtype if out_dtype is None else np.dtype(out_dtype)
+    if plan.narrow:
+        position, slots, sizes = plan.layout()
+        acc = np.empty((plan.rows, width), dtype=dtype)
+        buf = np.empty((plan.rows, width), dtype=row_dtype)
+        zero = dtype.type(0)
+        acc[sizes[0] if sizes else 0 :] = zero  # rows that receive no id
+        lo = 0
+        for j, n in enumerate(sizes):
+            m = rows(slots[lo : lo + n], buf[:n])
+            # Slot 0 computes 0 + m, as a zeroed accumulator would (which
+            # turns -0.0 into +0.0), without zero-filling n_0 rows first.
+            np.add(acc[:n] if j else zero, m, out=acc[:n])
+            lo += n
+        if buf.dtype == out_dtype != dtype:
+            np.copyto(buf, acc, casting="unsafe")  # cast into the spent buffer
+            acc = buf
+        return np.take(acc.astype(out_dtype, copy=False), position, axis=0)
+    order, blocks = plan.blocks()
+    out = np.zeros((plan.rows, width), dtype=dtype)
+    xs = rows(order, np.empty((order.size, width), dtype=row_dtype))
     for s, lo, hi in blocks:
         block = xs[lo:hi]
-        if block.shape[1] == 1:
+        if width == 1:
             # A one-column sum is pairwise; cumsum is strictly sequential.
             out[s] += np.cumsum(block, axis=0, dtype=dtype)[-1]
         else:
             # Summing axis 0 of a C-ordered block of two or more columns
             # adds whole rows one after another.
             out[s] += block.sum(axis=0, dtype=dtype)
-    return out
+    return out.astype(out_dtype, copy=False)
+
+
+def _scatter_add(x: np.ndarray, plan: IndexPlan, dtype, out_dtype=None) -> np.ndarray:
+    """``out[ids[i]] += x[i]`` in id order; see :func:`_scatter_rows`."""
+    # Every gather into a buffer uses mode="clip", which writes straight into
+    # ``out`` where "raise" would go through a temporary; all indices come
+    # from validated plans.
+    def rows(e, buf):
+        return np.take(x, e, axis=0, out=buf, mode="clip")
+
+    return _scatter_rows(plan, rows, x.shape[1], x.dtype, dtype, out_dtype)
 
 
 def _check_2d(name: str, t: Tensor) -> None:
@@ -340,8 +409,7 @@ def segment_sum(
     stands in for ``num_segments``.
     """
     plan = _segment_plan(x, segment_ids, num_segments)
-    acc = _scatter_add(x.data, plan, np.float64)
-    out = Tensor(acc.astype(x.data.dtype))
+    out = Tensor(_scatter_add(x.data, plan, np.float64, x.data.dtype))
 
     def bwd(g: np.ndarray):
         return (g[plan.ids],)
@@ -388,14 +456,28 @@ def message_sum(
     times ``coeff[i]`` when given.  Messages are formed at ``x``'s precision
     and summed in float64 in edge order, so the result equals the chain
     ``embedding_lookup`` -> ``add`` -> [``mul``] -> ``segment_sum`` bit for
-    bit without keeping any of its edge-by-width intermediates.  Every index
-    argument is an id array or an :class:`IndexPlan`; ``src`` and ``dst``
-    index the rows of ``x``.  ``coeff`` is a constant of one value per edge.
+    bit.  Every index argument is an id array or an :class:`IndexPlan`;
+    ``src`` and ``dst`` index the rows of ``x``, and both tables share its
+    dtype.  ``coeff`` is a constant of one value per edge.
+
+    No edge-by-width array is built in the forward when ``dst`` is narrow,
+    which node plans of a molecule batch are (a node receives at most one
+    edge from each node).  The bond embeddings enter as one pair table
+    ``type_table[t] + dir_table[d]`` (one row per type and direction), and
+    the messages of each slot of ``dst``'s degree-sorted layout
+    (:meth:`IndexPlan.layout`) are gathered from ``x`` and the pair table
+    into a reused buffer and added in place.  The
+    backward sums the ``x`` gradient the same way on ``src``'s layout, from
+    ``g[dst]`` slot by slot; each tracked bond table costs one edge-by-width
+    gather of ``g[dst]`` in its block order.
     """
     _check_2d("x", x)
     _check_2d("type_table", type_table)
     _check_2d("dir_table", dir_table)
-    n = x.data.shape[0]
+    dtype = x.data.dtype
+    if type_table.data.dtype != dtype or dir_table.data.dtype != dtype:
+        raise ValueError("type_table and dir_table must have x's dtype")
+    n, width = x.data.shape
     src = _as_plan(src, n)
     dst = _as_plan(dst, n)
     tplan = _as_plan(type_ids, type_table.data.shape[0])
@@ -403,24 +485,36 @@ def message_sum(
     edges = len(src)
     if not len(dst) == len(tplan) == len(dplan) == edges:
         raise ValueError("src, dst, type_ids and dir_ids differ in length")
-    edge = type_table.data[tplan.ids] + dir_table.data[dplan.ids]
-    msg = x.data[src.ids] + edge
+    col = None
     if coeff is not None:
-        col = np.asarray(coeff, dtype=x.data.dtype).reshape(-1, 1)
+        col = np.asarray(coeff, dtype=dtype).reshape(-1, 1)
         if col.shape[0] != edges:
             raise ValueError(f"coeff has {col.shape[0]} values for {edges} edges")
-        msg = msg * col
-    out = Tensor(_scatter_add(msg, dst, np.float64).astype(x.data.dtype))
+    dirs = dir_table.data.shape[0]
+    pair_table = (type_table.data[:, None] + dir_table.data[None]).reshape(-1, width)
+    pair_ids = tplan.ids * dirs + dplan.ids
+
+    def messages(e: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        np.take(x.data, src.ids[e], axis=0, out=buf, mode="clip")
+        buf += pair_table[pair_ids[e]]
+        if col is not None:
+            buf *= col[e]
+        return buf
+
+    out = Tensor(_scatter_rows(dst, messages, width, dtype, np.float64, dtype))
     need = [tape._tracked(t) for t in (x, type_table, dir_table)]
     plans = (src, tplan, dplan)
     tables = (x, type_table, dir_table)
 
     def bwd(g: np.ndarray):
-        gm = g[dst.ids]
-        if coeff is not None:
-            gm = gm * col
+        def grads(e: np.ndarray, buf: np.ndarray) -> np.ndarray:
+            np.take(g, dst.ids[e], axis=0, out=buf, mode="clip")
+            if col is not None:
+                buf *= col[e]
+            return buf
+
         return tuple(
-            _scatter_add(gm, plan, t.data.dtype) if needed else None
+            _scatter_rows(plan, grads, width, g.dtype, t.data.dtype) if needed else None
             for plan, t, needed in zip(plans, tables, need)
         )
 
@@ -443,9 +537,9 @@ def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"bias shape {b.data.shape} does not match output width {w.data.shape[1]}"
         )
-    out = Tensor(
-        _accum_dtype_matmul(x.data, w.data, x.data.dtype) + b.data
-    )
+    y = _accum_dtype_matmul(x.data, w.data, x.data.dtype)
+    y += b.data
+    out = Tensor(y)
 
     def bwd(g: np.ndarray):
         g64 = g.astype(np.float64)

@@ -22,6 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, DataError, NumericAbort
+from .fileio import atomic_write
 
 __all__ = ["main", "build_parser"]
 
@@ -131,9 +132,7 @@ def _write_resolved_config(out_dir: Path, args: argparse.Namespace) -> None:
         if isinstance(value, bool):
             value = "true" if value else "false"
         lines.append(f"{dest} = {value}")
-    (out_dir / "config_resolved.txt").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8"
-    )
+    _write_text(out_dir / "config_resolved.txt", "\n".join(lines) + "\n")
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -149,8 +148,13 @@ def _require(args: argparse.Namespace, *dests: str) -> None:
             raise ConfigError(f"{flag} is required")
 
 
+def _write_text(path: Path, text: str) -> None:
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -510,7 +514,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     print(text, end="")
     if args.out is not None:
         out = _out_dir(args)
-        (out / "views.txt").write_text(text, encoding="utf-8")
+        _write_text(out / "views.txt", text)
         _write_resolved_config(out, args)
     return 0
 

@@ -59,6 +59,11 @@ __all__ = [
 BACKBONES = ("gin", "gcn")
 TASK_KINDS = ("classification", "regression")
 ACTIVATIONS = ("relu", "softplus")
+#: ``flip_direction`` as a lookup table over direction values.
+_FLIPPED_DIRECTION = np.array(
+    [int(flip_direction(BondDirection(d))) for d in range(NUM_BOND_DIRECTIONS)],
+    dtype=np.int64,
+)
 
 
 @dataclass(frozen=True)
@@ -154,37 +159,29 @@ class GraphBatch:
     def from_graphs(cls, graphs: Sequence[MoleculeGraph]) -> "GraphBatch":
         if not graphs:
             raise ValueError("cannot batch zero graphs")
-        atomic: list[int] = []
-        chir: list[int] = []
-        src: list[int] = []
-        dst: list[int] = []
-        etype: list[int] = []
-        edir: list[int] = []
-        membership: list[int] = []
-        offset = 0
-        for gi, g in enumerate(graphs):
-            for node in g.nodes:
-                atomic.append(node.atomic_number)
-                chir.append(int(node.chirality))
-                membership.append(gi)
-            for e in g.edges:
-                src.append(offset + e.u)
-                dst.append(offset + e.v)
-                etype.append(int(e.bond_type))
-                edir.append(int(e.direction))
-                src.append(offset + e.v)
-                dst.append(offset + e.u)
-                etype.append(int(e.bond_type))
-                edir.append(int(flip_direction(e.direction)))
-            offset += g.num_nodes
+        atoms = [a for g in graphs for a in g.nodes]
+        bonds = [e for g in graphs for e in g.edges]
+
+        def column(values, count: int) -> np.ndarray:
+            return np.fromiter(values, dtype=np.int64, count=count)
+
+        sizes = column((len(g.nodes) for g in graphs), len(graphs))
+        offset = np.repeat(
+            np.cumsum(sizes) - sizes, column((len(g.edges) for g in graphs), len(graphs))
+        )
+        u = column((e.u for e in bonds), len(bonds)) + offset
+        v = column((e.v for e in bonds), len(bonds)) + offset
+        direction = column((e.direction for e in bonds), len(bonds))
+        # Each bond becomes u -> v then v -> u; the reversed copy sees the
+        # flipped direction marker.
         return cls(
-            np.asarray(atomic, dtype=np.int64),
-            np.asarray(chir, dtype=np.int64),
-            np.asarray(src, dtype=np.int64),
-            np.asarray(dst, dtype=np.int64),
-            np.asarray(etype, dtype=np.int64),
-            np.asarray(edir, dtype=np.int64),
-            np.asarray(membership, dtype=np.int64),
+            column((a.atomic_number for a in atoms), len(atoms)),
+            column((a.chirality for a in atoms), len(atoms)),
+            np.stack([u, v], axis=1).ravel(),
+            np.stack([v, u], axis=1).ravel(),
+            np.repeat(column((e.bond_type for e in bonds), len(bonds)), 2),
+            np.stack([direction, _FLIPPED_DIRECTION[direction]], axis=1).ravel(),
+            np.repeat(np.arange(len(graphs), dtype=np.int64), sizes),
             len(graphs),
         )
 

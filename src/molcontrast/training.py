@@ -58,6 +58,7 @@ from .encoder import (
     represent,
 )
 from .errors import ConfigError, DataError, NumericAbort
+from .fileio import atomic_write
 from .graph import MoleculeGraph
 
 __all__ = [
@@ -240,7 +241,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     meta = json.dumps(
         {"config": ckpt.config, "tensors": directory}, sort_keys=True
     ).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", ckpt.version))
         fh.write(struct.pack("<Q", len(meta)))
@@ -355,7 +356,7 @@ def write_trace_csv(path: str | Path, history: Sequence[object]) -> None:
     if not history:
         raise ValueError("empty history")
     names = [f.name for f in fields(history[0])]
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
         for row in history:

@@ -38,6 +38,7 @@ from molcontrast.autodiff import (
     sub,
     tensor,
 )
+from molcontrast.autodiff import _scatter_add
 from molcontrast.autodiff import sum as tsum
 
 
@@ -271,7 +272,7 @@ def test_one_plan_reused_across_ops_matches_add_at_bitwise(case, dtype, width):
     up_ids = _spread_rows(ids.size, width, dtype, seed=3)
     acc = _add_at(x.data.astype(np.float64), ids, rows, np.float64)
     counts = np.bincount(ids, minlength=rows)
-    for _ in range(2):  # the second pass runs on the plan's cached schedule
+    for _ in range(2):  # the second pass runs on the plan's cached layout
         tape = Tape()
         summed = segment_sum(tape, x, plan)
         looked = embedding_lookup(tape, table, plan)
@@ -315,7 +316,7 @@ def test_index_plan_validates_once_and_checks_rows():
         segment_sum(Tape(), tensor(np.ones((2, 2))), plan)  # 2 rows, 3 ids
     with pytest.raises(ValueError):
         segment_sum(Tape(), x, np.array([0, 2, 2]))  # raw ids need a count
-    assert plan.schedule() is plan.schedule()
+    assert plan.layout() is plan.layout() and plan.blocks() is plan.blocks()
     assert plan.counts.tolist() == [1, 0, 2]
 
 
@@ -390,6 +391,99 @@ def test_message_sum_is_one_record_and_skips_constant_tables():
         message_sum(tape, x, [0, 1], [1, 2, 0], types, [0, 1, 1], dirs, [1, 1, 0])
     with pytest.raises(IndexError):
         message_sum(tape, x, [0, 1, 3], [1, 2, 0], types, [0, 1, 1], dirs, [1, 1, 0])
+
+
+@st.composite
+def _scatter_ids(draw):
+    """(rows, ids) shaped like the scatter edge cases.
+
+    Covers empty rows (isolated atoms), all ids in one row, zero-length
+    ids, and a widest row of exactly ``rows`` and ``rows + 1`` ids, the
+    boundary between the degree-sorted and the block layout.
+    """
+    rows = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["any", "empty", "one_row", "widest_rows", "widest_rows_plus_one"]))
+    if kind == "any":
+        ids = draw(st.lists(st.integers(0, rows - 1), max_size=40))
+    elif kind == "empty":
+        ids = []
+    elif kind == "one_row":
+        ids = [draw(st.integers(0, rows - 1))] * draw(st.integers(1, 24))
+    else:
+        widest = rows if kind == "widest_rows" else rows + 1
+        counts = draw(st.lists(st.integers(0, widest), min_size=rows, max_size=rows))
+        counts[draw(st.integers(0, rows - 1))] = widest
+        ids = draw(st.permutations(np.repeat(np.arange(rows), counts).tolist()))
+    return rows, np.asarray(ids, dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=_scatter_ids(),
+    width=st.sampled_from([1, 3, 16]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+)
+def test_scatter_kernels_match_add_at_oracles_bitwise(case, width, dtype, seed):
+    rows, ids = case
+    plan = IndexPlan(ids, rows)
+    assert plan.narrow == (ids.size == 0 or np.bincount(ids).max() <= rows)
+    x = _spread_rows(ids.size, width, dtype, seed)
+    up_rows = _spread_rows(rows, width, dtype, seed + 1)
+    up_ids = _spread_rows(ids.size, width, dtype, seed + 2)
+    # A row that sums only -0.0 must come out +0.0, as from zeros.
+    x[seed % 3 :: 3] = -0.0
+    up_ids[seed % 3 :: 3] = -0.0
+    acc = _add_at(x.astype(np.float64), ids, rows, np.float64)
+    for acc_dtype in (dtype, np.float64):  # never narrower than x
+        got = _scatter_add(x, plan, acc_dtype)
+        assert got.dtype == acc_dtype
+        assert got.tobytes() == _add_at(x, ids, rows, acc_dtype).tobytes()
+    assert _scatter_add(x, plan, np.float64, dtype).tobytes() == acc.astype(dtype).tobytes()
+
+    tape = Tape()
+    xt = tensor(x, requires_grad=True, dtype=dtype)
+    summed = segment_sum(tape, xt, plan)
+    assert summed.data.tobytes() == acc.astype(dtype).tobytes()
+    grads = backward(tape, tsum(tape, mul(tape, summed, constant(up_rows, dtype=dtype))))
+    assert grads[xt].tobytes() == up_rows[ids].tobytes()
+
+    counts = np.bincount(ids, minlength=rows)
+    if (counts == 0).any():
+        with pytest.raises(ValueError):
+            segment_mean(Tape(), xt, plan)
+    else:
+        want = (acc / counts[:, None]).astype(dtype)
+        assert segment_mean(Tape(), xt, plan).data.tobytes() == want.tobytes()
+
+    tape = Tape()
+    table = tensor(_spread_rows(rows, width, dtype, seed + 3), requires_grad=True, dtype=dtype)
+    looked = embedding_lookup(tape, table, plan)
+    grads = backward(tape, tsum(tape, mul(tape, looked, constant(up_ids, dtype=dtype))))
+    assert grads[table].tobytes() == _add_at(up_ids, ids, rows, dtype).tobytes()
+
+    # message_sum: the ids are the edge targets (over ``rows`` nodes) and,
+    # shuffled, the bond-type ids (over a ``rows``-row type table).
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, rows, ids.size)
+    type_ids = rng.permutation(ids)
+    dir_ids = rng.integers(0, 3, ids.size)
+    arrays_in = [
+        _spread_rows(rows, width, dtype, seed + 4),
+        _spread_rows(rows, width, dtype, seed + 5),
+        _spread_rows(3, width, dtype, seed + 6),
+    ]
+    upstream = constant(up_rows, dtype=dtype)
+    for coeff in (None, rng.uniform(0.1, 1.0, ids.size)):
+        results = []
+        for fused in (False, True):
+            tape = Tape()
+            xm, types, dirs = (tensor(a, requires_grad=True, dtype=dtype) for a in arrays_in)
+            op = message_sum if fused else _message_chain
+            out = op(tape, xm, src, plan if fused else ids, types, type_ids, dirs, dir_ids, coeff)
+            grads = backward(tape, tsum(tape, mul(tape, out, upstream)))
+            results.append([out.data.tobytes()] + [grads[t].tobytes() for t in (xm, types, dirs)])
+        assert results[1] == results[0]
 
 
 def test_constant_operands_get_no_gradient_computed():

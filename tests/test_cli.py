@@ -147,6 +147,35 @@ def test_pretrain_reruns_are_byte_identical(corpus_csv, tmp_path):
     assert (a / "loss.csv").read_bytes() == (b / "loss.csv").read_bytes()
 
 
+def test_cli_outputs_are_written_atomically(corpus_csv, tmp_path, monkeypatch):
+    import molcontrast.cli as cli
+    import molcontrast.fileio as fileio
+
+    out = tmp_path / "run"
+    argv = ["pretrain", "--data", str(corpus_csv), "--out", str(out)] + PRETRAIN_FAST
+    assert main(argv) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["checkpoint.bin", "config_resolved.txt", "loss.csv"]
+    before = {name: (out / name).read_bytes() for name in names}
+
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("killed mid-write")
+
+    for name in names:  # a failure inside any write keeps the old file
+        with pytest.raises(RuntimeError):
+            cli._write_csv(out / name, ["a", "b"], [[1, 2], [Unprintable(), 3]])
+    def replace_fails(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(fileio.os, "replace", replace_fails)
+    with pytest.raises(OSError, match="rename failed"):
+        cli._write_text(out / "config_resolved.txt", "replaced\n")
+    monkeypatch.undo()
+    assert {name: (out / name).read_bytes() for name in names} == before
+    assert sorted(p.name for p in out.iterdir()) == names
+
+
 def test_resolved_config_reproduces_run(corpus_csv, pretrained, tmp_path):
     out = tmp_path / "redo"
     rc = main(["pretrain", "--config", str(pretrained / "config_resolved.txt"),

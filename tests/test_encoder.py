@@ -178,6 +178,57 @@ def test_batch_rejects_empty():
         GraphBatch.from_graphs([])
 
 
+def reference_batch_arrays(graphs):
+    """The per-atom, per-bond loop ``GraphBatch.from_graphs`` once ran."""
+    atomic, chir, src, dst, etype, edir, membership = ([] for _ in range(7))
+    offset = 0
+    for gi, g in enumerate(graphs):
+        for node in g.nodes:
+            atomic.append(node.atomic_number)
+            chir.append(int(node.chirality))
+            membership.append(gi)
+        for e in g.edges:
+            src.append(offset + e.u)
+            dst.append(offset + e.v)
+            etype.append(int(e.bond_type))
+            edir.append(int(e.direction))
+            src.append(offset + e.v)
+            dst.append(offset + e.u)
+            etype.append(int(e.bond_type))
+            edir.append(int(flip_direction(e.direction)))
+        offset += g.num_nodes
+    columns = (atomic, chir, src, dst, etype, edir, membership)
+    return [np.asarray(c, dtype=np.int64) for c in columns]
+
+
+def test_batch_arrays_match_reference_loop_on_golden_corpus():
+    from golden_corpus import GOLDEN
+
+    from molcontrast.augment import AugmentSpec, augment_pair
+
+    golden = [parse_smiles(g.smiles) for g in GOLDEN]
+    assert any(g.num_edges == 0 for g in golden)  # [NH4+]: one atom, no bond
+    assert any(
+        e.direction != BondDirection.NONE for g in golden for e in g.edges
+    )  # / and \ bonds
+    views = [
+        view.graph
+        for i, g in enumerate(golden)
+        for view in augment_pair(g, AugmentSpec(strategy="compose_all"), np.random.default_rng(i))
+    ]
+    edgeless = [parse_smiles("[Na+].[Cl-]"), parse_smiles("C")]
+    for graphs in (golden, views, edgeless, golden[::-1] + edgeless, golden[:1]):
+        batch = GraphBatch.from_graphs(graphs)
+        got = [
+            batch.node_atomic, batch.node_chirality, batch.edge_src,
+            batch.edge_dst, batch.edge_type, batch.edge_dir, batch.node_graph,
+        ]
+        for have, want in zip(got, reference_batch_arrays(graphs)):
+            assert have.dtype == np.int64 and have.shape == want.shape
+            assert have.tobytes() == want.tobytes()
+        assert batch.num_graphs == len(graphs)
+
+
 def test_gcn_arrays_add_self_loops():
     g = parse_smiles("CCO")
     batch = GraphBatch.from_graphs([g])

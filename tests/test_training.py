@@ -586,6 +586,40 @@ def test_write_trace_csv_requires_history(tmp_path):
         write_trace_csv(tmp_path / "t.csv", [])
 
 
+# -- atomic writes -----------------------------------------------------------
+
+
+def test_failed_checkpoint_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model_to_checkpoint(make_model(seed=0)))
+    before = path.read_bytes()
+
+    def crc_fails(data):  # runs after the header, metadata and payload
+        raise OSError("disk full")
+
+    monkeypatch.setattr(training_module.zlib, "crc32", crc_fails)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, model_to_checkpoint(make_model(seed=1)))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+    save_checkpoint(path, model_to_checkpoint(make_model(seed=1)))
+    assert path.read_bytes() != before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
+def test_failed_trace_write_leaves_old_file_and_no_temp(tmp_path):
+    path = tmp_path / "trace.csv"
+    rows = [training_module.EpochTrace(e, 1.0 / (e + 1), 0.5, 1e-3) for e in range(3)]
+    write_trace_csv(path, rows)
+    before = path.read_bytes()
+    assert before.decode().splitlines()[0] == "epoch,train_loss,val_loss,lr"
+    with pytest.raises(AttributeError):  # fails after the header and one row
+        write_trace_csv(path, rows[:1] + [object()])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+
+
 # -- tape-free inference -----------------------------------------------------
 
 
