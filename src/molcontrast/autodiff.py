@@ -23,11 +23,26 @@ sequentially, in their original row order: the same order as
 index work behind a scatter (validation, the sorts, the degree-sorted slot
 layout or the block split) lives in an :class:`IndexPlan`, built once per
 index array and reused by every op that takes it.
+
+Every matrix product (``linear`` forward and backward, ``matmul_t``) runs in
+float64 through :func:`_matmul64`.  Importing this module pins numpy's
+bundled OpenBLAS to one thread for the whole process, so each BLAS call has
+one fixed reduction order.  Parallelism comes from splitting a large product
+into contiguous row blocks, one single-thread dgemm each, run at once on
+:func:`set_threads` workers (default: the CPUs this process may use).  A
+block computes its rows with the same kernels and the same order over the
+inner dimension as the whole product, so results are bit-identical for any
+worker count.  Where the bundled OpenBLAS is not found, BLAS keeps its own
+threading and the products are not split.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -62,6 +77,7 @@ __all__ = [
     "numeric_gradients",
     "check_gradients",
     "gradcheck_report",
+    "set_threads",
 ]
 
 _tensor_ids = itertools.count()
@@ -187,10 +203,98 @@ def backward(
     return result
 
 
-def _accum_dtype_matmul(a: np.ndarray, b: np.ndarray, out_dtype) -> np.ndarray:
-    # All matmuls go through float64 so results do not depend on BLAS
-    # blocking at float32 precision.
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(out_dtype)
+def _pin_blas() -> bool:
+    """Set numpy's bundled OpenBLAS to one thread; False if it is not found."""
+    libs = glob.glob(
+        os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas64_-*.so")
+    )
+    for path in libs:
+        try:
+            set_num_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_num_threads.argtypes = [ctypes.c_int]
+        set_num_threads.restype = None
+        set_num_threads(1)
+        return True
+    return False
+
+
+_BLAS_PINNED = _pin_blas()
+# Each block of a split product carries at least this many multiply-adds.
+# Handing a thread less costs more than it saves: fixture-size products
+# (~3M) ran slower on the pool.  It also keeps every block far above the
+# ~1M multiply-adds under which OpenBLAS switches to its small-matrix
+# kernels, whose bits differ from the whole product's.
+_BLOCK_MACS = 1 << 25
+_workers = 1
+_pool: ThreadPoolExecutor | None = None
+
+
+def set_threads(n: int) -> int:
+    """Run large float64 products on ``n`` threads; returns the count in
+    effect, which stays 1 when BLAS could not be pinned to one thread."""
+    global _workers, _pool
+    if n < 1:
+        raise ValueError(f"threads must be >= 1, got {n}")
+    _workers = n if _BLAS_PINNED else 1
+    # The pool starts its threads on first use; a replaced pool's threads
+    # exit once no running product holds it.
+    _pool = ThreadPoolExecutor(_workers - 1) if _workers > 1 else None
+    return _workers
+
+
+set_threads(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+# A forked child inherits the pool object but none of its threads.
+os.register_at_fork(after_in_child=lambda: set_threads(_workers))
+
+
+def _float64(x: np.ndarray) -> np.ndarray:
+    # A float64 array that owns its data is used as it is.  Anything else is
+    # copied, keeping every product a gemm on contiguous operands: an array
+    # times its own transpose would go to syrk, a strided view to numpy's
+    # loop without BLAS.
+    if x.dtype == np.float64 and x.flags.owndata:
+        return x
+    return x.astype(np.float64)
+
+
+def _matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` in float64; large products are split by rows across the
+    workers, bit-identical to the unsplit product.
+
+    Each block of rows is one single-thread dgemm of those rows of ``a``
+    against all of ``b``, which sums every output element in the same order
+    as the whole product does, as long as the block runs on the same
+    kernels.  So a block has at least two rows (one row goes to gemv) and
+    at least ``_BLOCK_MACS`` multiply-adds, and a width that is not a
+    multiple of 8 is not split: OpenBLAS's SkylakeX kernels compute the
+    last ``n % 8`` columns in row tiles counted from the start of each call,
+    so a block edge moves their bits.  The float64 casts of the inputs are
+    freed on return.
+    """
+    a, b = _float64(a), _float64(b)
+    m, k = a.shape
+    n = b.shape[1]
+    pool, parts = _pool, 1
+    if pool is not None and n % 8 == 0:
+        parts = min(_workers, m // 2, m * k * n // _BLOCK_MACS)
+    if parts < 2:
+        return a @ b
+    out = np.empty((m, n))
+    cuts = [m * i // parts for i in range(parts + 1)]
+    futures = [
+        pool.submit(np.matmul, a[lo:hi], b, out=out[lo:hi])
+        for lo, hi in zip(cuts[1:-1], cuts[2:])
+    ]
+    try:
+        np.matmul(a[: cuts[1]], b, out=out[: cuts[1]])
+    finally:
+        for f in futures:
+            f.result()
+    return out
 
 
 class IndexPlan:
@@ -537,14 +641,14 @@ def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"bias shape {b.data.shape} does not match output width {w.data.shape[1]}"
         )
-    y = _accum_dtype_matmul(x.data, w.data, x.data.dtype)
+    y = _matmul64(x.data, w.data).astype(x.data.dtype)
     y += b.data
     out = Tensor(y)
 
     def bwd(g: np.ndarray):
         g64 = g.astype(np.float64)
-        dx = (g64 @ w.data.T.astype(np.float64)).astype(x.data.dtype)
-        dw = (x.data.T.astype(np.float64) @ g64).astype(w.data.dtype)
+        dx = _matmul64(g64, w.data.T).astype(x.data.dtype)
+        dw = _matmul64(x.data.T, g64).astype(w.data.dtype)
         db = g64.sum(axis=0).astype(b.data.dtype)
         return (dx, dw, db)
 
@@ -560,12 +664,12 @@ def matmul_t(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"matmul_t inner dims differ: {a.data.shape} vs {b.data.shape}"
         )
-    out = Tensor(_accum_dtype_matmul(a.data, b.data.T, a.data.dtype))
+    out = Tensor(_matmul64(a.data, b.data.T).astype(a.data.dtype))
     need_a, need_b = tape._tracked(a), tape._tracked(b)
 
     def bwd(g: np.ndarray):
-        da = _accum_dtype_matmul(g, b.data, a.data.dtype) if need_a else None
-        db = _accum_dtype_matmul(g.T, a.data, b.data.dtype) if need_b else None
+        da = _matmul64(g, b.data).astype(a.data.dtype) if need_a else None
+        db = _matmul64(g.T, a.data).astype(b.data.dtype) if need_b else None
         return (da, db)
 
     tape._record(out, (a, b), bwd)

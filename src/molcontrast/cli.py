@@ -16,44 +16,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .autodiff import set_threads
 from .errors import ConfigError, DataError, NumericAbort
 from .fileio import atomic_write
 
 __all__ = ["main", "build_parser"]
-
-_THREAD_ENV = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
-
-def _apply_threads(argv: list[str]) -> None:
-    # Best effort: cap worker pools created after this point.  Libraries
-    # that size their pools at import time need the variables set in the
-    # parent environment instead.
-    value: str | None = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            value = argv[i + 1]
-        elif arg.startswith("--threads="):
-            value = arg.split("=", 1)[1]
-    if value is None:
-        return
-    try:
-        n = int(value)
-    except ValueError:
-        return  # the real parser reports this
-    if n >= 1:
-        for key in _THREAD_ENV:
-            os.environ[key] = str(n)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports flag problems through the exit-code scheme."""
@@ -663,7 +634,7 @@ def _common(sp: argparse.ArgumentParser, out_default: str | None) -> None:
         "--threads",
         type=int,
         default=None,
-        help="cap numeric worker threads for this process",
+        help="threads for large matrix products (default: the usable CPUs)",
     )
     if out_default is not None:
         sp.add_argument(
@@ -808,7 +779,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_threads(argv)
     parser, index = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -816,6 +786,10 @@ def main(argv: list[str] | None = None) -> int:
             sub = index[args.command]
             sub.set_defaults(**_config_defaults(sub, Path(args.config)))
             args = parser.parse_args(argv)
+        if args.threads is not None:
+            if args.threads < 1:
+                raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+            set_threads(args.threads)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MolContrastError
+from .errors import DataError
 from .fingerprints import fnv1a64
 from .graph import BondEdge, MoleculeGraph
 from .smiles import CorpusFailure, SmilesParseError, parse_smiles
@@ -288,7 +288,7 @@ def scaffold_split(
 # -- metrics -----------------------------------------------------------
 
 
-class UndefinedMetric(MolContrastError):
+class UndefinedMetric(DataError):
     """Raised when a metric has no value (e.g. single-class ROC-AUC)."""
 
 

@@ -3,13 +3,15 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from molcontrast import autodiff as ad
 from molcontrast.autodiff import (
     IndexPlan,
     Tape,
@@ -721,3 +723,222 @@ def test_pretrain_checkpoints_identical_across_blas_threads(tmp_path):
             name: (out / f"{name}.ckpt").read_bytes() for name in ("gin", "gcn")
         }
     assert outputs["1"] == outputs["2"]
+
+
+# -- float64 products split across worker threads ------------------------------
+
+needs_pinned_blas = pytest.mark.skipif(
+    not ad._BLAS_PINNED, reason="numpy's bundled OpenBLAS was not found; products run unsplit"
+)
+
+
+class _CountingPool(ThreadPoolExecutor):
+    """A real pool that records the row count of every block handed to it."""
+
+    def __init__(self, workers):
+        super().__init__(workers - 1)
+        self.blocks = []
+
+    def submit(self, fn, a, *args, **kwargs):
+        self.blocks.append(a.shape[0])
+        return super().submit(fn, a, *args, **kwargs)
+
+
+def _with_workers(n, fn, pool=None):
+    """``fn()`` with ``n`` product workers, then the process-wide count back."""
+    before = ad._workers
+    ad.set_threads(n)
+    if pool is not None:
+        ad._pool = pool
+    try:
+        return fn()
+    finally:
+        ad.set_threads(before)
+
+
+@needs_pinned_blas
+@pytest.mark.parametrize(
+    "m, k, n, blocks",
+    [
+        (2800, 512, 1024, [700] * 4),  # paper-config linear
+        (512, 2800, 1024, [128] * 4),  # its dw = x.T @ g
+        (256, 256, 1024, [128, 128]),  # 2^26 multiply-adds: two blocks' worth
+        (32, 64, 128, [32]),  # fixture-size product: under the gate
+        (2800, 512, 1020, [2800]),  # width not a multiple of 8
+        (3, 5000, 5000, [3]),  # one block would be a single row
+    ],
+)
+def test_matmul64_splits_only_above_the_gate(m, k, n, blocks):
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((m, k)).astype(np.float32)
+    b = rng.standard_normal((k, n)).astype(np.float32)
+    pool = _CountingPool(4)
+    got = _with_workers(4, lambda: ad._matmul64(a, b), pool)
+    assert pool.blocks == blocks[1:]  # the calling thread computes block 0
+    assert got.tobytes() == (a.astype(np.float64) @ b.astype(np.float64)).tobytes()
+
+
+@needs_pinned_blas
+@settings(max_examples=50, deadline=None)
+@example(1400, 128, 0, 28, "c", False, 0)  # a linear forward, 1024 wide
+@example(512, 128, 0, 28, "a.T", False, 1)  # dw = x.T @ g
+@example(700, 64, 0, 28, "b.T", False, 2)  # dx = g @ w.T
+@example(5, 32, 0, 28, "c", True, 3)  # five rows: two blocks
+@example(3, 32, 0, 28, "float64 a.T", True, 4)  # fewer rows than workers
+@example(1400, 128, 1, 28, "c", False, 5)  # 1023 wide: unsplit
+@given(
+    m=st.integers(2, 1024),
+    eighths=st.integers(1, 128),
+    ragged=st.one_of(st.just(0), st.integers(1, 7)),
+    log_macs=st.integers(23, 28),
+    layout=st.sampled_from(["c", "a.T", "b.T", "float64 a.T"]),
+    small_blocks=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_matmul64_split_matches_unsplit_bitwise(
+    m, eighths, ragged, log_macs, layout, small_blocks, seed
+):
+    # Products of up to 2^28 multiply-adds, on both sides of the gate, with
+    # neither operand above 2M elements; widths 8 * eighths - ragged.  The
+    # transposed views are the ones linear's backward passes (x.T, w.T).
+    # With small_blocks the block floor drops to 2M multiply-adds, still
+    # above OpenBLAS's small-matrix kernels, so products of a few rows split.
+    n = 8 * eighths - ragged
+    k = max(1, min((1 << log_macs) // (m * n), (1 << 21) // max(m, n)))
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((k, m) if "a.T" in layout else (m, k))
+    b = rng.standard_normal((n, k) if layout == "b.T" else (k, n))
+    a = a.T if "a.T" in layout else a
+    b = b.T if layout == "b.T" else b
+    if not layout.startswith("float64"):
+        a, b = a.astype(np.float32), b.astype(np.float32)
+    expected = (a.astype(np.float64) @ b.astype(np.float64)).tobytes()
+    floor = ad._BLOCK_MACS
+    ad._BLOCK_MACS = 1 << 21 if small_blocks else floor
+    try:
+        for workers in (1, 2, 3, 4):
+            got = _with_workers(workers, lambda: ad._matmul64(a, b))
+            assert got.dtype == np.float64
+            assert got.tobytes() == expected, workers
+    finally:
+        ad._BLOCK_MACS = floor
+
+
+@needs_pinned_blas
+def test_linear_and_matmul_t_gradients_identical_for_any_thread_count():
+    rng = np.random.default_rng(3)
+    x0 = rng.standard_normal((700, 512)).astype(np.float32)
+    w0 = rng.standard_normal((512, 256)).astype(np.float32)
+    b0 = rng.standard_normal(256).astype(np.float32)
+    z0 = rng.standard_normal((1200, 256)).astype(np.float32)
+    r_lin = rng.standard_normal((700, 256)).astype(np.float32)
+    r_mat = rng.standard_normal((700, 1200)).astype(np.float32)
+
+    def run():
+        tape = Tape()
+        x, w, b, z = (tensor(v, requires_grad=True) for v in (x0, w0, b0, z0))
+        y = linear(tape, x, w, b)
+        s = matmul_t(tape, y, z)  # [700, 1200]
+        loss = add(
+            tape,
+            ad.sum(tape, mul(tape, y, constant(r_lin))),
+            ad.sum(tape, mul(tape, s, constant(r_mat))),
+        )
+        grads = backward(tape, loss)
+        return [y.data.tobytes(), s.data.tobytes()] + [
+            grads[t].tobytes() for t in (x, w, b, z)
+        ]
+
+    assert _with_workers(1, run) == _with_workers(2, run)
+
+
+@needs_pinned_blas
+def test_split_products_work_in_a_forked_child():
+    import multiprocessing
+
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((600, 512))
+    b = rng.standard_normal((512, 512))
+    expected = a @ b
+
+    def child():
+        sys.exit(0 if np.array_equal(ad._matmul64(a, b), expected) else 1)
+
+    def fork_after_split():
+        ad._matmul64(a, b)  # starts the parent's pool threads
+        proc = multiprocessing.get_context("fork").Process(target=child, daemon=True)
+        proc.start()
+        proc.join(timeout=60)
+        return proc
+
+    proc = _with_workers(2, fork_after_split)
+    hung = proc.is_alive()  # waiting on pool threads that did not survive the fork
+    if hung:
+        proc.kill()
+        proc.join(timeout=10)
+    assert not hung
+    assert proc.exitcode == 0
+
+
+_BLAS_THREADS_SCRIPT = """
+import ctypes, glob, os, sys
+import numpy as np
+import molcontrast.autodiff
+lib = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_-*.so")
+if not lib:
+    sys.exit(3)
+get = ctypes.CDLL(lib[0]).scipy_openblas_get_num_threads64_
+get.restype = ctypes.c_int
+print(get())
+"""
+
+
+def _env_without_thread_vars():
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join([str(src), str(Path(__file__).resolve().parent)])
+    return env
+
+
+def test_import_pins_blas_to_one_thread():
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS_SCRIPT],
+        env=_env_without_thread_vars(), capture_output=True, text=True, timeout=60,
+    )
+    if proc.returncode == 3:
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+
+
+@needs_pinned_blas
+def test_paper_width_pretrain_identical_for_any_threads(tmp_path):
+    # Hidden 512 and batch 64: the layer products are well above the gate,
+    # so --threads 2 and 4 split them.  BLAS is left to its own defaults.
+    from molgen import write_corpus_csv
+
+    data = tmp_path / "corpus.csv"
+    write_corpus_csv(data, 140, seed=30)
+    outputs = {}
+    for backbone in ("gin", "gcn"):
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"{backbone}-{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "molcontrast.cli", "pretrain",
+                 "--data", str(data), "--out", str(out), "--threads", threads,
+                 "--backbone", backbone, "--layers", "3", "--hidden", "512",
+                 "--latent", "256", "--batch", "64", "--epochs", "1",
+                 "--warm-epochs", "0", "--seed", "4"],
+                env=_env_without_thread_vars(), check=True, capture_output=True,
+                timeout=120,
+            )
+            outputs[backbone, threads] = [
+                (out / name).read_bytes() for name in ("checkpoint.bin", "loss.csv")
+            ]
+        assert (
+            outputs[backbone, "1"] == outputs[backbone, "2"] == outputs[backbone, "4"]
+        )

@@ -87,6 +87,7 @@ def test_warm_epochs_must_fit_inside_epochs(corpus_csv, tmp_path):
         ("--temperature", "0"),
         ("--ratio", "1.5"),
         ("--epochs", "0"),
+        ("--threads", "0"),
     ],
 )
 def test_bad_hyper_parameter_is_a_config_error_before_data(flag, value, tmp_path):
@@ -103,6 +104,26 @@ def test_bad_hyper_parameter_is_a_config_error_before_data(flag, value, tmp_path
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("config error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_undefined_test_metric_is_a_data_error(pretrained, tmp_path):
+    # This labeled set's scaffold split leaves one class in the test split,
+    # so the test ROC-AUC is undefined.  A fresh process, so an escaping
+    # exception shows as a traceback.
+    data = tmp_path / "lab.csv"
+    write_labeled_csv(data, 60, seed=2)
+    argv = ["finetune", "--data", str(data), "--out", str(tmp_path / "o"),
+            "--checkpoint", str(pretrained / "checkpoint.bin"),
+            "--epochs", "2", "--batch", "32", "--head-hidden", "16"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "molcontrast.cli"] + argv,
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("data error:"), proc.stderr
     assert "Traceback" not in proc.stderr
 
 
