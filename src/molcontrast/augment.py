@@ -4,7 +4,8 @@ Every operator takes an explicit ``numpy.random.Generator`` so corpus-level
 drivers can derive one stream per molecule and stay deterministic no matter
 how work is scheduled.  Masked atoms are replaced by the reserved mask token
 (atomic number 119, chirality cleared); deleted bonds vanish from the edge
-list and the adjacency is rebuilt.  Node count and indexing never change.
+list.  Each view is built once, straight from its source graph.  Node count
+and indexing never change.
 
 Counts follow a half-up rounding rule: an operator with ratio ``p > 0`` on
 ``n`` candidates acts on ``k = min(n, max(1, floor(p * n + 0.5)))`` of them,
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graph import BondEdge, MoleculeGraph, mask_token, neighbors
+from .graph import MoleculeGraph, mask_token, neighbors
 
 __all__ = [
     "STRATEGIES",
@@ -105,45 +106,51 @@ def _with_masks(g: MoleculeGraph, masked: set[int]) -> tuple:
     )
 
 
+def _view(
+    g: MoleculeGraph,
+    masked: set[int],
+    dropped_edge_positions: set[int],
+    source_index: int,
+) -> AugmentedView:
+    """``g`` with the ``masked`` atoms tokenised and the edges at the given
+    positions of ``g.edges`` deleted, as one new graph; ``g`` itself when
+    nothing changed.  Kept edges stay in their original order."""
+    if not masked and not dropped_edge_positions:
+        return AugmentedView(g, frozenset(), frozenset(), source_index)
+    nodes = _with_masks(g, masked) if masked else g.nodes
+    kept = tuple(e for i, e in enumerate(g.edges) if i not in dropped_edge_positions)
+    deleted = frozenset((g.edges[i].u, g.edges[i].v) for i in dropped_edge_positions)
+    return AugmentedView(
+        MoleculeGraph(nodes, kept), frozenset(masked), deleted, source_index
+    )
+
+
+def _choose(rng: np.random.Generator, n: int, k: int) -> set[int]:
+    return set(int(i) for i in rng.choice(n, size=k, replace=False))
+
+
+def _sample(rng: np.random.Generator, n: int, p: float) -> set[int]:
+    """A uniform sample of ``_count(p, n)`` of ``range(n)``; no draw for none."""
+    k = _count(p, n)
+    return _choose(rng, n, k) if k else set()
+
+
 def mask_atoms(
     g: MoleculeGraph, p: float, rng: np.random.Generator, source_index: int = 0
 ) -> AugmentedView:
     """Replace a uniform sample of atoms with the mask token."""
-    k = _count(p, g.num_nodes)
-    if k == 0:
-        return AugmentedView(g, frozenset(), frozenset(), source_index)
-    chosen = set(int(i) for i in rng.choice(g.num_nodes, size=k, replace=False))
-    masked_graph = MoleculeGraph(_with_masks(g, chosen), g.edges)
-    return AugmentedView(masked_graph, frozenset(chosen), frozenset(), source_index)
+    return _view(g, _sample(rng, g.num_nodes, p), set(), source_index)
 
 
 def delete_bonds(
     g: MoleculeGraph, p: float, rng: np.random.Generator, source_index: int = 0
 ) -> AugmentedView:
-    """Drop a uniform sample of bonds; adjacency is rebuilt."""
-    k = _count(p, g.num_edges)
-    if k == 0:
-        return AugmentedView(g, frozenset(), frozenset(), source_index)
-    drop = set(int(i) for i in rng.choice(g.num_edges, size=k, replace=False))
-    kept = tuple(e for i, e in enumerate(g.edges) if i not in drop)
-    deleted = frozenset((g.edges[i].u, g.edges[i].v) for i in drop)
-    return AugmentedView(
-        MoleculeGraph(g.nodes, kept), frozenset(), deleted, source_index
-    )
+    """Drop a uniform sample of bonds."""
+    return _view(g, set(), _sample(rng, g.num_edges, p), source_index)
 
 
-def remove_subgraph(
-    g: MoleculeGraph, p: float, rng: np.random.Generator, source_index: int = 0
-) -> AugmentedView:
-    """Mask a connected region grown by breadth-first search, then drop the
-    bonds inside it.
-
-    The origin is uniform over unmasked atoms and is masked first; each
-    BFS level is shuffled before masking continues, and a fresh origin is
-    drawn whenever a component is exhausted before the target is reached.
-    Exactly the edges with BOTH endpoints masked are deleted, so the
-    removed region is an induced subgraph.
-    """
+def _grow_region(g: MoleculeGraph, p: float, rng: np.random.Generator) -> set[int]:
+    """The atoms :func:`remove_subgraph` masks."""
     n = g.num_nodes
     target = _count(p, n)
     masked: set[int] = set()
@@ -163,17 +170,28 @@ def remove_subgraph(
             # Deduplicate preserving discovery order, then shuffle the level.
             level = [u for u in dict.fromkeys(frontier) if u not in masked]
             rng.shuffle(level)
-    if not masked:
-        return AugmentedView(g, frozenset(), frozenset(), source_index)
-    kept: list[BondEdge] = []
-    deleted: list[tuple[int, int]] = []
-    for e in g.edges:
-        if e.u in masked and e.v in masked:
-            deleted.append((e.u, e.v))
-        else:
-            kept.append(e)
-    out = MoleculeGraph(_with_masks(g, masked), tuple(kept))
-    return AugmentedView(out, frozenset(masked), frozenset(deleted), source_index)
+    return masked
+
+
+def _inside(g: MoleculeGraph, masked: set[int]) -> set[int]:
+    """Positions of the edges with both endpoints masked."""
+    return {i for i, e in enumerate(g.edges) if e.u in masked and e.v in masked}
+
+
+def remove_subgraph(
+    g: MoleculeGraph, p: float, rng: np.random.Generator, source_index: int = 0
+) -> AugmentedView:
+    """Mask a connected region grown by breadth-first search, then drop the
+    bonds inside it.
+
+    The origin is uniform over unmasked atoms and is masked first; each
+    BFS level is shuffled before masking continues, and a fresh origin is
+    drawn whenever a component is exhausted before the target is reached.
+    Exactly the edges with BOTH endpoints masked are deleted, so the
+    removed region is an induced subgraph.
+    """
+    masked = _grow_region(g, p, rng)
+    return _view(g, masked, _inside(g, masked), source_index)
 
 
 def compose_view(
@@ -188,34 +206,23 @@ def compose_view(
     subgraph step counting toward that quota.
     """
     n, m = g.num_nodes, g.num_edges
-    view = remove_subgraph(g, _random_ratio(spec, rng), rng, source_index)
-    masked = set(view.masked_nodes)
-    deleted = set(view.deleted_edges)
-    graph = view.graph
+    masked = _grow_region(g, _random_ratio(spec, rng), rng)
+    dropped = _inside(g, masked)
 
     mask_target = math.ceil(spec.mask_ratio * n - 1e-9)
     need = mask_target - len(masked)
     if need > 0:
         pool = [v for v in range(n) if v not in masked]
-        extra = rng.choice(len(pool), size=min(need, len(pool)), replace=False)
-        masked.update(pool[int(i)] for i in extra)
-        graph = MoleculeGraph(_with_masks(g, masked), graph.edges)
+        extra = _choose(rng, len(pool), min(need, len(pool)))
+        masked.update(pool[i] for i in extra)
 
     delete_target = math.ceil(spec.delete_ratio * m - 1e-9)
-    need = delete_target - len(deleted)
+    need = delete_target - len({(g.edges[i].u, g.edges[i].v) for i in dropped})
     if need > 0:
-        surviving = graph.edges
-        drop = set(
-            int(i)
-            for i in rng.choice(
-                len(surviving), size=min(need, len(surviving)), replace=False
-            )
-        )
-        deleted.update((surviving[i].u, surviving[i].v) for i in drop)
-        graph = MoleculeGraph(
-            graph.nodes, tuple(e for i, e in enumerate(surviving) if i not in drop)
-        )
-    return AugmentedView(graph, frozenset(masked), frozenset(deleted), source_index)
+        surviving = [i for i in range(m) if i not in dropped]
+        extra = _choose(rng, len(surviving), min(need, len(surviving)))
+        dropped.update(surviving[i] for i in extra)
+    return _view(g, masked, dropped, source_index)
 
 
 def augment_view(
@@ -223,11 +230,9 @@ def augment_view(
 ) -> AugmentedView:
     """Draw one augmented view of ``g`` under the spec's strategy."""
     if spec.strategy == MASK_DELETE:
-        masked = mask_atoms(g, spec.mask_ratio, rng, source_index)
-        dropped = delete_bonds(masked.graph, spec.delete_ratio, rng, source_index)
-        return AugmentedView(
-            dropped.graph, masked.masked_nodes, dropped.deleted_edges, source_index
-        )
+        masked = _sample(rng, g.num_nodes, spec.mask_ratio)
+        dropped = _sample(rng, g.num_edges, spec.delete_ratio)
+        return _view(g, masked, dropped, source_index)
     if spec.strategy == SUBGRAPH_RANDOM:
         return remove_subgraph(g, _random_ratio(spec, rng), rng, source_index)
     if spec.strategy == SUBGRAPH:

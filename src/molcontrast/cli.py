@@ -254,6 +254,17 @@ def _load_corpus(path: str):
     return corpus
 
 
+def _load_dataset(path: str, task: str):
+    from .datasets import load_labeled_csv
+
+    dataset, failures = load_labeled_csv(path, task)
+    if failures:
+        print(f"warning: {len(failures)} rows failed to parse", file=sys.stderr)
+    if not dataset.records:
+        raise DataError(f"no parseable molecules in {path}")
+    return dataset
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -315,7 +326,6 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
     if args.checkpoint and args.no_pretrain:
         raise ConfigError("--checkpoint and --no-pretrain are mutually exclusive")
-    from .datasets import load_labeled_csv
 
     cfg = FinetuneConfig(
         epochs=args.epochs,
@@ -334,11 +344,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     augment = _augment_spec(args) if args.augment else None
     # Encoder flags apply only without a checkpoint, which fixes the encoder.
     encoder = None if args.checkpoint else _encoder_config(args)
-    dataset, failures = load_labeled_csv(args.data, args.task)
-    if failures:
-        print(f"warning: {len(failures)} rows failed to parse", file=sys.stderr)
-    if not dataset.records:
-        raise DataError(f"no parseable molecules in {args.data}")
+    dataset = _load_dataset(args.data, args.task)
     checkpoint = load_checkpoint(args.checkpoint) if args.checkpoint else None
     out = _out_dir(args)
     result = finetune(
@@ -562,7 +568,6 @@ def _ablation_sweep(args, column, values, vary, label) -> int:
     scores, and writes one CSV row per run to ``<command>.csv``.  The
     configs are built first, so bad flags fail before any data is read."""
     _require(args, "data")
-    from .datasets import load_labeled_csv
     from .training import FinetuneConfig, PretrainConfig, finetune, pretrain
 
     warm = (
@@ -588,9 +593,7 @@ def _ablation_sweep(args, column, values, vary, label) -> int:
         seed=args.seed,
         free_values=args.free_values,
     )
-    dataset, _ = load_labeled_csv(args.data, args.task)
-    if not dataset.records:
-        raise DataError(f"no parseable molecules in {args.data}")
+    dataset = _load_dataset(args.data, args.task)
     graphs = [r.graph for r in dataset.records]
     rows = []
     for value in values:

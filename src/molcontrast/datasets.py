@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .fingerprints import fnv1a64
+from .fingerprints import _bond_types, _refine, fnv1a64
 from .graph import BondEdge, MoleculeGraph
 from .smiles import CorpusFailure, SmilesParseError, parse_smiles
 
@@ -180,19 +180,9 @@ _WL_ROUNDS = 3
 
 def _wl_labels(g: MoleculeGraph, rounds: int = _WL_ROUNDS) -> list[int]:
     labels = [fnv1a64(str(node.atomic_number).encode()) for node in g.nodes]
-    bond_type = {}
-    for e in g.edges:
-        bond_type[(e.u, e.v)] = int(e.bond_type)
-        bond_type[(e.v, e.u)] = int(e.bond_type)
+    bond_type = _bond_types(g)
     for _ in range(rounds):
-        fresh = []
-        for v in range(g.num_nodes):
-            env = sorted(
-                (bond_type[(v, u)], labels[u]) for u in g.adjacency[v]
-            )
-            text = f"{labels[v]}|" + ";".join(f"{b},{l}" for b, l in env)
-            fresh.append(fnv1a64(text.encode()))
-        labels = fresh
+        labels = _refine(g, labels, bond_type)
     return labels
 
 
@@ -217,7 +207,6 @@ class Split(IntEnum):
 
 @dataclass
 class SplitAssignment:
-    method: str
     assignment: tuple[Split, ...]
 
     def indices(self, split: Split) -> list[int]:
@@ -275,7 +264,7 @@ def scaffold_split(
         for i in members:
             assignment[i] = where
         placed += len(members)
-    result = SplitAssignment("scaffold", tuple(assignment))
+    result = SplitAssignment(tuple(assignment))
     for split in Split:
         if not result.indices(split):
             raise DataError(

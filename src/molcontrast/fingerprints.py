@@ -116,16 +116,35 @@ def ring_atoms(g: MoleculeGraph) -> frozenset[int]:
     return frozenset(in_ring)
 
 
+def _bond_types(g: MoleculeGraph) -> dict[tuple[int, int], int]:
+    """Bond type of every edge, keyed by both orientations."""
+    bond_type: dict[tuple[int, int], int] = {}
+    for e in g.edges:
+        bond_type[(e.u, e.v)] = int(e.bond_type)
+        bond_type[(e.v, e.u)] = int(e.bond_type)
+    return bond_type
+
+
+def _refine(
+    g: MoleculeGraph, labels: list[int], bond_type: dict[tuple[int, int], int]
+) -> list[int]:
+    """One neighbourhood-hash round: each atom's label re-hashed with its
+    sorted (bond type, neighbour label) pairs."""
+    fresh = []
+    for v in range(g.num_nodes):
+        env = sorted((bond_type[(v, u)], labels[u]) for u in g.adjacency[v])
+        text = f"{labels[v]}|" + ";".join(f"{b},{h}" for b, h in env)
+        fresh.append(fnv1a64(text.encode()))
+    return fresh
+
+
 def circular_fp(g: MoleculeGraph, radius: int = 2, nbits: int = 2048) -> Fingerprint:
     """Circular environment fingerprint; every round's invariants set bits."""
     _check_nbits(nbits)
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     rings = ring_atoms(g)
-    bond_type: dict[tuple[int, int], int] = {}
-    for e in g.edges:
-        bond_type[(e.u, e.v)] = int(e.bond_type)
-        bond_type[(e.v, e.u)] = int(e.bond_type)
+    bond_type = _bond_types(g)
     inv = [
         fnv1a64(
             f"{node.atomic_number}|{len(g.adjacency[v])}|"
@@ -136,12 +155,7 @@ def circular_fp(g: MoleculeGraph, radius: int = 2, nbits: int = 2048) -> Fingerp
     bits = np.zeros(nbits, dtype=bool)
     bits[[h % nbits for h in inv]] = True
     for _ in range(radius):
-        fresh = []
-        for v in range(g.num_nodes):
-            env = sorted((bond_type[(v, u)], inv[u]) for u in g.adjacency[v])
-            text = f"{inv[v]}|" + ";".join(f"{b},{h}" for b, h in env)
-            fresh.append(fnv1a64(text.encode()))
-        inv = fresh
+        inv = _refine(g, inv, bond_type)
         bits[[h % nbits for h in inv]] = True
     return Fingerprint("circular", bits)
 
@@ -181,10 +195,7 @@ def enumerate_simple_paths(
 def path_fp(g: MoleculeGraph, max_len: int = 7, nbits: int = 2048) -> Fingerprint:
     """Linear-path fingerprint over canonical label sequences."""
     _check_nbits(nbits)
-    bond_type: dict[tuple[int, int], int] = {}
-    for e in g.edges:
-        bond_type[(e.u, e.v)] = int(e.bond_type)
-        bond_type[(e.v, e.u)] = int(e.bond_type)
+    bond_type = _bond_types(g)
     bits = np.zeros(nbits, dtype=bool)
     for nodes in enumerate_simple_paths(g, max_len):
         seq: list[int] = []

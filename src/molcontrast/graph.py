@@ -7,15 +7,17 @@ fixed here as module constants.  Formal charge is kept on the node as parsed
 metadata but is not part of the embedded feature set.
 
 Graphs are immutable.  Edges are stored once per unordered pair with
-``u < v``; the adjacency structure is derived at construction time and an
-explicit :func:`validate` pass can audit a graph that was assembled by hand.
+``u < v``; the adjacency structure is derived from the edges on first use,
+and an explicit :func:`validate` pass can audit a graph that was assembled by
+hand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 
 class Chirality(IntEnum):
@@ -152,14 +154,11 @@ class MoleculeGraph:
     """Immutable molecule graph with derived adjacency.
 
     Equality ignores edge-list order; two parses that list the same bonds in
-    different order compare equal.  ``adjacency`` is normally derived from the
-    edges; passing it explicitly exists so :func:`validate` can be exercised
-    on deliberately inconsistent graphs.
+    different order compare equal.
     """
 
     nodes: tuple[AtomNode, ...]
     edges: tuple[BondEdge, ...] = ()
-    adjacency: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -169,14 +168,11 @@ class MoleculeGraph:
                 raise ValueError(
                     f"edge ({e.u}, {e.v}) references node beyond {len(self.nodes) - 1}"
                 )
-        if self.adjacency is None:
-            object.__setattr__(
-                self, "adjacency", _build_adjacency(len(self.nodes), self.edges)
-            )
-        else:
-            object.__setattr__(
-                self, "adjacency", tuple(tuple(row) for row in self.adjacency)
-            )
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted, duplicate-free neighbours of every node, built on first use."""
+        return _build_adjacency(len(self.nodes), self.edges)
 
     @property
     def num_nodes(self) -> int:
@@ -207,8 +203,8 @@ def neighbors(g: MoleculeGraph, v: int) -> tuple[int, ...]:
 def validate(g: MoleculeGraph) -> list[str]:
     """Audit graph invariants; returns one message per violation.
 
-    Checks edge normalization, duplicate bonds, index bounds, and that the
-    adjacency structure matches the edge list in both directions.
+    Checks index bounds, edge normalization and duplicate bonds.  The
+    adjacency is derived from the edges, so it cannot disagree with them.
     """
     problems: list[str] = []
     n = g.num_nodes
@@ -223,20 +219,6 @@ def validate(g: MoleculeGraph) -> list[str]:
         if key in seen:
             problems.append(f"duplicate edge ({e.u}, {e.v})")
         seen.add(key)
-    if len(g.adjacency) != n:
-        problems.append(
-            f"adjacency has {len(g.adjacency)} rows for {n} nodes"
-        )
-        return problems
-    expected = _build_adjacency(n, [e for e in g.edges if e.u < e.v < n])
-    for v in range(n):
-        row = g.adjacency[v]
-        if tuple(sorted(set(row))) != row:
-            problems.append(f"adjacency row {v} not sorted/deduplicated")
-        if tuple(sorted(set(row))) != expected[v]:
-            problems.append(
-                f"adjacency row {v} is {row}, edges imply {expected[v]}"
-            )
     return problems
 
 

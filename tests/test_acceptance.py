@@ -445,7 +445,7 @@ def test_08_pretrained_start_beats_scratch(pretrained_2000, announce):
         assignment[i] = Split.TRAIN
     for i in valid:
         assignment[i] = Split.VALID
-    split = SplitAssignment("manual", tuple(assignment))
+    split = SplitAssignment(tuple(assignment))
 
     means = {}
     for arm in ("a", "b", "c"):

@@ -1,13 +1,17 @@
 """Augmentation operators: rounding, induced-subgraph property, determinism."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from golden_corpus import GOLDEN
+from molcontrast import augment
 from molcontrast.augment import (
     COMPOSE_ALL,
     MASK_DELETE,
+    STRATEGIES,
     SUBGRAPH,
     SUBGRAPH_RANDOM,
     AugmentSpec,
@@ -19,7 +23,7 @@ from molcontrast.augment import (
     mask_atoms,
     remove_subgraph,
 )
-from molcontrast.graph import MASK_ATOMIC_NUMBER, validate
+from molcontrast.graph import MASK_ATOMIC_NUMBER, MoleculeGraph, format_graph, validate
 from molcontrast.smiles import parse_smiles
 
 
@@ -365,3 +369,70 @@ def test_node_count_preserved(smiles, strategy):
         view = augment_view(g, spec, rng_for(seed))
         assert view.graph.num_nodes == g.num_nodes
         assert validate(view.graph) == []
+
+
+# -- views are built once, from the source graph ------------------------------
+
+# Default ratios, plus heavier ones that make compose_all top up both quotas.
+GOLDEN_SPECS = [
+    AugmentSpec(strategy=s, mask_ratio=m, delete_ratio=d, subgraph_ratio=r)
+    for s in STRATEGIES
+    for m, d, r in ((0.25, 0.25, 0.25), (0.5, 0.4, 0.3))
+]
+
+
+def test_golden_corpus_views_are_pinned():
+    # Every view's listing, masked atoms and deleted bonds, pinned byte for
+    # byte: pre-training checkpoints are only reproducible if views are.
+    digest = hashlib.sha256()
+    for spec in GOLDEN_SPECS:
+        for i, golden in enumerate(GOLDEN):
+            g = parse_smiles(golden.smiles)
+            for seed in range(3):
+                for view in augment_pair(g, spec, derive_rng(seed, i), i):
+                    digest.update(format_graph(view.graph).encode())
+                    digest.update(repr(sorted(view.masked_nodes)).encode())
+                    digest.update(repr(sorted(view.deleted_edges)).encode())
+    assert digest.hexdigest() == (
+        "da4b0e85a2cab085eb8453e7d9c1f1615c04f6f877f6a6812d26151928898731"
+    )
+
+
+@pytest.mark.parametrize("ratios", [(0.25, 0.25), (0.5, 0.4), (0.0, 0.3), (0.3, 0.0)])
+def test_mask_delete_equals_mask_then_delete(ratios):
+    mask_ratio, delete_ratio = ratios
+    spec = AugmentSpec(strategy=MASK_DELETE, mask_ratio=mask_ratio, delete_ratio=delete_ratio)
+    for golden in GOLDEN:
+        g = parse_smiles(golden.smiles)
+        for seed in range(4):
+            rng, ref_rng = rng_for(seed), rng_for(seed)
+            view = augment_view(g, spec, rng)
+            masked = mask_atoms(g, mask_ratio, ref_rng)
+            dropped = delete_bonds(masked.graph, delete_ratio, ref_rng)
+            assert view.graph.nodes == dropped.graph.nodes
+            assert view.graph.edges == dropped.graph.edges  # same order too
+            assert view.masked_nodes == masked.masked_nodes
+            assert view.deleted_edges == dropped.deleted_edges
+            assert rng.random() == ref_rng.random()  # same draws consumed
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS)
+def test_each_view_is_one_unwalked_graph(spec, monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(MoleculeGraph(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(augment, "MoleculeGraph", counting)
+    for i, golden in enumerate(GOLDEN):
+        g = parse_smiles(golden.smiles)
+        assert "adjacency" not in vars(g)
+        for seed in range(3):
+            built.clear()
+            view = augment_view(g, spec, derive_rng(seed, i))
+            if view.graph is g:
+                assert built == []
+            else:
+                assert len(built) == 1 and built[0] is view.graph
+                assert "adjacency" not in vars(view.graph)

@@ -462,6 +462,15 @@ def test_ablate_aug_sweeps_strategies(labeled_csv, tmp_path, capsys):
     assert resolved["temperature"] == "0.1"
 
 
+def test_ablation_warns_about_unparseable_rows(labeled_csv, tmp_path, capsys):
+    data = tmp_path / "with_bad_row.csv"
+    data.write_text(labeled_csv.read_text() + "C1CC(,1\n")
+    rc = main(["ablate_temp", "--data", str(data), "--out", str(tmp_path / "at")]
+              + ABLATE_FAST)
+    assert rc == 0
+    assert "warning: 1 rows failed to parse" in capsys.readouterr().err
+
+
 def test_ablate_temp_sweeps_temperatures(labeled_csv, tmp_path, capsys):
     out = tmp_path / "at"
     rc = main(["ablate_temp", "--data", str(labeled_csv), "--out", str(out)]

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from golden_corpus import GOLDEN
+from molcontrast.datasets import scaffold_key
 from molcontrast.encoder import EncoderConfig, EncoderModel
 from molcontrast.fingerprints import (
     Fingerprint,
@@ -117,6 +119,41 @@ def test_circular_validation():
         circular_fp(g, nbits=1)
     with pytest.raises(ValueError):
         circular_fp(g, radius=-1)
+
+
+# -- pinned hash values ------------------------------------------------------
+
+# Set bits and scaffold keys of a charged chain, a fused ring system and two
+# rings joined by a bridge, pinned so a change to the hashing cannot move a
+# bit unnoticed.
+PINNED_HASHES = {
+    "acetate": (
+        [143, 176, 243, 451, 965, 986, 1017, 1298, 1415, 1643, 1716, 1837],
+        [1068, 1127, 1150, 1295, 1766, 1857],
+        2499684587622229579,
+    ),
+    "indole skeleton": (
+        [0, 7, 33, 44, 103, 318, 571, 628, 671, 808, 972, 1026, 1207, 1646, 1940, 2011],
+        [158, 166, 253, 310, 333, 593, 601, 805, 946, 1030, 1094, 1102, 1213,
+         1238, 1269, 1357, 1381, 1442, 1537, 1741, 1822, 1866, 1877, 1918, 1946, 1965],
+        13113806858196302239,
+    ),
+    "biphenyl": (
+        [44, 103, 318, 671, 811, 1697, 1940, 1949, 2045],
+        [192, 224, 328, 352, 447, 601, 623, 783, 791, 1167, 1295, 1335, 1442,
+         1463, 1503, 1512, 1537, 1584, 1866, 1946],
+        2994126293470443386,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+def test_hash_values_pinned(name):
+    circular, path, scaffold = PINNED_HASHES[name]
+    g = parse_smiles(next(m.smiles for m in GOLDEN if m.name == name))
+    assert np.flatnonzero(circular_fp(g).bits).tolist() == circular
+    assert np.flatnonzero(path_fp(g).bits).tolist() == path
+    assert scaffold_key(g) == scaffold
 
 
 # -- path fingerprints -------------------------------------------------------

@@ -520,7 +520,7 @@ def test_finetune_augment_changes_training():
 
 def test_finetune_split_size_mismatch():
     dataset = oxygen_dataset(30, seed=6)
-    bad = SplitAssignment("manual", tuple([Split.TRAIN] * 10))
+    bad = SplitAssignment(tuple([Split.TRAIN] * 10))
     with pytest.raises(DataError):
         finetune(
             dataset,
@@ -545,7 +545,7 @@ def test_finetune_regression_with_manual_split(tmp_path):
     dataset, failures = load_labeled_csv(p, "regression")
     assert failures == []
     assignment = [Split.TRAIN] * 16 + [Split.VALID] * 4 + [Split.TEST] * 4
-    split = SplitAssignment("manual", tuple(assignment))
+    split = SplitAssignment(tuple(assignment))
     cfg = FinetuneConfig(
         epochs=3, batch_size=32, hidden_dim=16, regression_metric="rmse", seed=1
     )
