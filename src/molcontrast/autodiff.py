@@ -48,6 +48,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "Tensor",
     "Tape",
@@ -158,18 +160,12 @@ class Tape:
             self._live.add(out.tid)
 
 
-def backward(
-    tape: Tape,
-    loss: Tensor,
-    grad_map: dict[Tensor, np.ndarray] | None = None,
-) -> dict[Tensor, np.ndarray]:
+def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Accumulate d(loss)/d(param) for every ``requires_grad`` tensor.
 
     Args:
         tape: the tape that recorded the forward pass.
         loss: a scalar tensor produced on that tape.
-        grad_map: optional map from a previous call; gradients accumulate
-            additively into it.
 
     Returns:
         Map from parameter tensor to its gradient array.
@@ -181,7 +177,7 @@ def backward(
     grads: dict[int, np.ndarray] = {
         loss.tid: np.ones((), dtype=loss.data.dtype)
     }
-    result = grad_map if grad_map is not None else {}
+    result: dict[Tensor, np.ndarray] = {}
     for record in reversed(tape._records):
         out_grad = grads.pop(record.out_tid, None)
         if out_grad is None:
@@ -679,12 +675,12 @@ def matmul_t(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
 def l2_normalize_rows(tape: Tape, x: Tensor, eps: float = 1e-12) -> Tensor:
     """Scale each row to unit Euclidean norm; zero-norm rows are an error."""
     _check_2d("x", x)
-    sq = (x.data.astype(np.float64) ** 2).sum(axis=1)
-    norms = np.sqrt(sq)
+    x64 = x.data.astype(np.float64)
+    norms = np.sqrt((x64**2).sum(axis=1))
     if (norms < eps).any():
         row = int(np.nonzero(norms < eps)[0][0])
         raise ValueError(f"row {row} has near-zero norm; cannot normalize")
-    y64 = x.data.astype(np.float64) / norms[:, None]
+    y64 = x64 / norms[:, None]
     out = Tensor(y64.astype(x.data.dtype))
 
     def bwd(g: np.ndarray):
@@ -877,6 +873,8 @@ def numeric_gradients(
     This path never touches the tape; it is the independent side of every
     gradient check.
     """
+    if not eps > 0:
+        raise ConfigError(f"eps must be > 0, got {eps}")
     base = [np.asarray(a, dtype=np.float64).copy() for a in arrays]
     grads = []
     for ai, a in enumerate(base):

@@ -15,14 +15,13 @@ abort.  See MANUAL.md for every flag and file format.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .autodiff import set_threads
 from .errors import ConfigError, DataError, NumericAbort
-from .fileio import atomic_write
+from .fileio import atomic_write, write_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -122,13 +121,6 @@ def _require(args: argparse.Namespace, *dests: str) -> None:
 def _write_text(path: Path, text: str) -> None:
     with atomic_write(path, encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -239,30 +231,27 @@ def _encoder_config(args: argparse.Namespace, dropout: float = 0.0):
     )
 
 
-def _load_corpus(path: str):
+def _load_molecules(path: str, task: str | None = None):
+    """The corpus (no ``task``) or labeled dataset at ``path``.  Rows that
+    fail to parse are skipped with one warning; none left is a data error."""
+    from .datasets import load_labeled_csv
     from .smiles import parse_corpus
 
-    corpus = parse_corpus(path)
-    if corpus.failures:
+    if task is None:
+        loaded = parse_corpus(path)
+        kept, failures = loaded.rows, loaded.failures
+    else:
+        loaded, failures = load_labeled_csv(path, task)
+        kept = loaded.records
+    if failures:
         print(
-            f"warning: {len(corpus.failures)} of "
-            f"{len(corpus.rows) + len(corpus.failures)} rows failed to parse",
+            f"warning: {len(failures)} of {len(kept) + len(failures)} rows "
+            f"failed to parse",
             file=sys.stderr,
         )
-    if not corpus.rows:
+    if not kept:
         raise DataError(f"no parseable molecules in {path}")
-    return corpus
-
-
-def _load_dataset(path: str, task: str):
-    from .datasets import load_labeled_csv
-
-    dataset, failures = load_labeled_csv(path, task)
-    if failures:
-        print(f"warning: {len(failures)} rows failed to parse", file=sys.stderr)
-    if not dataset.records:
-        raise DataError(f"no parseable molecules in {path}")
-    return dataset
+    return loaded
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +274,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
         val_fraction=args.val_fraction,
         seed=args.seed,
     )
-    corpus = _load_corpus(args.data)
+    corpus = _load_molecules(args.data)
     out = _out_dir(args)
     result = pretrain(corpus.graphs, cfg, trace_path=out / "loss.csv")
     save_checkpoint(out / "checkpoint.bin", result.checkpoint)
@@ -344,7 +333,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     augment = _augment_spec(args) if args.augment else None
     # Encoder flags apply only without a checkpoint, which fixes the encoder.
     encoder = None if args.checkpoint else _encoder_config(args)
-    dataset = _load_dataset(args.data, args.task)
+    dataset = _load_molecules(args.data, args.task)
     checkpoint = load_checkpoint(args.checkpoint) if args.checkpoint else None
     out = _out_dir(args)
     result = finetune(
@@ -363,7 +352,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         out / "model.bin",
         model_to_checkpoint(result.model, epoch=cfg.epochs, extra=extra),
     )
-    _write_csv(out / "metrics.csv", ["name", "value"], _metric_rows(result, dataset))
+    write_csv(out / "metrics.csv", ["name", "value"], _metric_rows(result, dataset))
     _write_resolved_config(out, args)
     print(
         f"best epoch {result.best_epoch}: validation {result.metric_name} "
@@ -379,7 +368,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     from .encoder import embed_molecules
     from .training import load_checkpoint, model_from_checkpoint
 
-    corpus = _load_corpus(args.data)
+    corpus = _load_molecules(args.data)
     model = model_from_checkpoint(load_checkpoint(args.checkpoint))
     reps = embed_molecules(model, corpus.graphs)
     out = _out_dir(args)
@@ -388,7 +377,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
         [row.index, row.smiles] + [f"{v:.8g}" for v in reps[i]]
         for i, row in enumerate(corpus.rows)
     ]
-    _write_csv(out / "embeddings.csv", header, rows)
+    write_csv(out / "embeddings.csv", header, rows)
     _write_resolved_config(out, args)
     print(f"wrote {len(rows)} embeddings of width {reps.shape[1]} to {out / 'embeddings.csv'}")
     return 0
@@ -396,11 +385,12 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
     _require(args, "data", "checkpoint", "query")
-    from .fingerprints import retrieval_analysis
+    from .fingerprints import _check_retrieval, retrieval_analysis
     from .smiles import parse_smiles
     from .training import load_checkpoint, model_from_checkpoint
 
-    corpus = _load_corpus(args.data)
+    _check_retrieval(args.bins, args.samples_per_bin, args.top)
+    corpus = _load_molecules(args.data)
     if len(corpus.rows) < args.bins:
         raise DataError(
             f"corpus of {len(corpus.rows)} molecules is smaller than "
@@ -418,7 +408,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         top_k=args.top,
     )
     out = _out_dir(args)
-    _write_csv(
+    write_csv(
         out / "bins.csv",
         ["bin", "fp_kind", "mean_dice", "std_dice", "sample_size"],
         [
@@ -426,7 +416,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
             for s in report.bins
         ],
     )
-    _write_csv(
+    write_csv(
         out / "neighbors.csv",
         ["rank", "corpus_index", "smiles", "cosine_distance", "dice_circular", "dice_path"],
         [
@@ -465,7 +455,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
         index = 0
         label = args.smiles
     else:
-        corpus = _load_corpus(args.data)
+        corpus = _load_molecules(args.data)
         if not 0 <= args.index < len(corpus.rows):
             raise DataError(
                 f"--index {args.index} outside corpus of {len(corpus.rows)}"
@@ -498,19 +488,20 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 def cmd_split(args: argparse.Namespace) -> int:
     _require(args, "data")
-    from .datasets import Split, scaffold_split
+    from .datasets import Split, _fractions_problem, scaffold_split
 
     try:
         parts = tuple(float(p) for p in args.fractions.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad --fractions {args.fractions!r}") from exc
-    if len(parts) != 3:
-        raise ConfigError("--fractions needs three comma-separated numbers")
-    corpus = _load_corpus(args.data)
+    problem = _fractions_problem(parts)
+    if problem is not None:
+        raise ConfigError(f"--fractions: {problem}")
+    corpus = _load_molecules(args.data)
     assignment = scaffold_split(corpus.graphs, parts)
     names = {Split.TRAIN: "train", Split.VALID: "valid", Split.TEST: "test"}
     out = _out_dir(args)
-    _write_csv(
+    write_csv(
         out / "split.csv",
         ["index", "smiles", "split"],
         [
@@ -544,7 +535,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
             failures.append(op)
     if args.out is not None:
         out = _out_dir(args)
-        _write_csv(
+        write_csv(
             out / "gradcheck.csv",
             ["op", "max_rel_error"],
             [[op, f"{report[op]:.6e}"] for op in sorted(report)],
@@ -593,11 +584,10 @@ def _ablation_sweep(args, column, values, vary, label) -> int:
         seed=args.seed,
         free_values=args.free_values,
     )
-    dataset = _load_dataset(args.data, args.task)
-    graphs = [r.graph for r in dataset.records]
+    dataset = _load_molecules(args.data, args.task)
     rows = []
     for value in values:
-        pre = pretrain(graphs, vary(pre_cfg, value))
+        pre = pretrain(dataset.graphs(), vary(pre_cfg, value))
         result = finetune(dataset, ft_cfg, checkpoint=pre.checkpoint)
         loss = pre.history[-1].train_loss
         val, test = result.val_metric, result.test_metric
@@ -608,7 +598,7 @@ def _ablation_sweep(args, column, values, vary, label) -> int:
         )
     out = _out_dir(args)
     path = out / f"{args.command}.csv"
-    _write_csv(path, [column, "pretrain_loss", "best_epoch", "val_metric", "test_metric"], rows)
+    write_csv(path, [column, "pretrain_loss", "best_epoch", "val_metric", "test_metric"], rows)
     _write_resolved_config(out, args)
     print(f"wrote {path}")
     return 0
@@ -789,6 +779,8 @@ def main(argv: list[str] | None = None) -> int:
             sub = index[args.command]
             sub.set_defaults(**_config_defaults(sub, Path(args.config)))
             args = parser.parse_args(argv)
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.threads is not None:
             if args.threads < 1:
                 raise ConfigError(f"--threads must be >= 1, got {args.threads}")

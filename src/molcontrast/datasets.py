@@ -12,17 +12,17 @@ ever spans two splits.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
 from .fingerprints import _bond_types, _refine, fnv1a64
 from .graph import BondEdge, MoleculeGraph
-from .smiles import CorpusFailure, SmilesParseError, parse_smiles
+from .smiles import CorpusFailure, _read_smiles_csv
 
 __all__ = [
     "LabeledRecord",
@@ -87,52 +87,40 @@ def load_labeled_csv(
     """
     if task_kind not in ("classification", "regression"):
         raise DataError(f"unknown task kind {task_kind!r}")
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
+    fields, parsed, failures = _read_smiles_csv(path, smiles_column)
+    task_names = tuple(c for c in fields if c != smiles_column)
+    if not task_names:
+        raise DataError(f"no label columns in {path}")
     records: list[LabeledRecord] = []
-    failures: list[CorpusFailure] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        if smiles_column not in fields:
-            raise DataError(f"column {smiles_column!r} not found in {path}")
-        task_names = tuple(c for c in fields if c != smiles_column)
-        if not task_names:
-            raise DataError(f"no label columns in {path}")
-        for index, row in enumerate(reader):
-            text = (row.get(smiles_column) or "").strip()
-            try:
-                graph = parse_smiles(text)
-            except SmilesParseError as exc:
-                failures.append(CorpusFailure(index, text, exc.diagnostic))
+    for row, record in parsed:
+        labels: list[float] = []
+        observed: list[bool] = []
+        for column in task_names:
+            cell = (record.get(column) or "").strip()
+            if not cell:
+                labels.append(0.0)
+                observed.append(False)
                 continue
-            labels: list[float] = []
-            observed: list[bool] = []
-            for column in task_names:
-                cell = (row.get(column) or "").strip()
-                if not cell:
-                    labels.append(0.0)
-                    observed.append(False)
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError as exc:
-                    raise DataError(
-                        f"row {index}, column {column}: bad label {cell!r}"
-                    ) from exc
-                if task_kind == "classification" and value not in (0.0, 1.0):
-                    raise DataError(
-                        f"row {index}, column {column}: classification label "
-                        f"must be 0 or 1, got {cell!r}"
-                    )
-                labels.append(value)
-                observed.append(True)
-            records.append(
-                LabeledRecord(index, text, graph, tuple(labels), tuple(observed))
+            try:
+                value = float(cell)
+            except ValueError as exc:
+                raise DataError(
+                    f"row {row.index}, column {column}: bad label {cell!r}"
+                ) from exc
+            if task_kind == "classification" and value not in (0.0, 1.0):
+                raise DataError(
+                    f"row {row.index}, column {column}: classification label "
+                    f"must be 0 or 1, got {cell!r}"
+                )
+            labels.append(value)
+            observed.append(True)
+        records.append(
+            LabeledRecord(
+                row.index, row.smiles, row.graph, tuple(labels), tuple(observed)
             )
+        )
     dataset = LabeledDataset(
-        name or path.stem, task_kind, task_names, records
+        name or Path(path).stem, task_kind, task_names, records
     )
     return dataset, failures
 
@@ -225,6 +213,15 @@ class SplitAssignment:
         return self.indices(Split.TEST)
 
 
+def _fractions_problem(fractions: Sequence[float]) -> str | None:
+    """Why ``fractions`` cannot be split fractions, or None if they can."""
+    if len(fractions) != 3 or not all(f > 0 for f in fractions):
+        return f"fractions must be three positive values, got {fractions}"
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        return f"fractions must sum to 1, got {fractions}"
+    return None
+
+
 def scaffold_split(
     graphs: list[MoleculeGraph],
     fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -237,10 +234,9 @@ def scaffold_split(
     Every count therefore deviates from its target by less than the
     largest group size.
     """
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise DataError(f"fractions must be three positive values, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DataError(f"fractions must sum to 1, got {fractions}")
+    problem = _fractions_problem(fractions)
+    if problem is not None:
+        raise DataError(problem)
     n = len(graphs)
     groups: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):

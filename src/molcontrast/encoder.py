@@ -21,7 +21,8 @@ the final layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -53,6 +54,7 @@ __all__ = [
     "represent",
     "project",
     "predict",
+    "frozen_batches",
     "embed_molecules",
 ]
 
@@ -73,7 +75,7 @@ class EncoderConfig:
     hidden_dim: int = 512
     latent_dim: int = 256
     gin_epsilon: float = 0.0
-    dropout: float = 0.0  # applied between conv layers, fine-tuning only
+    dropout: float = 0.0  # between conv layers, in training steps only
 
     def __post_init__(self) -> None:
         if self.backbone not in BACKBONES:
@@ -104,6 +106,8 @@ class HeadSpec:
             raise ConfigError("task_count must be >= 1")
         if self.hidden_layers < 1:
             raise ConfigError("hidden_layers must be >= 1")
+        if self.hidden_dim < 1:
+            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}")
         if not 0 <= self.dropout < 1:
@@ -115,6 +119,17 @@ class HeadSpec:
         return 2 * self.task_count if self.task_kind == "classification" else self.task_count
 
 
+class EdgeSet:
+    """The plans of one directed edge list, and optional per-edge weights."""
+
+    def __init__(self, num_nodes: int, src, dst, etype, edir, coeff=None):
+        self.src = ad.IndexPlan(src, num_nodes)
+        self.dst = ad.IndexPlan(dst, num_nodes)
+        self.type = ad.IndexPlan(etype, NUM_BOND_TYPES)
+        self.dir = ad.IndexPlan(edir, NUM_BOND_DIRECTIONS)
+        self.coeff = coeff
+
+
 class GraphBatch:
     """A list of molecule graphs flattened into index arrays.
 
@@ -122,11 +137,12 @@ class GraphBatch:
     feature is flipped on the reversed copy so `/` and `\\` markers stay
     orientation-consistent.
 
-    The index arrays are fixed for the life of a batch, so everything
-    derived from them is built on first use and cached here: one
-    :class:`~molcontrast.autodiff.IndexPlan` per index array (validated ids
-    and their scatter schedule, see :meth:`plan`) and the GCN self-loop
-    arrays (:meth:`gcn_arrays`).  Every layer, forward and backward, then
+    The index arrays are fixed for the life of a batch, so the
+    :class:`~molcontrast.autodiff.IndexPlan` of each (validated ids and
+    their scatter schedule) is built on first use and cached here: the
+    atom, chirality and graph plans, and two :class:`EdgeSet`s, the bonds
+    (:attr:`bond_edges`, for GIN) and the bonds plus one self-loop per atom
+    (:attr:`gcn_edges`, for GCN).  Every layer, forward and backward, then
     shares one copy of that index work.
     """
 
@@ -149,7 +165,6 @@ class GraphBatch:
         self.edge_dir = edge_dir
         self.node_graph = node_graph
         self.num_graphs = num_graphs
-        self._cache: dict[str, object] = {}
 
     @property
     def num_nodes(self) -> int:
@@ -185,16 +200,28 @@ class GraphBatch:
             len(graphs),
         )
 
-    def _cached(self, key: str, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+    @cached_property
+    def atom_plan(self) -> ad.IndexPlan:
+        return ad.IndexPlan(self.node_atomic, NUM_ATOM_TYPES)
 
-    def gcn_arrays(self) -> tuple[np.ndarray, ...]:
-        """Edge arrays extended with self-loops plus normalization weights."""
-        return self._cached("gcn_arrays", self._build_gcn_arrays)
+    @cached_property
+    def chirality_plan(self) -> ad.IndexPlan:
+        return ad.IndexPlan(self.node_chirality, NUM_CHIRALITY_TYPES)
 
-    def _build_gcn_arrays(self) -> tuple[np.ndarray, ...]:
+    @cached_property
+    def graph_plan(self) -> ad.IndexPlan:
+        return ad.IndexPlan(self.node_graph, self.num_graphs)
+
+    @cached_property
+    def bond_edges(self) -> EdgeSet:
+        return EdgeSet(
+            self.num_nodes, self.edge_src, self.edge_dst, self.edge_type, self.edge_dir
+        )
+
+    @cached_property
+    def gcn_edges(self) -> EdgeSet:
+        """The bonds plus a SELF_LOOP edge per atom, each weighted by
+        ``1 / sqrt(deg_hat_u * deg_hat_v)`` (degrees counting the loop)."""
         n = self.num_nodes
         loop = np.arange(n, dtype=np.int64)
         src = np.concatenate([self.edge_src, loop])
@@ -207,36 +234,7 @@ class GraphBatch:
         )
         deg = np.bincount(self.edge_dst, minlength=n).astype(np.float64) + 1.0
         coeff = 1.0 / np.sqrt(deg[src] * deg[dst])
-        return (src, dst, etype, edir, coeff)
-
-    def plan(self, name: str) -> ad.IndexPlan:
-        """The cached plan of one index array.
-
-        ``name`` is an index attribute (``node_atomic``, ``node_chirality``,
-        ``node_graph``, ``edge_src``, ``edge_dst``, ``edge_type``,
-        ``edge_dir``) or ``gcn_src``, ``gcn_dst``, ``gcn_type``, ``gcn_dir``
-        for the self-loop edge set of :meth:`gcn_arrays`.
-        """
-        return self._cached("plan." + name, lambda: self._build_plan(name))
-
-    def _build_plan(self, name: str) -> ad.IndexPlan:
-        n = self.num_nodes
-        if name.startswith("gcn_"):
-            column = ("src", "dst", "type", "dir").index(name[4:])
-            ids = self.gcn_arrays()[column]
-            name = "edge_" + name[4:]
-        else:
-            ids = getattr(self, name)
-        rows = {
-            "node_atomic": NUM_ATOM_TYPES,
-            "node_chirality": NUM_CHIRALITY_TYPES,
-            "node_graph": self.num_graphs,
-            "edge_src": n,
-            "edge_dst": n,
-            "edge_type": NUM_BOND_TYPES,
-            "edge_dir": NUM_BOND_DIRECTIONS,
-        }[name]
-        return ad.IndexPlan(ids, rows)
+        return EdgeSet(n, src, dst, etype, edir, coeff)
 
 
 def _uniform_linear(rng: np.random.Generator, fan_in: int, fan_out: int):
@@ -332,35 +330,28 @@ class EncoderModel:
 
 def embed_nodes(tape: Tape, model: EncoderModel, batch: GraphBatch) -> Tensor:
     """Initial node states: atomic-number plus chirality embeddings."""
-    a = ad.embedding_lookup(
-        tape, model.params["atom_embedding"], batch.plan("node_atomic")
-    )
+    a = ad.embedding_lookup(tape, model.params["atom_embedding"], batch.atom_plan)
     c = ad.embedding_lookup(
-        tape, model.params["chirality_embedding"], batch.plan("node_chirality")
+        tape, model.params["chirality_embedding"], batch.chirality_plan
     )
     return ad.add(tape, a, c)
 
 
 def _aggregate(
-    tape: Tape,
-    model: EncoderModel,
-    k: int,
-    states: Tensor,
-    batch: GraphBatch,
-    self_loops: bool,
+    tape: Tape, model: EncoderModel, k: int, states: Tensor, edges: EdgeSet
 ) -> Tensor:
-    """``sum_u (h_u + e_uv)`` per node, GCN-normalized over self-loop edges."""
-    prefix = "gcn_" if self_loops else "edge_"
+    """``sum_u (h_u + e_uv)`` per node over ``edges``, each message scaled
+    by its edge weight when the set has weights (GCN)."""
     return ad.message_sum(
         tape,
         states,
-        batch.plan(prefix + "src"),
-        batch.plan(prefix + "dst"),
+        edges.src,
+        edges.dst,
         model.params[f"layers.{k}.bond_type_embedding"],
-        batch.plan(prefix + "type"),
+        edges.type,
         model.params[f"layers.{k}.bond_direction_embedding"],
-        batch.plan(prefix + "dir"),
-        batch.gcn_arrays()[4] if self_loops else None,
+        edges.dir,
+        edges.coeff,
     )
 
 
@@ -368,7 +359,7 @@ def gin_layer(
     tape: Tape, model: EncoderModel, k: int, states: Tensor, batch: GraphBatch
 ) -> Tensor:
     cfg = model.config
-    agg = _aggregate(tape, model, k, states, batch, self_loops=False)
+    agg = _aggregate(tape, model, k, states, batch.bond_edges)
     combined = ad.add(tape, ad.scale(tape, states, 1.0 + cfg.gin_epsilon), agg)
     hidden = ad.relu(
         tape,
@@ -394,7 +385,7 @@ def gcn_layer(
     tape: Tape, model: EncoderModel, k: int, states: Tensor, batch: GraphBatch
 ) -> Tensor:
     cfg = model.config
-    agg = _aggregate(tape, model, k, states, batch, self_loops=True)
+    agg = _aggregate(tape, model, k, states, batch.gcn_edges)
     out = ad.linear(
         tape,
         agg,
@@ -428,7 +419,7 @@ def encode_nodes(
 
 def readout(tape: Tape, states: Tensor, batch: GraphBatch) -> Tensor:
     """Mean-pool node states per molecule; empty graphs are an error."""
-    return ad.segment_mean(tape, states, batch.plan("node_graph"))
+    return ad.segment_mean(tape, states, batch.graph_plan)
 
 
 def represent(
@@ -485,21 +476,28 @@ def predict(
     )
 
 
+def frozen_batches(
+    model: EncoderModel,
+    graphs: Sequence[MoleculeGraph],
+    batch_size: int = 256,
+) -> Iterator[tuple[EncoderModel, GraphBatch]]:
+    """The inference batches of ``graphs``, in order, each paired with
+    :meth:`EncoderModel.frozen`, on which a forward pass records nothing."""
+    frozen = model.frozen()
+    for start in range(0, len(graphs), batch_size):
+        yield frozen, GraphBatch.from_graphs(graphs[start : start + batch_size])
+
+
 def embed_molecules(
     model: EncoderModel,
     graphs: Sequence[MoleculeGraph],
     batch_size: int = 256,
 ) -> np.ndarray:
-    """Inference representations ``h`` for a list of graphs, in order.
-
-    Runs on :meth:`EncoderModel.frozen`, so nothing is recorded.
-    """
+    """Inference representations ``h`` for a list of graphs, in order."""
     if not graphs:
         return np.zeros((0, model.config.hidden_dim), dtype=np.float32)
-    frozen = model.frozen()
-    chunks = []
-    for start in range(0, len(graphs), batch_size):
-        batch = GraphBatch.from_graphs(graphs[start : start + batch_size])
-        h = represent(Tape(), frozen, batch)
-        chunks.append(h.data)
+    chunks = [
+        represent(Tape(), frozen, batch).data
+        for frozen, batch in frozen_batches(model, graphs, batch_size)
+    ]
     return np.concatenate(chunks, axis=0)

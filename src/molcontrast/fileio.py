@@ -8,12 +8,13 @@ that fails or is killed mid-write leaves the previous file untouched.
 
 from __future__ import annotations
 
+import csv
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
-__all__ = ["atomic_write"]
+__all__ = ["atomic_write", "write_csv"]
 
 
 @contextmanager
@@ -34,3 +35,11 @@ def atomic_write(path: str | Path, mode: str = "w", **open_kwargs) -> Iterator[I
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write ``header`` then ``rows`` as one CSV file, atomically."""
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

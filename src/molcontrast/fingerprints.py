@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .encoder import EncoderModel, embed_molecules
+from .errors import ConfigError
 from .graph import MoleculeGraph
 
 __all__ = [
@@ -276,6 +277,16 @@ class RetrievalReport:
     neighbors: list[NeighborHit]
 
 
+def _check_retrieval(bins: int, samples_per_bin: int | None, top_k: int) -> None:
+    """Reject retrieval settings that no corpus can satisfy."""
+    if bins < 1:
+        raise ConfigError(f"bins must be >= 1, got {bins}")
+    if samples_per_bin is not None and samples_per_bin < 1:
+        raise ConfigError(f"samples_per_bin must be >= 1, got {samples_per_bin}")
+    if top_k < 1:
+        raise ConfigError(f"top_k must be >= 1, got {top_k}")
+
+
 def retrieval_analysis(
     query: MoleculeGraph,
     corpus: Sequence[MoleculeGraph],
@@ -293,10 +304,9 @@ def retrieval_analysis(
     mean/std Dice similarity to the query for both fingerprint kinds over
     the whole bin (or a seeded sample of ``samples_per_bin``).
     """
+    _check_retrieval(bins, samples_per_bin, top_k)
     if len(corpus) < bins:
         raise ValueError(f"corpus of {len(corpus)} is smaller than {bins} bins")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
     reps = embed_molecules(model, list(corpus))
     q = embed_molecules(model, [query])[0]
     distances = _cosine_distances(q, reps)

@@ -558,24 +558,26 @@ class CorpusParseResult:
         return [r.graph for r in self.rows]
 
 
-def parse_corpus(path: str | Path, column: str = "smiles") -> CorpusParseResult:
-    """Parse one CSV column of SMILES, keeping row indices.
+def _read_smiles_csv(
+    path: str | Path, column: str = "smiles"
+) -> tuple[list[str], list[tuple[CorpusRow, dict[str, str]]], list[CorpusFailure]]:
+    """Read a CSV file and parse its (stripped) ``column`` of SMILES.
 
-    Rows that fail to parse are collected as :class:`CorpusFailure` and
-    skipped; everything else is returned in input order.  Row indices are
+    Returns the header, each parsed row with its raw CSV record, and the
+    rows that failed to parse, both in input order.  Row indices are
     0-based over data rows (the header is not counted).
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"corpus file not found: {path}")
-    rows: list[CorpusRow] = []
+    parsed: list[tuple[CorpusRow, dict[str, str]]] = []
     failures: list[CorpusFailure] = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or column not in reader.fieldnames:
+        fields = list(reader.fieldnames or [])
+        if column not in fields:
             raise DataError(
-                f"column {column!r} not found in {path} "
-                f"(have: {', '.join(reader.fieldnames or [])})"
+                f"column {column!r} not found in {path} (have: {', '.join(fields)})"
             )
         for index, record in enumerate(reader):
             text = (record.get(column) or "").strip()
@@ -584,5 +586,16 @@ def parse_corpus(path: str | Path, column: str = "smiles") -> CorpusParseResult:
             except SmilesParseError as exc:
                 failures.append(CorpusFailure(index, text, exc.diagnostic))
             else:
-                rows.append(CorpusRow(index, text, graph))
-    return CorpusParseResult(rows, failures)
+                parsed.append((CorpusRow(index, text, graph), record))
+    return fields, parsed, failures
+
+
+def parse_corpus(path: str | Path, column: str = "smiles") -> CorpusParseResult:
+    """Parse one CSV column of SMILES, keeping row indices.
+
+    Rows that fail to parse are collected as :class:`CorpusFailure` and
+    skipped; everything else is returned in input order.  Row indices are
+    0-based over data rows (the header is not counted).
+    """
+    _, parsed, failures = _read_smiles_csv(path, column)
+    return CorpusParseResult([row for row, _ in parsed], failures)

@@ -22,7 +22,6 @@ The checkpoint file layout, all little-endian:
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import struct
@@ -53,12 +52,13 @@ from .encoder import (
     EncoderModel,
     GraphBatch,
     HeadSpec,
+    frozen_batches,
     predict,
     project,
     represent,
 )
 from .errors import ConfigError, DataError, NumericAbort
-from .fileio import atomic_write
+from .fileio import atomic_write, write_csv
 from .graph import MoleculeGraph
 
 __all__ = [
@@ -356,11 +356,7 @@ def write_trace_csv(path: str | Path, history: Sequence[object]) -> None:
     if not history:
         raise ValueError("empty history")
     names = [f.name for f in fields(history[0])]
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in history:
-            writer.writerow([getattr(row, n) for n in names])
+    write_csv(path, names, ([getattr(row, n) for n in names] for row in history))
 
 
 def _epoch_batches(cfg, indices: np.ndarray, epoch: int, dropout: bool):
@@ -528,6 +524,10 @@ class FinetuneConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.hidden_dim < 1:
+            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.regression_metric not in ("rmse", "mae"):
             raise ConfigError(
                 f"regression_metric must be rmse or mae, "
@@ -600,11 +600,9 @@ def predict_molecules(
     """
     if model.head is None:
         raise ValueError("model has no prediction head")
-    frozen = model.frozen()  # nothing to record
     rows = []
-    for start in range(0, len(graphs), batch_size):
+    for frozen, batch in frozen_batches(model, graphs, batch_size):
         tape = Tape()
-        batch = GraphBatch.from_graphs(graphs[start : start + batch_size])
         out = predict(tape, frozen, represent(tape, frozen, batch)).data
         rows.append(np.asarray(out, dtype=np.float64))
     raw = (
@@ -650,20 +648,6 @@ def _supervised_loss(
     return tape, loss, count
 
 
-def _eval_metric(
-    model: EncoderModel,
-    graphs: Sequence[MoleculeGraph],
-    indices: np.ndarray,
-    labels: np.ndarray,
-    observed: np.ndarray,
-    metric,
-    stats: TargetStats | None,
-) -> tuple[float, list[float | None]]:
-    subset = [graphs[int(i)] for i in indices]
-    scores = predict_molecules(model, subset, target_stats=stats)
-    return mean_task_metric(metric, scores, labels[indices], observed[indices])
-
-
 def finetune(
     dataset: LabeledDataset,
     cfg: FinetuneConfig,
@@ -683,7 +667,7 @@ def finetune(
     out; regression uses an L1 loss on z-scored targets.  ``augment``
     applies a stochastic graph augmentation to training inputs only.
     """
-    graphs = [r.graph for r in dataset.records]
+    graphs = dataset.graphs()
     labels, observed = dataset.label_arrays()
     n_tasks = labels.shape[1]
     if split is None:
@@ -731,7 +715,10 @@ def finetune(
         stats = TargetStats(mean, std)
         train_targets = (labels - mean) / std
         classify_basis = None
-        metric = rmse if cfg.regression_metric == "rmse" else mae
+        # Selection metric first; the test split reports both, by function name.
+        test_metrics = (
+            (rmse, mae) if cfg.regression_metric == "rmse" else (mae, rmse)
+        )
         better = lambda a, b: a < b  # noqa: E731
     else:
         basis = np.zeros((n_tasks, 2 * n_tasks), dtype=np.float32)
@@ -739,8 +726,17 @@ def finetune(
             basis[t, 2 * t] = -1.0
             basis[t, 2 * t + 1] = 1.0
         classify_basis = basis
-        metric = roc_auc
+        test_metrics = (roc_auc,)
         better = lambda a, b: a > b  # noqa: E731
+
+    def evaluate(indices: np.ndarray, *metrics) -> list[tuple[float, list]]:
+        """Each metric's (mean, per task) over one prediction of ``indices``."""
+        subset = [graphs[int(i)] for i in indices]
+        scores = predict_molecules(model, subset, target_stats=stats)
+        return [
+            mean_task_metric(m, scores, labels[indices], observed[indices])
+            for m in metrics
+        ]
 
     state = AdamState()
     history: list[FinetuneEpochTrace] = []
@@ -784,9 +780,7 @@ def finetune(
             seen += count
         train_loss = total / seen if seen else float("nan")
         try:
-            val_metric, _ = _eval_metric(
-                model, graphs, val_idx, labels, observed, metric, stats
-            )
+            [(val_metric, _)] = evaluate(val_idx, test_metrics[0])
         except UndefinedMetric:
             val_metric = float("nan")
         if math.isfinite(val_metric) and (
@@ -807,22 +801,10 @@ def finetune(
         )
     for name, arr in best_arrays.items():
         model.params[name].data = arr
-    test_metric, per_task = _eval_metric(
-        model, graphs, test_idx, labels, observed, metric, stats
-    )
-    if dataset.task_kind == "regression":
-        other = mae if cfg.regression_metric == "rmse" else rmse
-        other_value, _ = _eval_metric(
-            model, graphs, test_idx, labels, observed, other, stats
-        )
-        metrics = {
-            cfg.regression_metric: test_metric,
-            ("mae" if cfg.regression_metric == "rmse" else "rmse"): other_value,
-        }
-        metric_name = cfg.regression_metric
-    else:
-        metrics = {"roc_auc": test_metric}
-        metric_name = "roc_auc"
+    scored = evaluate(test_idx, *test_metrics)
+    test_metric, per_task = scored[0]
+    metrics = {m.__name__: value for m, (value, _) in zip(test_metrics, scored)}
+    metric_name = test_metrics[0].__name__
     if trace_path is not None:
         write_trace_csv(trace_path, history)
     return FinetuneResult(

@@ -589,16 +589,6 @@ def test_backward_rejects_foreign_loss():
         backward(tape, loss)
 
 
-def test_backward_accumulates_into_grad_map():
-    x = tensor([1.0, 1.0], requires_grad=True, dtype=np.float64)
-
-    tape1 = Tape()
-    grads = backward(tape1, tsum(tape1, scale(tape1, x, 2.0)))
-    tape2 = Tape()
-    grads = backward(tape2, tsum(tape2, scale(tape2, x, 3.0)), grads)
-    np.testing.assert_allclose(grads[x], [5.0, 5.0])
-
-
 def test_constant_gets_no_gradient():
     tape = Tape()
     x = tensor([1.0], requires_grad=True, dtype=np.float64)

@@ -20,6 +20,11 @@ FINETUNE_FAST = [
     "--epochs", "2", "--batch", "32", "--head-hidden", "16",
     "--layers", "2", "--hidden", "8", "--latent", "4",
 ]
+ABLATE_FAST = [
+    "--pretrain-epochs", "1", "--warm-epochs", "0", "--finetune-epochs", "1",
+    "--batch", "8", "--finetune-batch", "32",
+    "--layers", "2", "--hidden", "8", "--latent", "4",
+]
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +147,85 @@ def test_other_commands_validate_before_data(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["augment", "--smiles", "CCO", "--seed", "-1"], "--seed"),
+        (["pretrain", "--data", "{absent}", "--seed", "-1"], "--seed"),
+        (["retrieve", "--data", "{absent}", "--seed", "-1"], "--seed"),
+        (["retrieve", "--data", "{absent}", "--bins", "0"], "bins"),
+        (["retrieve", "--data", "{absent}", "--samples-per-bin", "-1"], "samples_per_bin"),
+        (["retrieve", "--data", "{absent}", "--samples-per-bin", "0"], "samples_per_bin"),
+        (["retrieve", "--data", "{absent}", "--top", "0"], "top_k"),
+        (["gradcheck", "--eps", "0"], "eps"),
+        (["finetune", "--data", "{absent}", "--head-hidden", "0"], "hidden_dim"),
+        (["finetune", "--data", "{absent}", "--batch", "0", "--free-values"], "batch_size"),
+        (["split", "--data", "{absent}", "--fractions", "0.5,0.6,0.1"], "--fractions"),
+        (["split", "--data", "{absent}", "--fractions", "0,0.5,0.5"], "--fractions"),
+        (["split", "--data", "{absent}", "--fractions", "nan,0.5,0.5"], "--fractions"),
+    ],
+)
+def test_bad_flag_values_are_config_errors_before_data(argv, named, tmp_path, capsys):
+    # The data and checkpoint files do not exist: a check made after they
+    # are read would end in a data error (exit 2) instead.
+    absent = str(tmp_path / "absent.csv")
+    argv = [absent if a == "{absent}" else a for a in argv]
+    if argv[0] == "retrieve":
+        argv += ["--checkpoint", absent, "--query", "CCO"]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err, err
+
+
+SWEEP_BASES = {
+    "pretrain": ["--data", "{corpus}"] + PRETRAIN_FAST,
+    "finetune": ["--data", "{labeled}", "--augment", "--free-values"] + FINETUNE_FAST,
+    "embed": ["--data", "{corpus}", "--checkpoint", "{checkpoint}"],
+    "retrieve": ["--data", "{corpus}", "--checkpoint", "{checkpoint}", "--query", "CCO",
+                 "--bins", "4", "--top", "3"],
+    "augment": ["--data", "{corpus}"],
+    "split": ["--data", "{corpus}"],
+    "gradcheck": [],
+    "ablate_aug": ["--data", "{labeled}", "--free-values"] + ABLATE_FAST,
+    "ablate_temp": ["--data", "{labeled}", "--free-values"] + ABLATE_FAST,
+}
+
+
+def test_sweep_covers_every_subcommand():
+    from molcontrast.cli import build_parser
+
+    assert sorted(build_parser()[1]) == sorted(SWEEP_BASES)
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_BASES))
+def test_numeric_flags_at_zero_and_minus_one_end_in_an_exit_code(
+    command, corpus_csv, labeled_csv, pretrained, tmp_path, capsys
+):
+    # Every int or float flag of the subcommand, set to 0 and then to -1 on
+    # a fast config that succeeds: each run must end in an exit code
+    # (0 success, 1 config, 2 data, 3 numeric), never in an exception.
+    from molcontrast.cli import build_parser
+
+    paths = {"{corpus}": str(corpus_csv), "{labeled}": str(labeled_csv),
+             "{checkpoint}": str(pretrained / "checkpoint.bin")}
+    base = [command] + [paths.get(a, a) for a in SWEEP_BASES[command]]
+    sub = build_parser()[1][command]
+    flags = [a.option_strings[0] for a in sub._actions if a.type in (int, float)]
+    assert flags
+    escaped = []
+    for k, (flag, value) in enumerate((f, v) for f in flags for v in ("0", "-1")):
+        argv = base + ["--out", str(tmp_path / str(k)), flag, value]
+        try:
+            rc = main(argv)
+        except Exception as exc:  # noqa: BLE001 - report every escape at once
+            escaped.append(f"{flag} {value}: {type(exc).__name__}: {exc}")
+            continue
+        if rc not in (0, 1, 2, 3):
+            escaped.append(f"{flag} {value}: exit {rc}")
+    capsys.readouterr()
+    assert not escaped, "\n".join(escaped)
+
+
 # -- pretrain / embed / retrieve round trip ----------------------------------
 
 
@@ -185,7 +269,7 @@ def test_cli_outputs_are_written_atomically(corpus_csv, tmp_path, monkeypatch):
 
     for name in names:  # a failure inside any write keeps the old file
         with pytest.raises(RuntimeError):
-            cli._write_csv(out / name, ["a", "b"], [[1, 2], [Unprintable(), 3]])
+            fileio.write_csv(out / name, ["a", "b"], [[1, 2], [Unprintable(), 3]])
     def replace_fails(src, dst):
         raise OSError("rename failed")
 
@@ -419,13 +503,6 @@ def test_load_config_file_parsing(tmp_path):
 
 # -- ablation sweeps ---------------------------------------------------------
 
-ABLATE_FAST = [
-    "--pretrain-epochs", "1", "--warm-epochs", "0", "--finetune-epochs", "1",
-    "--batch", "8", "--finetune-batch", "32",
-    "--layers", "2", "--hidden", "8", "--latent", "4",
-]
-
-
 ABLATE_KEYS = {
     "backbone", "batch", "data", "delete_ratio", "finetune_batch", "finetune_epochs",
     "free_values", "hidden", "latent", "layers", "lr_base", "lr_head", "mask_ratio",
@@ -468,7 +545,8 @@ def test_ablation_warns_about_unparseable_rows(labeled_csv, tmp_path, capsys):
     rc = main(["ablate_temp", "--data", str(data), "--out", str(tmp_path / "at")]
               + ABLATE_FAST)
     assert rc == 0
-    assert "warning: 1 rows failed to parse" in capsys.readouterr().err
+    rows = len(data.read_text().splitlines()) - 1  # the header is not a row
+    assert f"warning: 1 of {rows} rows failed to parse\n" in capsys.readouterr().err
 
 
 def test_ablate_temp_sweeps_temperatures(labeled_csv, tmp_path, capsys):

@@ -232,11 +232,11 @@ def test_batch_arrays_match_reference_loop_on_golden_corpus():
 def test_gcn_arrays_add_self_loops():
     g = parse_smiles("CCO")
     batch = GraphBatch.from_graphs([g])
-    src, dst, etype, edir, coeff = batch.gcn_arrays()
-    assert src.shape == (4 + 3,)  # 4 arcs + 3 self-loops
-    assert (etype[-3:] == int(BondType.SELF_LOOP)).all()
+    edges = batch.gcn_edges
+    assert edges.src.ids.shape == (4 + 3,)  # 4 arcs + 3 self-loops
+    assert (edges.type.ids[-3:] == int(BondType.SELF_LOOP)).all()
     # middle atom: deg_hat 3; ends: deg_hat 2
-    np.testing.assert_allclose(coeff[-3:], [1 / 2, 1 / 3, 1 / 2])
+    np.testing.assert_allclose(edges.coeff[-3:], [1 / 2, 1 / 3, 1 / 2])
 
 
 # -- initial embeddings ------------------------------------------------------
@@ -660,15 +660,22 @@ def test_layer_aggregate_is_one_tape_record(backbone):
 
 def test_batch_plans_are_cached_and_match_index_arrays():
     batch = GraphBatch.from_graphs([parse_smiles("CC(=O)O"), parse_smiles("CN")])
-    for name in ("node_atomic", "node_chirality", "node_graph", "edge_src",
-                 "edge_dst", "edge_type", "edge_dir"):
-        plan = batch.plan(name)
-        assert plan is batch.plan(name)
-        np.testing.assert_array_equal(plan.ids, getattr(batch, name))
-    src, dst, etype, edir, _ = batch.gcn_arrays()
-    assert batch.gcn_arrays() is batch.gcn_arrays()
-    for name, ids in (("gcn_src", src), ("gcn_dst", dst), ("gcn_type", etype),
-                      ("gcn_dir", edir)):
-        np.testing.assert_array_equal(batch.plan(name).ids, ids)
-    assert batch.plan("node_graph").rows == 2
-    assert batch.plan("edge_src").rows == batch.num_nodes
+    for name in ("atom_plan", "chirality_plan", "graph_plan", "bond_edges", "gcn_edges"):
+        assert getattr(batch, name) is getattr(batch, name)
+    bonds, gcn = batch.bond_edges, batch.gcn_edges
+    n, e = batch.num_nodes, len(batch.edge_src)
+    for plan, ids in ((batch.atom_plan, batch.node_atomic),
+                      (batch.chirality_plan, batch.node_chirality),
+                      (batch.graph_plan, batch.node_graph),
+                      (bonds.src, batch.edge_src), (bonds.dst, batch.edge_dst),
+                      (bonds.type, batch.edge_type), (bonds.dir, batch.edge_dir)):
+        np.testing.assert_array_equal(plan.ids, ids)
+    # The GCN set is the bonds followed by one self-loop per atom.
+    for plan, ids in ((gcn.src, bonds.src), (gcn.dst, bonds.dst),
+                      (gcn.type, bonds.type), (gcn.dir, bonds.dir)):
+        np.testing.assert_array_equal(plan.ids[:e], ids.ids)
+    np.testing.assert_array_equal(gcn.src.ids[e:], np.arange(n))
+    np.testing.assert_array_equal(gcn.dst.ids[e:], np.arange(n))
+    assert bonds.coeff is None and gcn.coeff.shape == (e + n,)
+    assert batch.graph_plan.rows == 2
+    assert bonds.src.rows == batch.num_nodes

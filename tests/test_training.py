@@ -561,6 +561,32 @@ def test_finetune_regression_with_manual_split(tmp_path):
     assert math.isfinite(result.test_metric)
 
 
+def test_regression_finetune_predicts_the_test_split_once(monkeypatch):
+    from molcontrast.datasets import LabeledDataset, LabeledRecord
+    from molgen import make_molecules
+
+    records = [
+        LabeledRecord(i, smiles, g, (float(g.num_nodes),), (True,))
+        for i, (smiles, g) in enumerate(make_molecules(24, seed=6))
+    ]
+    dataset = LabeledDataset("size", "regression", ("size",), records)
+    split = SplitAssignment(tuple([Split.TRAIN] * 16 + [Split.VALID] * 4 + [Split.TEST] * 4))
+    predicted = []
+    real = training_module.predict_molecules
+
+    def counting(model, graphs, *args, **kwargs):
+        predicted.append(len(graphs))
+        return real(model, graphs, *args, **kwargs)
+
+    monkeypatch.setattr(training_module, "predict_molecules", counting)
+    cfg = FinetuneConfig(epochs=3, batch_size=32, hidden_dim=16, seed=1)
+    result = finetune(dataset, cfg, encoder=SMALL_ENCODER, split=split)
+    # One validation prediction per epoch, then one test prediction that
+    # scores both RMSE and MAE.
+    assert predicted == [4, 4, 4, 4]
+    assert set(result.metrics) == {"rmse", "mae"}
+
+
 def test_predict_molecules_contracts():
     model = make_model()
     with pytest.raises(ValueError):
