@@ -1,10 +1,13 @@
 """Minimal reverse-mode automatic differentiation on an append-only tape.
 
-Tensors wrap numpy arrays in float32 by default; every reduction (matmul,
-segment sums, full sums, row norms) accumulates in float64 before casting
+Tensors wrap numpy arrays in float32 by default; reductions (matmul,
+segment sums, full sums, row norms) accumulate in float64 before casting
 back, which keeps results independent of summation order at storage
-precision.  A whole tape can also be run in float64, which is how the
-finite-difference oracles compare gradients without float32 noise.
+precision.  The backward scatters of :func:`embedding_lookup` and
+:func:`message_sum` are the exception: they accumulate in the dtype of the
+table or of ``x``, as the ``numpy.add.at`` they replaced did.  A whole
+tape can also be run in float64, which is how the finite-difference
+oracles compare gradients without float32 noise.
 
 Ops are free functions taking the tape first; an op is recorded only when
 one of its inputs is connected to a tensor with ``requires_grad`` set.
@@ -60,6 +63,7 @@ __all__ = [
     "embedding_lookup",
     "linear",
     "relu",
+    "logistic",
     "softplus",
     "segment_sum",
     "segment_mean",
@@ -774,6 +778,17 @@ def relu(tape: Tape, x: Tensor) -> Tensor:
     return out
 
 
+def logistic(x) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` in float64, for any ``x`` including +-inf.
+
+    Both branches are formed from ``e = exp(-|x|)``, which lies in [0, 1],
+    so nothing overflows: ``1 / (1 + e)`` for ``x >= 0``, else ``e / (1 + e)``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def softplus(tape: Tape, x: Tensor) -> Tensor:
     """``log(1 + exp(x))`` with the linear branch above x = 30."""
     xd = x.data
@@ -781,13 +796,7 @@ def softplus(tape: Tape, x: Tensor) -> Tensor:
     out = Tensor(out_data.astype(xd.dtype))
 
     def bwd(g: np.ndarray):
-        # Stable logistic, split by sign to avoid overflow either way.
-        pos = xd >= 0
-        sig = np.empty_like(xd, dtype=np.float64)
-        sig[pos] = 1.0 / (1.0 + np.exp(-xd[pos].astype(np.float64)))
-        ex = np.exp(xd[~pos].astype(np.float64))
-        sig[~pos] = ex / (1.0 + ex)
-        return ((g * sig).astype(xd.dtype),)
+        return ((g * logistic(xd)).astype(xd.dtype),)
 
     tape._record(out, (x,), bwd)
     return out

@@ -19,11 +19,33 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .autodiff import set_threads
+from .augment import STRATEGIES, AugmentSpec, augment_view, derive_rng
+from .autodiff import gradcheck_report, set_threads
+from .datasets import Split, _fractions_problem, load_labeled_csv, scaffold_split
+from .encoder import ACTIVATIONS, BACKBONES, TASK_KINDS, EncoderConfig, embed_molecules
 from .errors import ConfigError, DataError, NumericAbort
 from .fileio import atomic_write, write_csv
+from .fingerprints import _check_retrieval, retrieval_analysis
+from .graph import format_graph
+from .smiles import parse_corpus, parse_smiles
+from .training import (
+    REGRESSION_METRICS,
+    FinetuneConfig,
+    PretrainConfig,
+    finetune,
+    load_checkpoint,
+    model_from_checkpoint,
+    model_to_checkpoint,
+    pretrain,
+    save_checkpoint,
+)
 
 __all__ = ["main", "build_parser"]
+
+# The configs own every hyper-parameter's default; flags read them from here.
+_PRETRAIN = PretrainConfig()
+_FINETUNE = FinetuneConfig()
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports flag problems through the exit-code scheme."""
@@ -44,10 +66,14 @@ def _parse_bool(text: str) -> bool:
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Read a `key = value` config file; '#' starts a comment."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -127,78 +153,52 @@ def _write_text(path: Path, text: str) -> None:
 # Shared flag groups
 
 
-def _add_augment_flags(sp: argparse.ArgumentParser) -> None:
-    from .augment import STRATEGIES, SUBGRAPH
+def _option(sp, flag: str, default, text: str = "", choices=None) -> None:
+    """Add ``flag``, typed like its ``default`` (so a float field's default
+    must be written as a float); its help ends in the default."""
+    sp.add_argument(
+        flag,
+        type=type(default),
+        choices=choices,
+        default=default,
+        help=f"{text} (default: %(default)s)".lstrip(),
+    )
 
-    sp.add_argument(
-        "--strategy",
-        choices=STRATEGIES,
-        default=SUBGRAPH,
-        help="augmentation strategy (default: %(default)s)",
-    )
-    sp.add_argument(
-        "--ratio",
-        type=float,
-        default=0.25,
-        help="subgraph removal ratio (default: %(default)s)",
-    )
-    sp.add_argument(
-        "--mask-ratio",
-        type=float,
-        default=0.25,
-        help="atom masking ratio (default: %(default)s)",
-    )
-    sp.add_argument(
-        "--delete-ratio",
-        type=float,
-        default=0.25,
-        help="bond deletion ratio (default: %(default)s)",
-    )
+
+def _add_augment_flags(sp: argparse.ArgumentParser) -> None:
+    spec = _PRETRAIN.augment
+    _option(sp, "--strategy", spec.strategy, "augmentation strategy", STRATEGIES)
+    _option(sp, "--ratio", spec.subgraph_ratio, "subgraph removal ratio")
+    _option(sp, "--mask-ratio", spec.mask_ratio, "atom masking ratio")
+    _option(sp, "--delete-ratio", spec.delete_ratio, "bond deletion ratio")
 
 
 def _add_encoder_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument(
-        "--backbone",
-        choices=("gin", "gcn"),
-        default="gin",
-        help="message-passing backbone (default: %(default)s)",
-    )
-    sp.add_argument(
-        "--layers", type=int, default=5, help="GNN layers (default: %(default)s)"
-    )
-    sp.add_argument(
-        "--hidden", type=int, default=512, help="node state width (default: %(default)s)"
-    )
-    sp.add_argument(
-        "--latent",
-        type=int,
-        default=256,
-        help="contrastive projection width (default: %(default)s)",
-    )
+    enc = _PRETRAIN.encoder
+    _option(sp, "--backbone", enc.backbone, "message-passing backbone", BACKBONES)
+    _option(sp, "--layers", enc.num_layers, "GNN layers")
+    _option(sp, "--hidden", enc.hidden_dim, "node state width")
+    _option(sp, "--latent", enc.latent_dim, "contrastive projection width")
 
 
 def _add_ablation_flags(sp: argparse.ArgumentParser, temperature: bool) -> None:
     sp.add_argument("--data", help="labeled CSV (pre-training uses the same molecules)")
-    sp.add_argument(
-        "--task",
-        choices=("classification", "regression"),
-        default="classification",
-        help="(default: %(default)s)",
-    )
-    sp.add_argument("--pretrain-epochs", type=int, default=20, help="(default: %(default)s)")
+    _option(sp, "--task", TASK_KINDS[0], choices=TASK_KINDS)
+    _option(sp, "--pretrain-epochs", 20)
     sp.add_argument(
         "--warm-epochs",
         type=int,
         default=None,
-        help="flat-rate epochs before decay (default: min(10, pretrain epochs))",
+        help="flat-rate epochs before decay (default: "
+        f"min({_PRETRAIN.warm_epochs}, pretrain epochs))",
     )
-    sp.add_argument("--finetune-epochs", type=int, default=30, help="(default: %(default)s)")
-    sp.add_argument("--batch", type=int, default=64, help="pre-training batch (default: %(default)s)")
-    sp.add_argument("--finetune-batch", type=int, default=32, help="(default: %(default)s)")
+    _option(sp, "--finetune-epochs", 30)
+    _option(sp, "--batch", 64, "pre-training batch")
+    _option(sp, "--finetune-batch", _FINETUNE.batch_size)
     if temperature:
-        sp.add_argument("--temperature", type=float, default=0.1, help="(default: %(default)s)")
-    sp.add_argument("--lr-head", type=float, default=5e-4, help="(default: %(default)s)")
-    sp.add_argument("--lr-base", type=float, default=1e-4, help="(default: %(default)s)")
+        _option(sp, "--temperature", _PRETRAIN.temperature)
+    _option(sp, "--lr-head", _FINETUNE.lr_head)
+    _option(sp, "--lr-base", _FINETUNE.lr_base)
     sp.add_argument(
         "--free-values",
         action="store_true",
@@ -208,9 +208,7 @@ def _add_ablation_flags(sp: argparse.ArgumentParser, temperature: bool) -> None:
     _add_encoder_flags(sp)
 
 
-def _augment_spec(args: argparse.Namespace):
-    from .augment import AugmentSpec
-
+def _augment_spec(args: argparse.Namespace) -> AugmentSpec:
     return AugmentSpec(
         strategy=args.strategy,
         mask_ratio=args.mask_ratio,
@@ -219,9 +217,7 @@ def _augment_spec(args: argparse.Namespace):
     )
 
 
-def _encoder_config(args: argparse.Namespace, dropout: float = 0.0):
-    from .encoder import EncoderConfig
-
+def _encoder_config(args: argparse.Namespace, dropout: float = 0.0) -> EncoderConfig:
     return EncoderConfig(
         backbone=args.backbone,
         num_layers=args.layers,
@@ -234,9 +230,6 @@ def _encoder_config(args: argparse.Namespace, dropout: float = 0.0):
 def _load_molecules(path: str, task: str | None = None):
     """The corpus (no ``task``) or labeled dataset at ``path``.  Rows that
     fail to parse are skipped with one warning; none left is a data error."""
-    from .datasets import load_labeled_csv
-    from .smiles import parse_corpus
-
     if task is None:
         loaded = parse_corpus(path)
         kept, failures = loaded.rows, loaded.failures
@@ -260,8 +253,6 @@ def _load_molecules(path: str, task: str | None = None):
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
     _require(args, "data")
-    from .training import PretrainConfig, pretrain, save_checkpoint
-
     cfg = PretrainConfig(
         epochs=args.epochs,
         batch_size=args.batch,
@@ -305,14 +296,6 @@ def _metric_rows(result, dataset) -> list[list]:
 
 def cmd_finetune(args: argparse.Namespace) -> int:
     _require(args, "data")
-    from .training import (
-        FinetuneConfig,
-        finetune,
-        load_checkpoint,
-        model_to_checkpoint,
-        save_checkpoint,
-    )
-
     if args.checkpoint and args.no_pretrain:
         raise ConfigError("--checkpoint and --no-pretrain are mutually exclusive")
 
@@ -365,9 +348,6 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     _require(args, "data", "checkpoint")
-    from .encoder import embed_molecules
-    from .training import load_checkpoint, model_from_checkpoint
-
     corpus = _load_molecules(args.data)
     model = model_from_checkpoint(load_checkpoint(args.checkpoint))
     reps = embed_molecules(model, corpus.graphs)
@@ -385,10 +365,6 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
     _require(args, "data", "checkpoint", "query")
-    from .fingerprints import _check_retrieval, retrieval_analysis
-    from .smiles import parse_smiles
-    from .training import load_checkpoint, model_from_checkpoint
-
     _check_retrieval(args.bins, args.samples_per_bin, args.top)
     corpus = _load_molecules(args.data)
     if len(corpus.rows) < args.bins:
@@ -444,12 +420,11 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
-    from .augment import augment_view, derive_rng
-    from .graph import format_graph
-    from .smiles import parse_smiles
-
     if (args.smiles is None) == (args.data is None):
         raise ConfigError("exactly one of --smiles or --data is required")
+    if args.views < 1:
+        raise ConfigError(f"--views must be >= 1, got {args.views}")
+    spec = _augment_spec(args)
     if args.smiles is not None:
         graph = parse_smiles(args.smiles)
         index = 0
@@ -464,7 +439,6 @@ def cmd_augment(args: argparse.Namespace) -> int:
         graph = row.graph
         index = row.index
         label = row.smiles
-    spec = _augment_spec(args)
     rng = derive_rng(args.seed, 0, 0, index)
     blocks = [f"molecule {label}", format_graph(graph)]
     for k in range(args.views):
@@ -488,8 +462,6 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 def cmd_split(args: argparse.Namespace) -> int:
     _require(args, "data")
-    from .datasets import Split, _fractions_problem, scaffold_split
-
     try:
         parts = tuple(float(p) for p in args.fractions.split(","))
     except ValueError as exc:
@@ -522,8 +494,6 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    from .autodiff import gradcheck_report
-
     report = gradcheck_report(seed=args.seed, eps=args.eps)
     threshold = args.threshold
     failures = []
@@ -559,12 +529,10 @@ def _ablation_sweep(args, column, values, vary, label) -> int:
     scores, and writes one CSV row per run to ``<command>.csv``.  The
     configs are built first, so bad flags fail before any data is read."""
     _require(args, "data")
-    from .training import FinetuneConfig, PretrainConfig, finetune, pretrain
-
     warm = (
         args.warm_epochs
         if args.warm_epochs is not None
-        else min(10, args.pretrain_epochs)
+        else min(_PRETRAIN.warm_epochs, args.pretrain_epochs)
     )
     pre_cfg = PretrainConfig(
         epochs=args.pretrain_epochs,
@@ -605,8 +573,6 @@ def _ablation_sweep(args, column, values, vary, label) -> int:
 
 
 def cmd_ablate_aug(args: argparse.Namespace) -> int:
-    from .augment import STRATEGIES
-
     vary = lambda cfg, s: replace(cfg, augment=replace(cfg.augment, strategy=s))  # noqa: E731
     return _ablation_sweep(args, "strategy", STRATEGIES, vary, "{:<16s}")
 
@@ -622,7 +588,7 @@ def cmd_ablate_temp(args: argparse.Namespace) -> int:
 
 def _common(sp: argparse.ArgumentParser, out_default: str | None) -> None:
     sp.add_argument("--config", help="key = value config file; flags override it")
-    sp.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
+    _option(sp, "--seed", _PRETRAIN.seed, "random seed")
     sp.add_argument(
         "--threads",
         type=int,
@@ -651,26 +617,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sp = sub("pretrain", "contrastive pre-training on an unlabeled corpus", "pretrain_run")
     sp.add_argument("--data", help="CSV with a 'smiles' column")
-    sp.add_argument("--epochs", type=int, default=50, help="(default: %(default)s)")
-    sp.add_argument("--batch", type=int, default=512, help="(default: %(default)s)")
-    sp.add_argument("--lr", type=float, default=5e-4, help="(default: %(default)s)")
-    sp.add_argument("--warm-epochs", type=int, default=10, help="(default: %(default)s)")
-    sp.add_argument("--weight-decay", type=float, default=1e-5, help="(default: %(default)s)")
-    sp.add_argument("--temperature", type=float, default=0.1, help="(default: %(default)s)")
-    sp.add_argument("--val-fraction", type=float, default=0.05, help="(default: %(default)s)")
-    sp.add_argument("--dropout", type=float, default=0.0, help="encoder dropout (default: %(default)s)")
+    _option(sp, "--epochs", _PRETRAIN.epochs)
+    _option(sp, "--batch", _PRETRAIN.batch_size)
+    _option(sp, "--lr", _PRETRAIN.lr)
+    _option(sp, "--warm-epochs", _PRETRAIN.warm_epochs)
+    _option(sp, "--weight-decay", _PRETRAIN.weight_decay)
+    _option(sp, "--temperature", _PRETRAIN.temperature)
+    _option(sp, "--val-fraction", _PRETRAIN.val_fraction)
+    _option(sp, "--dropout", _PRETRAIN.encoder.dropout, "encoder dropout")
     _add_augment_flags(sp)
     _add_encoder_flags(sp)
     sp.set_defaults(func=cmd_pretrain)
 
     sp = sub("finetune", "supervised training on a labeled, scaffold-split dataset", "finetune_run")
     sp.add_argument("--data", help="CSV with 'smiles' plus one column per task")
-    sp.add_argument(
-        "--task",
-        choices=("classification", "regression"),
-        default="classification",
-        help="(default: %(default)s)",
-    )
+    _option(sp, "--task", TASK_KINDS[0], choices=TASK_KINDS)
     sp.add_argument("--checkpoint", help="pre-trained checkpoint to start from")
     sp.add_argument(
         "--no-pretrain",
@@ -682,25 +643,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         action="store_true",
         help="apply graph augmentation to training inputs",
     )
-    sp.add_argument("--epochs", type=int, default=100, help="(default: %(default)s)")
-    sp.add_argument("--batch", type=int, default=32, help="(default: %(default)s)")
-    sp.add_argument("--lr-head", type=float, default=5e-4, help="(default: %(default)s)")
-    sp.add_argument("--lr-base", type=float, default=1e-4, help="(default: %(default)s)")
-    sp.add_argument("--dropout", type=float, default=0.0, help="head dropout (default: %(default)s)")
-    sp.add_argument("--n-layer", type=int, default=1, help="head hidden layers (default: %(default)s)")
-    sp.add_argument("--head-hidden", type=int, default=256, help="(default: %(default)s)")
-    sp.add_argument(
-        "--activation",
-        choices=("relu", "softplus"),
-        default="relu",
-        help="(default: %(default)s)",
-    )
+    _option(sp, "--epochs", _FINETUNE.epochs)
+    _option(sp, "--batch", _FINETUNE.batch_size)
+    _option(sp, "--lr-head", _FINETUNE.lr_head)
+    _option(sp, "--lr-base", _FINETUNE.lr_base)
+    _option(sp, "--dropout", _FINETUNE.dropout, "head dropout")
+    _option(sp, "--n-layer", _FINETUNE.n_layer, "head hidden layers")
+    _option(sp, "--head-hidden", _FINETUNE.hidden_dim)
+    _option(sp, "--activation", _FINETUNE.activation, choices=ACTIVATIONS)
     sp.add_argument("--cosine-decay", action="store_true", help="cosine-decay both learning rates")
-    sp.add_argument(
+    _option(
+        sp,
         "--metric",
-        choices=("rmse", "mae"),
-        default="rmse",
-        help="regression model-selection metric (default: %(default)s)",
+        _FINETUNE.regression_metric,
+        "regression model-selection metric",
+        REGRESSION_METRICS,
     )
     sp.add_argument(
         "--free-values",
@@ -720,21 +677,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--data", help="CSV with a 'smiles' column")
     sp.add_argument("--checkpoint", help="trained checkpoint")
     sp.add_argument("--query", help="query molecule as SMILES")
-    sp.add_argument("--bins", type=int, default=20, help="(default: %(default)s)")
+    _option(sp, "--bins", 20)
     sp.add_argument(
         "--samples-per-bin",
         type=int,
         default=None,
         help="fingerprint sample size per bin (default: whole bin)",
     )
-    sp.add_argument("--top", type=int, default=9, help="neighbors to report (default: %(default)s)")
+    _option(sp, "--top", 9, "neighbors to report")
     sp.set_defaults(func=cmd_retrieve)
 
     sp = sub("augment", "preview augmented views of one molecule", None)
     sp.add_argument("--smiles", help="molecule as SMILES text")
     sp.add_argument("--data", help="CSV with a 'smiles' column")
-    sp.add_argument("--index", type=int, default=0, help="row in --data (default: %(default)s)")
-    sp.add_argument("--views", type=int, default=2, help="views to draw (default: %(default)s)")
+    _option(sp, "--index", 0, "row in --data")
+    _option(sp, "--views", 2, "views to draw")
     sp.add_argument("--out", default=None, help="optional output directory")
     _add_augment_flags(sp)
     sp.set_defaults(func=cmd_augment)
@@ -749,13 +706,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.set_defaults(func=cmd_split)
 
     sp = sub("gradcheck", "run the finite-difference gradient oracle", None)
-    sp.add_argument("--eps", type=float, default=1e-4, help="FD step (default: %(default)s)")
-    sp.add_argument(
-        "--threshold",
-        type=float,
-        default=1e-4,
-        help="max relative error allowed (default: %(default)s)",
-    )
+    _option(sp, "--eps", 1e-4, "FD step")
+    _option(sp, "--threshold", 1e-4, "max relative error allowed")
     sp.add_argument("--out", default=None, help="optional output directory")
     sp.set_defaults(func=cmd_gradcheck)
 

@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .encoder import TASK_KINDS
 from .errors import DataError
 from .fingerprints import _bond_types, _refine, fnv1a64
 from .graph import BondEdge, MoleculeGraph
@@ -53,7 +54,7 @@ class LabeledRecord:
 @dataclass
 class LabeledDataset:
     name: str
-    task_kind: str  # "classification" or "regression"
+    task_kind: str  # one of encoder.TASK_KINDS
     task_names: tuple[str, ...]
     records: list[LabeledRecord]
 
@@ -85,7 +86,7 @@ def load_labeled_csv(
     Blank cells are missing labels.  Unparseable rows are skipped and
     reported.  Classification labels must be 0 or 1 where present.
     """
-    if task_kind not in ("classification", "regression"):
+    if task_kind not in TASK_KINDS:
         raise DataError(f"unknown task kind {task_kind!r}")
     fields, parsed, failures = _read_smiles_csv(path, smiles_column)
     task_names = tuple(c for c in fields if c != smiles_column)

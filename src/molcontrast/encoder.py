@@ -8,7 +8,7 @@ task prediction head.  There is deliberately no batch normalization
 anywhere; small desk-scale batches make it a liability and nothing here
 needs it.
 
-GIN layer:  ``h_v' = MLP((1 + eps) * h_v + sum_u (h_u + e_uv))`` with an
+GIN layer:  ``h_v' = MLP(h_v + sum_u (h_u + e_uv))`` with an
 inner ``linear -> ReLU -> linear`` MLP (width doubles then returns), and a
 trailing ReLU on every layer except the last.
 
@@ -44,6 +44,8 @@ __all__ = [
     "BACKBONES",
     "EncoderConfig",
     "HeadSpec",
+    "check_head_fields",
+    "parameter_layout",
     "GraphBatch",
     "EncoderModel",
     "embed_nodes",
@@ -74,7 +76,6 @@ class EncoderConfig:
     num_layers: int = 5
     hidden_dim: int = 512
     latent_dim: int = 256
-    gin_epsilon: float = 0.0
     dropout: float = 0.0  # between conv layers, in training steps only
 
     def __post_init__(self) -> None:
@@ -104,19 +105,33 @@ class HeadSpec:
             raise ConfigError(f"task_kind must be one of {TASK_KINDS}")
         if self.task_count < 1:
             raise ConfigError("task_count must be >= 1")
-        if self.hidden_layers < 1:
-            raise ConfigError("hidden_layers must be >= 1")
-        if self.hidden_dim < 1:
-            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}")
-        if not 0 <= self.dropout < 1:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        check_head_fields(
+            self.hidden_layers, self.hidden_dim, self.activation, self.dropout
+        )
 
     @property
     def out_dim(self) -> int:
         # Two logits per classification task; one value per regression task.
         return 2 * self.task_count if self.task_kind == "classification" else self.task_count
+
+
+def check_head_fields(
+    hidden_layers: int,
+    hidden_dim: int,
+    activation: str,
+    dropout: float,
+    layers_field: str = "hidden_layers",
+) -> None:
+    """The checks on a head's layout, shared by :class:`HeadSpec` and the
+    fine-tuning config, which names the layer count ``layers_field``."""
+    if hidden_layers < 1:
+        raise ConfigError(f"{layers_field} must be >= 1, got {hidden_layers}")
+    if hidden_dim < 1:
+        raise ConfigError(f"hidden_dim must be >= 1, got {hidden_dim}")
+    if activation not in ACTIVATIONS:
+        raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
+    if not 0 <= dropout < 1:
+        raise ConfigError(f"dropout must be in [0, 1), got {dropout}")
 
 
 class EdgeSet:
@@ -237,15 +252,56 @@ class GraphBatch:
         return EdgeSet(n, src, dst, etype, edir, coeff)
 
 
-def _uniform_linear(rng: np.random.Generator, fan_in: int, fan_out: int):
-    bound = 1.0 / np.sqrt(fan_in)
-    w = rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32)
-    b = np.zeros(fan_out, dtype=np.float32)
-    return w, b
+def _affine(prefix: str, suffix: str, fan_in: int, fan_out: int):
+    yield f"{prefix}weight{suffix}", (fan_in, fan_out)
+    yield f"{prefix}bias{suffix}", (fan_out,)
 
 
-def _embedding(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
-    return (rng.normal(0.0, 0.1, size=(rows, dim))).astype(np.float32)
+def _head_layout(input_dim: int, head: HeadSpec):
+    fan_in = input_dim
+    for i in range(head.hidden_layers):
+        yield from _affine("head.", str(i), fan_in, head.hidden_dim)
+        fan_in = head.hidden_dim
+    yield from _affine("head.", "_out", fan_in, head.out_dim)
+
+
+def parameter_layout(
+    config: EncoderConfig, head: HeadSpec | None = None
+) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """The name and shape of every parameter of a model built from
+    ``config`` (and ``head``), in initialization order."""
+    h = config.hidden_dim
+    yield "atom_embedding", (NUM_ATOM_TYPES, h)
+    yield "chirality_embedding", (NUM_CHIRALITY_TYPES, h)
+    for k in range(config.num_layers):
+        yield f"layers.{k}.bond_type_embedding", (NUM_BOND_TYPES, h)
+        yield f"layers.{k}.bond_direction_embedding", (NUM_BOND_DIRECTIONS, h)
+        if config.backbone == "gin":
+            yield from _affine(f"layers.{k}.mlp.", "1", h, 2 * h)
+            yield from _affine(f"layers.{k}.mlp.", "2", 2 * h, h)
+        else:
+            yield from _affine(f"layers.{k}.", "", h, h)
+    yield from _affine("projection.", "1", h, h)
+    yield from _affine("projection.", "2", h, config.latent_dim)
+    if head is not None:
+        yield from _head_layout(h, head)
+
+
+def _draw(layout, rng: np.random.Generator) -> dict[str, Tensor]:
+    """Fresh float32 parameters for ``layout``, drawn in its order:
+    embeddings from N(0, 0.1), weights from U(-1/sqrt(fan_in), 1/sqrt(fan_in)),
+    and zero biases (which draw nothing)."""
+    params = {}
+    for name, shape in layout:
+        if name.endswith("embedding"):
+            arr = rng.normal(0.0, 0.1, size=shape)
+        elif len(shape) == 2:
+            bound = 1.0 / np.sqrt(shape[0])
+            arr = rng.uniform(-bound, bound, size=shape)
+        else:
+            arr = np.zeros(shape)
+        params[name] = ad.tensor(arr.astype(np.float32), requires_grad=True)
+    return params
 
 
 class EncoderModel:
@@ -270,47 +326,14 @@ class EncoderModel:
         cls, config: EncoderConfig, rng: np.random.Generator | int
     ) -> "EncoderModel":
         rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
-        h = config.hidden_dim
-        p: dict[str, np.ndarray] = {}
-        p["atom_embedding"] = _embedding(rng, NUM_ATOM_TYPES, h)
-        p["chirality_embedding"] = _embedding(rng, NUM_CHIRALITY_TYPES, h)
-        for k in range(config.num_layers):
-            p[f"layers.{k}.bond_type_embedding"] = _embedding(rng, NUM_BOND_TYPES, h)
-            p[f"layers.{k}.bond_direction_embedding"] = _embedding(
-                rng, NUM_BOND_DIRECTIONS, h
-            )
-            if config.backbone == "gin":
-                w1, b1 = _uniform_linear(rng, h, 2 * h)
-                w2, b2 = _uniform_linear(rng, 2 * h, h)
-                p[f"layers.{k}.mlp.weight1"] = w1
-                p[f"layers.{k}.mlp.bias1"] = b1
-                p[f"layers.{k}.mlp.weight2"] = w2
-                p[f"layers.{k}.mlp.bias2"] = b2
-            else:
-                w, b = _uniform_linear(rng, h, h)
-                p[f"layers.{k}.weight"] = w
-                p[f"layers.{k}.bias"] = b
-        w1, b1 = _uniform_linear(rng, h, h)
-        w2, b2 = _uniform_linear(rng, h, config.latent_dim)
-        p["projection.weight1"] = w1
-        p["projection.bias1"] = b1
-        p["projection.weight2"] = w2
-        p["projection.bias2"] = b2
-        params = {
-            name: ad.tensor(arr, requires_grad=True) for name, arr in p.items()
-        }
-        return cls(config, params)
+        return cls(config, _draw(parameter_layout(config), rng))
 
     def add_head(self, head: HeadSpec, rng: np.random.Generator | int) -> None:
         rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
-        dims = [self.config.hidden_dim] + [head.hidden_dim] * head.hidden_layers
-        for i in range(head.hidden_layers):
-            w, b = _uniform_linear(rng, dims[i], dims[i + 1])
-            self.params[f"head.weight{i}"] = ad.tensor(w, requires_grad=True)
-            self.params[f"head.bias{i}"] = ad.tensor(b, requires_grad=True)
-        w, b = _uniform_linear(rng, dims[-1], head.out_dim)
-        self.params["head.weight_out"] = ad.tensor(w, requires_grad=True)
-        self.params["head.bias_out"] = ad.tensor(b, requires_grad=True)
+        # The new head replaces an earlier one, including layers it lacks.
+        for name in [n for n in self.params if n.startswith("head.")]:
+            del self.params[name]
+        self.params.update(_draw(_head_layout(self.config.hidden_dim, head), rng))
         self.head = head
 
     def state_arrays(self) -> dict[str, np.ndarray]:
@@ -360,7 +383,7 @@ def gin_layer(
 ) -> Tensor:
     cfg = model.config
     agg = _aggregate(tape, model, k, states, batch.bond_edges)
-    combined = ad.add(tape, ad.scale(tape, states, 1.0 + cfg.gin_epsilon), agg)
+    combined = ad.add(tape, states, agg)
     hidden = ad.relu(
         tape,
         ad.linear(

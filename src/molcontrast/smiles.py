@@ -474,6 +474,8 @@ class _Parser:
                 self.branches[-1][1],
                 "branch never closed",
             )
+        if not self.atoms:  # only '.' separators: nothing to encode
+            self.fail(DiagnosticKind.UNKNOWN_ATOM, 0, "no atoms in SMILES string")
         graph = MoleculeGraph(
             tuple(
                 AtomNode(a.atomic_number, a.chirality, a.charge) for a in self.atoms
@@ -572,21 +574,24 @@ def _read_smiles_csv(
         raise DataError(f"corpus file not found: {path}")
     parsed: list[tuple[CorpusRow, dict[str, str]]] = []
     failures: list[CorpusFailure] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = list(reader.fieldnames or [])
-        if column not in fields:
-            raise DataError(
-                f"column {column!r} not found in {path} (have: {', '.join(fields)})"
-            )
-        for index, record in enumerate(reader):
-            text = (record.get(column) or "").strip()
-            try:
-                graph = parse_smiles(text)
-            except SmilesParseError as exc:
-                failures.append(CorpusFailure(index, text, exc.diagnostic))
-            else:
-                parsed.append((CorpusRow(index, text, graph), record))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            fields = list(reader.fieldnames or [])
+            if column not in fields:
+                raise DataError(
+                    f"column {column!r} not found in {path} (have: {', '.join(fields)})"
+                )
+            for index, record in enumerate(reader):
+                text = (record.get(column) or "").strip()
+                try:
+                    graph = parse_smiles(text)
+                except SmilesParseError as exc:
+                    failures.append(CorpusFailure(index, text, exc.diagnostic))
+                else:
+                    parsed.append((CorpusRow(index, text, graph), record))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     return fields, parsed, failures
 
 

@@ -52,7 +52,9 @@ from .encoder import (
     EncoderModel,
     GraphBatch,
     HeadSpec,
+    check_head_fields,
     frozen_batches,
+    parameter_layout,
     predict,
     project,
     represent,
@@ -70,6 +72,7 @@ __all__ = [
     "PretrainResult",
     "pretrain",
     "FinetuneConfig",
+    "REGRESSION_METRICS",
     "FinetuneEpochTrace",
     "TargetStats",
     "FinetuneResult",
@@ -218,15 +221,39 @@ def model_from_checkpoint(ckpt: Checkpoint) -> EncoderModel:
     """A model owning copies of the checkpoint's parameters.
 
     Training updates parameters in place, so the copy keeps ``ckpt`` intact.
+    The checkpoint must hold exactly the tensors, by name and shape, of the
+    model its config builds (:func:`~molcontrast.encoder.parameter_layout`),
+    all finite; anything else is a :class:`CheckpointError`.  Files of
+    earlier versions still load: their Adam moments (``adam.*``) are
+    skipped, and their encoder config's ``gin_epsilon`` must be 0.
     """
-    cfg = EncoderConfig(**ckpt.config["encoder"])
-    params = {
-        name: ad.tensor(arr.copy(), requires_grad=True)
-        for name, arr in ckpt.arrays.items()
-        if not name.startswith("adam.")  # Adam moments in older files
-    }
-    head = HeadSpec(**ckpt.config["head"]) if "head" in ckpt.config else None
-    return EncoderModel(cfg, params, head)
+    encoder = ckpt.config.get("encoder")
+    if not isinstance(encoder, dict):
+        raise CheckpointError("checkpoint config has no encoder")
+    encoder = dict(encoder)
+    if encoder.pop("gin_epsilon", 0.0) != 0.0:
+        raise CheckpointError("checkpoint has a GIN epsilon other than 0")
+    head = ckpt.config.get("head")
+    arrays = {n: a for n, a in ckpt.arrays.items() if not n.startswith("adam.")}
+    params: dict[str, Tensor] = {}
+    try:
+        cfg = EncoderConfig(**encoder)
+        spec = None if head is None else HeadSpec(**head)
+        for name, shape in parameter_layout(cfg, spec):
+            if name not in arrays:
+                raise CheckpointError(f"checkpoint has no tensor {name}")
+            if arrays[name].shape != shape:
+                raise CheckpointError(
+                    f"checkpoint tensor {name} has shape {arrays[name].shape}, "
+                    f"its config needs {shape}"
+                )
+            params[name] = ad.tensor(arrays[name].copy(), requires_grad=True)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint does not build a model: {exc}") from exc
+    extra = sorted(set(arrays) - set(params))
+    if extra:
+        raise CheckpointError(f"checkpoint has unexpected tensors: {', '.join(extra)}")
+    return EncoderModel(cfg, params, spec)
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
@@ -278,26 +305,48 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     (crc_stored,) = struct.unpack_from("<I", data, len(data) - 4)
     if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
         raise CorruptCheckpointError(f"{path}: payload checksum mismatch")
+    if not (
+        isinstance(meta, dict)
+        and isinstance(meta.get("config"), dict)
+        and isinstance(meta.get("tensors"), list)
+    ):
+        raise CorruptCheckpointError(f"{path}: metadata lacks a config or tensor list")
     arrays: dict[str, np.ndarray] = {}
     expected = 0
-    for entry in meta["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        offset = int(entry["offset"])
-        nbytes = count * 4
-        if offset + nbytes > len(payload):
-            raise CorruptCheckpointError(
-                f"{path}: tensor {entry['name']} overruns payload"
+    for i, entry in enumerate(meta["tensors"]):
+        if not _is_directory_entry(entry):
+            raise CorruptCheckpointError(f"{path}: bad tensor directory entry {i}")
+        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+        count = math.prod(shape)
+        if offset + count * 4 > len(payload):
+            raise CorruptCheckpointError(f"{path}: tensor {name} overruns payload")
+        try:
+            arrays[name] = (
+                np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
+                .reshape(shape)
+                .copy()
             )
-        arrays[entry["name"]] = (
-            np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-            .reshape(shape)
-            .copy()
-        )
-        expected = max(expected, offset + nbytes)
+        except ValueError as exc:  # more dimensions than numpy supports
+            raise CorruptCheckpointError(f"{path}: tensor {name}: {exc}") from exc
+        expected = max(expected, offset + count * 4)
     if expected != len(payload):
         raise CorruptCheckpointError(f"{path}: payload length mismatch")
     return Checkpoint(meta["config"], arrays, version)
+
+
+def _is_directory_entry(entry) -> bool:
+    """Whether ``entry`` has a string name, a list of sizes and an offset,
+    every number an int >= 0."""
+    def size(v) -> bool:
+        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(size(d) for d in entry["shape"])
+        and size(entry.get("offset"))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +369,10 @@ class PretrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         if not 0 <= self.warm_epochs <= self.epochs:
@@ -497,6 +548,8 @@ _LR_HEAD_GRID = (5e-4, 1e-3)
 _LR_BASE_GRID = (5e-5, 1e-4, 2e-4, 5e-4)
 _DROPOUT_GRID = (0.0, 0.1, 0.3, 0.5)
 _NLAYER_GRID = (1, 2)
+#: Model-selection metrics of a regression fine-tune, named as in ``datasets``.
+REGRESSION_METRICS = ("rmse", "mae")
 
 
 @dataclass(frozen=True)
@@ -505,7 +558,9 @@ class FinetuneConfig:
 
     Off-grid values for the grid fields are rejected unless
     ``free_values`` is set, in which case they are accepted with a
-    warning.
+    warning.  Values that no run can use (a learning rate that is not
+    positive, a head that :class:`~molcontrast.encoder.HeadSpec` rejects)
+    are rejected either way.
     """
 
     epochs: int = 100
@@ -526,11 +581,16 @@ class FinetuneConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.hidden_dim < 1:
-            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
-        if self.regression_metric not in ("rmse", "mae"):
+        for name in ("lr_head", "lr_base"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
+        check_head_fields(
+            self.n_layer, self.hidden_dim, self.activation, self.dropout, "n_layer"
+        )
+        if self.regression_metric not in REGRESSION_METRICS:
             raise ConfigError(
-                f"regression_metric must be rmse or mae, "
+                f"regression_metric must be one of {REGRESSION_METRICS}, "
                 f"got {self.regression_metric!r}"
             )
         grid = [
@@ -539,7 +599,6 @@ class FinetuneConfig:
             ("lr_base", self.lr_base, _LR_BASE_GRID),
             ("dropout", self.dropout, _DROPOUT_GRID),
             ("n_layer", self.n_layer, _NLAYER_GRID),
-            ("activation", self.activation, ("relu", "softplus")),
         ]
         for name, value, allowed in grid:
             if value in allowed:
@@ -611,8 +670,7 @@ def predict_molecules(
         else np.zeros((0, model.head.out_dim))
     )
     if model.head.task_kind == "classification":
-        d = raw[:, 1::2] - raw[:, 0::2]
-        return np.where(d >= 0, 1.0 / (1.0 + np.exp(-d)), np.exp(d) / (1.0 + np.exp(d)))
+        return ad.logistic(raw[:, 1::2] - raw[:, 0::2])
     if target_stats is not None:
         return raw * target_stats.std + target_stats.mean
     return raw
@@ -679,7 +737,7 @@ def finetune(
         )
     if checkpoint is not None:
         model = model_from_checkpoint(checkpoint)
-        if encoder is not None and EncoderConfig(**checkpoint.config["encoder"]) != encoder:
+        if encoder is not None and model.config != encoder:
             raise ConfigError("encoder config conflicts with checkpoint")
     else:
         model = EncoderModel.initialize(

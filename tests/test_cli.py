@@ -1,15 +1,27 @@
 """End-to-end command-line interface runs, in process via main()."""
 
+import contextlib
+import io
+import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from molcontrast.cli import load_config_file, main
-from molcontrast.training import load_checkpoint, model_from_checkpoint
+from molcontrast.training import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    load_checkpoint,
+    model_from_checkpoint,
+    save_checkpoint,
+)
 from molgen import write_corpus_csv, write_labeled_csv
 
 PRETRAIN_FAST = [
@@ -163,6 +175,12 @@ def test_other_commands_validate_before_data(argv, tmp_path, capsys):
         (["split", "--data", "{absent}", "--fractions", "0.5,0.6,0.1"], "--fractions"),
         (["split", "--data", "{absent}", "--fractions", "0,0.5,0.5"], "--fractions"),
         (["split", "--data", "{absent}", "--fractions", "nan,0.5,0.5"], "--fractions"),
+        (["finetune", "--data", "{absent}", "--free-values", "--n-layer", "0"], "n_layer"),
+        (["finetune", "--data", "{absent}", "--free-values", "--dropout", "1.5"], "dropout"),
+        (["finetune", "--data", "{absent}", "--free-values", "--lr-head", "-1"], "lr_head"),
+        (["ablate_aug", "--data", "{absent}", "--free-values", "--lr-base", "0"], "lr_base"),
+        (["pretrain", "--data", "{absent}", "--weight-decay", "-1"], "weight_decay"),
+        (["augment", "--data", "{absent}", "--views", "0"], "--views"),
     ],
 )
 def test_bad_flag_values_are_config_errors_before_data(argv, named, tmp_path, capsys):
@@ -305,6 +323,159 @@ def test_embed_writes_representations(corpus_csv, pretrained, tmp_path):
 def test_embed_requires_checkpoint(corpus_csv, tmp_path):
     rc = main(["embed", "--data", str(corpus_csv), "--out", str(tmp_path / "o")])
     assert rc == 1
+
+
+def _write_raw_checkpoint(path: Path, meta: object, payload: bytes) -> None:
+    """A checkpoint file of any JSON ``meta``, with a valid payload CRC."""
+    body = json.dumps(meta).encode("utf-8")
+    path.write_bytes(
+        CHECKPOINT_MAGIC
+        + struct.pack("<IQ", CHECKPOINT_VERSION, len(body))
+        + body
+        + payload
+        + struct.pack("<I", zlib.crc32(payload))
+    )
+
+
+def _edited_checkpoint(edit):
+    """An ``embed`` run on a copy of the pre-trained checkpoint that
+    ``edit(checkpoint)`` changed before it was saved again."""
+    def argv(tmp_path, corpus_csv, pretrained):
+        ckpt = load_checkpoint(pretrained / "checkpoint.bin")
+        edit(ckpt)
+        save_checkpoint(tmp_path / "edited.bin", ckpt)
+        return ["embed", "--data", str(corpus_csv), "--checkpoint", str(tmp_path / "edited.bin")]
+    return argv
+
+
+def _list_metadata(tmp_path, corpus_csv, pretrained):
+    _write_raw_checkpoint(tmp_path / "list.bin", [], b"")
+    return ["embed", "--data", str(corpus_csv), "--checkpoint", str(tmp_path / "list.bin")]
+
+
+def _not_utf8(tmp_path) -> str:
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("smiles\nCCO # caf\u00e9\n".encode("latin-1"))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make_argv, code, prefix",
+    [
+        (_edited_checkpoint(lambda c: c.arrays.pop("atom_embedding")), 2, "data error:"),
+        (_edited_checkpoint(
+            lambda c: c.arrays.update(atom_embedding=c.arrays["atom_embedding"][:-1])
+        ), 2, "data error:"),
+        (_edited_checkpoint(lambda c: c.config.pop("encoder")), 2, "data error:"),
+        (_edited_checkpoint(lambda c: c.config["encoder"].update(width=3)), 2, "data error:"),
+        (_list_metadata, 2, "data error:"),
+        (lambda tmp, *_: ["split", "--data", _not_utf8(tmp)], 2, "data error:"),
+        (lambda tmp, *_: ["split", "--data", str(tmp)], 2, "data error:"),
+        (lambda tmp, *_: ["augment", "--smiles", "CCO", "--config", _not_utf8(tmp)],
+         1, "config error:"),
+        (lambda tmp, *_: ["augment", "--smiles", "CCO", "--config", str(tmp)],
+         1, "config error:"),
+    ],
+    ids=["missing-tensor", "embedding-shape", "no-encoder", "unknown-encoder-key",
+         "list-metadata", "csv-not-utf8", "csv-is-a-directory", "config-not-utf8",
+         "config-is-a-directory"],
+)
+def test_unusable_inputs_end_in_an_exit_code(
+    make_argv, code, prefix, corpus_csv, pretrained, tmp_path, capsys
+):
+    argv = make_argv(tmp_path, corpus_csv, pretrained)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("epsilon, code", [(0.0, 0), (0.5, 2)])
+def test_checkpoint_gin_epsilon_must_be_zero(
+    epsilon, code, corpus_csv, pretrained, tmp_path, capsys
+):
+    # Checkpoints written before the field was removed carry "gin_epsilon": 0.0.
+    def embed(checkpoint: Path, out: Path) -> int:
+        return main(["embed", "--data", str(corpus_csv), "--checkpoint", str(checkpoint),
+                     "--out", str(out)])
+
+    ckpt = load_checkpoint(pretrained / "checkpoint.bin")
+    ckpt.config["encoder"]["gin_epsilon"] = epsilon
+    save_checkpoint(tmp_path / "old.bin", ckpt)
+    assert embed(tmp_path / "old.bin", tmp_path / "old") == code
+    if code == 0:
+        assert embed(pretrained / "checkpoint.bin", tmp_path / "new") == 0
+        assert (tmp_path / "old" / "embeddings.csv").read_bytes() == (
+            tmp_path / "new" / "embeddings.csv"
+        ).read_bytes()
+    else:
+        assert capsys.readouterr().err.startswith("data error:")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**40) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+# SMILES and CSV syntax, so that drawn text often parses.
+_CSV_CHARS = "CNOSclnos()[]=#@+-.123%/\\,\"\r\n H"
+
+
+def _json_paths(value, prefix=()):
+    """The path of every node below ``value``: dict keys and list indices."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(pretrained, tmp_path_factory):
+    # The file is magic, u32 version, u64 metadata length, metadata, payload, CRC.
+    raw = (pretrained / "checkpoint.bin").read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 12
+    (meta_len,) = struct.unpack_from("<Q", raw, start - 8)
+    meta = json.loads(raw[start : start + meta_len])
+    return meta, raw[start + meta_len : -4], tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_checkpoints_and_csvs_end_in_an_exit_code(data, fuzz_inputs, corpus_csv, pretrained):
+    # Checkpoint metadata (config and tensor directory) is corrupted under a
+    # recomputed valid CRC, and arbitrary bytes are read as the corpus CSV.
+    # Every run must end in an exit code; an escaping exception fails here.
+    meta, payload, tmp = fuzz_inputs
+    meta = json.loads(json.dumps(meta))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from([()] + list(_json_paths(meta))))
+        if not path:
+            meta = data.draw(_JSON)
+            continue
+        parent = meta
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            parent[path[-1]] = data.draw(_JSON)
+        else:
+            del parent[path[-1]]
+    _write_raw_checkpoint(tmp / "fuzz.bin", meta, payload)
+    header = data.draw(st.sampled_from([b"", b"smiles\n", b"smiles,y\n"]))
+    rows = st.lists(st.text(_CSV_CHARS, max_size=12), max_size=8).map("\n".join)
+    body = data.draw(st.binary(max_size=120) | rows.map(str.encode))
+    (tmp / "fuzz.csv").write_bytes(header + body)
+    runs = [
+        ["embed", "--data", str(corpus_csv), "--checkpoint", str(tmp / "fuzz.bin")],
+        ["embed", "--data", str(tmp / "fuzz.csv"),
+         "--checkpoint", str(pretrained / "checkpoint.bin")],
+    ]
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv + ["--out", str(tmp / "out")])
+        assert rc in (0, 1, 2, 3)
 
 
 def test_retrieve_reports(corpus_csv, pretrained, tmp_path, capsys):

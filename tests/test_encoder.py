@@ -82,7 +82,7 @@ def oracle_represent(model, graphs):
             agg = np.zeros_like(states)
             for u, v, t, d in edges:
                 agg[v] += states[u] + te[t] + de[d]
-            combined = (1.0 + cfg.gin_epsilon) * states + agg
+            combined = states + agg
             hidden = np.maximum(
                 combined @ p[f"layers.{k}.mlp.weight1"] + p[f"layers.{k}.mlp.bias1"], 0.0
             )
@@ -144,7 +144,6 @@ def test_default_dims_match_reference_setup():
     assert cfg.num_layers == 5
     assert cfg.hidden_dim == 512
     assert cfg.latent_dim == 256
-    assert cfg.gin_epsilon == 0.0
 
 
 # -- batching ----------------------------------------------------------------
@@ -308,18 +307,6 @@ def test_gin_layer_isolated_node():
     states = tensor([[1.0, -2.0, 3.0, -4.0]])
     out = gin_layer(Tape(), model, 0, states, batch)
     np.testing.assert_allclose(out.data, states.data, atol=1e-6)
-
-
-def test_gin_epsilon_scales_self_term():
-    h = 4
-    cfg = EncoderConfig(backbone="gin", num_layers=1, hidden_dim=h, latent_dim=2, gin_epsilon=1.0)
-    model = EncoderModel.initialize(cfg, 0)
-    _identity_mlp(model, 0, h)
-    g = MoleculeGraph((AtomNode(6),))
-    batch = GraphBatch.from_graphs([g])
-    states = tensor([[1.0, 2.0, 3.0, 4.0]])
-    out = gin_layer(Tape(), model, 0, states, batch)
-    np.testing.assert_allclose(out.data, 2.0 * states.data, atol=1e-6)
 
 
 def _identity_gcn(model, k, h):
@@ -653,9 +640,9 @@ def test_layer_aggregate_is_one_tape_record(backbone):
     states = embed_nodes(tape, model, batch)
     before = len(tape)
     layer(tape, model, 0, states, batch)
-    # GIN: aggregate, scale, add, linear, relu, linear, relu.
+    # GIN: aggregate, add, linear, relu, linear, relu.
     # GCN: aggregate, linear, relu.
-    assert len(tape) - before == (7 if backbone == "gin" else 3)
+    assert len(tape) - before == (6 if backbone == "gin" else 3)
 
 
 def test_batch_plans_are_cached_and_match_index_arrays():

@@ -194,6 +194,9 @@ def test_empty_input_rejected():
         parse_smiles("")
     with pytest.raises(SmilesParseError):
         parse_smiles("   ")
+    for dots in (".", ".."):  # separators only: a molecule of no atoms
+        with pytest.raises(SmilesParseError):
+            parse_smiles(dots)
 
 
 def test_parse_error_is_data_error():

@@ -241,6 +241,19 @@ def test_checkpoint_restores_head(tmp_path):
     )
 
 
+def test_replaced_head_leaves_no_parameters_behind():
+    # Fine-tuning a fine-tuned model attaches a fresh head; the checkpoint
+    # of the result must hold only that head's tensors, or it cannot load.
+    from molcontrast.encoder import HeadSpec
+
+    model = make_model()
+    model.add_head(HeadSpec("regression", 1, hidden_layers=2), 1)
+    model.add_head(HeadSpec("regression", 1, hidden_layers=1), 2)
+    assert "head.weight1" not in model.params
+    revived = model_from_checkpoint(model_to_checkpoint(model))
+    assert set(revived.params) == set(model.params)
+
+
 def test_checkpoint_truncation_rejected(tmp_path):
     model = make_model()
     path = tmp_path / "m.ckpt"
