@@ -16,8 +16,11 @@ Inference relies on that rule: it runs on parameter tensors without
 so nothing is recorded and each intermediate is freed once used, with the
 same forward values as a recording pass.  An op records which of its
 inputs are tracked, and its backward computes gradients for those only.
-:func:`backward` walks the records in reverse with a fixed accumulation
-order, making gradients bit-identical for identical tapes.
+The tape keys tensors by the object: a record holds its output tensor,
+and :func:`backward` keeps one gradient map as it walks the records in
+reverse with a fixed accumulation order, making gradients bit-identical
+for identical tapes.  Only constants broadcast: an elementwise op raises
+``ValueError`` when a tracked operand's shape differs from its output's.
 
 Every scatter (segment sums and means, the embedding-lookup backward, the
 :func:`message_sum` aggregate) adds the rows that land in one output row
@@ -43,10 +46,9 @@ from __future__ import annotations
 
 import ctypes
 import glob
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,21 +88,17 @@ __all__ = [
     "set_threads",
 ]
 
-_tensor_ids = itertools.count()
-
-
 class Tensor:
     """A numpy array plus autodiff bookkeeping.
 
     Tensors hash by identity; the object itself is the key in gradient maps.
     """
 
-    __slots__ = ("data", "requires_grad", "tid")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = False):
         self.data = data
         self.requires_grad = requires_grad
-        self.tid = next(_tensor_ids)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -135,7 +133,7 @@ def constant(values, dtype=np.float32) -> Tensor:
 
 @dataclass
 class _Record:
-    out_tid: int
+    out: Tensor
     inputs: tuple[Tensor, ...]
     backward_fn: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
 
@@ -145,13 +143,13 @@ class Tape:
 
     def __init__(self) -> None:
         self._records: list[_Record] = []
-        self._live: set[int] = set()
+        self._live: set[Tensor] = set()
 
     def __len__(self) -> int:
         return len(self._records)
 
     def _tracked(self, t: Tensor) -> bool:
-        return t.requires_grad or t.tid in self._live
+        return t.requires_grad or t in self._live
 
     def _record(
         self,
@@ -160,8 +158,8 @@ class Tape:
         backward_fn: Callable[[np.ndarray], tuple[np.ndarray | None, ...]],
     ) -> None:
         if any(self._tracked(t) for t in inputs):
-            self._records.append(_Record(out.tid, tuple(inputs), backward_fn))
-            self._live.add(out.tid)
+            self._records.append(_Record(out, tuple(inputs), backward_fn))
+            self._live.add(out)
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
@@ -172,35 +170,23 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
         loss: a scalar tensor produced on that tape.
 
     Returns:
-        Map from parameter tensor to its gradient array.
+        Map from each parameter tensor the loss reaches to its gradient:
+        what is left of the one gradient map once the reverse walk has
+        popped the output of every record (after all its consumers).
     """
     if loss.data.shape != ():
         raise ValueError(f"loss must be a scalar, got shape {loss.data.shape}")
-    if loss.tid not in tape._live:
+    if loss not in tape._live:
         raise ValueError("loss tensor was not produced on this tape")
-    grads: dict[int, np.ndarray] = {
-        loss.tid: np.ones((), dtype=loss.data.dtype)
-    }
-    result: dict[Tensor, np.ndarray] = {}
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=loss.data.dtype)}
     for record in reversed(tape._records):
-        out_grad = grads.pop(record.out_tid, None)
+        out_grad = grads.pop(record.out, None)
         if out_grad is None:
             continue
-        input_grads = record.backward_fn(out_grad)
-        for inp, g in zip(record.inputs, input_grads):
-            if g is None or not tape._tracked(inp):
-                continue
-            if inp.requires_grad:
-                if inp in result:
-                    result[inp] = result[inp] + g
-                else:
-                    result[inp] = g.copy() if g.base is not None else g
-            if inp.tid in tape._live:
-                if inp.tid in grads:
-                    grads[inp.tid] = grads[inp.tid] + g
-                else:
-                    grads[inp.tid] = g
-    return result
+        for inp, g in zip(record.inputs, record.backward_fn(out_grad)):
+            if g is not None and tape._tracked(inp):
+                grads[inp] = grads[inp] + g if inp in grads else g
+    return grads
 
 
 def _pin_blas() -> bool:
@@ -261,6 +247,11 @@ def _float64(x: np.ndarray) -> np.ndarray:
     return x.astype(np.float64)
 
 
+def _matmul_block(a: np.ndarray, b: np.ndarray, out: np.ndarray, errors: dict) -> None:
+    with np.errstate(**errors):  # the caller's; numpy's error state is per thread
+        np.matmul(a, b, out=out)
+
+
 def _matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` in float64; large products are split by rows across the
     workers, bit-identical to the unsplit product.
@@ -285,8 +276,9 @@ def _matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b
     out = np.empty((m, n))
     cuts = [m * i // parts for i in range(parts + 1)]
+    errors = np.geterr()
     futures = [
-        pool.submit(np.matmul, a[lo:hi], b, out=out[lo:hi])
+        pool.submit(_matmul_block, a[lo:hi], b, out[lo:hi], errors)
         for lo, hi in zip(cuts[1:-1], cuts[2:])
     ]
     try:
@@ -676,13 +668,16 @@ def matmul_t(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def l2_normalize_rows(tape: Tape, x: Tensor, eps: float = 1e-12) -> Tensor:
+_NORM_EPS = 1e-12  # smallest row norm that may be normalized
+
+
+def l2_normalize_rows(tape: Tape, x: Tensor) -> Tensor:
     """Scale each row to unit Euclidean norm; zero-norm rows are an error."""
     _check_2d("x", x)
     x64 = x.data.astype(np.float64)
     norms = np.sqrt((x64**2).sum(axis=1))
-    if (norms < eps).any():
-        row = int(np.nonzero(norms < eps)[0][0])
+    if (norms < _NORM_EPS).any():
+        row = int(np.nonzero(norms < _NORM_EPS)[0][0])
         raise ValueError(f"row {row} has near-zero norm; cannot normalize")
     y64 = x64 / norms[:, None]
     out = Tensor(y64.astype(x.data.dtype))
@@ -700,30 +695,21 @@ def l2_normalize_rows(tape: Tape, x: Tensor, eps: float = 1e-12) -> Tensor:
 # -- elementwise ops ---------------------------------------------------
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.astype(np.float64).sum(axis=tuple(range(extra)))
-    axes = tuple(
-        i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1
-    )
-    if axes:
-        grad = grad.astype(np.float64).sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 def _elementwise_pair(tape, a, b, fwd, da_fn, db_fn):
     out = Tensor(fwd(a.data, b.data))
     # Decided at record time: constants (masks, shifts, labels) get no
     # gradient computed only to be dropped by backward().
     need_a, need_b = tape._tracked(a), tape._tracked(b)
+    for t, needed in ((a, need_a), (b, need_b)):
+        if needed and t.data.shape != out.data.shape:
+            raise ValueError(
+                f"tracked operand of shape {t.data.shape} broadcasts to "
+                f"{out.data.shape}; only constants may broadcast"
+            )
 
     def bwd(g: np.ndarray):
-        da = db = None
-        if need_a:
-            da = _unbroadcast(da_fn(g), a.data.shape).astype(a.data.dtype)
-        if need_b:
-            db = _unbroadcast(db_fn(g), b.data.shape).astype(b.data.dtype)
+        da = da_fn(g).astype(a.data.dtype) if need_a else None
+        db = db_fn(g).astype(b.data.dtype) if need_b else None
         return (da, db)
 
     tape._record(out, (a, b), bwd)
@@ -851,7 +837,8 @@ def mean(tape: Tape, x: Tensor) -> Tensor:
 
 
 def dropout(tape: Tape, x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; call only during training with 0 <= p < 1."""
+    """Inverted dropout with rate ``0 <= p < 1``; at ``p == 0`` it returns
+    ``x`` and draws nothing from ``rng``."""
     if not 0 <= p < 1:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0:

@@ -15,6 +15,7 @@ abort.  See MANUAL.md for every flag and file format.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -45,6 +46,11 @@ __all__ = ["main", "build_parser"]
 # The configs own every hyper-parameter's default; flags read them from here.
 _PRETRAIN = PretrainConfig()
 _FINETUNE = FinetuneConfig()
+
+
+def _default(fn, name: str):
+    """The default of ``fn``'s parameter ``name``, for the flag that feeds it."""
+    return inspect.signature(fn).parameters[name].default
 
 
 class _Parser(argparse.ArgumentParser):
@@ -677,14 +683,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--data", help="CSV with a 'smiles' column")
     sp.add_argument("--checkpoint", help="trained checkpoint")
     sp.add_argument("--query", help="query molecule as SMILES")
-    _option(sp, "--bins", 20)
+    _option(sp, "--bins", _default(retrieval_analysis, "bins"))
     sp.add_argument(
         "--samples-per-bin",
         type=int,
         default=None,
         help="fingerprint sample size per bin (default: whole bin)",
     )
-    _option(sp, "--top", 9, "neighbors to report")
+    _option(sp, "--top", _default(retrieval_analysis, "top_k"), "neighbors to report")
     sp.set_defaults(func=cmd_retrieve)
 
     sp = sub("augment", "preview augmented views of one molecule", None)
@@ -700,13 +706,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--data", help="CSV with a 'smiles' column")
     sp.add_argument(
         "--fractions",
-        default="0.8,0.1,0.1",
+        default=",".join(map(str, _default(scaffold_split, "fractions"))),
         help="train,valid,test fractions (default: %(default)s)",
     )
     sp.set_defaults(func=cmd_split)
 
     sp = sub("gradcheck", "run the finite-difference gradient oracle", None)
-    _option(sp, "--eps", 1e-4, "FD step")
+    _option(sp, "--eps", _default(gradcheck_report, "eps"), "FD step")
     _option(sp, "--threshold", 1e-4, "max relative error allowed")
     sp.add_argument("--out", default=None, help="optional output directory")
     sp.set_defaults(func=cmd_gradcheck)

@@ -167,10 +167,10 @@ _EMPTY_SCAFFOLD_KEY = fnv1a64(b"empty-scaffold")
 _WL_ROUNDS = 3
 
 
-def _wl_labels(g: MoleculeGraph, rounds: int = _WL_ROUNDS) -> list[int]:
+def _wl_labels(g: MoleculeGraph) -> list[int]:
     labels = [fnv1a64(str(node.atomic_number).encode()) for node in g.nodes]
     bond_type = _bond_types(g)
-    for _ in range(rounds):
+    for _ in range(_WL_ROUNDS):
         labels = _refine(g, labels, bond_type)
     return labels
 

@@ -16,19 +16,23 @@ GCN layer:  self-loops are added with the reserved SELF_LOOP bond type and
 messages are rescaled by ``1 / sqrt(deg_hat_u * deg_hat_v)`` (degrees
 counting the self-loop) before a single linear map, again with no ReLU on
 the final layer.
+
+Dropout, between layers and after each hidden head layer, runs if and only
+if a stream ``rng`` is passed (training steps pass one) and its rate is
+above 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import ConfigError
+from .errors import ConfigError, NumericAbort
 from .graph import (
     BondDirection,
     BondType,
@@ -56,13 +60,15 @@ __all__ = [
     "represent",
     "project",
     "predict",
-    "frozen_batches",
+    "frozen_forward",
     "embed_molecules",
 ]
 
 BACKBONES = ("gin", "gcn")
 TASK_KINDS = ("classification", "regression")
 ACTIVATIONS = ("relu", "softplus")
+#: Molecules per batch of an inference pass.
+INFERENCE_BATCH = 256
 #: ``flip_direction`` as a lookup table over direction values.
 _FLIPPED_DIRECTION = np.array(
     [int(flip_direction(BondDirection(d))) for d in range(NUM_BOND_DIRECTIONS)],
@@ -76,7 +82,7 @@ class EncoderConfig:
     num_layers: int = 5
     hidden_dim: int = 512
     latent_dim: int = 256
-    dropout: float = 0.0  # between conv layers, in training steps only
+    dropout: float = 0.0  # between conv layers, when a dropout stream is passed
 
     def __post_init__(self) -> None:
         if self.backbone not in BACKBONES:
@@ -424,18 +430,16 @@ def encode_nodes(
     tape: Tape,
     model: EncoderModel,
     batch: GraphBatch,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Run all message-passing layers; returns per-node states."""
+    """Run all message-passing layers, with dropout after every layer but
+    the last when given a stream ``rng``; returns per-node states."""
     cfg = model.config
     layer = gin_layer if cfg.backbone == "gin" else gcn_layer
     states = embed_nodes(tape, model, batch)
     for k in range(cfg.num_layers):
         states = layer(tape, model, k, states, batch)
-        if training and cfg.dropout > 0 and k < cfg.num_layers - 1:
-            if rng is None:
-                raise ValueError("training with dropout requires an rng")
+        if rng is not None and k < cfg.num_layers - 1:
             states = ad.dropout(tape, states, cfg.dropout, rng)
     return states
 
@@ -449,11 +453,11 @@ def represent(
     tape: Tape,
     model: EncoderModel,
     batch: GraphBatch,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Per-molecule representation ``h``: encode then mean-pool."""
-    states = encode_nodes(tape, model, batch, training=training, rng=rng)
+    """Per-molecule representation ``h``: encode (with dropout when given
+    a stream ``rng``) then mean-pool."""
+    states = encode_nodes(tape, model, batch, rng)
     return readout(tape, states, batch)
 
 
@@ -474,10 +478,10 @@ def predict(
     tape: Tape,
     model: EncoderModel,
     h: Tensor,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Task head output: logit pairs (classification) or values (regression)."""
+    """Task head output: logit pairs (classification) or values (regression),
+    with dropout after every hidden layer when given a stream ``rng``."""
     head = model.head
     if head is None:
         raise ValueError("model has no prediction head; call add_head first")
@@ -490,37 +494,47 @@ def predict(
                 tape, x, model.params[f"head.weight{i}"], model.params[f"head.bias{i}"]
             ),
         )
-        if training and head.dropout > 0:
-            if rng is None:
-                raise ValueError("training with dropout requires an rng")
+        if rng is not None:
             x = ad.dropout(tape, x, head.dropout, rng)
     return ad.linear(
         tape, x, model.params["head.weight_out"], model.params["head.bias_out"]
     )
 
 
-def frozen_batches(
+def frozen_forward(
     model: EncoderModel,
     graphs: Sequence[MoleculeGraph],
-    batch_size: int = 256,
-) -> Iterator[tuple[EncoderModel, GraphBatch]]:
-    """The inference batches of ``graphs``, in order, each paired with
-    :meth:`EncoderModel.frozen`, on which a forward pass records nothing."""
+    forward: Callable[[EncoderModel, GraphBatch], Tensor],
+    width: int,
+    batch_size: int = INFERENCE_BATCH,
+) -> np.ndarray:
+    """``forward(frozen, batch).data`` stacked over the inference batches of
+    ``graphs`` (``width`` columns), with ``frozen`` the model's
+    :meth:`EncoderModel.frozen` copy, on which nothing is recorded.
+
+    Finite but huge parameters can overflow, so each pass runs with numpy's
+    floating-point warnings off and a NaN or Inf output raises
+    :class:`NumericAbort` instead.
+    """
     frozen = model.frozen()
+    chunks = [np.zeros((0, width), dtype=np.float32)]
     for start in range(0, len(graphs), batch_size):
-        yield frozen, GraphBatch.from_graphs(graphs[start : start + batch_size])
+        batch = GraphBatch.from_graphs(graphs[start : start + batch_size])
+        with np.errstate(all="ignore"):
+            chunks.append(forward(frozen, batch).data)
+        if not np.isfinite(chunks[-1]).all():
+            raise NumericAbort(
+                f"non-finite model output for molecules {start} to "
+                f"{start + batch.num_graphs - 1}"
+            )
+    return np.concatenate(chunks, axis=0)
 
 
 def embed_molecules(
     model: EncoderModel,
     graphs: Sequence[MoleculeGraph],
-    batch_size: int = 256,
+    batch_size: int = INFERENCE_BATCH,
 ) -> np.ndarray:
     """Inference representations ``h`` for a list of graphs, in order."""
-    if not graphs:
-        return np.zeros((0, model.config.hidden_dim), dtype=np.float32)
-    chunks = [
-        represent(Tape(), frozen, batch).data
-        for frozen, batch in frozen_batches(model, graphs, batch_size)
-    ]
-    return np.concatenate(chunks, axis=0)
+    forward = lambda frozen, batch: represent(Tape(), frozen, batch)  # noqa: E731
+    return frozen_forward(model, graphs, forward, model.config.hidden_dim, batch_size)

@@ -4,7 +4,9 @@ pre-training, supervised fine-tuning, and binary checkpoints.
 Both loops are deterministic functions of (data, config, seed).  Every
 stochastic choice (validation split, epoch shuffles, augmentation draws,
 dropout masks) runs on its own stream derived from the config seed and a
-fixed tag, so no consumer can perturb another.
+fixed tag, so no consumer can perturb another.  Each training batch passes
+its dropout stream, and dropout runs if and only if a stream is passed
+(validation and inference pass none); a rate of 0 draws nothing from it.
 
 A checkpoint holds model parameters and the config that rebuilds the
 model, and no optimizer state: it cannot resume a training run.
@@ -53,7 +55,7 @@ from .encoder import (
     GraphBatch,
     HeadSpec,
     check_head_fields,
-    frozen_batches,
+    frozen_forward,
     parameter_layout,
     predict,
     project,
@@ -105,6 +107,7 @@ _TAG_FT_AUGMENT = 912
 # ---------------------------------------------------------------------------
 # Optimizer
 
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 @dataclass
 class AdamState:
@@ -121,9 +124,6 @@ def adam_step(
     state: AdamState,
     lr: float | Callable[[str], float],
     weight_decay: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """One Adam update in place; only parameters named in ``grads`` move.
 
@@ -134,8 +134,8 @@ def adam_step(
     """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - _BETA1**t
+    bc2 = 1.0 - _BETA2**t
     for name in params:
         if name not in grads:
             continue
@@ -153,12 +153,12 @@ def adam_step(
             state.v[name] = np.zeros(p.data.shape, dtype=np.float64)
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
         rate = lr(name) if callable(lr) else lr
-        update = rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        update = rate * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
         p.data -= update.astype(p.data.dtype)
 
 
@@ -410,12 +410,12 @@ def write_trace_csv(path: str | Path, history: Sequence[object]) -> None:
     write_csv(path, names, ([getattr(row, n) for n in names] for row in history))
 
 
-def _epoch_batches(cfg, indices: np.ndarray, epoch: int, dropout: bool):
-    """(offset, indices, dropout stream or None) of each batch of
-    ``cfg.batch_size`` training molecules, in this epoch's shuffled order."""
+def _epoch_batches(cfg, indices: np.ndarray, epoch: int):
+    """(offset, indices, dropout stream) of each batch of ``cfg.batch_size``
+    training molecules, in this epoch's shuffled order."""
     order = indices[derive_rng(cfg.seed, _TAG_SHUFFLE, epoch).permutation(len(indices))]
     for start in range(0, len(order), cfg.batch_size):
-        drop_rng = derive_rng(cfg.seed, _TAG_DROPOUT, epoch, start) if dropout else None
+        drop_rng = derive_rng(cfg.seed, _TAG_DROPOUT, epoch, start)
         yield start, order[start : start + cfg.batch_size], drop_rng
 
 
@@ -454,8 +454,7 @@ def _contrastive_batch(
         views.append(b.graph)
     batch = GraphBatch.from_graphs(views)
     tape = Tape()
-    training = dropout_rng is not None and cfg.encoder.dropout > 0
-    h = represent(tape, model, batch, training=training, rng=dropout_rng)
+    h = represent(tape, model, batch, dropout_rng)
     z = project(tape, model, h)
     loss = nt_xent(
         tape, z, ContrastiveConfig(cfg.temperature, len(indices))
@@ -490,8 +489,7 @@ def pretrain(
         lr = lr_at(epoch, cfg.epochs, cfg.lr, cfg.warm_epochs)
         total = 0.0
         seen = 0
-        batches = _epoch_batches(cfg, train_idx, epoch, cfg.encoder.dropout > 0)
-        for start, chunk, drop_rng in batches:
+        for start, chunk, drop_rng in _epoch_batches(cfg, train_idx, epoch):
             if len(chunk) < 2:
                 continue
             tape, loss = _contrastive_batch(
@@ -648,7 +646,6 @@ class FinetuneResult:
 def predict_molecules(
     model: EncoderModel,
     graphs: Sequence[MoleculeGraph],
-    batch_size: int = 256,
     target_stats: TargetStats | None = None,
 ) -> np.ndarray:
     """Inference head outputs, one row per graph.
@@ -659,16 +656,12 @@ def predict_molecules(
     """
     if model.head is None:
         raise ValueError("model has no prediction head")
-    rows = []
-    for frozen, batch in frozen_batches(model, graphs, batch_size):
+
+    def forward(frozen: EncoderModel, batch: GraphBatch) -> Tensor:
         tape = Tape()
-        out = predict(tape, frozen, represent(tape, frozen, batch)).data
-        rows.append(np.asarray(out, dtype=np.float64))
-    raw = (
-        np.concatenate(rows, axis=0)
-        if rows
-        else np.zeros((0, model.head.out_dim))
-    )
+        return predict(tape, frozen, represent(tape, frozen, batch))
+
+    raw = frozen_forward(model, graphs, forward, model.head.out_dim).astype(np.float64)
     if model.head.task_kind == "classification":
         return ad.logistic(raw[:, 1::2] - raw[:, 0::2])
     if target_stats is not None:
@@ -682,13 +675,12 @@ def _supervised_loss(
     labels: np.ndarray,
     observed: np.ndarray,
     diff_basis: np.ndarray | None,
-    dropout_rng: np.random.Generator | None,
+    dropout_rng: np.random.Generator,
 ) -> tuple[Tape, Tensor, int]:
     tape = Tape()
     batch = GraphBatch.from_graphs(inputs)
-    training = dropout_rng is not None
-    h = represent(tape, model, batch, training=training, rng=dropout_rng)
-    out = predict(tape, model, h, training=training, rng=dropout_rng)
+    h = represent(tape, model, batch, dropout_rng)
+    out = predict(tape, model, h, dropout_rng)
     mask = ad.constant(observed.astype(np.float32))
     count = int(observed.sum())
     if model.head.task_kind == "classification":
@@ -801,7 +793,6 @@ def finetune(
     best_epoch = -1
     best_val = float("nan")
     best_arrays: dict[str, np.ndarray] | None = None
-    use_dropout = cfg.dropout > 0 or model.config.dropout > 0
 
     for epoch in range(cfg.epochs):
         lr_head = (
@@ -813,7 +804,7 @@ def finetune(
         rate = lambda name: lr_head if name.startswith("head.") else lr_base  # noqa: E731
         total = 0.0
         seen = 0
-        for start, chunk, drop_rng in _epoch_batches(cfg, train_idx, epoch, use_dropout):
+        for start, chunk, drop_rng in _epoch_batches(cfg, train_idx, epoch):
             if not observed[chunk].any():
                 continue
             inputs = []

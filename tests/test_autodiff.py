@@ -599,6 +599,33 @@ def test_constant_gets_no_gradient():
     np.testing.assert_allclose(grads[x], [4.0])
 
 
+def test_backward_returns_exactly_the_parameters_the_loss_reaches():
+    tape = Tape()
+    x = tensor([[1.0, 2.0]], requires_grad=True, dtype=np.float64)
+    w = tensor([[3.0, -1.0]], requires_grad=True, dtype=np.float64)
+    unused = tensor([[5.0, 5.0]], requires_grad=True, dtype=np.float64)
+    # w is used twice: loss = sum(x * w + w).
+    loss = tsum(tape, add(tape, mul(tape, x, w), w))
+    assert tape._records[-1].out is loss
+    grads = backward(tape, loss)
+    assert len(grads) == 2 and x in grads and w in grads and unused not in grads
+    np.testing.assert_array_equal(grads[x], [[3.0, -1.0]])
+    np.testing.assert_array_equal(grads[w], [[2.0, 3.0]])
+
+
+@pytest.mark.parametrize("op", [add, sub, mul, div])
+def test_only_constants_broadcast(op):
+    column = np.array([[2.0], [4.0]])
+    block = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    # A constant may broadcast against a tracked operand of the output's shape.
+    op(Tape(), tensor(block, requires_grad=True), constant(column))
+    op(Tape(), constant(column), tensor(block, requires_grad=True))
+    with pytest.raises(ValueError, match="broadcasts"):
+        op(Tape(), tensor(column, requires_grad=True), constant(block))
+    with pytest.raises(ValueError, match="broadcasts"):
+        op(Tape(), constant(block), tensor(column, requires_grad=True))
+
+
 # -- finite-difference oracle ------------------------------------------------
 
 
@@ -766,6 +793,19 @@ def test_matmul64_splits_only_above_the_gate(m, k, n, blocks):
     got = _with_workers(4, lambda: ad._matmul64(a, b), pool)
     assert pool.blocks == blocks[1:]  # the calling thread computes block 0
     assert got.tobytes() == (a.astype(np.float64) @ b.astype(np.float64)).tobytes()
+
+
+@needs_pinned_blas
+def test_matmul64_blocks_take_the_callers_error_state():
+    # inf * 0 sets the invalid flag in every block; the suite turns the
+    # RuntimeWarning a worker would print into an error.
+    a = np.ones((2800, 512))
+    a[:, 0] = np.inf
+    b = np.zeros((512, 1024))
+    pool = _CountingPool(4)
+    with np.errstate(invalid="ignore"):
+        got = _with_workers(4, lambda: ad._matmul64(a, b), pool)
+    assert pool.blocks == [700] * 3 and np.isnan(got).all()
 
 
 @needs_pinned_blas

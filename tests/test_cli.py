@@ -1,6 +1,7 @@
 """End-to-end command-line interface runs, in process via main()."""
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -14,7 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from molcontrast.cli import load_config_file, main
+from molcontrast.autodiff import gradcheck_report
+from molcontrast.cli import build_parser, load_config_file, main
+from molcontrast.datasets import scaffold_split
+from molcontrast.fingerprints import retrieval_analysis
 from molcontrast.training import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -495,6 +499,25 @@ def test_retrieve_reports(corpus_csv, pretrained, tmp_path, capsys):
     assert len(neighbors) == 4
 
 
+@pytest.mark.parametrize("command", ["embed", "retrieve"])
+def test_overflowing_checkpoint_is_a_numeric_abort(
+    command, corpus_csv, pretrained, tmp_path, capsys
+):
+    # Finite, so the checkpoint loads, but the forward pass overflows.  The
+    # suite turns a RuntimeWarning into an error, so none may be raised.
+    ckpt = load_checkpoint(pretrained / "checkpoint.bin")
+    ckpt.arrays["atom_embedding"][:] = 3e38
+    save_checkpoint(tmp_path / "huge.bin", ckpt)
+    argv = [command, "--data", str(corpus_csv), "--checkpoint", str(tmp_path / "huge.bin"),
+            "--out", str(tmp_path / "o")]
+    if command == "retrieve":
+        argv += ["--query", "CCO", "--bins", "4"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric abort:") and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_retrieve_corpus_smaller_than_bins(corpus_csv, pretrained, tmp_path):
     rc = main(["retrieve", "--data", str(corpus_csv),
                "--checkpoint", str(pretrained / "checkpoint.bin"),
@@ -603,6 +626,19 @@ def test_gradcheck_reports_all_ops(tmp_path, capsys):
 
 
 # -- config files ------------------------------------------------------------
+
+
+def test_flag_defaults_are_the_library_defaults():
+    _, index = build_parser()
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert index["retrieve"].get_default("bins") == default(retrieval_analysis, "bins")
+    assert index["retrieve"].get_default("top") == default(retrieval_analysis, "top_k")
+    assert index["gradcheck"].get_default("eps") == default(gradcheck_report, "eps")
+    fractions = index["split"].get_default("fractions")
+    assert tuple(map(float, fractions.split(","))) == default(scaffold_split, "fractions")
 
 
 def test_config_file_supplies_defaults(corpus_csv, tmp_path):

@@ -504,19 +504,22 @@ def test_predict_dropout_zero_training_matches_inference():
     model = EncoderModel.initialize(small_config(), 0)
     model.add_head(HeadSpec("classification", 2, hidden_dim=6, dropout=0.0), 1)
     h = tensor(np.random.default_rng(0).standard_normal((3, 8)).astype(np.float32))
-    train = predict(Tape(), model, h, training=True, rng=np.random.default_rng(0))
-    infer = predict(Tape(), model, h, training=False)
-    np.testing.assert_array_equal(train.data, infer.data)
+    stream = np.random.default_rng(0)
+    with_stream = predict(Tape(), model, h, stream)
+    without = predict(Tape(), model, h)
+    np.testing.assert_array_equal(with_stream.data, without.data)
+    # A rate of 0 draws nothing from the stream.
+    assert stream.random() == np.random.default_rng(0).random()
 
 
 def test_predict_dropout_only_during_training():
     model = EncoderModel.initialize(small_config(), 0)
     model.add_head(HeadSpec("classification", 2, hidden_dim=64, dropout=0.5), 1)
     h = tensor(np.ones((3, 8), dtype=np.float32))
-    a = predict(Tape(), model, h, training=True, rng=np.random.default_rng(1))
-    b = predict(Tape(), model, h, training=False)
+    a = predict(Tape(), model, h, np.random.default_rng(1))
+    b = predict(Tape(), model, h)
     assert not np.array_equal(a.data, b.data)
-    c = predict(Tape(), model, h, training=False)
+    c = predict(Tape(), model, h)
     np.testing.assert_array_equal(b.data, c.data)
 
 
