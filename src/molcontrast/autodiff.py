@@ -1,13 +1,13 @@
 """Minimal reverse-mode automatic differentiation on an append-only tape.
 
-Tensors wrap numpy arrays in float32 by default; reductions (matmul,
-segment sums, full sums, row norms) accumulate in float64 before casting
-back, which keeps results independent of summation order at storage
-precision.  The backward scatters of :func:`embedding_lookup` and
-:func:`message_sum` are the exception: they accumulate in the dtype of the
-table or of ``x``, as the ``numpy.add.at`` they replaced did.  A whole
-tape can also be run in float64, which is how the finite-difference
-oracles compare gradients without float32 noise.
+Tensors wrap numpy arrays in float32 by default.  Matrix products run in
+their operands' dtype; segment sums and means, the :func:`message_sum`
+aggregate, row norms, full sums and means, and the bias gradient of
+:func:`linear` accumulate in float64 before casting back.  The backward
+scatters of :func:`embedding_lookup` and :func:`message_sum` accumulate in
+the dtype of the table or of ``x``, as ``numpy.add.at`` did.  A whole tape
+can also run in float64, which is how the finite-difference oracles compare
+gradients without float32 noise.
 
 Ops are free functions taking the tape first; an op is recorded only when
 one of its inputs is connected to a tensor with ``requires_grad`` set.
@@ -30,16 +30,16 @@ index work behind a scatter (validation, the sorts, the degree-sorted slot
 layout or the block split) lives in an :class:`IndexPlan`, built once per
 index array and reused by every op that takes it.
 
-Every matrix product (``linear`` forward and backward, ``matmul_t``) runs in
-float64 through :func:`_matmul64`.  Importing this module pins numpy's
-bundled OpenBLAS to one thread for the whole process, so each BLAS call has
-one fixed reduction order.  Parallelism comes from splitting a large product
-into contiguous row blocks, one single-thread dgemm each, run at once on
-:func:`set_threads` workers (default: the CPUs this process may use).  A
-block computes its rows with the same kernels and the same order over the
-inner dimension as the whole product, so results are bit-identical for any
-worker count.  Where the bundled OpenBLAS is not found, BLAS keeps its own
-threading and the products are not split.
+Importing this module pins numpy's bundled OpenBLAS to one thread for the
+whole process, so each BLAS call has one fixed reduction order; that order,
+not the precision, makes products reproducible.  Parallelism comes from
+splitting a large product into contiguous row blocks, one single-thread
+gemm each, run at once on :func:`set_threads` workers (default: the CPUs
+this process may use), and from running a large :func:`linear` backward's
+two products at once.  A block computes its rows with the same kernels and
+the same order over the inner dimension as the whole product, so results
+are bit-identical for any worker count.  Where the bundled OpenBLAS is not
+found, BLAS keeps its own threading and the products are not split.
 """
 
 from __future__ import annotations
@@ -207,18 +207,18 @@ def _pin_blas() -> bool:
 
 
 _BLAS_PINNED = _pin_blas()
-# Each block of a split product carries at least this many multiply-adds.
-# Handing a thread less costs more than it saves: fixture-size products
-# (~3M) ran slower on the pool.  It also keeps every block far above the
-# ~1M multiply-adds under which OpenBLAS switches to its small-matrix
-# kernels, whose bits differ from the whole product's.
+# Each block of a split product, and each product run beside another, carries
+# at least this many multiply-adds.  Handing a thread less costs more than it
+# saves: fixture-size products (~3M) ran slower on the pool.  It also keeps
+# every block far above the ~1M multiply-adds under which OpenBLAS switches
+# to its small-matrix kernels, whose bits differ from the whole product's.
 _BLOCK_MACS = 1 << 25
 _workers = 1
 _pool: ThreadPoolExecutor | None = None
 
 
 def set_threads(n: int) -> int:
-    """Run large float64 products on ``n`` threads; returns the count in
+    """Run large matrix products on ``n`` threads; returns the count in
     effect, which stays 1 when BLAS could not be pinned to one thread."""
     global _workers, _pool
     if n < 1:
@@ -237,36 +237,28 @@ set_threads(
 os.register_at_fork(after_in_child=lambda: set_threads(_workers))
 
 
-def _float64(x: np.ndarray) -> np.ndarray:
-    # A float64 array that owns its data is used as it is.  Anything else is
-    # copied, keeping every product a gemm on contiguous operands: an array
-    # times its own transpose would go to syrk, a strided view to numpy's
-    # loop without BLAS.
-    if x.dtype == np.float64 and x.flags.owndata:
-        return x
-    return x.astype(np.float64)
-
-
 def _matmul_block(a: np.ndarray, b: np.ndarray, out: np.ndarray, errors: dict) -> None:
     with np.errstate(**errors):  # the caller's; numpy's error state is per thread
         np.matmul(a, b, out=out)
 
 
-def _matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` in float64; large products are split by rows across the
-    workers, bit-identical to the unsplit product.
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` in the operands' dtype; large products are split by rows
+    across the workers, bit-identical to the unsplit product.
 
-    Each block of rows is one single-thread dgemm of those rows of ``a``
-    against all of ``b``, which sums every output element in the same order
-    as the whole product does, as long as the block runs on the same
-    kernels.  So a block has at least two rows (one row goes to gemv) and
-    at least ``_BLOCK_MACS`` multiply-adds, and a width that is not a
-    multiple of 8 is not split: OpenBLAS's SkylakeX kernels compute the
-    last ``n % 8`` columns in row tiles counted from the start of each call,
-    so a block edge moves their bits.  The float64 casts of the inputs are
-    freed on return.
+    Transposed operands reach BLAS as views; ``b`` is copied only when it
+    shares memory with ``a``, as ``a @ a.T`` would go to syrk.  Each block
+    of rows is one single-thread gemm of those rows of ``a`` against all of
+    ``b``, which sums every output element in the same order as the whole
+    product does, as long as the block runs on the same kernels.  So a
+    block has at least two rows (one row goes to gemv) and at least
+    ``_BLOCK_MACS`` multiply-adds, and a width that is not a multiple of 8
+    is not split: OpenBLAS's SkylakeX dgemm kernels compute the last
+    ``n % 8`` columns in row tiles counted from the start of each call, so
+    a block edge moves their bits (its sgemm kernels showed no such edge).
     """
-    a, b = _float64(a), _float64(b)
+    if np.may_share_memory(a, b):
+        b = b.copy()
     m, k = a.shape
     n = b.shape[1]
     pool, parts = _pool, 1
@@ -274,7 +266,7 @@ def _matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         parts = min(_workers, m // 2, m * k * n // _BLOCK_MACS)
     if parts < 2:
         return a @ b
-    out = np.empty((m, n))
+    out = np.empty((m, n), dtype=np.result_type(a, b))
     cuts = [m * i // parts for i in range(parts + 1)]
     errors = np.geterr()
     futures = [
@@ -633,15 +625,20 @@ def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"bias shape {b.data.shape} does not match output width {w.data.shape[1]}"
         )
-    y = _matmul64(x.data, w.data).astype(x.data.dtype)
-    y += b.data
-    out = Tensor(y)
+    out = Tensor(_matmul(x.data, w.data))
+    out.data += b.data
 
     def bwd(g: np.ndarray):
-        g64 = g.astype(np.float64)
-        dx = _matmul64(g64, w.data.T).astype(x.data.dtype)
-        dw = _matmul64(x.data.T, g64).astype(w.data.dtype)
-        db = g64.sum(axis=0).astype(b.data.dtype)
+        db = g.sum(axis=0, dtype=np.float64).astype(b.data.dtype)
+        if (pool := _pool) is None or g.size * x.data.shape[1] < _BLOCK_MACS:
+            return (g @ w.data.T, x.data.T @ g, db)
+        # dw runs whole beside dx (as many multiply-adds): x.T's rows are strided.
+        dw = np.empty(w.data.shape, dtype=np.result_type(x.data, g))
+        future = pool.submit(_matmul_block, x.data.T, g, dw, np.geterr())
+        try:
+            dx = g @ w.data.T
+        finally:
+            future.result()
         return (dx, dw, db)
 
     tape._record(out, (x, w, b), bwd)
@@ -656,12 +653,12 @@ def matmul_t(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"matmul_t inner dims differ: {a.data.shape} vs {b.data.shape}"
         )
-    out = Tensor(_matmul64(a.data, b.data.T).astype(a.data.dtype))
+    out = Tensor(_matmul(a.data, b.data.T))
     need_a, need_b = tape._tracked(a), tape._tracked(b)
 
     def bwd(g: np.ndarray):
-        da = _matmul64(g, b.data).astype(a.data.dtype) if need_a else None
-        db = _matmul64(g.T, a.data).astype(b.data.dtype) if need_b else None
+        da = _matmul(g, b.data) if need_a else None
+        db = _matmul(g.T, a.data) if need_b else None
         return (da, db)
 
     tape._record(out, (a, b), bwd)

@@ -177,10 +177,12 @@ def test_float64_accumulation_in_reductions():
 
 
 def test_float64_accumulation_in_matmul():
+    # Products run in the operands' dtype: a float64 tape keeps the 1.
     tape = Tape()
-    a = tensor([[1e8, 1.0, -1e8]], requires_grad=True)
-    b = tensor([[1.0, 1.0, 1.0]])
+    a = tensor([[1e8, 1.0, -1e8]], requires_grad=True, dtype=np.float64)
+    b = tensor([[1.0, 1.0, 1.0]], dtype=np.float64)
     out = matmul_t(tape, a, b)
+    assert out.data.dtype == np.float64
     assert float(out.data[0, 0]) == 1.0
 
 
@@ -742,7 +744,7 @@ def test_pretrain_checkpoints_identical_across_blas_threads(tmp_path):
     assert outputs["1"] == outputs["2"]
 
 
-# -- float64 products split across worker threads ------------------------------
+# -- products split across worker threads -------------------------------------
 
 needs_pinned_blas = pytest.mark.skipif(
     not ad._BLAS_PINNED, reason="numpy's bundled OpenBLAS was not found; products run unsplit"
@@ -790,9 +792,10 @@ def test_matmul64_splits_only_above_the_gate(m, k, n, blocks):
     a = rng.standard_normal((m, k)).astype(np.float32)
     b = rng.standard_normal((k, n)).astype(np.float32)
     pool = _CountingPool(4)
-    got = _with_workers(4, lambda: ad._matmul64(a, b), pool)
+    got = _with_workers(4, lambda: ad._matmul(a, b), pool)
     assert pool.blocks == blocks[1:]  # the calling thread computes block 0
-    assert got.tobytes() == (a.astype(np.float64) @ b.astype(np.float64)).tobytes()
+    assert got.dtype == np.float32
+    assert got.tobytes() == (a @ b).tobytes()
 
 
 @needs_pinned_blas
@@ -804,54 +807,126 @@ def test_matmul64_blocks_take_the_callers_error_state():
     b = np.zeros((512, 1024))
     pool = _CountingPool(4)
     with np.errstate(invalid="ignore"):
-        got = _with_workers(4, lambda: ad._matmul64(a, b), pool)
+        got = _with_workers(4, lambda: ad._matmul(a, b), pool)
     assert pool.blocks == [700] * 3 and np.isnan(got).all()
 
 
 @needs_pinned_blas
 @settings(max_examples=50, deadline=None)
-@example(1400, 128, 0, 28, "c", False, 0)  # a linear forward, 1024 wide
-@example(512, 128, 0, 28, "a.T", False, 1)  # dw = x.T @ g
-@example(700, 64, 0, 28, "b.T", False, 2)  # dx = g @ w.T
-@example(5, 32, 0, 28, "c", True, 3)  # five rows: two blocks
-@example(3, 32, 0, 28, "float64 a.T", True, 4)  # fewer rows than workers
-@example(1400, 128, 1, 28, "c", False, 5)  # 1023 wide: unsplit
+@example(1400, 128, 0, 28, "c", "float64", False, 0)  # a linear forward, 1024 wide
+@example(512, 128, 0, 28, "a.T", "float64", False, 1)  # dw = x.T @ g
+@example(700, 64, 0, 28, "b.T", "float64", False, 2)  # dx = g @ w.T
+@example(5, 32, 0, 28, "c", "float64", True, 3)  # five rows: two blocks
+@example(3, 32, 0, 28, "a.T", "float64", True, 4)  # fewer rows than workers
+@example(1400, 128, 1, 28, "c", "float64", False, 5)  # 1023 wide: unsplit
+@example(1400, 128, 0, 28, "c", "float32", False, 6)  # the same in sgemm
+@example(512, 128, 0, 28, "a.T", "float32", False, 7)
+@example(700, 64, 0, 28, "b.T", "float32", False, 8)
+@example(1400, 127, 0, 28, "c", "float32", False, 9)  # 1016 wide: 8k, k odd
+@example(700, 125, 0, 28, "b.T", "float32", True, 10)  # 1000 wide
+@example(5, 31, 0, 28, "c", "float32", True, 11)  # 248 wide, five rows
+@example(1400, 128, 1, 28, "c", "float32", False, 12)  # 1023 wide: unsplit
+@example(700, 64, 3, 28, "b.T", "float32", True, 13)  # 509 wide: unsplit
 @given(
     m=st.integers(2, 1024),
     eighths=st.integers(1, 128),
     ragged=st.one_of(st.just(0), st.integers(1, 7)),
     log_macs=st.integers(23, 28),
-    layout=st.sampled_from(["c", "a.T", "b.T", "float64 a.T"]),
+    layout=st.sampled_from(["c", "a.T", "b.T"]),
+    dtype=st.sampled_from(["float32", "float64"]),
     small_blocks=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 def test_matmul64_split_matches_unsplit_bitwise(
-    m, eighths, ragged, log_macs, layout, small_blocks, seed
+    m, eighths, ragged, log_macs, layout, dtype, small_blocks, seed
 ):
     # Products of up to 2^28 multiply-adds, on both sides of the gate, with
     # neither operand above 2M elements; widths 8 * eighths - ragged.  The
     # transposed views are the ones linear's backward passes (x.T, w.T).
     # With small_blocks the block floor drops to 2M multiply-adds, still
     # above OpenBLAS's small-matrix kernels, so products of a few rows split.
+    # Each dtype is compared with the unsplit product in that dtype.
     n = 8 * eighths - ragged
     k = max(1, min((1 << log_macs) // (m * n), (1 << 21) // max(m, n)))
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((k, m) if "a.T" in layout else (m, k))
-    b = rng.standard_normal((n, k) if layout == "b.T" else (k, n))
-    a = a.T if "a.T" in layout else a
+    a = rng.standard_normal((k, m) if layout == "a.T" else (m, k)).astype(dtype)
+    b = rng.standard_normal((n, k) if layout == "b.T" else (k, n)).astype(dtype)
+    a = a.T if layout == "a.T" else a
     b = b.T if layout == "b.T" else b
-    if not layout.startswith("float64"):
-        a, b = a.astype(np.float32), b.astype(np.float32)
-    expected = (a.astype(np.float64) @ b.astype(np.float64)).tobytes()
+    expected = (a @ b).tobytes()
     floor = ad._BLOCK_MACS
     ad._BLOCK_MACS = 1 << 21 if small_blocks else floor
     try:
         for workers in (1, 2, 3, 4):
-            got = _with_workers(workers, lambda: ad._matmul64(a, b))
-            assert got.dtype == np.float64
+            got = _with_workers(workers, lambda: ad._matmul(a, b))
+            assert got.dtype == dtype
             assert got.tobytes() == expected, workers
     finally:
         ad._BLOCK_MACS = floor
+
+
+@needs_pinned_blas
+@pytest.mark.parametrize("dtype, m, k", [("float32", 848, 516), ("float64", 848, 557)])
+def test_product_with_own_transpose_is_gemm_for_any_thread_count(dtype, m, k):
+    # Unsplit, a @ a.T would go to syrk, which rounds these shapes
+    # differently from the gemm that each row block runs.
+    a = np.random.default_rng(7).standard_normal((m, k)).astype(dtype)
+    expected = (a @ a.T.copy()).tobytes()
+    assert (a @ a.T).tobytes() != expected  # the shape tells syrk from gemm
+    for workers in (1, 2, 4):
+        assert _with_workers(workers, lambda: ad._matmul(a, a.T)).tobytes() == expected
+
+
+@needs_pinned_blas
+@pytest.mark.parametrize(
+    "rows, width, out, submitted",
+    [
+        (640, 64, 128, []),  # fixture-size layer: under the gate
+        (2800, 512, 1024, [512]),  # paper-size layer: dw whole, 512 rows of x.T
+    ],
+)
+def test_linear_backward_runs_dw_beside_dx_only_above_the_gate(
+    rows, width, out, submitted
+):
+    rng = np.random.default_rng(6)
+    x, w, b = (
+        tensor(rng.standard_normal(shape), requires_grad=True)
+        for shape in ((rows, width), (width, out), (out,))
+    )
+    r = rng.standard_normal((rows, out)).astype(np.float32)
+    pool = _CountingPool(2)
+
+    def run():
+        tape = Tape()
+        loss = ad.sum(tape, mul(tape, linear(tape, x, w, b), constant(r)))
+        pool.blocks.clear()  # keep only what the backward submits
+        return backward(tape, loss)
+
+    grads = _with_workers(2, run, pool)
+    assert pool.blocks == submitted  # dx runs on the calling thread
+    assert grads[x].dtype == grads[w].dtype == np.float32
+    assert grads[x].tobytes() == (r @ w.data.T).tobytes()
+    assert grads[w].tobytes() == (x.data.T @ r).tobytes()
+
+
+@needs_pinned_blas
+def test_linear_backward_dw_takes_the_callers_error_state():
+    # inf * 0 in dw = x.T @ g sets the invalid flag on the pool thread.
+    x0 = np.ones((2800, 512), dtype=np.float32)
+    x0[:, 0] = np.inf
+    x = tensor(x0, requires_grad=True, check=False)
+    w = tensor(np.zeros((512, 1024)), requires_grad=True)
+    b = tensor(np.zeros(1024), requires_grad=True)
+    pool = _CountingPool(2)
+
+    def run():
+        tape = Tape()
+        y = linear(tape, x, w, b)
+        return backward(tape, ad.sum(tape, mul(tape, y, constant(np.zeros(y.shape)))))
+
+    with np.errstate(invalid="ignore"):
+        grads = _with_workers(2, run, pool)
+    assert pool.blocks[-1] == 512 and np.isnan(grads[w][0]).all()
 
 
 @needs_pinned_blas
@@ -892,10 +967,10 @@ def test_split_products_work_in_a_forked_child():
     expected = a @ b
 
     def child():
-        sys.exit(0 if np.array_equal(ad._matmul64(a, b), expected) else 1)
+        sys.exit(0 if np.array_equal(ad._matmul(a, b), expected) else 1)
 
     def fork_after_split():
-        ad._matmul64(a, b)  # starts the parent's pool threads
+        ad._matmul(a, b)  # starts the parent's pool threads
         proc = multiprocessing.get_context("fork").Process(target=child, daemon=True)
         proc.start()
         proc.join(timeout=60)

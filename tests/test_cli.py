@@ -518,6 +518,28 @@ def test_overflowing_checkpoint_is_a_numeric_abort(
     assert not (tmp_path / "o").exists()
 
 
+def test_overflowing_checkpoint_finetune_is_a_numeric_abort(
+    labeled_csv, pretrained, tmp_path
+):
+    # A fresh process with numpy's default warning filters: the training
+    # forward overflows, and only the loss check may report it.
+    ckpt = load_checkpoint(pretrained / "checkpoint.bin")
+    ckpt.arrays["atom_embedding"][:] = 3e38
+    save_checkpoint(tmp_path / "huge.bin", ckpt)
+    argv = ["finetune", "--data", str(labeled_csv), "--out", str(tmp_path / "o"),
+            "--checkpoint", str(tmp_path / "huge.bin")] + FINETUNE_FAST[:6]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "molcontrast.cli"] + argv,
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numeric abort:"), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_retrieve_corpus_smaller_than_bins(corpus_csv, pretrained, tmp_path):
     rc = main(["retrieve", "--data", str(corpus_csv),
                "--checkpoint", str(pretrained / "checkpoint.bin"),

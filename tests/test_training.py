@@ -93,6 +93,15 @@ def test_adam_weight_decay_shrinks_params():
     assert -4.0 < p.data[1] < 0
 
 
+def test_adam_flushes_subnormal_params_to_zero():
+    # Decay alone sinks an idle weight into the float32 subnormals, where
+    # products run several times slower; a step leaves none there.
+    tiny = float(np.finfo(np.float32).tiny)
+    p = ad.tensor([1e-39, -1e-44, 1.0, tiny], requires_grad=True)
+    adam_step({"w": p}, {"w": np.zeros(4)}, AdamState(), lr=0.1)
+    assert p.data.tolist() == [0.0, 0.0, 1.0, tiny]
+
+
 def test_adam_sign_flip_symmetry():
     g = np.array([0.7, -1.3, 0.2])
     a = ad.tensor([1.0, 2.0, 3.0], requires_grad=True)
@@ -200,6 +209,19 @@ def test_checkpoint_with_adam_moments_still_loads(tmp_path):
     np.testing.assert_array_equal(
         embed_molecules(model, graphs), embed_molecules(revived, graphs)
     )
+
+
+def test_checkpoint_subnormals_load_as_zero():
+    # Earlier versions could save weights that decay sank into subnormals.
+    model = make_model()
+    ckpt = model_to_checkpoint(model)
+    table = ckpt.arrays["atom_embedding"]
+    table[0, :2] = [1e-39, -1e-44]
+    revived = model_from_checkpoint(ckpt)
+    got = revived.params["atom_embedding"].data
+    assert got[0, :2].tolist() == [0.0, 0.0]
+    np.testing.assert_array_equal(got[1:], table[1:])
+    assert table[0, 0] == np.float32(1e-39)  # the checkpoint is left as it was
 
 
 def test_checkpoint_file_layout_is_exact(tmp_path):
