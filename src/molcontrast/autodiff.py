@@ -35,8 +35,7 @@ whole process, so each BLAS call has one fixed reduction order; that order,
 not the precision, makes products reproducible.  Parallelism comes from
 splitting a large product into contiguous row blocks, one single-thread
 gemm each, run at once on :func:`set_threads` workers (default: the CPUs
-this process may use), and from running a large :func:`linear` backward's
-two products at once.  A block computes its rows with the same kernels and
+this process may use).  A block computes its rows with the same kernels and
 the same order over the inner dimension as the whole product, so results
 are bit-identical for any worker count.  Where the bundled OpenBLAS is not
 found, BLAS keeps its own threading and the products are not split.
@@ -207,11 +206,11 @@ def _pin_blas() -> bool:
 
 
 _BLAS_PINNED = _pin_blas()
-# Each block of a split product, and each product run beside another, carries
-# at least this many multiply-adds.  Handing a thread less costs more than it
-# saves: fixture-size products (~3M) ran slower on the pool.  It also keeps
-# every block far above the ~1M multiply-adds under which OpenBLAS switches
-# to its small-matrix kernels, whose bits differ from the whole product's.
+# Each block of a split product carries at least this many multiply-adds.
+# Handing a thread less costs more than it saves: fixture-size products
+# (~3M) ran slower on the pool.  It also keeps every block far above the
+# ~1M multiply-adds under which OpenBLAS switches to its small-matrix
+# kernels, whose bits differ from the whole product's.
 _BLOCK_MACS = 1 << 25
 _workers = 1
 _pool: ThreadPoolExecutor | None = None
@@ -630,16 +629,7 @@ def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g: np.ndarray):
         db = g.sum(axis=0, dtype=np.float64).astype(b.data.dtype)
-        if (pool := _pool) is None or g.size * x.data.shape[1] < _BLOCK_MACS:
-            return (g @ w.data.T, x.data.T @ g, db)
-        # dw runs whole beside dx (as many multiply-adds): x.T's rows are strided.
-        dw = np.empty(w.data.shape, dtype=np.result_type(x.data, g))
-        future = pool.submit(_matmul_block, x.data.T, g, dw, np.geterr())
-        try:
-            dx = g @ w.data.T
-        finally:
-            future.result()
-        return (dx, dw, db)
+        return (_matmul(g, w.data.T), _matmul(x.data.T, g), db)
 
     tape._record(out, (x, w, b), bwd)
     return out

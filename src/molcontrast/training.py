@@ -227,7 +227,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> EncoderModel:
     model its config builds (:func:`~molcontrast.encoder.parameter_layout`),
     all finite; anything else is a :class:`CheckpointError`.  Files of
     earlier versions still load: their Adam moments (``adam.*``) are
-    skipped, their ``gin_epsilon`` must be 0 and their subnormals become 0.
+    skipped, and their encoder config's ``gin_epsilon`` must be 0.
     """
     encoder = ckpt.config.get("encoder")
     if not isinstance(encoder, dict):
@@ -249,9 +249,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> EncoderModel:
                     f"checkpoint tensor {name} has shape {arrays[name].shape}, "
                     f"its config needs {shape}"
                 )
-            data = arrays[name].copy()
-            data[np.abs(data) < np.finfo(data.dtype).tiny] = 0  # as adam_step
-            params[name] = ad.tensor(data, requires_grad=True)
+            params[name] = ad.tensor(arrays[name].copy(), requires_grad=True)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint does not build a model: {exc}") from exc
     extra = sorted(set(arrays) - set(params))
@@ -500,10 +498,10 @@ def pretrain(
                 tape, loss = _contrastive_batch(
                     model, graphs, chunk, cfg, epoch, _TAG_AUGMENT, drop_rng
                 )
-                value = _optimizer_step(
-                    model, tape, loss, state, lr, cfg.weight_decay,
-                    "contrastive", epoch, start,
-                )
+            value = _optimizer_step(
+                model, tape, loss, state, lr, cfg.weight_decay,
+                "contrastive", epoch, start,
+            )
             total += value * len(chunk)
             seen += len(chunk)
         train_loss = total / seen if seen else float("nan")
@@ -824,9 +822,9 @@ def finetune(
                     model, inputs, train_targets[chunk], observed[chunk],
                     classify_basis, drop_rng,
                 )
-                value = _optimizer_step(
-                    model, tape, loss, state, rate, 0.0, "supervised", epoch, start
-                )
+            value = _optimizer_step(
+                model, tape, loss, state, rate, 0.0, "supervised", epoch, start
+            )
             total += value * count
             seen += count
         train_loss = total / seen if seen else float("nan")

@@ -211,19 +211,6 @@ def test_checkpoint_with_adam_moments_still_loads(tmp_path):
     )
 
 
-def test_checkpoint_subnormals_load_as_zero():
-    # Earlier versions could save weights that decay sank into subnormals.
-    model = make_model()
-    ckpt = model_to_checkpoint(model)
-    table = ckpt.arrays["atom_embedding"]
-    table[0, :2] = [1e-39, -1e-44]
-    revived = model_from_checkpoint(ckpt)
-    got = revived.params["atom_embedding"].data
-    assert got[0, :2].tolist() == [0.0, 0.0]
-    np.testing.assert_array_equal(got[1:], table[1:])
-    assert table[0, 0] == np.float32(1e-39)  # the checkpoint is left as it was
-
-
 def test_checkpoint_file_layout_is_exact(tmp_path):
     # Header, metadata, raw little-endian float32 payload, CRC-32 trailer.
     ckpt = Checkpoint({"epoch": 1}, {"a": np.arange(3, dtype=np.float32), "b": np.ones((2, 2))})
