@@ -7,115 +7,4 @@ fine-tuning behind scaffold splits, and fingerprint-based neighbor
 analysis of the learned representation space.
 """
 
-from .augment import AugmentSpec, AugmentedView, augment_pair, augment_view
-from .contrastive import ContrastiveConfig, nt_xent
-from .datasets import (
-    LabeledDataset,
-    LabeledRecord,
-    Split,
-    SplitAssignment,
-    UndefinedMetric,
-    load_labeled_csv,
-    mae,
-    mean_task_metric,
-    murcko_scaffold,
-    rmse,
-    roc_auc,
-    scaffold_key,
-    scaffold_split,
-)
-from .encoder import (
-    EncoderConfig,
-    EncoderModel,
-    GraphBatch,
-    HeadSpec,
-    embed_molecules,
-)
-from .errors import ConfigError, DataError, MolContrastError, NumericAbort
-from .fingerprints import (
-    Fingerprint,
-    circular_fp,
-    cosine_distance,
-    dice,
-    path_fp,
-    retrieval_analysis,
-)
-from .graph import (
-    AtomNode,
-    BondDirection,
-    BondEdge,
-    BondType,
-    Chirality,
-    MoleculeGraph,
-    mask_token,
-)
-from .smiles import parse_corpus, parse_smiles, parse_with_diagnostics
-from .training import (
-    Checkpoint,
-    FinetuneConfig,
-    FinetuneResult,
-    PretrainConfig,
-    PretrainResult,
-    finetune,
-    load_checkpoint,
-    pretrain,
-    save_checkpoint,
-)
-
-__all__ = [
-    "AtomNode",
-    "AugmentSpec",
-    "AugmentedView",
-    "BondDirection",
-    "BondEdge",
-    "BondType",
-    "Checkpoint",
-    "Chirality",
-    "ConfigError",
-    "ContrastiveConfig",
-    "DataError",
-    "EncoderConfig",
-    "EncoderModel",
-    "Fingerprint",
-    "FinetuneConfig",
-    "FinetuneResult",
-    "GraphBatch",
-    "HeadSpec",
-    "LabeledDataset",
-    "LabeledRecord",
-    "MolContrastError",
-    "MoleculeGraph",
-    "NumericAbort",
-    "PretrainConfig",
-    "PretrainResult",
-    "Split",
-    "SplitAssignment",
-    "UndefinedMetric",
-    "augment_pair",
-    "augment_view",
-    "circular_fp",
-    "cosine_distance",
-    "dice",
-    "embed_molecules",
-    "finetune",
-    "load_checkpoint",
-    "load_labeled_csv",
-    "mae",
-    "mask_token",
-    "mean_task_metric",
-    "murcko_scaffold",
-    "nt_xent",
-    "parse_corpus",
-    "parse_smiles",
-    "parse_with_diagnostics",
-    "path_fp",
-    "pretrain",
-    "retrieval_analysis",
-    "rmse",
-    "roc_auc",
-    "save_checkpoint",
-    "scaffold_key",
-    "scaffold_split",
-]
-
 __version__ = "0.1.0"

@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericAbort
 
 __all__ = [
     "Tensor",
@@ -112,22 +112,18 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{grad})"
 
 
-def tensor(
-    values,
-    requires_grad: bool = False,
-    dtype=np.float32,
-    check: bool = True,
-) -> Tensor:
+def tensor(values, requires_grad: bool = False, dtype=np.float32) -> Tensor:
     """Build a tensor, rejecting NaN/Inf payloads up front."""
     data = np.ascontiguousarray(np.asarray(values, dtype=dtype))
-    if check and data.size and not np.isfinite(data).all():
+    if data.size and not np.isfinite(data).all():
         raise ValueError("tensor payload contains NaN or Inf")
     return Tensor(data, requires_grad=requires_grad)
 
 
 def constant(values, dtype=np.float32) -> Tensor:
-    """A tensor that never receives gradients (masks, coefficients)."""
-    return tensor(values, requires_grad=False, dtype=dtype, check=False)
+    """A tensor that never receives gradients (masks, coefficients); its
+    payload is not checked."""
+    return Tensor(np.ascontiguousarray(np.asarray(values, dtype=dtype)))
 
 
 @dataclass
@@ -659,13 +655,14 @@ _NORM_EPS = 1e-12  # smallest row norm that may be normalized
 
 
 def l2_normalize_rows(tape: Tape, x: Tensor) -> Tensor:
-    """Scale each row to unit Euclidean norm; zero-norm rows are an error."""
+    """Scale each row to unit Euclidean norm; a zero-norm row (a collapsed
+    representation) raises :class:`NumericAbort`."""
     _check_2d("x", x)
     x64 = x.data.astype(np.float64)
     norms = np.sqrt((x64**2).sum(axis=1))
     if (norms < _NORM_EPS).any():
         row = int(np.nonzero(norms < _NORM_EPS)[0][0])
-        raise ValueError(f"row {row} has near-zero norm; cannot normalize")
+        raise NumericAbort(f"row {row} has near-zero norm; cannot normalize")
     y64 = x64 / norms[:, None]
     out = Tensor(y64.astype(x.data.dtype))
 

@@ -53,7 +53,6 @@ class LabeledRecord:
 
 @dataclass
 class LabeledDataset:
-    name: str
     task_kind: str  # one of encoder.TASK_KINDS
     task_names: tuple[str, ...]
     records: list[LabeledRecord]
@@ -76,20 +75,17 @@ class LabeledDataset:
 
 
 def load_labeled_csv(
-    path: str | Path,
-    task_kind: str,
-    smiles_column: str = "smiles",
-    name: str | None = None,
+    path: str | Path, task_kind: str
 ) -> tuple[LabeledDataset, list[CorpusFailure]]:
-    """Read a labeled CSV: one SMILES column, every other column a task.
+    """Read a labeled CSV: a ``smiles`` column, every other column a task.
 
     Blank cells are missing labels.  Unparseable rows are skipped and
     reported.  Classification labels must be 0 or 1 where present.
     """
     if task_kind not in TASK_KINDS:
         raise DataError(f"unknown task kind {task_kind!r}")
-    fields, parsed, failures = _read_smiles_csv(path, smiles_column)
-    task_names = tuple(c for c in fields if c != smiles_column)
+    columns, parsed, failures = _read_smiles_csv(path)
+    task_names = tuple(columns)
     if not task_names:
         raise DataError(f"no label columns in {path}")
     records: list[LabeledRecord] = []
@@ -120,10 +116,7 @@ def load_labeled_csv(
                 row.index, row.smiles, row.graph, tuple(labels), tuple(observed)
             )
         )
-    dataset = LabeledDataset(
-        name or Path(path).stem, task_kind, task_names, records
-    )
-    return dataset, failures
+    return LabeledDataset(task_kind, task_names, records), failures
 
 
 # -- scaffolds ---------------------------------------------------------
@@ -282,30 +275,22 @@ def roc_auc(scores, labels) -> float:
     """Mann-Whitney ROC-AUC with tie credit 0.5.
 
     ``labels`` are binary; raises :class:`UndefinedMetric` when only one
-    class is present.
+    class is present, and ``ValueError`` on a NaN score.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError(f"scores {s.shape} and labels {y.shape} must be equal 1-d")
+    if np.isnan(s).any():
+        raise ValueError("scores contain NaN, which has no rank")
     pos = y == 1
     n_pos = int(pos.sum())
     n_neg = int(len(y) - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetric("ROC-AUC undefined: only one class present")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s), dtype=np.float64)
-    ranks[order] = np.arange(1, len(s) + 1)
-    # Average ranks inside tie groups so each tied pair contributes 0.5.
-    sorted_scores = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
+    # Average 1-based ranks inside tie groups, so each tied pair counts 0.5.
+    _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

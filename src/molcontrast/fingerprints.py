@@ -1,11 +1,11 @@
 """Topological fingerprints and representation-space retrieval analysis.
 
-Two fingerprint kinds over 2048-bit vectors (any power of two works):
+Two fingerprint kinds over 2048-bit vectors:
 
 * circular: iterated atom environments in the spirit of ECFP.  The initial
   atom invariant hashes (atomic number, degree, formal charge, ring
-  membership); each radius round re-hashes the atom's invariant together
-  with its sorted (bond type, neighbor invariant) pairs, and every
+  membership); each of two radius rounds re-hashes the atom's invariant
+  together with its sorted (bond type, neighbor invariant) pairs, and every
   invariant from every round sets a bit.
 * path: every simple path of 1..7 bonds contributes a bit keyed by the
   lexicographically smaller direction of its (atomic number, bond type)
@@ -50,6 +50,10 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
+_NBITS = 2048  # bits in every fingerprint
+_RADIUS = 2  # circular refinement rounds
+_MAX_PATH_BONDS = 7  # longest path enumerated, in bonds
+
 
 def fnv1a64(data: bytes) -> int:
     """64-bit FNV-1a; the one hash behind fingerprints and scaffold keys."""
@@ -70,11 +74,6 @@ class Fingerprint:
 
     def count(self) -> int:
         return int(self.bits.sum())
-
-
-def _check_nbits(nbits: int) -> None:
-    if nbits < 2 or nbits & (nbits - 1):
-        raise ValueError(f"nbits must be a power of two >= 2, got {nbits}")
 
 
 def ring_atoms(g: MoleculeGraph) -> frozenset[int]:
@@ -139,11 +138,8 @@ def _refine(
     return fresh
 
 
-def circular_fp(g: MoleculeGraph, radius: int = 2, nbits: int = 2048) -> Fingerprint:
+def circular_fp(g: MoleculeGraph) -> Fingerprint:
     """Circular environment fingerprint; every round's invariants set bits."""
-    _check_nbits(nbits)
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
     rings = ring_atoms(g)
     bond_type = _bond_types(g)
     inv = [
@@ -153,24 +149,20 @@ def circular_fp(g: MoleculeGraph, radius: int = 2, nbits: int = 2048) -> Fingerp
         )
         for v, node in enumerate(g.nodes)
     ]
-    bits = np.zeros(nbits, dtype=bool)
-    bits[[h % nbits for h in inv]] = True
-    for _ in range(radius):
+    bits = np.zeros(_NBITS, dtype=bool)
+    bits[[h % _NBITS for h in inv]] = True
+    for _ in range(_RADIUS):
         inv = _refine(g, inv, bond_type)
-        bits[[h % nbits for h in inv]] = True
+        bits[[h % _NBITS for h in inv]] = True
     return Fingerprint("circular", bits)
 
 
-def enumerate_simple_paths(
-    g: MoleculeGraph, max_len: int = 7
-) -> list[tuple[int, ...]]:
-    """Simple paths with 1..max_len bonds, each undirected path once.
+def enumerate_simple_paths(g: MoleculeGraph) -> list[tuple[int, ...]]:
+    """Simple paths with 1..7 bonds, each undirected path once.
 
     A path is kept when its node sequence is lexicographically <= its
     reverse, which dedupes the two traversal directions.
     """
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
     out: list[tuple[int, ...]] = []
     path: list[int] = []
 
@@ -181,7 +173,7 @@ def enumerate_simple_paths(
             tup = tuple(path)
             if tup <= tup[::-1]:
                 out.append(tup)
-        if len(path) <= max_len:
+        if len(path) <= _MAX_PATH_BONDS:
             for u in g.adjacency[v]:
                 if u not in visited:
                     walk(u, visited)
@@ -193,12 +185,11 @@ def enumerate_simple_paths(
     return out
 
 
-def path_fp(g: MoleculeGraph, max_len: int = 7, nbits: int = 2048) -> Fingerprint:
+def path_fp(g: MoleculeGraph) -> Fingerprint:
     """Linear-path fingerprint over canonical label sequences."""
-    _check_nbits(nbits)
     bond_type = _bond_types(g)
-    bits = np.zeros(nbits, dtype=bool)
-    for nodes in enumerate_simple_paths(g, max_len):
+    bits = np.zeros(_NBITS, dtype=bool)
+    for nodes in enumerate_simple_paths(g):
         seq: list[int] = []
         for i, v in enumerate(nodes):
             if i:
@@ -206,7 +197,7 @@ def path_fp(g: MoleculeGraph, max_len: int = 7, nbits: int = 2048) -> Fingerprin
             seq.append(g.nodes[v].atomic_number)
         canonical = min(seq, seq[::-1])
         text = ",".join(map(str, canonical))
-        bits[fnv1a64(text.encode()) % nbits] = True
+        bits[fnv1a64(text.encode()) % _NBITS] = True
     return Fingerprint("path", bits)
 
 
@@ -228,19 +219,13 @@ def cosine_distance(u, v) -> float:
     b = np.asarray(v, dtype=np.float64).reshape(-1)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < 1e-12 or nb < 1e-12:
-        raise ValueError("cosine distance undefined for zero vectors")
-    return float(1.0 - float(a @ b) / (na * nb))
+    return float(_cosine_distances(a, b[None])[0])
 
 
 def _cosine_distances(u, rows) -> np.ndarray:
     """:func:`cosine_distance` from ``u`` to every row, in one call.
 
-    A stack of 1×d @ d×1 products takes the same vector dot product per row
-    that :func:`cosine_distance` takes, so the distances are equal to its bit
-    for bit and rankings, ties included, do not change.
+    A stack of 1×d @ d×1 products takes one vector dot product per row.
     """
     a = np.asarray(u, dtype=np.float64).reshape(-1)
     m = np.asarray(rows, dtype=np.float64)[:, None, :]

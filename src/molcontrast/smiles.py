@@ -561,13 +561,13 @@ class CorpusParseResult:
 
 
 def _read_smiles_csv(
-    path: str | Path, column: str = "smiles"
+    path: str | Path
 ) -> tuple[list[str], list[tuple[CorpusRow, dict[str, str]]], list[CorpusFailure]]:
-    """Read a CSV file and parse its (stripped) ``column`` of SMILES.
+    """Read a CSV file and parse its (stripped) ``smiles`` column.
 
-    Returns the header, each parsed row with its raw CSV record, and the
-    rows that failed to parse, both in input order.  Row indices are
-    0-based over data rows (the header is not counted).
+    Returns the header's other columns, each parsed row with its raw CSV
+    record, and the rows that failed to parse, both in input order.  Row
+    indices are 0-based over data rows (the header is not counted).
     """
     path = Path(path)
     if not path.exists():
@@ -578,12 +578,12 @@ def _read_smiles_csv(
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             fields = list(reader.fieldnames or [])
-            if column not in fields:
+            if "smiles" not in fields:
                 raise DataError(
-                    f"column {column!r} not found in {path} (have: {', '.join(fields)})"
+                    f"column 'smiles' not found in {path} (have: {', '.join(fields)})"
                 )
             for index, record in enumerate(reader):
-                text = (record.get(column) or "").strip()
+                text = (record.get("smiles") or "").strip()
                 try:
                     graph = parse_smiles(text)
                 except SmilesParseError as exc:
@@ -592,15 +592,15 @@ def _read_smiles_csv(
                     parsed.append((CorpusRow(index, text, graph), record))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return fields, parsed, failures
+    return [c for c in fields if c != "smiles"], parsed, failures
 
 
-def parse_corpus(path: str | Path, column: str = "smiles") -> CorpusParseResult:
-    """Parse one CSV column of SMILES, keeping row indices.
+def parse_corpus(path: str | Path) -> CorpusParseResult:
+    """Parse the ``smiles`` column of a CSV file, keeping row indices.
 
     Rows that fail to parse are collected as :class:`CorpusFailure` and
     skipped; everything else is returned in input order.  Row indices are
     0-based over data rows (the header is not counted).
     """
-    _, parsed, failures = _read_smiles_csv(path, column)
+    _, parsed, failures = _read_smiles_csv(path)
     return CorpusParseResult([row for row, _ in parsed], failures)

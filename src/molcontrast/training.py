@@ -427,15 +427,20 @@ def _optimizer_step(
     kind: str, epoch: int, start: int,
 ) -> float:
     """Abort on a non-finite loss, else back-propagate it and take one Adam
-    step on every parameter that received a gradient; returns the loss."""
+    step on every parameter that received a gradient; returns the loss.
+    Aborts as well when that step leaves a parameter non-finite, which a
+    non-finite gradient always does."""
+    where = f"at epoch {epoch}, batch offset {start}"
     value = float(loss.data)
     if not math.isfinite(value):
-        raise NumericAbort(
-            f"non-finite {kind} loss at epoch {epoch}, batch offset {start}"
-        )
-    grads = backward(tape, loss)
-    named = {name: grads[t] for name, t in model.params.items() if t in grads}
-    adam_step(model.params, named, state, lr, weight_decay)
+        raise NumericAbort(f"non-finite {kind} loss {where}")
+    with np.errstate(all="ignore"):  # checked below
+        grads = backward(tape, loss)
+        named = {name: grads[t] for name, t in model.params.items() if t in grads}
+        adam_step(model.params, named, state, lr, weight_decay)
+    for name in named:
+        if not np.isfinite(model.params[name].data).all():
+            raise NumericAbort(f"non-finite {kind} update of {name} {where}")
     return value
 
 

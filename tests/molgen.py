@@ -68,12 +68,12 @@ def make_molecules(n: int, seed: int) -> list[tuple[str, MoleculeGraph]]:
     return out
 
 
-def oxygen_dataset(n: int, seed: int, name: str = "contains-oxygen") -> LabeledDataset:
+def oxygen_dataset(n: int, seed: int) -> LabeledDataset:
     records = []
     for i, (smiles, graph) in enumerate(make_molecules(n, seed)):
         label = 1.0 if contains_oxygen(graph) else 0.0
         records.append(LabeledRecord(i, smiles, graph, (label,), (True,)))
-    return LabeledDataset(name, "classification", ("has_oxygen",), records)
+    return LabeledDataset("classification", ("has_oxygen",), records)
 
 
 def unlabeled_corpus(n: int, seed: int) -> list[MoleculeGraph]:

@@ -42,6 +42,7 @@ from molcontrast.autodiff import (
 )
 from molcontrast.autodiff import _scatter_add
 from molcontrast.autodiff import sum as tsum
+from molcontrast.errors import NumericAbort
 
 
 # -- tensor construction ----------------------------------------------------
@@ -130,7 +131,7 @@ def test_l2_normalize_rows_unit_norm():
     y = l2_normalize_rows(tape, x)
     np.testing.assert_allclose(y.data[0], [0.6, 0.8], rtol=1e-6)
     np.testing.assert_allclose(y.data[1], [-1.0, 0.0], rtol=1e-6)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericAbort, match="row 0 has near-zero norm"):
         l2_normalize_rows(tape, tensor([[0.0, 0.0]]))
 
 

@@ -540,6 +540,54 @@ def test_overflowing_checkpoint_finetune_is_a_numeric_abort(
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_non_finite_adam_update_is_a_numeric_abort(tmp_path):
+    # The loss is finite, but a rate of 1e39 overflows the float32 update.
+    # A fresh process with numpy's default warning filters, as above.
+    write_corpus_csv(tmp_path / "corpus.csv", 40, seed=3)
+    argv = ["pretrain", "--data", str(tmp_path / "corpus.csv"), "--out", str(tmp_path / "o"),
+            "--epochs", "1", "--batch", "64", "--lr", "1e39", "--warm-epochs", "0",
+            "--val-fraction", "0"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "molcontrast.cli"] + argv,
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numeric abort:"), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "o" / "checkpoint.bin").exists()
+
+
+@pytest.fixture(scope="module")
+def corpus60_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "corpus60.csv"
+    write_corpus_csv(path, 60, seed=3)
+    return path
+
+
+@pytest.mark.parametrize("backbone", ["gin", "gcn"])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("latent", [1, 2])
+@pytest.mark.parametrize("hidden", [1, 2, 3])
+def test_narrow_encoders_end_in_an_exit_code(
+    hidden, latent, layers, backbone, corpus60_csv, tmp_path, capsys
+):
+    # Zero-initialised biases and ReLU can leave a latent row all zero,
+    # which the loss cannot normalize; 3 x 1 x 1 GIN does on this corpus.
+    rc = main(["pretrain", "--data", str(corpus60_csv), "--out", str(tmp_path / "o"),
+               "--epochs", "1", "--warm-epochs", "0", "--batch", "8",
+               "--hidden", str(hidden), "--latent", str(latent),
+               "--layers", str(layers), "--backbone", backbone])
+    err = capsys.readouterr().err
+    assert rc in (0, 3)
+    if rc:
+        assert err.startswith("numeric abort:") and len(err.splitlines()) == 1, err
+    if (hidden, latent, layers, backbone) == (3, 1, 1, "gin"):
+        assert rc == 3
+
+
 def test_retrieve_corpus_smaller_than_bins(corpus_csv, pretrained, tmp_path):
     rc = main(["retrieve", "--data", str(corpus_csv),
                "--checkpoint", str(pretrained / "checkpoint.bin"),

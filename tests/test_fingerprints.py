@@ -87,13 +87,9 @@ def test_circular_methane_vs_ethane():
 
 
 def test_circular_benzene_three_bits():
-    # all six atoms share one environment, so each radius round contributes
-    # a single invariant: 3 rounds -> 3 bits
-    assert circular_fp(parse_smiles("c1ccccc1"), radius=2).count() == 3
-
-
-def test_circular_radius_zero_single_round():
-    assert circular_fp(parse_smiles("c1ccccc1"), radius=0).count() == 1
+    # all six atoms share one environment, so the initial invariant and each
+    # of the two radius rounds contribute a single bit: 3 bits
+    assert circular_fp(parse_smiles("c1ccccc1")).count() == 3
 
 
 def test_circular_relabel_invariant():
@@ -109,16 +105,6 @@ def test_circular_charge_sensitivity():
     a = circular_fp(parse_smiles("CC(=O)O"))
     b = circular_fp(parse_smiles("CC(=O)[O-]"))
     assert not np.array_equal(a.bits, b.bits)
-
-
-def test_circular_validation():
-    g = parse_smiles("C")
-    with pytest.raises(ValueError):
-        circular_fp(g, nbits=100)
-    with pytest.raises(ValueError):
-        circular_fp(g, nbits=1)
-    with pytest.raises(ValueError):
-        circular_fp(g, radius=-1)
 
 
 # -- pinned hash values ------------------------------------------------------
@@ -169,7 +155,7 @@ def test_path_ethane_one_bit():
 
 def test_pentane_path_enumeration():
     # 4 one-bond + 3 two-bond + 2 three-bond + 1 four-bond paths
-    paths = enumerate_simple_paths(parse_smiles("CCCCC"), max_len=7)
+    paths = enumerate_simple_paths(parse_smiles("CCCCC"))
     assert len(paths) == 10
     by_len = {}
     for p in paths:
@@ -178,7 +164,7 @@ def test_pentane_path_enumeration():
 
 
 def test_path_enumeration_dedupes_directions():
-    paths = enumerate_simple_paths(parse_smiles("CCC"), max_len=7)
+    paths = enumerate_simple_paths(parse_smiles("CCC"))
     assert sorted(paths) == [(0, 1), (0, 1, 2), (1, 2)]
 
 
@@ -188,11 +174,12 @@ def test_pentane_four_distinct_path_labels():
 
 
 def test_path_respects_max_len():
-    g = parse_smiles("CCCCC")
-    short = enumerate_simple_paths(g, max_len=2)
-    assert len(short) == 7
-    with pytest.raises(ValueError):
-        enumerate_simple_paths(g, max_len=0)
+    # a 10-carbon chain has 10 - k paths of k bonds; only k <= 7 are kept
+    g = parse_smiles("C" * 10)
+    paths = enumerate_simple_paths(g)
+    assert max(len(p) - 1 for p in paths) == 7
+    assert len(paths) == sum(10 - k for k in range(1, 8))
+    assert path_fp(g).count() == 7
 
 
 def test_path_relabel_invariant():

@@ -263,12 +263,6 @@ def test_parse_corpus_header_only(tmp_path):
     assert result.rows == [] and result.failures == []
 
 
-def test_parse_corpus_custom_column(tmp_path):
-    p = _write(tmp_path, "col.csv", "id,structure\n7,CCO\n8,CC\n")
-    result = parse_corpus(p, column="structure")
-    assert [g.num_nodes for g in result.graphs] == [3, 2]
-
-
 def test_parse_corpus_missing_column(tmp_path):
     p = _write(tmp_path, "wrong.csv", "id,foo\n1,C\n")
     with pytest.raises(DataError):

@@ -591,7 +591,7 @@ def test_regression_finetune_predicts_the_test_split_once(monkeypatch):
         LabeledRecord(i, smiles, g, (float(g.num_nodes),), (True,))
         for i, (smiles, g) in enumerate(make_molecules(24, seed=6))
     ]
-    dataset = LabeledDataset("size", "regression", ("size",), records)
+    dataset = LabeledDataset("regression", ("size",), records)
     split = SplitAssignment(tuple([Split.TRAIN] * 16 + [Split.VALID] * 4 + [Split.TEST] * 4))
     predicted = []
     real = training_module.predict_molecules
