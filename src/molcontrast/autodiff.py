@@ -853,8 +853,8 @@ def numeric_gradients(
     This path never touches the tape; it is the independent side of every
     gradient check.
     """
-    if not eps > 0:
-        raise ConfigError(f"eps must be > 0, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ConfigError(f"eps must be finite and > 0, got {eps}")
     base = [np.asarray(a, dtype=np.float64).copy() for a in arrays]
     grads = []
     for ai, a in enumerate(base):
@@ -908,11 +908,12 @@ def check_gradients(
     loss = build(tape, params)
     analytic = backward(tape, loss)
     numeric = numeric_gradients(run, arrays, eps=eps)
-    worst = 0.0
-    for p, num in zip(params, numeric):
-        ana = analytic.get(p, np.zeros_like(num))
-        worst = max(worst, _relative_error(ana, num))
-    return worst
+    # np.max, unlike max(), keeps a NaN error: a NaN gradient fails any threshold.
+    errors = [
+        _relative_error(analytic.get(p, np.zeros_like(num)), num)
+        for p, num in zip(params, numeric)
+    ]
+    return float(np.max(errors, initial=0.0))
 
 
 def _away_from_kink(rng: np.random.Generator, shape, margin: float = 1e-3):
@@ -1052,6 +1053,8 @@ def gradcheck_report(seed: int = 0, eps: float = 1e-4) -> dict[str, float]:
             msg_inputs,
         )
 
-    for name, (build, arrays) in cases.items():
-        report[name] = check_gradients(build, arrays, eps=eps)
+    # A large eps can overflow; that shows as a large or NaN error, not a warning.
+    with np.errstate(all="ignore"):
+        for name, (build, arrays) in cases.items():
+            report[name] = check_gradients(build, arrays, eps=eps)
     return report

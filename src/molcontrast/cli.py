@@ -3,10 +3,11 @@
 Subcommands cover the full pipeline: contrastive pre-training,
 supervised fine-tuning, embedding export, representation-space
 retrieval, augmentation preview, scaffold splitting, the gradient
-oracle, and the two ablation sweeps.  All file outputs are CSV; every
-run that writes outputs also writes its fully-resolved configuration
-next to them, in the same `key = value` format the --config flag reads,
-so a run can be reproduced from its own output directory.
+oracle, and the two ablation sweeps.  All file outputs are CSV; a run
+that succeeds writes them into its output directory, next to its
+fully-resolved configuration in the same `key = value` format the
+--config flag reads, so a run can be reproduced from its own output
+directory.  A run that fails creates no output directory.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 numeric
 abort.  See MANUAL.md for every flag and file format.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,6 +41,7 @@ from .training import (
     model_to_checkpoint,
     pretrain,
     save_checkpoint,
+    write_trace_csv,
 )
 
 __all__ = ["main", "build_parser"]
@@ -122,24 +125,22 @@ def _config_defaults(sub: argparse.ArgumentParser, path: Path) -> dict:
     return defaults
 
 
-def _write_resolved_config(out_dir: Path, args: argparse.Namespace) -> None:
+def _out_dir(args: argparse.Namespace) -> Path:
+    """Create ``--out`` and write the resolved configuration into it.  Each
+    command calls this once, after its work has succeeded, so a run that
+    fails leaves no directory behind."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     skip = {"func", "command", "config", "threads"}
     lines = []
     for dest in sorted(vars(args)):
-        if dest in skip:
-            continue
         value = getattr(args, dest)
-        if value is None or callable(value):
+        if dest in skip or value is None or callable(value):
             continue
         if isinstance(value, bool):
             value = "true" if value else "false"
         lines.append(f"{dest} = {value}")
-    _write_text(out_dir / "config_resolved.txt", "\n".join(lines) + "\n")
-
-
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _write_text(out / "config_resolved.txt", "\n".join(lines) + "\n")
     return out
 
 
@@ -272,10 +273,10 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     corpus = _load_molecules(args.data)
+    result = pretrain(corpus.graphs, cfg)
     out = _out_dir(args)
-    result = pretrain(corpus.graphs, cfg, trace_path=out / "loss.csv")
     save_checkpoint(out / "checkpoint.bin", result.checkpoint)
-    _write_resolved_config(out, args)
+    write_trace_csv(out / "loss.csv", result.history)
     last = result.history[-1]
     print(
         f"pretrained on {len(corpus.rows)} molecules for {cfg.epochs} epochs; "
@@ -324,25 +325,18 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     encoder = None if args.checkpoint else _encoder_config(args)
     dataset = _load_molecules(args.data, args.task)
     checkpoint = load_checkpoint(args.checkpoint) if args.checkpoint else None
-    out = _out_dir(args)
-    result = finetune(
-        dataset,
-        cfg,
-        checkpoint=checkpoint,
-        encoder=encoder,
-        augment=augment,
-        trace_path=out / "trace.csv",
-    )
+    result = finetune(dataset, cfg, checkpoint=checkpoint, encoder=encoder, augment=augment)
     extra: dict = {"task_names": list(dataset.task_names)}
     if result.target_stats is not None:
         extra["target_mean"] = result.target_stats.mean.tolist()
         extra["target_std"] = result.target_stats.std.tolist()
+    out = _out_dir(args)
     save_checkpoint(
         out / "model.bin",
         model_to_checkpoint(result.model, epoch=cfg.epochs, extra=extra),
     )
     write_csv(out / "metrics.csv", ["name", "value"], _metric_rows(result, dataset))
-    _write_resolved_config(out, args)
+    write_trace_csv(out / "trace.csv", result.history)
     print(
         f"best epoch {result.best_epoch}: validation {result.metric_name} "
         f"{result.val_metric:.4f}, test {result.metric_name} "
@@ -364,7 +358,6 @@ def cmd_embed(args: argparse.Namespace) -> int:
         for i, row in enumerate(corpus.rows)
     ]
     write_csv(out / "embeddings.csv", header, rows)
-    _write_resolved_config(out, args)
     print(f"wrote {len(rows)} embeddings of width {reps.shape[1]} to {out / 'embeddings.csv'}")
     return 0
 
@@ -413,7 +406,6 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
             for n in report.neighbors
         ],
     )
-    _write_resolved_config(out, args)
     near = report.neighbors[0]
     print(
         f"ranked {report.corpus_size} molecules into {report.bin_count} bins; "
@@ -462,7 +454,6 @@ def cmd_augment(args: argparse.Namespace) -> int:
     if args.out is not None:
         out = _out_dir(args)
         _write_text(out / "views.txt", text)
-        _write_resolved_config(out, args)
     return 0
 
 
@@ -487,7 +478,6 @@ def cmd_split(args: argparse.Namespace) -> int:
             for i, row in enumerate(corpus.rows)
         ],
     )
-    _write_resolved_config(out, args)
     counts = {name: 0 for name in names.values()}
     for part in assignment.assignment:
         counts[names[part]] += 1
@@ -500,27 +490,26 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    report = gradcheck_report(seed=args.seed, eps=args.eps)
     threshold = args.threshold
+    if not 0 <= threshold < math.inf:
+        raise ConfigError(f"--threshold must be finite and >= 0, got {threshold}")
+    report = gradcheck_report(seed=args.seed, eps=args.eps)
     failures = []
     for op in sorted(report):
-        err = report[op]
-        status = "ok" if err < threshold else "FAIL"
-        print(f"{op:<28s} {err:.3e}  {status}")
-        if err >= threshold:
+        ok = report[op] < threshold
+        print(f"{op:<28s} {report[op]:.3e}  {'ok' if ok else 'FAIL'}")
+        if not ok:
             failures.append(op)
-    if args.out is not None:
-        out = _out_dir(args)
-        write_csv(
-            out / "gradcheck.csv",
-            ["op", "max_rel_error"],
-            [[op, f"{report[op]:.6e}"] for op in sorted(report)],
-        )
-        _write_resolved_config(out, args)
     if failures:
         raise NumericAbort(
             f"gradient check failed for {len(failures)} op(s): "
             + ", ".join(failures)
+        )
+    if args.out is not None:
+        write_csv(
+            _out_dir(args) / "gradcheck.csv",
+            ["op", "max_rel_error"],
+            [[op, f"{report[op]:.6e}"] for op in sorted(report)],
         )
     print(f"all {len(report)} ops within {threshold:g}")
     return 0
@@ -573,7 +562,6 @@ def _ablation_sweep(args, column, values, vary, label) -> int:
     out = _out_dir(args)
     path = out / f"{args.command}.csv"
     write_csv(path, [column, "pretrain_loss", "best_epoch", "val_metric", "test_metric"], rows)
-    _write_resolved_config(out, args)
     print(f"wrote {path}")
     return 0
 
@@ -739,6 +727,9 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        # --out is created after the work; a file in its place would end it there.
+        if getattr(args, "out", None) is not None and Path(args.out).is_file():
+            raise ConfigError(f"--out {args.out} is a file, not a directory")
         if args.threads is not None:
             if args.threads < 1:
                 raise ConfigError(f"--threads must be >= 1, got {args.threads}")

@@ -31,8 +31,10 @@ class ContrastiveConfig:
     batch_size: int = 2  # molecules per batch (N); the latent batch has 2N rows
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < np.inf:
+            raise ConfigError(
+                f"temperature must be finite and positive, got {self.temperature}"
+            )
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
 

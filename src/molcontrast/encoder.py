@@ -17,6 +17,12 @@ messages are rescaled by ``1 / sqrt(deg_hat_u * deg_hat_v)`` (degrees
 counting the self-loop) before a single linear map, again with no ReLU on
 the final layer.
 
+Every stack of affine maps (GIN's inner MLP, GCN's single map, and the
+projection and prediction heads) runs through one ``_mlp``, which reads
+``{prefix}weight{s}`` and ``{prefix}bias{s}`` for each suffix ``s``;
+``parameter_layout`` lists the same names and shapes through the matching
+``_mlp_layout``.
+
 Dropout, between layers and after each hidden head layer, runs if and only
 if a stream ``rng`` is passed (training steps pass one) and its rate is
 above 0.
@@ -258,17 +264,26 @@ class GraphBatch:
         return EdgeSet(n, src, dst, etype, edir, coeff)
 
 
-def _affine(prefix: str, suffix: str, fan_in: int, fan_out: int):
-    yield f"{prefix}weight{suffix}", (fan_in, fan_out)
-    yield f"{prefix}bias{suffix}", (fan_out,)
+#: Parameter-name suffixes of the GIN inner MLP and of the projection head.
+_TWO_LAYER = ("1", "2")
+
+
+def _mlp_layout(prefix: str, suffixes: Sequence[str], widths: Sequence[int]):
+    """The parameters :func:`_mlp` reads, in order: ``{prefix}weight{s}``
+    (``widths[i]`` by ``widths[i + 1]``) then ``{prefix}bias{s}`` for the
+    ``i``-th suffix ``s``."""
+    for s, fan_in, fan_out in zip(suffixes, widths, widths[1:]):
+        yield f"{prefix}weight{s}", (fan_in, fan_out)
+        yield f"{prefix}bias{s}", (fan_out,)
+
+
+def _head_suffixes(head: HeadSpec) -> tuple[str, ...]:
+    return (*map(str, range(head.hidden_layers)), "_out")
 
 
 def _head_layout(input_dim: int, head: HeadSpec):
-    fan_in = input_dim
-    for i in range(head.hidden_layers):
-        yield from _affine("head.", str(i), fan_in, head.hidden_dim)
-        fan_in = head.hidden_dim
-    yield from _affine("head.", "_out", fan_in, head.out_dim)
+    widths = (input_dim, *[head.hidden_dim] * head.hidden_layers, head.out_dim)
+    return _mlp_layout("head.", _head_suffixes(head), widths)
 
 
 def parameter_layout(
@@ -283,12 +298,10 @@ def parameter_layout(
         yield f"layers.{k}.bond_type_embedding", (NUM_BOND_TYPES, h)
         yield f"layers.{k}.bond_direction_embedding", (NUM_BOND_DIRECTIONS, h)
         if config.backbone == "gin":
-            yield from _affine(f"layers.{k}.mlp.", "1", h, 2 * h)
-            yield from _affine(f"layers.{k}.mlp.", "2", 2 * h, h)
+            yield from _mlp_layout(f"layers.{k}.mlp.", _TWO_LAYER, (h, 2 * h, h))
         else:
-            yield from _affine(f"layers.{k}.", "", h, h)
-    yield from _affine("projection.", "1", h, h)
-    yield from _affine("projection.", "2", h, config.latent_dim)
+            yield from _mlp_layout(f"layers.{k}.", ("",), (h, h))
+    yield from _mlp_layout("projection.", _TWO_LAYER, (h, h, config.latent_dim))
     if head is not None:
         yield from _head_layout(h, head)
 
@@ -384,28 +397,36 @@ def _aggregate(
     )
 
 
+def _mlp(
+    tape: Tape,
+    model: EncoderModel,
+    x: Tensor,
+    prefix: str,
+    suffixes: Sequence[str],
+    act: Callable[[Tape, Tensor], Tensor] = ad.relu,
+    rng: np.random.Generator | None = None,
+    rate: float = 0.0,
+) -> Tensor:
+    """One ``linear`` per suffix ``s``, on ``{prefix}weight{s}`` and
+    ``{prefix}bias{s}`` (see :func:`_mlp_layout`).  Between each two run
+    ``act`` and then, when given a stream ``rng``, dropout at ``rate``."""
+    for i, s in enumerate(suffixes):
+        if i:
+            x = act(tape, x)
+            if rng is not None:
+                x = ad.dropout(tape, x, rate, rng)
+        x = ad.linear(
+            tape, x, model.params[f"{prefix}weight{s}"], model.params[f"{prefix}bias{s}"]
+        )
+    return x
+
+
 def gin_layer(
     tape: Tape, model: EncoderModel, k: int, states: Tensor, batch: GraphBatch
 ) -> Tensor:
-    cfg = model.config
     agg = _aggregate(tape, model, k, states, batch.bond_edges)
-    combined = ad.add(tape, states, agg)
-    hidden = ad.relu(
-        tape,
-        ad.linear(
-            tape,
-            combined,
-            model.params[f"layers.{k}.mlp.weight1"],
-            model.params[f"layers.{k}.mlp.bias1"],
-        ),
-    )
-    out = ad.linear(
-        tape,
-        hidden,
-        model.params[f"layers.{k}.mlp.weight2"],
-        model.params[f"layers.{k}.mlp.bias2"],
-    )
-    if k < cfg.num_layers - 1:
+    out = _mlp(tape, model, ad.add(tape, states, agg), f"layers.{k}.mlp.", _TWO_LAYER)
+    if k < model.config.num_layers - 1:
         out = ad.relu(tape, out)
     return out
 
@@ -413,15 +434,9 @@ def gin_layer(
 def gcn_layer(
     tape: Tape, model: EncoderModel, k: int, states: Tensor, batch: GraphBatch
 ) -> Tensor:
-    cfg = model.config
     agg = _aggregate(tape, model, k, states, batch.gcn_edges)
-    out = ad.linear(
-        tape,
-        agg,
-        model.params[f"layers.{k}.weight"],
-        model.params[f"layers.{k}.bias"],
-    )
-    if k < cfg.num_layers - 1:
+    out = _mlp(tape, model, agg, f"layers.{k}.", ("",))
+    if k < model.config.num_layers - 1:
         out = ad.relu(tape, out)
     return out
 
@@ -463,15 +478,7 @@ def represent(
 
 def project(tape: Tape, model: EncoderModel, h: Tensor) -> Tensor:
     """Contrastive projection ``g(h)``: linear -> ReLU -> linear."""
-    hidden = ad.relu(
-        tape,
-        ad.linear(
-            tape, h, model.params["projection.weight1"], model.params["projection.bias1"]
-        ),
-    )
-    return ad.linear(
-        tape, hidden, model.params["projection.weight2"], model.params["projection.bias2"]
-    )
+    return _mlp(tape, model, h, "projection.", _TWO_LAYER)
 
 
 def predict(
@@ -486,19 +493,7 @@ def predict(
     if head is None:
         raise ValueError("model has no prediction head; call add_head first")
     act = ad.relu if head.activation == "relu" else ad.softplus
-    x = h
-    for i in range(head.hidden_layers):
-        x = act(
-            tape,
-            ad.linear(
-                tape, x, model.params[f"head.weight{i}"], model.params[f"head.bias{i}"]
-            ),
-        )
-        if rng is not None:
-            x = ad.dropout(tape, x, head.dropout, rng)
-    return ad.linear(
-        tape, x, model.params["head.weight_out"], model.params["head.bias_out"]
-    )
+    return _mlp(tape, model, h, "head.", _head_suffixes(head), act, rng, head.dropout)
 
 
 def frozen_forward(

@@ -12,6 +12,10 @@ Supported subset:
 * bond symbols ``- = # :`` plus the directional single bonds ``/`` and
   ``\\``, which are stored as edge direction markers.
 
+Digits (isotopes, hydrogen counts, charges, atom classes, ring closures)
+are the ASCII ``0``-``9``; digits of other scripts are not read as
+digits.
+
 Implicit hydrogens are accounted for when checking valence but are never
 materialized as nodes; explicit ``[H]`` atoms are kept.  Aromatic rings are
 kept as aromatic bonds, never kekulized.  Extended stereochemistry tags
@@ -28,6 +32,7 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import DataError
 from .graph import (
@@ -110,6 +115,8 @@ _ORGANIC_ONE = frozenset("BCNOPSFI")
 _AROMATIC_ORGANIC = frozenset("bcnops")
 # Aromatic symbols allowed inside brackets.
 _AROMATIC_BRACKET = frozenset({"b", "c", "n", "o", "p", "s", "se", "as", "te"})
+# SMILES digits are ASCII only; ``str.isdigit`` also accepts other scripts.
+_DIGITS = frozenset("0123456789")
 # Two-letter extended stereo tags we reject (``@TH1`` etc.).
 _EXTENDED_STEREO = ("TH", "AL", "SP", "TB", "OH", "EB")
 
@@ -175,8 +182,20 @@ class _Parser:
         self.branches: list[tuple[int, int]] = []
         self.rings: dict[int, _RingOpen] = {}
 
-    def fail(self, kind: DiagnosticKind, position: int, message: str) -> None:
+    def fail(self, kind: DiagnosticKind, position: int, message: str) -> NoReturn:
         raise SmilesParseError(ParseDiagnostic(kind, position, message), self.text)
+
+    def _no_pending(self, message: str) -> None:
+        """Fail at the pending bond symbol, if there is one."""
+        if self.pending is not None:
+            self.fail(DiagnosticKind.BAD_BOND, self.pending.position, message)
+
+    def _digits(self, i: int) -> tuple[str, int]:
+        """The run of digits starting at ``i``, and the index after it."""
+        s, end = self.text, i
+        while end < len(s) and s[end] in _DIGITS:
+            end += 1
+        return s[i:end], end
 
     # -- atom scanning -------------------------------------------------
 
@@ -194,30 +213,22 @@ class _Parser:
             self.pos = i + 1
             return _Atom(_ELEMENTS[ch.upper()], Chirality.UNSPECIFIED, 0, True, 0, i)
         self.fail(DiagnosticKind.UNKNOWN_ATOM, i, f"unknown atom symbol {ch!r}")
-        raise AssertionError("unreachable")
 
     def _scan_bracket(self) -> _Atom:
         s, start = self.text, self.pos
-        i = start + 1
-        while i < len(s) and s[i].isdigit():  # isotope, discarded
-            i += 1
+        _, i = self._digits(start + 1)  # isotope, discarded
         atomic_number, aromatic, i = self._bracket_symbol(i, start)
         chirality, i = self._bracket_chirality(i)
         explicit_h = 0
         if i < len(s) and s[i] == "H":
-            i += 1
-            digits = ""
-            while i < len(s) and s[i].isdigit():
-                digits += s[i]
-                i += 1
+            digits, i = self._digits(i + 1)
             explicit_h = int(digits) if digits else 1
         charge, i = self._bracket_charge(i)
         if i < len(s) and s[i] == ":":  # atom class, discarded
-            i += 1
-            if i >= len(s) or not s[i].isdigit():
-                self.fail(DiagnosticKind.UNKNOWN_ATOM, i, "malformed atom class")
-            while i < len(s) and s[i].isdigit():
-                i += 1
+            digits, end = self._digits(i + 1)
+            if not digits:
+                self.fail(DiagnosticKind.UNKNOWN_ATOM, i + 1, "malformed atom class")
+            i = end
         if i >= len(s) or s[i] != "]":
             self.fail(DiagnosticKind.UNKNOWN_ATOM, start, "unterminated bracket atom")
         self.pos = i + 1
@@ -245,7 +256,6 @@ class _Parser:
                 return _ELEMENTS[ch], False, i + 1
             self.fail(DiagnosticKind.UNKNOWN_ATOM, i, f"unknown element {two!r}")
         self.fail(DiagnosticKind.UNKNOWN_ATOM, i, f"expected element symbol, got {ch!r}")
-        raise AssertionError("unreachable")
 
     def _bracket_chirality(self, i: int) -> tuple[Chirality, int]:
         s = self.text
@@ -266,15 +276,10 @@ class _Parser:
         s = self.text
         if i >= len(s) or s[i] not in "+-":
             return 0, i
-        sign = 1 if s[i] == "+" else -1
-        symbol = s[i]
-        start = i
-        i += 1
-        if i < len(s) and s[i].isdigit():
-            digits = ""
-            while i < len(s) and s[i].isdigit():
-                digits += s[i]
-                i += 1
+        symbol, start = s[i], i
+        sign = 1 if symbol == "+" else -1
+        digits, i = self._digits(i + 1)
+        if digits:
             magnitude = int(digits)
         else:
             magnitude = 1
@@ -298,12 +303,8 @@ class _Parser:
         idx = len(self.atoms) - 1
         if self.prev is not None:
             self._add_edge(self.prev, idx, self.pending, atom.position)
-        elif self.pending is not None:
-            self.fail(
-                DiagnosticKind.BAD_BOND,
-                self.pending.position,
-                "bond symbol with no preceding atom",
-            )
+        else:
+            self._no_pending("bond symbol with no preceding atom")
         self.pending = None
         self.prev = idx
 
@@ -399,18 +400,18 @@ class _Parser:
                 bond_type, direction = _BOND_SYMBOLS[ch]
                 self.pending = _Pending(bond_type, direction, self.pos)
                 self.pos += 1
-            elif ch.isdigit():
+            elif ch in _DIGITS:
                 self._ring_digit(int(ch), self.pos)
                 self.pos += 1
             elif ch == "%":
-                digits = s[self.pos + 1 : self.pos + 3]
-                if len(digits) != 2 or not digits.isdigit():
+                digits, _ = self._digits(self.pos + 1)
+                if len(digits) < 2:
                     self.fail(
                         DiagnosticKind.UNCLOSED_RING,
                         self.pos,
                         "'%' ring closure needs two digits",
                     )
-                self._ring_digit(int(digits), self.pos)
+                self._ring_digit(int(digits[:2]), self.pos)
                 self.pos += 3
             elif ch == "(":
                 if self.prev is None:
@@ -419,12 +420,7 @@ class _Parser:
                         self.pos,
                         "branch opened before any atom",
                     )
-                if self.pending is not None:
-                    self.fail(
-                        DiagnosticKind.BAD_BOND,
-                        self.pending.position,
-                        "bond symbol before a branch opening",
-                    )
+                self._no_pending("bond symbol before a branch opening")
                 self.branches.append((self.prev, self.pos))
                 self.pos += 1
             elif ch == ")":
@@ -434,33 +430,18 @@ class _Parser:
                         self.pos,
                         "branch closed but never opened",
                     )
-                if self.pending is not None:
-                    self.fail(
-                        DiagnosticKind.BAD_BOND,
-                        self.pending.position,
-                        "dangling bond symbol before ')'",
-                    )
+                self._no_pending("dangling bond symbol before ')'")
                 self.prev = self.branches.pop()[0]
                 self.pos += 1
             elif ch == ".":
-                if self.pending is not None:
-                    self.fail(
-                        DiagnosticKind.BAD_BOND,
-                        self.pending.position,
-                        "dangling bond symbol before '.'",
-                    )
+                self._no_pending("dangling bond symbol before '.'")
                 self.prev = None
                 self.pos += 1
             else:
                 self.fail(
                     DiagnosticKind.UNKNOWN_ATOM, self.pos, f"unexpected character {ch!r}"
                 )
-        if self.pending is not None:
-            self.fail(
-                DiagnosticKind.BAD_BOND,
-                self.pending.position,
-                "dangling bond symbol at end of input",
-            )
+        self._no_pending("dangling bond symbol at end of input")
         if self.rings:
             digit, first = min(self.rings.items(), key=lambda kv: kv[1].position)
             self.fail(

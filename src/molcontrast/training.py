@@ -8,6 +8,11 @@ fixed tag, so no consumer can perturb another.  Each training batch passes
 its dropout stream, and dropout runs if and only if a stream is passed
 (validation and inference pass none); a rate of 0 draws nothing from it.
 
+Neither loop writes a file: each returns its per-epoch history, which
+:func:`write_trace_csv` writes as CSV, and a checkpoint (pre-training) or
+model (fine-tuning) that :func:`save_checkpoint` writes.  Learning rates,
+weight decay and the temperature must be finite.
+
 A checkpoint holds model parameters and the config that rebuilds the
 model, and no optimizer state: it cannot resume a training run.
 
@@ -371,12 +376,14 @@ class PretrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if not self.weight_decay >= 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
+            )
+        if not 0 < self.temperature < math.inf:
+            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
         if not 0 <= self.warm_epochs <= self.epochs:
             raise ConfigError(
                 f"warm_epochs {self.warm_epochs} outside [0, {self.epochs}]"
@@ -469,11 +476,7 @@ def _contrastive_batch(
     return tape, loss
 
 
-def pretrain(
-    graphs: Sequence[MoleculeGraph],
-    cfg: PretrainConfig,
-    trace_path: str | Path | None = None,
-) -> PretrainResult:
+def pretrain(graphs: Sequence[MoleculeGraph], cfg: PretrainConfig) -> PretrainResult:
     """Contrastive pre-training over an unlabeled corpus.
 
     Splits 95/5 (by ``val_fraction``) into train/validation, then per
@@ -528,8 +531,6 @@ def pretrain(
     ckpt = model_to_checkpoint(
         model, epoch=cfg.epochs, extra={"pretrain": _jsonable_config(cfg)}
     )
-    if trace_path is not None:
-        write_trace_csv(trace_path, history)
     return PretrainResult(model, history, ckpt)
 
 
@@ -565,8 +566,8 @@ class FinetuneConfig:
     Off-grid values for the grid fields are rejected unless
     ``free_values`` is set, in which case they are accepted with a
     warning.  Values that no run can use (a learning rate that is not
-    positive, a head that :class:`~molcontrast.encoder.HeadSpec` rejects)
-    are rejected either way.
+    finite and positive, a head that :class:`~molcontrast.encoder.HeadSpec`
+    rejects) are rejected either way.
     """
 
     epochs: int = 100
@@ -589,8 +590,8 @@ class FinetuneConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         for name in ("lr_head", "lr_base"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ConfigError(f"{name} must be > 0, got {value}")
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         check_head_fields(
             self.n_layer, self.hidden_dim, self.activation, self.dropout, "n_layer"
         )
@@ -713,7 +714,6 @@ def finetune(
     encoder: EncoderConfig | None = None,
     split: SplitAssignment | None = None,
     augment: AugmentSpec | None = None,
-    trace_path: str | Path | None = None,
 ) -> FinetuneResult:
     """Supervised training on a scaffold-split labeled dataset.
 
@@ -859,8 +859,6 @@ def finetune(
     test_metric, per_task = scored[0]
     metrics = {m.__name__: value for m, (value, _) in zip(test_metrics, scored)}
     metric_name = test_metrics[0].__name__
-    if trace_path is not None:
-        write_trace_csv(trace_path, history)
     return FinetuneResult(
         model,
         history,

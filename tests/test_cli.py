@@ -185,6 +185,20 @@ def test_other_commands_validate_before_data(argv, tmp_path, capsys):
         (["ablate_aug", "--data", "{absent}", "--free-values", "--lr-base", "0"], "lr_base"),
         (["pretrain", "--data", "{absent}", "--weight-decay", "-1"], "weight_decay"),
         (["augment", "--data", "{absent}", "--views", "0"], "--views"),
+        # Non-finite numbers: each is rejected where its field is checked.
+        (["pretrain", "--data", "{absent}", "--temperature", "nan"], "temperature"),
+        (["pretrain", "--data", "{absent}", "--temperature", "inf"], "temperature"),
+        (["pretrain", "--data", "{absent}", "--lr", "inf"], "lr"),
+        (["pretrain", "--data", "{absent}", "--lr", "nan"], "lr"),
+        (["pretrain", "--data", "{absent}", "--weight-decay", "inf"], "weight_decay"),
+        (["finetune", "--data", "{absent}", "--free-values", "--lr-head", "inf"], "lr_head"),
+        (["finetune", "--data", "{absent}", "--free-values", "--lr-base", "inf"], "lr_base"),
+        (["ablate_aug", "--data", "{absent}", "--temperature", "inf"], "temperature"),
+        (["gradcheck", "--eps", "inf"], "eps"),
+        (["gradcheck", "--eps", "nan"], "eps"),
+        (["gradcheck", "--threshold", "nan"], "--threshold"),
+        (["gradcheck", "--threshold", "inf"], "--threshold"),
+        (["gradcheck", "--threshold", "-1"], "--threshold"),
     ],
 )
 def test_bad_flag_values_are_config_errors_before_data(argv, named, tmp_path, capsys):
@@ -197,6 +211,14 @@ def test_bad_flag_values_are_config_errors_before_data(argv, named, tmp_path, ca
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err, err
+
+
+def test_out_naming_a_file_is_a_config_error_before_data(tmp_path, capsys):
+    (tmp_path / "f").write_text("")
+    argv = ["split", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "f")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--out" in err, err
 
 
 SWEEP_BASES = {
@@ -219,15 +241,10 @@ def test_sweep_covers_every_subcommand():
     assert sorted(build_parser()[1]) == sorted(SWEEP_BASES)
 
 
-@pytest.mark.parametrize("command", sorted(SWEEP_BASES))
-def test_numeric_flags_at_zero_and_minus_one_end_in_an_exit_code(
-    command, corpus_csv, labeled_csv, pretrained, tmp_path, capsys
-):
-    # Every int or float flag of the subcommand, set to 0 and then to -1 on
-    # a fast config that succeeds: each run must end in an exit code
-    # (0 success, 1 config, 2 data, 3 numeric), never in an exception.
-    from molcontrast.cli import build_parser
-
+def _sweep_numeric_flags(command, values, corpus_csv, labeled_csv, pretrained, tmp_path):
+    """Run every int or float flag of ``command``, set to each of ``values``
+    on a fast config that succeeds; returns the runs that did not end in an
+    exit code (0 success, 1 config, 2 data, 3 numeric)."""
     paths = {"{corpus}": str(corpus_csv), "{labeled}": str(labeled_csv),
              "{checkpoint}": str(pretrained / "checkpoint.bin")}
     base = [command] + [paths.get(a, a) for a in SWEEP_BASES[command]]
@@ -235,7 +252,7 @@ def test_numeric_flags_at_zero_and_minus_one_end_in_an_exit_code(
     flags = [a.option_strings[0] for a in sub._actions if a.type in (int, float)]
     assert flags
     escaped = []
-    for k, (flag, value) in enumerate((f, v) for f in flags for v in ("0", "-1")):
+    for k, (flag, value) in enumerate((f, v) for f in flags for v in values):
         argv = base + ["--out", str(tmp_path / str(k)), flag, value]
         try:
             rc = main(argv)
@@ -244,6 +261,27 @@ def test_numeric_flags_at_zero_and_minus_one_end_in_an_exit_code(
             continue
         if rc not in (0, 1, 2, 3):
             escaped.append(f"{flag} {value}: exit {rc}")
+    return escaped
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_BASES))
+def test_numeric_flags_at_zero_and_minus_one_end_in_an_exit_code(
+    command, corpus_csv, labeled_csv, pretrained, tmp_path, capsys
+):
+    escaped = _sweep_numeric_flags(
+        command, ("0", "-1"), corpus_csv, labeled_csv, pretrained, tmp_path
+    )
+    capsys.readouterr()
+    assert not escaped, "\n".join(escaped)
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_BASES))
+def test_numeric_flags_at_nan_and_inf_end_in_an_exit_code(
+    command, corpus_csv, labeled_csv, pretrained, tmp_path, capsys
+):
+    escaped = _sweep_numeric_flags(
+        command, ("nan", "inf"), corpus_csv, labeled_csv, pretrained, tmp_path
+    )
     capsys.readouterr()
     assert not escaped, "\n".join(escaped)
 
@@ -538,6 +576,7 @@ def test_overflowing_checkpoint_finetune_is_a_numeric_abort(
     assert proc.stderr.startswith("numeric abort:"), proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_finite_adam_update_is_a_numeric_abort(tmp_path):
@@ -557,7 +596,24 @@ def test_non_finite_adam_update_is_a_numeric_abort(tmp_path):
     assert proc.stderr.startswith("numeric abort:"), proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
-    assert not (tmp_path / "o" / "checkpoint.bin").exists()
+    assert not (tmp_path / "o").exists()  # the output directory comes after the work
+
+
+def test_overflowing_gradcheck_step_is_a_numeric_abort(tmp_path):
+    # 2 * eps overflows, so every central difference is NaN: each op must
+    # fail, with no RuntimeWarning on the way.  A fresh process, as above.
+    argv = ["gradcheck", "--eps", "1e308", "--out", str(tmp_path / "o")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "molcontrast.cli"] + argv,
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numeric abort:"), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "ok" not in proc.stdout.split()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")

@@ -175,6 +175,11 @@ MALFORMED = [
     ("[C+-]", DiagnosticKind.BAD_CHARGE, 2),
     ("[C+16]", DiagnosticKind.BAD_CHARGE, 2),
     ("[C-16]", DiagnosticKind.BAD_CHARGE, 2),
+    # Digits are ASCII: other scripts' digits are not ring closures or counts.
+    ("C\u00b9CC\u00b9", DiagnosticKind.UNKNOWN_ATOM, 1),
+    ("[CH\u00b2]", DiagnosticKind.UNKNOWN_ATOM, 0),
+    ("C%\u00b9\u00b2CC%\u00b9\u00b2", DiagnosticKind.UNCLOSED_RING, 1),
+    ("C\u0663CC\u0663", DiagnosticKind.UNKNOWN_ATOM, 1),
 ]
 
 

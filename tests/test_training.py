@@ -363,7 +363,8 @@ def test_pretrain_smoke_and_determinism(tmp_path):
         seed=7,
     )
     trace = tmp_path / "trace.csv"
-    a = pretrain(corpus, cfg, trace_path=trace)
+    a = pretrain(corpus, cfg)
+    write_trace_csv(trace, a.history)
     b = pretrain(corpus, cfg)
     assert len(a.history) == 3
     assert all(math.isfinite(t.train_loss) for t in a.history)
