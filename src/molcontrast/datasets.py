@@ -21,7 +21,13 @@ import numpy as np
 
 from .encoder import TASK_KINDS
 from .errors import DataError
-from .fingerprints import _bond_types, _refine, fnv1a64
+from .fingerprints import (
+    _CHUNK,
+    _fnv1a64_many,
+    _MoleculeBatch,
+    _refine_batch,
+    fnv1a64,
+)
 from .graph import BondEdge, MoleculeGraph
 from .smiles import CorpusFailure, _read_smiles_csv
 
@@ -31,6 +37,7 @@ __all__ = [
     "load_labeled_csv",
     "murcko_scaffold",
     "scaffold_key",
+    "scaffold_keys",
     "Split",
     "SplitAssignment",
     "scaffold_split",
@@ -160,22 +167,33 @@ _EMPTY_SCAFFOLD_KEY = fnv1a64(b"empty-scaffold")
 _WL_ROUNDS = 3
 
 
-def _wl_labels(g: MoleculeGraph) -> list[int]:
-    labels = [fnv1a64(str(node.atomic_number).encode()) for node in g.nodes]
-    bond_type = _bond_types(g)
-    for _ in range(_WL_ROUNDS):
-        labels = _refine(g, labels, bond_type)
-    return labels
+def scaffold_keys(graphs: Sequence[MoleculeGraph]) -> list[int]:
+    """:func:`scaffold_key` of every molecule; each refinement round hashes
+    every scaffold atom of a chunk of molecules at once."""
+    keys: list[int] = []
+    for lo in range(0, len(graphs), _CHUNK):
+        cores = [murcko_scaffold(g) for g in graphs[lo : lo + _CHUNK]]
+        b = _MoleculeBatch([core for core in cores if core.num_nodes])
+        labels = _fnv1a64_many([str(z).encode() for z in b.z.tolist()])
+        for _ in range(_WL_ROUNDS):
+            labels = _refine_batch(b, labels)
+        ptr = b.atom_ptr.tolist()
+        summaries = [
+            f"{core.num_nodes}|{core.num_edges}|"
+            + ",".join(map(str, sorted(labels[ptr[m] : ptr[m + 1]].tolist())))
+            for m, core in enumerate(b.graphs)
+        ]
+        ring_keys = iter(_fnv1a64_many([t.encode() for t in summaries]).tolist())
+        keys += [
+            next(ring_keys) if core.num_nodes else _EMPTY_SCAFFOLD_KEY
+            for core in cores
+        ]
+    return keys
 
 
 def scaffold_key(g: MoleculeGraph) -> int:
     """64-bit scaffold identity; relabeling-invariant, chirality-blind."""
-    core = murcko_scaffold(g)
-    if core.num_nodes == 0:
-        return _EMPTY_SCAFFOLD_KEY
-    labels = sorted(_wl_labels(core))
-    summary = f"{core.num_nodes}|{core.num_edges}|" + ",".join(map(str, labels))
-    return fnv1a64(summary.encode())
+    return scaffold_keys([g])[0]
 
 
 # -- splitting ---------------------------------------------------------
@@ -233,8 +251,8 @@ def scaffold_split(
         raise DataError(problem)
     n = len(graphs)
     groups: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        groups.setdefault(scaffold_key(g), []).append(i)
+    for i, key in enumerate(scaffold_keys(graphs)):
+        groups.setdefault(key, []).append(i)
     if len(groups) < 3:
         raise DataError(
             f"only {len(groups)} scaffold group(s); cannot populate three splits"

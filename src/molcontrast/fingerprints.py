@@ -14,6 +14,17 @@ Two fingerprint kinds over 2048-bit vectors:
 Hashing is 64-bit FNV-1a over a stable text serialization, so bit
 positions are identical across platforms and runs.
 
+Both kinds are computed for a batch of molecules at a time, in chunks of
+``_CHUNK`` molecules laid end to end with their directed bonds in one CSR
+table.  Each circular round builds the text of every atom of the chunk and
+hashes them all with one vectorised FNV-1a, which runs one array step per
+byte column over the texts sorted by falling length.  Paths are walked
+level by level: the paths of k + 1 bonds extend those of k bonds by every
+neighbour of their last atom not already on the path.  Each level's label
+rows are put in canonical direction, deduplicated with a lexsort, and only
+the distinct rows are hashed.  The one-molecule functions are the batch of
+one.
+
 Retrieval analysis embeds a corpus with the encoder readout (the 512-d
 ``h``, not the contrastive projection), ranks it by cosine distance to a
 query, partitions the ranking into equal rank-range bins, and reports
@@ -23,7 +34,7 @@ fingerprint similarity statistics per bin plus the nearest neighbors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +48,7 @@ __all__ = [
     "ring_atoms",
     "circular_fp",
     "path_fp",
-    "enumerate_simple_paths",
+    "fingerprint_chunks",
     "dice",
     "cosine_distance",
     "BinStat",
@@ -53,6 +64,7 @@ _MASK64 = (1 << 64) - 1
 _NBITS = 2048  # bits in every fingerprint
 _RADIUS = 2  # circular refinement rounds
 _MAX_PATH_BONDS = 7  # longest path enumerated, in bonds
+_CHUNK = 64  # molecules fingerprinted together
 
 
 def fnv1a64(data: bytes) -> int:
@@ -61,6 +73,30 @@ def fnv1a64(data: bytes) -> int:
     for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
+
+
+def _fnv1a64_many(texts: Sequence[bytes]) -> np.ndarray:
+    """:func:`fnv1a64` of every text, uint64 [n], one array step per byte column.
+
+    Rows are sorted by falling length, so the rows that still have a byte at
+    column j are a prefix of the table and each column updates a slice.
+    """
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    order = np.argsort(-lengths, kind="stable")
+    width = int(lengths[order[0]]) if len(texts) else 0
+    table = np.frombuffer(
+        b"".join([texts[i].ljust(width, b"\0") for i in order.tolist()]), dtype=np.uint8
+    ).reshape(len(texts), width)
+    alive = np.searchsorted(-lengths[order], -np.arange(width), side="left")
+    h = np.full(len(texts), _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for j, k in enumerate(alive.tolist()):
+        live = h[:k]
+        live ^= table[:k, j]
+        live *= prime
+    out = np.empty_like(h)
+    out[order] = h
+    return out
 
 
 @dataclass(frozen=True)
@@ -116,89 +152,160 @@ def ring_atoms(g: MoleculeGraph) -> frozenset[int]:
     return frozenset(in_ring)
 
 
-def _bond_types(g: MoleculeGraph) -> dict[tuple[int, int], int]:
-    """Bond type of every edge, keyed by both orientations."""
-    bond_type: dict[tuple[int, int], int] = {}
-    for e in g.edges:
-        bond_type[(e.u, e.v)] = int(e.bond_type)
-        bond_type[(e.v, e.u)] = int(e.bond_type)
-    return bond_type
+class _MoleculeBatch:
+    """Molecules laid end to end: atoms numbered across the batch, and the
+    directed bonds (each bond once per direction) as a CSR table sorted by
+    source atom."""
+
+    def __init__(self, graphs: Sequence[MoleculeGraph]) -> None:
+        self.graphs = tuple(graphs)
+        sizes = [g.num_nodes for g in self.graphs]
+        self.atom_ptr = np.zeros(len(sizes) + 1, dtype=np.int32)
+        np.cumsum(sizes, out=self.atom_ptr[1:])
+        n = int(self.atom_ptr[-1])
+        self.mol = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+        self.z = np.fromiter(
+            (node.atomic_number for g in self.graphs for node in g.nodes),
+            dtype=np.uint8,
+            count=n,
+        )
+        bonds = np.array(
+            [
+                (e.u + off, e.v + off, int(e.bond_type))
+                for off, g in zip(self.atom_ptr.tolist(), self.graphs)
+                for e in g.edges
+            ],
+            dtype=np.int32,
+        ).reshape(-1, 3)
+        src = np.concatenate([bonds[:, 0], bonds[:, 1]])
+        dst = np.concatenate([bonds[:, 1], bonds[:, 0]])
+        order = np.argsort(src, kind="stable")
+        self.src = src[order]
+        self.dst = dst[order]
+        self.bond = np.concatenate([bonds[:, 2], bonds[:, 2]])[order].astype(np.uint8)
+        self.ptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.src, minlength=n), out=self.ptr[1:])
+
+    @property
+    def num_atoms(self) -> int:
+        return int(self.atom_ptr[-1])
 
 
-def _refine(
-    g: MoleculeGraph, labels: list[int], bond_type: dict[tuple[int, int], int]
-) -> list[int]:
-    """One neighbourhood-hash round: each atom's label re-hashed with its
-    sorted (bond type, neighbour label) pairs."""
-    fresh = []
-    for v in range(g.num_nodes):
-        env = sorted((bond_type[(v, u)], labels[u]) for u in g.adjacency[v])
-        text = f"{labels[v]}|" + ";".join(f"{b},{h}" for b, h in env)
-        fresh.append(fnv1a64(text.encode()))
-    return fresh
+def _refine_batch(b: _MoleculeBatch, labels: np.ndarray) -> np.ndarray:
+    """One neighbourhood-hash round over every atom of a batch: each atom's
+    label re-hashed with its sorted (bond type, neighbour label) pairs."""
+    order = np.lexsort((labels[b.dst], b.bond, b.src))
+    text = list(map(str, labels.tolist()))
+    pairs = [
+        f"{t},{text[u]}" for t, u in zip(b.bond[order].tolist(), b.dst[order].tolist())
+    ]
+    ptr = b.ptr.tolist()
+    return _fnv1a64_many(
+        [
+            f"{text[v]}|{';'.join(pairs[ptr[v] : ptr[v + 1]])}".encode()
+            for v in range(b.num_atoms)
+        ]
+    )
+
+
+def _circular_bits(b: _MoleculeBatch) -> np.ndarray:
+    """Circular bits of every molecule in a batch, bool [molecules, nbits]."""
+    in_ring = np.zeros(b.num_atoms, dtype=np.int8)
+    for off, g in zip(b.atom_ptr.tolist(), b.graphs):
+        in_ring[[off + v for v in ring_atoms(g)]] = 1
+    charge = [node.formal_charge for g in b.graphs for node in g.nodes]
+    degree = np.diff(b.ptr)
+    inv = _fnv1a64_many(
+        [
+            f"{z}|{d}|{c}|{r}".encode()
+            for z, d, c, r in zip(
+                b.z.tolist(), degree.tolist(), charge, in_ring.tolist()
+            )
+        ]
+    )
+    bits = np.zeros((len(b.graphs), _NBITS), dtype=bool)
+    bits[b.mol, inv % _NBITS] = True
+    for _ in range(_RADIUS):
+        inv = _refine_batch(b, inv)
+        bits[b.mol, inv % _NBITS] = True
+    return bits
+
+
+def _set_path_bits(bits: np.ndarray, mol: np.ndarray, labels: np.ndarray) -> None:
+    """Set the bit of every path of one length, given its molecule and its
+    (Z, bond, Z, ...) label row.
+
+    A row and its reverse give one canonical row, the lexicographically
+    smaller; only the distinct canonical rows are serialized and hashed.
+    """
+    rev = labels[:, ::-1]
+    first = (labels != rev).argmax(axis=1)  # 0 for palindromes: keep as is
+    at = np.arange(len(labels))
+    flip = rev[at, first] < labels[at, first]
+    canon = np.where(flip[:, None], rev, labels)
+    order = np.lexsort(canon.T[::-1])
+    canon = canon[order]
+    fresh = np.ones(len(canon), dtype=bool)
+    fresh[1:] = (canon[1:] != canon[:-1]).any(axis=1)
+    hashes = _fnv1a64_many(
+        [",".join(map(str, row)).encode() for row in canon[fresh].tolist()]
+    )
+    bits[mol[order], hashes[np.cumsum(fresh) - 1] % _NBITS] = True
+
+
+def _path_bits(b: _MoleculeBatch) -> np.ndarray:
+    """Path bits of every molecule in a batch, bool [molecules, nbits].
+
+    Level-synchronous walk: the paths of k + 1 bonds are those of k bonds
+    extended by every neighbour of their last atom not already on the path.
+    Every path is walked in both directions, and both give one canonical
+    label row.
+    """
+    bits = np.zeros((len(b.graphs), _NBITS), dtype=bool)
+    atoms = np.stack([b.src, b.dst], axis=1)
+    labels = np.stack([b.z[b.src], b.bond, b.z[b.dst]], axis=1)
+    while True:
+        _set_path_bits(bits, b.mol[atoms[:, 0]], labels)
+        if atoms.shape[1] > _MAX_PATH_BONDS or not len(atoms):
+            return bits
+        last = atoms[:, -1]
+        first = b.ptr[last]
+        degree = b.ptr[last + 1] - first
+        grown = np.repeat(np.arange(len(atoms), dtype=np.int32), degree)
+        # CSR position of each extension: its atom's first slot plus its rank
+        pos = np.arange(len(grown), dtype=np.int32) + np.repeat(
+            first - (np.cumsum(degree, dtype=np.int32) - degree), degree
+        )
+        nxt = b.dst[pos]
+        prefix = atoms[grown]
+        keep = (prefix != nxt[:, None]).all(axis=1)
+        atoms = np.concatenate([prefix[keep], nxt[keep, None]], axis=1)
+        labels = np.concatenate(
+            [labels[grown[keep]], b.bond[pos[keep], None], b.z[nxt[keep], None]],
+            axis=1,
+        )
+
+
+def fingerprint_chunks(
+    graphs: Sequence[MoleculeGraph],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Circular and path bits, bool [molecules, nbits] each, of every run of
+    ``_CHUNK`` molecules in order.  Fixed-size chunks bound the path arrays,
+    and a caller that keeps only what it derives from each chunk keeps its
+    memory flat however many molecules it fingerprints."""
+    for lo in range(0, len(graphs), _CHUNK):
+        b = _MoleculeBatch(graphs[lo : lo + _CHUNK])
+        yield _circular_bits(b), _path_bits(b)
 
 
 def circular_fp(g: MoleculeGraph) -> Fingerprint:
     """Circular environment fingerprint; every round's invariants set bits."""
-    rings = ring_atoms(g)
-    bond_type = _bond_types(g)
-    inv = [
-        fnv1a64(
-            f"{node.atomic_number}|{len(g.adjacency[v])}|"
-            f"{node.formal_charge}|{int(v in rings)}".encode()
-        )
-        for v, node in enumerate(g.nodes)
-    ]
-    bits = np.zeros(_NBITS, dtype=bool)
-    bits[[h % _NBITS for h in inv]] = True
-    for _ in range(_RADIUS):
-        inv = _refine(g, inv, bond_type)
-        bits[[h % _NBITS for h in inv]] = True
-    return Fingerprint("circular", bits)
-
-
-def enumerate_simple_paths(g: MoleculeGraph) -> list[tuple[int, ...]]:
-    """Simple paths with 1..7 bonds, each undirected path once.
-
-    A path is kept when its node sequence is lexicographically <= its
-    reverse, which dedupes the two traversal directions.
-    """
-    out: list[tuple[int, ...]] = []
-    path: list[int] = []
-
-    def walk(v: int, visited: set[int]) -> None:
-        path.append(v)
-        visited.add(v)
-        if len(path) >= 2:
-            tup = tuple(path)
-            if tup <= tup[::-1]:
-                out.append(tup)
-        if len(path) <= _MAX_PATH_BONDS:
-            for u in g.adjacency[v]:
-                if u not in visited:
-                    walk(u, visited)
-        visited.remove(v)
-        path.pop()
-
-    for start in range(g.num_nodes):
-        walk(start, set())
-    return out
+    return Fingerprint("circular", _circular_bits(_MoleculeBatch([g]))[0])
 
 
 def path_fp(g: MoleculeGraph) -> Fingerprint:
     """Linear-path fingerprint over canonical label sequences."""
-    bond_type = _bond_types(g)
-    bits = np.zeros(_NBITS, dtype=bool)
-    for nodes in enumerate_simple_paths(g):
-        seq: list[int] = []
-        for i, v in enumerate(nodes):
-            if i:
-                seq.append(bond_type[(nodes[i - 1], v)])
-            seq.append(g.nodes[v].atomic_number)
-        canonical = min(seq, seq[::-1])
-        text = ",".join(map(str, canonical))
-        bits[fnv1a64(text.encode()) % _NBITS] = True
-    return Fingerprint("path", bits)
+    return Fingerprint("path", _path_bits(_MoleculeBatch([g]))[0])
 
 
 def dice(a: Fingerprint, b: Fingerprint) -> float:
@@ -207,10 +314,17 @@ def dice(a: Fingerprint, b: Fingerprint) -> float:
         raise ValueError(f"fingerprint kinds differ: {a.kind} vs {b.kind}")
     if a.nbits != b.nbits:
         raise ValueError(f"fingerprint sizes differ: {a.nbits} vs {b.nbits}")
-    total = a.count() + b.count()
-    if total == 0:
-        return 1.0
-    return 2.0 * float((a.bits & b.bits).sum()) / total
+    return float(_dice_rows(a.bits, b.bits[None])[0])
+
+
+def _dice_rows(query: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """:func:`dice` of one bit vector against every row, in one call."""
+    total = int(query.sum()) + rows.sum(axis=1)
+    shared = (rows & query).sum(axis=1)
+    out = np.ones(len(rows))
+    some = total > 0
+    out[some] = 2.0 * shared[some].astype(np.float64) / total[some]
+    return out
 
 
 def cosine_distance(u, v) -> float:
@@ -297,26 +411,30 @@ def retrieval_analysis(
     distances = _cosine_distances(q, reps)
     order = np.argsort(distances, kind="mergesort")
 
-    query_fps = (circular_fp(query), path_fp(query))
-    cache: dict[int, tuple[Fingerprint, Fingerprint]] = {}
-
-    def fps(idx: int) -> tuple[Fingerprint, Fingerprint]:
-        if idx not in cache:
-            cache[idx] = (circular_fp(corpus[idx]), path_fp(corpus[idx]))
-        return cache[idx]
-
     rng = np.random.default_rng(seed)
-    stats: list[BinStat] = []
-    for b, members in enumerate(np.array_split(order, bins)):
-        chosen = members
+    chosen = []
+    for members in np.array_split(order, bins):
         if samples_per_bin is not None and samples_per_bin < len(members):
-            chosen = rng.choice(members, size=samples_per_bin, replace=False)
-        dc = []
-        dp = []
-        for idx in chosen:
-            fc, fp = fps(int(idx))
-            dc.append(dice(query_fps[0], fc))
-            dp.append(dice(query_fps[1], fp))
+            members = rng.choice(members, size=samples_per_bin, replace=False)
+        chosen.append(members)
+    top = order[:top_k]
+    picked = np.zeros(len(corpus), dtype=bool)
+    picked[np.concatenate(chosen + [top])] = True
+    picks = np.flatnonzero(picked)
+    row = np.cumsum(picked) - 1  # a picked molecule's row among the picks
+    query_circular = circular_fp(query).bits
+    query_path = path_fp(query).bits
+    scored = [
+        (_dice_rows(query_circular, circular), _dice_rows(query_path, path))
+        for circular, path in fingerprint_chunks([corpus[i] for i in picks.tolist()])
+    ]
+    dice_circular = np.concatenate([dc for dc, _ in scored])
+    dice_path = np.concatenate([dp for _, dp in scored])
+
+    stats: list[BinStat] = []
+    for b, members in enumerate(chosen):
+        dc = dice_circular[row[members]]
+        dp = dice_path[row[members]]
         stats.append(
             BinStat(b, "circular", float(np.mean(dc)), float(np.std(dc)), len(dc))
         )
@@ -324,15 +442,14 @@ def retrieval_analysis(
             BinStat(b, "path", float(np.mean(dp)), float(np.std(dp)), len(dp))
         )
     neighbors = []
-    for rank, idx in enumerate(order[:top_k]):
-        fc, fp = fps(int(idx))
+    for rank, idx in enumerate(top.tolist()):
         neighbors.append(
             NeighborHit(
                 rank,
-                int(idx),
+                idx,
                 float(distances[idx]),
-                dice(query_fps[0], fc),
-                dice(query_fps[1], fp),
+                float(dice_circular[row[idx]]),
+                float(dice_path[row[idx]]),
             )
         )
     return RetrievalReport(len(corpus), bins, stats, neighbors)

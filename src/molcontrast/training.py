@@ -510,6 +510,7 @@ def pretrain(graphs: Sequence[MoleculeGraph], cfg: PretrainConfig) -> PretrainRe
                 model, tape, loss, state, lr, cfg.weight_decay,
                 "contrastive", epoch, start,
             )
+            del tape, loss  # free this step's activations before the next forward
             total += value * len(chunk)
             seen += len(chunk)
         train_loss = total / seen if seen else float("nan")
@@ -521,9 +522,9 @@ def pretrain(graphs: Sequence[MoleculeGraph], cfg: PretrainConfig) -> PretrainRe
                 chunk = val_idx[start : start + cfg.batch_size]
                 if len(chunk) < 2:
                     continue
-                _, loss = _contrastive_batch(
+                loss = _contrastive_batch(
                     frozen, graphs, chunk, cfg, epoch, _TAG_VAL_AUGMENT, None
-                )
+                )[1]
                 vals.append((float(loss.data), len(chunk)))
             if vals:
                 val_loss = sum(v * w for v, w in vals) / sum(w for _, w in vals)
@@ -830,6 +831,7 @@ def finetune(
             value = _optimizer_step(
                 model, tape, loss, state, rate, 0.0, "supervised", epoch, start
             )
+            del tape, loss  # as in pretrain()
             total += value * count
             seen += count
         train_loss = total / seen if seen else float("nan")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fingerprint_oracle as oracle
 from golden_corpus import GOLDEN
 from molcontrast.datasets import (
     Split,
@@ -17,9 +18,11 @@ from molcontrast.datasets import (
     rmse,
     roc_auc,
     scaffold_key,
+    scaffold_keys,
     scaffold_split,
 )
 from molcontrast.errors import DataError
+from molcontrast.fingerprints import _CHUNK
 from molcontrast.graph import BondType, relabel, validate
 from molcontrast.smiles import parse_smiles
 
@@ -104,6 +107,18 @@ def test_empty_scaffold_sentinel():
     acyclic = [parse_smiles(s) for s in ("CC", "CCCC", "C(=O)O", "N")]
     keys = {scaffold_key(g) for g in acyclic}
     assert len(keys) == 1
+
+
+def test_batched_scaffold_keys_match_oracle():
+    # acyclic molecules between ring systems, across a chunk boundary
+    from molgen import unlabeled_corpus
+
+    graphs = [parse_smiles(m.smiles) for m in GOLDEN]
+    graphs += unlabeled_corpus(_CHUNK + 30, 14)
+    keys = scaffold_keys(graphs)
+    assert keys == [oracle.scaffold_key(g) for g in graphs]
+    assert keys[:5] == [scaffold_key(g) for g in graphs[:5]]
+    assert scaffold_keys([]) == []
 
 
 # -- scaffold split ----------------------------------------------------------

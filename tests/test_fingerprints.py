@@ -4,23 +4,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fingerprint_oracle as oracle
+from fingerprint_oracle import enumerate_simple_paths
 from golden_corpus import GOLDEN
 from molcontrast.datasets import scaffold_key
 from molcontrast.encoder import EncoderConfig, EncoderModel
 from molcontrast.fingerprints import (
+    _CHUNK,
     Fingerprint,
     _cosine_distances,
+    _fnv1a64_many,
     circular_fp,
     cosine_distance,
     dice,
-    enumerate_simple_paths,
+    fingerprint_chunks,
     fnv1a64,
     path_fp,
     retrieval_analysis,
     ring_atoms,
 )
-from molcontrast.graph import relabel
+from molcontrast.graph import AtomNode, BondEdge, MoleculeGraph, mask_token, relabel
 from molcontrast.smiles import parse_smiles
+from molgen import unlabeled_corpus
 
 
 def small_model(seed=0):
@@ -43,6 +48,34 @@ def test_fnv1a64_stays_in_64_bits():
     for _ in range(50):
         data = rng.integers(0, 256, size=rng.integers(0, 40)).astype(np.uint8)
         assert 0 <= fnv1a64(bytes(data)) < 1 << 64
+
+
+def _random_texts(rng, lengths):
+    return [bytes(rng.integers(0, 256, size=n).astype(np.uint8)) for n in lengths]
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [
+        [],
+        [0],
+        [0, 0, 3],
+        [5] * 7,  # equal lengths: every column updates every row
+        [1, 2, 300, 3, 0, 2],  # one long row among short ones
+        list(range(40, -1, -1)),
+    ],
+)
+def test_fnv1a64_many_matches_scalar(lengths):
+    texts = _random_texts(np.random.default_rng(len(lengths)), lengths)
+    got = _fnv1a64_many(texts)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [fnv1a64(t) for t in texts]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.binary(max_size=24), max_size=12))
+def test_fnv1a64_many_matches_scalar_on_any_bytes(texts):
+    assert _fnv1a64_many(texts).tolist() == [fnv1a64(t) for t in texts]
 
 
 # -- ring atoms --------------------------------------------------------------
@@ -140,6 +173,70 @@ def test_hash_values_pinned(name):
     assert np.flatnonzero(circular_fp(g).bits).tolist() == circular
     assert np.flatnonzero(path_fp(g).bits).tolist() == path
     assert scaffold_key(g) == scaffold
+
+
+# -- batched bits against the per-molecule oracle ---------------------------
+
+# Every shape the walk and the refinement must get right: a lone atom, two
+# ions, a chain longer than the 7-bond cap, fused and spiro rings, charges,
+# multiple bonds and a three-digit atomic number (the mask token).
+ORACLE_SMILES = (
+    "C",
+    "[Na+].[Cl-]",
+    "C" * 10,
+    "c1ccc2ccccc2c1",
+    "C1CC12CC2",
+    "C1CCC2(CC1)CCCC2",
+    "CC(=O)[O-]",
+    "C[N+](C)(C)C",
+    "C#CC=CC",
+    "c1ccc2c(c1)[nH]c1ccccc12",
+    "C12C3C4C1C5C2C3C45",  # cubane: many paths per atom
+)
+_MASKED = MoleculeGraph(
+    (AtomNode(6), mask_token(), AtomNode(8, formal_charge=-1), mask_token()),
+    (BondEdge(0, 1), BondEdge(1, 2, 1), BondEdge(1, 3)),
+)
+ORACLE_GRAPHS = (
+    [parse_smiles(s) for s in ORACLE_SMILES]
+    + [parse_smiles(m.smiles) for m in GOLDEN]
+    + unlabeled_corpus(60, 11)
+    + [_MASKED]
+)
+
+
+def _assert_bits_match_oracle(graphs):
+    chunks = list(fingerprint_chunks(graphs))
+    assert [len(c) for c, _ in chunks] == [
+        min(_CHUNK, len(graphs) - lo) for lo in range(0, len(graphs), _CHUNK)
+    ]
+    circular = np.concatenate([c for c, _ in chunks])
+    path = np.concatenate([p for _, p in chunks])
+    assert circular.shape == path.shape == (len(graphs), 2048)
+    for g, c, p in zip(graphs, circular, path):
+        np.testing.assert_array_equal(c, oracle.circular_fp(g).bits)
+        np.testing.assert_array_equal(p, oracle.path_fp(g).bits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(ORACLE_GRAPHS), min_size=1, max_size=12))
+def test_batched_bits_match_oracle(graphs):
+    _assert_bits_match_oracle(graphs)
+
+
+def test_batched_bits_match_oracle_across_chunks():
+    graphs = unlabeled_corpus(_CHUNK + 40, 12) + ORACLE_GRAPHS
+    _assert_bits_match_oracle(graphs)
+
+
+def test_single_molecule_fps_match_oracle():
+    for g in ORACLE_GRAPHS:
+        np.testing.assert_array_equal(circular_fp(g).bits, oracle.circular_fp(g).bits)
+        np.testing.assert_array_equal(path_fp(g).bits, oracle.path_fp(g).bits)
+
+
+def test_fingerprint_chunks_of_no_molecules():
+    assert list(fingerprint_chunks([])) == []
 
 
 # -- path fingerprints -------------------------------------------------------
@@ -336,6 +433,20 @@ def test_retrieval_sampling_clamps():
         parse_smiles("CCO"), corpus, small_model(), bins=3, samples_per_bin=2
     )
     assert all(s.sample_size == 2 for s in report.bins)
+
+
+@pytest.mark.parametrize("samples_per_bin", [None, 3, 10])
+def test_retrieval_matches_oracle(samples_per_bin):
+    corpus = unlabeled_corpus(120, 13)
+    model = small_model(2)
+    for q in (corpus[0], parse_smiles("CC(=O)[O-]")):
+        got = retrieval_analysis(
+            q, corpus, model, bins=6, samples_per_bin=samples_per_bin, seed=5, top_k=12
+        )
+        want = oracle.retrieval_analysis(
+            q, corpus, model, bins=6, samples_per_bin=samples_per_bin, seed=5, top_k=12
+        )
+        assert got == want
 
 
 def test_retrieval_corpus_too_small():

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import struct
+import weakref
 import zlib
 
 import numpy as np
@@ -375,6 +376,39 @@ def test_pretrain_smoke_and_determinism(tmp_path):
     lines = trace.read_text().strip().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss,lr"
     assert len(lines) == 4
+
+
+def _watch_tapes(monkeypatch, name):
+    """Wrap a training function that returns (tape, ...) so every call first
+    checks that no tape an earlier call returned is still alive."""
+    real = getattr(training_module, name)
+    tapes = []
+
+    def watched(*args, **kwargs):
+        assert all(ref() is None for ref in tapes), "an earlier tape is still alive"
+        out = real(*args, **kwargs)
+        tapes.append(weakref.ref(out[0]))
+        return out
+
+    monkeypatch.setattr(training_module, name, watched)
+    return tapes
+
+
+def test_pretrain_frees_each_tape_before_the_next_step(monkeypatch):
+    tapes = _watch_tapes(monkeypatch, "_contrastive_batch")
+    cfg = PretrainConfig(
+        epochs=2, batch_size=4, warm_epochs=0, encoder=SMALL_ENCODER,
+        val_fraction=0.25, seed=3,
+    )
+    pretrain(unlabeled_corpus(16, seed=2), cfg)
+    assert len(tapes) == 2 * (3 + 1)  # three training and one validation batch
+
+
+def test_finetune_frees_each_tape_before_the_next_step(monkeypatch):
+    tapes = _watch_tapes(monkeypatch, "_supervised_loss")
+    cfg = FinetuneConfig(epochs=2, batch_size=32, hidden_dim=16, seed=0)
+    finetune(oxygen_dataset(100, seed=4), cfg, encoder=SMALL_ENCODER)
+    assert len(tapes) >= 4
 
 
 def test_pretrain_initial_loss_in_uniformity_band():
