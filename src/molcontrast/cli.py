@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -73,7 +74,8 @@ def _parse_bool(text: str) -> bool:
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """Read a `key = value` config file; '#' starts a comment."""
+    """Read a `key = value` config file.  A '#' at the start of a line or
+    after whitespace starts a comment; one inside a value (``C#N``) does not."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -83,7 +85,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -727,9 +729,13 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        # --out is created after the work; a file in its place would end it there.
-        if getattr(args, "out", None) is not None and Path(args.out).is_file():
-            raise ConfigError(f"--out {args.out} is a file, not a directory")
+        # --out is created after the work; a file in its place, or in place
+        # of a directory above it, would end it there.
+        if getattr(args, "out", None) is not None:
+            out = Path(args.out).absolute()
+            existing = next(p for p in (out, *out.parents) if p.exists())
+            if not existing.is_dir():
+                raise ConfigError(f"--out {args.out}: {existing} is not a directory")
         if args.threads is not None:
             if args.threads < 1:
                 raise ConfigError(f"--threads must be >= 1, got {args.threads}")

@@ -19,15 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import TASK_KINDS
+from .encoder import TASK_KINDS, GraphBatch
 from .errors import DataError
-from .fingerprints import (
-    _CHUNK,
-    _fnv1a64_many,
-    _MoleculeBatch,
-    _refine_batch,
-    fnv1a64,
-)
+from .fingerprints import _CHUNK, _fnv1a64_many, _refine_batch, fnv1a64
 from .graph import BondEdge, MoleculeGraph
 from .smiles import CorpusFailure, _read_smiles_csv
 
@@ -173,16 +167,19 @@ def scaffold_keys(graphs: Sequence[MoleculeGraph]) -> list[int]:
     keys: list[int] = []
     for lo in range(0, len(graphs), _CHUNK):
         cores = [murcko_scaffold(g) for g in graphs[lo : lo + _CHUNK]]
-        b = _MoleculeBatch([core for core in cores if core.num_nodes])
-        labels = _fnv1a64_many([str(z).encode() for z in b.z.tolist()])
-        for _ in range(_WL_ROUNDS):
-            labels = _refine_batch(b, labels)
-        ptr = b.atom_ptr.tolist()
-        summaries = [
-            f"{core.num_nodes}|{core.num_edges}|"
-            + ",".join(map(str, sorted(labels[ptr[m] : ptr[m + 1]].tolist())))
-            for m, core in enumerate(b.graphs)
-        ]
+        rings = [core for core in cores if core.num_nodes]
+        summaries = []
+        if rings:  # a chunk of acyclic molecules has nothing to batch
+            b = GraphBatch.from_graphs(rings)
+            labels = _fnv1a64_many([str(z).encode() for z in b.node_atomic.tolist()])
+            for _ in range(_WL_ROUNDS):
+                labels = _refine_batch(b, labels)
+            per_core = np.split(labels, np.cumsum(b.graph_plan.counts)[:-1])
+            summaries = [
+                f"{core.num_nodes}|{core.num_edges}|"
+                + ",".join(map(str, sorted(part.tolist())))
+                for part, core in zip(per_core, rings)
+            ]
         ring_keys = iter(_fnv1a64_many([t.encode() for t in summaries]).tolist())
         keys += [
             next(ring_keys) if core.num_nodes else _EMPTY_SCAFFOLD_KEY

@@ -263,6 +263,17 @@ class GraphBatch:
         coeff = 1.0 / np.sqrt(deg[src] * deg[dst])
         return EdgeSet(n, src, dst, etype, edir, coeff)
 
+    @cached_property
+    def bonds_by_source(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The directed bonds as a CSR table ``(src, dst, type, start)``,
+        sorted by source atom: atom ``v``'s bonds are rows
+        ``start[v]:start[v + 1]``.  The fingerprints and scaffold keys walk
+        it; the encoder never does, so training never builds it."""
+        order = np.argsort(self.edge_src, kind="stable")
+        start = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.edge_src, minlength=self.num_nodes), out=start[1:])
+        return self.edge_src[order], self.edge_dst[order], self.edge_type[order], start
+
 
 #: Parameter-name suffixes of the GIN inner MLP and of the projection head.
 _TWO_LAYER = ("1", "2")
@@ -501,11 +512,11 @@ def frozen_forward(
     graphs: Sequence[MoleculeGraph],
     forward: Callable[[EncoderModel, GraphBatch], Tensor],
     width: int,
-    batch_size: int = INFERENCE_BATCH,
 ) -> np.ndarray:
-    """``forward(frozen, batch).data`` stacked over the inference batches of
-    ``graphs`` (``width`` columns), with ``frozen`` the model's
-    :meth:`EncoderModel.frozen` copy, on which nothing is recorded.
+    """``forward(frozen, batch).data`` stacked over the batches of
+    :data:`INFERENCE_BATCH` ``graphs`` (``width`` columns), with ``frozen``
+    the model's :meth:`EncoderModel.frozen` copy, on which nothing is
+    recorded.
 
     Finite but huge parameters can overflow, so each pass runs with numpy's
     floating-point warnings off and a NaN or Inf output raises
@@ -513,8 +524,8 @@ def frozen_forward(
     """
     frozen = model.frozen()
     chunks = [np.zeros((0, width), dtype=np.float32)]
-    for start in range(0, len(graphs), batch_size):
-        batch = GraphBatch.from_graphs(graphs[start : start + batch_size])
+    for start in range(0, len(graphs), INFERENCE_BATCH):
+        batch = GraphBatch.from_graphs(graphs[start : start + INFERENCE_BATCH])
         with np.errstate(all="ignore"):
             chunks.append(forward(frozen, batch).data)
         if not np.isfinite(chunks[-1]).all():
@@ -525,11 +536,7 @@ def frozen_forward(
     return np.concatenate(chunks, axis=0)
 
 
-def embed_molecules(
-    model: EncoderModel,
-    graphs: Sequence[MoleculeGraph],
-    batch_size: int = INFERENCE_BATCH,
-) -> np.ndarray:
+def embed_molecules(model: EncoderModel, graphs: Sequence[MoleculeGraph]) -> np.ndarray:
     """Inference representations ``h`` for a list of graphs, in order."""
     forward = lambda frozen, batch: represent(Tape(), frozen, batch)  # noqa: E731
-    return frozen_forward(model, graphs, forward, model.config.hidden_dim, batch_size)
+    return frozen_forward(model, graphs, forward, model.config.hidden_dim)

@@ -15,15 +15,16 @@ Hashing is 64-bit FNV-1a over a stable text serialization, so bit
 positions are identical across platforms and runs.
 
 Both kinds are computed for a batch of molecules at a time, in chunks of
-``_CHUNK`` molecules laid end to end with their directed bonds in one CSR
-table.  Each circular round builds the text of every atom of the chunk and
-hashes them all with one vectorised FNV-1a, which runs one array step per
-byte column over the texts sorted by falling length.  Paths are walked
-level by level: the paths of k + 1 bonds extend those of k bonds by every
-neighbour of their last atom not already on the path.  Each level's label
-rows are put in canonical direction, deduplicated with a lexsort, and only
-the distinct rows are hashed.  The one-molecule functions are the batch of
-one.
+``_CHUNK`` molecules laid end to end as the encoder's
+:class:`~molcontrast.encoder.GraphBatch`, whose directed bonds sorted by
+source atom form one CSR table.  Each circular round builds the text of
+every atom of the chunk and hashes them all with one vectorised FNV-1a,
+which runs one array step per byte column over the texts sorted by
+falling length.  Paths are walked level by level: the paths of k + 1 bonds
+extend those of k bonds by every neighbour of their last atom not already
+on the path.  Each level's label rows are put in canonical direction,
+deduplicated with a lexsort, and only the distinct rows are hashed.  The
+one-molecule functions are the batch of one.
 
 Retrieval analysis embeds a corpus with the encoder readout (the 512-d
 ``h``, not the contrastive projection), ranks it by cosine distance to a
@@ -38,8 +39,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .encoder import EncoderModel, embed_molecules
-from .errors import ConfigError
+from .encoder import EncoderModel, GraphBatch, embed_molecules
+from .errors import ConfigError, NumericAbort
 from .graph import MoleculeGraph
 
 __all__ = [
@@ -65,6 +66,7 @@ _NBITS = 2048  # bits in every fingerprint
 _RADIUS = 2  # circular refinement rounds
 _MAX_PATH_BONDS = 7  # longest path enumerated, in bonds
 _CHUNK = 64  # molecules fingerprinted together
+_MIN_NORM = 1e-12  # a vector of smaller norm has no cosine distance
 
 
 def fnv1a64(data: bytes) -> int:
@@ -152,82 +154,44 @@ def ring_atoms(g: MoleculeGraph) -> frozenset[int]:
     return frozenset(in_ring)
 
 
-class _MoleculeBatch:
-    """Molecules laid end to end: atoms numbered across the batch, and the
-    directed bonds (each bond once per direction) as a CSR table sorted by
-    source atom."""
-
-    def __init__(self, graphs: Sequence[MoleculeGraph]) -> None:
-        self.graphs = tuple(graphs)
-        sizes = [g.num_nodes for g in self.graphs]
-        self.atom_ptr = np.zeros(len(sizes) + 1, dtype=np.int32)
-        np.cumsum(sizes, out=self.atom_ptr[1:])
-        n = int(self.atom_ptr[-1])
-        self.mol = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-        self.z = np.fromiter(
-            (node.atomic_number for g in self.graphs for node in g.nodes),
-            dtype=np.uint8,
-            count=n,
-        )
-        bonds = np.array(
-            [
-                (e.u + off, e.v + off, int(e.bond_type))
-                for off, g in zip(self.atom_ptr.tolist(), self.graphs)
-                for e in g.edges
-            ],
-            dtype=np.int32,
-        ).reshape(-1, 3)
-        src = np.concatenate([bonds[:, 0], bonds[:, 1]])
-        dst = np.concatenate([bonds[:, 1], bonds[:, 0]])
-        order = np.argsort(src, kind="stable")
-        self.src = src[order]
-        self.dst = dst[order]
-        self.bond = np.concatenate([bonds[:, 2], bonds[:, 2]])[order].astype(np.uint8)
-        self.ptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self.src, minlength=n), out=self.ptr[1:])
-
-    @property
-    def num_atoms(self) -> int:
-        return int(self.atom_ptr[-1])
-
-
-def _refine_batch(b: _MoleculeBatch, labels: np.ndarray) -> np.ndarray:
+def _refine_batch(b: GraphBatch, labels: np.ndarray) -> np.ndarray:
     """One neighbourhood-hash round over every atom of a batch: each atom's
     label re-hashed with its sorted (bond type, neighbour label) pairs."""
-    order = np.lexsort((labels[b.dst], b.bond, b.src))
+    src, dst, bond, start = b.bonds_by_source
+    order = np.lexsort((labels[dst], bond, src))
     text = list(map(str, labels.tolist()))
-    pairs = [
-        f"{t},{text[u]}" for t, u in zip(b.bond[order].tolist(), b.dst[order].tolist())
-    ]
-    ptr = b.ptr.tolist()
+    pairs = [f"{t},{text[u]}" for t, u in zip(bond[order].tolist(), dst[order].tolist())]
+    ptr = start.tolist()
     return _fnv1a64_many(
         [
             f"{text[v]}|{';'.join(pairs[ptr[v] : ptr[v + 1]])}".encode()
-            for v in range(b.num_atoms)
+            for v in range(b.num_nodes)
         ]
     )
 
 
-def _circular_bits(b: _MoleculeBatch) -> np.ndarray:
-    """Circular bits of every molecule in a batch, bool [molecules, nbits]."""
-    in_ring = np.zeros(b.num_atoms, dtype=np.int8)
-    for off, g in zip(b.atom_ptr.tolist(), b.graphs):
+def _circular_bits(graphs: Sequence[MoleculeGraph], b: GraphBatch) -> np.ndarray:
+    """Circular bits of every molecule of ``graphs``, batched as ``b``,
+    bool [molecules, nbits]."""
+    in_ring = np.zeros(b.num_nodes, dtype=np.int8)
+    sizes = b.graph_plan.counts
+    for off, g in zip((np.cumsum(sizes) - sizes).tolist(), graphs):
         in_ring[[off + v for v in ring_atoms(g)]] = 1
-    charge = [node.formal_charge for g in b.graphs for node in g.nodes]
-    degree = np.diff(b.ptr)
+    charge = [node.formal_charge for g in graphs for node in g.nodes]
+    degree = np.diff(b.bonds_by_source[3])
     inv = _fnv1a64_many(
         [
             f"{z}|{d}|{c}|{r}".encode()
             for z, d, c, r in zip(
-                b.z.tolist(), degree.tolist(), charge, in_ring.tolist()
+                b.node_atomic.tolist(), degree.tolist(), charge, in_ring.tolist()
             )
         ]
     )
-    bits = np.zeros((len(b.graphs), _NBITS), dtype=bool)
-    bits[b.mol, inv % _NBITS] = True
+    bits = np.zeros((b.num_graphs, _NBITS), dtype=bool)
+    bits[b.node_graph, inv % _NBITS] = True
     for _ in range(_RADIUS):
         inv = _refine_batch(b, inv)
-        bits[b.mol, inv % _NBITS] = True
+        bits[b.node_graph, inv % _NBITS] = True
     return bits
 
 
@@ -253,36 +217,40 @@ def _set_path_bits(bits: np.ndarray, mol: np.ndarray, labels: np.ndarray) -> Non
     bits[mol[order], hashes[np.cumsum(fresh) - 1] % _NBITS] = True
 
 
-def _path_bits(b: _MoleculeBatch) -> np.ndarray:
+def _path_bits(b: GraphBatch) -> np.ndarray:
     """Path bits of every molecule in a batch, bool [molecules, nbits].
 
     Level-synchronous walk: the paths of k + 1 bonds are those of k bonds
     extended by every neighbour of their last atom not already on the path.
     Every path is walked in both directions, and both give one canonical
-    label row.
+    label row.  Atom ids are int32 and labels uint8, so the path arrays
+    stay compact.
     """
-    bits = np.zeros((len(b.graphs), _NBITS), dtype=bool)
-    atoms = np.stack([b.src, b.dst], axis=1)
-    labels = np.stack([b.z[b.src], b.bond, b.z[b.dst]], axis=1)
+    src, dst, bond, ptr = b.bonds_by_source
+    src, dst, ptr = src.astype(np.int32), dst.astype(np.int32), ptr.astype(np.int32)
+    z, bond = b.node_atomic.astype(np.uint8), bond.astype(np.uint8)
+    mol = b.node_graph.astype(np.int32)
+    bits = np.zeros((b.num_graphs, _NBITS), dtype=bool)
+    atoms = np.stack([src, dst], axis=1)
+    labels = np.stack([z[src], bond, z[dst]], axis=1)
     while True:
-        _set_path_bits(bits, b.mol[atoms[:, 0]], labels)
+        _set_path_bits(bits, mol[atoms[:, 0]], labels)
         if atoms.shape[1] > _MAX_PATH_BONDS or not len(atoms):
             return bits
         last = atoms[:, -1]
-        first = b.ptr[last]
-        degree = b.ptr[last + 1] - first
+        first = ptr[last]
+        degree = ptr[last + 1] - first
         grown = np.repeat(np.arange(len(atoms), dtype=np.int32), degree)
         # CSR position of each extension: its atom's first slot plus its rank
         pos = np.arange(len(grown), dtype=np.int32) + np.repeat(
             first - (np.cumsum(degree, dtype=np.int32) - degree), degree
         )
-        nxt = b.dst[pos]
+        nxt = dst[pos]
         prefix = atoms[grown]
         keep = (prefix != nxt[:, None]).all(axis=1)
         atoms = np.concatenate([prefix[keep], nxt[keep, None]], axis=1)
         labels = np.concatenate(
-            [labels[grown[keep]], b.bond[pos[keep], None], b.z[nxt[keep], None]],
-            axis=1,
+            [labels[grown[keep]], bond[pos[keep], None], z[nxt[keep], None]], axis=1
         )
 
 
@@ -294,18 +262,19 @@ def fingerprint_chunks(
     and a caller that keeps only what it derives from each chunk keeps its
     memory flat however many molecules it fingerprints."""
     for lo in range(0, len(graphs), _CHUNK):
-        b = _MoleculeBatch(graphs[lo : lo + _CHUNK])
-        yield _circular_bits(b), _path_bits(b)
+        chunk = graphs[lo : lo + _CHUNK]
+        b = GraphBatch.from_graphs(chunk)
+        yield _circular_bits(chunk, b), _path_bits(b)
 
 
 def circular_fp(g: MoleculeGraph) -> Fingerprint:
     """Circular environment fingerprint; every round's invariants set bits."""
-    return Fingerprint("circular", _circular_bits(_MoleculeBatch([g]))[0])
+    return Fingerprint("circular", _circular_bits([g], GraphBatch.from_graphs([g]))[0])
 
 
 def path_fp(g: MoleculeGraph) -> Fingerprint:
     """Linear-path fingerprint over canonical label sequences."""
-    return Fingerprint("path", _path_bits(_MoleculeBatch([g]))[0])
+    return Fingerprint("path", _path_bits(GraphBatch.from_graphs([g]))[0])
 
 
 def dice(a: Fingerprint, b: Fingerprint) -> float:
@@ -336,6 +305,12 @@ def cosine_distance(u, v) -> float:
     return float(_cosine_distances(a, b[None])[0])
 
 
+def _row_norms(rows) -> np.ndarray:
+    """The float64 norm of every row."""
+    m = np.asarray(rows, dtype=np.float64)[:, None, :]
+    return np.sqrt((m @ m.transpose(0, 2, 1))[:, 0, 0])
+
+
 def _cosine_distances(u, rows) -> np.ndarray:
     """:func:`cosine_distance` from ``u`` to every row, in one call.
 
@@ -344,8 +319,8 @@ def _cosine_distances(u, rows) -> np.ndarray:
     a = np.asarray(u, dtype=np.float64).reshape(-1)
     m = np.asarray(rows, dtype=np.float64)[:, None, :]
     na = np.linalg.norm(a)
-    nm = np.sqrt((m @ m.transpose(0, 2, 1))[:, 0, 0])
-    if na < 1e-12 or (nm < 1e-12).any():
+    nm = _row_norms(rows)
+    if na < _MIN_NORM or (nm < _MIN_NORM).any():
         raise ValueError("cosine distance undefined for zero vectors")
     return 1.0 - (m @ a)[:, 0] / (na * nm)
 
@@ -408,6 +383,12 @@ def retrieval_analysis(
         raise ValueError(f"corpus of {len(corpus)} is smaller than {bins} bins")
     reps = embed_molecules(model, list(corpus))
     q = embed_molecules(model, [query])[0]
+    # A representation of zero norm has no direction to rank by.
+    if np.linalg.norm(q.astype(np.float64)) < _MIN_NORM:
+        raise NumericAbort("the query's representation has zero norm")
+    zero = np.flatnonzero(_row_norms(reps) < _MIN_NORM)
+    if zero.size:
+        raise NumericAbort(f"corpus molecule {zero[0]}'s representation has zero norm")
     distances = _cosine_distances(q, reps)
     order = np.argsort(distances, kind="mergesort")
 

@@ -177,7 +177,7 @@ def test_float64_accumulation_in_reductions():
     assert float(tsum(tape, x).data) == 1.0
 
 
-def test_float64_accumulation_in_matmul():
+def test_products_run_in_the_operands_dtype():
     # Products run in the operands' dtype: a float64 tape keeps the 1.
     tape = Tape()
     a = tensor([[1e8, 1.0, -1e8]], requires_grad=True, dtype=np.float64)
@@ -800,7 +800,7 @@ def test_matmul64_splits_only_above_the_gate(m, k, n, blocks):
 
 
 @needs_pinned_blas
-def test_matmul64_blocks_take_the_callers_error_state():
+def test_matmul_blocks_take_the_callers_error_state():
     # inf * 0 sets the invalid flag in every block; the suite turns the
     # RuntimeWarning a worker would print into an error.
     a = np.ones((2800, 512))
@@ -838,7 +838,7 @@ def test_matmul64_blocks_take_the_callers_error_state():
     small_blocks=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_matmul64_split_matches_unsplit_bitwise(
+def test_matmul_split_matches_unsplit_bitwise(
     m, eighths, ragged, log_macs, layout, dtype, small_blocks, seed
 ):
     # Products of up to 2^28 multiply-adds, on both sides of the gate, with

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from molcontrast.autodiff import gradcheck_report
 from molcontrast.cli import build_parser, load_config_file, main
@@ -219,6 +219,19 @@ def test_out_naming_a_file_is_a_config_error_before_data(tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "--out" in err, err
+
+
+def test_out_below_a_file_is_a_config_error_before_the_work(tmp_path, capsys):
+    # The data is real, so without the check the split would run and only
+    # the final mkdir would fail.
+    data = tmp_path / "c.csv"
+    write_corpus_csv(data, 24, seed=1)
+    assert main(["split", "--data", str(data), "--out", str(data / "sub")]) == 1
+    captured = capsys.readouterr()
+    err = captured.err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1, err
+    assert "--out" in err and captured.out == ""
+    assert data.is_file()
 
 
 SWEEP_BASES = {
@@ -520,6 +533,43 @@ def test_fuzzed_checkpoints_and_csvs_end_in_an_exit_code(data, fuzz_inputs, corp
         assert rc in (0, 1, 2, 3)
 
 
+# Values a corrupted payload may hold: zeros, a subnormal, the edge of the
+# float32 range, and the non-finite ones.
+_PAYLOAD_VALUES = [0.0, -0.0, 1e-40, 3e38, -3e38, float("nan"), float("inf"), float("-inf")]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(start=0, length=1 << 30, values=[0.0])  # every parameter zero
+@given(
+    start=st.integers(0, 1 << 30),
+    length=st.integers(1, 1 << 30),
+    values=st.lists(st.sampled_from(_PAYLOAD_VALUES), min_size=1, max_size=4),
+)
+def test_fuzzed_checkpoint_values_end_in_an_exit_code(
+    start, length, values, fuzz_inputs, corpus_csv
+):
+    # A slice of float32 words of the payload is overwritten, under a valid
+    # CRC, with the drawn values repeated.  Each run must end in an exit
+    # code with at most one line on stderr.
+    meta, payload, tmp = fuzz_inputs
+    words = np.frombuffer(payload, dtype="<f4").copy()
+    start %= len(words)
+    stop = min(len(words), start + length)
+    words[start:stop] = np.resize(np.array(values, dtype="<f4"), stop - start)
+    _write_raw_checkpoint(tmp / "values.bin", meta, words.tobytes())
+    runs = [
+        ["embed", "--data", str(corpus_csv)],
+        ["retrieve", "--data", str(corpus_csv), "--query", "CCO", "--bins", "4"],
+    ]
+    for argv in runs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv + ["--checkpoint", str(tmp / "values.bin"),
+                              "--out", str(tmp / "out")])
+        assert rc in (0, 1, 2, 3)
+        assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+
+
 def test_retrieve_reports(corpus_csv, pretrained, tmp_path, capsys):
     out = tmp_path / "ret"
     rc = main(["retrieve", "--data", str(corpus_csv),
@@ -553,6 +603,24 @@ def test_overflowing_checkpoint_is_a_numeric_abort(
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric abort:") and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_zero_representations_in_retrieve_are_a_numeric_abort(
+    corpus_csv, pretrained, tmp_path, capsys
+):
+    # All-zero parameters make every readout the zero vector, which has no
+    # cosine distance to anything.
+    ckpt = load_checkpoint(pretrained / "checkpoint.bin")
+    for array in ckpt.arrays.values():
+        array[...] = 0.0
+    save_checkpoint(tmp_path / "zero.bin", ckpt)
+    argv = ["retrieve", "--data", str(corpus_csv), "--checkpoint", str(tmp_path / "zero.bin"),
+            "--query", "CCO", "--bins", "4", "--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric abort:") and len(err.splitlines()) == 1, err
+    assert "query" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -832,6 +900,22 @@ def test_load_config_file_parsing(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("a = 1  # trailing comment\n\n# full comment line\nb = two words\n")
     assert load_config_file(cfg) == {"a": "1", "b": "two words"}
+
+
+def test_config_hash_inside_a_value_is_not_a_comment(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("query = C#N  # nitrile\n#smiles = C\n")
+    assert load_config_file(cfg) == {"query": "C#N"}
+
+
+def test_augment_reruns_from_its_resolved_config(tmp_path, capsys):
+    # A triple bond's '#' must survive the round trip through the file.
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["augment", "--smiles", "C#CC", "--out", str(first)]) == 0
+    assert main(["augment", "--config", str(first / "config_resolved.txt"),
+                 "--out", str(second)]) == 0
+    assert "molecule C#CC" in capsys.readouterr().out
+    assert (first / "views.txt").read_bytes() == (second / "views.txt").read_bytes()
 
 
 # -- ablation sweeps ---------------------------------------------------------

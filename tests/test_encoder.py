@@ -586,11 +586,12 @@ def test_gradients_reach_all_parameters():
 # -- embed_molecules ---------------------------------------------------------
 
 
-def test_embed_molecules_order_and_batching():
+def test_embed_molecules_order_and_batching(monkeypatch):
     model = EncoderModel.initialize(small_config(), 4)
     graphs = [parse_smiles(s) for s in ["C", "CC", "CCO", "c1ccccc1", "CC(=O)O"]]
-    small = embed_molecules(model, graphs, batch_size=2)
-    large = embed_molecules(model, graphs, batch_size=256)
+    large = embed_molecules(model, graphs)
+    monkeypatch.setattr(encoder_module, "INFERENCE_BATCH", 2)
+    small = embed_molecules(model, graphs)
     assert small.shape == (5, 8)
     np.testing.assert_allclose(small, large, atol=1e-6)
 

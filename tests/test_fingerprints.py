@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 import fingerprint_oracle as oracle
 from fingerprint_oracle import enumerate_simple_paths
 from golden_corpus import GOLDEN
+import molcontrast.fingerprints as fingerprints
 from molcontrast.datasets import scaffold_key
 from molcontrast.encoder import EncoderConfig, EncoderModel
+from molcontrast.errors import NumericAbort
 from molcontrast.fingerprints import (
     _CHUNK,
     Fingerprint,
@@ -454,3 +456,17 @@ def test_retrieval_corpus_too_small():
         retrieval_analysis(
             parse_smiles("C"), [parse_smiles("C")] * 3, small_model(), bins=4
         )
+
+
+def test_retrieval_names_the_first_zero_representation(monkeypatch):
+    # Representations of zero norm have no cosine distance; the first such
+    # corpus molecule is named (the query's own row here is all ones).
+    def embed(model, graphs):
+        reps = np.ones((len(graphs), 4), dtype=np.float32)
+        reps[2:] = 0.0
+        return reps
+
+    monkeypatch.setattr(fingerprints, "embed_molecules", embed)
+    corpus = [parse_smiles(s) for s in ["CCO", "CCN", "CCC", "CO"]]
+    with pytest.raises(NumericAbort, match="corpus molecule 2"):
+        retrieval_analysis(corpus[0], corpus, small_model(), bins=2)
