@@ -4,8 +4,13 @@ Every operator takes an explicit ``numpy.random.Generator`` so corpus-level
 drivers can derive one stream per molecule and stay deterministic no matter
 how work is scheduled.  Masked atoms are replaced by the reserved mask token
 (atomic number 119, chirality cleared); deleted bonds vanish from the edge
-list.  Each view is built once, straight from its source graph.  Node count
-and indexing never change.
+list.  Node count and indexing never change.
+
+:func:`draw_view` makes a view's random calls and returns the masked atoms
+and the positions of the dropped bonds; :func:`augment_view` builds that view
+as one new graph, straight from its source graph.  Training builds no view
+graphs: :meth:`~molcontrast.encoder.GraphBatch.gather` edits the drawn sets
+into the index arrays of a corpus packed once.
 
 Counts follow a half-up rounding rule: an operator with ratio ``p > 0`` on
 ``n`` candidates acts on ``k = min(n, max(1, floor(p * n + 0.5)))`` of them,
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graph import MoleculeGraph, mask_token, neighbors
+from .graph import MoleculeGraph, mask_token
 
 __all__ = [
     "STRATEGIES",
@@ -36,6 +41,7 @@ __all__ = [
     "delete_bonds",
     "remove_subgraph",
     "compose_view",
+    "draw_view",
     "augment_view",
     "augment_pair",
     "derive_rng",
@@ -83,7 +89,12 @@ class AugmentedView:
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Deterministic child generator for a (seed, context...) tuple."""
-    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
+    entropy = [seed, *key]
+    if 0 <= min(entropy) and max(entropy) < 1 << 32:
+        # The words SeedSequence splits these ints into, as one array: the
+        # same state, without coercing each int in Python.
+        entropy = np.array(entropy, dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def _count(p: float, n: int) -> int:
@@ -166,7 +177,7 @@ def _grow_region(g: MoleculeGraph, p: float, rng: np.random.Generator) -> set[in
                 if v in masked:
                     continue
                 masked.add(v)
-                frontier.extend(u for u in neighbors(g, v) if u not in masked)
+                frontier.extend(u for u in g.adjacency[v] if u not in masked)
             # Deduplicate preserving discovery order, then shuffle the level.
             level = [u for u in dict.fromkeys(frontier) if u not in masked]
             rng.shuffle(level)
@@ -205,6 +216,12 @@ def compose_view(
     ``ceil(delete_ratio * m)`` bonds, with bonds already removed by the
     subgraph step counting toward that quota.
     """
+    return _view(g, *_draw_compose(g, spec, rng), source_index)
+
+
+def _draw_compose(
+    g: MoleculeGraph, spec: AugmentSpec, rng: np.random.Generator
+) -> tuple[set[int], set[int]]:
     n, m = g.num_nodes, g.num_edges
     masked = _grow_region(g, _random_ratio(spec, rng), rng)
     dropped = _inside(g, masked)
@@ -222,22 +239,30 @@ def compose_view(
         surviving = [i for i in range(m) if i not in dropped]
         extra = _choose(rng, len(surviving), min(need, len(surviving)))
         dropped.update(surviving[i] for i in extra)
-    return _view(g, masked, dropped, source_index)
+    return masked, dropped
+
+
+def draw_view(
+    g: MoleculeGraph, spec: AugmentSpec, rng: np.random.Generator
+) -> tuple[set[int], set[int]]:
+    """The masked atoms and the positions in ``g.edges`` of the dropped
+    bonds of one view of ``g`` under the spec's strategy, without building
+    it; :func:`augment_view` makes the same draws and builds the view."""
+    if spec.strategy == MASK_DELETE:
+        masked = _sample(rng, g.num_nodes, spec.mask_ratio)
+        return masked, _sample(rng, g.num_edges, spec.delete_ratio)
+    if spec.strategy == COMPOSE_ALL:
+        return _draw_compose(g, spec, rng)
+    p = _random_ratio(spec, rng) if spec.strategy == SUBGRAPH_RANDOM else spec.subgraph_ratio
+    masked = _grow_region(g, p, rng)
+    return masked, _inside(g, masked)
 
 
 def augment_view(
     g: MoleculeGraph, spec: AugmentSpec, rng: np.random.Generator, source_index: int = 0
 ) -> AugmentedView:
     """Draw one augmented view of ``g`` under the spec's strategy."""
-    if spec.strategy == MASK_DELETE:
-        masked = _sample(rng, g.num_nodes, spec.mask_ratio)
-        dropped = _sample(rng, g.num_edges, spec.delete_ratio)
-        return _view(g, masked, dropped, source_index)
-    if spec.strategy == SUBGRAPH_RANDOM:
-        return remove_subgraph(g, _random_ratio(spec, rng), rng, source_index)
-    if spec.strategy == SUBGRAPH:
-        return remove_subgraph(g, spec.subgraph_ratio, rng, source_index)
-    return compose_view(g, spec, rng, source_index)
+    return _view(g, *draw_view(g, spec, rng), source_index)
 
 
 def augment_pair(

@@ -73,6 +73,9 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Read a `key = value` config file.  A '#' at the start of a line or
     after whitespace starts a comment; one inside a value (``C#N``) does not."""
@@ -85,7 +88,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -127,12 +130,22 @@ def _config_defaults(sub: argparse.ArgumentParser, path: Path) -> dict:
     return defaults
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    """Create ``--out`` and write the resolved configuration into it.  Each
-    command calls this once, after its work has succeeded, so a run that
-    fails leaves no directory behind."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _reads_back(value: str) -> bool:
+    """Whether :func:`load_config_file` reads ``key = value`` back as
+    ``value``: UTF-8 text (a path that is not holds surrogates) on one line,
+    with no surrounding whitespace and no comment."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    one_line = "".join(value.splitlines()) == value == value.strip()
+    return one_line and _COMMENT.search(value) is None
+
+
+def _resolved_lines(args: argparse.Namespace) -> list[str]:
+    """The ``key = value`` lines of ``config_resolved.txt``.  A string value
+    that would not read back as itself is a config error: ``main`` calls
+    this before the work, so the run ends there."""
     skip = {"func", "command", "config", "threads"}
     lines = []
     for dest in sorted(vars(args)):
@@ -141,8 +154,23 @@ def _out_dir(args: argparse.Namespace) -> Path:
             continue
         if isinstance(value, bool):
             value = "true" if value else "false"
+        elif isinstance(value, str) and not _reads_back(value):
+            flag = "--" + dest.replace("_", "-")
+            raise ConfigError(
+                f"{flag} {value!r} would not read back from config_resolved.txt "
+                "(line break, surrounding whitespace, '#' after whitespace, or not UTF-8)"
+            )
         lines.append(f"{dest} = {value}")
-    _write_text(out / "config_resolved.txt", "\n".join(lines) + "\n")
+    return lines
+
+
+def _out_dir(args: argparse.Namespace) -> Path:
+    """Create ``--out`` and write the resolved configuration into it.  Each
+    command calls this once, after its work has succeeded, so a run that
+    fails leaves no directory behind."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_text(out / "config_resolved.txt", "\n".join(_resolved_lines(args)) + "\n")
     return out
 
 
@@ -730,8 +758,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         # --out is created after the work; a file in its place, or in place
-        # of a directory above it, would end it there.
+        # of a directory above it, or a value config_resolved.txt cannot
+        # hold, would end it there.
         if getattr(args, "out", None) is not None:
+            _resolved_lines(args)
             out = Path(args.out).absolute()
             existing = next(p for p in (out, *out.parents) if p.exists())
             if not existing.is_dir():

@@ -40,8 +40,10 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import ConfigError, NumericAbort
 from .graph import (
+    MASK_ATOMIC_NUMBER,
     BondDirection,
     BondType,
+    Chirality,
     MoleculeGraph,
     NUM_ATOM_TYPES,
     NUM_BOND_DIRECTIONS,
@@ -157,6 +159,14 @@ class EdgeSet:
         self.coeff = coeff
 
 
+def _spans(start: np.ndarray, ids: np.ndarray):
+    """The rows ``start[i]:start[i + 1]`` of each ``i`` in ``ids``, in
+    order, and each span's length and first position among them."""
+    counts = start[ids + 1] - start[ids]
+    first = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) + np.repeat(start[ids] - first, counts), counts, first
+
+
 class GraphBatch:
     """A list of molecule graphs flattened into index arrays.
 
@@ -171,6 +181,11 @@ class GraphBatch:
     (:attr:`bond_edges`, for GIN) and the bonds plus one self-loop per atom
     (:attr:`gcn_edges`, for GCN).  Every layer, forward and backward, then
     shares one copy of that index work.
+
+    Training packs its corpus once with :meth:`from_graphs`, and
+    :meth:`gather` copies each step's views out of that pack by per-molecule
+    offsets (derived on first use, like :attr:`bonds_by_source`), array for
+    array what :meth:`from_graphs` gives for the view graphs.
     """
 
     def __init__(
@@ -225,6 +240,48 @@ class GraphBatch:
             np.stack([direction, _FLIPPED_DIRECTION[direction]], axis=1).ravel(),
             np.repeat(np.arange(len(graphs), dtype=np.int64), sizes),
             len(graphs),
+        )
+
+    @cached_property
+    def _starts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each molecule's first atom row and first bond (a pair of directed
+        rows), then one past the last."""
+        bond_graph = self.node_graph[self.edge_src[::2]]
+        return tuple(
+            np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=self.num_graphs))])
+            for owner in (self.node_graph, bond_graph)
+        )
+
+    def gather(self, ids: Sequence[int], masked: Sequence, dropped: Sequence) -> "GraphBatch":
+        """The batch :meth:`from_graphs` builds from views of this batch's
+        molecules: view ``k`` is molecule ``ids[k]`` with its atoms
+        ``masked[k]`` set to the mask token (atomic number 119, chirality
+        cleared) and its bonds at positions ``dropped[k]`` of its edge list
+        deleted.  Indices are local to the molecule."""
+        ids = np.asarray(ids, dtype=np.int64)
+        (atom_rows, sizes, first_atom), (bond_rows, bonds, first_bond) = (
+            _spans(start, ids) for start in self._starts
+        )
+        node_atomic = self.node_atomic[atom_rows]
+        node_chirality = self.node_chirality[atom_rows]
+        hit = [a + base for base, atoms in zip(first_atom.tolist(), masked) for a in atoms]
+        node_atomic[hit] = MASK_ATOMIC_NUMBER
+        node_chirality[hit] = int(Chirality.UNSPECIFIED)
+        keep = np.ones(len(bond_rows), dtype=bool)
+        keep[[p + base for base, ps in zip(first_bond.tolist(), dropped) for p in ps]] = False
+        # Both directed rows of each kept bond, u -> v then v -> u, with its
+        # atom ids moved from the molecule's rows in this batch to the view's.
+        rows = (2 * bond_rows[keep, None] + np.array([0, 1])).ravel()
+        shift = np.repeat(first_atom - self._starts[0][ids], bonds)[keep].repeat(2)
+        return GraphBatch(
+            node_atomic,
+            node_chirality,
+            self.edge_src[rows] + shift,
+            self.edge_dst[rows] + shift,
+            self.edge_type[rows],
+            self.edge_dir[rows],
+            np.repeat(np.arange(len(ids), dtype=np.int64), sizes),
+            len(ids),
         )
 
     @cached_property

@@ -41,7 +41,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .augment import AugmentSpec, augment_pair, augment_view, derive_rng
+from .augment import AugmentSpec, derive_rng, draw_view
 from .autodiff import Tape, Tensor, backward
 from .contrastive import ContrastiveConfig, nt_xent
 from .datasets import (
@@ -451,6 +451,14 @@ def _optimizer_step(
     return value
 
 
+class _Corpus(list):
+    """Training molecules and their :class:`GraphBatch`, packed once."""
+
+    def __init__(self, graphs: Sequence[MoleculeGraph]):
+        super().__init__(graphs)
+        self.pack = GraphBatch.from_graphs(self)
+
+
 def _contrastive_batch(
     model: EncoderModel,
     graphs: Sequence[MoleculeGraph],
@@ -460,13 +468,15 @@ def _contrastive_batch(
     tag: int,
     dropout_rng: np.random.Generator | None,
 ) -> tuple[Tape, Tensor]:
-    views: list[MoleculeGraph] = []
-    for i in indices:
-        rng = derive_rng(cfg.seed, tag, epoch, int(i))
-        a, b = augment_pair(graphs[int(i)], cfg.augment, rng, int(i))
-        views.append(a.graph)
-        views.append(b.graph)
-    batch = GraphBatch.from_graphs(views)
+    """NT-Xent over the two views :func:`~molcontrast.augment.augment_pair`
+    draws of each molecule ``graphs[i]``, gathered from the pack of a
+    :class:`_Corpus` (any other sequence is packed here)."""
+    corpus = graphs if isinstance(graphs, _Corpus) else _Corpus(graphs)
+    views = []
+    for i in map(int, indices):
+        rng = derive_rng(cfg.seed, tag, epoch, i)
+        views += [draw_view(corpus[i], cfg.augment, rng) for _ in range(2)]
+    batch = corpus.pack.gather(np.repeat(indices, 2), *zip(*views))
     tape = Tape()
     h = represent(tape, model, batch, dropout_rng)
     z = project(tape, model, h)
@@ -493,6 +503,7 @@ def pretrain(graphs: Sequence[MoleculeGraph], cfg: PretrainConfig) -> PretrainRe
     val_idx = perm[:n_val]
     train_idx = perm[n_val:]
     model = EncoderModel.initialize(cfg.encoder, derive_rng(cfg.seed, _TAG_INIT))
+    corpus = _Corpus(graphs)
     state = AdamState()
     history: list[EpochTrace] = []
     for epoch in range(cfg.epochs):
@@ -504,7 +515,7 @@ def pretrain(graphs: Sequence[MoleculeGraph], cfg: PretrainConfig) -> PretrainRe
                 continue
             with np.errstate(all="ignore"):  # _optimizer_step checks the loss
                 tape, loss = _contrastive_batch(
-                    model, graphs, chunk, cfg, epoch, _TAG_AUGMENT, drop_rng
+                    model, corpus, chunk, cfg, epoch, _TAG_AUGMENT, drop_rng
                 )
             value = _optimizer_step(
                 model, tape, loss, state, lr, cfg.weight_decay,
@@ -523,7 +534,7 @@ def pretrain(graphs: Sequence[MoleculeGraph], cfg: PretrainConfig) -> PretrainRe
                 if len(chunk) < 2:
                     continue
                 loss = _contrastive_batch(
-                    frozen, graphs, chunk, cfg, epoch, _TAG_VAL_AUGMENT, None
+                    frozen, corpus, chunk, cfg, epoch, _TAG_VAL_AUGMENT, None
                 )[1]
                 vals.append((float(loss.data), len(chunk)))
             if vals:
@@ -681,14 +692,13 @@ def predict_molecules(
 
 def _supervised_loss(
     model: EncoderModel,
-    inputs: Sequence[MoleculeGraph],
+    batch: GraphBatch,
     labels: np.ndarray,
     observed: np.ndarray,
     diff_basis: np.ndarray | None,
     dropout_rng: np.random.Generator,
 ) -> tuple[Tape, Tensor, int]:
     tape = Tape()
-    batch = GraphBatch.from_graphs(inputs)
     h = represent(tape, model, batch, dropout_rng)
     out = predict(tape, model, h, dropout_rng)
     mask = ad.constant(observed.astype(np.float32))
@@ -756,6 +766,7 @@ def finetune(
         derive_rng(cfg.seed, _TAG_HEAD_INIT),
     )
 
+    pack = GraphBatch.from_graphs(graphs)
     train_idx = np.array(split.train_indices, dtype=int)
     val_idx = np.array(split.valid_indices, dtype=int)
     test_idx = np.array(split.test_indices, dtype=int)
@@ -816,16 +827,16 @@ def finetune(
         for start, chunk, drop_rng in _epoch_batches(cfg, train_idx, epoch):
             if not observed[chunk].any():
                 continue
-            inputs = []
-            for i in chunk:
-                g = graphs[int(i)]
-                if augment is not None:
-                    rng = derive_rng(cfg.seed, _TAG_FT_AUGMENT, epoch, int(i))
-                    g = augment_view(g, augment, rng, int(i)).graph
-                inputs.append(g)
+            views = [((), ())] * len(chunk)
+            if augment is not None:
+                views = [
+                    draw_view(graphs[i], augment, derive_rng(cfg.seed, _TAG_FT_AUGMENT, epoch, i))
+                    for i in map(int, chunk)
+                ]
+            batch = pack.gather(chunk, *zip(*views))
             with np.errstate(all="ignore"):  # as in pretrain()
                 tape, loss, count = _supervised_loss(
-                    model, inputs, train_targets[chunk], observed[chunk],
+                    model, batch, train_targets[chunk], observed[chunk],
                     classify_basis, drop_rng,
                 )
             value = _optimizer_step(

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from golden_corpus import GOLDEN
+from molgen import unlabeled_corpus
 from molcontrast import augment
 from molcontrast.augment import (
     COMPOSE_ALL,
@@ -20,9 +22,11 @@ from molcontrast.augment import (
     compose_view,
     delete_bonds,
     derive_rng,
+    draw_view,
     mask_atoms,
     remove_subgraph,
 )
+from molcontrast.encoder import GraphBatch
 from molcontrast.graph import MASK_ATOMIC_NUMBER, MoleculeGraph, format_graph, validate
 from molcontrast.smiles import parse_smiles
 
@@ -56,6 +60,16 @@ def test_derive_rng_streams():
     c = derive_rng(7, 1, 3).random(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+WORD = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**80) | st.sampled_from((0, 2**32 - 1, 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=WORD, key=st.lists(WORD, max_size=4))
+def test_derive_rng_is_the_seed_sequence_of_its_ints(seed, key):
+    want = np.random.default_rng(np.random.SeedSequence([seed, *key]))
+    assert derive_rng(seed, *key).random(3).tobytes() == want.random(3).tobytes()
 
 
 # -- mask_atoms --------------------------------------------------------------
@@ -436,3 +450,52 @@ def test_each_view_is_one_unwalked_graph(spec, monkeypatch):
             else:
                 assert len(built) == 1 and built[0] is view.graph
                 assert "adjacency" not in vars(view.graph)
+
+
+# -- views gathered from a packed corpus -------------------------------------
+
+PACKED = [parse_smiles(g.smiles) for g in GOLDEN] + unlabeled_corpus(30, seed=5)
+PACK = GraphBatch.from_graphs(PACKED)
+BATCH_ARRAYS = (
+    "node_atomic", "node_chirality", "edge_src", "edge_dst", "edge_type", "edge_dir",
+    "node_graph",
+)
+_AT = {g.smiles: i for i, g in enumerate(GOLDEN)}
+# Edgeless molecules and / and \ bonds, beside ordinary ones.
+SPECIAL = [_AT["[NH4+]"], _AT["[Na+].[Cl-]"], _AT["C/C=C/C"], _AT["F/C=C\\F"], len(GOLDEN)]
+RATIOS = st.sampled_from((0.0, 0.1, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    ids=st.lists(st.integers(0, len(PACKED) - 1), min_size=1, max_size=8),
+    strategy=st.sampled_from(STRATEGIES),
+    ratios=st.tuples(RATIOS, RATIOS, RATIOS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(ids=SPECIAL, strategy=MASK_DELETE, ratios=(0.0, 0.0, 0.0), seed=0)  # nothing changes
+@example(ids=SPECIAL, strategy=COMPOSE_ALL, ratios=(0.5, 0.5, 1.0), seed=1)
+@example(ids=SPECIAL, strategy=SUBGRAPH, ratios=(0.3, 0.3, 0.5), seed=2)
+def test_gathered_views_equal_the_batched_view_graphs(ids, strategy, ratios, seed):
+    spec = AugmentSpec(strategy, *ratios)
+    graphs, masked, dropped = [], [], []
+    for i in ids:
+        pair = augment_pair(PACKED[i], spec, derive_rng(seed, i), i)
+        rng = derive_rng(seed, i)
+        for view in pair:
+            atoms, bonds = draw_view(PACKED[i], spec, rng)
+            assert atoms == view.masked_nodes
+            edges = PACKED[i].edges
+            assert {(edges[p].u, edges[p].v) for p in bonds} == view.deleted_edges
+            graphs.append(view.graph)
+            masked.append(atoms)
+            dropped.append(bonds)
+        ref = derive_rng(seed, i)
+        augment_pair(PACKED[i], spec, ref)
+        assert rng.random() == ref.random()  # the draws consume the same stream
+    want = GraphBatch.from_graphs(graphs)
+    got = PACK.gather(np.repeat(ids, 2), masked, dropped)
+    assert got.num_graphs == want.num_graphs
+    for name in BATCH_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name

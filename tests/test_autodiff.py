@@ -788,7 +788,7 @@ def _with_workers(n, fn, pool=None):
         (3, 5000, 5000, [3]),  # one block would be a single row
     ],
 )
-def test_matmul64_splits_only_above_the_gate(m, k, n, blocks):
+def test_matmul_splits_only_above_the_gate(m, k, n, blocks):
     rng = np.random.default_rng(0)
     a = rng.standard_normal((m, k)).astype(np.float32)
     b = rng.standard_normal((k, n)).astype(np.float32)

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from molcontrast.autodiff import gradcheck_report
 from molcontrast.cli import build_parser, load_config_file, main
 from molcontrast.datasets import scaffold_split
+from molcontrast.errors import ConfigError
 from molcontrast.fingerprints import retrieval_analysis
 from molcontrast.training import (
     CHECKPOINT_MAGIC,
@@ -916,6 +917,48 @@ def test_augment_reruns_from_its_resolved_config(tmp_path, capsys):
                  "--out", str(second)]) == 0
     assert "molecule C#CC" in capsys.readouterr().out
     assert (first / "views.txt").read_bytes() == (second / "views.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["hash #dir/c.csv", "#c.csv", " c.csv", "c.csv ", "dir\nc.csv", "dir\rc.csv", "\udcff.csv"],
+)
+def test_value_the_resolved_config_cannot_hold_is_a_config_error(value, tmp_path, capsys):
+    # The corpus does not exist: reading it would be a data error (2).
+    out = tmp_path / "o"
+    assert main(["split", "--data", value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: --data ")
+    assert "config_resolved.txt" in err[0]
+    assert not out.exists()
+
+
+def test_in_word_hash_in_a_path_reruns_from_its_resolved_config(tmp_path):
+    data = tmp_path / "c#1.csv"
+    write_labeled_csv(data, 40, seed=3)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["split", "--data", str(data), "--out", str(first)]) == 0
+    assert load_config_file(first / "config_resolved.txt")["data"] == str(data)
+    assert main(["split", "--config", str(first / "config_resolved.txt"),
+                 "--out", str(second)]) == 0
+    assert (first / "split.csv").read_bytes() == (second / "split.csv").read_bytes()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=st.text(max_size=12))
+@example(value="C#N")
+@example(value="a #b")
+@example(value="a\x85b")
+def test_resolved_config_check_matches_the_reader(value, tmp_path):
+    import molcontrast.cli as cli
+
+    path = tmp_path / "c.cfg"
+    try:
+        cli._write_text(path, f"key = {value}\n")
+        read = load_config_file(path).get("key")
+    except (UnicodeEncodeError, ConfigError):
+        read = None
+    assert cli._reads_back(value) == (read == value)
 
 
 # -- ablation sweeps ---------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 import molcontrast.training as training_module
 from molcontrast import autodiff as ad
 from molcontrast.augment import AugmentSpec
-from molcontrast.datasets import Split, SplitAssignment
+from molcontrast.datasets import Split, SplitAssignment, scaffold_split
 from molcontrast.encoder import (
     EncoderConfig,
     EncoderModel,
@@ -23,6 +23,7 @@ from molcontrast.encoder import (
     represent,
 )
 from molcontrast.errors import ConfigError, DataError, NumericAbort
+from molcontrast.graph import MoleculeGraph
 from molcontrast.smiles import parse_smiles
 from molcontrast.training import (
     CHECKPOINT_MAGIC,
@@ -45,6 +46,7 @@ from molcontrast.training import (
     save_checkpoint,
     write_trace_csv,
 )
+from golden_corpus import GOLDEN
 from molgen import oxygen_dataset, unlabeled_corpus
 
 SMALL_ENCODER = EncoderConfig(num_layers=2, hidden_dim=8, latent_dim=4)
@@ -814,3 +816,97 @@ def test_non_finite_losses_abort_with_their_batch(monkeypatch):
             encoder=SMALL_ENCODER,
         )
     assert str(info.value) == "non-finite supervised loss at epoch 0, batch offset 0"
+
+
+@pytest.mark.parametrize("strategy", ["mask_delete", "compose_all"])
+def test_training_builds_no_view_graph(strategy, monkeypatch):
+    # Views are gathered from the packed corpus, never built as graphs.
+    corpus = unlabeled_corpus(16, seed=2)
+    dataset = oxygen_dataset(30, seed=6)
+    split = scaffold_split(dataset.graphs())
+    spec = AugmentSpec(strategy=strategy)
+
+    def refuse(self):
+        raise AssertionError("a MoleculeGraph was built")
+
+    monkeypatch.setattr(MoleculeGraph, "__post_init__", refuse)
+    pretrain(corpus, PretrainConfig(
+        epochs=2, batch_size=4, warm_epochs=0, augment=spec, encoder=SMALL_ENCODER,
+        val_fraction=0.25, seed=3,
+    ))
+    finetune(
+        dataset, FinetuneConfig(epochs=1, batch_size=32, hidden_dim=16),
+        encoder=SMALL_ENCODER, split=split, augment=spec,
+    )
+    with pytest.raises(AssertionError, match="was built"):
+        parse_smiles("CCO")
+
+
+# -- pinned training outputs -------------------------------------------------
+
+PIN_ENCODER = EncoderConfig(num_layers=2, hidden_dim=16, latent_dim=8)
+PIN_RATIOS = dict(mask_ratio=0.3, delete_ratio=0.3, subgraph_ratio=0.3)
+PINNED_PRETRAIN = {
+    "mask_delete": "4c015ea77f74e1936b79517b613584f7bb76b83728ba785642157d3110ffc5ee",
+    "subgraph_random": "64326de218ff60845f3c9196d47604433a288aac49cb12c2a51cec9d1b4a483f",
+    "subgraph": "70eb7711571b95594b3ea8313e508de96bf24a3df8f60fc9b35c5eec3d6db11e",
+    "compose_all": "4c75fc4b2e98563f7f05f952a240ac215428e7c224cd0a0b84dfa6e76d259c6e",
+    "gcn-dropout-val": "a002bc7c84500f0db841d167bbece84bc76eef56c4b94194d422560cea051c29",
+}
+PINNED_FINETUNE = {
+    "plain": "0bf747055fc08c86d26bcd4993bbaeddccbe5d57993009c12c80259f0acde699",
+    "compose_all": "7bb0e3b2f08adbe9582c2e5dcca773a2a62cf6dde241bb4f354a9b8c748e1eea",
+}
+
+
+def _training_digest(arrays, history) -> str:
+    digest = hashlib.sha256()
+    for name in sorted(arrays):
+        arr = arrays[name]
+        digest.update(f"{name} {arr.dtype} {arr.shape}".encode())
+        digest.update(arr.tobytes())
+    digest.update(repr(history).encode())
+    return digest.hexdigest()
+
+
+def _rows(history) -> list[tuple]:
+    return [tuple(vars(row).values()) for row in history]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_PRETRAIN))
+def test_pretrain_outputs_are_pinned(case):
+    # Checkpoint arrays and loss history, byte for byte, on molgen molecules
+    # plus the golden corpus (edgeless ions, / and \ bonds).  The digests
+    # hold for one numpy and OpenBLAS build; another sgemm kernel may round
+    # differently.
+    corpus = unlabeled_corpus(48, seed=9) + [parse_smiles(g.smiles) for g in GOLDEN]
+    if case == "gcn-dropout-val":
+        cfg = PretrainConfig(
+            epochs=2, batch_size=8, lr=5e-3, warm_epochs=0,
+            encoder=EncoderConfig(
+                backbone="gcn", num_layers=2, hidden_dim=16, latent_dim=8, dropout=0.1
+            ),
+            val_fraction=0.25, seed=5,
+        )
+    else:
+        cfg = PretrainConfig(
+            epochs=3, batch_size=8, lr=5e-3, warm_epochs=0,
+            augment=AugmentSpec(strategy=case, **PIN_RATIOS),
+            encoder=PIN_ENCODER, val_fraction=0.1, seed=4,
+        )
+    result = pretrain(corpus, cfg)
+    got = _training_digest(result.checkpoint.arrays, _rows(result.history))
+    assert got == PINNED_PRETRAIN[case]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_FINETUNE))
+def test_finetune_outputs_are_pinned(case):
+    augment = None if case == "plain" else AugmentSpec(strategy=case)
+    result = finetune(
+        oxygen_dataset(60, seed=6),
+        FinetuneConfig(epochs=3, batch_size=32, hidden_dim=16, dropout=0.1, seed=3),
+        encoder=PIN_ENCODER,
+        augment=augment,
+    )
+    history = _rows(result.history) + [result.test_metric, result.best_epoch]
+    assert _training_digest(result.model.state_arrays(), history) == PINNED_FINETUNE[case]
