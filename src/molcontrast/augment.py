@@ -1,6 +1,6 @@
 """Stochastic graph augmentation: atom masking, bond deletion, subgraph removal.
 
-Every operator takes an explicit ``numpy.random.Generator`` so corpus-level
+Every draw takes an explicit ``numpy.random.Generator`` so corpus-level
 drivers can derive one stream per molecule and stay deterministic no matter
 how work is scheduled.  Masked atoms are replaced by the reserved mask token
 (atomic number 119, chirality cleared); deleted bonds vanish from the edge
@@ -14,9 +14,9 @@ into the index arrays of a corpus packed once.
 
 Counts follow a half-up rounding rule: an operator with ratio ``p > 0`` on
 ``n`` candidates acts on ``k = min(n, max(1, floor(p * n + 0.5)))`` of them,
-and ``p = 0`` is the identity.  The compose strategy instead tops up until
-fractions reach their targets, which is a ceiling rule; see
-:func:`compose_view`.
+and ``p = 0`` is the identity and draws nothing.  The compose strategy
+instead tops up until fractions reach their targets, which is a ceiling rule;
+see :func:`_draw_compose`.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ __all__ = [
     "COMPOSE_ALL",
     "AugmentSpec",
     "AugmentedView",
-    "mask_atoms",
-    "delete_bonds",
-    "remove_subgraph",
-    "compose_view",
     "draw_view",
     "augment_view",
     "augment_pair",
@@ -110,13 +106,6 @@ def _random_ratio(spec: AugmentSpec, rng: np.random.Generator) -> float:
     return float(rng.uniform(0.0, p)) if p > 0 else 0.0
 
 
-def _with_masks(g: MoleculeGraph, masked: set[int]) -> tuple:
-    token = mask_token()
-    return tuple(
-        token if i in masked else node for i, node in enumerate(g.nodes)
-    )
-
-
 def _view(
     g: MoleculeGraph,
     masked: set[int],
@@ -128,7 +117,8 @@ def _view(
     nothing changed.  Kept edges stay in their original order."""
     if not masked and not dropped_edge_positions:
         return AugmentedView(g, frozenset(), frozenset(), source_index)
-    nodes = _with_masks(g, masked) if masked else g.nodes
+    token = mask_token()
+    nodes = tuple(token if i in masked else a for i, a in enumerate(g.nodes))
     kept = tuple(e for i, e in enumerate(g.edges) if i not in dropped_edge_positions)
     deleted = frozenset((g.edges[i].u, g.edges[i].v) for i in dropped_edge_positions)
     return AugmentedView(
@@ -146,22 +136,13 @@ def _sample(rng: np.random.Generator, n: int, p: float) -> set[int]:
     return _choose(rng, n, k) if k else set()
 
 
-def mask_atoms(
-    g: MoleculeGraph, p: float, rng: np.random.Generator, source_index: int = 0
-) -> AugmentedView:
-    """Replace a uniform sample of atoms with the mask token."""
-    return _view(g, _sample(rng, g.num_nodes, p), set(), source_index)
-
-
-def delete_bonds(
-    g: MoleculeGraph, p: float, rng: np.random.Generator, source_index: int = 0
-) -> AugmentedView:
-    """Drop a uniform sample of bonds."""
-    return _view(g, set(), _sample(rng, g.num_edges, p), source_index)
-
-
 def _grow_region(g: MoleculeGraph, p: float, rng: np.random.Generator) -> set[int]:
-    """The atoms :func:`remove_subgraph` masks."""
+    """``_count(p, n)`` atoms grown by breadth-first search.
+
+    The origin is uniform over unmasked atoms and is masked first; each BFS
+    level is shuffled before masking continues, and a fresh origin is drawn
+    whenever a component is exhausted before the target is reached.
+    """
     n = g.num_nodes
     target = _count(p, n)
     masked: set[int] = set()
@@ -185,29 +166,14 @@ def _grow_region(g: MoleculeGraph, p: float, rng: np.random.Generator) -> set[in
 
 
 def _inside(g: MoleculeGraph, masked: set[int]) -> set[int]:
-    """Positions of the edges with both endpoints masked."""
+    """Positions of the edges with both endpoints masked: deleting exactly
+    these makes the removed region an induced subgraph."""
     return {i for i, e in enumerate(g.edges) if e.u in masked and e.v in masked}
 
 
-def remove_subgraph(
-    g: MoleculeGraph, p: float, rng: np.random.Generator, source_index: int = 0
-) -> AugmentedView:
-    """Mask a connected region grown by breadth-first search, then drop the
-    bonds inside it.
-
-    The origin is uniform over unmasked atoms and is masked first; each
-    BFS level is shuffled before masking continues, and a fresh origin is
-    drawn whenever a component is exhausted before the target is reached.
-    Exactly the edges with BOTH endpoints masked are deleted, so the
-    removed region is an induced subgraph.
-    """
-    masked = _grow_region(g, p, rng)
-    return _view(g, masked, _inside(g, masked), source_index)
-
-
-def compose_view(
-    g: MoleculeGraph, spec: AugmentSpec, rng: np.random.Generator, source_index: int = 0
-) -> AugmentedView:
+def _draw_compose(
+    g: MoleculeGraph, spec: AugmentSpec, rng: np.random.Generator
+) -> tuple[set[int], set[int]]:
     """Strategy 4: subgraph removal, then mask and delete until the set
     fractions are reached.
 
@@ -216,12 +182,6 @@ def compose_view(
     ``ceil(delete_ratio * m)`` bonds, with bonds already removed by the
     subgraph step counting toward that quota.
     """
-    return _view(g, *_draw_compose(g, spec, rng), source_index)
-
-
-def _draw_compose(
-    g: MoleculeGraph, spec: AugmentSpec, rng: np.random.Generator
-) -> tuple[set[int], set[int]]:
     n, m = g.num_nodes, g.num_edges
     masked = _grow_region(g, _random_ratio(spec, rng), rng)
     dropped = _inside(g, masked)
@@ -247,7 +207,13 @@ def draw_view(
 ) -> tuple[set[int], set[int]]:
     """The masked atoms and the positions in ``g.edges`` of the dropped
     bonds of one view of ``g`` under the spec's strategy, without building
-    it; :func:`augment_view` makes the same draws and builds the view."""
+    it; :func:`augment_view` makes the same draws and builds the view.
+
+    Every strategy's random calls are made here, in a fixed order.
+    Mask-delete samples atoms, then bonds; a ratio of 0 draws nothing.
+    Subgraph removal masks a :func:`_grow_region` region (its ratio drawn
+    first for ``subgraph_random``) and drops exactly the bonds inside it.
+    """
     if spec.strategy == MASK_DELETE:
         masked = _sample(rng, g.num_nodes, spec.mask_ratio)
         return masked, _sample(rng, g.num_edges, spec.delete_ratio)

@@ -193,13 +193,6 @@ class MoleculeGraph:
         return hash((self.nodes, tuple(sorted(self.edges, key=BondEdge.sort_key))))
 
 
-def neighbors(g: MoleculeGraph, v: int) -> tuple[int, ...]:
-    """Sorted, duplicate-free neighbor indices of node ``v``."""
-    if not 0 <= v < g.num_nodes:
-        raise IndexError(f"node index {v} out of range for {g.num_nodes} nodes")
-    return g.adjacency[v]
-
-
 def validate(g: MoleculeGraph) -> list[str]:
     """Audit graph invariants; returns one message per violation.
 

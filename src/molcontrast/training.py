@@ -451,17 +451,10 @@ def _optimizer_step(
     return value
 
 
-class _Corpus(list):
-    """Training molecules and their :class:`GraphBatch`, packed once."""
-
-    def __init__(self, graphs: Sequence[MoleculeGraph]):
-        super().__init__(graphs)
-        self.pack = GraphBatch.from_graphs(self)
-
-
 def _contrastive_batch(
     model: EncoderModel,
     graphs: Sequence[MoleculeGraph],
+    pack: GraphBatch,
     indices: Sequence[int],
     cfg: PretrainConfig,
     epoch: int,
@@ -469,14 +462,13 @@ def _contrastive_batch(
     dropout_rng: np.random.Generator | None,
 ) -> tuple[Tape, Tensor]:
     """NT-Xent over the two views :func:`~molcontrast.augment.augment_pair`
-    draws of each molecule ``graphs[i]``, gathered from the pack of a
-    :class:`_Corpus` (any other sequence is packed here)."""
-    corpus = graphs if isinstance(graphs, _Corpus) else _Corpus(graphs)
+    draws of each molecule ``graphs[i]``, gathered from ``pack``, the
+    :class:`GraphBatch` of all of ``graphs``."""
     views = []
     for i in map(int, indices):
         rng = derive_rng(cfg.seed, tag, epoch, i)
-        views += [draw_view(corpus[i], cfg.augment, rng) for _ in range(2)]
-    batch = corpus.pack.gather(np.repeat(indices, 2), *zip(*views))
+        views += [draw_view(graphs[i], cfg.augment, rng) for _ in range(2)]
+    batch = pack.gather(np.repeat(indices, 2), *zip(*views))
     tape = Tape()
     h = represent(tape, model, batch, dropout_rng)
     z = project(tape, model, h)
@@ -503,7 +495,7 @@ def pretrain(graphs: Sequence[MoleculeGraph], cfg: PretrainConfig) -> PretrainRe
     val_idx = perm[:n_val]
     train_idx = perm[n_val:]
     model = EncoderModel.initialize(cfg.encoder, derive_rng(cfg.seed, _TAG_INIT))
-    corpus = _Corpus(graphs)
+    pack = GraphBatch.from_graphs(graphs)
     state = AdamState()
     history: list[EpochTrace] = []
     for epoch in range(cfg.epochs):
@@ -515,7 +507,7 @@ def pretrain(graphs: Sequence[MoleculeGraph], cfg: PretrainConfig) -> PretrainRe
                 continue
             with np.errstate(all="ignore"):  # _optimizer_step checks the loss
                 tape, loss = _contrastive_batch(
-                    model, corpus, chunk, cfg, epoch, _TAG_AUGMENT, drop_rng
+                    model, graphs, pack, chunk, cfg, epoch, _TAG_AUGMENT, drop_rng
                 )
             value = _optimizer_step(
                 model, tape, loss, state, lr, cfg.weight_decay,
@@ -534,7 +526,7 @@ def pretrain(graphs: Sequence[MoleculeGraph], cfg: PretrainConfig) -> PretrainRe
                 if len(chunk) < 2:
                     continue
                 loss = _contrastive_batch(
-                    frozen, corpus, chunk, cfg, epoch, _TAG_VAL_AUGMENT, None
+                    frozen, graphs, pack, chunk, cfg, epoch, _TAG_VAL_AUGMENT, None
                 )[1]
                 vals.append((float(loss.data), len(chunk)))
             if vals:

@@ -1,4 +1,4 @@
-"""Augmentation operators: rounding, induced-subgraph property, determinism."""
+"""Augmentation strategies: rounding, induced-subgraph property, determinism."""
 
 import hashlib
 import math
@@ -19,12 +19,8 @@ from molcontrast.augment import (
     AugmentSpec,
     augment_pair,
     augment_view,
-    compose_view,
-    delete_bonds,
     derive_rng,
     draw_view,
-    mask_atoms,
-    remove_subgraph,
 )
 from molcontrast.encoder import GraphBatch
 from molcontrast.graph import MASK_ATOMIC_NUMBER, MoleculeGraph, format_graph, validate
@@ -72,12 +68,12 @@ def test_derive_rng_is_the_seed_sequence_of_its_ints(seed, key):
     assert derive_rng(seed, *key).random(3).tobytes() == want.random(3).tobytes()
 
 
-# -- mask_atoms --------------------------------------------------------------
+# -- atom masking ------------------------------------------------------------
 
 
 def test_mask_zero_is_identity():
     g = parse_smiles("CCO")
-    view = mask_atoms(g, 0.0, rng_for(0))
+    view = augment_view(g, AugmentSpec(MASK_DELETE, mask_ratio=0.0, delete_ratio=0), rng_for(0))
     assert view.graph == g
     assert view.masked_nodes == frozenset()
     assert view.deleted_edges == frozenset()
@@ -85,7 +81,7 @@ def test_mask_zero_is_identity():
 
 def test_mask_all():
     g = parse_smiles("c1ccccc1")
-    view = mask_atoms(g, 1.0, rng_for(0))
+    view = augment_view(g, AugmentSpec(MASK_DELETE, mask_ratio=1.0, delete_ratio=0), rng_for(0))
     assert view.masked_nodes == frozenset(range(6))
     assert all(n.atomic_number == MASK_ATOMIC_NUMBER for n in view.graph.nodes)
     assert view.graph.edges == g.edges  # masking never touches bonds
@@ -94,8 +90,9 @@ def test_mask_all():
 def test_mask_count_exact_over_seeds():
     # 8 nodes at p=0.25 -> round(2.0) = 2, for every seed
     g = path_graph(8)
+    spec = AugmentSpec(MASK_DELETE, mask_ratio=0.25, delete_ratio=0)
     for seed in range(200):
-        view = mask_atoms(g, 0.25, rng_for(seed))
+        view = augment_view(g, spec, rng_for(seed))
         assert len(view.masked_nodes) == 2
         assert view.graph.num_nodes == 8
         assert view.graph.edges == g.edges
@@ -103,13 +100,14 @@ def test_mask_count_exact_over_seeds():
 
 def test_mask_minimum_one():
     g = parse_smiles("CC")  # round(0.05 * 2) = 0, bumped to 1
+    spec = AugmentSpec(MASK_DELETE, mask_ratio=0.05, delete_ratio=0)
     for seed in range(20):
-        assert len(mask_atoms(g, 0.05, rng_for(seed)).masked_nodes) == 1
+        assert len(augment_view(g, spec, rng_for(seed)).masked_nodes) == 1
 
 
 def test_masked_nodes_carry_token_exactly():
     g = parse_smiles("c1ccncc1")
-    view = mask_atoms(g, 0.5, rng_for(3))
+    view = augment_view(g, AugmentSpec(MASK_DELETE, mask_ratio=0.5, delete_ratio=0), rng_for(3))
     for i, node in enumerate(view.graph.nodes):
         if i in view.masked_nodes:
             assert node.atomic_number == MASK_ATOMIC_NUMBER
@@ -123,25 +121,26 @@ def test_mask_frequency_uniform():
     g = path_graph(10)
     hits = np.zeros(10)
     trials = 10_000
+    spec = AugmentSpec(MASK_DELETE, mask_ratio=0.3, delete_ratio=0)
     for seed in range(trials):
-        for v in mask_atoms(g, 0.3, rng_for(seed)).masked_nodes:
+        for v in augment_view(g, spec, rng_for(seed)).masked_nodes:
             hits[v] += 1
     freq = hits / trials
     assert (np.abs(freq - 0.3) <= 0.02).all(), freq
 
 
-# -- delete_bonds ------------------------------------------------------------
+# -- bond deletion -----------------------------------------------------------
 
 
 def test_delete_zero_is_identity():
     g = parse_smiles("CCO")
-    view = delete_bonds(g, 0.0, rng_for(0))
+    view = augment_view(g, AugmentSpec(MASK_DELETE, mask_ratio=0, delete_ratio=0.0), rng_for(0))
     assert view.graph == g
 
 
 def test_delete_all():
     g = parse_smiles("c1ccccc1")
-    view = delete_bonds(g, 1.0, rng_for(1))
+    view = augment_view(g, AugmentSpec(MASK_DELETE, mask_ratio=0, delete_ratio=1.0), rng_for(1))
     assert view.graph.num_edges == 0
     assert view.graph.nodes == g.nodes
     assert len(view.deleted_edges) == 6
@@ -150,8 +149,9 @@ def test_delete_all():
 def test_delete_count_benzene():
     # |E| = 6, p = 0.25: round(1.5) = 2 for every seed
     g = parse_smiles("c1ccccc1")
+    spec = AugmentSpec(MASK_DELETE, mask_ratio=0, delete_ratio=0.25)
     for seed in range(200):
-        view = delete_bonds(g, 0.25, rng_for(seed))
+        view = augment_view(g, spec, rng_for(seed))
         assert len(view.deleted_edges) == 2
         assert view.graph.num_edges == 4
         assert view.graph.nodes == g.nodes
@@ -160,31 +160,31 @@ def test_delete_count_benzene():
 
 def test_delete_on_edgeless_graph_is_identity():
     g = parse_smiles("[Na+].[Cl-]")
-    view = delete_bonds(g, 0.5, rng_for(0))
+    view = augment_view(g, AugmentSpec(MASK_DELETE, mask_ratio=0, delete_ratio=0.5), rng_for(0))
     assert view.graph == g
     assert view.deleted_edges == frozenset()
 
 
 def test_deleted_edges_absent_from_adjacency():
     g = parse_smiles("C1CCCCC1")
-    view = delete_bonds(g, 0.5, rng_for(9))
+    view = augment_view(g, AugmentSpec(MASK_DELETE, mask_ratio=0, delete_ratio=0.5), rng_for(9))
     for u, v in view.deleted_edges:
         assert v not in view.graph.adjacency[u]
         assert u not in view.graph.adjacency[v]
 
 
-# -- remove_subgraph ---------------------------------------------------------
+# -- subgraph removal --------------------------------------------------------
 
 
 def test_subgraph_zero_is_identity():
     g = parse_smiles("CCO")
-    view = remove_subgraph(g, 0.0, rng_for(0))
+    view = augment_view(g, AugmentSpec(SUBGRAPH, subgraph_ratio=0.0), rng_for(0))
     assert view.graph == g
 
 
 def test_subgraph_full_removal():
     g = parse_smiles("c1ccccc1")
-    view = remove_subgraph(g, 1.0, rng_for(4))
+    view = augment_view(g, AugmentSpec(SUBGRAPH, subgraph_ratio=1.0), rng_for(4))
     assert view.masked_nodes == frozenset(range(6))
     assert view.graph.num_edges == 0
     assert len(view.deleted_edges) == 6
@@ -196,7 +196,7 @@ def test_subgraph_path_half():
     g = path_graph(4)
     seen = set()
     for seed in range(300):
-        view = remove_subgraph(g, 0.5, rng_for(seed))
+        view = augment_view(g, AugmentSpec(SUBGRAPH, subgraph_ratio=0.5), rng_for(seed))
         masked = sorted(view.masked_nodes)
         assert len(masked) == 2
         assert masked[1] - masked[0] == 1  # adjacent on the path
@@ -212,7 +212,7 @@ def test_subgraph_induced_property():
     for smiles in ["c1ccc2ccccc2c1", "CC(C)Cc1ccc(cc1)C(C)C(=O)O", "C1CC12CC2"]:
         g = parse_smiles(smiles)
         for seed in range(100):
-            view = remove_subgraph(g, 0.4, rng_for(seed))
+            view = augment_view(g, AugmentSpec(SUBGRAPH, subgraph_ratio=0.4), rng_for(seed))
             masked = view.masked_nodes
             for u, v in view.deleted_edges:
                 assert u in masked and v in masked
@@ -226,7 +226,7 @@ def test_subgraph_spans_components_when_needed():
     # two triangles; p = 5/6 forces growth past the first component
     g = parse_smiles("C1CC1C1CC1".replace("C1CC1C1CC1", "C1CC1.C1CC1"))
     for seed in range(50):
-        view = remove_subgraph(g, 5 / 6, rng_for(seed))
+        view = augment_view(g, AugmentSpec(SUBGRAPH, subgraph_ratio=5 / 6), rng_for(seed))
         assert len(view.masked_nodes) == 5
 
 
@@ -234,7 +234,7 @@ def test_subgraph_connected_within_component():
     # grown region is connected whenever one component suffices
     g = parse_smiles("C1CCCCC1CCCC")  # 10 atoms, connected
     for seed in range(100):
-        view = remove_subgraph(g, 0.4, rng_for(seed))
+        view = augment_view(g, AugmentSpec(SUBGRAPH, subgraph_ratio=0.4), rng_for(seed))
         masked = set(view.masked_nodes)
         assert len(masked) == 4
         start = next(iter(masked))
@@ -288,7 +288,7 @@ def test_random_subgraph_ratio_is_one_draw_and_none_at_zero():
         for seed in range(20):
             rng = rng_for(seed)
             ratio = float(rng.uniform(0.0, 0.4))
-            want = remove_subgraph(g, ratio, rng)
+            want = augment_view(g, AugmentSpec(SUBGRAPH, subgraph_ratio=ratio), rng)
             assert augment_view(g, spec, rng_for(seed)).masked_nodes == want.masked_nodes
         zero = AugmentSpec(strategy=strategy, subgraph_ratio=0, mask_ratio=0, delete_ratio=0)
         rng = rng_for(3)
@@ -326,7 +326,7 @@ def test_compose_view_counts_subgraph_deletions_toward_quota():
         strategy=COMPOSE_ALL, mask_ratio=0.25, delete_ratio=0.25, subgraph_ratio=0.25
     )
     for seed in range(50):
-        view = compose_view(g, spec, rng_for(seed))
+        view = augment_view(g, spec, rng_for(seed))
         # quota is a top-up: never more than target unless subgraph overshot
         assert len(view.deleted_edges) <= max(4, len(view.masked_nodes) - 1) + 4
 
@@ -421,8 +421,14 @@ def test_mask_delete_equals_mask_then_delete(ratios):
         for seed in range(4):
             rng, ref_rng = rng_for(seed), rng_for(seed)
             view = augment_view(g, spec, rng)
-            masked = mask_atoms(g, mask_ratio, ref_rng)
-            dropped = delete_bonds(masked.graph, delete_ratio, ref_rng)
+            masked = augment_view(
+                g, AugmentSpec(MASK_DELETE, mask_ratio=mask_ratio, delete_ratio=0), ref_rng
+            )
+            dropped = augment_view(
+                masked.graph,
+                AugmentSpec(MASK_DELETE, mask_ratio=0, delete_ratio=delete_ratio),
+                ref_rng,
+            )
             assert view.graph.nodes == dropped.graph.nodes
             assert view.graph.edges == dropped.graph.edges  # same order too
             assert view.masked_nodes == masked.masked_nodes

@@ -18,7 +18,6 @@ from molcontrast.graph import (
     flip_direction,
     format_graph,
     mask_token,
-    neighbors,
     relabel,
     validate,
 )
@@ -99,19 +98,15 @@ def test_equality_ignores_edge_order():
 
 def test_neighbors_path():
     g = _path_graph(3)
-    assert neighbors(g, 0) == (1,)
-    assert neighbors(g, 1) == (0, 2)
-    assert neighbors(g, 2) == (1,)
-    with pytest.raises(IndexError):
-        neighbors(g, 3)
-    with pytest.raises(IndexError):
-        neighbors(g, -1)
+    assert g.adjacency[0] == (1,)
+    assert g.adjacency[1] == (0, 2)
+    assert g.adjacency[2] == (1,)
 
 
 def test_neighbors_isolated():
     g = MoleculeGraph((AtomNode(11), AtomNode(17)))
-    assert neighbors(g, 0) == ()
-    assert neighbors(g, 1) == ()
+    assert g.adjacency[0] == ()
+    assert g.adjacency[1] == ()
 
 
 def test_edge_bounds_checked_on_construction():
@@ -154,8 +149,8 @@ def test_constructed_graphs_validate(g):
         implied[e.v].add(e.u)
     assert g.adjacency == tuple(tuple(sorted(row)) for row in implied)
     for v in range(g.num_nodes):
-        for u in neighbors(g, v):
-            assert v in neighbors(g, u)
+        for u in g.adjacency[v]:
+            assert v in g.adjacency[u]
 
 
 @given(random_graphs(), st.randoms(use_true_random=False))

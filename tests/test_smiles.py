@@ -76,9 +76,7 @@ def test_benzene_all_aromatic():
     assert g.num_nodes == 6 and g.num_edges == 6
     assert all(n.atomic_number == 6 for n in g.nodes)
     assert all(e.bond_type == BondType.AROMATIC for e in g.edges)
-    from molcontrast.graph import neighbors
-
-    assert all(len(neighbors(g, v)) == 2 for v in range(6))
+    assert all(len(g.adjacency[v]) == 2 for v in range(6))
 
 
 def test_acetic_acid_bond_types():

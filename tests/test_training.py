@@ -739,8 +739,8 @@ def test_pretrain_validation_loss_equals_recording_forward(monkeypatch):
     calls = []
     original = training_module._contrastive_batch
 
-    def spy(model, graphs, indices, cfg, epoch, tag, dropout_rng):
-        tape, loss = original(model, graphs, indices, cfg, epoch, tag, dropout_rng)
+    def spy(model, graphs, pack, indices, cfg, epoch, tag, dropout_rng):
+        tape, loss = original(model, graphs, pack, indices, cfg, epoch, tag, dropout_rng)
         calls.append((tag, len(tape)))
         return tape, loss
 
@@ -755,13 +755,15 @@ def test_pretrain_validation_loss_equals_recording_forward(monkeypatch):
     # The same validation batches on the trainable model, recorded.
     perm = training_module.derive_rng(cfg.seed, training_module._TAG_SPLIT).permutation(40)
     val_idx = perm[: int(40 * cfg.val_fraction)]
+    pack = GraphBatch.from_graphs(corpus)
     vals = []
     for start in range(0, len(val_idx), cfg.batch_size):
         chunk = val_idx[start : start + cfg.batch_size]
         if len(chunk) < 2:
             continue
         tape, loss = training_module._contrastive_batch(
-            result.model, corpus, chunk, cfg, 0, training_module._TAG_VAL_AUGMENT, None
+            result.model, corpus, pack, chunk, cfg, 0,
+            training_module._TAG_VAL_AUGMENT, None,
         )
         assert len(tape) > 0
         vals.append((float(loss.data), len(chunk)))
@@ -791,8 +793,8 @@ def test_non_finite_losses_abort_with_their_batch(monkeypatch):
     )
     original = training_module._contrastive_batch
 
-    def poisoned(model, graphs, indices, cfg, epoch, tag, dropout_rng):
-        tape, loss = original(model, graphs, indices, cfg, epoch, tag, dropout_rng)
+    def poisoned(model, graphs, pack, indices, cfg, epoch, tag, dropout_rng):
+        tape, loss = original(model, graphs, pack, indices, cfg, epoch, tag, dropout_rng)
         if epoch == 1 and len(tape):
             loss = ad.scale(tape, loss, float("nan"))
         return tape, loss
