@@ -1,13 +1,15 @@
 """Minimal reverse-mode automatic differentiation on an append-only tape.
 
-Tensors wrap numpy arrays in float32 by default.  Matrix products run in
-their operands' dtype; segment sums and means, the :func:`message_sum`
-aggregate, row norms, full sums and means, and the bias gradient of
-:func:`linear` accumulate in float64 before casting back.  The backward
-scatters of :func:`embedding_lookup` and :func:`message_sum` accumulate in
-the dtype of the table or of ``x``, as ``numpy.add.at`` did.  A whole tape
-can also run in float64, which is how the finite-difference oracles compare
-gradients without float32 noise.
+Tensors wrap numpy arrays in float32 by default.  Matrix products and
+every scatter (segment sums and means, the :func:`message_sum` aggregate,
+and the backward scatters of :func:`embedding_lookup` and
+:func:`message_sum`) run in their operands' dtype: a scatter adds only the
+few rows that land in one output row, in the order its plan fixes.
+Whole-array reductions accumulate in float64 before casting back: full sums
+and means and the bias gradient of :func:`linear` add up every row of a
+batch, and :func:`l2_normalize_rows` squares its inputs, which overflows
+float32 above about 1.8e19.  A whole tape can also run in float64, which is how the
+finite-difference oracles compare gradients without float32 noise.
 
 Ops are free functions taking the tape first; an op is recorded only when
 one of its inputs is connected to a tensor with ``requires_grad`` set.
@@ -380,31 +382,26 @@ def _as_plan(ids, rows: int) -> IndexPlan:
     return ids
 
 
-def _scatter_rows(
-    plan: IndexPlan, rows: Callable, width: int, row_dtype, dtype, out_dtype=None
-) -> np.ndarray:
+def _scatter_rows(plan: IndexPlan, rows: Callable, width: int, dtype: np.dtype) -> np.ndarray:
     """``out[ids[i]] += m[i]`` for i in order, into ``plan.rows`` zero rows
-    accumulated in ``dtype``, returned as ``out_dtype`` (default ``dtype``).
+    of ``dtype``, the dtype of the messages ``m``.
 
     The messages ``m`` are never materialised in id order: ``rows(e, buf)``
     writes ``m[e]`` for an index array ``e`` into ``buf`` (``len(e)`` by
-    ``width``, ``row_dtype``) and returns it.  Each output row receives its
-    messages one by one in id order, which makes the result bit-identical
-    to ``numpy.add.at`` on ``np.zeros((rows, width), dtype)``.
+    ``width``) and returns it.  Each output row receives its messages one
+    by one in id order, which makes the result bit-identical to
+    ``numpy.add.at`` on ``np.zeros((rows, width), dtype)``.
 
     Narrow plans run on the degree-sorted :meth:`IndexPlan.layout`: slot
     ``j`` is gathered into one reused buffer and added in place into the
-    first ``n_j`` rows of the row-sorted accumulator; the accumulator is
-    cast to ``out_dtype`` before the one un-permuting gather, so no second
-    accumulator-precision array is made.  Wide plans gather all messages
-    in :meth:`IndexPlan.blocks` order and sum each row's contiguous block.
+    first ``n_j`` rows of the row-sorted accumulator, which one gather
+    un-permutes at the end.  Wide plans gather all messages in
+    :meth:`IndexPlan.blocks` order and sum each row's contiguous block.
     """
-    dtype = np.dtype(dtype)
-    out_dtype = dtype if out_dtype is None else np.dtype(out_dtype)
     if plan.narrow:
         position, slots, sizes = plan.layout()
         acc = np.empty((plan.rows, width), dtype=dtype)
-        buf = np.empty((plan.rows, width), dtype=row_dtype)
+        buf = np.empty((plan.rows, width), dtype=dtype)
         zero = dtype.type(0)
         acc[sizes[0] if sizes else 0 :] = zero  # rows that receive no id
         lo = 0
@@ -414,34 +411,32 @@ def _scatter_rows(
             # turns -0.0 into +0.0), without zero-filling n_0 rows first.
             np.add(acc[:n] if j else zero, m, out=acc[:n])
             lo += n
-        if buf.dtype == out_dtype != dtype:
-            np.copyto(buf, acc, casting="unsafe")  # cast into the spent buffer
-            acc = buf
-        return np.take(acc.astype(out_dtype, copy=False), position, axis=0)
+        return np.take(acc, position, axis=0)
     order, blocks = plan.blocks()
     out = np.zeros((plan.rows, width), dtype=dtype)
-    xs = rows(order, np.empty((order.size, width), dtype=row_dtype))
+    xs = rows(order, np.empty((order.size, width), dtype=dtype))
     for s, lo, hi in blocks:
         block = xs[lo:hi]
         if width == 1:
             # A one-column sum is pairwise; cumsum is strictly sequential.
-            out[s] += np.cumsum(block, axis=0, dtype=dtype)[-1]
+            out[s] += np.cumsum(block, axis=0)[-1]
         else:
             # Summing axis 0 of a C-ordered block of two or more columns
             # adds whole rows one after another.
-            out[s] += block.sum(axis=0, dtype=dtype)
-    return out.astype(out_dtype, copy=False)
+            out[s] += block.sum(axis=0)
+    return out
 
 
-def _scatter_add(x: np.ndarray, plan: IndexPlan, dtype, out_dtype=None) -> np.ndarray:
-    """``out[ids[i]] += x[i]`` in id order; see :func:`_scatter_rows`."""
+def _scatter_add(x: np.ndarray, plan: IndexPlan) -> np.ndarray:
+    """``out[ids[i]] += x[i]`` in id order, in ``x``'s dtype; see
+    :func:`_scatter_rows`."""
     # Every gather into a buffer uses mode="clip", which writes straight into
     # ``out`` where "raise" would go through a temporary; all indices come
     # from validated plans.
     def rows(e, buf):
         return np.take(x, e, axis=0, out=buf, mode="clip")
 
-    return _scatter_rows(plan, rows, x.shape[1], x.dtype, dtype, out_dtype)
+    return _scatter_rows(plan, rows, x.shape[1], x.dtype)
 
 
 def _check_2d(name: str, t: Tensor) -> None:
@@ -462,7 +457,7 @@ def embedding_lookup(tape: Tape, table: Tensor, indices) -> Tensor:
     out = Tensor(table.data[plan.ids])
 
     def bwd(g: np.ndarray):
-        return (_scatter_add(g, plan, table.data.dtype),)
+        return (_scatter_add(g, plan),)
 
     tape._record(out, (table,), bwd)
     return out
@@ -492,7 +487,7 @@ def segment_sum(
     stands in for ``num_segments``.
     """
     plan = _segment_plan(x, segment_ids, num_segments)
-    out = Tensor(_scatter_add(x.data, plan, np.float64, x.data.dtype))
+    out = Tensor(_scatter_add(x.data, plan))
 
     def bwd(g: np.ndarray):
         return (g[plan.ids],)
@@ -510,8 +505,9 @@ def segment_mean(
     if (counts == 0).any():
         empty = int(np.nonzero(counts == 0)[0][0])
         raise ValueError(f"segment {empty} is empty; mean is undefined")
-    acc = _scatter_add(x.data, plan, np.float64)
-    out = Tensor((acc / counts[:, None]).astype(x.data.dtype))
+    acc = _scatter_add(x.data, plan)
+    acc /= counts[:, None]
+    out = Tensor(acc)
 
     def bwd(g: np.ndarray):
         inv = (1.0 / counts).astype(x.data.dtype)
@@ -536,8 +532,8 @@ def message_sum(
 
     ``out[v] = sum over edges i with dst[i] == v of m[i]``, where
     ``m[i] = x[src[i]] + (type_table[type_ids[i]] + dir_table[dir_ids[i]])``,
-    times ``coeff[i]`` when given.  Messages are formed at ``x``'s precision
-    and summed in float64 in edge order, so the result equals the chain
+    times ``coeff[i]`` when given.  Messages are formed and summed at
+    ``x``'s precision in edge order, so the result equals the chain
     ``embedding_lookup`` -> ``add`` -> [``mul``] -> ``segment_sum`` bit for
     bit.  Every index argument is an id array or an :class:`IndexPlan`;
     ``src`` and ``dst`` index the rows of ``x``, and both tables share its
@@ -584,10 +580,9 @@ def message_sum(
             buf *= col[e]
         return buf
 
-    out = Tensor(_scatter_rows(dst, messages, width, dtype, np.float64, dtype))
-    need = [tape._tracked(t) for t in (x, type_table, dir_table)]
-    plans = (src, tplan, dplan)
+    out = Tensor(_scatter_rows(dst, messages, width, dtype))
     tables = (x, type_table, dir_table)
+    need = [tape._tracked(t) for t in tables]
 
     def bwd(g: np.ndarray):
         def grads(e: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -597,8 +592,8 @@ def message_sum(
             return buf
 
         return tuple(
-            _scatter_rows(plan, grads, width, g.dtype, t.data.dtype) if needed else None
-            for plan, t, needed in zip(plans, tables, need)
+            _scatter_rows(plan, grads, width, g.dtype) if needed else None
+            for plan, needed in zip((src, tplan, dplan), need)
         )
 
     tape._record(out, tables, bwd)

@@ -95,10 +95,8 @@ class EncoderConfig:
     def __post_init__(self) -> None:
         if self.backbone not in BACKBONES:
             raise ConfigError(f"backbone must be one of {BACKBONES}, got {self.backbone!r}")
-        if self.num_layers < 1:
-            raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
-        if self.hidden_dim < 1 or self.latent_dim < 1:
-            raise ConfigError("hidden_dim and latent_dim must be positive")
+        for name in ("num_layers", "hidden_dim", "latent_dim"):
+            _check_count(name, getattr(self, name))
         if not 0 <= self.dropout < 1:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -117,8 +115,7 @@ class HeadSpec:
     def __post_init__(self) -> None:
         if self.task_kind not in TASK_KINDS:
             raise ConfigError(f"task_kind must be one of {TASK_KINDS}")
-        if self.task_count < 1:
-            raise ConfigError("task_count must be >= 1")
+        _check_count("task_count", self.task_count)
         check_head_fields(
             self.hidden_layers, self.hidden_dim, self.activation, self.dropout
         )
@@ -127,6 +124,13 @@ class HeadSpec:
     def out_dim(self) -> int:
         # Two logits per classification task; one value per regression task.
         return 2 * self.task_count if self.task_kind == "classification" else self.task_count
+
+
+def _check_count(name: str, value) -> None:
+    """A layer count or width must be an ``int`` (not a ``bool``) >= 1: a
+    float such as 16.0 would pass a comparison, then fail as an array shape."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def check_head_fields(
@@ -138,10 +142,8 @@ def check_head_fields(
 ) -> None:
     """The checks on a head's layout, shared by :class:`HeadSpec` and the
     fine-tuning config, which names the layer count ``layers_field``."""
-    if hidden_layers < 1:
-        raise ConfigError(f"{layers_field} must be >= 1, got {hidden_layers}")
-    if hidden_dim < 1:
-        raise ConfigError(f"hidden_dim must be >= 1, got {hidden_dim}")
+    _check_count(layers_field, hidden_layers)
+    _check_count("hidden_dim", hidden_dim)
     if activation not in ACTIVATIONS:
         raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
     if not 0 <= dropout < 1:

@@ -227,7 +227,7 @@ def test_segment_sum_matches_add_at_bitwise(case, dtype, width):
     rows, ids = _SCATTER_CASES[case]
     x = _spread_rows(ids.size, width, dtype)
     got = segment_sum(Tape(), tensor(x, dtype=dtype), ids, rows).data
-    want = _add_at(x.astype(np.float64), ids, rows, np.float64).astype(dtype)
+    want = _add_at(x, ids, rows, dtype)
     assert got.dtype == dtype
     assert got.tobytes() == want.tobytes()
 
@@ -240,7 +240,7 @@ def test_segment_mean_matches_add_at_bitwise(case, dtype, width):
     x = _spread_rows(ids.size, width, dtype)
     got = segment_mean(Tape(), tensor(x, dtype=dtype), ids, rows).data
     counts = np.bincount(ids, minlength=rows)
-    acc = _add_at(x.astype(np.float64), ids, rows, np.float64)
+    acc = _add_at(x, ids, rows, dtype)
     want = (acc / counts[:, None]).astype(dtype)
     assert got.tobytes() == want.tobytes()
 
@@ -275,13 +275,13 @@ def test_one_plan_reused_across_ops_matches_add_at_bitwise(case, dtype, width):
     )
     up_rows = _spread_rows(rows, width, dtype, seed=2)
     up_ids = _spread_rows(ids.size, width, dtype, seed=3)
-    acc = _add_at(x.data.astype(np.float64), ids, rows, np.float64)
+    acc = _add_at(x.data, ids, rows, dtype)
     counts = np.bincount(ids, minlength=rows)
     for _ in range(2):  # the second pass runs on the plan's cached layout
         tape = Tape()
         summed = segment_sum(tape, x, plan)
         looked = embedding_lookup(tape, table, plan)
-        assert summed.data.tobytes() == acc.astype(dtype).tobytes()
+        assert summed.data.tobytes() == acc.tobytes()
         assert looked.data.tobytes() == table.data[ids].tobytes()
         loss = add(
             tape,
@@ -439,17 +439,15 @@ def test_scatter_kernels_match_add_at_oracles_bitwise(case, width, dtype, seed):
     # A row that sums only -0.0 must come out +0.0, as from zeros.
     x[seed % 3 :: 3] = -0.0
     up_ids[seed % 3 :: 3] = -0.0
-    acc = _add_at(x.astype(np.float64), ids, rows, np.float64)
-    for acc_dtype in (dtype, np.float64):  # never narrower than x
-        got = _scatter_add(x, plan, acc_dtype)
-        assert got.dtype == acc_dtype
-        assert got.tobytes() == _add_at(x, ids, rows, acc_dtype).tobytes()
-    assert _scatter_add(x, plan, np.float64, dtype).tobytes() == acc.astype(dtype).tobytes()
+    acc = _add_at(x, ids, rows, dtype)
+    got = _scatter_add(x, plan)
+    assert got.dtype == dtype
+    assert got.tobytes() == acc.tobytes()
 
     tape = Tape()
     xt = tensor(x, requires_grad=True, dtype=dtype)
     summed = segment_sum(tape, xt, plan)
-    assert summed.data.tobytes() == acc.astype(dtype).tobytes()
+    assert summed.data.tobytes() == acc.tobytes()
     grads = backward(tape, tsum(tape, mul(tape, summed, constant(up_rows, dtype=dtype))))
     assert grads[xt].tobytes() == up_rows[ids].tobytes()
 

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -255,6 +256,18 @@ def test_sweep_covers_every_subcommand():
     assert sorted(build_parser()[1]) == sorted(SWEEP_BASES)
 
 
+def test_manual_names_every_flag():
+    manual = (Path(__file__).resolve().parents[1] / "MANUAL.md").read_text(encoding="utf-8")
+    missing = [
+        f"{command} {flag}"
+        for command, sub in build_parser()[1].items()
+        for action in sub._actions
+        for flag in action.option_strings
+        if not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", manual)
+    ]
+    assert not missing, missing
+
+
 def _sweep_numeric_flags(command, values, corpus_csv, labeled_csv, pretrained, tmp_path):
     """Run every int or float flag of ``command``, set to each of ``values``
     on a fast config that succeeds; returns the runs that did not end in an
@@ -409,6 +422,13 @@ def _list_metadata(tmp_path, corpus_csv, pretrained):
     return ["embed", "--data", str(corpus_csv), "--checkpoint", str(tmp_path / "list.bin")]
 
 
+def _float_dimension(field: str):
+    # 16.0 == 16, so the tensor shapes alone would accept the config.
+    return _edited_checkpoint(
+        lambda c: c.config["encoder"].update({field: float(c.config["encoder"][field])})
+    )
+
+
 def _not_utf8(tmp_path) -> str:
     path = tmp_path / "latin1.txt"
     path.write_bytes("smiles\nCCO # caf\u00e9\n".encode("latin-1"))
@@ -425,6 +445,9 @@ def _not_utf8(tmp_path) -> str:
         (_edited_checkpoint(lambda c: c.config.pop("encoder")), 2, "data error:"),
         (_edited_checkpoint(lambda c: c.config["encoder"].update(width=3)), 2, "data error:"),
         (_list_metadata, 2, "data error:"),
+        (_float_dimension("num_layers"), 2, "data error:"),
+        (_float_dimension("hidden_dim"), 2, "data error:"),
+        (_float_dimension("latent_dim"), 2, "data error:"),
         (lambda tmp, *_: ["split", "--data", _not_utf8(tmp)], 2, "data error:"),
         (lambda tmp, *_: ["split", "--data", str(tmp)], 2, "data error:"),
         (lambda tmp, *_: ["augment", "--smiles", "CCO", "--config", _not_utf8(tmp)],
@@ -433,7 +456,8 @@ def _not_utf8(tmp_path) -> str:
          1, "config error:"),
     ],
     ids=["missing-tensor", "embedding-shape", "no-encoder", "unknown-encoder-key",
-         "list-metadata", "csv-not-utf8", "csv-is-a-directory", "config-not-utf8",
+         "list-metadata", "float-num_layers", "float-hidden_dim", "float-latent_dim",
+         "csv-not-utf8", "csv-is-a-directory", "config-not-utf8",
          "config-is-a-directory"],
 )
 def test_unusable_inputs_end_in_an_exit_code(

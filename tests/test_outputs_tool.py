@@ -1,0 +1,58 @@
+"""The compare step of ``tools/outputs.py``, on two hand-made run trees."""
+
+import importlib.util
+from pathlib import Path
+
+_spec = importlib.util.spec_from_file_location(
+    "outputs", Path(__file__).resolve().parents[1] / "tools" / "outputs.py"
+)
+outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(outputs)
+
+
+def _tree(root: Path, files: dict[str, str]) -> Path:
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+def test_compare_files_counts_what_no_glob_allows(tmp_path):
+    same = {"split/split.csv": "a", "pretrain_gin/config_resolved.txt": "b"}
+    new = _tree(tmp_path / "new", {
+        **same, "pretrain_gin/loss.csv": "1", "embed/embeddings.csv": "2",
+        "augment_subgraph/views.txt": "3", "only_new/x.csv": "4",
+    })
+    old = _tree(tmp_path / "old", {
+        **same, "pretrain_gin/loss.csv": "5", "embed/embeddings.csv": "6",
+        "augment_subgraph/views.txt": "7", "only_old/x.csv": "8",
+    })
+    lines, changed, unexpected = outputs.compare_files(new, old, [])
+    assert len(lines) == 7 and (changed, unexpected) == (5, 5)
+    assert sum(line.startswith("equal") for line in lines) == 2
+    assert any(line.startswith("different  only_new/x.csv") and "| absent" in line
+               for line in lines)
+
+    # By name, or by path below the run directory.
+    globs = ["loss.csv", "embed/*", "only_*"]
+    lines, changed, unexpected = outputs.compare_files(new, old, globs)
+    assert (changed, unexpected) == (5, 1)
+    assert [line.split()[1] for line in lines if "NOT EXPECTED" in line] == [
+        "augment_subgraph/views.txt"
+    ]
+    assert outputs.compare_files(new, new, [])[1:] == (0, 0)
+
+
+def test_compare_runs_never_allows_a_different_exit_code_or_stderr():
+    old = {"split": (0, ""), "abort": (1, "config error: x\n"), "embed": (0, "")}
+    new = {"split": (0, ""), "abort": (1, "config error: y\n"), "embed": (2, "")}
+    lines, differ = outputs.compare_runs(new, old)
+    assert differ == 2
+    assert lines == [
+        "split: exit 0 | 0, stderr equal",
+        "abort: exit 1 | 1, stderr different  (NOT EXPECTED)",
+        "    config error: y",
+        "  | config error: x",
+        "embed: exit 2 | 0, stderr equal  (NOT EXPECTED)",
+    ]
+    assert outputs.compare_runs(old, old)[1] == 0

@@ -849,15 +849,15 @@ def test_training_builds_no_view_graph(strategy, monkeypatch):
 PIN_ENCODER = EncoderConfig(num_layers=2, hidden_dim=16, latent_dim=8)
 PIN_RATIOS = dict(mask_ratio=0.3, delete_ratio=0.3, subgraph_ratio=0.3)
 PINNED_PRETRAIN = {
-    "mask_delete": "4c015ea77f74e1936b79517b613584f7bb76b83728ba785642157d3110ffc5ee",
-    "subgraph_random": "64326de218ff60845f3c9196d47604433a288aac49cb12c2a51cec9d1b4a483f",
-    "subgraph": "70eb7711571b95594b3ea8313e508de96bf24a3df8f60fc9b35c5eec3d6db11e",
-    "compose_all": "4c75fc4b2e98563f7f05f952a240ac215428e7c224cd0a0b84dfa6e76d259c6e",
-    "gcn-dropout-val": "a002bc7c84500f0db841d167bbece84bc76eef56c4b94194d422560cea051c29",
+    "mask_delete": "16bedf08621f999d1c45b3efe12327d32b2c4f6c77cc3b55b307a751e2274453",
+    "subgraph_random": "ef7ac30fc540e2737d134426b3a18815da83b16b10dc2e19fd01ba67c159f26c",
+    "subgraph": "92f1837a33ada8e1f0c6d46215e4a50d21c69a235a6fc6136ee1df514264e0be",
+    "compose_all": "b3e0545e81030a90ad256f7cf584cbc5a92976b939315a5f4d141cb337419c65",
+    "gcn-dropout-val": "8ce226da7dc1cfe78b133ba4d2cad86b5aa3ce58aa9c5d837a36b2ea1fcfd38f",
 }
 PINNED_FINETUNE = {
-    "plain": "0bf747055fc08c86d26bcd4993bbaeddccbe5d57993009c12c80259f0acde699",
-    "compose_all": "7bb0e3b2f08adbe9582c2e5dcca773a2a62cf6dde241bb4f354a9b8c748e1eea",
+    "plain": "422d20dcb6b664c1cb8f483f5086b4293953c4da5cfd2d5e8c2b590dd61542f3",
+    "compose_all": "5b22b57ac8850ff3c6a262f868c118ac8adaf2c34003356992dba6256a98d384",
 }
 
 

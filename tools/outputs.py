@@ -1,0 +1,195 @@
+"""Check that the CLI's outputs are unchanged against a git revision.
+
+    python tools/outputs.py REV [--expect-changed GLOB ...]
+
+Run from anywhere inside the repository.  Writes a small unlabeled corpus
+and a labeled dataset with the working tree's ``tests/molgen.py``, then runs
+one fixed matrix of ``molcontrast`` commands twice: first on the working
+tree's ``src/``, then on ``src/`` of ``git archive REV`` exported to a
+temporary directory.  Each tree runs in its own directory, and every path
+a command is given is relative and reads the same in both, so the paths
+that ``config_resolved.txt`` records match too.  Both trees together take
+about 12 s on a 2-vCPU machine.
+
+Prints each run's exit code and stderr in both trees, then the sha256 of
+each output file as ``equal`` or ``different``.  A file that differs, or
+that one tree wrote and the other did not, is allowed when its path below
+the run directory (``pretrain_gin/loss.csv``) or its name (``loss.csv``)
+matches an ``--expect-changed`` glob; a different exit code or stderr is
+never allowed.  Stdout is not compared: it only summarises the files.
+Exits 1 when any difference is not allowed, 2 when REV cannot be exported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import fnmatch
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Sequence
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from molcontrast.augment import STRATEGIES  # noqa: E402
+from molgen import write_corpus_csv, write_labeled_csv  # noqa: E402
+
+CORPUS = "../data/corpus.csv"
+LABELED = "../data/labeled.csv"
+_ENCODER = ["--layers", "2", "--hidden", "32", "--latent", "16"]
+_TRAIN = ["--epochs", "3", "--batch", "16", "--warm-epochs", "1", *_ENCODER]
+_FINETUNE = ["finetune", "--data", LABELED, "--epochs", "4", "--batch", "32",
+             "--head-hidden", "16"]
+_RETRIEVE = ["retrieve", "--data", CORPUS, "--checkpoint", "pretrain_gin/checkpoint.bin",
+             "--query", "CCOc1ccc(C)cc1", "--bins", "5"]
+
+# (run name, argv); each run writes to --out <run name>.  Later runs read
+# the checkpoints of the two pre-training runs.
+MATRIX: tuple[tuple[str, list[str]], ...] = (
+    ("pretrain_gin", ["pretrain", "--data", CORPUS, *_TRAIN, "--val-fraction", "0"]),
+    ("pretrain_gcn", ["pretrain", "--data", CORPUS, *_TRAIN, "--backbone", "gcn",
+                      "--dropout", "0.2", "--val-fraction", "0.2"]),
+    ("finetune_classification", [*_FINETUNE, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
+    ("finetune_regression", [*_FINETUNE, "--task", "regression", "--augment",
+                             "--checkpoint", "pretrain_gcn/checkpoint.bin"]),
+    ("embed", ["embed", "--data", CORPUS, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
+    ("retrieve_sampled", [*_RETRIEVE, "--samples-per-bin", "4"]),
+    ("retrieve_whole_bin", _RETRIEVE),
+    *(
+        (f"augment_{strategy}", ["augment", "--data", CORPUS, "--index", "7",
+                                 "--views", "3", "--strategy", strategy])
+        for strategy in STRATEGIES
+    ),
+    ("split", ["split", "--data", CORPUS]),
+    ("gradcheck", ["gradcheck"]),
+    ("ablate_temp", ["ablate_temp", "--data", LABELED, "--pretrain-epochs", "1",
+                     "--warm-epochs", "0", "--finetune-epochs", "2", "--batch", "16",
+                     "--finetune-batch", "32", *_ENCODER]),
+    # Documented aborts: both are configuration errors (exit 1).
+    ("abort_views_0", ["augment", "--smiles", "CCO", "--views", "0"]),
+    ("abort_missing_data", ["pretrain", *_TRAIN]),
+)
+
+
+def write_inputs(data: Path) -> None:
+    """The corpus and labeled dataset that every run reads."""
+    data.mkdir(parents=True)
+    write_corpus_csv(data / "corpus.csv", 120, seed=1)
+    write_labeled_csv(data / "labeled.csv", 90, seed=6)
+
+
+def run_matrix(src: Path, cwd: Path) -> dict[str, tuple[int, str]]:
+    """Run every command of :data:`MATRIX` on the package in ``src``, in
+    ``cwd``; returns each run's exit code and stderr."""
+    cwd.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(src))
+    runs = {}
+    for name, argv in MATRIX:
+        proc = subprocess.run(
+            [sys.executable, "-m", "molcontrast.cli", *argv, "--out", name],
+            cwd=cwd, env=env, capture_output=True, text=True,
+        )
+        runs[name] = (proc.returncode, proc.stderr)
+    return runs
+
+
+def digests(root: Path) -> dict[str, str]:
+    """The sha256 of every file below ``root``, by its path relative to it."""
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def expected(path: str, globs: Sequence[str]) -> bool:
+    name = path.rsplit("/", 1)[-1]
+    return any(fnmatch.fnmatchcase(path, g) or fnmatch.fnmatchcase(name, g) for g in globs)
+
+
+def compare_files(
+    new: Path, old: Path, globs: Sequence[str]
+) -> tuple[list[str], int, int]:
+    """One line per file below either root, ``equal`` or ``different``
+    with its digests; returns the lines, the number of files that differ
+    and the number of those that no glob in ``globs`` allows."""
+    a, b = digests(new), digests(old)
+    lines, changed, unexpected = [], 0, 0
+    for path in sorted(a.keys() | b.keys()):
+        da, db = a.get(path, "absent"), b.get(path, "absent")
+        if da == db:
+            lines.append(f"equal      {path}  {da}")
+            continue
+        changed += 1
+        allowed = expected(path, globs)
+        unexpected += not allowed
+        note = "expected" if allowed else "NOT EXPECTED"
+        lines.append(f"different  {path}  {da} | {db}  ({note})")
+    return lines, changed, unexpected
+
+
+def compare_runs(
+    new: dict[str, tuple[int, str]], old: dict[str, tuple[int, str]]
+) -> tuple[list[str], int]:
+    """One block per run: exit codes, then stderr (both trees' when they
+    differ); returns the lines and the number of runs that differ."""
+    lines, differ = [], 0
+    for name, (code, err) in new.items():
+        old_code, old_err = old[name]
+        same = code == old_code and err == old_err
+        differ += not same
+        lines.append(
+            f"{name}: exit {code} | {old_code}, stderr "
+            + ("equal" if err == old_err else "different")
+            + ("" if same else "  (NOT EXPECTED)")
+        )
+        lines += [f"    {line}" for line in err.splitlines()]
+        if err != old_err:
+            lines += [f"  | {line}" for line in old_err.splitlines()]
+    return lines, differ
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision to compare the working tree against")
+    parser.add_argument(
+        "--expect-changed", nargs="+", default=[], metavar="GLOB",
+        help="output files allowed to differ, by path below the run directory or by name",
+    )
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="outputs-") as tmp:
+        tmp = Path(tmp)
+        export = tmp / "export"
+        export.mkdir()
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", args.rev], capture_output=True
+        )
+        if archive.returncode != 0:
+            print(f"cannot export {args.rev}: {archive.stderr.decode().strip()}",
+                  file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(export)], input=archive.stdout, check=True)
+        write_inputs(tmp / "data")
+        new_runs = run_matrix(ROOT / "src", tmp / "new")
+        old_runs = run_matrix(export / "src", tmp / "old")
+        run_lines, runs_differ = compare_runs(new_runs, old_runs)
+        file_lines, changed, unexpected = compare_files(
+            tmp / "new", tmp / "old", args.expect_changed
+        )
+    print(f"== runs: exit code and stderr, working tree | {args.rev}")
+    print("\n".join(run_lines))
+    print(f"== files: sha256, working tree | {args.rev}")
+    print("\n".join(file_lines))
+    print(
+        f"== {len(file_lines)} files, {changed} different, {unexpected} not expected; "
+        f"{runs_differ} of {len(new_runs)} runs differ in exit code or stderr"
+    )
+    return 1 if unexpected or runs_differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
