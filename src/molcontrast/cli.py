@@ -20,6 +20,7 @@ import inspect
 import math
 import re
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -284,6 +285,17 @@ def _load_molecules(path: str, task: str | None = None):
     return loaded
 
 
+def _finetune_config(**fields) -> FinetuneConfig:
+    """``FinetuneConfig(**fields)``, with each warning about a value outside
+    the search grid printed as one ``warning:`` line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg = FinetuneConfig(**fields)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return cfg
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -336,7 +348,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     if args.checkpoint and args.no_pretrain:
         raise ConfigError("--checkpoint and --no-pretrain are mutually exclusive")
 
-    cfg = FinetuneConfig(
+    cfg = _finetune_config(
         epochs=args.epochs,
         batch_size=args.batch,
         lr_head=args.lr_head,
@@ -569,7 +581,7 @@ def _ablation_sweep(args, column, values, vary, label) -> int:
         encoder=_encoder_config(args),
         seed=args.seed,
     )
-    ft_cfg = FinetuneConfig(
+    ft_cfg = _finetune_config(
         epochs=args.finetune_epochs,
         batch_size=args.finetune_batch,
         lr_head=args.lr_head,

@@ -428,27 +428,45 @@ def _epoch_batches(cfg, indices: np.ndarray, epoch: int):
         yield start, order[start : start + cfg.batch_size], drop_rng
 
 
-def _optimizer_step(
-    model: EncoderModel, tape: Tape, loss: Tensor, state: AdamState,
-    lr: float | Callable[[str], float], weight_decay: float,
-    kind: str, epoch: int, start: int,
+def _train_epoch(
+    model: EncoderModel, state: AdamState, cfg, indices: np.ndarray, epoch: int,
+    lr: float | Callable[[str], float], weight_decay: float, kind: str, build: Callable,
 ) -> float:
-    """Abort on a non-finite loss, else back-propagate it and take one Adam
-    step on every parameter that received a gradient; returns the loss.
-    Aborts as well when that step leaves a parameter non-finite, which a
-    non-finite gradient always does."""
-    where = f"at epoch {epoch}, batch offset {start}"
-    value = float(loss.data)
-    if not math.isfinite(value):
-        raise NumericAbort(f"non-finite {kind} loss {where}")
-    with np.errstate(all="ignore"):  # checked below
-        grads = backward(tape, loss)
-        named = {name: grads[t] for name, t in model.params.items() if t in grads}
-        adam_step(model.params, named, state, lr, weight_decay)
-    for name in named:
-        if not np.isfinite(model.params[name].data).all():
-            raise NumericAbort(f"non-finite {kind} update of {name} {where}")
-    return value
+    """One epoch of Adam steps over the batches of ``indices``; returns the
+    :func:`_weighted_mean` of the batch losses.
+
+    ``build(chunk, dropout_rng)`` records a batch's forward pass and returns
+    ``(tape, loss, weight)``, or None to skip the batch.  A non-finite loss
+    aborts, and so does an update that leaves a parameter non-finite, which
+    a non-finite gradient always does.  Each step's tape and gradients are
+    freed before the next batch is built.
+    """
+    losses = []
+    for start, chunk, drop_rng in _epoch_batches(cfg, indices, epoch):
+        with np.errstate(all="ignore"):  # the loss and the update are checked
+            built = build(chunk, drop_rng)
+            if built is None:
+                continue
+            tape, loss, weight = built
+            where = f"at epoch {epoch}, batch offset {start}"
+            value = float(loss.data)
+            if not math.isfinite(value):
+                raise NumericAbort(f"non-finite {kind} loss {where}")
+            grads = backward(tape, loss)
+            named = {name: grads[t] for name, t in model.params.items() if t in grads}
+            adam_step(model.params, named, state, lr, weight_decay)
+        for name in named:
+            if not np.isfinite(model.params[name].data).all():
+                raise NumericAbort(f"non-finite {kind} update of {name} {where}")
+        del built, tape, loss, grads, named  # free this step before the next forward
+        losses.append((value, weight))
+    return _weighted_mean(losses)
+
+
+def _weighted_mean(losses: Sequence[tuple[float, int]]) -> float:
+    """Mean of (loss, weight) pairs by weight; NaN when there are none."""
+    seen = sum(w for _, w in losses)
+    return sum(v * w for v, w in losses) / seen if seen else float("nan")
 
 
 def _contrastive_batch(
@@ -470,12 +488,8 @@ def _contrastive_batch(
         views += [draw_view(graphs[i], cfg.augment, rng) for _ in range(2)]
     batch = pack.gather(np.repeat(indices, 2), *zip(*views))
     tape = Tape()
-    h = represent(tape, model, batch, dropout_rng)
-    z = project(tape, model, h)
-    loss = nt_xent(
-        tape, z, ContrastiveConfig(cfg.temperature, len(indices))
-    )
-    return tape, loss
+    z = project(tape, model, represent(tape, model, batch, dropout_rng))
+    return tape, nt_xent(tape, z, ContrastiveConfig(cfg.temperature, len(indices)))
 
 
 def pretrain(graphs: Sequence[MoleculeGraph], cfg: PretrainConfig) -> PretrainResult:
@@ -492,46 +506,35 @@ def pretrain(graphs: Sequence[MoleculeGraph], cfg: PretrainConfig) -> PretrainRe
         raise DataError(f"pre-training needs >= 2 molecules, got {n}")
     perm = derive_rng(cfg.seed, _TAG_SPLIT).permutation(n)
     n_val = min(int(n * cfg.val_fraction), n - 2)
-    val_idx = perm[:n_val]
-    train_idx = perm[n_val:]
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
     model = EncoderModel.initialize(cfg.encoder, derive_rng(cfg.seed, _TAG_INIT))
     pack = GraphBatch.from_graphs(graphs)
     state = AdamState()
     history: list[EpochTrace] = []
+
+    def build(chunk, drop_rng):  # a training batch of the current epoch
+        if len(chunk) < 2:
+            return None
+        tape, loss = _contrastive_batch(
+            model, graphs, pack, chunk, cfg, epoch, _TAG_AUGMENT, drop_rng
+        )
+        return tape, loss, len(chunk)
+
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg.epochs, cfg.lr, cfg.warm_epochs)
-        total = 0.0
-        seen = 0
-        for start, chunk, drop_rng in _epoch_batches(cfg, train_idx, epoch):
-            if len(chunk) < 2:
-                continue
-            with np.errstate(all="ignore"):  # _optimizer_step checks the loss
-                tape, loss = _contrastive_batch(
-                    model, graphs, pack, chunk, cfg, epoch, _TAG_AUGMENT, drop_rng
-                )
-            value = _optimizer_step(
-                model, tape, loss, state, lr, cfg.weight_decay,
-                "contrastive", epoch, start,
-            )
-            del tape, loss  # free this step's activations before the next forward
-            total += value * len(chunk)
-            seen += len(chunk)
-        train_loss = total / seen if seen else float("nan")
-        val_loss = float("nan")
-        if len(val_idx) >= 2:
-            frozen = model.frozen()  # nothing to record
-            vals = []
-            for start in range(0, len(val_idx), cfg.batch_size):
-                chunk = val_idx[start : start + cfg.batch_size]
-                if len(chunk) < 2:
-                    continue
+        train_loss = _train_epoch(
+            model, state, cfg, train_idx, epoch, lr, cfg.weight_decay, "contrastive", build
+        )
+        frozen = model.frozen()  # nothing to record
+        vals = []
+        for start in range(0, len(val_idx), cfg.batch_size):
+            chunk = val_idx[start : start + cfg.batch_size]
+            if len(chunk) >= 2:
                 loss = _contrastive_batch(
                     frozen, graphs, pack, chunk, cfg, epoch, _TAG_VAL_AUGMENT, None
                 )[1]
                 vals.append((float(loss.data), len(chunk)))
-            if vals:
-                val_loss = sum(v * w for v, w in vals) / sum(w for _, w in vals)
-        history.append(EpochTrace(epoch, train_loss, val_loss, lr))
+        history.append(EpochTrace(epoch, train_loss, _weighted_mean(vals), lr))
     ckpt = model_to_checkpoint(
         model, epoch=cfg.epochs, extra={"pretrain": _jsonable_config(cfg)}
     )
@@ -621,7 +624,7 @@ class FinetuneConfig:
                 )
             warnings.warn(
                 f"{name}={value!r} is outside the search grid {allowed}",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the dataclass's __init__
             )
 
 
@@ -800,6 +803,20 @@ def finetune(
             for m in metrics
         ]
 
+    def build(chunk, drop_rng):  # a training batch of the current epoch
+        if not observed[chunk].any():
+            return None
+        views = [((), ())] * len(chunk)
+        if augment is not None:
+            views = [
+                draw_view(graphs[i], augment, derive_rng(cfg.seed, _TAG_FT_AUGMENT, epoch, i))
+                for i in map(int, chunk)
+            ]
+        return _supervised_loss(
+            model, pack.gather(chunk, *zip(*views)), train_targets[chunk],
+            observed[chunk], classify_basis, drop_rng,
+        )
+
     state = AdamState()
     history: list[FinetuneEpochTrace] = []
     best_epoch = -1
@@ -807,37 +824,14 @@ def finetune(
     best_arrays: dict[str, np.ndarray] | None = None
 
     for epoch in range(cfg.epochs):
-        lr_head = (
-            lr_at(epoch, cfg.epochs, cfg.lr_head) if cfg.cosine_decay else cfg.lr_head
-        )
-        lr_base = (
-            lr_at(epoch, cfg.epochs, cfg.lr_base) if cfg.cosine_decay else cfg.lr_base
+        lr_head, lr_base = (
+            lr_at(epoch, cfg.epochs, peak) if cfg.cosine_decay else peak
+            for peak in (cfg.lr_head, cfg.lr_base)
         )
         rate = lambda name: lr_head if name.startswith("head.") else lr_base  # noqa: E731
-        total = 0.0
-        seen = 0
-        for start, chunk, drop_rng in _epoch_batches(cfg, train_idx, epoch):
-            if not observed[chunk].any():
-                continue
-            views = [((), ())] * len(chunk)
-            if augment is not None:
-                views = [
-                    draw_view(graphs[i], augment, derive_rng(cfg.seed, _TAG_FT_AUGMENT, epoch, i))
-                    for i in map(int, chunk)
-                ]
-            batch = pack.gather(chunk, *zip(*views))
-            with np.errstate(all="ignore"):  # as in pretrain()
-                tape, loss, count = _supervised_loss(
-                    model, batch, train_targets[chunk], observed[chunk],
-                    classify_basis, drop_rng,
-                )
-            value = _optimizer_step(
-                model, tape, loss, state, rate, 0.0, "supervised", epoch, start
-            )
-            del tape, loss  # as in pretrain()
-            total += value * count
-            seen += count
-        train_loss = total / seen if seen else float("nan")
+        train_loss = _train_epoch(
+            model, state, cfg, train_idx, epoch, rate, 0.0, "supervised", build
+        )
         try:
             [(val_metric, _)] = evaluate(val_idx, test_metrics[0])
         except UndefinedMetric:
@@ -865,14 +859,6 @@ def finetune(
     metrics = {m.__name__: value for m, (value, _) in zip(test_metrics, scored)}
     metric_name = test_metrics[0].__name__
     return FinetuneResult(
-        model,
-        history,
-        best_epoch,
-        best_val,
-        test_metric,
-        metric_name,
-        per_task,
-        metrics,
-        stats,
-        split,
+        model, history, best_epoch, best_val, test_metric, metric_name, per_task,
+        metrics, stats, split,
     )

@@ -672,13 +672,23 @@ def test_overflowing_checkpoint_finetune_is_a_numeric_abort(
     assert not (tmp_path / "o").exists()
 
 
-def test_non_finite_adam_update_is_a_numeric_abort(tmp_path):
+@pytest.mark.parametrize("command, flags, warning_lines, message", [
+    ("pretrain", ["--lr", "1e39", "--warm-epochs", "0", "--val-fraction", "0"], [],
+     "non-finite contrastive update of atom_embedding at epoch 0, batch offset 0"),
+    ("finetune", ["--lr-head", "1e39", "--free-values"] + FINETUNE_FAST[4:],
+     ["warning: lr_head=1e+39 is outside the search grid (0.0005, 0.001)"],
+     "non-finite supervised update of head.weight0 at epoch 0, batch offset 0"),
+], ids=["pretrain", "finetune"])
+def test_non_finite_adam_update_is_a_numeric_abort(
+    command, flags, warning_lines, message, tmp_path
+):
     # The loss is finite, but a rate of 1e39 overflows the float32 update.
     # A fresh process with numpy's default warning filters, as above.
     write_corpus_csv(tmp_path / "corpus.csv", 40, seed=3)
-    argv = ["pretrain", "--data", str(tmp_path / "corpus.csv"), "--out", str(tmp_path / "o"),
-            "--epochs", "1", "--batch", "64", "--lr", "1e39", "--warm-epochs", "0",
-            "--val-fraction", "0"]
+    write_labeled_csv(tmp_path / "labeled.csv", 30, seed=6)
+    data = tmp_path / ("corpus.csv" if command == "pretrain" else "labeled.csv")
+    argv = [command, "--data", str(data), "--out", str(tmp_path / "o"),
+            "--epochs", "1", "--batch", "64" if command == "pretrain" else "32", *flags]
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
@@ -686,10 +696,18 @@ def test_non_finite_adam_update_is_a_numeric_abort(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("numeric abort:"), proc.stderr
-    assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [*warning_lines, f"numeric abort: {message}"], proc.stderr
     assert not (tmp_path / "o").exists()  # the output directory comes after the work
+
+
+def test_off_grid_value_warns_in_one_line(labeled_csv, tmp_path, capsys):
+    argv = ["finetune", "--data", str(labeled_csv), "--out", str(tmp_path / "o"),
+            "--free-values", "--lr-head", "1e-2", "--n-layer", "3"] + FINETUNE_FAST
+    assert main(argv) == 0
+    assert capsys.readouterr().err == (
+        "warning: lr_head=0.01 is outside the search grid (0.0005, 0.001)\n"
+        "warning: n_layer=3 is outside the search grid (1, 2)\n"
+    )
 
 
 def test_overflowing_gradcheck_step_is_a_numeric_abort(tmp_path):

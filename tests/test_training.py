@@ -646,6 +646,36 @@ def test_regression_finetune_predicts_the_test_split_once(monkeypatch):
     assert set(result.metrics) == {"rmse", "mae"}
 
 
+def test_finetune_skips_batches_without_an_observed_label():
+    # No training molecule has a label: every batch is skipped, so nothing
+    # moves and each epoch's training loss is the mean of no batch, NaN.
+    from molcontrast.datasets import LabeledDataset, LabeledRecord
+    from molgen import make_molecules
+
+    records = [
+        LabeledRecord(i, smiles, g, (float(g.num_nodes),), (i >= 16,))
+        for i, (smiles, g) in enumerate(make_molecules(24, seed=6))
+    ]
+    dataset = LabeledDataset("regression", ("size",), records)
+    split = SplitAssignment(tuple([Split.TRAIN] * 16 + [Split.VALID] * 4 + [Split.TEST] * 4))
+    ckpt = model_to_checkpoint(EncoderModel.initialize(SMALL_ENCODER, np.random.default_rng(2)))
+    cfg = FinetuneConfig(epochs=3, batch_size=32, hidden_dim=16, seed=1)
+    result = finetune(dataset, cfg, checkpoint=ckpt, split=split)
+    assert len(result.history) == 3
+    assert all(math.isnan(row.train_loss) for row in result.history)
+
+    start = model_from_checkpoint(ckpt)
+    start.add_head(
+        HeadSpec("regression", 1, cfg.n_layer, cfg.hidden_dim, cfg.activation, cfg.dropout),
+        training_module.derive_rng(cfg.seed, training_module._TAG_HEAD_INIT),
+    )
+    want = start.state_arrays()
+    got = result.model.state_arrays()
+    assert got.keys() == want.keys()
+    for name, arr in want.items():
+        np.testing.assert_array_equal(got[name], arr, err_msg=name)
+
+
 def test_predict_molecules_contracts():
     model = make_model()
     with pytest.raises(ValueError):

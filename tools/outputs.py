@@ -9,7 +9,7 @@ tree's ``src/``, then on ``src/`` of ``git archive REV`` exported to a
 temporary directory.  Each tree runs in its own directory, and every path
 a command is given is relative and reads the same in both, so the paths
 that ``config_resolved.txt`` records match too.  Both trees together take
-about 12 s on a 2-vCPU machine.
+about 13 s on a 2-vCPU machine.
 
 Prints each run's exit code and stderr in both trees, then the sha256 of
 each output file as ``equal`` or ``different``.  A file that differs, or
@@ -44,16 +44,22 @@ _ENCODER = ["--layers", "2", "--hidden", "32", "--latent", "16"]
 _TRAIN = ["--epochs", "3", "--batch", "16", "--warm-epochs", "1", *_ENCODER]
 _FINETUNE = ["finetune", "--data", LABELED, "--epochs", "4", "--batch", "32",
              "--head-hidden", "16"]
+_ABLATE = ["--pretrain-epochs", "1", "--warm-epochs", "0", "--finetune-epochs", "2",
+           "--batch", "16", "--finetune-batch", "32", *_ENCODER]
 _RETRIEVE = ["retrieve", "--data", CORPUS, "--checkpoint", "pretrain_gin/checkpoint.bin",
              "--query", "CCOc1ccc(C)cc1", "--bins", "5"]
 
 # (run name, argv); each run writes to --out <run name>.  Later runs read
-# the checkpoints of the two pre-training runs.
+# the checkpoints of the first three pre-training runs.
 MATRIX: tuple[tuple[str, list[str]], ...] = (
     ("pretrain_gin", ["pretrain", "--data", CORPUS, *_TRAIN, "--val-fraction", "0"]),
+    ("pretrain_gin_dropout", ["pretrain", "--data", CORPUS, *_TRAIN, "--dropout", "0.2",
+                              "--val-fraction", "0.2"]),
     ("pretrain_gcn", ["pretrain", "--data", CORPUS, *_TRAIN, "--backbone", "gcn",
                       "--dropout", "0.2", "--val-fraction", "0.2"]),
     ("finetune_classification", [*_FINETUNE, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
+    ("finetune_augment_cosine", [*_FINETUNE, "--augment", "--cosine-decay",
+                                 "--checkpoint", "pretrain_gin_dropout/checkpoint.bin"]),
     ("finetune_regression", [*_FINETUNE, "--task", "regression", "--augment",
                              "--checkpoint", "pretrain_gcn/checkpoint.bin"]),
     ("embed", ["embed", "--data", CORPUS, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
@@ -66,12 +72,13 @@ MATRIX: tuple[tuple[str, list[str]], ...] = (
     ),
     ("split", ["split", "--data", CORPUS]),
     ("gradcheck", ["gradcheck"]),
-    ("ablate_temp", ["ablate_temp", "--data", LABELED, "--pretrain-epochs", "1",
-                     "--warm-epochs", "0", "--finetune-epochs", "2", "--batch", "16",
-                     "--finetune-batch", "32", *_ENCODER]),
-    # Documented aborts: both are configuration errors (exit 1).
+    ("ablate_temp", ["ablate_temp", "--data", LABELED, *_ABLATE]),
+    ("ablate_aug", ["ablate_aug", "--data", LABELED, *_ABLATE]),
+    # Documented aborts: two configuration errors (exit 1) and a numeric
+    # abort (exit 3), an Adam update that overflows float32.
     ("abort_views_0", ["augment", "--smiles", "CCO", "--views", "0"]),
     ("abort_missing_data", ["pretrain", *_TRAIN]),
+    ("abort_update_overflow", ["pretrain", "--data", CORPUS, *_TRAIN, "--lr", "1e39"]),
 )
 
 
