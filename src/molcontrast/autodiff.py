@@ -511,7 +511,7 @@ def segment_mean(
 
     def bwd(g: np.ndarray):
         inv = (1.0 / counts).astype(x.data.dtype)
-        return (g[plan.ids] * inv[plan.ids][:, None],)
+        return ((g * inv[:, None])[plan.ids],)
 
     tape._record(out, (x,), bwd)
     return out
@@ -527,6 +527,7 @@ def message_sum(
     dir_table: Tensor,
     dir_ids,
     coeff: np.ndarray | None = None,
+    add_self: bool = False,
 ) -> Tensor:
     """Message-passing aggregate in one tape record.
 
@@ -538,6 +539,12 @@ def message_sum(
     bit.  Every index argument is an id array or an :class:`IndexPlan`;
     ``src`` and ``dst`` index the rows of ``x``, and both tables share its
     dtype.  ``coeff`` is a constant of one value per edge.
+
+    With ``add_self`` the output is ``x + out`` (GIN's self term), added
+    into the sum buffer, and the backward adds ``g`` into ``x``'s scattered
+    gradient as ``g + dx``: the same operands in the same order as
+    ``add(x, message_sum(...))``, so NaN payloads match too, with one
+    record and one node-by-width array fewer.
 
     No edge-by-width array is built in the forward when ``dst`` is narrow,
     which node plans of a molecule batch are (a node receives at most one
@@ -581,6 +588,8 @@ def message_sum(
         return buf
 
     out = Tensor(_scatter_rows(dst, messages, width, dtype))
+    if add_self:
+        np.add(x.data, out.data, out=out.data)
     tables = (x, type_table, dir_table)
     need = [tape._tracked(t) for t in tables]
 
@@ -591,10 +600,13 @@ def message_sum(
                 buf *= col[e]
             return buf
 
-        return tuple(
+        dx, dtypes, ddirs = (
             _scatter_rows(plan, grads, width, g.dtype) if needed else None
             for plan, needed in zip((src, tplan, dplan), need)
         )
+        if add_self and dx is not None:
+            np.add(g, dx, out=dx)
+        return dx, dtypes, ddirs
 
     tape._record(out, tables, bwd)
     return out
@@ -603,8 +615,20 @@ def message_sum(
 # -- dense linear algebra ---------------------------------------------
 
 
-def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` with shapes [n,a] x [a,k] + [k]."""
+def linear(
+    tape: Tape, x: Tensor, w: Tensor, b: Tensor, act: str | None = None
+) -> Tensor:
+    """Affine map ``x @ w + b`` with shapes [n,a] x [a,k] + [k], followed
+    by ReLU in the same record when ``act`` is ``"relu"``.
+
+    The fused ReLU runs in place on the product buffer, so the record holds
+    one array and no other op ever sees the pre-activation.  Its output and
+    gradients equal ``relu(linear(...))`` bit for bit: the forward is the
+    same ``np.maximum``, and the backward gates ``g`` by ``out > 0``, which
+    holds exactly when the pre-activation is ``> 0`` (NaN and -0.0 too).
+    """
+    if act not in (None, "relu"):
+        raise ValueError(f"unknown activation {act!r}; expected None or 'relu'")
     _check_2d("x", x)
     _check_2d("w", w)
     if x.data.shape[1] != w.data.shape[0]:
@@ -615,10 +639,15 @@ def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"bias shape {b.data.shape} does not match output width {w.data.shape[1]}"
         )
-    out = Tensor(_matmul(x.data, w.data))
-    out.data += b.data
+    y = _matmul(x.data, w.data)
+    y += b.data
+    if act:
+        np.maximum(y, 0, out=y)
+    out = Tensor(y)
 
     def bwd(g: np.ndarray):
+        if act:
+            g = g * (y > 0)
         db = g.sum(axis=0, dtype=np.float64).astype(b.data.dtype)
         return (_matmul(g, w.data.T), _matmul(x.data.T, g), db)
 
@@ -687,8 +716,10 @@ def _elementwise_pair(tape, a, b, fwd, da_fn, db_fn):
             )
 
     def bwd(g: np.ndarray):
-        da = da_fn(g).astype(a.data.dtype) if need_a else None
-        db = db_fn(g).astype(b.data.dtype) if need_b else None
+        # No backward writes into the gradient it is given, and backward()
+        # accumulates with ``+``, so ``add`` may return ``g`` itself for both.
+        da = da_fn(g).astype(a.data.dtype, copy=False) if need_a else None
+        db = db_fn(g).astype(b.data.dtype, copy=False) if need_b else None
         return (da, db)
 
     tape._record(out, (a, b), bwd)

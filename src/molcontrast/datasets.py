@@ -30,7 +30,6 @@ __all__ = [
     "LabeledDataset",
     "load_labeled_csv",
     "murcko_scaffold",
-    "scaffold_key",
     "scaffold_keys",
     "Split",
     "SplitAssignment",
@@ -162,8 +161,9 @@ _WL_ROUNDS = 3
 
 
 def scaffold_keys(graphs: Sequence[MoleculeGraph]) -> list[int]:
-    """:func:`scaffold_key` of every molecule; each refinement round hashes
-    every scaffold atom of a chunk of molecules at once."""
+    """64-bit scaffold identity of every molecule, relabeling-invariant and
+    chirality-blind; each refinement round hashes every scaffold atom of a
+    chunk of molecules at once."""
     keys: list[int] = []
     for lo in range(0, len(graphs), _CHUNK):
         cores = [murcko_scaffold(g) for g in graphs[lo : lo + _CHUNK]]
@@ -186,11 +186,6 @@ def scaffold_keys(graphs: Sequence[MoleculeGraph]) -> list[int]:
             for core in cores
         ]
     return keys
-
-
-def scaffold_key(g: MoleculeGraph) -> int:
-    """64-bit scaffold identity; relabeling-invariant, chirality-blind."""
-    return scaffold_keys([g])[0]
 
 
 # -- splitting ---------------------------------------------------------

@@ -21,7 +21,9 @@ Every stack of affine maps (GIN's inner MLP, GCN's single map, and the
 projection and prediction heads) runs through one ``_mlp``, which reads
 ``{prefix}weight{s}`` and ``{prefix}bias{s}`` for each suffix ``s``;
 ``parameter_layout`` lists the same names and shapes through the matching
-``_mlp_layout``.
+``_mlp_layout``.  Each ReLU is fused into the ``linear`` before it, and
+GIN's self term into its aggregate, so every activation is one tape record
+holding one array.
 
 Dropout, between layers and after each hidden head layer, runs if and only
 if a stream ``rng`` is passed (training steps pass one) and its rate is
@@ -450,10 +452,16 @@ def embed_nodes(tape: Tape, model: EncoderModel, batch: GraphBatch) -> Tensor:
 
 
 def _aggregate(
-    tape: Tape, model: EncoderModel, k: int, states: Tensor, edges: EdgeSet
+    tape: Tape,
+    model: EncoderModel,
+    k: int,
+    states: Tensor,
+    edges: EdgeSet,
+    add_self: bool = False,
 ) -> Tensor:
     """``sum_u (h_u + e_uv)`` per node over ``edges``, each message scaled
-    by its edge weight when the set has weights (GCN)."""
+    by its edge weight when the set has weights (GCN), plus the node's own
+    state ``h_v`` when ``add_self`` (GIN), in one tape record."""
     return ad.message_sum(
         tape,
         states,
@@ -464,6 +472,7 @@ def _aggregate(
         model.params[f"layers.{k}.bond_direction_embedding"],
         edges.dir,
         edges.coeff,
+        add_self,
     )
 
 
@@ -476,39 +485,44 @@ def _mlp(
     act: Callable[[Tape, Tensor], Tensor] = ad.relu,
     rng: np.random.Generator | None = None,
     rate: float = 0.0,
+    act_last: bool = False,
 ) -> Tensor:
     """One ``linear`` per suffix ``s``, on ``{prefix}weight{s}`` and
     ``{prefix}bias{s}`` (see :func:`_mlp_layout`).  Between each two run
-    ``act`` and then, when given a stream ``rng``, dropout at ``rate``."""
+    ``act`` and then, when given a stream ``rng``, dropout at ``rate``;
+    after the last run ``act`` only when ``act_last``.  ReLU is fused into
+    its ``linear``, so the pre-activation is never kept."""
+    fused = "relu" if act is ad.relu else None
     for i, s in enumerate(suffixes):
-        if i:
-            x = act(tape, x)
-            if rng is not None:
-                x = ad.dropout(tape, x, rate, rng)
+        if i and rng is not None:
+            x = ad.dropout(tape, x, rate, rng)
+        active = act_last or i < len(suffixes) - 1
         x = ad.linear(
-            tape, x, model.params[f"{prefix}weight{s}"], model.params[f"{prefix}bias{s}"]
+            tape,
+            x,
+            model.params[f"{prefix}weight{s}"],
+            model.params[f"{prefix}bias{s}"],
+            fused if active else None,
         )
+        if active and fused is None:
+            x = act(tape, x)
     return x
 
 
 def gin_layer(
     tape: Tape, model: EncoderModel, k: int, states: Tensor, batch: GraphBatch
 ) -> Tensor:
-    agg = _aggregate(tape, model, k, states, batch.bond_edges)
-    out = _mlp(tape, model, ad.add(tape, states, agg), f"layers.{k}.mlp.", _TWO_LAYER)
-    if k < model.config.num_layers - 1:
-        out = ad.relu(tape, out)
-    return out
+    agg = _aggregate(tape, model, k, states, batch.bond_edges, add_self=True)
+    inner = k < model.config.num_layers - 1
+    return _mlp(tape, model, agg, f"layers.{k}.mlp.", _TWO_LAYER, act_last=inner)
 
 
 def gcn_layer(
     tape: Tape, model: EncoderModel, k: int, states: Tensor, batch: GraphBatch
 ) -> Tensor:
     agg = _aggregate(tape, model, k, states, batch.gcn_edges)
-    out = _mlp(tape, model, agg, f"layers.{k}.", ("",))
-    if k < model.config.num_layers - 1:
-        out = ad.relu(tape, out)
-    return out
+    inner = k < model.config.num_layers - 1
+    return _mlp(tape, model, agg, f"layers.{k}.", ("",), act_last=inner)
 
 
 def encode_nodes(

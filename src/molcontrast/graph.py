@@ -7,9 +7,7 @@ fixed here as module constants.  Formal charge is kept on the node as parsed
 metadata but is not part of the embedded feature set.
 
 Graphs are immutable.  Edges are stored once per unordered pair with
-``u < v``; the adjacency structure is derived from the edges on first use,
-and an explicit :func:`validate` pass can audit a graph that was assembled by
-hand.
+``u < v``; the adjacency structure is derived from the edges on first use.
 """
 
 from __future__ import annotations
@@ -191,44 +189,6 @@ class MoleculeGraph:
 
     def __hash__(self) -> int:
         return hash((self.nodes, tuple(sorted(self.edges, key=BondEdge.sort_key))))
-
-
-def validate(g: MoleculeGraph) -> list[str]:
-    """Audit graph invariants; returns one message per violation.
-
-    Checks duplicate bonds only.  The constructors reject everything else:
-    :class:`BondEdge` a negative, repeated or reversed endpoint pair, and
-    :class:`MoleculeGraph` an endpoint beyond its nodes.  The adjacency is
-    derived from the edges, so it cannot disagree with them.
-    """
-    problems: list[str] = []
-    seen: set[tuple[int, int]] = set()
-    for e in g.edges:
-        key = (e.u, e.v)
-        if key in seen:
-            problems.append(f"duplicate edge ({e.u}, {e.v})")
-        seen.add(key)
-    return problems
-
-
-def relabel(g: MoleculeGraph, perm: Sequence[int]) -> MoleculeGraph:
-    """Apply a node relabeling: old index ``i`` becomes ``perm[i]``.
-
-    Edge direction markers are flipped whenever normalization reverses an
-    edge's stored orientation, so the relabeled graph is isomorphic to the
-    input including stereo annotations.
-    """
-    n = g.num_nodes
-    if sorted(perm) != list(range(n)):
-        raise ValueError("perm is not a permutation of node indices")
-    nodes: list[AtomNode | None] = [None] * n
-    for i, node in enumerate(g.nodes):
-        nodes[perm[i]] = node
-    edges = tuple(
-        BondEdge.between(perm[e.u], perm[e.v], e.bond_type, e.direction)
-        for e in g.edges
-    )
-    return MoleculeGraph(tuple(nodes), edges)  # type: ignore[arg-type]
 
 
 def format_graph(g: MoleculeGraph) -> str:

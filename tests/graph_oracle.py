@@ -1,0 +1,57 @@
+"""Graph helpers that only the tests use.
+
+:func:`validate` audits a graph assembled by hand, :func:`relabel` permutes
+a graph's atoms for the invariance tests, and :func:`scaffold_key` is the
+one-molecule form of :func:`molcontrast.datasets.scaffold_keys`.  The
+library never calls them.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from molcontrast.datasets import scaffold_keys
+from molcontrast.graph import AtomNode, BondEdge, MoleculeGraph
+
+
+def validate(g: MoleculeGraph) -> list[str]:
+    """Audit graph invariants; returns one message per violation.
+
+    Checks duplicate bonds only.  The constructors reject everything else:
+    :class:`BondEdge` a negative, repeated or reversed endpoint pair, and
+    :class:`MoleculeGraph` an endpoint beyond its nodes.  The adjacency is
+    derived from the edges, so it cannot disagree with them.
+    """
+    problems: list[str] = []
+    seen: set[tuple[int, int]] = set()
+    for e in g.edges:
+        key = (e.u, e.v)
+        if key in seen:
+            problems.append(f"duplicate edge ({e.u}, {e.v})")
+        seen.add(key)
+    return problems
+
+
+def relabel(g: MoleculeGraph, perm: Sequence[int]) -> MoleculeGraph:
+    """Apply a node relabeling: old index ``i`` becomes ``perm[i]``.
+
+    Edge direction markers are flipped whenever normalization reverses an
+    edge's stored orientation, so the relabeled graph is isomorphic to the
+    input including stereo annotations.
+    """
+    n = g.num_nodes
+    if sorted(perm) != list(range(n)):
+        raise ValueError("perm is not a permutation of node indices")
+    nodes: list[AtomNode | None] = [None] * n
+    for i, node in enumerate(g.nodes):
+        nodes[perm[i]] = node
+    edges = tuple(
+        BondEdge.between(perm[e.u], perm[e.v], e.bond_type, e.direction)
+        for e in g.edges
+    )
+    return MoleculeGraph(tuple(nodes), edges)  # type: ignore[arg-type]
+
+
+def scaffold_key(g: MoleculeGraph) -> int:
+    """64-bit scaffold identity; relabeling-invariant, chirality-blind."""
+    return scaffold_keys([g])[0]

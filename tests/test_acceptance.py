@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from golden_corpus import GOLDEN
+from graph_oracle import relabel, scaffold_key, validate
 from molgen import make_molecules, oxygen_dataset, unlabeled_corpus
 from test_contrastive import brute_force_nt_xent
 from test_datasets import pair_auc
@@ -42,7 +43,6 @@ from molcontrast.datasets import (
     murcko_scaffold,
     rmse,
     roc_auc,
-    scaffold_key,
     scaffold_split,
 )
 from molcontrast.encoder import (
@@ -55,7 +55,7 @@ from molcontrast.encoder import (
     represent,
 )
 from molcontrast.fingerprints import retrieval_analysis
-from molcontrast.graph import BondType, mask_token, relabel, validate
+from molcontrast.graph import BondType, mask_token
 from molcontrast.smiles import (
     SmilesParseError,
     parse_smiles,

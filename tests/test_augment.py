@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from golden_corpus import GOLDEN
+from graph_oracle import validate
 from molgen import unlabeled_corpus
 from molcontrast import augment
 from molcontrast.augment import (
@@ -23,7 +24,7 @@ from molcontrast.augment import (
     draw_view,
 )
 from molcontrast.encoder import GraphBatch
-from molcontrast.graph import MASK_ATOMIC_NUMBER, MoleculeGraph, format_graph, validate
+from molcontrast.graph import MASK_ATOMIC_NUMBER, MoleculeGraph, format_graph
 from molcontrast.smiles import parse_smiles
 
 

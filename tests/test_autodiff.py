@@ -398,6 +398,176 @@ def test_message_sum_is_one_record_and_skips_constant_tables():
         message_sum(tape, x, [0, 1, 3], [1, 2, 0], types, [0, 1, 1], dirs, [1, 1, 0])
 
 
+# -- fused ops: one record, one buffer, the bits of the unfused chain ------
+
+_SPECIALS = [np.nan, np.inf, -np.inf, -0.0]
+
+
+def _with_specials(draw, shape, dtype):
+    """A ``shape`` array of ``dtype`` whose values mix NaN, +-inf and -0.0
+    with finite floats."""
+    values = st.one_of(
+        st.sampled_from(_SPECIALS), st.floats(-8, 8, width=32, allow_subnormal=False)
+    )
+    return draw(arrays(dtype, shape, elements=values))
+
+
+def _run_bytes(build, inputs, upstream):
+    """Forward bytes and the bytes of every input's gradient for the loss
+    ``sum(build(tape, inputs) * upstream)``, special values allowed."""
+    with np.errstate(all="ignore"):
+        tape = Tape()
+        ts = [ad.Tensor(a.copy(), requires_grad=True) for a in inputs]
+        out = build(tape, ts)
+        up = constant(upstream, dtype=out.data.dtype)
+        grads = backward(tape, tsum(tape, mul(tape, out, up)))
+    return [out.data.tobytes()] + [grads[t].tobytes() for t in ts]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_fused_linear_relu_matches_linear_then_relu_bitwise(data):
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    n, a, k = (data.draw(st.integers(1, 5)) for _ in range(3))
+    inputs = [
+        _with_specials(data.draw, shape, dtype) for shape in ((n, a), (a, k), (k,))
+    ]
+    upstream = _spread_rows(n, k, dtype, data.draw(st.integers(0, 2**16)))
+    fused = _run_bytes(lambda tape, t: linear(tape, *t, act="relu"), inputs, upstream)
+    chain = _run_bytes(lambda tape, t: relu(tape, linear(tape, *t)), inputs, upstream)
+    assert fused == chain
+
+
+def test_fused_linear_is_one_record_and_rejects_other_activations():
+    tape = Tape()
+    x = tensor(np.ones((2, 3)), requires_grad=True)
+    w, b = tensor(np.ones((3, 4))), tensor(np.zeros(4))
+    linear(tape, x, w, b, act="relu")
+    assert len(tape) == 1
+    with pytest.raises(ValueError, match="activation"):
+        linear(tape, x, w, b, act="softplus")
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_message_sum_self_term_matches_add_bitwise(data):
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    nodes = data.draw(st.integers(1, 6))
+    edges = data.draw(st.integers(0, 12))
+    ids = st.lists(st.integers(0, nodes - 1), min_size=edges, max_size=edges)
+    src, dst = (np.array(data.draw(ids), dtype=np.int64) for _ in range(2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    type_ids, dir_ids = rng.integers(0, 3, edges), rng.integers(0, 2, edges)
+    width = data.draw(st.sampled_from([1, 3]))
+    inputs = [
+        _with_specials(data.draw, shape, dtype)
+        for shape in ((nodes, width), (3, width), (2, width))
+    ]
+    upstream = _spread_rows(nodes, width, dtype, int(rng.integers(2**16)))
+    for coeff in (None, rng.uniform(0.1, 1.0, edges)):
+        def aggregate(tape, t, add_self=False):
+            x, types, dirs = t
+            return message_sum(
+                tape, x, src, dst, types, type_ids, dirs, dir_ids, coeff, add_self
+            )
+
+        fused = _run_bytes(lambda tape, t: aggregate(tape, t, True), inputs, upstream)
+        chain = _run_bytes(
+            lambda tape, t: add(tape, t[0], aggregate(tape, t)), inputs, upstream
+        )
+        assert fused == chain
+
+
+def _project(tape, t, r):
+    return tsum(tape, mul(tape, t, constant(r, dtype=np.float64)))
+
+
+def test_fused_linear_relu_gradients_match_finite_differences():
+    rng = np.random.default_rng(11)
+    x, w = rng.uniform(-2, 2, (5, 4)), rng.uniform(-1, 1, (4, 3))
+    b = rng.uniform(-1, 1, 3)
+    pre = x @ w + b
+    # Off the kink at 0 by far more than eps, and both sides of it.
+    assert np.abs(pre).min() > 0.1 and 0 < (pre > 0).sum() < pre.size
+    r = rng.standard_normal((5, 3))
+    err = check_gradients(
+        lambda tape, p: _project(tape, linear(tape, *p, act="relu"), r), [x, w, b]
+    )
+    assert err < 1e-4
+
+
+@pytest.mark.parametrize("with_coeff", [False, True])
+def test_message_sum_self_term_gradients_match_finite_differences(with_coeff):
+    rng = np.random.default_rng(12)
+    src = np.array([0, 1, 1, 2, 3, 4, 4, 2])
+    dst = np.array([1, 0, 2, 1, 4, 3, 0, 0])
+    type_ids = np.array([0, 2, 1, 2, 2, 0, 1, 2])
+    dir_ids = np.array([1, 0, 0, 1, 1, 1, 0, 0])
+    coeff = rng.uniform(0.2, 1.0, src.size) if with_coeff else None
+    arrays_in = [rng.uniform(-2, 2, shape) for shape in ((5, 4), (3, 4), (2, 4))]
+    r = rng.standard_normal((5, 4))
+    err = check_gradients(
+        lambda tape, p: _project(
+            tape,
+            message_sum(
+                tape, p[0], src, dst, p[1], type_ids, p[2], dir_ids, coeff, add_self=True
+            ),
+            r,
+        ),
+        arrays_in,
+    )
+    assert err < 1e-4
+
+
+def test_no_backward_writes_into_its_incoming_gradient():
+    # ``add`` returns its incoming gradient itself to both operands, which
+    # is safe only while every backward leaves the gradient it is given as
+    # it found it.
+    rng = np.random.default_rng(13)
+
+    def param(*shape, lo=-2.0):
+        return tensor(rng.uniform(lo, 2, shape), requires_grad=True, dtype=np.float64)
+
+    x, y, pos = param(5, 4), param(5, 4), param(5, 4, lo=0.5)
+    w, b, table = param(4, 3), param(3), param(6, 4)
+    seg = np.array([0, 1, 0, 2, 1])
+    edges = (np.array([0, 1, 2, 3]), np.array([1, 0, 0, 4]))
+    tape = Tape()
+    for build in (
+        lambda: embedding_lookup(tape, table, [0, 3, 3, 5, 1]),
+        lambda: linear(tape, x, w, b),
+        lambda: linear(tape, x, w, b, act="relu"),
+        lambda: relu(tape, x),
+        lambda: softplus(tape, x),
+        lambda: segment_sum(tape, x, seg, 3),
+        lambda: segment_mean(tape, x, seg, 3),
+        lambda: message_sum(tape, x, *edges, table, [0, 1, 2, 3], table, [5, 4, 3, 2]),
+        lambda: message_sum(
+            tape, x, *edges, table, [0, 1, 2, 3], table, [5, 4, 3, 2],
+            np.array([0.5, 1.0, 2.0, 0.25]), add_self=True,
+        ),
+        lambda: l2_normalize_rows(tape, pos),
+        lambda: matmul_t(tape, x, y),
+        lambda: add(tape, x, y),
+        lambda: sub(tape, x, y),
+        lambda: mul(tape, x, y),
+        lambda: div(tape, x, pos),
+        lambda: scale(tape, x, -1.5),
+        lambda: exp(tape, x),
+        lambda: log(tape, pos),
+        lambda: tsum(tape, x),
+        lambda: mean(tape, x),
+        lambda: dropout(tape, x, 0.5, np.random.default_rng(1)),
+    ):
+        build()
+    assert len(tape) == 21
+    for record in tape._records:
+        g = rng.standard_normal(record.out.data.shape)
+        before = g.copy()
+        record.backward_fn(g)
+        assert g.tobytes() == before.tobytes()
+
+
 @st.composite
 def _scatter_ids(draw):
     """(rows, ids) shaped like the scatter edge cases.

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import fingerprint_oracle as oracle
 from golden_corpus import GOLDEN
+from graph_oracle import relabel, scaffold_key, validate
 from molcontrast.datasets import (
     Split,
     UndefinedMetric,
@@ -17,13 +18,12 @@ from molcontrast.datasets import (
     murcko_scaffold,
     rmse,
     roc_auc,
-    scaffold_key,
     scaffold_keys,
     scaffold_split,
 )
 from molcontrast.errors import DataError
 from molcontrast.fingerprints import _CHUNK
-from molcontrast.graph import BondType, relabel, validate
+from molcontrast.graph import BondType
 from molcontrast.smiles import parse_smiles
 
 

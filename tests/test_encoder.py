@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import molcontrast.encoder as encoder_module
-from molcontrast.autodiff import Tape, backward, check_gradients, tensor
+from graph_oracle import relabel
+from molcontrast.autodiff import Tape, Tensor, backward, check_gradients, tensor
 from molcontrast.contrastive import ContrastiveConfig, nt_xent
 from molcontrast.encoder import (
     EncoderConfig,
@@ -28,7 +29,6 @@ from molcontrast.graph import (
     MoleculeGraph,
     flip_direction,
     mask_token,
-    relabel,
 )
 from molcontrast.smiles import parse_smiles
 
@@ -644,9 +644,72 @@ def test_layer_aggregate_is_one_tape_record(backbone):
     states = embed_nodes(tape, model, batch)
     before = len(tape)
     layer(tape, model, 0, states, batch)
-    # GIN: aggregate, add, linear, relu, linear, relu.
-    # GCN: aggregate, linear, relu.
-    assert len(tape) - before == (6 if backbone == "gin" else 3)
+    # GIN: aggregate with the self term, linear+relu, linear+relu.
+    # GCN: aggregate, linear+relu.
+    assert len(tape) - before == (3 if backbone == "gin" else 2)
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _held_arrays(records) -> dict[int, np.ndarray]:
+    """Every array ``records`` keep alive, by the id of its owner: each
+    record's output and whatever its backward closure (and the functions
+    that closure holds) captures, directly or inside a tensor, tuple or
+    list."""
+    held: dict[int, np.ndarray] = {}
+    seen: set[int] = set()
+
+    def visit(v):
+        if id(v) in seen:
+            return
+        seen.add(id(v))
+        if isinstance(v, Tensor):
+            v = v.data
+        if isinstance(v, np.ndarray):
+            held[id(_owner(v))] = _owner(v)
+        elif isinstance(v, (tuple, list)):
+            for item in v:
+                visit(item)
+        elif callable(v) and getattr(v, "__closure__", None):
+            for cell in v.__closure__:
+                visit(cell.cell_contents)
+
+    for r in records:
+        visit(r.out)
+        visit(r.backward_fn)
+    return held
+
+
+@pytest.mark.parametrize("backbone", ["gin", "gcn"])
+def test_layer_holds_one_activation_per_record(backbone):
+    # Memory guard: the only node-by-width arrays a layer keeps alive are its
+    # records' outputs (and its input), so no pre-activation and no separate
+    # aggregate is held until the tape is freed.
+    model = EncoderModel.initialize(small_config(backbone, hidden_dim=8), 4)
+    graphs = [parse_smiles(s) for s in ["c1ccccc1O", "CC(=O)O", "CCN"]]
+    batch = GraphBatch.from_graphs(graphs)
+    n, h = batch.num_nodes, model.config.hidden_dim
+    layer = gin_layer if backbone == "gin" else gcn_layer
+    tape = Tape()
+    states = embed_nodes(tape, model, batch)
+    before = len(tape)
+    layer(tape, model, 0, states, batch)
+    records = tape._records[before:]
+    outs = {id(_owner(r.out.data)) for r in records}
+    activations = {
+        key: a
+        for key, a in _held_arrays(records).items()
+        if a.ndim == 2 and a.shape[0] == n and key != id(_owner(states.data))
+    }
+    assert set(activations) == outs
+    # GIN: aggregate (h), MLP hidden (2h), MLP output (h); GCN: aggregate, output.
+    widths = 4 if backbone == "gin" else 2
+    assert sum(a.nbytes for a in activations.values()) == n * h * widths * 4
 
 
 def test_batch_plans_are_cached_and_match_index_arrays():

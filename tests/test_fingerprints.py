@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 import fingerprint_oracle as oracle
 from fingerprint_oracle import enumerate_simple_paths
 from golden_corpus import GOLDEN
+from graph_oracle import relabel, scaffold_key
 import molcontrast.fingerprints as fingerprints
-from molcontrast.datasets import scaffold_key
 from molcontrast.encoder import EncoderConfig, EncoderModel
 from molcontrast.errors import NumericAbort
 from molcontrast.fingerprints import (
@@ -25,7 +25,7 @@ from molcontrast.fingerprints import (
     retrieval_analysis,
     ring_atoms,
 )
-from molcontrast.graph import AtomNode, BondEdge, MoleculeGraph, mask_token, relabel
+from molcontrast.graph import AtomNode, BondEdge, MoleculeGraph, mask_token
 from molcontrast.smiles import parse_smiles
 from molgen import unlabeled_corpus
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from graph_oracle import relabel, validate
 from molcontrast.graph import (
     MASK_ATOMIC_NUMBER,
     NUM_ATOM_TYPES,
@@ -18,8 +19,6 @@ from molcontrast.graph import (
     flip_direction,
     format_graph,
     mask_token,
-    relabel,
-    validate,
 )
 
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from golden_corpus import GOLDEN
+from graph_oracle import validate
 from molcontrast.errors import DataError
-from molcontrast.graph import BondDirection, BondType, Chirality, validate
+from molcontrast.graph import BondDirection, BondType, Chirality
 from molcontrast.smiles import (
     DiagnosticKind,
     SmilesParseError,
