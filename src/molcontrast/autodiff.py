@@ -215,8 +215,9 @@ _pool: ThreadPoolExecutor | None = None
 
 
 def set_threads(n: int) -> int:
-    """Run large matrix products on ``n`` threads; returns the count in
-    effect, which stays 1 when BLAS could not be pinned to one thread."""
+    """Run large matrix products (and ``training.adam_step``'s tiles) on
+    ``n`` threads; returns the count in effect, which stays 1 when BLAS
+    could not be pinned to one thread."""
     global _workers, _pool
     if n < 1:
         raise ValueError(f"threads must be >= 1, got {n}")
@@ -234,8 +235,25 @@ set_threads(
 os.register_at_fork(after_in_child=lambda: set_threads(_workers))
 
 
+def _run_parts(
+    pool: ThreadPoolExecutor | None, fn: Callable, parts: Sequence[tuple]
+) -> None:
+    """``fn(*part, errors)`` for every part: the first on the calling thread,
+    the rest (if any) on ``pool``, all under the caller's numpy error
+    state, which ``fn`` enters (numpy's error state is per thread).
+    Returns once every part is done; an exception in any part is raised
+    here."""
+    errors = np.geterr()
+    futures = [pool.submit(fn, *part, errors) for part in parts[1:]]
+    try:
+        fn(*parts[0], errors)
+    finally:
+        for f in futures:
+            f.result()
+
+
 def _matmul_block(a: np.ndarray, b: np.ndarray, out: np.ndarray, errors: dict) -> None:
-    with np.errstate(**errors):  # the caller's; numpy's error state is per thread
+    with np.errstate(**errors):
         np.matmul(a, b, out=out)
 
 
@@ -265,16 +283,9 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b
     out = np.empty((m, n), dtype=np.result_type(a, b))
     cuts = [m * i // parts for i in range(parts + 1)]
-    errors = np.geterr()
-    futures = [
-        pool.submit(_matmul_block, a[lo:hi], b, out[lo:hi], errors)
-        for lo, hi in zip(cuts[1:-1], cuts[2:])
-    ]
-    try:
-        np.matmul(a[: cuts[1]], b, out=out[: cuts[1]])
-    finally:
-        for f in futures:
-            f.result()
+    _run_parts(
+        pool, _matmul_block, [(a[lo:hi], b, out[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    )
     return out
 
 
@@ -853,13 +864,13 @@ def dropout(tape: Tape, x: Tensor, p: float, rng: np.random.Generator) -> Tensor
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0:
         return x
-    mask = (rng.random(x.data.shape) >= p).astype(x.data.dtype) / x.data.dtype.type(
-        1 - p
-    )
-    out = Tensor(x.data * mask)
+    keep = rng.random(x.data.shape) >= p  # one byte an element, held for the backward
+    dtype = x.data.dtype
+    scale = dtype.type(1 - p)
+    out = Tensor(x.data * (keep.astype(dtype) / scale))
 
     def bwd(g: np.ndarray):
-        return (g * mask,)
+        return (g * (keep.astype(dtype) / scale),)
 
     tape._record(out, (x,), bwd)
     return out

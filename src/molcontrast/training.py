@@ -113,14 +113,28 @@ _TAG_FT_AUGMENT = 912
 # Optimizer
 
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+# A step runs over tiles of this many elements, so that a tile's scratch
+# rows and moment slices stay in cache between its dozen passes.
+_ADAM_TILE = 1 << 15
+# Steps over fewer elements run on the calling thread: fixture-size steps
+# (~65k elements) ran slower on the pool.
+_ADAM_POOLED = 1 << 20
+
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, float64 for stable long runs."""
+    """First/second moment accumulators, float64 for stable long runs.
+
+    ``m`` and ``v`` are flat buffers laid out over the parameters in the
+    order of the mapping passed to the first :func:`adam_step`, one
+    contiguous slice per name; ``layout`` holds each name and shape in that
+    order, and every later step must pass parameters of that layout.
+    """
 
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    layout: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
 
 def adam_step(
@@ -136,37 +150,129 @@ def adam_step(
     before the moment updates.  ``lr`` may be a callable mapping the
     parameter name to a rate, which is how head and backbone get
     different learning rates during fine-tuning.
+
+    Parameters are C-contiguous float32 arrays.  The first step fixes the
+    layout of ``state``'s flat moments over ``params``.  Every gradient
+    shape, that layout and each parameter named in ``grads`` are checked
+    before anything moves, so a step that raises ``ValueError`` changes
+    neither the parameters nor ``state``.  The update then runs over tiles
+    of ``_ADAM_TILE`` elements, in runs of adjacent names with one rate;
+    from ``_ADAM_POOLED`` elements on, the tiles are split across the
+    :func:`set_threads` workers.  Adam is elementwise, so every element
+    sees the same operations in the same order however the tiles are cut
+    or run.
     """
-    state.step += 1
-    t = state.step
-    bc1 = 1.0 - _BETA1**t
-    bc2 = 1.0 - _BETA2**t
-    for name in params:
+    layout = tuple((name, p.data.shape) for name, p in params.items())
+    if state.layout and state.layout != layout:
+        raise ValueError("parameters do not match the layout of this Adam state")
+    runs: list[tuple[object, list]] = []  # (rate, [(offset, param, grad), ...])
+    offset = end = 0
+    for name, p in params.items():
+        at, offset = offset, offset + p.data.size
         if name not in grads:
             continue
-        p = params[name]
-        g = np.asarray(grads[name], dtype=np.float64)
+        g = np.asarray(grads[name])
         if g.shape != p.data.shape:
             raise ValueError(
                 f"gradient shape {g.shape} does not match parameter "
                 f"{name} shape {p.data.shape}"
             )
-        if weight_decay:
-            g = g + weight_decay * p.data.astype(np.float64)
-        if name not in state.m:
-            state.m[name] = np.zeros(p.data.shape, dtype=np.float64)
-            state.v[name] = np.zeros(p.data.shape, dtype=np.float64)
-        m = state.m[name]
-        v = state.v[name]
-        m *= _BETA1
-        m += (1.0 - _BETA1) * g
-        v *= _BETA2
-        v += (1.0 - _BETA2) * g * g
+        if p.data.dtype != np.float32 or not p.data.flags.c_contiguous:
+            raise ValueError(f"parameter {name} is not a C-contiguous float32 array")
         rate = lr(name) if callable(lr) else lr
-        update = rate * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
-        p.data -= update.astype(p.data.dtype)
-        # Decay sinks idle weights into subnormals, which slow float32 products.
-        p.data[np.abs(p.data) < np.finfo(p.data.dtype).tiny] = 0
+        # A run holds one rate object, so no two rates that compare equal
+        # but differ in bits (0.0 and -0.0) meet in one tile.
+        if not runs or runs[-1][0] is not rate or end != at:
+            runs.append((rate, []))
+        runs[-1][1].append((at, p.data.reshape(-1), g.reshape(-1)))
+        end = offset
+    if not state.layout:
+        state.layout = layout
+        state.m = np.zeros(offset)
+        state.v = np.zeros(offset)
+    state.step += 1
+    t = state.step
+    tiles = [tile for run in runs for tile in _tiles(*run)]
+    args = (tiles, state, 1.0 - _BETA1**t, 1.0 - _BETA2**t, weight_decay)
+    pool, parts = ad._pool, 1
+    if pool is not None and sum(hi - lo for lo, hi, *_ in tiles) >= _ADAM_POOLED:
+        parts = min(ad._workers, len(tiles))
+    chunks = np.array_split(np.arange(len(tiles)), parts)
+    ad._run_parts(pool, _adam_tiles, [(c, *args) for c in chunks])
+
+
+def _tiles(rate, segments: list):
+    """Cut a run of adjacent parameters into tiles of at most
+    ``_ADAM_TILE`` elements: ``(lo, hi, rate, pieces)`` over the flat
+    moments, each piece ``(at, param, grad, a, b)`` copying elements
+    ``a:b`` of a flattened parameter and its gradient to tile offset
+    ``at``."""
+    lo, at, pieces = segments[0][0], 0, []
+    for _, param, grad in segments:
+        a = 0
+        while a < param.size:
+            b = min(param.size, a + _ADAM_TILE - at)
+            pieces.append((at, param, grad, a, b))
+            at, a = at + b - a, b
+            if at == _ADAM_TILE:
+                yield lo, lo + at, rate, pieces
+                lo, at, pieces = lo + at, 0, []
+    if at:
+        yield lo, lo + at, rate, pieces
+
+
+def _adam_tiles(
+    which: np.ndarray, tiles: list, state: AdamState, bc1: float, bc2: float,
+    weight_decay: float, errors: dict,
+) -> None:
+    """The Adam update of ``tiles[i]`` for every ``i`` in ``which``, under
+    the numpy error state ``errors``.
+
+    Each tile copies its gradient slices into a float64 row and its
+    parameter slices into a float32 row, runs the operations of the
+    per-parameter update on the same operands in the same order with
+    ``out=`` ufuncs, and writes the parameters back.
+    """
+    g_row, t_row, u_row = (np.empty(_ADAM_TILE) for _ in range(3))
+    p_row, c_row = (np.empty(_ADAM_TILE, np.float32) for _ in range(2))
+    tiny_row = np.empty(_ADAM_TILE, bool)
+    tiny = np.finfo(np.float32).tiny
+    with np.errstate(**errors):
+        for i in which:
+            lo, hi, rate, pieces = tiles[i]
+            n = hi - lo
+            g, t, u, p, c, flush = (
+                r[:n] for r in (g_row, t_row, u_row, p_row, c_row, tiny_row)
+            )
+            m, v = state.m[lo:hi], state.v[lo:hi]
+            for at, param, grad, a, b in pieces:
+                g[at : at + b - a] = grad[a:b]
+                p[at : at + b - a] = param[a:b]
+            if weight_decay:
+                np.copyto(t, p)
+                np.multiply(weight_decay, t, out=t)
+                np.add(g, t, out=g)
+            np.multiply(m, _BETA1, out=m)
+            np.multiply(1.0 - _BETA1, g, out=t)
+            np.add(m, t, out=m)
+            np.multiply(v, _BETA2, out=v)
+            np.multiply(1.0 - _BETA2, g, out=t)
+            np.multiply(t, g, out=t)
+            np.add(v, t, out=v)
+            np.divide(m, bc1, out=t)
+            np.multiply(rate, t, out=t)
+            np.divide(v, bc2, out=u)
+            np.sqrt(u, out=u)
+            np.add(u, _ADAM_EPS, out=u)
+            np.divide(t, u, out=t)
+            np.copyto(c, t, casting="same_kind")
+            np.subtract(p, c, out=p)
+            # Decay sinks idle weights into subnormals, which slow float32 products.
+            np.abs(p, out=c)
+            np.less(c, tiny, out=flush)
+            p[flush] = 0
+            for at, param, grad, a, b in pieces:
+                param[a:b] = p[at : at + b - a]
 
 
 def lr_at(epoch: int, epochs: int, lr: float, warm_epochs: int = 0) -> float:

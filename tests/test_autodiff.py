@@ -698,6 +698,26 @@ def test_dropout_deterministic_given_rng():
     np.testing.assert_array_equal(a.data, b.data)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_dropout_matches_float_mask_formula_bitwise(data):
+    # The boolean mask scaled on the fly gives the bits of the float mask
+    # ``(rng.random(shape) >= p).astype(dtype) / dtype(1 - p)`` in the
+    # forward and in the gradient, for NaN, +-inf and -0.0 too.
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5)))
+    p = data.draw(st.sampled_from([0.1, 0.3, 0.5, 0.9]))
+    seed = data.draw(st.integers(0, 2**16))
+    x, g = (_with_specials(data.draw, shape, dtype) for _ in range(2))
+    tape = Tape()
+    with np.errstate(all="ignore"):
+        y = dropout(tape, ad.Tensor(x, requires_grad=True), p, np.random.default_rng(seed))
+        (dx,) = tape._records[-1].backward_fn(g)
+        mask = (np.random.default_rng(seed).random(shape) >= p).astype(dtype) / dtype(1 - p)
+        assert y.data.tobytes() == (x * mask).tobytes()
+        assert dx.tobytes() == (g * mask).tobytes()
+
+
 def test_dropout_rejects_bad_rate():
     tape = Tape()
     x = tensor([1.0])

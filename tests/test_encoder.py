@@ -5,7 +5,7 @@ import pytest
 
 import molcontrast.encoder as encoder_module
 from graph_oracle import relabel
-from molcontrast.autodiff import Tape, Tensor, backward, check_gradients, tensor
+from molcontrast.autodiff import Tape, Tensor, backward, check_gradients, dropout, tensor
 from molcontrast.contrastive import ContrastiveConfig, nt_xent
 from molcontrast.encoder import (
     EncoderConfig,
@@ -710,6 +710,18 @@ def test_layer_holds_one_activation_per_record(backbone):
     # GIN: aggregate (h), MLP hidden (2h), MLP output (h); GCN: aggregate, output.
     widths = 4 if backbone == "gin" else 2
     assert sum(a.nbytes for a in activations.values()) == n * h * widths * 4
+
+
+def test_dropout_holds_its_output_and_a_one_byte_mask():
+    # A dropout record keeps its output and a boolean mask; the float mask
+    # is rebuilt in the backward, not held.
+    x = Tensor(np.ones((40, 8), dtype=np.float32), requires_grad=True)
+    tape = Tape()
+    dropout(tape, x, 0.3, np.random.default_rng(0))
+    held = sorted(
+        (a.dtype.itemsize, a.shape) for a in _held_arrays(tape._records).values()
+    )
+    assert held == [(1, (40, 8)), (4, (40, 8))]
 
 
 def test_batch_plans_are_cached_and_match_index_arrays():

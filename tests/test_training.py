@@ -8,6 +8,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import molcontrast.training as training_module
 from molcontrast import autodiff as ad
@@ -46,8 +47,10 @@ from molcontrast.training import (
     save_checkpoint,
     write_trace_csv,
 )
+import adam_oracle
 from golden_corpus import GOLDEN
 from molgen import oxygen_dataset, unlabeled_corpus
+from test_autodiff import _CountingPool, _with_workers, needs_pinned_blas
 
 SMALL_ENCODER = EncoderConfig(num_layers=2, hidden_dim=8, latent_dim=4)
 
@@ -135,10 +138,183 @@ def test_adam_per_name_learning_rate():
     np.testing.assert_allclose(q.data, [-0.01], atol=1e-7)
 
 
+def _adam_snapshot(params, state):
+    return (
+        [p.data.tobytes() for p in params.values()],
+        state.m.tobytes(), state.v.tobytes(), state.step, state.layout,
+    )
+
+
 def test_adam_shape_mismatch():
     p = ad.tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError):
         adam_step({"w": p}, {"w": np.zeros(3)}, AdamState(), lr=0.1)
+    # A later parameter's bad gradient moves neither the earlier ones nor
+    # the state, on a fresh state and on one that has taken steps.
+    params = {"a": ad.tensor(np.ones(2)), "b": ad.tensor(np.ones(3))}
+    fresh, stepped = AdamState(), AdamState()
+    adam_step(params, {"a": np.ones(2), "b": np.ones(3)}, stepped, lr=0.1)
+    for state in (fresh, stepped):
+        before = _adam_snapshot(params, state)
+        with pytest.raises(ValueError, match="parameter b shape"):
+            adam_step(params, {"a": np.ones(2), "b": np.ones(2)}, state, lr=0.1)
+        assert _adam_snapshot(params, state) == before
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.ones((3, 2), dtype=np.float32).T, np.ones((2, 3))],  # a strided view; float64
+    ids=["strided", "float64"],
+)
+def test_adam_rejects_parameters_it_cannot_tile(bad):
+    # The update writes back through a flat float32 view of each parameter.
+    params = {"a": ad.tensor(np.ones(2)), "b": ad.Tensor(bad)}
+    state = AdamState()
+    before = _adam_snapshot(params, state)
+    with pytest.raises(ValueError, match="parameter b is not a C-contiguous float32"):
+        adam_step(params, {"a": np.ones(2), "b": np.ones((2, 3))}, state, lr=0.1)
+    assert _adam_snapshot(params, state) == before
+
+
+def test_adam_state_keeps_its_parameter_layout():
+    a, b = ad.tensor(np.ones(2)), ad.tensor(np.ones(3))
+    state = AdamState()
+    adam_step({"a": a, "b": b}, {"a": np.ones(2)}, state, lr=0.1)
+    assert state.layout == (("a", (2,)), ("b", (3,))) and state.m.shape == (5,)
+    for params in ({"a": a}, {"b": b, "a": a}, {"a": a, "b": ad.tensor(np.ones((3, 1)))}):
+        before = _adam_snapshot(params, state)
+        with pytest.raises(ValueError, match="layout"):
+            adam_step(params, {"a": np.ones(2)}, state, lr=0.1)
+        assert _adam_snapshot(params, state) == before
+
+
+# The values a parameter or gradient may hold besides normal floats:
+# NaN, +-inf, -0.0 and float32 subnormals, which a step flushes to +0.0.
+_ADAM_SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-39, -1e-44, 1.2e-38]
+
+
+def _adam_values(rng, size, dtype):
+    values = rng.standard_normal(size).astype(dtype)
+    hit = rng.random(size) < 0.1
+    values[hit] = rng.choice(_ADAM_SPECIALS, int(hit.sum())).astype(dtype)
+    return values
+
+
+def _nan_blind(a):
+    """The bytes of ``a`` with every NaN replaced by one NaN.  When both
+    operands of numpy's add or multiply are NaN, which one the result
+    carries depends on where the element falls in the loop (the tail of
+    an array takes the other operand's NaN), so re-cutting the arrays into
+    tiles moves NaN signs and payloads; every other bit must stay.  A NaN
+    never reaches an output: training aborts on a non-finite parameter."""
+    a = np.array(a)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+def _adam_steps(step, shapes, grads, lr, weight_decay, state):
+    """Fresh float32 parameters of ``shapes`` after ``step`` took each of
+    ``grads``; returns the parameters and ``state``."""
+    rng = np.random.default_rng(len(shapes))
+    params = {
+        name: ad.Tensor(_adam_values(rng, int(np.prod(shape)), np.float32).reshape(shape))
+        for name, shape in shapes.items()
+    }
+    with np.errstate(all="ignore"):
+        for g in grads:
+            step(params, g, state, lr, weight_decay)
+    return params, state
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_adam_matches_per_parameter_oracle_bitwise(data):
+    # Several steps of the tiled update against the per-parameter one, byte
+    # for byte in parameters and moments, on 1, 2 and 4 workers.  With
+    # small tiles the tile length drops to 64 and the thread gate to 256
+    # elements, so that small runs straddle both; otherwise sizes straddle
+    # the real tile length.
+    small = data.draw(st.booleans())
+    sizes = (
+        st.integers(0, 300) if small else st.sampled_from([1, 7, 2**15 - 1, 2**15, 2**15 + 1])
+    )
+    count = data.draw(st.integers(1, 5))
+    shapes = {
+        f"{'head' if data.draw(st.booleans()) else 'layers'}.{i}": (data.draw(sizes),)
+        for i in range(count)
+    }
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    grads = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        names = [n for n in shapes if data.draw(st.booleans())]
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        grads.append({
+            n: _adam_values(rng, shapes[n][0], dtype).reshape(shapes[n]) for n in names
+        })
+    head, base = 1e-3, 3e-4
+    lr = data.draw(st.sampled_from(
+        [1e-2, lambda name: head if name.startswith("head.") else base]
+    ))
+    weight_decay = data.draw(st.sampled_from([0.0, 1e-2]))
+    expected, oracle = _adam_steps(
+        adam_oracle.adam_step, shapes, grads, lr, weight_decay, adam_oracle.OracleState()
+    )
+    tile, gate = training_module._ADAM_TILE, training_module._ADAM_POOLED
+    if small:
+        training_module._ADAM_TILE, training_module._ADAM_POOLED = 1 << 6, 1 << 8
+    try:
+        for workers in (1, 2, 4):
+            params, state = _with_workers(
+                workers,
+                lambda: _adam_steps(adam_step, shapes, grads, lr, weight_decay, AdamState()),
+            )
+            for name in shapes:
+                got, want = params[name].data, expected[name].data
+                assert _nan_blind(got) == _nan_blind(want), workers
+            m, v = adam_oracle.flat_moments(expected, oracle)
+            assert _nan_blind(state.m) == _nan_blind(m), workers
+            assert _nan_blind(state.v) == _nan_blind(v), workers
+            assert state.step == oracle.step
+    finally:
+        training_module._ADAM_TILE, training_module._ADAM_POOLED = tile, gate
+
+
+@needs_pinned_blas
+@pytest.mark.parametrize(
+    "sizes, submitted",
+    [
+        ([2**20 - 1], []),  # one element under the gate: the calling thread only
+        ([2**19, 2**19 - 7, 7], [8, 8, 8]),  # 32 tiles, one spanning two names
+    ],
+)
+def test_adam_pools_tiles_only_above_the_gate(sizes, submitted):
+    shapes = {f"w{i}": (size,) for i, size in enumerate(sizes)}
+    grads = [{n: np.full(s, 0.5, np.float32) for n, s in shapes.items()}]
+    expected, _ = _adam_steps(
+        adam_oracle.adam_step, shapes, grads, 1e-3, 1e-2, adam_oracle.OracleState()
+    )
+    pool = _CountingPool(4)
+    params, _ = _with_workers(
+        4, lambda: _adam_steps(adam_step, shapes, grads, 1e-3, 1e-2, AdamState()), pool
+    )
+    assert pool.blocks == submitted  # tiles per pooled part; the caller runs part 0
+    for name in shapes:
+        assert params[name].data.tobytes() == expected[name].data.tobytes()
+
+
+@needs_pinned_blas
+def test_adam_tiles_take_the_callers_error_state():
+    # An infinite gradient makes every update inf / inf, which sets the
+    # invalid flag in every tile; the suite turns the RuntimeWarning a
+    # worker would print into an error.
+    p = ad.tensor(np.ones(2**20))
+    pool = _CountingPool(4)
+    with np.errstate(invalid="ignore"):
+        _with_workers(
+            4, lambda: adam_step({"w": p}, {"w": np.full(2**20, np.inf)}, AdamState(), 0.1),
+            pool,
+        )
+    assert pool.blocks == [8] * 3 and np.isnan(p.data).all()
 
 
 # -- learning-rate schedule --------------------------------------------------

@@ -9,7 +9,8 @@ tree's ``src/``, then on ``src/`` of ``git archive REV`` exported to a
 temporary directory.  Each tree runs in its own directory, and every path
 a command is given is relative and reads the same in both, so the paths
 that ``config_resolved.txt`` records match too.  Both trees together take
-about 13 s on a 2-vCPU machine.
+about 15 s on a 2-vCPU machine; the one wide pre-training run, whose Adam
+steps run on the worker threads, takes under 1 s of each tree's share.
 
 Prints each run's exit code and stderr in both trees, then the sha256 of
 each output file as ``equal`` or ``different``.  A file that differs, or
@@ -57,6 +58,11 @@ MATRIX: tuple[tuple[str, list[str]], ...] = (
                               "--val-fraction", "0.2"]),
     ("pretrain_gcn", ["pretrain", "--data", CORPUS, *_TRAIN, "--backbone", "gcn",
                       "--dropout", "0.2", "--val-fraction", "0.2"]),
+    # Over 2^20 parameters (1,389,712), so each Adam step runs its tiles on
+    # the worker threads.
+    ("pretrain_wide", ["pretrain", "--data", CORPUS, "--epochs", "2", "--batch", "32",
+                       "--warm-epochs", "1", "--layers", "2", "--hidden", "384",
+                       "--latent", "16", "--val-fraction", "0"]),
     ("finetune_classification", [*_FINETUNE, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
     ("finetune_augment_cosine", [*_FINETUNE, "--augment", "--cosine-decay",
                                  "--checkpoint", "pretrain_gin_dropout/checkpoint.bin"]),
