@@ -1,10 +1,12 @@
 """Minimal reverse-mode automatic differentiation on an append-only tape.
 
 Tensors wrap numpy arrays in float32 by default.  Matrix products and
-every scatter (segment sums and means, the :func:`message_sum` aggregate,
-and the backward scatters of :func:`embedding_lookup` and
-:func:`message_sum`) run in their operands' dtype: a scatter adds only the
-few rows that land in one output row, in the order its plan fixes.
+every scatter (segment sums and means, the node-state sums of
+:func:`message_sum`, and the backward scatters of :func:`embedding_lookup`
+and :func:`message_sum`) run in their operands' dtype: a scatter adds only
+the few rows that land in one output row, in the order its plan fixes.
+:func:`message_sum`'s edge embeddings are not scattered at all: they enter
+as one product of per-node edge-weight sums with the embedding tables.
 Whole-array reductions accumulate in float64 before casting back: full sums
 and means and the bias gradient of :func:`linear` add up every row of a
 batch, and :func:`l2_normalize_rows` squares its inputs, which overflows
@@ -25,12 +27,14 @@ for identical tapes.  Only constants broadcast: an elementwise op raises
 ``ValueError`` when a tracked operand's shape differs from its output's.
 
 Every scatter (segment sums and means, the embedding-lookup backward, the
-:func:`message_sum` aggregate) adds the rows that land in one output row
-sequentially, in their original row order: the same order as
-``numpy.add.at``, so its results equal ``numpy.add.at``'s bit for bit.  The
-index work behind a scatter (validation, the sorts, the degree-sorted slot
-layout or the block split) lives in an :class:`IndexPlan`, built once per
-index array and reused by every op that takes it.
+node states of :func:`message_sum` and their gradient) adds the rows that
+land in one output row sequentially, in their original row order: the same
+order as ``numpy.add.at``, so its results equal ``numpy.add.at``'s bit for
+bit, apart from which NaN payload a sum of two NaNs keeps (numpy's own
+loops differ in that).  The index work behind a scatter (validation, the
+sorts, the degree-sorted slot layout or the block split) lives in an
+:class:`IndexPlan`, built once per index array and reused by every op that
+takes it.
 
 Importing this module pins numpy's bundled OpenBLAS to one thread for the
 whole process, so each BLAS call has one fixed reduction order; that order,
@@ -311,6 +315,9 @@ class IndexPlan:
     * **blocks** (:meth:`blocks`, wide plans: few rows with many ids each,
       e.g. atoms by embedding-table row): ids sorted stably by row, and the
       ``(row, lo, hi)`` range of every non-empty row in that order.
+
+    Edge features (bond types and directions) get no plan: their embedding
+    tables enter :func:`message_sum` through per-node edge-weight sums.
     """
 
     __slots__ = ("ids", "rows", "_counts", "_layout", "_blocks")
@@ -529,97 +536,81 @@ def segment_mean(
 
 
 def message_sum(
-    tape: Tape,
-    x: Tensor,
-    src,
-    dst,
-    type_table: Tensor,
-    type_ids,
-    dir_table: Tensor,
-    dir_ids,
-    coeff: np.ndarray | None = None,
-    add_self: bool = False,
+    tape: Tape, x: Tensor, src, dst, counts: np.ndarray, tables: Sequence[Tensor],
+    coeff: np.ndarray | None = None, add_self: bool = False,
 ) -> Tensor:
-    """Message-passing aggregate in one tape record.
+    """Message-passing aggregate ``S + counts @ [tables]`` in one record.
 
-    ``out[v] = sum over edges i with dst[i] == v of m[i]``, where
-    ``m[i] = x[src[i]] + (type_table[type_ids[i]] + dir_table[dir_ids[i]])``,
-    times ``coeff[i]`` when given.  Messages are formed and summed at
-    ``x``'s precision in edge order, so the result equals the chain
-    ``embedding_lookup`` -> ``add`` -> [``mul``] -> ``segment_sum`` bit for
-    bit.  Every index argument is an id array or an :class:`IndexPlan`;
-    ``src`` and ``dst`` index the rows of ``x``, and both tables share its
-    dtype.  ``coeff`` is a constant of one value per edge.
+    ``S[v]`` sums ``x[src[i]]`` (times ``coeff[i]``, one constant per edge,
+    when given) over the edges ``i`` with ``dst[i] == v``; ``src`` and
+    ``dst`` are id arrays or :class:`IndexPlan`\\ s over the rows of ``x``.
+    ``[tables]`` stacks the rows of the edge-embedding tables (bond types,
+    bond directions), which share ``x``'s dtype and width, and the constant
+    ``counts`` (``x``'s dtype, one row per node, one column per table row)
+    holds each node's summed edge weights per table row: the product adds
+    every edge's embeddings without touching an edge.
+
+    ``S`` is summed in edge order like ``numpy.add.at``, with no
+    edge-by-width array when ``dst`` is narrow (node plans of a molecule
+    batch are): each slot of ``dst``'s degree-sorted layout is gathered into
+    a reused buffer and added in place.  The backward sums ``x``'s gradient
+    the same way from ``g[dst]`` on ``src``'s layout; the tables' gradients
+    are one product, ``counts.T @ g``, split by table.
 
     With ``add_self`` the output is ``x + out`` (GIN's self term), added
     into the sum buffer, and the backward adds ``g`` into ``x``'s scattered
     gradient as ``g + dx``: the same operands in the same order as
     ``add(x, message_sum(...))``, so NaN payloads match too, with one
     record and one node-by-width array fewer.
-
-    No edge-by-width array is built in the forward when ``dst`` is narrow,
-    which node plans of a molecule batch are (a node receives at most one
-    edge from each node).  The bond embeddings enter as one pair table
-    ``type_table[t] + dir_table[d]`` (one row per type and direction), and
-    the messages of each slot of ``dst``'s degree-sorted layout
-    (:meth:`IndexPlan.layout`) are gathered from ``x`` and the pair table
-    into a reused buffer and added in place.  The
-    backward sums the ``x`` gradient the same way on ``src``'s layout, from
-    ``g[dst]`` slot by slot; each tracked bond table costs one edge-by-width
-    gather of ``g[dst]`` in its block order.
     """
     _check_2d("x", x)
-    _check_2d("type_table", type_table)
-    _check_2d("dir_table", dir_table)
     dtype = x.data.dtype
-    if type_table.data.dtype != dtype or dir_table.data.dtype != dtype:
-        raise ValueError("type_table and dir_table must have x's dtype")
     n, width = x.data.shape
+    if any(t.data.ndim != 2 or t.data.shape[1] != width or t.dtype != dtype for t in tables):
+        raise ValueError(f"tables must be 2-d, {width} wide and {dtype}")
+    stacked = np.concatenate([t.data for t in tables])
+    counts = np.asarray(counts)
+    if counts.shape != (n, len(stacked)) or counts.dtype != dtype:
+        got = f"{counts.dtype} {counts.shape}"
+        raise ValueError(f"counts must be {dtype} {(n, len(stacked))}, got {got}")
     src = _as_plan(src, n)
     dst = _as_plan(dst, n)
-    tplan = _as_plan(type_ids, type_table.data.shape[0])
-    dplan = _as_plan(dir_ids, dir_table.data.shape[0])
     edges = len(src)
-    if not len(dst) == len(tplan) == len(dplan) == edges:
-        raise ValueError("src, dst, type_ids and dir_ids differ in length")
+    if len(dst) != edges:
+        raise ValueError("src and dst differ in length")
     col = None
     if coeff is not None:
         col = np.asarray(coeff, dtype=dtype).reshape(-1, 1)
         if col.shape[0] != edges:
             raise ValueError(f"coeff has {col.shape[0]} values for {edges} edges")
-    dirs = dir_table.data.shape[0]
-    pair_table = (type_table.data[:, None] + dir_table.data[None]).reshape(-1, width)
-    pair_ids = tplan.ids * dirs + dplan.ids
 
-    def messages(e: np.ndarray, buf: np.ndarray) -> np.ndarray:
-        np.take(x.data, src.ids[e], axis=0, out=buf, mode="clip")
-        buf += pair_table[pair_ids[e]]
-        if col is not None:
-            buf *= col[e]
-        return buf
-
-    out = Tensor(_scatter_rows(dst, messages, width, dtype))
-    if add_self:
-        np.add(x.data, out.data, out=out.data)
-    tables = (x, type_table, dir_table)
-    need = [tape._tracked(t) for t in tables]
-
-    def bwd(g: np.ndarray):
-        def grads(e: np.ndarray, buf: np.ndarray) -> np.ndarray:
-            np.take(g, dst.ids[e], axis=0, out=buf, mode="clip")
+    def scaled(a: np.ndarray, ids: np.ndarray) -> Callable:
+        """Edge e's row ``a[ids[e]]``, times ``coeff[e]`` when given."""
+        def rows(e: np.ndarray, buf: np.ndarray) -> np.ndarray:
+            np.take(a, ids[e], axis=0, out=buf, mode="clip")
             if col is not None:
                 buf *= col[e]
             return buf
+        return rows
 
-        dx, dtypes, ddirs = (
-            _scatter_rows(plan, grads, width, g.dtype) if needed else None
-            for plan, needed in zip((src, tplan, dplan), need)
-        )
+    summed = _scatter_rows(dst, scaled(x.data, src.ids), width, dtype)
+    # S + P into P's buffer; numpy's S += P would keep P's NaN where both are.
+    out = Tensor(_matmul(counts, stacked))
+    np.add(summed, out.data, out=out.data)
+    if add_self:
+        np.add(x.data, out.data, out=out.data)
+    need_x = tape._tracked(x)
+    need_tables = any(tape._tracked(t) for t in tables)
+    cuts = np.cumsum([len(t.data) for t in tables])[:-1]
+
+    def bwd(g: np.ndarray):
+        dx = _scatter_rows(src, scaled(g, dst.ids), width, g.dtype) if need_x else None
         if add_self and dx is not None:
             np.add(g, dx, out=dx)
-        return dx, dtypes, ddirs
+        dtables = np.split(_matmul(counts.T, g), cuts) if need_tables else [None] * len(tables)
+        return (dx, *dtables)
 
-    tape._record(out, tables, bwd)
+    tape._record(out, (x, *tables), bwd)
     return out
 
 
@@ -1079,13 +1070,12 @@ def gradcheck_report(seed: int = 0, eps: float = 1e-4) -> dict[str, float]:
         rng.uniform(-2, 2, (2, d)),
     ]
     for name, c in (("message_sum", None), ("message_sum_coeff", coeff)):
+        counts = np.zeros((n, 5))  # summed edge weights per type row, then direction row
+        for first, ids in ((0, e_type), (3, e_dir)):
+            np.add.at(counts, (e_dst, first + ids), np.ones(e_src.size) if c is None else c)
         cases[name] = (
-            lambda tape, p, c=c: project(
-                tape,
-                message_sum(
-                    tape, p[0], e_src, e_dst, p[1], e_type, p[2], e_dir, c
-                ),
-                r_nd,
+            lambda tape, p, c=c, counts=counts: project(
+                tape, message_sum(tape, p[0], e_src, e_dst, counts, p[1:], c), r_nd
             ),
             msg_inputs,
         )

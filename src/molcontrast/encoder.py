@@ -17,6 +17,10 @@ messages are rescaled by ``1 / sqrt(deg_hat_u * deg_hat_v)`` (degrees
 counting the self-loop) before a single linear map, again with no ReLU on
 the final layer.
 
+In both, the bond term ``sum_u c_uv e_uv`` is linear in the bond-type and
+bond-direction tables, so it enters per atom: ``EdgeSet.bond_counts`` (each
+atom's summed edge weights per type and direction) times the two tables.
+
 Every stack of affine maps (GIN's inner MLP, GCN's single map, and the
 projection and prediction heads) runs through one ``_mlp``, which reads
 ``{prefix}weight{s}`` and ``{prefix}bias{s}`` for each suffix ``s``;
@@ -153,14 +157,20 @@ def check_head_fields(
 
 
 class EdgeSet:
-    """The plans of one directed edge list, and optional per-edge weights."""
+    """The plans of one directed edge list's ends, its optional per-edge
+    weights, and ``bond_counts``: row ``v`` sums the weights (1 without) of
+    the edges into ``v`` per bond type, then per direction, in float64 and
+    edge order, stored in float32 so that every layer shares the one array."""
 
     def __init__(self, num_nodes: int, src, dst, etype, edir, coeff=None):
         self.src = ad.IndexPlan(src, num_nodes)
         self.dst = ad.IndexPlan(dst, num_nodes)
-        self.type = ad.IndexPlan(etype, NUM_BOND_TYPES)
-        self.dir = ad.IndexPlan(edir, NUM_BOND_DIRECTIONS)
         self.coeff = coeff
+        weights = np.ones(len(self.dst)) if coeff is None else coeff
+        counts = np.zeros((num_nodes, NUM_BOND_TYPES + NUM_BOND_DIRECTIONS))
+        np.add.at(counts[:, :NUM_BOND_TYPES], (self.dst.ids, etype), weights)
+        np.add.at(counts[:, NUM_BOND_TYPES:], (self.dst.ids, edir), weights)
+        self.bond_counts = counts.astype(np.float32)
 
 
 def _spans(start: np.ndarray, ids: np.ndarray):
@@ -314,12 +324,8 @@ class GraphBatch:
         loop = np.arange(n, dtype=np.int64)
         src = np.concatenate([self.edge_src, loop])
         dst = np.concatenate([self.edge_dst, loop])
-        etype = np.concatenate(
-            [self.edge_type, np.full(n, int(BondType.SELF_LOOP), dtype=np.int64)]
-        )
-        edir = np.concatenate(
-            [self.edge_dir, np.full(n, int(BondDirection.NONE), dtype=np.int64)]
-        )
+        etype = np.concatenate([self.edge_type, np.full(n, int(BondType.SELF_LOOP))])
+        edir = np.concatenate([self.edge_dir, np.full(n, int(BondDirection.NONE))])
         deg = np.bincount(self.edge_dst, minlength=n).astype(np.float64) + 1.0
         coeff = 1.0 / np.sqrt(deg[src] * deg[dst])
         return EdgeSet(n, src, dst, etype, edir, coeff)
@@ -462,17 +468,11 @@ def _aggregate(
     """``sum_u (h_u + e_uv)`` per node over ``edges``, each message scaled
     by its edge weight when the set has weights (GCN), plus the node's own
     state ``h_v`` when ``add_self`` (GIN), in one tape record."""
+    tables = [model.params[f"layers.{k}.bond_{t}_embedding"] for t in ("type", "direction")]
+    # A float64 tape (the gradient oracles) gets its own exact copy.
+    counts = edges.bond_counts.astype(states.data.dtype, copy=False)
     return ad.message_sum(
-        tape,
-        states,
-        edges.src,
-        edges.dst,
-        model.params[f"layers.{k}.bond_type_embedding"],
-        edges.type,
-        model.params[f"layers.{k}.bond_direction_embedding"],
-        edges.dir,
-        edges.coeff,
-        add_self,
+        tape, states, edges.src, edges.dst, counts, tables, edges.coeff, add_self
     )
 
 

@@ -425,11 +425,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     ):
         raise CorruptCheckpointError(f"{path}: metadata lacks a config or tensor list")
     arrays: dict[str, np.ndarray] = {}
-    expected = 0
+    expected = 0  # tensors lie end to end in directory order, as saved
     for i, entry in enumerate(meta["tensors"]):
         if not _is_directory_entry(entry):
             raise CorruptCheckpointError(f"{path}: bad tensor directory entry {i}")
         name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+        if name in arrays:
+            raise CorruptCheckpointError(f"{path}: tensor {name} listed twice")
+        if offset != expected:
+            raise CorruptCheckpointError(f"{path}: tensor {name} at {offset}, not {expected}")
         count = math.prod(shape)
         if offset + count * 4 > len(payload):
             raise CorruptCheckpointError(f"{path}: tensor {name} overruns payload")
@@ -441,7 +445,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             )
         except ValueError as exc:  # more dimensions than numpy supports
             raise CorruptCheckpointError(f"{path}: tensor {name}: {exc}") from exc
-        expected = max(expected, offset + count * 4)
+        expected = offset + count * 4
     if expected != len(payload):
         raise CorruptCheckpointError(f"{path}: payload length mismatch")
     return Checkpoint(meta["config"], arrays, version)

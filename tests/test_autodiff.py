@@ -325,61 +325,79 @@ def test_index_plan_validates_once_and_checks_rows():
     assert plan.counts.tolist() == [1, 0, 2]
 
 
-def _message_chain(tape, x, src, dst, types, type_ids, dirs, dir_ids, coeff):
-    # The public-op chain the encoder layers ran before message_sum.
-    edge = add(
-        tape,
-        embedding_lookup(tape, types, type_ids),
-        embedding_lookup(tape, dirs, dir_ids),
+def _bond_counts(dst, type_ids, dir_ids, nodes, coeff=None, dtype=np.float32, rows=(5, 3)):
+    """Each node's summed edge weights per type row, then per direction row
+    (``rows`` table rows each), as the encoder's ``EdgeSet`` builds them."""
+    counts = np.zeros((nodes, sum(rows)))
+    weights = np.ones(len(dst)) if coeff is None else coeff
+    np.add.at(counts, (dst, type_ids), weights)
+    np.add.at(counts, (dst, rows[0] + np.asarray(dir_ids, dtype=np.int64)), weights)
+    return counts.astype(dtype)
+
+
+def _message_oracle(x, src, dst, counts, tables, coeff, add_self, g):
+    """numpy reference for ``message_sum``: its output, then the gradients
+    of ``x`` and of each table for the output gradient ``g``."""
+    col = None if coeff is None else coeff.astype(x.dtype)[:, None]
+    out = np.zeros_like(x)
+    np.add.at(out, dst, x[src] if col is None else x[src] * col)
+    out = out + counts @ np.concatenate(tables)
+    dx = np.zeros_like(x)
+    np.add.at(dx, src, g[dst] if col is None else g[dst] * col)
+    if add_self:
+        out, dx = x + out, g + dx
+    cuts = np.cumsum([len(t) for t in tables])[:-1]
+    return [out, dx, *np.split(counts.T @ g, cuts)]
+
+
+def _bits(a):
+    """``a``'s bytes with every NaN as the one quiet NaN: which operand's
+    NaN payload (and sign) a sum of two NaNs keeps depends on the numpy
+    loop that adds them (SIMD body, scalar tail, in place or not), so only
+    where the NaNs are is compared; -0.0, +-inf and every other value are
+    compared bit for bit."""
+    return np.where(np.isnan(a), a.dtype.type(np.nan), a).tobytes()
+
+
+def _message_bits(x, src, dst, counts, tables, coeff, add_self, g):
+    """:func:`_bits` of ``message_sum``'s output and of the gradients its
+    one record returns for ``g``; every input is tracked."""
+    tape = Tape()
+    ts = [ad.Tensor(a.copy(), requires_grad=True) for a in (x, *tables)]
+    out = message_sum(tape, ts[0], src, dst, counts, ts[1:], coeff, add_self)
+    assert len(tape) == 1
+    grads = tape._records[0].backward_fn(g)
+    assert all(d.dtype == x.dtype for d in grads)
+    return [_bits(a) for a in (out.data, *grads)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_message_sum_matches_numpy_oracle_bitwise(data):
+    # NaN, +-inf and -0.0 in the node states, the tables and the incoming
+    # gradient; a node may receive no edge, or more edges than there are
+    # nodes (the block layout).
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    nodes = data.draw(st.integers(1, 6))
+    edges = data.draw(st.integers(0, 14))
+    ids = st.lists(st.integers(0, nodes - 1), min_size=edges, max_size=edges)
+    src, dst = (np.array(data.draw(ids), dtype=np.int64) for _ in range(2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    type_ids, dir_ids = rng.integers(0, 5, edges), rng.integers(0, 3, edges)
+    width = data.draw(st.sampled_from([1, 3, 16]))
+    x, types, dirs, g = (
+        _with_specials(data.draw, shape, dtype)
+        for shape in ((nodes, width), (5, width), (3, width), (nodes, width))
     )
-    msg = add(tape, embedding_lookup(tape, x, src), edge)
-    if coeff is not None:
-        col = constant(coeff[:, None].astype(x.dtype), dtype=x.dtype)
-        msg = mul(tape, msg, col)
-    return segment_sum(tape, msg, dst, x.shape[0])
-
-
-@pytest.mark.parametrize("with_coeff", [False, True])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_message_sum_matches_public_op_chain_bitwise(with_coeff, dtype):
-    rng = np.random.default_rng(5)
-    nodes, edges, width = 30, 90, 16
-    src = rng.integers(0, nodes, edges)
-    dst = rng.integers(0, nodes, edges)  # narrow fan-in: the slot path
-    type_ids = rng.integers(0, 5, edges)  # wide fan-in: the block path
-    dir_ids = rng.integers(0, 3, edges)
-    coeff = rng.uniform(0.1, 1.0, edges) if with_coeff else None
-    arrays = [
-        _spread_rows(nodes, width, dtype, seed=6),
-        _spread_rows(5, width, dtype, seed=7),
-        _spread_rows(3, width, dtype, seed=8),
-    ]
-    upstream = constant(_spread_rows(nodes, width, dtype, seed=9), dtype=dtype)
-    plans = [
-        IndexPlan(src, nodes),
-        IndexPlan(dst, nodes),
-        IndexPlan(type_ids, 5),
-        IndexPlan(dir_ids, 3),
-    ]
-    results = {}
-    for way in ("chain", "raw ids", "plans", "plans again"):
-        tape = Tape()
-        x, types, dirs = (tensor(a, requires_grad=True, dtype=dtype) for a in arrays)
-        if way == "chain":
-            out = _message_chain(
-                tape, x, src, dst, types, type_ids, dirs, dir_ids, coeff
-            )
-        else:
-            ids = (src, dst, type_ids, dir_ids) if way == "raw ids" else plans
-            out = message_sum(
-                tape, x, ids[0], ids[1], types, ids[2], dirs, ids[3], coeff
-            )
-        grads = backward(tape, tsum(tape, mul(tape, out, upstream)))
-        results[way] = [out.data.tobytes()] + [
-            grads[t].tobytes() for t in (x, types, dirs)
-        ]
-    for way in ("raw ids", "plans", "plans again"):
-        assert results[way] == results["chain"], way
+    plans = data.draw(st.booleans())
+    for coeff in (None, rng.uniform(0.1, 1.0, edges)):
+        counts = _bond_counts(dst, type_ids, dir_ids, nodes, coeff, dtype)
+        for add_self in (False, True):
+            args = (counts, [types, dirs], coeff, add_self, g)
+            with np.errstate(all="ignore"):
+                want = [_bits(a) for a in _message_oracle(x, src, dst, *args)]
+                ends = (IndexPlan(src, nodes), IndexPlan(dst, nodes)) if plans else (src, dst)
+                assert _message_bits(x, *ends, *args) == want
 
 
 def test_message_sum_is_one_record_and_skips_constant_tables():
@@ -387,15 +405,21 @@ def test_message_sum_is_one_record_and_skips_constant_tables():
     x = tensor(np.ones((3, 2)), requires_grad=True)
     types = constant(np.ones((2, 2)))
     dirs = constant(np.ones((2, 2)))
-    out = message_sum(tape, x, [0, 1, 2], [1, 2, 0], types, [0, 1, 1], dirs, [1, 1, 0])
+    counts = _bond_counts([1, 2, 0], [0, 1, 1], [1, 1, 0], 3, rows=(2, 2))
+    out = message_sum(tape, x, [0, 1, 2], [1, 2, 0], counts, [types, dirs])
     assert len(tape) == 1
     np.testing.assert_array_equal(out.data, np.full((3, 2), 3.0))
     grads = tape._records[0].backward_fn(np.ones((3, 2), dtype=np.float32))
     assert grads[0] is not None and grads[1] is None and grads[2] is None
     with pytest.raises(ValueError):
-        message_sum(tape, x, [0, 1], [1, 2, 0], types, [0, 1, 1], dirs, [1, 1, 0])
+        message_sum(tape, x, [0, 1], [1, 2, 0], counts, [types, dirs])
     with pytest.raises(IndexError):
-        message_sum(tape, x, [0, 1, 3], [1, 2, 0], types, [0, 1, 1], dirs, [1, 1, 0])
+        message_sum(tape, x, [0, 1, 3], [1, 2, 0], counts, [types, dirs])
+    for bad in (counts[:2], counts[:, :3], counts.astype(np.float64)):
+        with pytest.raises(ValueError, match="counts"):
+            message_sum(tape, x, [0, 1, 2], [1, 2, 0], bad, [types, dirs])
+    with pytest.raises(ValueError, match="tables"):
+        message_sum(tape, x, [0, 1, 2], [1, 2, 0], counts, [types, constant(np.ones((2, 3)))])
 
 
 # -- fused ops: one record, one buffer, the bits of the unfused chain ------
@@ -465,11 +489,11 @@ def test_message_sum_self_term_matches_add_bitwise(data):
     ]
     upstream = _spread_rows(nodes, width, dtype, int(rng.integers(2**16)))
     for coeff in (None, rng.uniform(0.1, 1.0, edges)):
+        counts = _bond_counts(dst, type_ids, dir_ids, nodes, coeff, dtype, rows=(3, 2))
+
         def aggregate(tape, t, add_self=False):
             x, types, dirs = t
-            return message_sum(
-                tape, x, src, dst, types, type_ids, dirs, dir_ids, coeff, add_self
-            )
+            return message_sum(tape, x, src, dst, counts, [types, dirs], coeff, add_self)
 
         fused = _run_bytes(lambda tape, t: aggregate(tape, t, True), inputs, upstream)
         chain = _run_bytes(
@@ -504,15 +528,12 @@ def test_message_sum_self_term_gradients_match_finite_differences(with_coeff):
     type_ids = np.array([0, 2, 1, 2, 2, 0, 1, 2])
     dir_ids = np.array([1, 0, 0, 1, 1, 1, 0, 0])
     coeff = rng.uniform(0.2, 1.0, src.size) if with_coeff else None
+    counts = _bond_counts(dst, type_ids, dir_ids, 5, coeff, np.float64, rows=(3, 2))
     arrays_in = [rng.uniform(-2, 2, shape) for shape in ((5, 4), (3, 4), (2, 4))]
     r = rng.standard_normal((5, 4))
     err = check_gradients(
         lambda tape, p: _project(
-            tape,
-            message_sum(
-                tape, p[0], src, dst, p[1], type_ids, p[2], dir_ids, coeff, add_self=True
-            ),
-            r,
+            tape, message_sum(tape, p[0], src, dst, counts, p[1:], coeff, add_self=True), r
         ),
         arrays_in,
     )
@@ -532,6 +553,11 @@ def test_no_backward_writes_into_its_incoming_gradient():
     w, b, table = param(4, 3), param(3), param(6, 4)
     seg = np.array([0, 1, 0, 2, 1])
     edges = (np.array([0, 1, 2, 3]), np.array([1, 0, 0, 4]))
+    weights = np.array([0.5, 1.0, 2.0, 0.25])
+    counts, weighted = (
+        _bond_counts(edges[1], [0, 1, 2, 3], [5, 4, 3, 2], 5, c, np.float64, rows=(6, 6))
+        for c in (None, weights)
+    )
     tape = Tape()
     for build in (
         lambda: embedding_lookup(tape, table, [0, 3, 3, 5, 1]),
@@ -541,11 +567,8 @@ def test_no_backward_writes_into_its_incoming_gradient():
         lambda: softplus(tape, x),
         lambda: segment_sum(tape, x, seg, 3),
         lambda: segment_mean(tape, x, seg, 3),
-        lambda: message_sum(tape, x, *edges, table, [0, 1, 2, 3], table, [5, 4, 3, 2]),
-        lambda: message_sum(
-            tape, x, *edges, table, [0, 1, 2, 3], table, [5, 4, 3, 2],
-            np.array([0.5, 1.0, 2.0, 0.25]), add_self=True,
-        ),
+        lambda: message_sum(tape, x, *edges, counts, [table, table]),
+        lambda: message_sum(tape, x, *edges, weighted, [table, table], weights, add_self=True),
         lambda: l2_normalize_rows(tape, pos),
         lambda: matmul_t(tape, x, y),
         lambda: add(tape, x, y),
@@ -641,22 +664,14 @@ def test_scatter_kernels_match_add_at_oracles_bitwise(case, width, dtype, seed):
     src = rng.integers(0, rows, ids.size)
     type_ids = rng.permutation(ids)
     dir_ids = rng.integers(0, 3, ids.size)
-    arrays_in = [
-        _spread_rows(rows, width, dtype, seed + 4),
-        _spread_rows(rows, width, dtype, seed + 5),
-        _spread_rows(3, width, dtype, seed + 6),
-    ]
-    upstream = constant(up_rows, dtype=dtype)
+    xm, types, dirs = (
+        _spread_rows(r, width, dtype, seed + 4 + i) for i, r in enumerate((rows, rows, 3))
+    )
     for coeff in (None, rng.uniform(0.1, 1.0, ids.size)):
-        results = []
-        for fused in (False, True):
-            tape = Tape()
-            xm, types, dirs = (tensor(a, requires_grad=True, dtype=dtype) for a in arrays_in)
-            op = message_sum if fused else _message_chain
-            out = op(tape, xm, src, plan if fused else ids, types, type_ids, dirs, dir_ids, coeff)
-            grads = backward(tape, tsum(tape, mul(tape, out, upstream)))
-            results.append([out.data.tobytes()] + [grads[t].tobytes() for t in (xm, types, dirs)])
-        assert results[1] == results[0]
+        counts = _bond_counts(ids, type_ids, dir_ids, rows, coeff, dtype, rows=(rows, 3))
+        args = (counts, [types, dirs], coeff, False, up_rows)
+        want = [_bits(a) for a in _message_oracle(xm, src, ids, *args)]
+        assert _message_bits(xm, src, plan, *args) == want
 
 
 def test_constant_operands_get_no_gradient_computed():
@@ -1016,6 +1031,8 @@ def test_matmul_blocks_take_the_callers_error_state():
 @example(5, 31, 0, 28, "c", "float32", True, 11)  # 248 wide, five rows
 @example(1400, 128, 1, 28, "c", "float32", False, 12)  # 1023 wide: unsplit
 @example(700, 64, 3, 28, "b.T", "float32", True, 13)  # 509 wide: unsplit
+@example(8, 8, 0, 23, "a.T", "float32", True, 14)  # bond tables' grad counts.T @ g
+@example(8, 64, 0, 23, "a.T", "float32", True, 15)  # the same, 512 wide
 @given(
     m=st.integers(2, 1024),
     eighths=st.integers(1, 128),

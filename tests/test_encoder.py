@@ -27,6 +27,8 @@ from molcontrast.graph import (
     BondEdge,
     BondType,
     MoleculeGraph,
+    NUM_BOND_DIRECTIONS,
+    NUM_BOND_TYPES,
     flip_direction,
     mask_token,
 )
@@ -233,9 +235,85 @@ def test_gcn_arrays_add_self_loops():
     batch = GraphBatch.from_graphs([g])
     edges = batch.gcn_edges
     assert edges.src.ids.shape == (4 + 3,)  # 4 arcs + 3 self-loops
-    assert (edges.type.ids[-3:] == int(BondType.SELF_LOOP)).all()
     # middle atom: deg_hat 3; ends: deg_hat 2
     np.testing.assert_allclose(edges.coeff[-3:], [1 / 2, 1 / 3, 1 / 2])
+    # Each atom's self-loop is its only SELF_LOOP edge.
+    loops = edges.bond_counts[:, int(BondType.SELF_LOOP)]
+    np.testing.assert_allclose(loops, [1 / 2, 1 / 3, 1 / 2], rtol=1e-7)
+
+
+def oracle_bond_counts(graphs, gcn=False):
+    """Each atom's summed edge weights per bond type, then per direction,
+    by ``np.add.at`` over the directed edges of :func:`directed_edges`; GCN
+    adds one SELF_LOOP edge (direction NONE) per atom and weighs every
+    edge by ``1 / sqrt(deg_hat_u * deg_hat_v)``."""
+    edges, offset = [], 0
+    for g in graphs:
+        edges += directed_edges(g, offset)
+        offset += g.num_nodes
+    src, dst, etype, edir = np.array(edges, dtype=np.int64).reshape(-1, 4).T
+    weights = np.ones(len(edges))
+    if gcn:
+        loop = np.arange(offset)
+        src, dst = np.concatenate([src, loop]), np.concatenate([dst, loop])
+        etype = np.concatenate([etype, np.full(offset, int(BondType.SELF_LOOP))])
+        edir = np.concatenate([edir, np.full(offset, int(BondDirection.NONE))])
+        deg_hat = np.bincount(dst, minlength=offset).astype(np.float64)
+        weights = 1.0 / np.sqrt(deg_hat[src] * deg_hat[dst])
+    counts = np.zeros((offset, NUM_BOND_TYPES + NUM_BOND_DIRECTIONS))
+    np.add.at(counts, (dst, etype), weights)
+    np.add.at(counts, (dst, NUM_BOND_TYPES + edir), weights)
+    return counts.astype(np.float32)
+
+
+def _assert_bond_counts(batch, graphs):
+    for edges, gcn in ((batch.bond_edges, False), (batch.gcn_edges, True)):
+        want = oracle_bond_counts(graphs, gcn)
+        got = edges.bond_counts
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    # Atoms without bonds: zero rows, and in GCN only their self-loop.
+    lonely = np.bincount(batch.edge_dst, minlength=batch.num_nodes) == 0
+    assert not batch.bond_edges.bond_counts[lonely].any()
+    loops = batch.gcn_edges.bond_counts[lonely]
+    loop_cols = [int(BondType.SELF_LOOP), NUM_BOND_TYPES + int(BondDirection.NONE)]
+    assert (loops[:, loop_cols] == 1).all() and np.count_nonzero(loops) == 2 * len(loops)
+
+
+def test_bond_counts_match_per_edge_oracle_on_golden_corpus():
+    from golden_corpus import GOLDEN
+
+    golden = [parse_smiles(g.smiles) for g in GOLDEN]
+    assert any(g.num_edges == 0 for g in golden)  # edgeless ions
+    slashed = [g for g in golden if any(e.direction != BondDirection.NONE for e in g.edges)]
+    assert slashed  # / and \ bonds: both direction columns in use
+    for graphs in (golden, slashed, golden[::-1], [parse_smiles("[Na+].[Cl-]")]):
+        _assert_bond_counts(GraphBatch.from_graphs(graphs), graphs)
+    counts = GraphBatch.from_graphs(slashed).bond_edges.bond_counts
+    assert counts[:, NUM_BOND_TYPES + int(BondDirection.END_UP_RIGHT)].any()
+    assert counts[:, NUM_BOND_TYPES + int(BondDirection.END_DOWN_RIGHT)].any()
+
+
+def test_bond_counts_of_a_gathered_view_batch_match_per_edge_oracle():
+    from golden_corpus import GOLDEN
+
+    from molcontrast.augment import AugmentSpec, augment_pair, derive_rng, draw_view
+
+    corpus = [parse_smiles(g.smiles) for g in GOLDEN]
+    pack = GraphBatch.from_graphs(corpus)
+    spec = AugmentSpec(strategy="compose_all", mask_ratio=0.3, delete_ratio=0.3,
+                       subgraph_ratio=0.3)
+    ids = list(range(0, len(corpus), 3))
+    views, masked, dropped = [], [], []
+    for i in ids:
+        rng = derive_rng(11, i)
+        for view in augment_pair(corpus[i], spec, derive_rng(11, i)):
+            atoms, bonds = draw_view(corpus[i], spec, rng)
+            views.append(view.graph)
+            masked.append(atoms)
+            dropped.append(bonds)
+    assert sum(map(len, dropped)) > 0  # some bonds are gone
+    batch = pack.gather(np.repeat(ids, 2), masked, dropped)
+    _assert_bond_counts(batch, views)
 
 
 # -- initial embeddings ------------------------------------------------------
@@ -689,22 +767,28 @@ def _held_arrays(records) -> dict[int, np.ndarray]:
 def test_layer_holds_one_activation_per_record(backbone):
     # Memory guard: the only node-by-width arrays a layer keeps alive are its
     # records' outputs (and its input), so no pre-activation and no separate
-    # aggregate is held until the tape is freed.
+    # aggregate is held until the tape is freed.  The batch's bond counts
+    # (n by 8, like the states at this width) are held as the batch's own
+    # array, which every layer shares, not a copy per layer.
     model = EncoderModel.initialize(small_config(backbone, hidden_dim=8), 4)
     graphs = [parse_smiles(s) for s in ["c1ccccc1O", "CC(=O)O", "CCN"]]
     batch = GraphBatch.from_graphs(graphs)
     n, h = batch.num_nodes, model.config.hidden_dim
     layer = gin_layer if backbone == "gin" else gcn_layer
+    edges = batch.bond_edges if backbone == "gin" else batch.gcn_edges
     tape = Tape()
     states = embed_nodes(tape, model, batch)
     before = len(tape)
     layer(tape, model, 0, states, batch)
     records = tape._records[before:]
     outs = {id(_owner(r.out.data)) for r in records}
+    held = _held_arrays(records)
+    assert id(edges.bond_counts) in held
+    shared = {id(_owner(states.data)), id(edges.bond_counts)}
     activations = {
         key: a
-        for key, a in _held_arrays(records).items()
-        if a.ndim == 2 and a.shape[0] == n and key != id(_owner(states.data))
+        for key, a in held.items()
+        if a.ndim == 2 and a.shape[0] == n and key not in shared
     }
     assert set(activations) == outs
     # GIN: aggregate (h), MLP hidden (2h), MLP output (h); GCN: aggregate, output.
@@ -733,13 +817,13 @@ def test_batch_plans_are_cached_and_match_index_arrays():
     for plan, ids in ((batch.atom_plan, batch.node_atomic),
                       (batch.chirality_plan, batch.node_chirality),
                       (batch.graph_plan, batch.node_graph),
-                      (bonds.src, batch.edge_src), (bonds.dst, batch.edge_dst),
-                      (bonds.type, batch.edge_type), (bonds.dir, batch.edge_dir)):
+                      (bonds.src, batch.edge_src), (bonds.dst, batch.edge_dst)):
         np.testing.assert_array_equal(plan.ids, ids)
     # The GCN set is the bonds followed by one self-loop per atom.
-    for plan, ids in ((gcn.src, bonds.src), (gcn.dst, bonds.dst),
-                      (gcn.type, bonds.type), (gcn.dir, bonds.dir)):
+    for plan, ids in ((gcn.src, bonds.src), (gcn.dst, bonds.dst)):
         np.testing.assert_array_equal(plan.ids[:e], ids.ids)
+    for edges in (bonds, gcn):
+        assert edges.bond_counts.shape == (n, NUM_BOND_TYPES + NUM_BOND_DIRECTIONS)
     np.testing.assert_array_equal(gcn.src.ids[e:], np.arange(n))
     np.testing.assert_array_equal(gcn.dst.ids[e:], np.arange(n))
     assert bonds.coeff is None and gcn.coeff.shape == (e + n,)

@@ -56,3 +56,34 @@ def test_compare_runs_never_allows_a_different_exit_code_or_stderr():
         "embed: exit 2 | 0, stderr equal  (NOT EXPECTED)",
     ]
     assert outputs.compare_runs(old, old)[1] == 0
+
+
+def test_compare_files_reports_the_largest_numeric_difference(tmp_path):
+    header = "epoch,train_loss,lr\n"
+    new = _tree(tmp_path / "new", {
+        "run/loss.csv": header + "1,2.0,0.1\n2,1.5,0.1\n",
+        "run/head.csv": "a,b\n1,2\n",
+        "run/rows.csv": "a\n1\n2\n",
+        "run/text.csv": "smiles,x\nCCO,1\n",
+        "run/nan.csv": "x,y\nnan,1\n",
+    })
+    old = _tree(tmp_path / "old", {
+        "run/loss.csv": header + "1,2.0,0.1\n2,1.2,0.1\n",
+        "run/head.csv": "a,c\n1,3\n",  # another header: no numbers compared
+        "run/rows.csv": "a\n1\n",  # another row count
+        "run/text.csv": "smiles,x\nCCC,1\n",  # only a text cell differs
+        "run/nan.csv": "x,y\n0.5,1\n",
+    })
+    lines, changed, _ = outputs.compare_files(new, old, [])
+    assert changed == 5
+    notes = {
+        prev.split()[1]: line.strip()
+        for prev, line in zip(lines, lines[1:])
+        if line.startswith("    ")
+    }
+    assert notes == {
+        "run/loss.csv": "largest relative difference 0.2 in column train_loss",
+        "run/nan.csv": "largest relative difference inf in column x",
+    }
+    rel, column = outputs.largest_difference(new / "run/loss.csv", old / "run/loss.csv")
+    assert column == "train_loss" and rel == (1.5 - 1.2) / 1.5

@@ -1,6 +1,7 @@
 """Optimizer, schedule, checkpoints, and both training loops."""
 
 import hashlib
+import json
 import math
 import struct
 import weakref
@@ -495,6 +496,45 @@ def test_checkpoint_metadata_corruption_rejected(tmp_path):
     blob[20] = ord("X")  # first metadata byte; breaks the JSON
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptCheckpointError):
+        load_checkpoint(path)
+
+
+def _edit_directory(path, edit):
+    """Rewrite ``path``'s tensor directory with ``edit(entries)``, keeping
+    its payload and checksum, which cover the payload only."""
+    blob = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<Q", blob, 12)
+    meta = json.loads(blob[20 : 20 + meta_len])
+    edit(meta["tensors"])
+    text = json.dumps(meta).encode()
+    path.write_bytes(blob[:12] + struct.pack("<Q", len(text)) + text + blob[20 + meta_len :])
+
+
+@pytest.mark.parametrize(
+    "case", ["overlap", "gap", "out_of_order", "repeated_name"]
+)
+def test_checkpoint_directory_must_tile_the_payload(tmp_path, case):
+    # Three 16-byte tensors end to end; any other directory is corrupt even
+    # though the payload checksum still matches.
+    arrays = {k: np.arange(4 * i, 4 * i + 4, dtype=np.float32) for i, k in enumerate("abc")}
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, Checkpoint({"epoch": 1}, arrays))
+    _edit_directory(path, lambda entries: None)
+    np.testing.assert_array_equal(load_checkpoint(path).arrays["b"], [4, 5, 6, 7])
+
+    def edit(entries):
+        if case == "overlap":
+            entries[1]["offset"] = 12
+        elif case == "gap":
+            entries[1]["offset"] = 20
+            entries[1]["shape"] = [3]
+        elif case == "out_of_order":
+            entries.reverse()
+        else:
+            entries[2]["name"] = "a"
+
+    _edit_directory(path, edit)
+    with pytest.raises(CorruptCheckpointError, match="twice" if case == "repeated_name" else "not "):
         load_checkpoint(path)
 
 
@@ -1055,15 +1095,15 @@ def test_training_builds_no_view_graph(strategy, monkeypatch):
 PIN_ENCODER = EncoderConfig(num_layers=2, hidden_dim=16, latent_dim=8)
 PIN_RATIOS = dict(mask_ratio=0.3, delete_ratio=0.3, subgraph_ratio=0.3)
 PINNED_PRETRAIN = {
-    "mask_delete": "16bedf08621f999d1c45b3efe12327d32b2c4f6c77cc3b55b307a751e2274453",
-    "subgraph_random": "ef7ac30fc540e2737d134426b3a18815da83b16b10dc2e19fd01ba67c159f26c",
-    "subgraph": "92f1837a33ada8e1f0c6d46215e4a50d21c69a235a6fc6136ee1df514264e0be",
-    "compose_all": "b3e0545e81030a90ad256f7cf584cbc5a92976b939315a5f4d141cb337419c65",
-    "gcn-dropout-val": "8ce226da7dc1cfe78b133ba4d2cad86b5aa3ce58aa9c5d837a36b2ea1fcfd38f",
+    "mask_delete": "08f14150e75fccc43630924ef085179707c90a8fd686262837f78bf4b2b26a9a",
+    "subgraph_random": "b9b37b6bc9d171f2c327da2d7486c55c2392ea58b88a9cfa09ac2bf3ff0d529e",
+    "subgraph": "90a9998c79e8f54cc83affb0494d9ff15783d1da51204ce41ee78e3799ddd7b7",
+    "compose_all": "bfa730525f17c7f25ce8f8463c6f5d5c1a2df525351999ca958692371a55df8e",
+    "gcn-dropout-val": "5fde8e14b427ee57521b053716402519d78ab01af83bdcf4af0df9990c5e364f",
 }
 PINNED_FINETUNE = {
-    "plain": "422d20dcb6b664c1cb8f483f5086b4293953c4da5cfd2d5e8c2b590dd61542f3",
-    "compose_all": "5b22b57ac8850ff3c6a262f868c118ac8adaf2c34003356992dba6256a98d384",
+    "plain": "c9bfab88aba2c5da71b0c77bb6b1c4d545c07eb6a51d55626d0b49def66e6624",
+    "compose_all": "edf573a7b8b54e9063e05e0b2ee464af8663963f94528d27b39b9bc85896b586",
 }
 
 

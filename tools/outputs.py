@@ -13,7 +13,11 @@ about 15 s on a 2-vCPU machine; the one wide pre-training run, whose Adam
 steps run on the worker threads, takes under 1 s of each tree's share.
 
 Prints each run's exit code and stderr in both trees, then the sha256 of
-each output file as ``equal`` or ``different``.  A file that differs, or
+each output file as ``equal`` or ``different``.  Under each CSV that differs
+but has the same header and row count in both trees, it prints the largest
+relative difference ``|a - b| / max(|a|, |b|)`` over its numeric cells and
+the column where it occurs, so a re-baseline shows how far values moved.
+A file that differs, or
 that one tree wrote and the other did not, is allowed when its path below
 the run directory (``pretrain_gin/loss.csv``) or its name (``loss.csv``)
 matches an ``--expect-changed`` glob; a different exit code or stderr is
@@ -24,8 +28,10 @@ Exits 1 when any difference is not allowed, 2 when REV cannot be exported.
 from __future__ import annotations
 
 import argparse
+import csv
 import fnmatch
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -124,12 +130,38 @@ def expected(path: str, globs: Sequence[str]) -> bool:
     return any(fnmatch.fnmatchcase(path, g) or fnmatch.fnmatchcase(name, g) for g in globs)
 
 
+def largest_difference(new: Path, old: Path) -> tuple[float, str] | None:
+    """The largest relative difference ``|a - b| / max(|a|, |b|)`` between
+    the numeric cells of two CSV files, and its column; ``inf`` where only
+    one cell is NaN or either is infinite.  None when the headers or row
+    counts differ, or no numeric cell does."""
+    rows_new, rows_old = (list(csv.reader(p.read_text().splitlines())) for p in (new, old))
+    if not rows_new or rows_new[0] != rows_old[0] or len(rows_new) != len(rows_old):
+        return None
+    largest = None
+    for row_new, row_old in zip(rows_new[1:], rows_old[1:]):
+        for column, x, y in zip(rows_new[0], row_new, row_old):
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                continue
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                continue
+            finite = math.isfinite(x) and math.isfinite(y)
+            rel = abs(x - y) / max(abs(x), abs(y)) if finite else math.inf
+            if largest is None or rel > largest[0]:
+                largest = (rel, column)
+    return largest
+
+
 def compare_files(
     new: Path, old: Path, globs: Sequence[str]
 ) -> tuple[list[str], int, int]:
     """One line per file below either root, ``equal`` or ``different``
-    with its digests; returns the lines, the number of files that differ
-    and the number of those that no glob in ``globs`` allows."""
+    with its digests, and under a differing CSV its largest numeric
+    difference (see :func:`largest_difference`); returns the lines, the
+    number of files that differ and the number of those that no glob in
+    ``globs`` allows."""
     a, b = digests(new), digests(old)
     lines, changed, unexpected = [], 0, 0
     for path in sorted(a.keys() | b.keys()):
@@ -142,6 +174,12 @@ def compare_files(
         unexpected += not allowed
         note = "expected" if allowed else "NOT EXPECTED"
         lines.append(f"different  {path}  {da} | {db}  ({note})")
+        if path.endswith(".csv") and path in a and path in b:
+            largest = largest_difference(new / path, old / path)
+            if largest is not None:
+                lines.append(
+                    f"    largest relative difference {largest[0]:.3g} in column {largest[1]}"
+                )
     return lines, changed, unexpected
 
 
@@ -198,7 +236,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"== files: sha256, working tree | {args.rev}")
     print("\n".join(file_lines))
     print(
-        f"== {len(file_lines)} files, {changed} different, {unexpected} not expected; "
+        f"== {sum(not line.startswith(' ') for line in file_lines)} files, "
+        f"{changed} different, {unexpected} not expected; "
         f"{runs_differ} of {len(new_runs)} runs differ in exit code or stderr"
     )
     return 1 if unexpected or runs_differ else 0
