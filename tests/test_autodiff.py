@@ -400,6 +400,60 @@ def test_message_sum_matches_numpy_oracle_bitwise(data):
                 assert _message_bits(x, *ends, *args) == want
 
 
+def _message_chain(tape, x, src, dst, counts, stacked, coeff):
+    # message_sum as public ops: the scaled gather summed per node, plus
+    # the counts product as a bias-free linear over the stacked tables.
+    msg = embedding_lookup(tape, x, src)
+    if coeff is not None:
+        col = constant(coeff[:, None].astype(x.dtype), dtype=x.dtype)
+        msg = mul(tape, msg, col)
+    bias = constant(np.zeros(x.shape[1]), dtype=x.dtype)
+    edges = linear(tape, constant(counts, dtype=x.dtype), stacked, bias)
+    return add(tape, segment_sum(tape, msg, dst, x.shape[0]), edges)
+
+
+@pytest.mark.parametrize("with_coeff", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_message_sum_matches_public_op_chain_bitwise(with_coeff, dtype):
+    rng = np.random.default_rng(5)
+    nodes, edges, width = 30, 90, 16
+    src = rng.integers(0, nodes, edges)
+    dst = rng.integers(0, nodes, edges)  # narrow fan-in: the slot path
+    type_ids = rng.integers(0, 5, edges)
+    dir_ids = rng.integers(0, 3, edges)
+    coeff = rng.uniform(0.1, 1.0, edges) if with_coeff else None
+    counts = _bond_counts(dst, type_ids, dir_ids, nodes, coeff, dtype)
+    arrays = [
+        _spread_rows(nodes, width, dtype, seed=6),
+        _spread_rows(5, width, dtype, seed=7),
+        _spread_rows(3, width, dtype, seed=8),
+    ]
+    upstream = constant(_spread_rows(nodes, width, dtype, seed=9), dtype=dtype)
+    plans = [IndexPlan(src, nodes), IndexPlan(dst, nodes)]
+    results = {}
+    for way in ("chain", "raw ids", "plans", "plans again"):
+        tape = Tape()
+        if way == "chain":
+            x, stacked = (
+                tensor(a, requires_grad=True, dtype=dtype)
+                for a in (arrays[0], np.concatenate(arrays[1:]))
+            )
+            out = _message_chain(tape, x, src, dst, counts, stacked, coeff)
+            grads = backward(tape, tsum(tape, mul(tape, out, upstream)))
+            table_grads = np.split(grads[stacked], [5])
+        else:
+            x, types, dirs = (tensor(a, requires_grad=True, dtype=dtype) for a in arrays)
+            ends = (src, dst) if way == "raw ids" else plans
+            out = message_sum(tape, x, *ends, counts, [types, dirs], coeff)
+            grads = backward(tape, tsum(tape, mul(tape, out, upstream)))
+            table_grads = [grads[types], grads[dirs]]
+        results[way] = [out.data.tobytes(), grads[x].tobytes()] + [
+            g.tobytes() for g in table_grads
+        ]
+    for way in ("raw ids", "plans", "plans again"):
+        assert results[way] == results["chain"], way
+
+
 def test_message_sum_is_one_record_and_skips_constant_tables():
     tape = Tape()
     x = tensor(np.ones((3, 2)), requires_grad=True)
