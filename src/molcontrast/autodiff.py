@@ -20,11 +20,19 @@ Inference relies on that rule: it runs on parameter tensors without
 so nothing is recorded and each intermediate is freed once used, with the
 same forward values as a recording pass.  An op records which of its
 inputs are tracked, and its backward computes gradients for those only.
-The tape keys tensors by the object: a record holds its output tensor,
-and :func:`backward` keeps one gradient map as it walks the records in
-reverse with a fixed accumulation order, making gradients bit-identical
-for identical tapes.  Only constants broadcast: an elementwise op raises
-``ValueError`` when a tracked operand's shape differs from its output's.
+
+A record refers to tensors; it does not hold them.  Each recorded output
+gets a process-unique integer key, and a record keeps its output's key and,
+per input, the key of a recorded intermediate, the tensor of a
+``requires_grad`` leaf, or None for a constant.  Its backward closure
+captures only the arrays it reads (and dtypes and shapes as values), so an
+activation no backward reads is freed as soon as the next op has used it,
+and one that a backward reads is freed once that backward has run:
+:func:`backward` consumes the tape, popping each record as it walks the
+records in reverse with one gradient map and a fixed accumulation order,
+which makes gradients bit-identical for identical tapes.  Only constants
+broadcast: an elementwise op raises ``ValueError`` when a tracked operand's
+shape differs from its output's.
 
 Every scatter (segment sums and means, the embedding-lookup backward, the
 node states of :func:`message_sum` and their gradient) adds the rows that
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -96,14 +105,16 @@ __all__ = [
 class Tensor:
     """A numpy array plus autodiff bookkeeping.
 
-    Tensors hash by identity; the object itself is the key in gradient maps.
+    Tensors hash by identity.  A tensor that an op recorded carries that
+    record's output key in ``key``; the tape refers to it by that key.
     """
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "key")
 
     def __init__(self, data: np.ndarray, requires_grad: bool = False):
         self.data = data
         self.requires_grad = requires_grad
+        self.key: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -132,25 +143,45 @@ def constant(values, dtype=np.float32) -> Tensor:
     return Tensor(np.ascontiguousarray(np.asarray(values, dtype=dtype)))
 
 
-@dataclass
+_keys = itertools.count()  # output keys, unique in the process
+
+
+@dataclass(slots=True)
 class _Record:
-    out: Tensor
-    inputs: tuple[Tensor, ...]
+    """One recorded op: its output's key, a reference per input (see
+    :meth:`Tape._ref`) and the closure mapping the output's gradient to
+    the inputs'."""
+
+    out: int
+    inputs: tuple[int | Tensor | None, ...]
     backward_fn: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
 
 
 class Tape:
-    """Append-only record of differentiable ops, in execution order."""
+    """Append-only record of differentiable ops, in execution order, until
+    :func:`backward` consumes it.
+
+    ``_live`` holds the keys of the outputs recorded on this tape; an input
+    is tracked when it is a ``requires_grad`` leaf or one of those outputs.
+    """
 
     def __init__(self) -> None:
         self._records: list[_Record] = []
-        self._live: set[Tensor] = set()
+        self._live: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._records)
 
     def _tracked(self, t: Tensor) -> bool:
-        return t.requires_grad or t in self._live
+        return self._ref(t) is not None
+
+    def _ref(self, t: Tensor) -> int | Tensor | None:
+        """How a record refers to input ``t``: a leaf by the tensor, an
+        output of this tape by its key, anything else (a constant) not at
+        all."""
+        if t.requires_grad:
+            return t
+        return t.key if t.key in self._live else None
 
     def _record(
         self,
@@ -158,13 +189,21 @@ class Tape:
         inputs: Sequence[Tensor],
         backward_fn: Callable[[np.ndarray], tuple[np.ndarray | None, ...]],
     ) -> None:
-        if any(self._tracked(t) for t in inputs):
-            self._records.append(_Record(out, tuple(inputs), backward_fn))
-            self._live.add(out)
+        refs = tuple(self._ref(t) for t in inputs)
+        if any(r is not None for r in refs):
+            out.key = next(_keys)
+            self._records.append(_Record(out.key, refs, backward_fn))
+            self._live.add(out.key)
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Accumulate d(loss)/d(param) for every ``requires_grad`` tensor.
+
+    Consumes ``tape``: each record is popped as the reverse walk passes it,
+    and its output's gradient is dropped before the inputs' gradients are
+    accumulated, so a record's arrays are freed once its backward has run.
+    The tape is empty afterwards, and a second call on it raises
+    ``ValueError``.
 
     Args:
         tape: the tape that recorded the forward pass.
@@ -177,16 +216,22 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """
     if loss.data.shape != ():
         raise ValueError(f"loss must be a scalar, got shape {loss.data.shape}")
-    if loss not in tape._live:
-        raise ValueError("loss tensor was not produced on this tape")
-    grads: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=loss.data.dtype)}
-    for record in reversed(tape._records):
+    if loss.key not in tape._live:
+        raise ValueError("loss tensor was not produced on this tape, or backward consumed it")
+    tape._live.clear()
+    records = tape._records
+    grads: dict[int | Tensor, np.ndarray] = {loss.key: np.ones((), dtype=loss.data.dtype)}
+    while records:
+        record = records.pop()
         out_grad = grads.pop(record.out, None)
         if out_grad is None:
             continue
-        for inp, g in zip(record.inputs, record.backward_fn(out_grad)):
-            if g is not None and tape._tracked(inp):
-                grads[inp] = grads[inp] + g if inp in grads else g
+        inputs, in_grads = record.inputs, record.backward_fn(out_grad)
+        del record, out_grad
+        for ref, g in zip(inputs, in_grads):
+            if g is not None and ref is not None:
+                grads[ref] = grads[ref] + g if ref in grads else g
+        del in_grads, g  # an addend summed into a new array dies here
     return grads
 
 
@@ -526,9 +571,10 @@ def segment_mean(
     acc = _scatter_add(x.data, plan)
     acc /= counts[:, None]
     out = Tensor(acc)
+    dtype = x.data.dtype
 
     def bwd(g: np.ndarray):
-        inv = (1.0 / counts).astype(x.data.dtype)
+        inv = (1.0 / counts).astype(dtype)
         return ((g * inv[:, None])[plan.ids],)
 
     tape._record(out, (x,), bwd)
@@ -602,12 +648,13 @@ def message_sum(
     need_x = tape._tracked(x)
     need_tables = any(tape._tracked(t) for t in tables)
     cuts = np.cumsum([len(t.data) for t in tables])[:-1]
+    no_tables = [None] * len(tables)
 
     def bwd(g: np.ndarray):
         dx = _scatter_rows(src, scaled(g, dst.ids), width, g.dtype) if need_x else None
         if add_self and dx is not None:
             np.add(g, dx, out=dx)
-        dtables = np.split(_matmul(counts.T, g), cuts) if need_tables else [None] * len(tables)
+        dtables = np.split(_matmul(counts.T, g), cuts) if need_tables else no_tables
         return (dx, *dtables)
 
     tape._record(out, (x, *tables), bwd)
@@ -623,8 +670,10 @@ def linear(
     """Affine map ``x @ w + b`` with shapes [n,a] x [a,k] + [k], followed
     by ReLU in the same record when ``act`` is ``"relu"``.
 
-    The fused ReLU runs in place on the product buffer, so the record holds
-    one array and no other op ever sees the pre-activation.  Its output and
+    The fused ReLU runs in place on the product buffer, so no other op ever
+    sees the pre-activation.  The record holds ``x`` and ``w``, which the
+    backward multiplies by, and the output only with the ReLU, whose gate
+    it reads.  Its output and
     gradients equal ``relu(linear(...))`` bit for bit: the forward is the
     same ``np.maximum``, and the backward gates ``g`` by ``out > 0``, which
     holds exactly when the pre-activation is ``> 0`` (NaN and -0.0 too).
@@ -641,17 +690,20 @@ def linear(
         raise ValueError(
             f"bias shape {b.data.shape} does not match output width {w.data.shape[1]}"
         )
-    y = _matmul(x.data, w.data)
+    xd, wd = x.data, w.data
+    y = _matmul(xd, wd)
     y += b.data
     if act:
         np.maximum(y, 0, out=y)
     out = Tensor(y)
+    gate = y if act else None  # the backward reads the output only to gate g
+    b_dtype = b.data.dtype
 
     def bwd(g: np.ndarray):
-        if act:
-            g = g * (y > 0)
-        db = g.sum(axis=0, dtype=np.float64).astype(b.data.dtype)
-        return (_matmul(g, w.data.T), _matmul(x.data.T, g), db)
+        if gate is not None:
+            g = g * (gate > 0)
+        db = g.sum(axis=0, dtype=np.float64).astype(b_dtype)
+        return (_matmul(g, wd.T), _matmul(xd.T, g), db)
 
     tape._record(out, (x, w, b), bwd)
     return out
@@ -666,11 +718,13 @@ def matmul_t(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
             f"matmul_t inner dims differ: {a.data.shape} vs {b.data.shape}"
         )
     out = Tensor(_matmul(a.data, b.data.T))
-    need_a, need_b = tape._tracked(a), tape._tracked(b)
+    # Each operand's gradient reads the other operand; keep only what is read.
+    b_for_da = b.data if tape._tracked(a) else None
+    a_for_db = a.data if tape._tracked(b) else None
 
     def bwd(g: np.ndarray):
-        da = _matmul(g, b.data) if need_a else None
-        db = _matmul(g.T, a.data) if need_b else None
+        da = _matmul(g, b_for_da) if b_for_da is not None else None
+        db = _matmul(g.T, a_for_db) if a_for_db is not None else None
         return (da, db)
 
     tape._record(out, (a, b), bwd)
@@ -690,13 +744,14 @@ def l2_normalize_rows(tape: Tape, x: Tensor) -> Tensor:
         row = int(np.nonzero(norms < _NORM_EPS)[0][0])
         raise NumericAbort(f"row {row} has near-zero norm; cannot normalize")
     y64 = x64 / norms[:, None]
-    out = Tensor(y64.astype(x.data.dtype))
+    dtype = x.data.dtype
+    out = Tensor(y64.astype(dtype))
 
     def bwd(g: np.ndarray):
         g64 = g.astype(np.float64)
         dot = (g64 * y64).sum(axis=1, keepdims=True)
         dx = (g64 - y64 * dot) / norms[:, None]
-        return (dx.astype(x.data.dtype),)
+        return (dx.astype(dtype),)
 
     tape._record(out, (x,), bwd)
     return out
@@ -705,23 +760,30 @@ def l2_normalize_rows(tape: Tape, x: Tensor) -> Tensor:
 # -- elementwise ops ---------------------------------------------------
 
 
-def _elementwise_pair(tape, a, b, fwd, da_fn, db_fn):
-    out = Tensor(fwd(a.data, b.data))
-    # Decided at record time: constants (masks, shifts, labels) get no
-    # gradient computed only to be dropped by backward().
+def _elementwise_pair(tape, a, b, out_data, da_fn, db_fn):
+    """Record ``out_data``, computed from ``a`` and ``b``, with gradient
+    functions ``da_fn(g)`` and ``db_fn(g)``; each captures only the operand
+    arrays it reads."""
+    out = Tensor(out_data)
     need_a, need_b = tape._tracked(a), tape._tracked(b)
     for t, needed in ((a, need_a), (b, need_b)):
-        if needed and t.data.shape != out.data.shape:
+        if needed and t.data.shape != out_data.shape:
             raise ValueError(
                 f"tracked operand of shape {t.data.shape} broadcasts to "
-                f"{out.data.shape}; only constants may broadcast"
+                f"{out_data.shape}; only constants may broadcast"
             )
+    # Decided at record time: constants (masks, shifts, labels) get no
+    # gradient computed only to be dropped by backward(), and the record
+    # keeps no function (nor the arrays it reads) of an untracked operand.
+    da_fn = da_fn if need_a else None
+    db_fn = db_fn if need_b else None
+    a_dtype, b_dtype = a.data.dtype, b.data.dtype
 
     def bwd(g: np.ndarray):
         # No backward writes into the gradient it is given, and backward()
         # accumulates with ``+``, so ``add`` may return ``g`` itself for both.
-        da = da_fn(g).astype(a.data.dtype, copy=False) if need_a else None
-        db = db_fn(g).astype(b.data.dtype, copy=False) if need_b else None
+        da = da_fn(g).astype(a_dtype, copy=False) if da_fn else None
+        db = db_fn(g).astype(b_dtype, copy=False) if db_fn else None
         return (da, db)
 
     tape._record(out, (a, b), bwd)
@@ -729,48 +791,43 @@ def _elementwise_pair(tape, a, b, fwd, da_fn, db_fn):
 
 
 def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise_pair(
-        tape, a, b, lambda x, y: x + y, lambda g: g, lambda g: g
-    )
+    return _elementwise_pair(tape, a, b, a.data + b.data, lambda g: g, lambda g: g)
 
 
 def sub(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise_pair(
-        tape, a, b, lambda x, y: x - y, lambda g: g, lambda g: -g
-    )
+    return _elementwise_pair(tape, a, b, a.data - b.data, lambda g: g, lambda g: -g)
 
 
 def mul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise_pair(
-        tape, a, b, lambda x, y: x * y,
-        lambda g: g * b.data, lambda g: g * a.data,
-    )
+    x, y = a.data, b.data
+    return _elementwise_pair(tape, a, b, x * y, lambda g: g * y, lambda g: g * x)
 
 
 def div(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
+    x, y = a.data, b.data
     return _elementwise_pair(
-        tape, a, b, lambda x, y: x / y,
-        lambda g: g / b.data,
-        lambda g: -g * a.data / (b.data * b.data),
+        tape, a, b, x / y, lambda g: g / y, lambda g: -g * x / (y * y)
     )
 
 
 def scale(tape: Tape, x: Tensor, factor: float) -> Tensor:
     """Multiply by a python scalar (not differentiated through)."""
-    out = Tensor(x.data * x.data.dtype.type(factor))
+    factor = x.data.dtype.type(factor)
+    out = Tensor(x.data * factor)
 
     def bwd(g: np.ndarray):
-        return (g * x.data.dtype.type(factor),)
+        return (g * factor,)
 
     tape._record(out, (x,), bwd)
     return out
 
 
 def relu(tape: Tape, x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0))
+    xd = x.data
+    out = Tensor(np.maximum(xd, 0))
 
     def bwd(g: np.ndarray):
-        return (g * (x.data > 0),)
+        return (g * (xd > 0),)
 
     tape._record(out, (x,), bwd)
     return out
@@ -812,22 +869,22 @@ def exp(tape: Tape, x: Tensor) -> Tensor:
 
 
 def log(tape: Tape, x: Tensor) -> Tensor:
-    out = Tensor(np.log(x.data))
+    xd = x.data
+    out = Tensor(np.log(xd))
 
     def bwd(g: np.ndarray):
-        return (g / x.data,)
+        return (g / xd,)
 
     tape._record(out, (x,), bwd)
     return out
 
 
 def sum(tape: Tape, x: Tensor) -> Tensor:  # noqa: A001 - numpy-style name
-    out = Tensor(
-        np.asarray(x.data.astype(np.float64).sum(), dtype=x.data.dtype)
-    )
+    shape, dtype = x.data.shape, x.data.dtype
+    out = Tensor(np.asarray(x.data.astype(np.float64).sum(), dtype=dtype))
 
     def bwd(g: np.ndarray):
-        return (np.broadcast_to(g, x.data.shape).astype(x.data.dtype),)
+        return (np.broadcast_to(g, shape).astype(dtype),)
 
     tape._record(out, (x,), bwd)
     return out
@@ -837,12 +894,11 @@ def mean(tape: Tape, x: Tensor) -> Tensor:
     n = x.data.size
     if n == 0:
         raise ValueError("mean of an empty tensor is undefined")
-    out = Tensor(
-        np.asarray(x.data.astype(np.float64).sum() / n, dtype=x.data.dtype)
-    )
+    shape, dtype = x.data.shape, x.data.dtype
+    out = Tensor(np.asarray(x.data.astype(np.float64).sum() / n, dtype=dtype))
 
     def bwd(g: np.ndarray):
-        return ((np.broadcast_to(g, x.data.shape) / n).astype(x.data.dtype),)
+        return ((np.broadcast_to(g, shape) / n).astype(dtype),)
 
     tape._record(out, (x,), bwd)
     return out

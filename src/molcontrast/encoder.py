@@ -26,8 +26,8 @@ projection and prediction heads) runs through one ``_mlp``, which reads
 ``{prefix}weight{s}`` and ``{prefix}bias{s}`` for each suffix ``s``;
 ``parameter_layout`` lists the same names and shapes through the matching
 ``_mlp_layout``.  Each ReLU is fused into the ``linear`` before it, and
-GIN's self term into its aggregate, so every activation is one tape record
-holding one array.
+GIN's self term into its aggregate, so every activation is one array, and
+the tape holds it only while a backward still reads it.
 
 Dropout, between layers and after each hidden head layer, runs if and only
 if a stream ``rng`` is passed (training steps pass one) and its rate is

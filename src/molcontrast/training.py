@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import threading
 import warnings
 import zlib
 from dataclasses import asdict, dataclass, field, fields
@@ -128,7 +129,9 @@ class AdamState:
     ``m`` and ``v`` are flat buffers laid out over the parameters in the
     order of the mapping passed to the first :func:`adam_step`, one
     contiguous slice per name; ``layout`` holds each name and shape in that
-    order, and every later step must pass parameters of that layout.
+    order, and every later step must pass parameters of that layout.  The
+    state holds no scratch memory: each thread that runs tiles keeps its
+    own scratch rows across steps (:func:`_adam_rows`).
     """
 
     step: int = 0
@@ -143,8 +146,11 @@ def adam_step(
     state: AdamState,
     lr: float | Callable[[str], float],
     weight_decay: float = 0.0,
-) -> None:
+) -> str | None:
     """One Adam update in place; only parameters named in ``grads`` move.
+    Returns the first name, in the order of ``params``, whose updated
+    values are not all finite (a non-finite gradient always leaves some),
+    or None.
 
     Weight decay is L2-coupled: wd * param is added to the gradient
     before the moment updates.  ``lr`` may be a callable mapping the
@@ -160,12 +166,13 @@ def adam_step(
     from ``_ADAM_POOLED`` elements on, the tiles are split across the
     :func:`set_threads` workers.  Adam is elementwise, so every element
     sees the same operations in the same order however the tiles are cut
-    or run.
+    or run.  Each tile checks its new parameter values for NaN and Inf
+    while they are in cache, so finding a bad update costs no second pass.
     """
     layout = tuple((name, p.data.shape) for name, p in params.items())
     if state.layout and state.layout != layout:
         raise ValueError("parameters do not match the layout of this Adam state")
-    runs: list[tuple[object, list]] = []  # (rate, [(offset, param, grad), ...])
+    runs: list[tuple[object, list]] = []  # (rate, [(offset, name, param, grad), ...])
     offset = end = 0
     for name, p in params.items():
         at, offset = offset, offset + p.data.size
@@ -184,7 +191,7 @@ def adam_step(
         # but differ in bits (0.0 and -0.0) meet in one tile.
         if not runs or runs[-1][0] is not rate or end != at:
             runs.append((rate, []))
-        runs[-1][1].append((at, p.data.reshape(-1), g.reshape(-1)))
+        runs[-1][1].append((at, name, p.data.reshape(-1), g.reshape(-1)))
         end = offset
     if not state.layout:
         state.layout = layout
@@ -193,26 +200,28 @@ def adam_step(
     state.step += 1
     t = state.step
     tiles = [tile for run in runs for tile in _tiles(*run)]
-    args = (tiles, state, 1.0 - _BETA1**t, 1.0 - _BETA2**t, weight_decay)
+    bad: list[tuple[int, str]] = []  # (flat offset, name) of non-finite pieces
+    args = (tiles, state, 1.0 - _BETA1**t, 1.0 - _BETA2**t, weight_decay, bad)
     pool, parts = ad._pool, 1
     if pool is not None and sum(hi - lo for lo, hi, *_ in tiles) >= _ADAM_POOLED:
         parts = min(ad._workers, len(tiles))
     chunks = np.array_split(np.arange(len(tiles)), parts)
     ad._run_parts(pool, _adam_tiles, [(c, *args) for c in chunks])
+    return min(bad)[1] if bad else None
 
 
 def _tiles(rate, segments: list):
     """Cut a run of adjacent parameters into tiles of at most
     ``_ADAM_TILE`` elements: ``(lo, hi, rate, pieces)`` over the flat
-    moments, each piece ``(at, param, grad, a, b)`` copying elements
-    ``a:b`` of a flattened parameter and its gradient to tile offset
-    ``at``."""
+    moments, each piece ``(at, name, param, grad, a, b)`` copying elements
+    ``a:b`` of the flattened parameter ``name`` and its gradient to tile
+    offset ``at``."""
     lo, at, pieces = segments[0][0], 0, []
-    for _, param, grad in segments:
+    for _, name, param, grad in segments:
         a = 0
         while a < param.size:
             b = min(param.size, a + _ADAM_TILE - at)
-            pieces.append((at, param, grad, a, b))
+            pieces.append((at, name, param, grad, a, b))
             at, a = at + b - a, b
             if at == _ADAM_TILE:
                 yield lo, lo + at, rate, pieces
@@ -221,31 +230,47 @@ def _tiles(rate, segments: list):
         yield lo, lo + at, rate, pieces
 
 
+_scratch = threading.local()
+
+
+def _adam_rows() -> tuple[np.ndarray, ...]:
+    """The calling thread's scratch rows for :func:`_adam_tiles` (three
+    float64, two float32 and one bool row of ``_ADAM_TILE`` elements),
+    allocated on its first step and reused by every later one, unless
+    ``_ADAM_TILE`` has since grown past them: rows allocated afresh each
+    step were unmapped or trimmed and faulted in again on every step."""
+    rows = getattr(_scratch, "rows", None)
+    if rows is None or len(rows[0]) < _ADAM_TILE:
+        rows = _scratch.rows = (
+            *(np.empty(_ADAM_TILE) for _ in range(3)),
+            *(np.empty(_ADAM_TILE, np.float32) for _ in range(2)),
+            np.empty(_ADAM_TILE, bool),
+        )
+    return rows
+
+
 def _adam_tiles(
     which: np.ndarray, tiles: list, state: AdamState, bc1: float, bc2: float,
-    weight_decay: float, errors: dict,
+    weight_decay: float, bad: list, errors: dict,
 ) -> None:
     """The Adam update of ``tiles[i]`` for every ``i`` in ``which``, under
-    the numpy error state ``errors``.
+    the numpy error state ``errors``; appends ``(flat offset, name)`` to
+    ``bad`` for each piece whose new values are not all finite.
 
     Each tile copies its gradient slices into a float64 row and its
     parameter slices into a float32 row, runs the operations of the
     per-parameter update on the same operands in the same order with
     ``out=`` ufuncs, and writes the parameters back.
     """
-    g_row, t_row, u_row = (np.empty(_ADAM_TILE) for _ in range(3))
-    p_row, c_row = (np.empty(_ADAM_TILE, np.float32) for _ in range(2))
-    tiny_row = np.empty(_ADAM_TILE, bool)
+    rows = _adam_rows()
     tiny = np.finfo(np.float32).tiny
     with np.errstate(**errors):
         for i in which:
             lo, hi, rate, pieces = tiles[i]
             n = hi - lo
-            g, t, u, p, c, flush = (
-                r[:n] for r in (g_row, t_row, u_row, p_row, c_row, tiny_row)
-            )
+            g, t, u, p, c, flush = (r[:n] for r in rows)
             m, v = state.m[lo:hi], state.v[lo:hi]
-            for at, param, grad, a, b in pieces:
+            for at, _, param, grad, a, b in pieces:
                 g[at : at + b - a] = grad[a:b]
                 p[at : at + b - a] = param[a:b]
             if weight_decay:
@@ -269,9 +294,15 @@ def _adam_tiles(
             np.subtract(p, c, out=p)
             # Decay sinks idle weights into subnormals, which slow float32 products.
             np.abs(p, out=c)
+            if not np.isfinite(c.max()):  # max() keeps a NaN
+                bad.extend(
+                    (lo + at, name)
+                    for at, name, _, _, a, b in pieces
+                    if not np.isfinite(p[at : at + b - a]).all()
+                )
             np.less(c, tiny, out=flush)
             p[flush] = 0
-            for at, param, grad, a, b in pieces:
+            for at, _, param, _, a, b in pieces:
                 param[a:b] = p[at : at + b - a]
 
 
@@ -548,8 +579,10 @@ def _train_epoch(
     ``build(chunk, dropout_rng)`` records a batch's forward pass and returns
     ``(tape, loss, weight)``, or None to skip the batch.  A non-finite loss
     aborts, and so does an update that leaves a parameter non-finite, which
-    a non-finite gradient always does.  Each step's tape and gradients are
-    freed before the next batch is built.
+    a non-finite gradient always does (:func:`adam_step` names the first
+    such parameter).  :func:`backward` frees each activation as it walks
+    the tape, so the step's tape is gone before the Adam step, and its
+    gradients before the next batch is built.
     """
     losses = []
     for start, chunk, drop_rng in _epoch_batches(cfg, indices, epoch):
@@ -563,12 +596,12 @@ def _train_epoch(
             if not math.isfinite(value):
                 raise NumericAbort(f"non-finite {kind} loss {where}")
             grads = backward(tape, loss)
+            del built, tape, loss  # backward emptied the tape; drop it before the step
             named = {name: grads[t] for name, t in model.params.items() if t in grads}
-            adam_step(model.params, named, state, lr, weight_decay)
-        for name in named:
-            if not np.isfinite(model.params[name].data).all():
-                raise NumericAbort(f"non-finite {kind} update of {name} {where}")
-        del built, tape, loss, grads, named  # free this step before the next forward
+            bad = adam_step(model.params, named, state, lr, weight_decay)
+        if bad is not None:
+            raise NumericAbort(f"non-finite {kind} update of {bad} {where}")
+        del grads, named  # free this step before the next forward
         losses.append((value, weight))
     return _weighted_mean(losses)
 

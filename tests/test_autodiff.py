@@ -15,6 +15,7 @@ from molcontrast import autodiff as ad
 from molcontrast.autodiff import (
     IndexPlan,
     Tape,
+    Tensor,
     add,
     backward,
     check_gradients,
@@ -613,7 +614,7 @@ def test_no_backward_writes_into_its_incoming_gradient():
         for c in (None, weights)
     )
     tape = Tape()
-    for build in (
+    builds = (
         lambda: embedding_lookup(tape, table, [0, 3, 3, 5, 1]),
         lambda: linear(tape, x, w, b),
         lambda: linear(tape, x, w, b, act="relu"),
@@ -635,14 +636,68 @@ def test_no_backward_writes_into_its_incoming_gradient():
         lambda: tsum(tape, x),
         lambda: mean(tape, x),
         lambda: dropout(tape, x, 0.5, np.random.default_rng(1)),
-    ):
-        build()
+    )
+    outs = [build() for build in builds]
     assert len(tape) == 21
-    for record in tape._records:
-        g = rng.standard_normal(record.out.data.shape)
+    for out, record in zip(outs, tape._records):
+        assert record.out == out.key
+        g = rng.standard_normal(out.data.shape)
         before = g.copy()
         record.backward_fn(g)
         assert g.tobytes() == before.tobytes()
+
+
+def _captured(fn) -> set[int]:
+    """The ids of the arrays that closure ``fn`` (and every function it
+    captures) holds, directly or in a tuple or list; a captured tensor
+    fails the test."""
+    found, seen, stack = set(), set(), [fn]
+    while stack:
+        v = stack.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        assert not isinstance(v, Tensor), "a backward closure captured a tensor"
+        if isinstance(v, np.ndarray):
+            found.add(id(v))
+        elif isinstance(v, (tuple, list)):
+            stack.extend(v)
+        elif callable(v) and getattr(v, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in v.__closure__)
+    return found
+
+
+def test_backward_closures_capture_only_the_arrays_they_read():
+    rng = np.random.default_rng(5)
+    x = tensor(rng.uniform(0.5, 2, (4, 3)), requires_grad=True)
+    w, b = tensor(rng.standard_normal((3, 3)), requires_grad=True), tensor(np.zeros(3))
+    c = constant(rng.uniform(0.5, 2, (4, 3)))
+    tape = Tape()
+    relu_out = linear(tape, x, w, b, act="relu")
+    cases = [  # (output, the arrays its backward reads)
+        (linear(tape, x, w, b), [x, w]),
+        (relu_out, [x, w, relu_out]),
+        (mul(tape, x, c), [c]),
+        (mul(tape, c, x), [c]),
+        (div(tape, x, c), [c]),
+        (div(tape, c, x), [c, x]),
+        (matmul_t(tape, x, c), [c]),
+        (relu(tape, x), [x]),
+        (log(tape, x), [x]),
+        *((op(tape, x, c), []) for op in (add, sub)),
+        *((op(tape, x), []) for op in (tsum, mean, lambda t, v: scale(t, v, 2.0))),
+        (segment_mean(tape, x, [0, 1, 0, 1], 2), []),
+        (embedding_lookup(tape, x, [0, 3, 3]), []),
+    ]
+    # Of the operands and outputs, each backward holds just what it reads
+    # (besides them, segment_mean holds its segment counts).
+    tensors = {id(t.data) for t in (x, w, c, *(out for out, _ in cases))}
+    records = {r.out: r for r in tape._records}
+    for out, reads in cases:
+        held = _captured(records[out.key].backward_fn) & tensors
+        assert held == {id(t.data) for t in reads}
+        assert all(ref is None or isinstance(ref, int) or ref.requires_grad
+                   for ref in records[out.key].inputs)
 
 
 @st.composite
@@ -849,6 +904,17 @@ def test_backward_rejects_foreign_loss():
         backward(tape, loss)
 
 
+def test_backward_consumes_the_tape():
+    tape = Tape()
+    x = tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
+    loss = tsum(tape, mul(tape, x, x))
+    assert len(tape) == 2
+    np.testing.assert_array_equal(backward(tape, loss)[x], [2.0, 4.0])
+    assert len(tape) == 0 and not tape._live
+    with pytest.raises(ValueError, match="consumed"):
+        backward(tape, loss)
+
+
 def test_constant_gets_no_gradient():
     tape = Tape()
     x = tensor([1.0], requires_grad=True, dtype=np.float64)
@@ -866,7 +932,7 @@ def test_backward_returns_exactly_the_parameters_the_loss_reaches():
     unused = tensor([[5.0, 5.0]], requires_grad=True, dtype=np.float64)
     # w is used twice: loss = sum(x * w + w).
     loss = tsum(tape, add(tape, mul(tape, x, w), w))
-    assert tape._records[-1].out is loss
+    assert tape._records[-1].out == loss.key
     grads = backward(tape, loss)
     assert len(grads) == 2 and x in grads and w in grads and unused not in grads
     np.testing.assert_array_equal(grads[x], [[3.0, -1.0]])

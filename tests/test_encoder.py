@@ -1,5 +1,8 @@
 """Encoders against dense-loop oracles, plus head and batching contracts."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -735,77 +738,145 @@ def _owner(a: np.ndarray) -> np.ndarray:
 
 
 def _held_arrays(records) -> dict[int, np.ndarray]:
-    """Every array ``records`` keep alive, by the id of its owner: each
-    record's output and whatever its backward closure (and the functions
-    that closure holds) captures, directly or inside a tensor, tuple or
-    list."""
+    """Every array ``records`` keep alive, by the id of its owner: whatever
+    each record's backward closure (and the functions that closure holds)
+    captures, directly or inside a tensor, tuple or list.  A record holds
+    no tensor but its ``requires_grad`` leaf inputs (checked here), whose
+    arrays are the model's own."""
     held: dict[int, np.ndarray] = {}
     seen: set[int] = set()
-
-    def visit(v):
+    # A stack, not a recursive closure, which would hold ``held`` in a
+    # reference cycle that outlives the call.
+    stack = []
+    for r in records:
+        assert isinstance(r.out, int)
+        assert all(
+            ref is None or isinstance(ref, int) or (isinstance(ref, Tensor) and ref.requires_grad)
+            for ref in r.inputs
+        )
+        stack.append(r.backward_fn)
+    while stack:
+        v = stack.pop()
         if id(v) in seen:
-            return
+            continue
         seen.add(id(v))
         if isinstance(v, Tensor):
             v = v.data
         if isinstance(v, np.ndarray):
             held[id(_owner(v))] = _owner(v)
         elif isinstance(v, (tuple, list)):
-            for item in v:
-                visit(item)
+            stack.extend(v)
         elif callable(v) and getattr(v, "__closure__", None):
-            for cell in v.__closure__:
-                visit(cell.cell_contents)
-
-    for r in records:
-        visit(r.out)
-        visit(r.backward_fn)
+            stack.extend(cell.cell_contents for cell in v.__closure__)
     return held
 
 
+@pytest.mark.parametrize("inner", [True, False])
 @pytest.mark.parametrize("backbone", ["gin", "gcn"])
-def test_layer_holds_one_activation_per_record(backbone):
-    # Memory guard: the only node-by-width arrays a layer keeps alive are its
-    # records' outputs (and its input), so no pre-activation and no separate
-    # aggregate is held until the tape is freed.  The batch's bond counts
-    # (n by 8, like the states at this width) are held as the batch's own
-    # array, which every layer shares, not a copy per layer.
-    model = EncoderModel.initialize(small_config(backbone, hidden_dim=8), 4)
+def test_layer_holds_exactly_the_arrays_its_backward_reads(backbone, inner):
+    # Memory guard: the node-by-width arrays a layer keeps alive are those
+    # its backward reads.  The aggregate's backward reads none (not even its
+    # input states); each linear reads its input, for the weight gradient,
+    # and its output only when a ReLU is fused, to gate the gradient.  So a
+    # GIN layer holds its aggregate (h) and MLP hidden (2h), plus its output
+    # (h) when a ReLU follows (every layer but the last), and a GCN layer
+    # its aggregate, plus its output on inner layers.  The batch's bond
+    # counts (n by 8) are held as the batch's own array, which every layer
+    # shares, not a copy per layer.
+    model = EncoderModel.initialize(small_config(backbone, hidden_dim=16), 4)
     graphs = [parse_smiles(s) for s in ["c1ccccc1O", "CC(=O)O", "CCN"]]
     batch = GraphBatch.from_graphs(graphs)
     n, h = batch.num_nodes, model.config.hidden_dim
     layer = gin_layer if backbone == "gin" else gcn_layer
     edges = batch.bond_edges if backbone == "gin" else batch.gcn_edges
+    k = 0 if inner else model.config.num_layers - 1
     tape = Tape()
     states = embed_nodes(tape, model, batch)
     before = len(tape)
-    layer(tape, model, 0, states, batch)
-    records = tape._records[before:]
-    outs = {id(_owner(r.out.data)) for r in records}
-    held = _held_arrays(records)
+    out = layer(tape, model, k, states, batch)
+    held = _held_arrays(tape._records[before:])
     assert id(edges.bond_counts) in held
-    shared = {id(_owner(states.data)), id(edges.bond_counts)}
+    assert id(_owner(states.data)) not in held
+    shared = {id(edges.bond_counts), *(id(p.data) for p in model.params.values())}
     activations = {
-        key: a
-        for key, a in held.items()
+        key: a for key, a in held.items()
         if a.ndim == 2 and a.shape[0] == n and key not in shared
     }
-    assert set(activations) == outs
-    # GIN: aggregate (h), MLP hidden (2h), MLP output (h); GCN: aggregate, output.
-    widths = 4 if backbone == "gin" else 2
-    assert sum(a.nbytes for a in activations.values()) == n * h * widths * 4
+    assert (id(_owner(out.data)) in activations) == inner
+    widths = {("gin", True): [1, 2, 1], ("gin", False): [1, 2],
+              ("gcn", True): [1, 1], ("gcn", False): [1]}[backbone, inner]
+    assert sorted(a.shape[1] // h for a in activations.values()) == sorted(widths)
+    assert sum(a.nbytes for a in activations.values()) == n * h * sum(widths) * 4
 
 
-def test_dropout_holds_its_output_and_a_one_byte_mask():
-    # A dropout record keeps its output and a boolean mask; the float mask
-    # is rebuilt in the backward, not held.
+def test_embedding_lookups_hold_no_node_array_once_the_first_layer_ran():
+    # The two lookups and their sum read no activation in their backward,
+    # so the initial node states die once the first layer has used them.
+    model = EncoderModel.initialize(small_config(hidden_dim=16), 4)
+    batch = GraphBatch.from_graphs([parse_smiles(s) for s in ["c1ccccc1O", "CCN"]])
+    tape = Tape()
+    states = embed_nodes(tape, model, batch)
+    assert len(tape) == 3
+    assert not any(
+        a.ndim == 2 and a.shape[0] == batch.num_nodes
+        for a in _held_arrays(tape._records).values()
+    )
+    first = weakref.ref(states.data)
+    states = gin_layer(tape, model, 0, states, batch)
+    assert first() is None
+
+
+def test_backward_frees_each_layer_before_the_atom_lookup_runs():
+    # Every node-by-width array held only by the records after the first
+    # (the atom-embedding lookup) is freed by the time that record's
+    # backward runs: the walk pops each record once its backward has run.
+    model = EncoderModel.initialize(EncoderConfig("gin", 3, 16, 4, dropout=0.2), 4)
+    smiles = ["c1ccccc1O", "CCN", "CC(=O)O", "CO"]
+    batch = GraphBatch.from_graphs([parse_smiles(s) for s in smiles])
+    n = batch.num_nodes
+
+    def forward():
+        tape = Tape()
+        h = represent(tape, model, batch, np.random.default_rng(0))
+        return tape, nt_xent(tape, project(tape, model, h), ContrastiveConfig(0.1, 2))
+
+    tape, loss = forward()
+    # The parameters and the batch's bond counts outlive the tape.
+    shared = {id(batch.bond_edges.bond_counts), *(id(p.data) for p in model.params.values())}
+    arrays = [
+        weakref.ref(a)
+        for key, a in _held_arrays(tape._records[1:]).items()
+        if a.ndim == 2 and a.shape[0] == n and key not in shared
+    ]
+    # Per layer: aggregate, hidden, output (ReLU gate) of the first two,
+    # aggregate and hidden of the last; each dropout holds a bool mask.
+    assert len(arrays) == 3 + 3 + 2 + 2
+    alive_at_lookup = []
+
+    def spy(g, lookup=tape._records[0].backward_fn):
+        alive_at_lookup.extend(r() is not None for r in arrays)
+        return lookup(g)
+
+    tape._records[0].backward_fn = spy
+    gc.disable()  # an array kept alive by a reference cycle counts as held
+    try:
+        grads = backward(tape, loss)
+    finally:
+        gc.enable()
+    assert alive_at_lookup == [False] * len(arrays)
+    assert model.params["atom_embedding"] in grads
+
+
+def test_dropout_holds_only_a_one_byte_mask():
+    # A dropout record keeps a boolean mask; the float mask is rebuilt in
+    # the backward, and its output is held by no record.
     x = Tensor(np.ones((40, 8), dtype=np.float32), requires_grad=True)
     tape = Tape()
     dropout(tape, x, 0.3, np.random.default_rng(0))
     held = sorted(
         (a.dtype.itemsize, a.shape) for a in _held_arrays(tape._records).values()
     )
-    assert held == [(1, (40, 8)), (4, (40, 8))]
+    assert held == [(1, (40, 8))]
 
 
 def test_batch_plans_are_cached_and_match_index_arrays():

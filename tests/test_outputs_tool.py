@@ -66,6 +66,7 @@ def test_compare_files_reports_the_largest_numeric_difference(tmp_path):
         "run/rows.csv": "a\n1\n2\n",
         "run/text.csv": "smiles,x\nCCO,1\n",
         "run/nan.csv": "x,y\nnan,1\n",
+        "run/small.csv": "h0,h1\n2e-6,3.0\n",
     })
     old = _tree(tmp_path / "old", {
         "run/loss.csv": header + "1,2.0,0.1\n2,1.2,0.1\n",
@@ -73,9 +74,12 @@ def test_compare_files_reports_the_largest_numeric_difference(tmp_path):
         "run/rows.csv": "a\n1\n",  # another row count
         "run/text.csv": "smiles,x\nCCC,1\n",  # only a text cell differs
         "run/nan.csv": "x,y\n0.5,1\n",
+        # Near zero the denominator's floor of 0.01 holds: 3e-6 / 0.01, not
+        # 3e-6 / 2e-6, so the cell crossing zero does not outweigh h1.
+        "run/small.csv": "h0,h1\n-1e-6,3.003\n",
     })
     lines, changed, _ = outputs.compare_files(new, old, [])
-    assert changed == 5
+    assert changed == 6
     notes = {
         prev.split()[1]: line.strip()
         for prev, line in zip(lines, lines[1:])
@@ -84,6 +88,12 @@ def test_compare_files_reports_the_largest_numeric_difference(tmp_path):
     assert notes == {
         "run/loss.csv": "largest relative difference 0.2 in column train_loss",
         "run/nan.csv": "largest relative difference inf in column x",
+        "run/small.csv": "largest relative difference 0.000999 in column h1",
     }
+    rel, column = outputs.largest_difference(new / "run/small.csv", old / "run/small.csv")
+    assert column == "h1" and rel == (3.003 - 3.0) / 3.003
+    new_cell = _tree(tmp_path / "cell_new", {"c.csv": "x\n2e-6\n"}) / "c.csv"
+    old_cell = _tree(tmp_path / "cell_old", {"c.csv": "x\n-1e-6\n"}) / "c.csv"
+    assert outputs.largest_difference(new_cell, old_cell) == ((2e-6 + 1e-6) / 1e-2, "x")
     rel, column = outputs.largest_difference(new / "run/loss.csv", old / "run/loss.csv")
     assert column == "train_loss" and rel == (1.5 - 1.2) / 1.5

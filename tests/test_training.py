@@ -318,6 +318,53 @@ def test_adam_tiles_take_the_callers_error_state():
     assert pool.blocks == [8] * 3 and np.isnan(p.data).all()
 
 
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_pinned_blas)])
+def test_adam_steps_reuse_their_scratch_rows(workers, monkeypatch):
+    # Each thread allocates its scratch rows once; a later step reuses them.
+    rows = training_module._adam_rows
+    used: list[set] = []
+
+    def spy():
+        got = rows()
+        used[-1].add(tuple(map(id, got)))
+        return got
+
+    monkeypatch.setattr(training_module, "_adam_rows", spy)
+    p = ad.tensor(np.ones(2**20 + 1))  # over the gate: one part per worker
+    state = AdamState()
+
+    def steps():
+        for _ in range(2):
+            used.append(set())
+            adam_step({"w": p}, {"w": np.ones(2**20 + 1)}, state, 1e-3)
+
+    _with_workers(workers, steps)
+    assert len(used[0]) == workers and used[1] == used[0]
+
+
+@pytest.mark.parametrize(
+    "workers, size", [(1, 5), pytest.param(2, 2**19, marks=needs_pinned_blas)]
+)
+def test_adam_step_names_the_first_parameter_it_left_non_finite(workers, size):
+    # A NaN gradient in the second of three parameters names that one, also
+    # when the third goes non-finite too: on two workers the third's tiles
+    # run in the other part, which may report first.
+    params = {name: ad.tensor(np.ones(size)) for name in ("a", "b", "c")}
+    grads = {name: np.ones(size) for name in params}
+    state = AdamState()
+
+    def step():
+        with np.errstate(all="ignore"):
+            return adam_step(params, grads, state, 1e-3)
+
+    assert _with_workers(workers, step) is None
+    grads["b"][0] = np.nan
+    assert _with_workers(workers, step) == "b"
+    grads["c"][-1] = np.inf
+    assert _with_workers(workers, step) == "b"
+    assert np.isnan(params["b"].data[0]) and np.isfinite(params["a"].data).all()
+
+
 # -- learning-rate schedule --------------------------------------------------
 
 

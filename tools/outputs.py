@@ -15,8 +15,11 @@ steps run on the worker threads, takes under 1 s of each tree's share.
 Prints each run's exit code and stderr in both trees, then the sha256 of
 each output file as ``equal`` or ``different``.  Under each CSV that differs
 but has the same header and row count in both trees, it prints the largest
-relative difference ``|a - b| / max(|a|, |b|)`` over its numeric cells and
-the column where it occurs, so a re-baseline shows how far values moved.
+relative difference ``|a - b| / max(|a|, |b|, 0.01)`` over its numeric cells
+and the column where it occurs, so a re-baseline shows how far values moved.
+The floor on the denominator keeps cells near zero from dominating: below
+0.01 the figure is an absolute difference scaled by 100, so loss files and
+embedding columns that cross zero read on one scale.
 A file that differs, or
 that one tree wrote and the other did not, is allowed when its path below
 the run directory (``pretrain_gin/loss.csv``) or its name (``loss.csv``)
@@ -130,11 +133,15 @@ def expected(path: str, globs: Sequence[str]) -> bool:
     return any(fnmatch.fnmatchcase(path, g) or fnmatch.fnmatchcase(name, g) for g in globs)
 
 
+_FLOOR = 1e-2  # smallest denominator of a relative difference
+
+
 def largest_difference(new: Path, old: Path) -> tuple[float, str] | None:
-    """The largest relative difference ``|a - b| / max(|a|, |b|)`` between
-    the numeric cells of two CSV files, and its column; ``inf`` where only
-    one cell is NaN or either is infinite.  None when the headers or row
-    counts differ, or no numeric cell does."""
+    """The largest relative difference ``|a - b| / max(|a|, |b|, 0.01)``
+    between the numeric cells of two CSV files, and its column; ``inf``
+    where only one cell is NaN or either is infinite.  None when the headers
+    or row counts differ, or no numeric cell does.  The denominator's floor
+    is the one ``autodiff``'s gradient check uses."""
     rows_new, rows_old = (list(csv.reader(p.read_text().splitlines())) for p in (new, old))
     if not rows_new or rows_new[0] != rows_old[0] or len(rows_new) != len(rows_old):
         return None
@@ -148,7 +155,7 @@ def largest_difference(new: Path, old: Path) -> tuple[float, str] | None:
             if x == y or (math.isnan(x) and math.isnan(y)):
                 continue
             finite = math.isfinite(x) and math.isfinite(y)
-            rel = abs(x - y) / max(abs(x), abs(y)) if finite else math.inf
+            rel = abs(x - y) / max(abs(x), abs(y), _FLOOR) if finite else math.inf
             if largest is None or rel > largest[0]:
                 largest = (rel, column)
     return largest
