@@ -8,6 +8,9 @@ metadata but is not part of the embedded feature set.
 
 Graphs are immutable.  Edges are stored once per unordered pair with
 ``u < v``; the adjacency structure is derived from the edges on first use.
+:class:`AtomNode` and :class:`BondEdge` are slotted value objects compared by
+value: the parser hands every equal atom the same shared node, so object
+identity says nothing about a node's place in a graph.
 """
 
 from __future__ import annotations
@@ -72,20 +75,22 @@ def flip_direction(direction: BondDirection) -> BondDirection:
     return BondDirection.NONE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomNode:
     atomic_number: int
     chirality: Chirality = Chirality.UNSPECIFIED
     formal_charge: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.atomic_number, int):
-            raise ValueError(f"atomic_number must be int, got {self.atomic_number!r}")
-        if not 1 <= self.atomic_number <= MASK_ATOMIC_NUMBER:
-            raise ValueError(
-                f"atomic_number {self.atomic_number} outside [1, {MASK_ATOMIC_NUMBER}]"
-            )
-        object.__setattr__(self, "chirality", Chirality(self.chirality))
+        z = self.atomic_number
+        if not isinstance(z, int) or isinstance(z, bool):
+            raise ValueError(f"atomic_number must be int, got {z!r}")
+        if not 1 <= z <= MASK_ATOMIC_NUMBER:
+            raise ValueError(f"atomic_number {z} outside [1, {MASK_ATOMIC_NUMBER}]")
+        # Only a non-member goes through the enum constructor, which raises
+        # ValueError for a value outside the vocabulary.
+        if type(self.chirality) is not Chirality:
+            object.__setattr__(self, "chirality", Chirality(self.chirality))
 
 
 def mask_token() -> AtomNode:
@@ -93,7 +98,7 @@ def mask_token() -> AtomNode:
     return AtomNode(MASK_ATOMIC_NUMBER, Chirality.UNSPECIFIED, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BondEdge:
     """Undirected bond between node indices ``u < v``."""
 
@@ -103,16 +108,17 @@ class BondEdge:
     direction: BondDirection = BondDirection.NONE
 
     def __post_init__(self) -> None:
-        if self.u < 0 or self.v < 0:
-            raise ValueError(f"negative node index in edge ({self.u}, {self.v})")
-        if self.u == self.v:
-            raise ValueError(f"self-loop edge at node {self.u}")
-        if self.u > self.v:
-            raise ValueError(
-                f"edge ({self.u}, {self.v}) not normalized; use BondEdge.between"
-            )
-        object.__setattr__(self, "bond_type", BondType(self.bond_type))
-        object.__setattr__(self, "direction", BondDirection(self.direction))
+        u, v = self.u, self.v
+        if not 0 <= u < v:
+            if u < 0 or v < 0:
+                raise ValueError(f"negative node index in edge ({u}, {v})")
+            if u == v:
+                raise ValueError(f"self-loop edge at node {u}")
+            raise ValueError(f"edge ({u}, {v}) not normalized; use BondEdge.between")
+        if type(self.bond_type) is not BondType:
+            object.__setattr__(self, "bond_type", BondType(self.bond_type))
+        if type(self.direction) is not BondDirection:
+            object.__setattr__(self, "direction", BondDirection(self.direction))
 
     @classmethod
     def between(

@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from pathlib import Path
 from typing import NoReturn
 
@@ -109,10 +110,22 @@ _ELEMENTS: dict[str, int] = {
     "Og": 118,
 }
 
-# Bare (unbracketed) atoms of the organic subset; two-letter first.
-_ORGANIC_TWO = ("Cl", "Br")
-_ORGANIC_ONE = frozenset("BCNOPSFI")
-_AROMATIC_ORGANIC = frozenset("bcnops")
+
+@cache
+def _atom_node(atomic_number: int, chirality: Chirality, charge: int) -> AtomNode:
+    """The one shared node with these fields: equal atoms of every parsed
+    graph are the same frozen object.  The vocabulary bounds the cache at
+    118 elements x 4 chirality tags x 31 charges (-15..+15)."""
+    return AtomNode(atomic_number, chirality, charge)
+
+
+# Bare (unbracketed) atoms of the organic subset and their aromatic
+# lowercase forms: (node, aromatic).  ``Cl`` and ``Br`` are the only
+# two-letter symbols.
+_ORGANIC: dict[str, tuple[AtomNode, bool]] = {
+    sym: (_atom_node(_ELEMENTS[sym.capitalize()], Chirality.UNSPECIFIED, 0), sym.islower())
+    for sym in ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I", *"bcnops")
+}
 # Aromatic symbols allowed inside brackets.
 _AROMATIC_BRACKET = frozenset({"b", "c", "n", "o", "p", "s", "se", "as", "te"})
 # SMILES digits are ASCII only; ``str.isdigit`` also accepts other scripts.
@@ -126,6 +139,7 @@ _VALENCES: dict[int, tuple[int, ...]] = {
     1: (1,), 5: (3,), 6: (4,), 7: (3, 5), 8: (2,), 9: (1,),
     15: (3, 5), 16: (2, 4, 6), 17: (1,), 35: (1,), 53: (1,),
 }
+_MAX_VALENCE = {z: max(valences) for z, valences in _VALENCES.items()}
 
 _BOND_SYMBOLS: dict[str, tuple[BondType, BondDirection]] = {
     "-": (BondType.SINGLE, BondDirection.NONE),
@@ -142,16 +156,6 @@ _BOND_ORDER = {
     BondType.TRIPLE: 3.0,
     BondType.AROMATIC: 1.5,
 }
-
-
-@dataclass
-class _Atom:
-    atomic_number: int
-    chirality: Chirality
-    charge: int
-    aromatic: bool
-    explicit_h: int
-    position: int
 
 
 @dataclass
@@ -174,9 +178,12 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.atoms: list[_Atom] = []
+        self.nodes: list[AtomNode] = []
+        # Per node: (aromatic, explicit hydrogen count, position), and the
+        # total bond order, which the valence check reads.
+        self.atoms: list[tuple[bool, int, int]] = []
+        self.orders: list[float] = []
         self.edges: list[BondEdge] = []
-        self.edge_pairs: set[tuple[int, int]] = set()
         self.prev: int | None = None
         self.pending: _Pending | None = None
         self.branches: list[tuple[int, int]] = []
@@ -199,22 +206,23 @@ class _Parser:
 
     # -- atom scanning -------------------------------------------------
 
-    def _scan_organic(self) -> _Atom:
-        s, i = self.text, self.pos
-        for sym in _ORGANIC_TWO:
-            if s.startswith(sym, i):
-                self.pos = i + 2
-                return _Atom(_ELEMENTS[sym], Chirality.UNSPECIFIED, 0, False, 0, i)
-        ch = s[i]
-        if ch in _ORGANIC_ONE:
-            self.pos = i + 1
-            return _Atom(_ELEMENTS[ch], Chirality.UNSPECIFIED, 0, False, 0, i)
-        if ch in _AROMATIC_ORGANIC:
-            self.pos = i + 1
-            return _Atom(_ELEMENTS[ch.upper()], Chirality.UNSPECIFIED, 0, True, 0, i)
-        self.fail(DiagnosticKind.UNKNOWN_ATOM, i, f"unknown atom symbol {ch!r}")
+    # Each scanner returns (node, aromatic, explicit hydrogen count,
+    # position) and moves ``pos`` past the atom.
 
-    def _scan_bracket(self) -> _Atom:
+    def _scan_organic(self) -> tuple[AtomNode, bool, int, int]:
+        s, i = self.text, self.pos
+        sym = s[i : i + 2]  # a two-letter symbol (Cl, Br) wins
+        if sym not in _ORGANIC:
+            sym = s[i]
+            if sym not in _ORGANIC:
+                self.fail(
+                    DiagnosticKind.UNKNOWN_ATOM, i, f"unknown atom symbol {sym!r}"
+                )
+        self.pos = i + len(sym)
+        node, aromatic = _ORGANIC[sym]
+        return node, aromatic, 0, i
+
+    def _scan_bracket(self) -> tuple[AtomNode, bool, int, int]:
         s, start = self.text, self.pos
         _, i = self._digits(start + 1)  # isotope, discarded
         atomic_number, aromatic, i = self._bracket_symbol(i, start)
@@ -232,7 +240,7 @@ class _Parser:
         if i >= len(s) or s[i] != "]":
             self.fail(DiagnosticKind.UNKNOWN_ATOM, start, "unterminated bracket atom")
         self.pos = i + 1
-        return _Atom(atomic_number, chirality, charge, aromatic, explicit_h, start)
+        return _atom_node(atomic_number, chirality, charge), aromatic, explicit_h, start
 
     def _bracket_symbol(self, i: int, start: int) -> tuple[int, bool, int]:
         s = self.text
@@ -298,35 +306,31 @@ class _Parser:
 
     # -- graph assembly ------------------------------------------------
 
-    def _add_atom(self, atom: _Atom) -> None:
-        self.atoms.append(atom)
-        idx = len(self.atoms) - 1
+    def _add_atom(
+        self, node: AtomNode, aromatic: bool, explicit_h: int, position: int
+    ) -> None:
+        idx = len(self.nodes)
+        self.nodes.append(node)
+        self.atoms.append((aromatic, explicit_h, position))
+        self.orders.append(0.0)
         if self.prev is not None:
-            self._add_edge(self.prev, idx, self.pending, atom.position)
+            # The new atom has no bonds yet, so this one is no duplicate.
+            self._add_edge(self.prev, idx, self.pending)
         else:
             self._no_pending("bond symbol with no preceding atom")
         self.pending = None
         self.prev = idx
 
-    def _add_edge(
-        self, a: int, b: int, bond: _Pending | None, position: int
-    ) -> None:
-        if a == b:
-            self.fail(DiagnosticKind.BAD_BOND, position, "bond from an atom to itself")
+    def _add_edge(self, a: int, b: int, bond: _Pending | None) -> None:
         if bond is None:
-            aromatic = self.atoms[a].aromatic and self.atoms[b].aromatic
+            aromatic = self.atoms[a][0] and self.atoms[b][0]
             bond_type = BondType.AROMATIC if aromatic else BondType.SINGLE
             direction = BondDirection.NONE
         else:
             bond_type, direction = bond.bond_type, bond.direction
-        pair = (min(a, b), max(a, b))
-        if pair in self.edge_pairs:
-            self.fail(
-                DiagnosticKind.BAD_BOND,
-                position,
-                f"duplicate bond between atoms {pair[0]} and {pair[1]}",
-            )
-        self.edge_pairs.add(pair)
+        order = _BOND_ORDER[bond_type]
+        self.orders[a] += order
+        self.orders[b] += order
         self.edges.append(BondEdge.between(a, b, bond_type, direction))
 
     def _ring_digit(self, digit: int, position: int) -> None:
@@ -378,7 +382,16 @@ class _Parser:
                 self.pending.position,
             )
         self.pending = None
-        self._add_edge(a, b, ring_bond, position)
+        if a == b:
+            self.fail(DiagnosticKind.BAD_BOND, position, "bond from an atom to itself")
+        lo, hi = (a, b) if a < b else (b, a)
+        if any(e.u == lo and e.v == hi for e in self.edges):
+            self.fail(
+                DiagnosticKind.BAD_BOND,
+                position,
+                f"duplicate bond between atoms {lo} and {hi}",
+            )
+        self._add_edge(a, b, ring_bond)
 
     # -- main loop -----------------------------------------------------
 
@@ -389,9 +402,9 @@ class _Parser:
         while self.pos < len(s):
             ch = s[self.pos]
             if ch == "[":
-                self._add_atom(self._scan_bracket())
+                self._add_atom(*self._scan_bracket())
             elif ch.isalpha():
-                self._add_atom(self._scan_organic())
+                self._add_atom(*self._scan_organic())
             elif ch in _BOND_SYMBOLS:
                 if self.pending is not None:
                     self.fail(
@@ -455,37 +468,30 @@ class _Parser:
                 self.branches[-1][1],
                 "branch never closed",
             )
-        if not self.atoms:  # only '.' separators: nothing to encode
+        if not self.nodes:  # only '.' separators: nothing to encode
             self.fail(DiagnosticKind.UNKNOWN_ATOM, 0, "no atoms in SMILES string")
-        graph = MoleculeGraph(
-            tuple(
-                AtomNode(a.atomic_number, a.chirality, a.charge) for a in self.atoms
-            ),
-            tuple(self.edges),
-        )
+        graph = MoleculeGraph(tuple(self.nodes), tuple(self.edges))
         return graph, self._valence_warnings()
 
     def _valence_warnings(self) -> list[ParseDiagnostic]:
-        orders = [0.0] * len(self.atoms)
-        for e in self.edges:
-            orders[e.u] += _BOND_ORDER[e.bond_type]
-            orders[e.v] += _BOND_ORDER[e.bond_type]
         warnings = []
-        for i, atom in enumerate(self.atoms):
-            valences = _VALENCES.get(atom.atomic_number)
-            if valences is None:
+        for node, (aromatic, explicit_h, position), order in zip(
+            self.nodes, self.atoms, self.orders
+        ):
+            valence = _MAX_VALENCE.get(node.atomic_number)
+            if valence is None:
                 continue
-            usage = orders[i] + atom.explicit_h
+            usage = order + explicit_h
             # Aromatic atoms get one unit of slack so delocalized systems
             # (pyrrole-type N-H) do not warn without kekulization.
-            allowed = max(valences) + abs(atom.charge) + (1.0 if atom.aromatic else 0.0)
+            allowed = valence + abs(node.formal_charge) + (1.0 if aromatic else 0.0)
             if usage > allowed + 1e-9:
                 warnings.append(
                     ParseDiagnostic(
                         DiagnosticKind.VALENCE_WARNING,
-                        atom.position,
+                        position,
                         f"bond order total {usage:g} exceeds {allowed:g} "
-                        f"for element {atom.atomic_number}",
+                        f"for element {node.atomic_number}",
                     )
                 )
         return warnings

@@ -55,6 +55,24 @@ def test_atom_node_bounds():
         AtomNode(120)
     with pytest.raises(ValueError):
         AtomNode(-6)
+    # bool is an int subclass, but True is no hydrogen
+    with pytest.raises(ValueError):
+        AtomNode(True)
+    with pytest.raises(ValueError):
+        AtomNode(False)
+
+
+def test_enum_fields_coerce_ints_and_reject_non_members():
+    assert AtomNode(6, 1).chirality is Chirality.TETRAHEDRAL_CW
+    e = BondEdge(0, 1, 1, 2)
+    assert e.bond_type is BondType.DOUBLE
+    assert e.direction is BondDirection.END_DOWN_RIGHT
+    with pytest.raises(ValueError):
+        AtomNode(6, 4)
+    with pytest.raises(ValueError):
+        BondEdge(0, 1, 5)
+    with pytest.raises(ValueError):
+        BondEdge(0, 1, 0, 3)
 
 
 def test_bond_edge_normalization():

@@ -153,6 +153,12 @@ def test_determinism():
     assert parse_smiles(s) == parse_smiles(s)
 
 
+def test_equal_atoms_share_one_node():
+    a, b = parse_smiles("CCO"), parse_smiles("CCO")
+    assert a.nodes[0] is b.nodes[0] is a.nodes[1]
+    assert a.nodes[2] is b.nodes[2]
+
+
 # -- hard errors ------------------------------------------------------------
 
 MALFORMED = [

@@ -3,7 +3,10 @@
     python tools/outputs.py REV [--expect-changed GLOB ...]
 
 Run from anywhere inside the repository.  Writes a small unlabeled corpus
-and a labeled dataset with the working tree's ``tests/molgen.py``, then runs
+and a labeled dataset with the working tree's ``tests/molgen.py``, and a
+hand-written corpus of clean rows, one malformed row per parse-failure kind
+and one row that parses with a valence warning, whose ``embed`` run shows the
+parser's skip count (stderr) and the graphs of the rows it keeps.  It then runs
 one fixed matrix of ``molcontrast`` commands twice: first on the working
 tree's ``src/``, then on ``src/`` of ``git archive REV`` exported to a
 temporary directory.  Each tree runs in its own directory, and every path
@@ -50,6 +53,14 @@ from molgen import write_corpus_csv, write_labeled_csv  # noqa: E402
 
 CORPUS = "../data/corpus.csv"
 LABELED = "../data/labeled.csv"
+MIXED = "../data/mixed.csv"
+# Clean rows around one row per parse-failure kind (unknown atom, bad bond,
+# bad charge, unclosed ring, unclosed branch) and a pentavalent carbon,
+# which parses with a valence warning.
+MIXED_SMILES = (
+    "CCO", "C[Xq]", "c1ccc(cc1)O", "CC==C", "C[C+-]", "N#CC(=O)[O-]",
+    "C(C)(C)(C)(C)C", "C1CC", "F/C=C\\Cl", "CC(C", "[C@@H](F)(Cl)Br",
+)
 _ENCODER = ["--layers", "2", "--hidden", "32", "--latent", "16"]
 _TRAIN = ["--epochs", "3", "--batch", "16", "--warm-epochs", "1", *_ENCODER]
 _FINETUNE = ["finetune", "--data", LABELED, "--epochs", "4", "--batch", "32",
@@ -78,6 +89,7 @@ MATRIX: tuple[tuple[str, list[str]], ...] = (
     ("finetune_regression", [*_FINETUNE, "--task", "regression", "--augment",
                              "--checkpoint", "pretrain_gcn/checkpoint.bin"]),
     ("embed", ["embed", "--data", CORPUS, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
+    ("embed_mixed", ["embed", "--data", MIXED, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
     ("retrieve_sampled", [*_RETRIEVE, "--samples-per-bin", "4"]),
     ("retrieve_whole_bin", _RETRIEVE),
     *(
@@ -98,10 +110,12 @@ MATRIX: tuple[tuple[str, list[str]], ...] = (
 
 
 def write_inputs(data: Path) -> None:
-    """The corpus and labeled dataset that every run reads."""
+    """The corpora and labeled dataset that the runs read."""
     data.mkdir(parents=True)
     write_corpus_csv(data / "corpus.csv", 120, seed=1)
     write_labeled_csv(data / "labeled.csv", 90, seed=6)
+    with open(data / "mixed.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([["smiles"], *([s] for s in MIXED_SMILES)])
 
 
 def run_matrix(src: Path, cwd: Path) -> dict[str, tuple[int, str]]:
