@@ -30,9 +30,31 @@ activation no backward reads is freed as soon as the next op has used it,
 and one that a backward reads is freed once that backward has run:
 :func:`backward` consumes the tape, popping each record as it walks the
 records in reverse with one gradient map and a fixed accumulation order,
-which makes gradients bit-identical for identical tapes.  Only constants
-broadcast: an elementwise op raises ``ValueError`` when a tracked operand's
-shape differs from its output's.
+which makes gradients bit-identical for identical tapes.  So each backward
+closure runs once, and :func:`linear`'s drops its input as soon as it has
+used it.  Only constants broadcast: an elementwise op raises
+``ValueError`` when a tracked operand's shape differs from its output's.
+
+A backward writes only into a gradient the walk owns.  :func:`backward`
+calls each closure as ``bwd(g, owned)``, and a closure may write into ``g``
+only when ``owned`` is true: nothing but the walk refers to ``g``.  The
+loss seed is owned.  An array a closure returns is owned when it is a fresh
+base array (``base is None``), appears once in that closure's result, and
+is not the closure's own ``g`` unless that ``g`` was owned: ``add``, which
+returns one ``g`` for both operands, hands on a shared array, and views
+(``message_sum``'s table gradients, split from one product) never count as
+owned.  So a closure returns fresh arrays, views or its own ``g``, never an
+array it keeps nor an array beside a view of it.  An owned gradient takes
+later addends in place, ``np.add(acc, g, out=acc)``, and an owned ``g`` is
+gated or scaled in place by ``linear``'s ReLU, ``relu``, ``scale`` and
+``dropout``.  Each in-place site runs the ufunc and operand order of the
+copying expression it replaces, so gradients are bit-identical whichever
+way a gradient goes, apart from which NaN payload an in-place sum of two
+NaNs keeps.
+
+A recorded ReLU (``relu``, or ``linear`` with ``act="relu"``) keeps one bit
+per element, ``np.packbits(out > 0)``, for its backward gate, in place of a
+float array; a pass that records nothing (inference) packs nothing.
 
 Every scatter (segment sums and means, the embedding-lookup backward, the
 node states of :func:`message_sum` and their gradient) adds the rows that
@@ -154,7 +176,7 @@ class _Record:
 
     out: int
     inputs: tuple[int | Tensor | None, ...]
-    backward_fn: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
+    backward_fn: Callable[[np.ndarray, bool], tuple[np.ndarray | None, ...]]
 
 
 class Tape:
@@ -187,7 +209,7 @@ class Tape:
         self,
         out: Tensor,
         inputs: Sequence[Tensor],
-        backward_fn: Callable[[np.ndarray], tuple[np.ndarray | None, ...]],
+        backward_fn: Callable[[np.ndarray, bool], tuple[np.ndarray | None, ...]],
     ) -> None:
         refs = tuple(self._ref(t) for t in inputs)
         if any(r is not None for r in refs):
@@ -203,7 +225,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     and its output's gradient is dropped before the inputs' gradients are
     accumulated, so a record's arrays are freed once its backward has run.
     The tape is empty afterwards, and a second call on it raises
-    ``ValueError``.
+    ``ValueError``.  Each closure learns whether the walk owns the gradient
+    it is given, and an owned gradient takes later addends in place (see
+    the module docstring).
 
     Args:
         tape: the tape that recorded the forward pass.
@@ -221,18 +245,61 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     tape._live.clear()
     records = tape._records
     grads: dict[int | Tensor, np.ndarray] = {loss.key: np.ones((), dtype=loss.data.dtype)}
+    owned = {loss.key}  # the refs whose gradient nothing but ``grads`` refers to
     while records:
         record = records.pop()
         out_grad = grads.pop(record.out, None)
         if out_grad is None:
             continue
-        inputs, in_grads = record.inputs, record.backward_fn(out_grad)
+        mine = record.out in owned
+        owned.discard(record.out)
+        inputs, in_grads = record.inputs, record.backward_fn(out_grad, mine)
+        fresh = [
+            _base_array(g) and (mine or g is not out_grad) and _once(g, in_grads)
+            for g in in_grads
+        ]
         del record, out_grad
-        for ref, g in zip(inputs, in_grads):
-            if g is not None and ref is not None:
-                grads[ref] = grads[ref] + g if ref in grads else g
-        del in_grads, g  # an addend summed into a new array dies here
+        acc = None
+        for ref, g, own in zip(inputs, in_grads, fresh):
+            if g is None or ref is None:
+                continue
+            acc = grads.get(ref)
+            if acc is not None:
+                if ref in owned and acc.dtype == g.dtype and acc.shape == g.shape:
+                    np.add(acc, g, out=acc)
+                    continue
+                g = acc + g
+                own = _base_array(g)
+            grads[ref] = g
+            (owned.add if own else owned.discard)(ref)
+        del in_grads, g, acc  # an addend summed into another array dies here
     return grads
+
+
+def _base_array(a) -> bool:
+    """``a`` is an array that owns its memory (not a view, not a scalar)."""
+    return isinstance(a, np.ndarray) and a.base is None
+
+
+def _once(a, arrays) -> bool:
+    """``a`` is one of ``arrays`` exactly once, by identity."""
+    return [b is a for b in arrays].count(True) == 1
+
+
+def _mul(g: np.ndarray, m, owned: bool) -> np.ndarray:
+    """``g * m``, written into ``g`` when the walk owns ``g`` and the product
+    keeps ``g``'s dtype: the same ufunc on the same operands either way."""
+    if owned and np.result_type(g, m) == g.dtype:
+        return np.multiply(g, m, out=g)
+    return g * m
+
+
+def _gate(g: np.ndarray, bits: np.ndarray, owned: bool) -> np.ndarray:
+    """``g * (y > 0)`` from ``bits = np.packbits(y > 0, axis=None)``: the
+    unpacked bools are those of ``y > 0``, so NaN, -0.0 and +-inf gate as
+    they would on ``y`` itself."""
+    keep = np.unpackbits(bits, count=g.size).view(bool).reshape(g.shape)
+    return np.multiply(g, keep, out=g) if owned else g * keep  # bools keep g's dtype
 
 
 def _pin_blas() -> bool:
@@ -259,6 +326,12 @@ _BLAS_PINNED = _pin_blas()
 # ~1M multiply-adds under which OpenBLAS switches to its small-matrix
 # kernels, whose bits differ from the whole product's.
 _BLOCK_MACS = 1 << 25
+# Every row cut of a split product falls on a multiple of this many rows.
+# OpenBLAS's Haswell and Zen sgemm kernels round a row by its place in the
+# 12-row tiles counted from the start of each call, so a cut elsewhere moves
+# bits there; cuts at multiples of 24 matched the whole product on the
+# SkylakeX, Haswell and Zen kernels, transposed operands included.
+_ROW_QUANTUM = 24
 _workers = 1
 _pool: ThreadPoolExecutor | None = None
 
@@ -314,12 +387,14 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     shares memory with ``a``, as ``a @ a.T`` would go to syrk.  Each block
     of rows is one single-thread gemm of those rows of ``a`` against all of
     ``b``, which sums every output element in the same order as the whole
-    product does, as long as the block runs on the same kernels.  So a
-    block has at least two rows (one row goes to gemv) and at least
-    ``_BLOCK_MACS`` multiply-adds, and a width that is not a multiple of 8
-    is not split: OpenBLAS's SkylakeX dgemm kernels compute the last
-    ``n % 8`` columns in row tiles counted from the start of each call, so
-    a block edge moves their bits (its sgemm kernels showed no such edge).
+    product does, as long as the block runs on the same kernels and starts
+    where the whole product's row tiles do.  So every cut falls on a
+    multiple of ``_ROW_QUANTUM`` rows, a block has at least one quantum and
+    at least ``_BLOCK_MACS`` multiply-adds, and a width that is not a
+    multiple of 8 is not split: OpenBLAS's SkylakeX dgemm kernels compute
+    the last ``n % 8`` columns in row tiles counted from the start of each
+    call, so a block edge moves their bits (its sgemm kernels showed no
+    such edge).
     """
     if np.may_share_memory(a, b):
         b = b.copy()
@@ -327,11 +402,14 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = b.shape[1]
     pool, parts = _pool, 1
     if pool is not None and n % 8 == 0:
-        parts = min(_workers, m // 2, m * k * n // _BLOCK_MACS)
+        parts = min(_workers, m // _ROW_QUANTUM, m * k * n // _BLOCK_MACS)
     if parts < 2:
         return a @ b
     out = np.empty((m, n), dtype=np.result_type(a, b))
-    cuts = [m * i // parts for i in range(parts + 1)]
+    # Each share m / parts is at least one quantum, so rounding the cuts down
+    # keeps them increasing and every block at least one quantum long.
+    q = _ROW_QUANTUM
+    cuts = [m * i // parts // q * q for i in range(parts)] + [m]
     _run_parts(
         pool, _matmul_block, [(a[lo:hi], b, out[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
     )
@@ -458,7 +536,8 @@ def _scatter_rows(plan: IndexPlan, rows: Callable, width: int, dtype: np.dtype) 
     Narrow plans run on the degree-sorted :meth:`IndexPlan.layout`: slot
     ``j`` is gathered into one reused buffer and added in place into the
     first ``n_j`` rows of the row-sorted accumulator, which one gather
-    un-permutes at the end.  Wide plans gather all messages in
+    un-permutes at the end, into that buffer: two node-by-width arrays at
+    most are alive at once.  Wide plans gather all messages in
     :meth:`IndexPlan.blocks` order and sum each row's contiguous block.
     """
     if plan.narrow:
@@ -474,7 +553,7 @@ def _scatter_rows(plan: IndexPlan, rows: Callable, width: int, dtype: np.dtype) 
             # turns -0.0 into +0.0), without zero-filling n_0 rows first.
             np.add(acc[:n] if j else zero, m, out=acc[:n])
             lo += n
-        return np.take(acc, position, axis=0)
+        return np.take(acc, position, axis=0, out=buf, mode="clip")
     order, blocks = plan.blocks()
     out = np.zeros((plan.rows, width), dtype=dtype)
     xs = rows(order, np.empty((order.size, width), dtype=dtype))
@@ -519,7 +598,7 @@ def embedding_lookup(tape: Tape, table: Tensor, indices) -> Tensor:
     plan = _as_plan(indices, table.data.shape[0])
     out = Tensor(table.data[plan.ids])
 
-    def bwd(g: np.ndarray):
+    def bwd(g: np.ndarray, owned: bool):
         return (_scatter_add(g, plan),)
 
     tape._record(out, (table,), bwd)
@@ -552,7 +631,7 @@ def segment_sum(
     plan = _segment_plan(x, segment_ids, num_segments)
     out = Tensor(_scatter_add(x.data, plan))
 
-    def bwd(g: np.ndarray):
+    def bwd(g: np.ndarray, owned: bool):
         return (g[plan.ids],)
 
     tape._record(out, (x,), bwd)
@@ -573,7 +652,7 @@ def segment_mean(
     out = Tensor(acc)
     dtype = x.data.dtype
 
-    def bwd(g: np.ndarray):
+    def bwd(g: np.ndarray, owned: bool):
         inv = (1.0 / counts).astype(dtype)
         return ((g * inv[:, None])[plan.ids],)
 
@@ -650,7 +729,7 @@ def message_sum(
     cuts = np.cumsum([len(t.data) for t in tables])[:-1]
     no_tables = [None] * len(tables)
 
-    def bwd(g: np.ndarray):
+    def bwd(g: np.ndarray, owned: bool):
         dx = _scatter_rows(src, scaled(g, dst.ids), width, g.dtype) if need_x else None
         if add_self and dx is not None:
             np.add(g, dx, out=dx)
@@ -672,11 +751,14 @@ def linear(
 
     The fused ReLU runs in place on the product buffer, so no other op ever
     sees the pre-activation.  The record holds ``x`` and ``w``, which the
-    backward multiplies by, and the output only with the ReLU, whose gate
-    it reads.  Its output and
-    gradients equal ``relu(linear(...))`` bit for bit: the forward is the
-    same ``np.maximum``, and the backward gates ``g`` by ``out > 0``, which
-    holds exactly when the pre-activation is ``> 0`` (NaN and -0.0 too).
+    backward multiplies by, and with the ReLU a one-bit mask of
+    ``out > 0``, whose gate it reads; an unrecorded pass builds no mask.
+    The backward computes ``dw`` first and lets go of ``x`` before it
+    allocates ``dx``, so it can run only once.  Its output and gradients
+    equal ``relu(linear(...))`` bit for bit: the forward is the same
+    ``np.maximum``, and the backward gates ``g`` by ``out > 0``, which holds
+    exactly when the pre-activation is ``> 0`` (NaN and -0.0 too), in place
+    when the walk owns ``g``.
     """
     if act not in (None, "relu"):
         raise ValueError(f"unknown activation {act!r}; expected None or 'relu'")
@@ -696,14 +778,17 @@ def linear(
     if act:
         np.maximum(y, 0, out=y)
     out = Tensor(y)
-    gate = y if act else None  # the backward reads the output only to gate g
+    recorded = act and any(tape._tracked(t) for t in (x, w, b))
+    bits = np.packbits(y > 0, axis=None) if recorded else None
     b_dtype = b.data.dtype
+    saved = [xd]  # the one backward call takes it
 
-    def bwd(g: np.ndarray):
-        if gate is not None:
-            g = g * (gate > 0)
+    def bwd(g: np.ndarray, owned: bool):
+        if bits is not None:
+            g = _gate(g, bits, owned)
         db = g.sum(axis=0, dtype=np.float64).astype(b_dtype)
-        return (_matmul(g, wd.T), _matmul(xd.T, g), db)
+        dw = _matmul(saved.pop().T, g)  # x dies here, before dx is allocated
+        return (_matmul(g, wd.T), dw, db)
 
     tape._record(out, (x, w, b), bwd)
     return out
@@ -722,7 +807,7 @@ def matmul_t(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     b_for_da = b.data if tape._tracked(a) else None
     a_for_db = a.data if tape._tracked(b) else None
 
-    def bwd(g: np.ndarray):
+    def bwd(g: np.ndarray, owned: bool):
         da = _matmul(g, b_for_da) if b_for_da is not None else None
         db = _matmul(g.T, a_for_db) if a_for_db is not None else None
         return (da, db)
@@ -747,7 +832,7 @@ def l2_normalize_rows(tape: Tape, x: Tensor) -> Tensor:
     dtype = x.data.dtype
     out = Tensor(y64.astype(dtype))
 
-    def bwd(g: np.ndarray):
+    def bwd(g: np.ndarray, owned: bool):
         g64 = g.astype(np.float64)
         dot = (g64 * y64).sum(axis=1, keepdims=True)
         dx = (g64 - y64 * dot) / norms[:, None]
@@ -779,9 +864,10 @@ def _elementwise_pair(tape, a, b, out_data, da_fn, db_fn):
     db_fn = db_fn if need_b else None
     a_dtype, b_dtype = a.data.dtype, b.data.dtype
 
-    def bwd(g: np.ndarray):
-        # No backward writes into the gradient it is given, and backward()
-        # accumulates with ``+``, so ``add`` may return ``g`` itself for both.
+    def bwd(g: np.ndarray, owned: bool):
+        # ``add`` may return ``g`` itself for both operands: the walk marks
+        # an array that a closure returns twice as shared, so no backward
+        # writes into it and accumulation into it makes a new array.
         da = da_fn(g).astype(a_dtype, copy=False) if da_fn else None
         db = db_fn(g).astype(b_dtype, copy=False) if db_fn else None
         return (da, db)
@@ -815,19 +901,22 @@ def scale(tape: Tape, x: Tensor, factor: float) -> Tensor:
     factor = x.data.dtype.type(factor)
     out = Tensor(x.data * factor)
 
-    def bwd(g: np.ndarray):
-        return (g * factor,)
+    def bwd(g: np.ndarray, owned: bool):
+        return (_mul(g, factor, owned),)
 
     tape._record(out, (x,), bwd)
     return out
 
 
 def relu(tape: Tape, x: Tensor) -> Tensor:
-    xd = x.data
-    out = Tensor(np.maximum(xd, 0))
+    """``max(x, 0)``; a recorded op keeps a one-bit mask of ``out > 0`` for
+    its backward gate, which holds exactly where ``x > 0``."""
+    y = np.maximum(x.data, 0)
+    out = Tensor(y)
+    bits = np.packbits(y > 0, axis=None) if tape._tracked(x) else None
 
-    def bwd(g: np.ndarray):
-        return (g * (xd > 0),)
+    def bwd(g: np.ndarray, owned: bool):
+        return (_gate(g, bits, owned),)
 
     tape._record(out, (x,), bwd)
     return out
@@ -850,7 +939,7 @@ def softplus(tape: Tape, x: Tensor) -> Tensor:
     out_data = np.where(xd > 30, xd, np.log1p(np.exp(np.minimum(xd, 30))))
     out = Tensor(out_data.astype(xd.dtype))
 
-    def bwd(g: np.ndarray):
+    def bwd(g: np.ndarray, owned: bool):
         return ((g * logistic(xd)).astype(xd.dtype),)
 
     tape._record(out, (x,), bwd)
@@ -861,7 +950,7 @@ def exp(tape: Tape, x: Tensor) -> Tensor:
     out_data = np.exp(x.data)
     out = Tensor(out_data)
 
-    def bwd(g: np.ndarray):
+    def bwd(g: np.ndarray, owned: bool):
         return (g * out_data,)
 
     tape._record(out, (x,), bwd)
@@ -872,7 +961,7 @@ def log(tape: Tape, x: Tensor) -> Tensor:
     xd = x.data
     out = Tensor(np.log(xd))
 
-    def bwd(g: np.ndarray):
+    def bwd(g: np.ndarray, owned: bool):
         return (g / xd,)
 
     tape._record(out, (x,), bwd)
@@ -883,7 +972,7 @@ def sum(tape: Tape, x: Tensor) -> Tensor:  # noqa: A001 - numpy-style name
     shape, dtype = x.data.shape, x.data.dtype
     out = Tensor(np.asarray(x.data.astype(np.float64).sum(), dtype=dtype))
 
-    def bwd(g: np.ndarray):
+    def bwd(g: np.ndarray, owned: bool):
         return (np.broadcast_to(g, shape).astype(dtype),)
 
     tape._record(out, (x,), bwd)
@@ -897,7 +986,7 @@ def mean(tape: Tape, x: Tensor) -> Tensor:
     shape, dtype = x.data.shape, x.data.dtype
     out = Tensor(np.asarray(x.data.astype(np.float64).sum() / n, dtype=dtype))
 
-    def bwd(g: np.ndarray):
+    def bwd(g: np.ndarray, owned: bool):
         return ((np.broadcast_to(g, shape) / n).astype(dtype),)
 
     tape._record(out, (x,), bwd)
@@ -915,9 +1004,14 @@ def dropout(tape: Tape, x: Tensor, p: float, rng: np.random.Generator) -> Tensor
     dtype = x.data.dtype
     scale = dtype.type(1 - p)
     out = Tensor(x.data * (keep.astype(dtype) / scale))
+    # ``g * (keep / scale)`` as ``(g * keep) * (1 / scale)``: the first
+    # product is exact (g or a signed zero, NaN where g is NaN or inf), so
+    # every element gets the bits of the one-step product.
+    inv = dtype.type(1) / scale
 
-    def bwd(g: np.ndarray):
-        return (g * (keep.astype(dtype) / scale),)
+    def bwd(g: np.ndarray, owned: bool):
+        g = _mul(g, keep, owned)  # g itself when owned, else a new array
+        return (_mul(g, inv, _base_array(g)),)
 
     tape._record(out, (x,), bwd)
     return out

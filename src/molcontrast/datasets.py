@@ -23,7 +23,7 @@ from .encoder import TASK_KINDS, GraphBatch
 from .errors import DataError
 from .fingerprints import _CHUNK, _fnv1a64_many, _refine_batch, fnv1a64
 from .graph import BondEdge, MoleculeGraph
-from .smiles import CorpusFailure, _read_smiles_csv
+from .smiles import CorpusFailure, _column_positions, _read_smiles_csv
 
 __all__ = [
     "LabeledRecord",
@@ -84,16 +84,18 @@ def load_labeled_csv(
     """
     if task_kind not in TASK_KINDS:
         raise DataError(f"unknown task kind {task_kind!r}")
-    columns, parsed, failures = _read_smiles_csv(path)
-    task_names = tuple(columns)
+    fields, parsed, failures = _read_smiles_csv(path)
+    task_names = tuple(c for c in fields if c != "smiles")
     if not task_names:
         raise DataError(f"no label columns in {path}")
     records: list[LabeledRecord] = []
-    for row, record in parsed:
+    at = _column_positions(fields)
+    for row, cells in parsed:
         labels: list[float] = []
         observed: list[bool] = []
         for column in task_names:
-            cell = (record.get(column) or "").strip()
+            j = at[column]
+            cell = cells[j].strip() if j < len(cells) else ""
             if not cell:
                 labels.append(0.0)
                 observed.append(False)

@@ -547,39 +547,53 @@ class CorpusParseResult:
         return [r.graph for r in self.rows]
 
 
+def _column_positions(fields: list[str]) -> dict[str, int]:
+    """Each header name's position; a repeated name keeps its last, as the
+    key of a ``csv.DictReader`` record does."""
+    return {name: j for j, name in enumerate(fields)}
+
+
 def _read_smiles_csv(
     path: str | Path
-) -> tuple[list[str], list[tuple[CorpusRow, dict[str, str]]], list[CorpusFailure]]:
+) -> tuple[list[str], list[tuple[CorpusRow, list[str]]], list[CorpusFailure]]:
     """Read a CSV file and parse its (stripped) ``smiles`` column.
 
-    Returns the header's other columns, each parsed row with its raw CSV
-    record, and the rows that failed to parse, both in input order.  Row
-    indices are 0-based over data rows (the header is not counted).
+    Returns the header, each parsed row with its raw CSV cells, and the rows
+    that failed to parse, both in input order.  Row indices are 0-based over
+    data rows (the header is not counted).  Cells are read as
+    ``csv.DictReader`` reads them, without a dict per row: an empty line is
+    no row, and a column name stands for its last position in the header,
+    whose cell a short row lacks.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"corpus file not found: {path}")
-    parsed: list[tuple[CorpusRow, dict[str, str]]] = []
+    parsed: list[tuple[CorpusRow, list[str]]] = []
     failures: list[CorpusFailure] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            fields = list(reader.fieldnames or [])
+            reader = csv.reader(fh)
+            fields = next(reader, [])
             if "smiles" not in fields:
                 raise DataError(
                     f"column 'smiles' not found in {path} (have: {', '.join(fields)})"
                 )
-            for index, record in enumerate(reader):
-                text = (record.get("smiles") or "").strip()
+            col = _column_positions(fields)["smiles"]
+            index = -1
+            for row in reader:
+                if not row:
+                    continue
+                index += 1
+                text = row[col].strip() if col < len(row) else ""
                 try:
                     graph = parse_smiles(text)
                 except SmilesParseError as exc:
                     failures.append(CorpusFailure(index, text, exc.diagnostic))
                 else:
-                    parsed.append((CorpusRow(index, text, graph), record))
+                    parsed.append((CorpusRow(index, text, graph), row))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return [c for c in fields if c != "smiles"], parsed, failures
+    return fields, parsed, failures
 
 
 def parse_corpus(path: str | Path) -> CorpusParseResult:

@@ -1,5 +1,6 @@
 """Tape autodiff: forward values, backward rules, finite-difference oracle."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -367,7 +368,7 @@ def _message_bits(x, src, dst, counts, tables, coeff, add_self, g):
     ts = [ad.Tensor(a.copy(), requires_grad=True) for a in (x, *tables)]
     out = message_sum(tape, ts[0], src, dst, counts, ts[1:], coeff, add_self)
     assert len(tape) == 1
-    grads = tape._records[0].backward_fn(g)
+    grads = tape._records[0].backward_fn(g, False)
     assert all(d.dtype == x.dtype for d in grads)
     return [_bits(a) for a in (out.data, *grads)]
 
@@ -464,7 +465,7 @@ def test_message_sum_is_one_record_and_skips_constant_tables():
     out = message_sum(tape, x, [0, 1, 2], [1, 2, 0], counts, [types, dirs])
     assert len(tape) == 1
     np.testing.assert_array_equal(out.data, np.full((3, 2), 3.0))
-    grads = tape._records[0].backward_fn(np.ones((3, 2), dtype=np.float32))
+    grads = tape._records[0].backward_fn(np.ones((3, 2), dtype=np.float32), False)
     assert grads[0] is not None and grads[1] is None and grads[2] is None
     with pytest.raises(ValueError):
         message_sum(tape, x, [0, 1], [1, 2, 0], counts, [types, dirs])
@@ -597,8 +598,9 @@ def test_message_sum_self_term_gradients_match_finite_differences(with_coeff):
 
 def test_no_backward_writes_into_its_incoming_gradient():
     # ``add`` returns its incoming gradient itself to both operands, which
-    # is safe only while every backward leaves the gradient it is given as
-    # it found it.
+    # is safe only while no backward writes into a gradient the walk does
+    # not own.  Given an owned gradient, a backward may write into it, and
+    # returns the bits it returns on a copy.
     rng = np.random.default_rng(13)
 
     def param(*shape, lo=-2.0):
@@ -613,45 +615,49 @@ def test_no_backward_writes_into_its_incoming_gradient():
         _bond_counts(edges[1], [0, 1, 2, 3], [5, 4, 3, 2], 5, c, np.float64, rows=(6, 6))
         for c in (None, weights)
     )
-    tape = Tape()
     builds = (
-        lambda: embedding_lookup(tape, table, [0, 3, 3, 5, 1]),
-        lambda: linear(tape, x, w, b),
-        lambda: linear(tape, x, w, b, act="relu"),
-        lambda: relu(tape, x),
-        lambda: softplus(tape, x),
-        lambda: segment_sum(tape, x, seg, 3),
-        lambda: segment_mean(tape, x, seg, 3),
-        lambda: message_sum(tape, x, *edges, counts, [table, table]),
-        lambda: message_sum(tape, x, *edges, weighted, [table, table], weights, add_self=True),
-        lambda: l2_normalize_rows(tape, pos),
-        lambda: matmul_t(tape, x, y),
-        lambda: add(tape, x, y),
-        lambda: sub(tape, x, y),
-        lambda: mul(tape, x, y),
-        lambda: div(tape, x, pos),
-        lambda: scale(tape, x, -1.5),
-        lambda: exp(tape, x),
-        lambda: log(tape, pos),
-        lambda: tsum(tape, x),
-        lambda: mean(tape, x),
-        lambda: dropout(tape, x, 0.5, np.random.default_rng(1)),
+        lambda tape: embedding_lookup(tape, table, [0, 3, 3, 5, 1]),
+        lambda tape: linear(tape, x, w, b),
+        lambda tape: linear(tape, x, w, b, act="relu"),
+        lambda tape: relu(tape, x),
+        lambda tape: softplus(tape, x),
+        lambda tape: segment_sum(tape, x, seg, 3),
+        lambda tape: segment_mean(tape, x, seg, 3),
+        lambda tape: message_sum(tape, x, *edges, counts, [table, table]),
+        lambda tape: message_sum(tape, x, *edges, weighted, [table, table], weights, add_self=True),
+        lambda tape: l2_normalize_rows(tape, pos),
+        lambda tape: matmul_t(tape, x, y),
+        lambda tape: add(tape, x, y),
+        lambda tape: sub(tape, x, y),
+        lambda tape: mul(tape, x, y),
+        lambda tape: div(tape, x, pos),
+        lambda tape: scale(tape, x, -1.5),
+        lambda tape: exp(tape, x),
+        lambda tape: log(tape, pos),
+        lambda tape: tsum(tape, x),
+        lambda tape: mean(tape, x),
+        lambda tape: dropout(tape, x, 0.5, np.random.default_rng(1)),
     )
-    outs = [build() for build in builds]
-    assert len(tape) == 21
-    for out, record in zip(outs, tape._records):
+    # A backward runs once, so each case is recorded twice: one record is
+    # told it does not own its gradient, its twin that it does.
+    tapes = Tape(), Tape()
+    outs = [[build(tape) for build in builds] for tape in tapes]
+    assert len(tapes[0]) == len(tapes[1]) == 21
+    for out, record, twin in zip(outs[0], *(tape._records for tape in tapes)):
         assert record.out == out.key
         g = rng.standard_normal(out.data.shape)
         before = g.copy()
-        record.backward_fn(g)
+        copied = [None if d is None else d.tobytes() for d in record.backward_fn(g, False)]
         assert g.tobytes() == before.tobytes()
+        written = twin.backward_fn(before, True)
+        assert [None if d is None else d.tobytes() for d in written] == copied
 
 
-def _captured(fn) -> set[int]:
-    """The ids of the arrays that closure ``fn`` (and every function it
-    captures) holds, directly or in a tuple or list; a captured tensor
-    fails the test."""
-    found, seen, stack = set(), set(), [fn]
+def _captured(fn) -> dict[int, np.ndarray]:
+    """The arrays that closure ``fn`` (and every function it captures)
+    holds, directly or in a tuple or list, by id; a captured tensor fails
+    the test."""
+    found, seen, stack = {}, set(), [fn]
     while stack:
         v = stack.pop()
         if id(v) in seen:
@@ -659,7 +665,7 @@ def _captured(fn) -> set[int]:
         seen.add(id(v))
         assert not isinstance(v, Tensor), "a backward closure captured a tensor"
         if isinstance(v, np.ndarray):
-            found.add(id(v))
+            found[id(v)] = v
         elif isinstance(v, (tuple, list)):
             stack.extend(v)
         elif callable(v) and getattr(v, "__closure__", None):
@@ -674,15 +680,16 @@ def test_backward_closures_capture_only_the_arrays_they_read():
     c = constant(rng.uniform(0.5, 2, (4, 3)))
     tape = Tape()
     relu_out = linear(tape, x, w, b, act="relu")
+    relu_only = relu(tape, x)
     cases = [  # (output, the arrays its backward reads)
         (linear(tape, x, w, b), [x, w]),
-        (relu_out, [x, w, relu_out]),
+        (relu_out, [x, w]),
         (mul(tape, x, c), [c]),
         (mul(tape, c, x), [c]),
         (div(tape, x, c), [c]),
         (div(tape, c, x), [c, x]),
         (matmul_t(tape, x, c), [c]),
-        (relu(tape, x), [x]),
+        (relu_only, []),
         (log(tape, x), [x]),
         *((op(tape, x, c), []) for op in (add, sub)),
         *((op(tape, x), []) for op in (tsum, mean, lambda t, v: scale(t, v, 2.0))),
@@ -690,14 +697,131 @@ def test_backward_closures_capture_only_the_arrays_they_read():
         (embedding_lookup(tape, x, [0, 3, 3]), []),
     ]
     # Of the operands and outputs, each backward holds just what it reads
-    # (besides them, segment_mean holds its segment counts).
+    # (besides them, segment_mean holds its segment counts, and each ReLU
+    # one bit per element of ``out > 0``).
     tensors = {id(t.data) for t in (x, w, c, *(out for out, _ in cases))}
     records = {r.out: r for r in tape._records}
     for out, reads in cases:
-        held = _captured(records[out.key].backward_fn) & tensors
-        assert held == {id(t.data) for t in reads}
+        held = _captured(records[out.key].backward_fn)
+        assert held.keys() & tensors == {id(t.data) for t in reads}
         assert all(ref is None or isinstance(ref, int) or ref.requires_grad
                    for ref in records[out.key].inputs)
+        if out is relu_out or out is relu_only:
+            (bits,) = (a for key, a in held.items() if key not in tensors)
+            assert bits.dtype == np.uint8 and bits.shape == (2,)  # 12 bits
+            assert bits.tobytes() == np.packbits(out.data > 0, axis=None).tobytes()
+
+
+# -- gradient ownership --------------------------------------------------------
+
+
+def _twice(tape, p):  # x read by two ops
+    return mul(tape, relu(tape, p[0]), scale(tape, p[0], -1.5))
+
+
+def _self_add(tape, p):  # add(a, a), gated and dropped out after
+    a = relu(tape, p[0])
+    return dropout(tape, relu(tape, add(tape, a, a)), 0.5, np.random.default_rng(3))
+
+
+def _leaf_twice(tape, p):  # the leaves w and b read by two ops
+    x, y, w, b = p
+    return add(tape, linear(tape, x, w, b, act="relu"), linear(tape, y, w, b))
+
+
+def _relu_pair(tape, p):  # the regression term of training._supervised_loss
+    d = sub(tape, p[0], p[1])
+    return add(tape, relu(tape, d), relu(tape, scale(tape, d, -1.0)))
+
+
+def _linear_pair(tape, p):
+    x, y, w, b = p
+    return relu(
+        tape, add(tape, linear(tape, x, w, b, act="relu"), linear(tape, y, w, b, act="relu"))
+    )
+
+
+def _passed_on(tape, p):  # a shared gradient handed on once, by sub
+    b = relu(tape, p[1])
+    return add(tape, sub(tape, relu(tape, p[0]), constant(0.5, dtype=p[0].dtype)), b)
+
+
+_ALIASED = {
+    f.__name__: f
+    for f in (_twice, _self_add, _leaf_twice, _relu_pair, _linear_pair, _passed_on)
+}
+
+
+def _unowned(fn, g, owned):
+    return fn(g, False)
+
+
+def _aliased_grad_bits(build, inputs, upstream, walk_unowned):
+    """:func:`_bits` of the output and of each input's gradient (None when
+    the loss does not reach it) for ``sum(build(tape, inputs) * upstream)``;
+    with ``walk_unowned`` every closure is told it owns nothing."""
+    with np.errstate(all="ignore"):
+        tape = Tape()
+        ts = [ad.Tensor(a.copy(), requires_grad=True) for a in inputs]
+        out = build(tape, ts)
+        loss = tsum(tape, mul(tape, out, constant(upstream, dtype=out.data.dtype)))
+        if walk_unowned:
+            for record in tape._records:
+                record.backward_fn = functools.partial(_unowned, record.backward_fn)
+        grads = backward(tape, loss)
+    return [_bits(out.data)] + [_bits(grads[t]) if t in grads else None for t in ts]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_owned_gradients_match_the_unowned_walk_bitwise(data):
+    # Aliased gradients (one array handed to two inputs by ``add``, or a
+    # tensor's gradient summed from two readers) never get written into:
+    # the walk that lets closures write into what it owns gives the bits of
+    # the walk where no closure writes into anything.  Only where the two
+    # NaNs of an accumulation meet may the kept payload differ.
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    name = data.draw(st.sampled_from(sorted(_ALIASED)))
+    n, d = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    inputs = [_with_specials(data.draw, shape, dtype) for shape in ((n, d), (n, d), (d, d), (d,))]
+    upstream = _spread_rows(n, d, dtype, data.draw(st.integers(0, 2**16)))
+    build = _ALIASED[name]
+    owned = _aliased_grad_bits(build, inputs, upstream, walk_unowned=False)
+    assert owned == _aliased_grad_bits(build, inputs, upstream, walk_unowned=True)
+
+
+@pytest.mark.parametrize("name", sorted(_ALIASED))
+def test_aliased_gradients_match_finite_differences(name):
+    rng = np.random.default_rng(17)
+    arrays = [
+        ad._away_from_kink(rng, (4, 3)),
+        ad._away_from_kink(rng, (4, 3)),
+        rng.uniform(-1, 1, (3, 3)),
+        rng.uniform(-1, 1, 3),
+    ]
+    r = rng.standard_normal((4, 3))
+    err = check_gradients(lambda tape, p: _project(tape, _ALIASED[name](tape, p), r), arrays)
+    assert err < 1e-4
+
+
+def test_the_walk_owns_fresh_arrays_and_shares_aliased_ones():
+    # Each closure hears whether it owns its gradient: the loss seed is
+    # owned, and so is a fresh array or a closure's own owned gradient
+    # handed on once; the one gradient ``add`` hands to both operands is not.
+    tape = Tape()
+    x = tensor(np.ones((2, 3)), requires_grad=True)
+    c = add(tape, relu(tape, x), scale(tape, x, 3.0))
+    loss = tsum(tape, scale(tape, relu(tape, c), 2.0))
+    seen = []
+    for i, record in enumerate(tape._records):
+        def spy(g, owned, fn=record.backward_fn, i=i):
+            seen.append((i, owned))
+            return fn(g, owned)
+        record.backward_fn = spy
+    grads = backward(tape, loss)
+    # Records: relu(x), scale(x), add, relu, scale, sum; walked in reverse.
+    assert seen == [(5, True), (4, True), (3, True), (2, True), (1, False), (0, False)]
+    np.testing.assert_array_equal(grads[x], np.full((2, 3), 8.0, dtype=np.float32))
 
 
 @st.composite
@@ -790,10 +914,10 @@ def test_constant_operands_get_no_gradient_computed():
     for op in (add, sub, mul, div, matmul_t):
         out = op(tape, p, c)
         g = np.ones_like(out.data)
-        dp, dc = tape._records[-1].backward_fn(g)
+        dp, dc = tape._records[-1].backward_fn(g, False)
         assert dp is not None and dc is None, op.__name__
         out = op(tape, c, p)
-        dc, dp = tape._records[-1].backward_fn(g)
+        dc, dp = tape._records[-1].backward_fn(g, False)
         assert dp is not None and dc is None, op.__name__
 
 
@@ -833,13 +957,18 @@ def test_dropout_matches_float_mask_formula_bitwise(data):
     p = data.draw(st.sampled_from([0.1, 0.3, 0.5, 0.9]))
     seed = data.draw(st.integers(0, 2**16))
     x, g = (_with_specials(data.draw, shape, dtype) for _ in range(2))
+    # The backward gives those bits whether it copies ``g`` or, owning it,
+    # writes into it.
     tape = Tape()
     with np.errstate(all="ignore"):
         y = dropout(tape, ad.Tensor(x, requires_grad=True), p, np.random.default_rng(seed))
-        (dx,) = tape._records[-1].backward_fn(g)
         mask = (np.random.default_rng(seed).random(shape) >= p).astype(dtype) / dtype(1 - p)
         assert y.data.tobytes() == (x * mask).tobytes()
-        assert dx.tobytes() == (g * mask).tobytes()
+        expected = (g * mask).tobytes()
+        (dx,) = tape._records[-1].backward_fn(g, False)
+        assert dx.tobytes() == expected and dx is not g
+        (dx,) = tape._records[-1].backward_fn(g, True)
+        assert dx.tobytes() == expected and dx is g
 
 
 def test_dropout_rejects_bad_rate():
@@ -1103,12 +1232,14 @@ def _with_workers(n, fn, pool=None):
 @pytest.mark.parametrize(
     "m, k, n, blocks",
     [
-        (2800, 512, 1024, [700] * 4),  # paper-config linear
-        (512, 2800, 1024, [128] * 4),  # its dw = x.T @ g
-        (256, 256, 1024, [128, 128]),  # 2^26 multiply-adds: two blocks' worth
+        # Cuts fall on multiples of 24 rows; the last block takes the rest.
+        (2800, 512, 1024, [696, 696, 696, 712]),  # paper-config linear
+        (512, 2800, 1024, [120, 120, 144, 128]),  # its dw = x.T @ g
+        (256, 256, 1024, [120, 136]),  # 2^26 multiply-adds: two blocks' worth
         (32, 64, 128, [32]),  # fixture-size product: under the gate
         (2800, 512, 1020, [2800]),  # width not a multiple of 8
         (3, 5000, 5000, [3]),  # one block would be a single row
+        (72, 2048, 1024, [24, 24, 24]),  # three quanta: three of four workers
     ],
 )
 def test_matmul_splits_only_above_the_gate(m, k, n, blocks):
@@ -1132,7 +1263,7 @@ def test_matmul_blocks_take_the_callers_error_state():
     pool = _CountingPool(4)
     with np.errstate(invalid="ignore"):
         got = _with_workers(4, lambda: ad._matmul(a, b), pool)
-    assert pool.blocks == [700] * 3 and np.isnan(got).all()
+    assert pool.blocks == [696, 696, 712] and np.isnan(got).all()
 
 
 @needs_pinned_blas
@@ -1140,7 +1271,7 @@ def test_matmul_blocks_take_the_callers_error_state():
 @example(1400, 128, 0, 28, "c", "float64", False, 0)  # a linear forward, 1024 wide
 @example(512, 128, 0, 28, "a.T", "float64", False, 1)  # dw = x.T @ g
 @example(700, 64, 0, 28, "b.T", "float64", False, 2)  # dx = g @ w.T
-@example(5, 32, 0, 28, "c", "float64", True, 3)  # five rows: two blocks
+@example(5, 32, 0, 28, "c", "float64", True, 3)  # five rows: under a quantum, unsplit
 @example(3, 32, 0, 28, "a.T", "float64", True, 4)  # fewer rows than workers
 @example(1400, 128, 1, 28, "c", "float64", False, 5)  # 1023 wide: unsplit
 @example(1400, 128, 0, 28, "c", "float32", False, 6)  # the same in sgemm
@@ -1153,6 +1284,7 @@ def test_matmul_blocks_take_the_callers_error_state():
 @example(700, 64, 3, 28, "b.T", "float32", True, 13)  # 509 wide: unsplit
 @example(8, 8, 0, 23, "a.T", "float32", True, 14)  # bond tables' grad counts.T @ g
 @example(8, 64, 0, 23, "a.T", "float32", True, 15)  # the same, 512 wide
+@example(50, 32, 0, 23, "c", "float32", True, 16)  # cut at row 24, not 25
 @given(
     m=st.integers(2, 1024),
     eighths=st.integers(1, 128),
@@ -1208,7 +1340,7 @@ def test_product_with_own_transpose_is_gemm_for_any_thread_count(dtype, m, k):
     "rows, width, out, submitted",
     [
         (640, 64, 128, []),  # fixture-size layer: under the gate
-        (2800, 512, 1024, [1400, 256]),  # paper-size layer: dx, then dw = x.T @ g
+        (2800, 512, 1024, [272, 1408]),  # paper-size layer: dw = x.T @ g, then dx
     ],
 )
 def test_linear_backward_splits_only_above_the_gate(rows, width, out, submitted):
@@ -1351,3 +1483,72 @@ def test_paper_width_pretrain_identical_for_any_threads(tmp_path):
         assert (
             outputs[backbone, "1"] == outputs[backbone, "2"] == outputs[backbone, "4"]
         )
+
+
+# -- every OpenBLAS kernel the host can run ------------------------------------
+
+# The x86-64 kernel families that OpenBLAS's DYNAMIC_ARCH builds pick among
+# (``OPENBLAS_CORETYPE`` forces one), and the CPU flags each needs.
+_CORES = {"Haswell": {"avx2", "fma"}, "Zen": {"avx2", "fma"}, "SkylakeX": {"avx512f"}}
+# The tests whose bits depend on where a split product cuts its rows.
+_SPLIT_TESTS = (
+    "test_matmul_splits_only_above_the_gate",
+    "test_matmul_blocks_take_the_callers_error_state",
+    "test_matmul_split_matches_unsplit_bitwise",
+    "test_product_with_own_transpose_is_gemm_for_any_thread_count",
+    "test_linear_backward_splits_only_above_the_gate",
+    "test_linear_and_matmul_t_gradients_identical_for_any_thread_count",
+    "test_pretrain_checkpoints_identical_across_blas_threads",
+    "test_paper_width_pretrain_identical_for_any_threads",
+)
+_CORENAME_SCRIPT = """
+import ctypes, glob, os
+import numpy as np
+lib = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_-*.so")
+name = ctypes.CDLL(lib[0]).scipy_openblas_get_corename64_
+name.restype = ctypes.c_char_p
+print(name().decode())
+"""
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("flags"):
+                    return set(line.split(":", 1)[1].split())
+    except OSError:
+        pass
+    return set()
+
+
+def _corename(env) -> str:
+    """The kernel OpenBLAS runs in a process started with ``env``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CORENAME_SCRIPT],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return proc.stdout.strip()
+
+
+@needs_pinned_blas
+@pytest.mark.parametrize("core", sorted(_CORES))
+def test_split_tests_pass_on_every_kernel_the_host_runs(core):
+    # MANUAL's "Determinism": outputs do not depend on --threads, whichever
+    # kernel OpenBLAS picks.  The split tests rerun in a child whose
+    # environment alone forces ``core``.
+    if not _CORES[core] <= _cpu_flags():
+        pytest.skip(f"this CPU cannot run the {core} kernels")
+    env = {**_env_without_thread_vars(), "OPENBLAS_CORETYPE": core}
+    kernel = _corename(env)
+    if kernel.lower() != core.lower():
+        pytest.skip(f"this OpenBLAS runs {core} on its {kernel} kernels")
+    if kernel == _corename(_env_without_thread_vars()):
+        pytest.skip(f"{kernel} is the kernel this suite runs on")
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *(f"tests/test_autodiff.py::{name}" for name in _SPLIT_TESTS)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:]

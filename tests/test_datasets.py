@@ -414,6 +414,24 @@ def test_load_labeled_skips_malformed_smiles(tmp_path):
     assert failures[0].index == 1
 
 
+def test_load_labeled_reads_cells_as_dict_reader_does(tmp_path):
+    # A short row leaves its missing labels unobserved, a long row's extra
+    # cells are ignored, blank lines are no rows, and a repeated label
+    # column reads its last cell (blank, so unobserved, where a row stops
+    # short of it).
+    p = tmp_path / "ragged.csv"
+    p.write_text("smiles,y,z,y\nCCO,1,0,0\n\nCC,1\nCN,0,1,1,9,9\nCO\n")
+    dataset, failures = load_labeled_csv(p, "classification")
+    assert failures == []
+    assert [r.index for r in dataset.records] == [0, 1, 2, 3]
+    assert dataset.task_names == ("y", "z", "y")
+    labels, observed = dataset.label_arrays()
+    np.testing.assert_array_equal(labels, [[0, 0, 0], [0, 0, 0], [1, 1, 1], [0, 0, 0]])
+    np.testing.assert_array_equal(
+        observed, [[True, True, True], [False, False, False], [True, True, True], [False] * 3]
+    )
+
+
 def test_load_labeled_structural_errors(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("structure,y\nCCO,1\n")

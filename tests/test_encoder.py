@@ -777,10 +777,11 @@ def test_layer_holds_exactly_the_arrays_its_backward_reads(backbone, inner):
     # Memory guard: the node-by-width arrays a layer keeps alive are those
     # its backward reads.  The aggregate's backward reads none (not even its
     # input states); each linear reads its input, for the weight gradient,
-    # and its output only when a ReLU is fused, to gate the gradient.  So a
-    # GIN layer holds its aggregate (h) and MLP hidden (2h), plus its output
-    # (h) when a ReLU follows (every layer but the last), and a GCN layer
-    # its aggregate, plus its output on inner layers.  The batch's bond
+    # and, when a ReLU is fused, one bit per output element to gate the
+    # gradient.  So a GIN layer holds its aggregate (h) and MLP hidden (2h)
+    # in float32, a bit mask of the hidden, and one of its output when a
+    # ReLU follows (every layer but the last); a GCN layer its aggregate,
+    # plus a bit mask of its output on inner layers.  The batch's bond
     # counts (n by 8) are held as the batch's own array, which every layer
     # shares, not a copy per layer.
     model = EncoderModel.initialize(small_config(backbone, hidden_dim=16), 4)
@@ -802,11 +803,16 @@ def test_layer_holds_exactly_the_arrays_its_backward_reads(backbone, inner):
         key: a for key, a in held.items()
         if a.ndim == 2 and a.shape[0] == n and key not in shared
     }
-    assert (id(_owner(out.data)) in activations) == inner
-    widths = {("gin", True): [1, 2, 1], ("gin", False): [1, 2],
-              ("gcn", True): [1, 1], ("gcn", False): [1]}[backbone, inner]
+    assert id(_owner(out.data)) not in held
+    widths = {("gin", True): [1, 2], ("gin", False): [1, 2],
+              ("gcn", True): [1], ("gcn", False): [1]}[backbone, inner]
     assert sorted(a.shape[1] // h for a in activations.values()) == sorted(widths)
     assert sum(a.nbytes for a in activations.values()) == n * h * sum(widths) * 4
+    # Each mask packs n * width bits into ceil(n * width / 8) bytes.
+    mask_widths = {("gin", True): [1, 2], ("gin", False): [2],
+                   ("gcn", True): [1], ("gcn", False): []}[backbone, inner]
+    masks = [a for a in held.values() if a.ndim == 1 and a.dtype == np.uint8]
+    assert sorted(a.nbytes for a in masks) == sorted(-(-n * h * w // 8) for w in mask_widths)
 
 
 def test_embedding_lookups_hold_no_node_array_once_the_first_layer_ran():
@@ -843,19 +849,25 @@ def test_backward_frees_each_layer_before_the_atom_lookup_runs():
     tape, loss = forward()
     # The parameters and the batch's bond counts outlive the tape.
     shared = {id(batch.bond_edges.bond_counts), *(id(p.data) for p in model.params.values())}
+    held = _held_arrays(tape._records[1:])
     arrays = [
         weakref.ref(a)
-        for key, a in _held_arrays(tape._records[1:]).items()
+        for key, a in held.items()
         if a.ndim == 2 and a.shape[0] == n and key not in shared
     ]
-    # Per layer: aggregate, hidden, output (ReLU gate) of the first two,
-    # aggregate and hidden of the last; each dropout holds a bool mask.
-    assert len(arrays) == 3 + 3 + 2 + 2
+    # Per layer: aggregate and hidden; each dropout holds a bool mask.
+    assert len(arrays) == 3 * 2 + 2
+    # One bit mask per fused ReLU: two in each of the first two layers, one
+    # in the last and one in the projection.
+    masks = [weakref.ref(a) for a in held.values() if a.ndim == 1 and a.dtype == np.uint8]
+    assert len(masks) == 2 + 2 + 1 + 1
+    del held
+    arrays += masks
     alive_at_lookup = []
 
-    def spy(g, lookup=tape._records[0].backward_fn):
+    def spy(g, owned, lookup=tape._records[0].backward_fn):
         alive_at_lookup.extend(r() is not None for r in arrays)
-        return lookup(g)
+        return lookup(g, owned)
 
     tape._records[0].backward_fn = spy
     gc.disable()  # an array kept alive by a reference cycle counts as held

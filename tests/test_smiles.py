@@ -279,6 +279,34 @@ def test_parse_corpus_missing_column(tmp_path):
         parse_corpus(p)
 
 
+# Blank lines, short and long rows, and a repeated ``smiles`` column: in a
+# row that reaches the last one, its cell is the SMILES; in a row that
+# stops short of it, csv.DictReader gives no SMILES (an empty string).
+_RAGGED_CSV = (
+    "id,smiles,note,smiles\n"
+    "1,X,a,CCO\n"
+    "\n"
+    "2,CC\n"
+    "3,N,b,c1ccccc1,extra,cells\n"
+    "4,O,c,C1CC\n"
+    "5\n"
+    "\n"
+    "6,,,  CN  \n"
+)
+
+
+def test_parse_corpus_reads_rows_as_dict_reader_does(tmp_path):
+    import csv
+
+    p = _write(tmp_path, "ragged.csv", _RAGGED_CSV)
+    result = parse_corpus(p)
+    with open(p, newline="") as fh:
+        texts = [(r.get("smiles") or "").strip() for r in csv.DictReader(fh)]
+    assert texts == ["CCO", "", "c1ccccc1", "C1CC", "", "CN"]
+    assert [(r.index, r.smiles) for r in result.rows] == [(0, "CCO"), (2, "c1ccccc1"), (5, "CN")]
+    assert [(f.index, f.smiles) for f in result.failures] == [(1, ""), (3, "C1CC"), (4, "")]
+
+
 def test_parse_corpus_missing_file(tmp_path):
     with pytest.raises(DataError):
         parse_corpus(tmp_path / "nope.csv")

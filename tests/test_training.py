@@ -939,6 +939,30 @@ def test_finetune_skips_batches_without_an_observed_label():
         np.testing.assert_array_equal(got[name], arr, err_msg=name)
 
 
+def test_inference_packs_no_relu_gates(monkeypatch):
+    # A ReLU keeps its one-bit gate only when it is recorded; embedding and
+    # prediction record nothing, so they pack nothing.
+    calls = []
+    real = np.packbits
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "packbits", spy)
+    model = make_model(head=True)
+    graphs = [parse_smiles(s) for s in ("CCO", "c1ccccc1", "CC(=O)O")]
+    embed_molecules(model, graphs)
+    predict_molecules(model, graphs)
+    assert calls == []
+    # The same forward on the trainable parameters records, and packs one
+    # gate per fused ReLU: both of the first layer's, one of the last's.
+    batch = GraphBatch.from_graphs(graphs)
+    represent(ad.Tape(), model, batch)
+    h = SMALL_ENCODER.hidden_dim
+    assert calls == [(batch.num_nodes, 2 * h), (batch.num_nodes, h), (batch.num_nodes, 2 * h)]
+
+
 def test_predict_molecules_contracts():
     model = make_model()
     with pytest.raises(ValueError):
