@@ -8,10 +8,9 @@ the few rows that land in one output row, in the order its plan fixes.
 :func:`message_sum`'s edge embeddings are not scattered at all: they enter
 as one product of per-node edge-weight sums with the embedding tables.
 Whole-array reductions accumulate in float64 before casting back: full sums
-and means and the bias gradient of :func:`linear` add up every row of a
-batch, and :func:`l2_normalize_rows` squares its inputs, which overflows
-float32 above about 1.8e19.  A whole tape can also run in float64, which is how the
-finite-difference oracles compare gradients without float32 noise.
+and the bias gradient of :func:`linear` add up every row of a batch.  A
+whole tape can also run in float64, which is how the finite-difference
+oracles compare gradients without float32 noise.
 
 Ops are free functions taking the tape first; an op is recorded only when
 one of its inputs is connected to a tensor with ``requires_grad`` set.
@@ -89,7 +88,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericAbort
+from .errors import ConfigError
 
 __all__ = [
     "Tensor",
@@ -106,16 +105,11 @@ __all__ = [
     "segment_sum",
     "segment_mean",
     "message_sum",
-    "l2_normalize_rows",
     "matmul_t",
     "add",
     "sub",
     "mul",
-    "div",
-    "exp",
-    "log",
     "sum",
-    "mean",
     "scale",
     "dropout",
     "numeric_gradients",
@@ -816,32 +810,6 @@ def matmul_t(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-_NORM_EPS = 1e-12  # smallest row norm that may be normalized
-
-
-def l2_normalize_rows(tape: Tape, x: Tensor) -> Tensor:
-    """Scale each row to unit Euclidean norm; a zero-norm row (a collapsed
-    representation) raises :class:`NumericAbort`."""
-    _check_2d("x", x)
-    x64 = x.data.astype(np.float64)
-    norms = np.sqrt((x64**2).sum(axis=1))
-    if (norms < _NORM_EPS).any():
-        row = int(np.nonzero(norms < _NORM_EPS)[0][0])
-        raise NumericAbort(f"row {row} has near-zero norm; cannot normalize")
-    y64 = x64 / norms[:, None]
-    dtype = x.data.dtype
-    out = Tensor(y64.astype(dtype))
-
-    def bwd(g: np.ndarray, owned: bool):
-        g64 = g.astype(np.float64)
-        dot = (g64 * y64).sum(axis=1, keepdims=True)
-        dx = (g64 - y64 * dot) / norms[:, None]
-        return (dx.astype(dtype),)
-
-    tape._record(out, (x,), bwd)
-    return out
-
-
 # -- elementwise ops ---------------------------------------------------
 
 
@@ -887,13 +855,6 @@ def sub(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
 def mul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     x, y = a.data, b.data
     return _elementwise_pair(tape, a, b, x * y, lambda g: g * y, lambda g: g * x)
-
-
-def div(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    x, y = a.data, b.data
-    return _elementwise_pair(
-        tape, a, b, x / y, lambda g: g / y, lambda g: -g * x / (y * y)
-    )
 
 
 def scale(tape: Tape, x: Tensor, factor: float) -> Tensor:
@@ -946,48 +907,12 @@ def softplus(tape: Tape, x: Tensor) -> Tensor:
     return out
 
 
-def exp(tape: Tape, x: Tensor) -> Tensor:
-    out_data = np.exp(x.data)
-    out = Tensor(out_data)
-
-    def bwd(g: np.ndarray, owned: bool):
-        return (g * out_data,)
-
-    tape._record(out, (x,), bwd)
-    return out
-
-
-def log(tape: Tape, x: Tensor) -> Tensor:
-    xd = x.data
-    out = Tensor(np.log(xd))
-
-    def bwd(g: np.ndarray, owned: bool):
-        return (g / xd,)
-
-    tape._record(out, (x,), bwd)
-    return out
-
-
 def sum(tape: Tape, x: Tensor) -> Tensor:  # noqa: A001 - numpy-style name
     shape, dtype = x.data.shape, x.data.dtype
     out = Tensor(np.asarray(x.data.astype(np.float64).sum(), dtype=dtype))
 
     def bwd(g: np.ndarray, owned: bool):
         return (np.broadcast_to(g, shape).astype(dtype),)
-
-    tape._record(out, (x,), bwd)
-    return out
-
-
-def mean(tape: Tape, x: Tensor) -> Tensor:
-    n = x.data.size
-    if n == 0:
-        raise ValueError("mean of an empty tensor is undefined")
-    shape, dtype = x.data.shape, x.data.dtype
-    out = Tensor(np.asarray(x.data.astype(np.float64).sum() / n, dtype=dtype))
-
-    def bwd(g: np.ndarray, owned: bool):
-        return ((np.broadcast_to(g, shape) / n).astype(dtype),)
 
     tape._record(out, (x,), bwd)
     return out
@@ -1103,7 +1028,8 @@ def _away_from_kink(rng: np.random.Generator, shape, margin: float = 1e-3):
 
 
 def gradcheck_report(seed: int = 0, eps: float = 1e-4) -> dict[str, float]:
-    """Run the per-op gradient oracle suite; returns op -> max relative error.
+    """Run the gradient oracle over every tape op and the NT-Xent loss;
+    returns op -> max relative error.
 
     Each op is exercised on random inputs through a fixed random projection
     to a scalar, so every output element influences the loss.
@@ -1156,12 +1082,6 @@ def gradcheck_report(seed: int = 0, eps: float = 1e-4) -> dict[str, float]:
         lambda tape, p: project(tape, segment_mean(tape, p[0], seg, 3), r_3d),
         [rng.uniform(-2, 2, (n, d))],
     )
-    cases["l2_normalize_rows"] = (
-        lambda tape, p: project(
-            tape, l2_normalize_rows(tape, p[0]), r_nd
-        ),
-        [rng.uniform(0.5, 2, (n, d)) * np.sign(rng.standard_normal((n, d)))],
-    )
     a0 = rng.uniform(-2, 2, (n, d))
     b0 = rng.uniform(-2, 2, (n, d))
     cases["matmul_t"] = (
@@ -1180,21 +1100,7 @@ def gradcheck_report(seed: int = 0, eps: float = 1e-4) -> dict[str, float]:
         lambda tape, p: project(tape, mul(tape, p[0], p[1]), r_nd),
         [a0, b0],
     )
-    denom = rng.uniform(0.5, 2, (n, d)) * np.sign(rng.standard_normal((n, d)))
-    cases["div"] = (
-        lambda tape, p: project(tape, div(tape, p[0], p[1]), r_nd),
-        [a0, denom],
-    )
-    cases["exp"] = (
-        lambda tape, p: project(tape, exp(tape, p[0]), r_nd),
-        [rng.uniform(-2, 2, (n, d))],
-    )
-    cases["log"] = (
-        lambda tape, p: project(tape, log(tape, p[0]), r_nd),
-        [rng.uniform(0.2, 3, (n, d))],
-    )
     cases["sum"] = (lambda tape, p: sum(tape, p[0]), [a0])
-    cases["mean"] = (lambda tape, p: mean(tape, p[0]), [a0])
     cases["scale"] = (
         lambda tape, p: project(tape, scale(tape, p[0], -1.7), r_nd),
         [a0],
@@ -1229,6 +1135,14 @@ def gradcheck_report(seed: int = 0, eps: float = 1e-4) -> dict[str, float]:
             ),
             msg_inputs,
         )
+    # ``contrastive`` imports this module, so it is imported here, at its use.
+    from .contrastive import ContrastiveConfig, nt_xent
+
+    loss_cfg = ContrastiveConfig(temperature=0.1, batch_size=3)
+    cases["nt_xent"] = (
+        lambda tape, p: nt_xent(tape, p[0], loss_cfg),
+        [rng.standard_normal((6, d))],
+    )
 
     # A large eps can overflow; that shows as a large or NaN error, not a warning.
     with np.errstate(all="ignore"):

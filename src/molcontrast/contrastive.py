@@ -10,6 +10,13 @@ with cosine similarity and temperature ``t``; the reported loss is the
 mean over all ``2N`` ordered positive pairs (both directions).  The
 denominators are computed with log-sum-exp stabilization: the per-row
 off-diagonal maximum is subtracted as a constant, so gradients are exact.
+
+The loss is one tape record.  It runs the expressions of the chain of
+generic ops it replaced, and its backward runs that chain's gradient
+expressions in the chain's order, so loss and gradients equal the chain's
+bit for bit (``tests/contrastive_oracle.py`` keeps it).  The backward keeps
+the normalised rows (in ``z``'s dtype and in float64), the row norms, the
+shifted exponentials and their row sums; never ``z`` or the logits.
 """
 
 from __future__ import annotations
@@ -22,7 +29,9 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import ConfigError, NumericAbort
 
-__all__ = ["ContrastiveConfig", "cosine_sim_matrix", "nt_xent"]
+__all__ = ["ContrastiveConfig", "nt_xent"]
+
+_NORM_EPS = 1e-12  # smallest row norm that may be normalized
 
 
 @dataclass(frozen=True)
@@ -39,41 +48,60 @@ class ContrastiveConfig:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
 
 
-def cosine_sim_matrix(tape: Tape, z: Tensor) -> Tensor:
-    """All-pairs cosine similarities of the rows of ``z``."""
-    zn = ad.l2_normalize_rows(tape, z)
-    return ad.matmul_t(tape, zn, zn)
-
-
 def nt_xent(tape: Tape, z: Tensor, cfg: ContrastiveConfig) -> Tensor:
-    """Contrastive loss over an interleaved latent batch of ``2N`` rows."""
-    rows = z.data.shape[0]
-    if rows != 2 * cfg.batch_size:
-        raise ValueError(
-            f"latent batch has {rows} rows, expected 2 * {cfg.batch_size}"
-        )
-    m = rows
-    logits = ad.scale(tape, cosine_sim_matrix(tape, z), 1.0 / cfg.temperature)
-    if not np.isfinite(logits.data).all():
+    """Contrastive loss over an interleaved latent batch of ``2N`` rows; a
+    zero row of ``z`` or non-finite logits raise :class:`NumericAbort`."""
+    if z.data.ndim != 2:
+        raise ValueError(f"z must be 2-d, got shape {z.data.shape}")
+    m = z.data.shape[0]
+    if m != 2 * cfg.batch_size:
+        raise ValueError(f"latent batch has {m} rows, expected 2 * {cfg.batch_size}")
+    dtype = z.data.dtype
+    # Normalised in float64: squaring overflows float32 above about 1.8e19.
+    x64 = z.data.astype(np.float64)
+    norms = np.sqrt((x64**2).sum(axis=1))
+    if (norms < _NORM_EPS).any():
+        row = int(np.nonzero(norms < _NORM_EPS)[0][0])
+        raise NumericAbort(f"row {row} has near-zero norm; cannot normalize")
+    y64 = x64 / norms[:, None]
+    zn = y64.astype(dtype)
+    factor = dtype.type(1.0 / cfg.temperature)
+    logits = ad._matmul(zn, zn.T) * factor
+    if not np.isfinite(logits).all():
         raise NumericAbort("non-finite similarity logits in contrastive loss")
 
     off_diag = np.ones((m, m), dtype=np.float32)
     np.fill_diagonal(off_diag, 0.0)
     # Row-wise max over k != i, treated as a constant shift.
-    masked = np.where(off_diag > 0, logits.data, -np.inf)
+    masked = np.where(off_diag > 0, logits, -np.inf)
     row_max = masked.max(axis=1, keepdims=True).astype(np.float32)
-
-    shifted = ad.sub(tape, logits, ad.constant(row_max))
-    exp_off = ad.mul(tape, ad.exp(tape, shifted), ad.constant(off_diag))
-    row_sum = ad.matmul_t(tape, exp_off, ad.constant(np.ones((1, m), dtype=np.float32)))
-    log_denom = ad.add(tape, ad.log(tape, row_sum), ad.constant(row_max))
+    ones = np.ones((1, m), dtype=np.float32)
+    e = np.exp(logits - row_max)
+    row_sum = ad._matmul(e * off_diag, ones.T)
+    log_denom = np.log(row_sum) + row_max
 
     # Positive-pair selector: row 2i pairs with 2i + 1 and vice versa.
     pair = np.zeros((m, m), dtype=np.float32)
     idx = np.arange(0, m, 2)
     pair[idx, idx + 1] = 1.0
     pair[idx + 1, idx] = 1.0
-    pos_total = ad.sum(tape, ad.mul(tape, logits, ad.constant(pair)))
+    pos_total = np.asarray((logits * pair).astype(np.float64).sum(), dtype=dtype)
+    denom_total = np.asarray(log_denom.astype(np.float64).sum(), dtype=dtype)
+    inv_m = dtype.type(1.0 / m)
+    out = Tensor((denom_total - pos_total) * inv_m)
 
-    total = ad.sub(tape, ad.sum(tape, log_denom), pos_total)
-    return ad.scale(tape, total, 1.0 / m)
+    def bwd(g: np.ndarray, owned: bool):
+        g = ad._mul(g, inv_m, owned)
+        # The positive term, then the denominators' term added into it.
+        gl = np.broadcast_to(-g, (m, m)).astype(dtype) * pair
+        g_denom = np.broadcast_to(g, (m, 1)).astype(dtype) / row_sum
+        np.add(gl, (ad._matmul(g_denom, ones) * off_diag) * e, out=gl)
+        gl *= factor
+        gz = ad._matmul(gl, zn)
+        np.add(gz, ad._matmul(gl.T, zn), out=gz)
+        g64 = gz.astype(np.float64)
+        dot = (g64 * y64).sum(axis=1, keepdims=True)
+        return (((g64 - y64 * dot) / norms[:, None]).astype(dtype),)
+
+    tape._record(out, (z,), bwd)
+    return out

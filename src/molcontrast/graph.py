@@ -167,11 +167,11 @@ class MoleculeGraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
+        # On CPython 3.11 this loop beats ``max(e.v for e in edges)``.
+        n = len(self.nodes)
         for e in self.edges:
-            if e.v >= len(self.nodes):
-                raise ValueError(
-                    f"edge ({e.u}, {e.v}) references node beyond {len(self.nodes) - 1}"
-                )
+            if e.v >= n:
+                raise ValueError(f"edge ({e.u}, {e.v}) references node beyond {n - 1}")
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import contrastive_oracle
 from molcontrast import autodiff as ad
 from molcontrast.autodiff import (
     IndexPlan,
@@ -21,16 +22,11 @@ from molcontrast.autodiff import (
     backward,
     check_gradients,
     constant,
-    div,
     dropout,
     embedding_lookup,
-    exp,
     gradcheck_report,
-    l2_normalize_rows,
     linear,
-    log,
     matmul_t,
-    mean,
     message_sum,
     mul,
     numeric_gradients,
@@ -44,7 +40,7 @@ from molcontrast.autodiff import (
 )
 from molcontrast.autodiff import _scatter_add
 from molcontrast.autodiff import sum as tsum
-from molcontrast.errors import NumericAbort
+from molcontrast.contrastive import ContrastiveConfig, nt_xent
 
 
 # -- tensor construction ----------------------------------------------------
@@ -127,16 +123,6 @@ def test_matmul_t_forward():
     np.testing.assert_allclose(matmul_t(tape, a, b).data, [[11.0, 17.0]])
 
 
-def test_l2_normalize_rows_unit_norm():
-    tape = Tape()
-    x = tensor([[3.0, 4.0], [-1.0, 0.0]])
-    y = l2_normalize_rows(tape, x)
-    np.testing.assert_allclose(y.data[0], [0.6, 0.8], rtol=1e-6)
-    np.testing.assert_allclose(y.data[1], [-1.0, 0.0], rtol=1e-6)
-    with pytest.raises(NumericAbort, match="row 0 has near-zero norm"):
-        l2_normalize_rows(tape, tensor([[0.0, 0.0]]))
-
-
 def test_softplus_overflow_safe():
     tape = Tape()
     y = softplus(tape, tensor([100.0, -100.0, 0.0]))
@@ -152,24 +138,15 @@ def test_elementwise_forward():
     np.testing.assert_allclose(add(tape, a, b).data, [6.0, 2.0])
     np.testing.assert_allclose(sub(tape, a, b).data, [-2.0, -8.0])
     np.testing.assert_allclose(mul(tape, a, b).data, [8.0, -15.0])
-    np.testing.assert_allclose(div(tape, a, b).data, [0.5, -0.6])
     np.testing.assert_allclose(scale(tape, a, -2.0).data, [-4.0, 6.0])
     np.testing.assert_allclose(relu(tape, a).data, [2.0, 0.0])
-    np.testing.assert_allclose(
-        exp(tape, tensor([0.0, 1.0])).data, [1.0, np.e], rtol=1e-6
-    )
-    np.testing.assert_allclose(
-        log(tape, tensor([1.0, np.e])).data, [0.0, 1.0], rtol=1e-6
-    )
 
 
 def test_sum_and_mean_forward():
     tape = Tape()
     x = tensor([[1.0, 2.0], [3.0, 4.0]])
     assert float(tsum(tape, x).data) == 10.0
-    assert float(mean(tape, x).data) == 2.5
-    with pytest.raises(ValueError):
-        mean(tape, tensor(np.zeros((0, 3))))
+    assert float(scale(tape, tsum(tape, x), 1 / x.data.size).data) == 2.5
 
 
 def test_float64_accumulation_in_reductions():
@@ -606,7 +583,7 @@ def test_no_backward_writes_into_its_incoming_gradient():
     def param(*shape, lo=-2.0):
         return tensor(rng.uniform(lo, 2, shape), requires_grad=True, dtype=np.float64)
 
-    x, y, pos = param(5, 4), param(5, 4), param(5, 4, lo=0.5)
+    x, y, z = param(5, 4), param(5, 4), param(6, 4)
     w, b, table = param(4, 3), param(3), param(6, 4)
     seg = np.array([0, 1, 0, 2, 1])
     edges = (np.array([0, 1, 2, 3]), np.array([1, 0, 0, 4]))
@@ -625,24 +602,20 @@ def test_no_backward_writes_into_its_incoming_gradient():
         lambda tape: segment_mean(tape, x, seg, 3),
         lambda tape: message_sum(tape, x, *edges, counts, [table, table]),
         lambda tape: message_sum(tape, x, *edges, weighted, [table, table], weights, add_self=True),
-        lambda tape: l2_normalize_rows(tape, pos),
         lambda tape: matmul_t(tape, x, y),
         lambda tape: add(tape, x, y),
         lambda tape: sub(tape, x, y),
         lambda tape: mul(tape, x, y),
-        lambda tape: div(tape, x, pos),
         lambda tape: scale(tape, x, -1.5),
-        lambda tape: exp(tape, x),
-        lambda tape: log(tape, pos),
         lambda tape: tsum(tape, x),
-        lambda tape: mean(tape, x),
         lambda tape: dropout(tape, x, 0.5, np.random.default_rng(1)),
+        lambda tape: nt_xent(tape, z, ContrastiveConfig(temperature=0.1, batch_size=3)),
     )
     # A backward runs once, so each case is recorded twice: one record is
     # told it does not own its gradient, its twin that it does.
     tapes = Tape(), Tape()
     outs = [[build(tape) for build in builds] for tape in tapes]
-    assert len(tapes[0]) == len(tapes[1]) == 21
+    assert len(tapes[0]) == len(tapes[1]) == 17
     for out, record, twin in zip(outs[0], *(tape._records for tape in tapes)):
         assert record.out == out.key
         g = rng.standard_normal(out.data.shape)
@@ -686,13 +659,10 @@ def test_backward_closures_capture_only_the_arrays_they_read():
         (relu_out, [x, w]),
         (mul(tape, x, c), [c]),
         (mul(tape, c, x), [c]),
-        (div(tape, x, c), [c]),
-        (div(tape, c, x), [c, x]),
         (matmul_t(tape, x, c), [c]),
         (relu_only, []),
-        (log(tape, x), [x]),
         *((op(tape, x, c), []) for op in (add, sub)),
-        *((op(tape, x), []) for op in (tsum, mean, lambda t, v: scale(t, v, 2.0))),
+        *((op(tape, x), []) for op in (tsum, lambda t, v: scale(t, v, 2.0))),
         (segment_mean(tape, x, [0, 1, 0, 1], 2), []),
         (embedding_lookup(tape, x, [0, 3, 3]), []),
     ]
@@ -710,6 +680,34 @@ def test_backward_closures_capture_only_the_arrays_they_read():
             (bits,) = (a for key, a in held.items() if key not in tensors)
             assert bits.dtype == np.uint8 and bits.shape == (2,)  # 12 bits
             assert bits.tobytes() == np.packbits(out.data > 0, axis=None).tobytes()
+
+
+def test_nt_xent_closure_keeps_what_the_chain_it_replaced_kept():
+    # The one record holds what the fourteen records of the chain held:
+    # the normalised rows in z's dtype and in float64, the row norms, the
+    # shifted exponentials, their row sums and three constant masks; never
+    # z or the logits.
+    def sig(a):
+        return a.dtype.str, a.shape, a.tobytes()
+
+    z = tensor(np.random.default_rng(6).standard_normal((6, 5)), requires_grad=True)
+    cfg = ContrastiveConfig(temperature=0.1, batch_size=3)
+    fused, chain = Tape(), Tape()
+    nt_xent(fused, z, cfg)
+    contrastive_oracle.nt_xent(chain, z, cfg)
+    (record,) = fused._records
+    held = {sig(a) for a in _captured(record.backward_fn).values()}
+    kept = [list(_captured(r.backward_fn).values()) for r in chain._records]
+    assert held == {sig(a) for arrays in kept for a in arrays} and len(held) == 8
+    # Records 0, 1, 4 and 7 of the chain: normalisation, similarity, exp, log.
+    y64, norms = sorted(kept[0], key=np.ndim, reverse=True)
+    (zn,), (e,), (row_sum,) = kept[1], kept[4], kept[7]
+    assert y64.dtype == norms.dtype == np.float64 and norms.shape == (6,)
+    assert zn.dtype == e.dtype == row_sum.dtype == np.float32
+    assert e.shape == (6, 6) and row_sum.shape == (6, 1)
+    assert {sig(a) for a in (y64, norms, zn, e, row_sum)} <= held
+    logits = ad._matmul(zn, zn.T) * np.float32(1 / cfg.temperature)
+    assert sig(z.data) not in held and sig(logits) not in held
 
 
 # -- gradient ownership --------------------------------------------------------
@@ -911,7 +909,7 @@ def test_constant_operands_get_no_gradient_computed():
     tape = Tape()
     p = tensor(np.array([[1.0, -2.0]]), requires_grad=True)
     c = constant(np.array([[3.0, 4.0]]))
-    for op in (add, sub, mul, div, matmul_t):
+    for op in (add, sub, mul, matmul_t):
         out = op(tape, p, c)
         g = np.ones_like(out.data)
         dp, dc = tape._records[-1].backward_fn(g, False)
@@ -1068,7 +1066,7 @@ def test_backward_returns_exactly_the_parameters_the_loss_reaches():
     np.testing.assert_array_equal(grads[w], [[2.0, 3.0]])
 
 
-@pytest.mark.parametrize("op", [add, sub, mul, div])
+@pytest.mark.parametrize("op", [add, sub, mul])
 def test_only_constants_broadcast(op):
     column = np.array([[2.0], [4.0]])
     block = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -1104,7 +1102,7 @@ def test_check_gradients_flags_wrong_derivative():
 
 def test_gradcheck_report_all_ops_pass():
     report = gradcheck_report(seed=0, eps=1e-4)
-    assert len(report) == 20
+    assert len(report) == 16
     for op, err in report.items():
         assert err < 1e-4, f"{op}: {err}"
 
@@ -1146,7 +1144,7 @@ def test_linearity_of_backward(a):
 def test_add_then_mean_matches_finite_difference(a):
     def build(tape, params):
         x, y = params
-        return mean(tape, mul(tape, add(tape, x, y), x))
+        return scale(tape, tsum(tape, mul(tape, add(tape, x, y), x)), 1 / a.size)
 
     assert check_gradients(build, [a, a + 0.5]) < 1e-5
 

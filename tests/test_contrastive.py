@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import contrastive_oracle as oracle
 from molcontrast.autodiff import Tape, backward, check_gradients, tensor
-from molcontrast.contrastive import ContrastiveConfig, cosine_sim_matrix, nt_xent
+from molcontrast.contrastive import ContrastiveConfig, nt_xent
+from molcontrast.encoder import EncoderConfig, EncoderModel, GraphBatch, project, represent
 from molcontrast.errors import NumericAbort
+from molcontrast.smiles import parse_smiles
 
 
 def brute_force_nt_xent(z: np.ndarray, temperature: float) -> float:
@@ -45,39 +48,6 @@ def test_config_validation():
         ContrastiveConfig(temperature=-1.0)
     with pytest.raises(ValueError):
         ContrastiveConfig(batch_size=1)
-
-
-# -- cosine similarity matrix ------------------------------------------------
-
-
-def test_sim_matrix_identical_rows():
-    tape = Tape()
-    z = tensor(np.ones((4, 3)))
-    s = cosine_sim_matrix(tape, z)
-    np.testing.assert_allclose(s.data, np.ones((4, 4)), atol=1e-6)
-
-
-def test_sim_matrix_orthogonal_rows():
-    tape = Tape()
-    z = tensor(np.eye(4))
-    s = cosine_sim_matrix(tape, z)
-    np.testing.assert_allclose(s.data, np.eye(4), atol=1e-6)
-
-
-def test_sim_matrix_analytic_pair():
-    tape = Tape()
-    z = tensor([[1.0, 0.0], [1.0, 1.0]])
-    s = cosine_sim_matrix(tape, z)
-    assert s.data[0, 1] == pytest.approx(math.sqrt(2) / 2, abs=1e-6)
-    assert s.data[1, 0] == pytest.approx(0.70711, abs=1e-5)
-    np.testing.assert_allclose(np.diag(s.data), 1.0, atol=1e-6)
-    np.testing.assert_allclose(s.data, s.data.T, atol=1e-7)
-
-
-def test_sim_matrix_rejects_zero_rows():
-    tape = Tape()
-    with pytest.raises(NumericAbort):
-        cosine_sim_matrix(tape, tensor(np.zeros((2, 3))))
 
 
 # -- analytic anchor values --------------------------------------------------
@@ -193,6 +163,20 @@ def test_odd_row_count_rejected():
         nt_xent(tape, tensor(np.ones((3, 3))), cfg)
 
 
+def test_one_dimensional_latents_rejected():
+    cfg = ContrastiveConfig(temperature=0.1, batch_size=2)
+    with pytest.raises(ValueError, match="2-d"):
+        nt_xent(Tape(), tensor(np.ones(4)), cfg)
+
+
+def test_nt_xent_rejects_zero_rows():
+    z = np.ones((4, 3))
+    z[2] = 0.0
+    cfg = ContrastiveConfig(temperature=0.1, batch_size=2)
+    with pytest.raises(NumericAbort, match="row 2 has near-zero norm; cannot normalize"):
+        nt_xent(Tape(), tensor(z, requires_grad=True), cfg)
+
+
 # -- gradients ---------------------------------------------------------------
 
 
@@ -216,3 +200,43 @@ def test_gradient_flows_to_all_rows():
     g = grads[z]
     assert g.shape == (8, 5)
     assert (np.abs(g).sum(axis=1) > 0).all()
+
+
+# -- the one record ----------------------------------------------------------
+
+
+def test_loss_is_one_record_and_a_frozen_model_records_none():
+    graphs = [parse_smiles(s) for s in ("CCO", "CCN", "c1ccccc1", "c1ccncc1")]
+    model = EncoderModel.initialize(EncoderConfig(num_layers=2, hidden_dim=8, latent_dim=4), 0)
+    batch = GraphBatch.from_graphs(graphs)
+    cfg = ContrastiveConfig(temperature=0.1, batch_size=2)
+    for m, records in ((model, 1), (model.frozen(), 0)):
+        tape = Tape()
+        z = project(tape, m, represent(tape, m, batch))
+        before = len(tape)
+        nt_xent(tape, z, cfg)
+        assert len(tape) - before == records
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(min_value=2, max_value=64),
+    st.integers(min_value=2, max_value=64),
+    st.floats(min_value=0.05, max_value=1.0),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_matches_the_chain_of_generic_records_bitwise(dtype, n, width, temperature, seed):
+    # Rows scaled by 1e-3 to 1e2, so some batches mix tiny and large norms.
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-3, 2, (2 * n, 1))
+    z0 = (rng.standard_normal((2 * n, width)) * scales).astype(dtype)
+    cfg = ContrastiveConfig(temperature=temperature, batch_size=n)
+    got = []
+    for loss_fn in (nt_xent, oracle.nt_xent):
+        tape = Tape()
+        z = tensor(z0, requires_grad=True, dtype=dtype)
+        loss = loss_fn(tape, z, cfg)
+        dz = backward(tape, loss)[z]
+        got.append((np.asarray(loss.data).tobytes(), loss.data.dtype, dz.dtype, dz.tobytes()))
+    assert got[0] == got[1]

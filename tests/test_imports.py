@@ -1,11 +1,13 @@
-"""Static gate: every name a library module imports is used or exported."""
+"""Static gates: every name a library module imports is used or exported,
+and every name the tape and loss modules export is read."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "molcontrast").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "molcontrast").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,3 +53,77 @@ def test_gate_flags_an_unused_import():
         "    x: int = os.sep\n"
     )
     assert unused_imports(source) == ["line 3: field"]
+
+
+def unread_exports(module: str, sources: dict[str, str]) -> list[str]:
+    """Names in ``__all__`` of ``sources[module]`` that no source reads.
+
+    ``module`` reads its own names directly, outside the name's own ``def``
+    or ``class``; another source reads a name it imports from ``module``
+    (``from .autodiff import Tape``) or an attribute of ``module`` imported
+    whole (``ad.segment_sum``).  An import alone is not a read.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    exported: list[str] = []
+    for node in trees[module].body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = [e.value for e in node.value.elts]
+    read: set[str] = set()
+    for name, tree in trees.items():
+        # Local names of the exported names, and of the module itself.
+        names = {e: e for e in exported} if name == module else {}
+        aliases: set[str] = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            for alias in node.names:
+                if (node.module or "").rpartition(".")[2] == module:
+                    names[alias.asname or alias.name] = alias.name
+                elif alias.name == module:
+                    aliases.add(alias.asname or alias.name)
+        for stmt in tree.body:
+            found = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    found.add(names.get(node.id))
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases
+                ):
+                    found.add(node.attr)
+            if name == module and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                found.discard(stmt.name)
+            read |= found
+    return [e for e in exported if e not in read]
+
+
+READERS = {p.stem: p for p in SOURCES + sorted((ROOT / "perfbench").glob("*.py"))}
+
+
+@pytest.mark.parametrize("module", ["autodiff", "contrastive"])
+def test_every_export_is_read(module):
+    sources = {name: path.read_text(encoding="utf-8") for name, path in READERS.items()}
+    assert unread_exports(module, sources) == []
+
+
+def test_gate_flags_an_unread_export():
+    sources = {
+        "ops": (
+            "__all__ = ['Tape', 'used', 'called_here', 'dead']\n"
+            "class Tape: pass\n"
+            "def used(): pass\n"
+            "def called_here(): pass\n"
+            "def dead(): return dead\n"
+            "def helper(): return called_here()\n"
+        ),
+        "user": (
+            "from . import ops as o\n"
+            "from .ops import Tape, dead\n"
+            "sum = o.used\n"
+            "t: Tape = None\n"
+        ),
+    }
+    assert unread_exports("ops", sources) == ["dead"]
