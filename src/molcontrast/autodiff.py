@@ -74,6 +74,9 @@ this process may use).  A block computes its rows with the same kernels and
 the same order over the inner dimension as the whole product, so results
 are bit-identical for any worker count.  Where the bundled OpenBLAS is not
 found, BLAS keeps its own threading and the products are not split.
+Inference deals whole batches across the same workers
+(``encoder.frozen_forward``); a part that runs beside others splits none of
+its products.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ import ctypes
 import glob
 import itertools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -331,9 +335,10 @@ _pool: ThreadPoolExecutor | None = None
 
 
 def set_threads(n: int) -> int:
-    """Run large matrix products (and ``training.adam_step``'s tiles) on
-    ``n`` threads; returns the count in effect, which stays 1 when BLAS
-    could not be pinned to one thread."""
+    """Run large matrix products (and ``training.adam_step``'s tiles and
+    ``encoder.frozen_forward``'s batches) on ``n`` threads; returns the
+    count in effect, which stays 1 when BLAS could not be pinned to one
+    thread."""
     global _workers, _pool
     if n < 1:
         raise ValueError(f"threads must be >= 1, got {n}")
@@ -351,18 +356,43 @@ set_threads(
 os.register_at_fork(after_in_child=lambda: set_threads(_workers))
 
 
+_in_part = threading.local()
+
+
+def _free_pool() -> ThreadPoolExecutor | None:
+    """The worker pool, or None on a thread that is running one of several
+    parts of :func:`_run_parts`: such a part submits nothing, so it splits
+    no product and no Adam step.  A pool thread that waited on work queued
+    behind it on its own pool would wait forever (with two workers the pool
+    has one thread), and the calling thread's blocks would wait behind the
+    other parts.  Unsplit products equal split ones bit for bit."""
+    return None if getattr(_in_part, "on", False) else _pool
+
+
+def _as_part(fn: Callable, *args) -> None:
+    _in_part.on = True
+    try:
+        fn(*args)
+    finally:
+        _in_part.on = False
+
+
 def _run_parts(
     pool: ThreadPoolExecutor | None, fn: Callable, parts: Sequence[tuple]
 ) -> None:
     """``fn(*part, errors)`` for every part: the first on the calling thread,
     the rest (if any) on ``pool``, all under the caller's numpy error
-    state, which ``fn`` enters (numpy's error state is per thread).
-    Returns once every part is done; an exception in any part is raised
-    here."""
+    state, which ``fn`` enters (numpy's error state is per thread).  When
+    there are several parts, each runs without the pool (see
+    :func:`_free_pool`).  Returns once every part is done; an exception in
+    any part is raised here."""
     errors = np.geterr()
-    futures = [pool.submit(fn, *part, errors) for part in parts[1:]]
-    try:
+    if len(parts) == 1:
         fn(*parts[0], errors)
+        return
+    futures = [pool.submit(_as_part, fn, *part, errors) for part in parts[1:]]
+    try:
+        _as_part(fn, *parts[0], errors)
     finally:
         for f in futures:
             f.result()
@@ -394,7 +424,7 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         b = b.copy()
     m, k = a.shape
     n = b.shape[1]
-    pool, parts = _pool, 1
+    pool, parts = _free_pool(), 1
     if pool is not None and n % 8 == 0:
         parts = min(_workers, m // _ROW_QUANTUM, m * k * n // _BLOCK_MACS)
     if parts < 2:

@@ -629,8 +629,8 @@ def _common(sp: argparse.ArgumentParser, out_default: str | None) -> None:
         "--threads",
         type=int,
         default=None,
-        help="threads for large matrix products and large Adam steps; results do not "
-        "depend on it (default: the usable CPUs)",
+        help="threads for inference batches, large matrix products and large Adam "
+        "steps; results do not depend on it (default: the usable CPUs)",
     )
     if out_default is not None:
         sp.add_argument(

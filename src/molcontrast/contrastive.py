@@ -95,7 +95,7 @@ def nt_xent(tape: Tape, z: Tensor, cfg: ContrastiveConfig) -> Tensor:
         # The positive term, then the denominators' term added into it.
         gl = np.broadcast_to(-g, (m, m)).astype(dtype) * pair
         g_denom = np.broadcast_to(g, (m, 1)).astype(dtype) / row_sum
-        np.add(gl, (ad._matmul(g_denom, ones) * off_diag) * e, out=gl)
+        np.add(gl, (np.broadcast_to(g_denom, (m, m)) * off_diag) * e, out=gl)
         gl *= factor
         gz = ad._matmul(gl, zn)
         np.add(gz, ad._matmul(gl.T, zn), out=gz)

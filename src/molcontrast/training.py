@@ -202,7 +202,7 @@ def adam_step(
     tiles = [tile for run in runs for tile in _tiles(*run)]
     bad: list[tuple[int, str]] = []  # (flat offset, name) of non-finite pieces
     args = (tiles, state, 1.0 - _BETA1**t, 1.0 - _BETA2**t, weight_decay, bad)
-    pool, parts = ad._pool, 1
+    pool, parts = ad._free_pool(), 1
     if pool is not None and sum(hi - lo for lo, hi, *_ in tiles) >= _ADAM_POOLED:
         parts = min(ad._workers, len(tiles))
     chunks = np.array_split(np.arange(len(tiles)), parts)

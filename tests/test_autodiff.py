@@ -41,6 +41,13 @@ from molcontrast.autodiff import (
 from molcontrast.autodiff import _scatter_add
 from molcontrast.autodiff import sum as tsum
 from molcontrast.contrastive import ContrastiveConfig, nt_xent
+from molcontrast import encoder as encoder_module
+from molcontrast.encoder import EncoderConfig, EncoderModel, HeadSpec, embed_molecules
+from molcontrast.errors import NumericAbort
+from molcontrast.fingerprints import retrieval_analysis
+from molcontrast.smiles import parse_smiles
+from molcontrast.training import predict_molecules
+from molgen import make_molecules
 
 
 # -- tensor construction ----------------------------------------------------
@@ -685,8 +692,9 @@ def test_backward_closures_capture_only_the_arrays_they_read():
 def test_nt_xent_closure_keeps_what_the_chain_it_replaced_kept():
     # The one record holds what the fourteen records of the chain held:
     # the normalised rows in z's dtype and in float64, the row norms, the
-    # shifted exponentials, their row sums and three constant masks; never
-    # z or the logits.
+    # shifted exponentials, their row sums and two constant masks; never
+    # z or the logits.  The chain's row of ones is not kept: the
+    # denominators' term broadcasts its column instead of multiplying by it.
     def sig(a):
         return a.dtype.str, a.shape, a.tobytes()
 
@@ -698,7 +706,9 @@ def test_nt_xent_closure_keeps_what_the_chain_it_replaced_kept():
     (record,) = fused._records
     held = {sig(a) for a in _captured(record.backward_fn).values()}
     kept = [list(_captured(r.backward_fn).values()) for r in chain._records]
-    assert held == {sig(a) for arrays in kept for a in arrays} and len(held) == 8
+    ones = sig(np.ones((1, 6), dtype=np.float32))
+    chain_held = {sig(a) for arrays in kept for a in arrays}
+    assert ones in chain_held and held == chain_held - {ones} and len(held) == 7
     # Records 0, 1, 4 and 7 of the chain: normalisation, similarity, exp, log.
     y64, norms = sorted(kept[0], key=np.ndim, reverse=True)
     (zn,), (e,), (row_sum,) = kept[1], kept[4], kept[7]
@@ -1203,15 +1213,19 @@ needs_pinned_blas = pytest.mark.skipif(
 
 
 class _CountingPool(ThreadPoolExecutor):
-    """A real pool that records the row count of every block handed to it."""
+    """A real pool that records the function of every part handed to it and
+    the length of its first argument: a product block's rows, or how many
+    Adam tiles or inference batches the part runs."""
 
     def __init__(self, workers):
         super().__init__(workers - 1)
         self.blocks = []
+        self.parts = []
 
-    def submit(self, fn, a, *args, **kwargs):
-        self.blocks.append(a.shape[0])
-        return super().submit(fn, a, *args, **kwargs)
+    def submit(self, run, fn, a, *args, **kwargs):
+        self.parts.append(fn)
+        self.blocks.append(len(a))
+        return super().submit(run, fn, a, *args, **kwargs)
 
 
 def _with_workers(n, fn, pool=None):
@@ -1483,12 +1497,102 @@ def test_paper_width_pretrain_identical_for_any_threads(tmp_path):
         )
 
 
+# -- inference batches dealt across worker threads -----------------------------
+
+
+@needs_pinned_blas
+@pytest.mark.parametrize("backbone", ["gin", "gcn"])
+def test_inference_identical_for_any_thread_count(backbone):
+    # Corpora around the 128-molecule inference batch: one molecule, a batch
+    # one short of full, a full one, a batch and a molecule, three batches.
+    graphs = [g for _, g in make_molecules(300, seed=40)]
+    cfg = EncoderConfig(backbone=backbone, num_layers=3, hidden_dim=64, latent_dim=32)
+    model = EncoderModel.initialize(cfg, 41)
+    model.add_head(HeadSpec("classification", 2, hidden_dim=32), 42)
+
+    def run():
+        out = []
+        for n in (1, 127, 128, 129, 300):
+            corpus = graphs[:n]
+            out.append(embed_molecules(model, corpus).tobytes())
+            out.append(predict_molecules(model, corpus).tobytes())
+            out.append(retrieval_analysis(graphs[-1], corpus, model, bins=min(n, 5)))
+        return out
+
+    expected = _with_workers(1, run)
+    for workers in (2, 3):
+        assert _with_workers(workers, run) == expected, workers
+
+
+@needs_pinned_blas
+def test_inference_parts_submit_no_products():
+    # At hidden 512 a 128-molecule batch's products are above the gate.  The
+    # pool has a thread more than the parts need, so a part that split its
+    # products would show here instead of waiting on itself.
+    graphs = [g for _, g in make_molecules(200, seed=43)]
+    model = EncoderModel.initialize(EncoderConfig(num_layers=2, hidden_dim=512, latent_dim=32), 44)
+    pool = _CountingPool(3)
+    alone = _with_workers(2, lambda: embed_molecules(model, graphs[:100]), pool)
+    assert pool.parts and set(pool.parts) == {ad._matmul_block}  # one batch splits
+    pool = _CountingPool(3)
+    both = _with_workers(2, lambda: embed_molecules(model, graphs), pool)
+    assert pool.parts == [encoder_module._forward_batches]
+    assert alone.tobytes() == both[:100].tobytes()
+
+
+_PAPER_WIDTH_INFERENCE_SCRIPT = """
+import sys
+from molcontrast import autodiff as ad
+from molcontrast.encoder import EncoderConfig, EncoderModel, embed_molecules
+from molgen import make_molecules
+graphs = [g for _, g in make_molecules(200, seed=43)]
+model = EncoderModel.initialize(EncoderConfig(num_layers=2, hidden_dim=512, latent_dim=32), 44)
+out = []
+for threads in (1, 2):
+    ad.set_threads(threads)
+    out.append(embed_molecules(model, graphs).tobytes())
+sys.exit(0 if out[0] == out[1] else 1)
+"""
+
+
+@needs_pinned_blas
+def test_paper_width_inference_on_two_threads_finishes():
+    # Two batches whose products are above the gate, on a pool of one
+    # thread: a part that split them would wait on itself.  It runs in a
+    # child so that a deadlock fails by the timeout; a hung pool thread
+    # would also hang this process at exit.
+    proc = subprocess.run(
+        [sys.executable, "-c", _PAPER_WIDTH_INFERENCE_SCRIPT],
+        env=_env_without_thread_vars(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_inference_abort_names_the_first_bad_batch_for_any_thread_count():
+    # Bromine's embedding row overflows every molecule that holds it.  The
+    # first such molecule is in the third batch and another is in the fourth,
+    # which the second of two workers runs.
+    size = encoder_module.INFERENCE_BATCH
+    clean = [parse_smiles(s) for s in ("CCO", "c1ccccc1", "CC(=O)N")]
+    graphs = [clean[i % 3] for i in range(4 * size)]
+    graphs[2 * size + 5] = graphs[3 * size + 1] = parse_smiles("BrCBr")
+    model = EncoderModel.initialize(EncoderConfig(num_layers=3, hidden_dim=64, latent_dim=32), 45)
+    model.params["atom_embedding"].data[35] = 3e38
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(NumericAbort) as info:
+            _with_workers(workers, lambda: embed_molecules(model, graphs))
+        messages.append(str(info.value))
+    assert messages == [f"non-finite model output for molecules {2 * size} to {3 * size - 1}"] * 2
+
+
 # -- every OpenBLAS kernel the host can run ------------------------------------
 
 # The x86-64 kernel families that OpenBLAS's DYNAMIC_ARCH builds pick among
 # (``OPENBLAS_CORETYPE`` forces one), and the CPU flags each needs.
 _CORES = {"Haswell": {"avx2", "fma"}, "Zen": {"avx2", "fma"}, "SkylakeX": {"avx512f"}}
-# The tests whose bits depend on where a split product cuts its rows.
+# The tests whose bits depend on where a split product cuts its rows, or on
+# where inference cuts its batches.
 _SPLIT_TESTS = (
     "test_matmul_splits_only_above_the_gate",
     "test_matmul_blocks_take_the_callers_error_state",
@@ -1498,6 +1602,8 @@ _SPLIT_TESTS = (
     "test_linear_and_matmul_t_gradients_identical_for_any_thread_count",
     "test_pretrain_checkpoints_identical_across_blas_threads",
     "test_paper_width_pretrain_identical_for_any_threads",
+    "test_inference_identical_for_any_thread_count",
+    "test_paper_width_inference_on_two_threads_finishes",
 )
 _CORENAME_SCRIPT = """
 import ctypes, glob, os

@@ -2,11 +2,13 @@
 
     python tools/outputs.py REV [--expect-changed GLOB ...]
 
-Run from anywhere inside the repository.  Writes a small unlabeled corpus
-and a labeled dataset with the working tree's ``tests/molgen.py``, and a
-hand-written corpus of clean rows, one malformed row per parse-failure kind
-and one row that parses with a valence warning, whose ``embed`` run shows the
-parser's skip count (stderr) and the graphs of the rows it keeps.  It then runs
+Run from anywhere inside the repository.  Writes two unlabeled corpora
+(120 molecules, and 400, whose inference batches ``embed`` runs on the
+default threads and on one) and a labeled dataset with the working tree's
+``tests/molgen.py``, and a hand-written corpus of clean rows, one
+malformed row per parse-failure kind and one row that parses with a
+valence warning, whose ``embed`` run shows the parser's skip count
+(stderr) and the graphs of the rows it keeps.  It then runs
 one fixed matrix of ``molcontrast`` commands twice: first on the working
 tree's ``src/``, then on ``src/`` of ``git archive REV`` exported to a
 temporary directory.  Each tree runs in its own directory, and every path
@@ -52,6 +54,8 @@ from molcontrast.augment import STRATEGIES  # noqa: E402
 from molgen import write_corpus_csv, write_labeled_csv  # noqa: E402
 
 CORPUS = "../data/corpus.csv"
+# Four inference batches of 128 molecules, which run on the worker threads.
+LARGE = "../data/large.csv"
 LABELED = "../data/labeled.csv"
 MIXED = "../data/mixed.csv"
 # Clean rows around one row per parse-failure kind (unknown atom, bad bond,
@@ -90,6 +94,9 @@ MATRIX: tuple[tuple[str, list[str]], ...] = (
                              "--checkpoint", "pretrain_gcn/checkpoint.bin"]),
     ("embed", ["embed", "--data", CORPUS, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
     ("embed_mixed", ["embed", "--data", MIXED, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
+    ("embed_large", ["embed", "--data", LARGE, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
+    ("embed_large_threads_1", ["embed", "--data", LARGE, "--checkpoint",
+                               "pretrain_gin/checkpoint.bin", "--threads", "1"]),
     ("retrieve_sampled", [*_RETRIEVE, "--samples-per-bin", "4"]),
     ("retrieve_whole_bin", _RETRIEVE),
     *(
@@ -113,6 +120,7 @@ def write_inputs(data: Path) -> None:
     """The corpora and labeled dataset that the runs read."""
     data.mkdir(parents=True)
     write_corpus_csv(data / "corpus.csv", 120, seed=1)
+    write_corpus_csv(data / "large.csv", 400, seed=2)
     write_labeled_csv(data / "labeled.csv", 90, seed=6)
     with open(data / "mixed.csv", "w", newline="") as fh:
         csv.writer(fh).writerows([["smiles"], *([s] for s in MIXED_SMILES)])
