@@ -31,25 +31,24 @@ and one that a backward reads is freed once that backward has run:
 records in reverse with one gradient map and a fixed accumulation order,
 which makes gradients bit-identical for identical tapes.  So each backward
 closure runs once, and :func:`linear`'s drops its input as soon as it has
-used it.  Only constants broadcast: an elementwise op raises
-``ValueError`` when a tracked operand's shape differs from its output's.
+used it.
 
 A backward writes only into a gradient the walk owns.  :func:`backward`
 calls each closure as ``bwd(g, owned)``, and a closure may write into ``g``
 only when ``owned`` is true: nothing but the walk refers to ``g``.  The
 loss seed is owned.  An array a closure returns is owned when it is a fresh
 base array (``base is None``), appears once in that closure's result, and
-is not the closure's own ``g`` unless that ``g`` was owned: ``add``, which
-returns one ``g`` for both operands, hands on a shared array, and views
+is not the closure's own ``g`` unless that ``g`` was owned: a closure that
+returns one ``g`` for two operands hands on a shared array, and views
 (``message_sum``'s table gradients, split from one product) never count as
 owned.  So a closure returns fresh arrays, views or its own ``g``, never an
 array it keeps nor an array beside a view of it.  An owned gradient takes
 later addends in place, ``np.add(acc, g, out=acc)``, and an owned ``g`` is
-gated or scaled in place by ``linear``'s ReLU, ``relu``, ``scale`` and
-``dropout``.  Each in-place site runs the ufunc and operand order of the
-copying expression it replaces, so gradients are bit-identical whichever
-way a gradient goes, apart from which NaN payload an in-place sum of two
-NaNs keeps.
+gated or scaled in place by ``linear``'s ReLU, ``relu`` and ``dropout``.
+Each in-place site runs the ufunc and operand order of the copying
+expression it replaces, so gradients are bit-identical whichever way a
+gradient goes, apart from which NaN payload an in-place sum of two NaNs
+keeps.
 
 A recorded ReLU (``relu``, or ``linear`` with ``act="relu"``) keeps one bit
 per element, ``np.packbits(out > 0)``, for its backward gate, in place of a
@@ -99,7 +98,6 @@ __all__ = [
     "Tape",
     "IndexPlan",
     "tensor",
-    "constant",
     "backward",
     "embedding_lookup",
     "linear",
@@ -109,12 +107,7 @@ __all__ = [
     "segment_sum",
     "segment_mean",
     "message_sum",
-    "matmul_t",
-    "add",
-    "sub",
-    "mul",
     "sum",
-    "scale",
     "dropout",
     "numeric_gradients",
     "check_gradients",
@@ -155,12 +148,6 @@ def tensor(values, requires_grad: bool = False, dtype=np.float32) -> Tensor:
     if data.size and not np.isfinite(data).all():
         raise ValueError("tensor payload contains NaN or Inf")
     return Tensor(data, requires_grad=requires_grad)
-
-
-def constant(values, dtype=np.float32) -> Tensor:
-    """A tensor that never receives gradients (masks, coefficients); its
-    payload is not checked."""
-    return Tensor(np.ascontiguousarray(np.asarray(values, dtype=dtype)))
 
 
 _keys = itertools.count()  # output keys, unique in the process
@@ -818,85 +805,7 @@ def linear(
     return out
 
 
-def matmul_t(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b.T`` for [n,d] x [m,d] -> [n,m]."""
-    _check_2d("a", a)
-    _check_2d("b", b)
-    if a.data.shape[1] != b.data.shape[1]:
-        raise ValueError(
-            f"matmul_t inner dims differ: {a.data.shape} vs {b.data.shape}"
-        )
-    out = Tensor(_matmul(a.data, b.data.T))
-    # Each operand's gradient reads the other operand; keep only what is read.
-    b_for_da = b.data if tape._tracked(a) else None
-    a_for_db = a.data if tape._tracked(b) else None
-
-    def bwd(g: np.ndarray, owned: bool):
-        da = _matmul(g, b_for_da) if b_for_da is not None else None
-        db = _matmul(g.T, a_for_db) if a_for_db is not None else None
-        return (da, db)
-
-    tape._record(out, (a, b), bwd)
-    return out
-
-
 # -- elementwise ops ---------------------------------------------------
-
-
-def _elementwise_pair(tape, a, b, out_data, da_fn, db_fn):
-    """Record ``out_data``, computed from ``a`` and ``b``, with gradient
-    functions ``da_fn(g)`` and ``db_fn(g)``; each captures only the operand
-    arrays it reads."""
-    out = Tensor(out_data)
-    need_a, need_b = tape._tracked(a), tape._tracked(b)
-    for t, needed in ((a, need_a), (b, need_b)):
-        if needed and t.data.shape != out_data.shape:
-            raise ValueError(
-                f"tracked operand of shape {t.data.shape} broadcasts to "
-                f"{out_data.shape}; only constants may broadcast"
-            )
-    # Decided at record time: constants (masks, shifts, labels) get no
-    # gradient computed only to be dropped by backward(), and the record
-    # keeps no function (nor the arrays it reads) of an untracked operand.
-    da_fn = da_fn if need_a else None
-    db_fn = db_fn if need_b else None
-    a_dtype, b_dtype = a.data.dtype, b.data.dtype
-
-    def bwd(g: np.ndarray, owned: bool):
-        # ``add`` may return ``g`` itself for both operands: the walk marks
-        # an array that a closure returns twice as shared, so no backward
-        # writes into it and accumulation into it makes a new array.
-        da = da_fn(g).astype(a_dtype, copy=False) if da_fn else None
-        db = db_fn(g).astype(b_dtype, copy=False) if db_fn else None
-        return (da, db)
-
-    tape._record(out, (a, b), bwd)
-    return out
-
-
-def add(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise_pair(tape, a, b, a.data + b.data, lambda g: g, lambda g: g)
-
-
-def sub(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise_pair(tape, a, b, a.data - b.data, lambda g: g, lambda g: -g)
-
-
-def mul(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
-    x, y = a.data, b.data
-    return _elementwise_pair(tape, a, b, x * y, lambda g: g * y, lambda g: g * x)
-
-
-def scale(tape: Tape, x: Tensor, factor: float) -> Tensor:
-    """Multiply by a python scalar (not differentiated through)."""
-    factor = x.data.dtype.type(factor)
-    out = Tensor(x.data * factor)
-
-    def bwd(g: np.ndarray, owned: bool):
-        return (_mul(g, factor, owned),)
-
-    tape._record(out, (x,), bwd)
-    return out
 
 
 def relu(tape: Tape, x: Tensor) -> Tensor:
@@ -1058,8 +967,8 @@ def _away_from_kink(rng: np.random.Generator, shape, margin: float = 1e-3):
 
 
 def gradcheck_report(seed: int = 0, eps: float = 1e-4) -> dict[str, float]:
-    """Run the gradient oracle over every tape op and the NT-Xent loss;
-    returns op -> max relative error.
+    """Run the gradient oracle over every tape op, the NT-Xent loss and the
+    fine-tune loss of each task kind; returns op -> max relative error.
 
     Each op is exercised on random inputs through a fixed random projection
     to a scalar, so every output element influences the loss.
@@ -1068,12 +977,20 @@ def gradcheck_report(seed: int = 0, eps: float = 1e-4) -> dict[str, float]:
     report: dict[str, float] = {}
 
     def project(tape, t, r):
-        return sum(tape, mul(tape, t, constant(r, dtype=np.float64)))
+        """``sum(t * r)`` in one record, the sum in float64."""
+        shape, dtype = t.data.shape, t.data.dtype
+        out = Tensor(np.asarray((t.data * r).astype(np.float64).sum(), dtype=dtype))
+
+        def bwd(g: np.ndarray, owned: bool):
+            return (np.broadcast_to(g, shape).astype(dtype) * r,)
+
+        tape._record(out, (t,), bwd)
+        return out
 
     n, d, k = 5, 4, 3
     r_nd = rng.standard_normal((n, d))
     r_nk = rng.standard_normal((n, k))
-    r_nn = rng.standard_normal((n, n))
+    rng.standard_normal((n, n))  # drawn so that later inputs keep their values
     seg = np.array([0, 1, 0, 2, 1])
 
     cases: dict[str, tuple[Callable, list[np.ndarray]]] = {}
@@ -1113,28 +1030,8 @@ def gradcheck_report(seed: int = 0, eps: float = 1e-4) -> dict[str, float]:
         [rng.uniform(-2, 2, (n, d))],
     )
     a0 = rng.uniform(-2, 2, (n, d))
-    b0 = rng.uniform(-2, 2, (n, d))
-    cases["matmul_t"] = (
-        lambda tape, p: project(tape, matmul_t(tape, p[0], p[1]), r_nn),
-        [a0, b0],
-    )
-    cases["add"] = (
-        lambda tape, p: project(tape, add(tape, p[0], p[1]), r_nd),
-        [a0, b0],
-    )
-    cases["sub"] = (
-        lambda tape, p: project(tape, sub(tape, p[0], p[1]), r_nd),
-        [a0, b0],
-    )
-    cases["mul"] = (
-        lambda tape, p: project(tape, mul(tape, p[0], p[1]), r_nd),
-        [a0, b0],
-    )
+    rng.uniform(-2, 2, (n, d))  # drawn so that later inputs keep their values
     cases["sum"] = (lambda tape, p: sum(tape, p[0]), [a0])
-    cases["scale"] = (
-        lambda tape, p: project(tape, scale(tape, p[0], -1.7), r_nd),
-        [a0],
-    )
     cases["dropout"] = (
         # A fresh generator per call keeps the mask identical across the
         # finite-difference evaluations.
@@ -1165,14 +1062,33 @@ def gradcheck_report(seed: int = 0, eps: float = 1e-4) -> dict[str, float]:
             ),
             msg_inputs,
         )
-    # ``contrastive`` imports this module, so it is imported here, at its use.
+    # ``contrastive`` and ``training`` import this module, so they are
+    # imported here, at their use.
     from .contrastive import ContrastiveConfig, nt_xent
+    from .training import _masked_loss
 
     loss_cfg = ContrastiveConfig(temperature=0.1, batch_size=3)
     cases["nt_xent"] = (
         lambda tape, p: nt_xent(tape, p[0], loss_cfg),
         [rng.standard_normal((6, d))],
     )
+    # Two tasks with three labels missing; the regression outputs keep off
+    # the L1 kink at each (float32) label.
+    seen = np.ones((n, 2), dtype=bool)
+    seen[[0, 2, 4], [1, 0, 1]] = False
+    classes = rng.integers(0, 2, (n, 2)).astype(np.float64)
+    targets = rng.standard_normal((n, 2))
+    off_kink = targets.astype(np.float32) + _away_from_kink(rng, (n, 2))
+    for kind, labels, out in (
+        ("classification", classes, rng.uniform(-2, 2, (n, 4))),
+        ("regression", targets, off_kink),
+    ):
+        cases[f"supervised_{kind}"] = (
+            lambda tape, p, kind=kind, labels=labels: _masked_loss(
+                tape, p[0], labels, seen, kind
+            ),
+            [out],
+        )
 
     # A large eps can overflow; that shows as a large or NaN error, not a warning.
     with np.errstate(all="ignore"):

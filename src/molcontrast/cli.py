@@ -396,7 +396,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     header = ["index", "smiles"] + [f"h{j}" for j in range(reps.shape[1])]
     rows = [
-        [row.index, row.smiles] + [f"{v:.8g}" for v in reps[i]]
+        [row.index, row.smiles] + [f"{v:.9g}" for v in reps[i]]
         for i, row in enumerate(corpus.rows)
     ]
     write_csv(out / "embeddings.csv", header, rows)

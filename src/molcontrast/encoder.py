@@ -450,12 +450,19 @@ class EncoderModel:
 
 
 def embed_nodes(tape: Tape, model: EncoderModel, batch: GraphBatch) -> Tensor:
-    """Initial node states: atomic-number plus chirality embeddings."""
-    a = ad.embedding_lookup(tape, model.params["atom_embedding"], batch.atom_plan)
-    c = ad.embedding_lookup(
-        tape, model.params["chirality_embedding"], batch.chirality_plan
-    )
-    return ad.add(tape, a, c)
+    """Initial node states: atomic-number plus chirality embeddings, summed
+    into the first gather in one record whose backward scatter-adds the
+    gradient into each table."""
+    tables = (model.params["atom_embedding"], model.params["chirality_embedding"])
+    plans = (batch.atom_plan, batch.chirality_plan)
+    atom, chirality = (t.data[p.ids] for t, p in zip(tables, plans))
+    out = Tensor(np.add(atom, chirality, out=atom))
+
+    def bwd(g: np.ndarray, owned: bool):
+        return tuple(ad._scatter_add(g, p) for p in plans)
+
+    tape._record(out, tables, bwd)
+    return out
 
 
 def _aggregate(

@@ -828,32 +828,73 @@ def predict_molecules(
     return raw
 
 
+def _masked_loss(
+    tape: Tape, out: Tensor, labels: np.ndarray, observed: np.ndarray, task_kind: str
+) -> Tensor:
+    """Mean over the observed labels of the per-label loss, in one record.
+
+    Classification reads ``out`` as two logits per task, ``(l0, l1)``; the
+    two-logit softmax cross-entropy is ``softplus((1 - 2y) * (l1 - l0))``,
+    with ``l1 - l0`` the product of ``out`` with a -1/+1 basis built from
+    its width.  Regression takes ``|out - y|`` as ``relu(d) + relu(-d)``.
+    The forward runs the expressions of the chain of generic records this
+    replaced, with its float32 basis, sign, label and mask constants and
+    its float64 sum, and the backward runs that chain's gradient
+    expressions in its order, so loss and gradient equal the chain's bit
+    for bit (``tests/supervised_oracle.py`` keeps it).
+    """
+    od = out.data
+    dtype = od.dtype
+    mask = observed.astype(np.float32)
+    factor = dtype.type(1.0 / max(int(observed.sum()), 1))
+    if task_kind == "classification":
+        tasks = np.arange(od.shape[1] // 2)
+        basis = np.zeros((tasks.size, 2 * tasks.size), dtype=np.float32)
+        basis[tasks, 2 * tasks] = -1.0
+        basis[tasks, 2 * tasks + 1] = 1.0
+        sign = (1.0 - 2.0 * labels).astype(np.float32)
+        x = ad._matmul(od, basis.T) * sign
+        per = np.where(x > 30, x, np.log1p(np.exp(np.minimum(x, 30)))).astype(dtype)
+
+        def per_grad(gp: np.ndarray) -> np.ndarray:
+            gx = (gp * ad.logistic(x)).astype(dtype)
+            return ad._matmul(gx * sign, basis)
+    else:
+        diff = od - labels.astype(np.float32)
+        neg = diff * dtype.type(-1.0)
+        pos = np.maximum(diff, 0)
+        per = pos + np.maximum(neg, 0)
+        bits = np.packbits(pos > 0, axis=None), np.packbits(neg > 0, axis=None)
+
+        def per_grad(gp: np.ndarray) -> np.ndarray:
+            # The chain handed one gradient to both ReLUs: the negated
+            # branch's gate first, then the direct one's added into it.
+            gd = ad._gate(gp, bits[1], False)
+            np.multiply(gd, dtype.type(-1.0), out=gd)
+            return np.add(gd, ad._gate(gp, bits[0], True), out=gd)
+
+    loss = Tensor(np.asarray((per * mask).astype(np.float64).sum(), dtype=dtype) * factor)
+
+    def bwd(g: np.ndarray, owned: bool):
+        g = ad._mul(g, factor, owned)
+        return (per_grad(np.broadcast_to(g, mask.shape).astype(dtype) * mask),)
+
+    tape._record(loss, (out,), bwd)
+    return loss
+
+
 def _supervised_loss(
     model: EncoderModel,
     batch: GraphBatch,
     labels: np.ndarray,
     observed: np.ndarray,
-    diff_basis: np.ndarray | None,
     dropout_rng: np.random.Generator,
 ) -> tuple[Tape, Tensor, int]:
     tape = Tape()
     h = represent(tape, model, batch, dropout_rng)
     out = predict(tape, model, h, dropout_rng)
-    mask = ad.constant(observed.astype(np.float32))
-    count = int(observed.sum())
-    if model.head.task_kind == "classification":
-        # 2-logit softmax CE reduces to softplus((1-2y) * (l1 - l0)).
-        d = ad.matmul_t(tape, out, ad.constant(diff_basis))
-        sign = ad.constant((1.0 - 2.0 * labels).astype(np.float32))
-        per = ad.softplus(tape, ad.mul(tape, d, sign))
-    else:
-        diff = ad.sub(tape, out, ad.constant(labels.astype(np.float32)))
-        per = ad.add(
-            tape, ad.relu(tape, diff), ad.relu(tape, ad.scale(tape, diff, -1.0))
-        )
-    masked = ad.mul(tape, per, mask)
-    loss = ad.scale(tape, ad.sum(tape, masked), 1.0 / max(count, 1))
-    return tape, loss, count
+    loss = _masked_loss(tape, out, labels, observed, model.head.task_kind)
+    return tape, loss, int(observed.sum())
 
 
 def finetune(
@@ -922,18 +963,12 @@ def finetune(
                 std[t] = s if s > 1e-12 else 1.0
         stats = TargetStats(mean, std)
         train_targets = (labels - mean) / std
-        classify_basis = None
         # Selection metric first; the test split reports both, by function name.
         test_metrics = (
             (rmse, mae) if cfg.regression_metric == "rmse" else (mae, rmse)
         )
         better = lambda a, b: a < b  # noqa: E731
     else:
-        basis = np.zeros((n_tasks, 2 * n_tasks), dtype=np.float32)
-        for t in range(n_tasks):
-            basis[t, 2 * t] = -1.0
-            basis[t, 2 * t + 1] = 1.0
-        classify_basis = basis
         test_metrics = (roc_auc,)
         better = lambda a, b: a > b  # noqa: E731
 
@@ -957,7 +992,7 @@ def finetune(
             ]
         return _supervised_loss(
             model, pack.gather(chunk, *zip(*views)), train_targets[chunk],
-            observed[chunk], classify_basis, drop_rng,
+            observed[chunk], drop_rng,
         )
 
     state = AdamState()

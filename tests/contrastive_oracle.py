@@ -5,7 +5,8 @@ It builds the loss from fourteen records: row normalisation, the
 similarity product, the temperature scale, the shifted exponentials, their
 off-diagonal row sums, the log-denominators and the two sums.  ``exp``,
 ``log`` and ``l2_normalize_rows`` live here, built on ``Tape._record``, as
-the library has no other use for them.  The one-record loss must match this
+the library has no other use for them; the products and elementwise ops
+come from ``chain_ops``.  The one-record loss must match this
 chain byte for byte, in the loss and in the gradient of ``z``.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import chain_ops
 from molcontrast import autodiff as ad
 from molcontrast.autodiff import Tape, Tensor
 from molcontrast.contrastive import _NORM_EPS, ContrastiveConfig
@@ -66,23 +68,24 @@ def nt_xent(tape: Tape, z: Tensor, cfg: ContrastiveConfig) -> Tensor:
     """The contrastive loss as fourteen records."""
     m = z.data.shape[0]
     zn = l2_normalize_rows(tape, z)
-    logits = ad.scale(tape, ad.matmul_t(tape, zn, zn), 1.0 / cfg.temperature)
+    logits = chain_ops.scale(tape, chain_ops.matmul_t(tape, zn, zn), 1.0 / cfg.temperature)
 
     off_diag = np.ones((m, m), dtype=np.float32)
     np.fill_diagonal(off_diag, 0.0)
     masked = np.where(off_diag > 0, logits.data, -np.inf)
     row_max = masked.max(axis=1, keepdims=True).astype(np.float32)
 
-    shifted = ad.sub(tape, logits, ad.constant(row_max))
-    exp_off = ad.mul(tape, exp(tape, shifted), ad.constant(off_diag))
-    row_sum = ad.matmul_t(tape, exp_off, ad.constant(np.ones((1, m), dtype=np.float32)))
-    log_denom = ad.add(tape, log(tape, row_sum), ad.constant(row_max))
+    shifted = chain_ops.sub(tape, logits, chain_ops.constant(row_max))
+    exp_off = chain_ops.mul(tape, exp(tape, shifted), chain_ops.constant(off_diag))
+    ones = chain_ops.constant(np.ones((1, m), dtype=np.float32))
+    row_sum = chain_ops.matmul_t(tape, exp_off, ones)
+    log_denom = chain_ops.add(tape, log(tape, row_sum), chain_ops.constant(row_max))
 
     pair = np.zeros((m, m), dtype=np.float32)
     idx = np.arange(0, m, 2)
     pair[idx, idx + 1] = 1.0
     pair[idx + 1, idx] = 1.0
-    pos_total = ad.sum(tape, ad.mul(tape, logits, ad.constant(pair)))
+    pos_total = ad.sum(tape, chain_ops.mul(tape, logits, chain_ops.constant(pair)))
 
-    total = ad.sub(tape, ad.sum(tape, log_denom), pos_total)
-    return ad.scale(tape, total, 1.0 / m)
+    total = chain_ops.sub(tape, ad.sum(tape, log_denom), pos_total)
+    return chain_ops.scale(tape, total, 1.0 / m)

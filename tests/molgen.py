@@ -95,3 +95,22 @@ def write_labeled_csv(path: str | Path, n: int, seed: int) -> None:
         writer.writerow(["smiles", "has_oxygen"])
         for record in dataset.records:
             writer.writerow([record.smiles, int(record.labels[0])])
+
+
+def masked_dataset(n: int, seed: int, task_kind: str) -> LabeledDataset:
+    """Two tasks per molecule with about a fifth of the labels missing (0.0,
+    as the CSV loader stores a blank cell): contains oxygen and contains
+    nitrogen for classification, heavy-atom and bond counts for
+    regression."""
+    rng = np.random.default_rng(seed + 1)
+    records = []
+    for i, (smiles, graph) in enumerate(make_molecules(n, seed)):
+        if task_kind == "classification":
+            values = (contains_oxygen(graph), any(a.atomic_number == 7 for a in graph.nodes))
+        else:
+            values = (graph.num_nodes, len(graph.edges))
+        observed = tuple(bool(seen) for seen in rng.random(2) >= 0.2)
+        labels = tuple(float(v) if seen else 0.0 for v, seen in zip(values, observed))
+        records.append(LabeledRecord(i, smiles, graph, labels, observed))
+    names = ("has_oxygen", "has_nitrogen") if task_kind == "classification" else ("atoms", "bonds")
+    return LabeledDataset(task_kind, names, records)

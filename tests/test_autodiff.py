@@ -13,29 +13,24 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import contrastive_oracle
+from chain_ops import add, constant, matmul_t, mul, scale, sub
 from molcontrast import autodiff as ad
 from molcontrast.autodiff import (
     IndexPlan,
     Tape,
     Tensor,
-    add,
     backward,
     check_gradients,
-    constant,
     dropout,
     embedding_lookup,
     gradcheck_report,
     linear,
-    matmul_t,
     message_sum,
-    mul,
     numeric_gradients,
     relu,
-    scale,
     segment_mean,
     segment_sum,
     softplus,
-    sub,
     tensor,
 )
 from molcontrast.autodiff import _scatter_add
@@ -46,7 +41,7 @@ from molcontrast.encoder import EncoderConfig, EncoderModel, HeadSpec, embed_mol
 from molcontrast.errors import NumericAbort
 from molcontrast.fingerprints import retrieval_analysis
 from molcontrast.smiles import parse_smiles
-from molcontrast.training import predict_molecules
+from molcontrast.training import _masked_loss, predict_molecules
 from molgen import make_molecules
 
 
@@ -599,6 +594,8 @@ def test_no_backward_writes_into_its_incoming_gradient():
         _bond_counts(edges[1], [0, 1, 2, 3], [5, 4, 3, 2], 5, c, np.float64, rows=(6, 6))
         for c in (None, weights)
     )
+    labels = rng.integers(0, 2, (5, 4)).astype(np.float64)
+    seen = rng.random((5, 4)) < 0.7
     builds = (
         lambda tape: embedding_lookup(tape, table, [0, 3, 3, 5, 1]),
         lambda tape: linear(tape, x, w, b),
@@ -617,12 +614,14 @@ def test_no_backward_writes_into_its_incoming_gradient():
         lambda tape: tsum(tape, x),
         lambda tape: dropout(tape, x, 0.5, np.random.default_rng(1)),
         lambda tape: nt_xent(tape, z, ContrastiveConfig(temperature=0.1, batch_size=3)),
+        lambda tape: _masked_loss(tape, x, labels[:, :2], seen[:, :2], "classification"),
+        lambda tape: _masked_loss(tape, x, labels, seen, "regression"),
     )
     # A backward runs once, so each case is recorded twice: one record is
     # told it does not own its gradient, its twin that it does.
     tapes = Tape(), Tape()
     outs = [[build(tape) for build in builds] for tape in tapes]
-    assert len(tapes[0]) == len(tapes[1]) == 17
+    assert len(tapes[0]) == len(tapes[1]) == 19
     for out, record, twin in zip(outs[0], *(tape._records for tape in tapes)):
         assert record.out == out.key
         g = rng.standard_normal(out.data.shape)
@@ -1112,7 +1111,7 @@ def test_check_gradients_flags_wrong_derivative():
 
 def test_gradcheck_report_all_ops_pass():
     report = gradcheck_report(seed=0, eps=1e-4)
-    assert len(report) == 16
+    assert len(report) == 13
     for op, err in report.items():
         assert err < 1e-4, f"{op}: {err}"
 

@@ -6,7 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
+import chain_ops
 import molcontrast.encoder as encoder_module
+from molcontrast import autodiff as ad
 from graph_oracle import relabel
 from molcontrast.autodiff import Tape, Tensor, backward, check_gradients, dropout, tensor
 from molcontrast.contrastive import ContrastiveConfig, nt_xent
@@ -347,6 +349,35 @@ def test_embed_nodes_zero_tables_zero_output():
     batch = GraphBatch.from_graphs([parse_smiles("CCO")])
     states = embed_nodes(Tape(), model, batch)
     assert (states.data == 0).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embed_nodes_matches_two_lookups_and_an_add_bitwise(dtype):
+    # Output and both table gradients, byte for byte, against the chain it
+    # replaced: a lookup per table and their sum.  Values spread over 14
+    # decades, so any other summation order shows in the low bits.
+    rng = np.random.default_rng(3)
+    model = EncoderModel.initialize(small_config(hidden_dim=16), 2)
+    tables = model.params["atom_embedding"], model.params["chirality_embedding"]
+    for t in tables:
+        spread = 10.0 ** rng.integers(-7, 8, t.data.shape)
+        t.data = (rng.standard_normal(t.data.shape) * spread).astype(dtype)
+    smiles = ["C[C@H](N)O", "F[C@@H](Cl)Br", "c1ccccc1O", "CCN", "O=C=O", "[Na+].[Cl-]"]
+    batch = GraphBatch.from_graphs([parse_smiles(s) for s in smiles * 5])
+    up = chain_ops.constant(rng.standard_normal((batch.num_nodes, 16)), dtype=dtype)
+
+    def chain(tape, model, batch):
+        a = ad.embedding_lookup(tape, tables[0], batch.atom_plan)
+        c = ad.embedding_lookup(tape, tables[1], batch.chirality_plan)
+        return chain_ops.add(tape, a, c)
+
+    got = []
+    for build in (embed_nodes, chain):
+        tape = Tape()
+        states = build(tape, model, batch)
+        grads = backward(tape, ad.sum(tape, chain_ops.mul(tape, states, up)))
+        got.append([states.data.tobytes(), *(grads[t].tobytes() for t in tables)])
+    assert got[0] == got[1]
 
 
 # -- hand-checked single layers ----------------------------------------------
@@ -816,13 +847,13 @@ def test_layer_holds_exactly_the_arrays_its_backward_reads(backbone, inner):
 
 
 def test_embedding_lookups_hold_no_node_array_once_the_first_layer_ran():
-    # The two lookups and their sum read no activation in their backward,
+    # The node embedding, one record, reads no activation in its backward,
     # so the initial node states die once the first layer has used them.
     model = EncoderModel.initialize(small_config(hidden_dim=16), 4)
     batch = GraphBatch.from_graphs([parse_smiles(s) for s in ["c1ccccc1O", "CCN"]])
     tape = Tape()
     states = embed_nodes(tape, model, batch)
-    assert len(tape) == 3
+    assert len(tape) == 1
     assert not any(
         a.ndim == 2 and a.shape[0] == batch.num_nodes
         for a in _held_arrays(tape._records).values()
@@ -834,7 +865,7 @@ def test_embedding_lookups_hold_no_node_array_once_the_first_layer_ran():
 
 def test_backward_frees_each_layer_before_the_atom_lookup_runs():
     # Every node-by-width array held only by the records after the first
-    # (the atom-embedding lookup) is freed by the time that record's
+    # (the node embedding) is freed by the time that record's
     # backward runs: the walk pops each record once its backward has run.
     model = EncoderModel.initialize(EncoderConfig("gin", 3, 16, 4, dropout=0.2), 4)
     smiles = ["c1ccccc1O", "CCN", "CC(=O)O", "CO"]

@@ -1,10 +1,13 @@
 """Static gates: every name a library module imports is used or exported,
-and every name the tape and loss modules export is read."""
+every name the tape and loss modules export is read, and every tape op the
+gradient oracle checks is read outside the oracle."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from molcontrast.autodiff import gradcheck_report
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "molcontrast").glob("*.py"))
@@ -127,3 +130,40 @@ def test_gate_flags_an_unread_export():
         ),
     }
     assert unread_exports("ops", sources) == ["dead"]
+
+
+def oracle_only_exports(
+    module: str, sources: dict[str, str], oracle: str, keys
+) -> list[str]:
+    """Names in ``keys`` that ``sources[module]`` exports and that no source
+    reads once the function ``oracle`` is taken out of ``module``: the ops
+    that only the oracle runs."""
+    tree = ast.parse(sources[module])
+    tree.body = [
+        stmt for stmt in tree.body
+        if not (isinstance(stmt, ast.FunctionDef) and stmt.name == oracle)
+    ]
+    without = dict(sources, **{module: ast.unparse(tree)})
+    return [name for name in unread_exports(module, without) if name in keys]
+
+
+def test_every_gradient_checked_op_is_read_outside_the_oracle():
+    sources = {name: path.read_text(encoding="utf-8") for name, path in READERS.items()}
+    keys = set(gradcheck_report())
+    assert oracle_only_exports("autodiff", sources, "gradcheck_report", keys) == []
+
+
+def test_gate_flags_an_op_that_only_the_oracle_reads():
+    sources = {
+        "ops": (
+            "__all__ = ['used', 'checked_only', 'report']\n"
+            "def used(): pass\n"
+            "def checked_only(): pass\n"
+            "def report():\n"
+            "    return {'used': used(), 'checked_only': checked_only()}\n"
+        ),
+        "user": "from .ops import used, report\nused()\nreport()\n",
+    }
+    keys = {"used", "checked_only"}
+    assert unread_exports("ops", sources) == []
+    assert oracle_only_exports("ops", sources, "report", keys) == ["checked_only"]

@@ -21,6 +21,7 @@ from molcontrast.encoder import (
     GraphBatch,
     HeadSpec,
     embed_molecules,
+    embed_nodes,
     predict,
     represent,
 )
@@ -49,8 +50,10 @@ from molcontrast.training import (
     write_trace_csv,
 )
 import adam_oracle
+import chain_ops
+import supervised_oracle
 from golden_corpus import GOLDEN
-from molgen import oxygen_dataset, unlabeled_corpus
+from molgen import masked_dataset, oxygen_dataset, unlabeled_corpus
 from test_autodiff import _CountingPool, _with_workers, needs_pinned_blas
 
 SMALL_ENCODER = EncoderConfig(num_layers=2, hidden_dim=8, latent_dim=4)
@@ -676,6 +679,57 @@ def test_finetune_frees_each_tape_before_the_next_step(monkeypatch):
     assert len(tapes) >= 4
 
 
+@pytest.mark.parametrize("kind", ["classification", "regression"])
+def test_fine_tune_loss_and_node_embedding_are_one_record_each(kind):
+    # A step of a 3-layer GIN with a one-hidden-layer head records the node
+    # embedding, three records per layer (aggregate, two linears), the
+    # readout, the head's two linears and the loss: 14 in both kinds.
+    model = EncoderModel.initialize(EncoderConfig(num_layers=3, hidden_dim=16, latent_dim=8), 0)
+    model.add_head(HeadSpec(kind, 2, hidden_layers=1, hidden_dim=8), 1)
+    batch = GraphBatch.from_graphs([parse_smiles(s) for s in ("CCO", "c1ccncc1", "CC(=O)N")])
+    labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    observed = np.array([[True, False], [True, True], [False, True]])
+    tape = ad.Tape()
+    embed_nodes(tape, model, batch)
+    assert len(tape) == 1
+    rng = np.random.default_rng(0)
+    tape, loss, count = training_module._supervised_loss(model, batch, labels, observed, rng)
+    assert len(tape) == 14 and tape._records[-1].out == loss.key and count == 4
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([np.float32, np.float64]),
+    st.sampled_from(["classification", "regression"]),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_fine_tune_loss_matches_the_chain_of_generic_records_bitwise(dtype, kind, tasks, n, seed):
+    # Random missing-label masks (none seen, some, all), logits scaled past
+    # softplus's linear branch at 30, and a fifth of the differences
+    # (l1 - l0, or output minus float32 label) exactly 0.
+    rng = np.random.default_rng(seed)
+    observed = rng.random((n, tasks)) < rng.choice([0.0, 0.5, 1.0])
+    tie = rng.random((n, tasks)) < 0.2
+    if kind == "classification":
+        labels = rng.integers(0, 2, (n, tasks)).astype(np.float64)
+        out0 = rng.standard_normal((n, 2 * tasks)) * 10.0 ** rng.uniform(-2, 2)
+        out0[:, 1::2][tie] = out0[:, 0::2][tie]
+    else:
+        labels = rng.standard_normal((n, tasks)) * 2
+        out0 = rng.standard_normal((n, tasks)) * 2
+        out0[tie] = labels.astype(np.float32)[tie]
+    got = []
+    for loss_fn in (training_module._masked_loss, supervised_oracle.masked_loss):
+        tape = ad.Tape()
+        out = ad.tensor(out0, requires_grad=True, dtype=dtype)
+        loss = loss_fn(tape, out, labels, observed, kind)
+        dout = ad.backward(tape, loss)[out]
+        got.append((np.asarray(loss.data).tobytes(), loss.data.dtype, dout.dtype, dout.tobytes()))
+    assert got[0] == got[1]
+
+
 def test_pretrain_initial_loss_in_uniformity_band():
     # batch of 4 molecules: the uniform-similarity value is log(2N-1) = log 7
     corpus = unlabeled_corpus(12, seed=1)
@@ -1113,7 +1167,7 @@ def test_non_finite_losses_abort_with_their_batch(monkeypatch):
     def poisoned(model, graphs, pack, indices, cfg, epoch, tag, dropout_rng):
         tape, loss = original(model, graphs, pack, indices, cfg, epoch, tag, dropout_rng)
         if epoch == 1 and len(tape):
-            loss = ad.scale(tape, loss, float("nan"))
+            loss = chain_ops.scale(tape, loss, float("nan"))
         return tape, loss
 
     monkeypatch.setattr(training_module, "_contrastive_batch", poisoned)
@@ -1123,9 +1177,9 @@ def test_non_finite_losses_abort_with_their_batch(monkeypatch):
 
     original_sup = training_module._supervised_loss
 
-    def poisoned_sup(model, inputs, labels, observed, basis, dropout_rng):
-        tape, loss, count = original_sup(model, inputs, labels, observed, basis, dropout_rng)
-        return tape, ad.scale(tape, loss, float("inf")), count
+    def poisoned_sup(model, inputs, labels, observed, dropout_rng):
+        tape, loss, count = original_sup(model, inputs, labels, observed, dropout_rng)
+        return tape, chain_ops.scale(tape, loss, float("inf")), count
 
     monkeypatch.setattr(training_module, "_supervised_loss", poisoned_sup)
     with pytest.raises(NumericAbort) as info:
@@ -1175,6 +1229,8 @@ PINNED_PRETRAIN = {
 PINNED_FINETUNE = {
     "plain": "c9bfab88aba2c5da71b0c77bb6b1c4d545c07eb6a51d55626d0b49def66e6624",
     "compose_all": "edf573a7b8b54e9063e05e0b2ee464af8663963f94528d27b39b9bc85896b586",
+    "masked_classification": "b54c22513344501fd6fe7bf0221a5be04b08eb71db1960d2b4edd57f74242a05",
+    "masked_regression": "5f5b7dfba9273a286935ed2bbce4b7c982341a50d7c7f4d307c5f97303ff6367",
 }
 
 
@@ -1220,9 +1276,16 @@ def test_pretrain_outputs_are_pinned(case):
 
 @pytest.mark.parametrize("case", sorted(PINNED_FINETUNE))
 def test_finetune_outputs_are_pinned(case):
-    augment = None if case == "plain" else AugmentSpec(strategy=case)
+    # Both loss branches: one-task classification with every label seen
+    # ("plain", "compose_all"), and two tasks with missing labels masked.
+    augment = AugmentSpec(strategy=case) if case == "compose_all" else None
+    dataset = (
+        masked_dataset(60, seed=6, task_kind=case.removeprefix("masked_"))
+        if case.startswith("masked_")
+        else oxygen_dataset(60, seed=6)
+    )
     result = finetune(
-        oxygen_dataset(60, seed=6),
+        dataset,
         FinetuneConfig(epochs=3, batch_size=32, hidden_dim=16, dropout=0.1, seed=3),
         encoder=PIN_ENCODER,
         augment=augment,

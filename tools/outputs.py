@@ -4,7 +4,8 @@
 
 Run from anywhere inside the repository.  Writes two unlabeled corpora
 (120 molecules, and 400, whose inference batches ``embed`` runs on the
-default threads and on one) and a labeled dataset with the working tree's
+default threads and on one), a labeled dataset and a two-task labeled
+dataset with blank (missing) labels with the working tree's
 ``tests/molgen.py``, and a hand-written corpus of clean rows, one
 malformed row per parse-failure kind and one row that parses with a
 valence warning, whose ``embed`` run shows the parser's skip count
@@ -51,12 +52,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from molcontrast.augment import STRATEGIES  # noqa: E402
-from molgen import write_corpus_csv, write_labeled_csv  # noqa: E402
+from molgen import masked_dataset, write_corpus_csv, write_labeled_csv  # noqa: E402
 
 CORPUS = "../data/corpus.csv"
 # Four inference batches of 128 molecules, which run on the worker threads.
 LARGE = "../data/large.csv"
 LABELED = "../data/labeled.csv"
+# Two classification tasks, about a fifth of the cells blank.
+MASKED = "../data/masked.csv"
 MIXED = "../data/mixed.csv"
 # Clean rows around one row per parse-failure kind (unknown atom, bad bond,
 # bad charge, unclosed ring, unclosed branch) and a pentavalent carbon,
@@ -92,6 +95,8 @@ MATRIX: tuple[tuple[str, list[str]], ...] = (
                                  "--checkpoint", "pretrain_gin_dropout/checkpoint.bin"]),
     ("finetune_regression", [*_FINETUNE, "--task", "regression", "--augment",
                              "--checkpoint", "pretrain_gcn/checkpoint.bin"]),
+    ("finetune_masked", ["finetune", "--data", MASKED, "--epochs", "4", "--batch", "32",
+                         "--head-hidden", "16", "--checkpoint", "pretrain_gin/checkpoint.bin"]),
     ("embed", ["embed", "--data", CORPUS, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
     ("embed_mixed", ["embed", "--data", MIXED, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
     ("embed_large", ["embed", "--data", LARGE, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
@@ -117,13 +122,22 @@ MATRIX: tuple[tuple[str, list[str]], ...] = (
 
 
 def write_inputs(data: Path) -> None:
-    """The corpora and labeled dataset that the runs read."""
+    """The corpora and labeled datasets that the runs read."""
     data.mkdir(parents=True)
     write_corpus_csv(data / "corpus.csv", 120, seed=1)
     write_corpus_csv(data / "large.csv", 400, seed=2)
     write_labeled_csv(data / "labeled.csv", 90, seed=6)
     with open(data / "mixed.csv", "w", newline="") as fh:
         csv.writer(fh).writerows([["smiles"], *([s] for s in MIXED_SMILES)])
+    masked = masked_dataset(90, seed=4, task_kind="classification")
+    with open(data / "masked.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([
+            ["smiles", *masked.task_names],
+            *(
+                [r.smiles, *(int(v) if seen else "" for v, seen in zip(r.labels, r.observed))]
+                for r in masked.records
+            ),
+        ])
 
 
 def run_matrix(src: Path, cwd: Path) -> dict[str, tuple[int, str]]:
