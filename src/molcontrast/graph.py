@@ -9,8 +9,9 @@ metadata but is not part of the embedded feature set.
 Graphs are immutable.  Edges are stored once per unordered pair with
 ``u < v``; the adjacency structure is derived from the edges on first use.
 :class:`AtomNode` and :class:`BondEdge` are slotted value objects compared by
-value: the parser hands every equal atom the same shared node, so object
-identity says nothing about a node's place in a graph.
+value: the parser hands every equal atom the same shared node, and every
+equal bond the same shared edge while a bounded cache holds it, so object
+identity says nothing about a node's or an edge's place in a graph.
 """
 
 from __future__ import annotations

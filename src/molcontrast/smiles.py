@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 from typing import NoReturn
 
@@ -117,6 +117,23 @@ def _atom_node(atomic_number: int, chirality: Chirality, charge: int) -> AtomNod
     graph are the same frozen object.  The vocabulary bounds the cache at
     118 elements x 4 chirality tags x 31 charges (-15..+15)."""
     return AtomNode(atomic_number, chirality, charge)
+
+
+#: Most bond edges :func:`_bond_edge` keeps; the least recently used goes.
+_BOND_EDGE_CACHE = 4096
+
+
+@lru_cache(maxsize=_BOND_EDGE_CACHE)
+def _bond_edge(
+    a: int, b: int, bond_type: BondType, direction: BondDirection
+) -> BondEdge:
+    """The shared edge ``BondEdge.between(a, b, bond_type, direction)``:
+    equal bonds of recently parsed graphs are the same frozen object, and
+    a repeated bond costs one lookup instead of a validated construction.
+    Endpoints are unbounded, so the cache is bounded by size instead: at
+    most :data:`_BOND_EDGE_CACHE` entries of about 300 bytes (argument
+    tuple, edge, list link and two endpoint ints), about 1.2 MB."""
+    return BondEdge.between(a, b, bond_type, direction)
 
 
 # Bare (unbracketed) atoms of the organic subset and their aromatic
@@ -206,23 +223,11 @@ class _Parser:
 
     # -- atom scanning -------------------------------------------------
 
-    # Each scanner returns (node, aromatic, explicit hydrogen count,
-    # position) and moves ``pos`` past the atom.
-
-    def _scan_organic(self) -> tuple[AtomNode, bool, int, int]:
-        s, i = self.text, self.pos
-        sym = s[i : i + 2]  # a two-letter symbol (Cl, Br) wins
-        if sym not in _ORGANIC:
-            sym = s[i]
-            if sym not in _ORGANIC:
-                self.fail(
-                    DiagnosticKind.UNKNOWN_ATOM, i, f"unknown atom symbol {sym!r}"
-                )
-        self.pos = i + len(sym)
-        node, aromatic = _ORGANIC[sym]
-        return node, aromatic, 0, i
+    # Bare organic-subset atoms are scanned in :meth:`run`'s loop.
 
     def _scan_bracket(self) -> tuple[AtomNode, bool, int, int]:
+        """(node, aromatic, explicit hydrogen count, position) of the
+        bracket atom at ``pos``; moves ``pos`` past it."""
         s, start = self.text, self.pos
         _, i = self._digits(start + 1)  # isotope, discarded
         atomic_number, aromatic, i = self._bracket_symbol(i, start)
@@ -306,21 +311,6 @@ class _Parser:
 
     # -- graph assembly ------------------------------------------------
 
-    def _add_atom(
-        self, node: AtomNode, aromatic: bool, explicit_h: int, position: int
-    ) -> None:
-        idx = len(self.nodes)
-        self.nodes.append(node)
-        self.atoms.append((aromatic, explicit_h, position))
-        self.orders.append(0.0)
-        if self.prev is not None:
-            # The new atom has no bonds yet, so this one is no duplicate.
-            self._add_edge(self.prev, idx, self.pending)
-        else:
-            self._no_pending("bond symbol with no preceding atom")
-        self.pending = None
-        self.prev = idx
-
     def _add_edge(self, a: int, b: int, bond: _Pending | None) -> None:
         if bond is None:
             aromatic = self.atoms[a][0] and self.atoms[b][0]
@@ -331,7 +321,7 @@ class _Parser:
         order = _BOND_ORDER[bond_type]
         self.orders[a] += order
         self.orders[b] += order
-        self.edges.append(BondEdge.between(a, b, bond_type, direction))
+        self.edges.append(_bond_edge(a, b, bond_type, direction))
 
     def _ring_digit(self, digit: int, position: int) -> None:
         if self.prev is None:
@@ -401,10 +391,35 @@ class _Parser:
             self.fail(DiagnosticKind.UNKNOWN_ATOM, 0, "empty SMILES string")
         while self.pos < len(s):
             ch = s[self.pos]
-            if ch == "[":
-                self._add_atom(*self._scan_bracket())
-            elif ch.isalpha():
-                self._add_atom(*self._scan_organic())
+            if ch == "[" or ch.isalpha():
+                if ch == "[":
+                    node, aromatic, explicit_h, position = self._scan_bracket()
+                else:
+                    position, explicit_h = self.pos, 0
+                    # A two-letter symbol (Cl, Br) wins.
+                    sym = s[position : position + 2]
+                    if sym not in _ORGANIC:
+                        sym = ch
+                        if sym not in _ORGANIC:
+                            self.fail(
+                                DiagnosticKind.UNKNOWN_ATOM,
+                                position,
+                                f"unknown atom symbol {sym!r}",
+                            )
+                    self.pos = position + len(sym)
+                    node, aromatic = _ORGANIC[sym]
+                # The atom, and its bond to the previous one.
+                idx = len(self.nodes)
+                self.nodes.append(node)
+                self.atoms.append((aromatic, explicit_h, position))
+                self.orders.append(0.0)
+                if self.prev is not None:
+                    # The new atom has no bonds yet, so this one is no duplicate.
+                    self._add_edge(self.prev, idx, self.pending)
+                else:
+                    self._no_pending("bond symbol with no preceding atom")
+                self.pending = None
+                self.prev = idx
             elif ch in _BOND_SYMBOLS:
                 if self.pending is not None:
                     self.fail(

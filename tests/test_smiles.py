@@ -1,5 +1,6 @@
 """Parser tests: golden corpus, diagnostics, corpus CSV loading."""
 
+import csv
 from collections import Counter
 
 import pytest
@@ -7,8 +8,17 @@ from hypothesis import given, strategies as st
 
 from golden_corpus import GOLDEN
 from graph_oracle import validate
+from molcontrast import smiles
 from molcontrast.errors import DataError
-from molcontrast.graph import BondDirection, BondType, Chirality
+from molcontrast.graph import (
+    AtomNode,
+    BondDirection,
+    BondEdge,
+    BondType,
+    Chirality,
+    MoleculeGraph,
+    format_graph,
+)
 from molcontrast.smiles import (
     DiagnosticKind,
     SmilesParseError,
@@ -157,6 +167,96 @@ def test_equal_atoms_share_one_node():
     a, b = parse_smiles("CCO"), parse_smiles("CCO")
     assert a.nodes[0] is b.nodes[0] is a.nodes[1]
     assert a.nodes[2] is b.nodes[2]
+
+
+def test_equal_bonds_share_one_edge():
+    a, b = parse_smiles("c1ccccc1C=O"), parse_smiles("c1ccccc1C=O")
+    assert all(x is y for x, y in zip(a.edges, b.edges))
+    assert parse_smiles("CCO").edges[0] is parse_smiles("CCN").edges[0]
+
+
+# -- shared bond edges ------------------------------------------------------
+
+# Suffixes that make a clean molecule fail with every hard diagnostic kind at
+# varying positions, and one (a pentavalent carbon) that parses with a
+# valence warning.
+_BREAKERS = ("(", ")", "=", "%10", "[C+-]", "C==C", "[Xx]", "C(C)(C)(C)(C)C")
+
+
+@pytest.fixture(scope="module")
+def mixed_corpus():
+    """2,100 rows: 2,000 ``molgen`` molecules with a broken or warning
+    variant of every 20th one after it."""
+    from molgen import make_molecules
+
+    rows = []
+    for i, (text, _) in enumerate(make_molecules(2000, seed=7)):
+        rows.append(text)
+        if i % 20 == 19:
+            rows.append(text + _BREAKERS[(i // 20) % len(_BREAKERS)])
+    return rows
+
+
+def _outcome(text):
+    """The parse of ``text`` as text: the graph listing and warnings, or
+    the hard diagnostic."""
+    try:
+        graph, warnings = parse_with_diagnostics(text)
+    except SmilesParseError as exc:
+        return str(exc.diagnostic)
+    # Each edge passes the constructor's own checks unchanged.
+    assert all(BondEdge(e.u, e.v, e.bond_type, e.direction) == e for e in graph.edges)
+    return format_graph(graph), [str(w) for w in warnings]
+
+
+def _edge_by_edge(n, bonds):
+    """``n`` carbons bonded by ``BondEdge.between`` over ``(a, b, type)``."""
+    nodes = (AtomNode(6),) * n
+    return MoleculeGraph(nodes, tuple(BondEdge.between(a, b, t) for a, b, t in bonds))
+
+
+def test_chain_longer_than_the_edge_cache_parses_as_built():
+    n = smiles._BOND_EDGE_CACHE + 100
+    expected = _edge_by_edge(n, [(i, i + 1, BondType.SINGLE) for i in range(n - 1)])
+    for _ in range(2):  # the second parse finds the first edges evicted
+        assert parse_smiles("C" * n) == expected
+
+
+def test_macrocycle_of_ring_closures_parses_as_built():
+    # Atom k opens %(10 + k) with a double bond, atom n - 1 - k closes it.
+    n, rings = smiles._BOND_EDGE_CACHE + 100, 40
+    text = (
+        "".join(f"C=%{10 + k}" for k in range(rings))
+        + "C" * (n - 2 * rings)
+        + "".join(f"C%{10 + k}" for k in reversed(range(rings)))
+    )
+    bonds = [(i, i + 1, BondType.SINGLE) for i in range(n - 1)]
+    bonds += [(k, n - 1 - k, BondType.DOUBLE) for k in range(rings)]
+    assert parse_smiles(text) == _edge_by_edge(n, bonds)
+
+
+def test_shared_edges_are_valid_and_change_no_parse(mixed_corpus, monkeypatch):
+    texts = [g.smiles for g in GOLDEN] + mixed_corpus
+    shared = [_outcome(t) for t in texts]
+    monkeypatch.setattr(smiles, "_bond_edge", BondEdge.between)
+    assert [_outcome(t) for t in texts] == shared
+    assert sum(isinstance(o, str) for o in shared) == 88  # hard failures
+
+
+def test_second_pass_builds_no_edge(mixed_corpus, tmp_path):
+    path = tmp_path / "mixed.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([["smiles"], *([t] for t in mixed_corpus)])
+    first = parse_corpus(path)
+    before = smiles._bond_edge.cache_info()
+    second = parse_corpus(path)
+    after = smiles._bond_edge.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits >= sum(g.num_edges for g in second.graphs)
+    assert all(
+        x is y for a, b in zip(first.graphs, second.graphs) for x, y in zip(a.edges, b.edges)
+    )
+    assert len(first.failures) == 88
 
 
 # -- hard errors ------------------------------------------------------------

@@ -9,7 +9,10 @@ dataset with blank (missing) labels with the working tree's
 ``tests/molgen.py``, and a hand-written corpus of clean rows, one
 malformed row per parse-failure kind and one row that parses with a
 valence warning, whose ``embed`` run shows the parser's skip count
-(stderr) and the graphs of the rows it keeps.  It then runs
+(stderr) and the graphs of the rows it keeps, and a corpus of molecules
+of thousands of atoms, longer than the parser's cache of shared bond
+edges holds, whose ``embed`` run covers edges built again after the cache
+evicted them.  It then runs
 one fixed matrix of ``molcontrast`` commands twice: first on the working
 tree's ``src/``, then on ``src/`` of ``git archive REV`` exported to a
 temporary directory.  Each tree runs in its own directory, and every path
@@ -68,6 +71,17 @@ MIXED_SMILES = (
     "CCO", "C[Xq]", "c1ccc(cc1)O", "CC==C", "C[C+-]", "N#CC(=O)[O-]",
     "C(C)(C)(C)(C)C", "C1CC", "F/C=C\\Cl", "CC(C", "[C@@H](F)(Cl)Br",
 )
+# Thousands of atoms each: chains, a branched chain and a ladder whose ends
+# are zipped together by 90 two-digit ring closures, every other one double.
+LONG = "../data/long.csv"
+LONG_SMILES = (
+    "C" * 3000,
+    "CCN" * 1400 + "O",
+    "C(F)" * 2000,
+    "".join(f"C{'=' if k % 2 == 0 else ''}%{10 + k}" for k in range(90))
+    + "C" * 4320
+    + "".join(f"C%{10 + k}" for k in reversed(range(90))),
+)
 _ENCODER = ["--layers", "2", "--hidden", "32", "--latent", "16"]
 _TRAIN = ["--epochs", "3", "--batch", "16", "--warm-epochs", "1", *_ENCODER]
 _FINETUNE = ["finetune", "--data", LABELED, "--epochs", "4", "--batch", "32",
@@ -99,6 +113,7 @@ MATRIX: tuple[tuple[str, list[str]], ...] = (
                          "--head-hidden", "16", "--checkpoint", "pretrain_gin/checkpoint.bin"]),
     ("embed", ["embed", "--data", CORPUS, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
     ("embed_mixed", ["embed", "--data", MIXED, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
+    ("embed_long", ["embed", "--data", LONG, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
     ("embed_large", ["embed", "--data", LARGE, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
     ("embed_large_threads_1", ["embed", "--data", LARGE, "--checkpoint",
                                "pretrain_gin/checkpoint.bin", "--threads", "1"]),
@@ -129,6 +144,8 @@ def write_inputs(data: Path) -> None:
     write_labeled_csv(data / "labeled.csv", 90, seed=6)
     with open(data / "mixed.csv", "w", newline="") as fh:
         csv.writer(fh).writerows([["smiles"], *([s] for s in MIXED_SMILES)])
+    with open(data / "long.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([["smiles"], *([s] for s in LONG_SMILES)])
     masked = masked_dataset(90, seed=4, task_kind="classification")
     with open(data / "masked.csv", "w", newline="") as fh:
         csv.writer(fh).writerows([
