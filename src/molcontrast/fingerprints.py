@@ -403,8 +403,7 @@ def retrieval_analysis(
     picked[np.concatenate(chosen + [top])] = True
     picks = np.flatnonzero(picked)
     row = np.cumsum(picked) - 1  # a picked molecule's row among the picks
-    query_circular = circular_fp(query).bits
-    query_path = path_fp(query).bits
+    [(query_circular, query_path)] = fingerprint_chunks([query])  # one row each
     scored = [
         (_dice_rows(query_circular, circular), _dice_rows(query_path, path))
         for circular, path in fingerprint_chunks([corpus[i] for i in picks.tolist()])

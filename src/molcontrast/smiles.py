@@ -16,14 +16,15 @@ Digits (isotopes, hydrogen counts, charges, atom classes, ring closures)
 are the ASCII ``0``-``9``; digits of other scripts are not read as
 digits.
 
-Implicit hydrogens are accounted for when checking valence but are never
-materialized as nodes; explicit ``[H]`` atoms are kept.  Aromatic rings are
-kept as aromatic bonds, never kekulized.  Extended stereochemistry tags
-(``@TH1`` and friends) are rejected with a diagnostic.
+Implicit hydrogens are never materialized as nodes; explicit ``[H]`` atoms
+are kept.  Aromatic rings are kept as aromatic bonds, never kekulized.
+Extended stereochemistry tags (``@TH1`` and friends) are rejected with a
+diagnostic.
 
 Hard errors raise :class:`SmilesParseError` carrying a
-:class:`ParseDiagnostic`; valence problems are soft and surface as
-``VALENCE_WARNING`` diagnostics from :func:`parse_with_diagnostics`.
+:class:`ParseDiagnostic`.  Only :func:`parse_with_diagnostics` checks
+valence, on the finished graph; problems are soft and surface as
+``VALENCE_WARNING`` diagnostics.
 """
 
 from __future__ import annotations
@@ -196,11 +197,10 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.nodes: list[AtomNode] = []
-        # Per node: (aromatic, explicit hydrogen count, position), and the
-        # total bond order, which the valence check reads.
-        self.atoms: list[tuple[bool, int, int]] = []
-        self.orders: list[float] = []
+        # Per node: (aromatic, explicit hydrogen count, position, chain parent).
+        self.atoms: list[tuple[bool, int, int, int | None]] = []
         self.edges: list[BondEdge] = []
+        self.ring_pairs: set[tuple[int, int]] = set()
         self.prev: int | None = None
         self.pending: _Pending | None = None
         self.branches: list[tuple[int, int]] = []
@@ -318,9 +318,6 @@ class _Parser:
             direction = BondDirection.NONE
         else:
             bond_type, direction = bond.bond_type, bond.direction
-        order = _BOND_ORDER[bond_type]
-        self.orders[a] += order
-        self.orders[b] += order
         self.edges.append(_bond_edge(a, b, bond_type, direction))
 
     def _ring_digit(self, digit: int, position: int) -> None:
@@ -375,17 +372,19 @@ class _Parser:
         if a == b:
             self.fail(DiagnosticKind.BAD_BOND, position, "bond from an atom to itself")
         lo, hi = (a, b) if a < b else (b, a)
-        if any(e.u == lo and e.v == hi for e in self.edges):
+        # An earlier bond of the pair is hi's chain bond or a ring closure.
+        if self.atoms[hi][3] == lo or (lo, hi) in self.ring_pairs:
             self.fail(
                 DiagnosticKind.BAD_BOND,
                 position,
                 f"duplicate bond between atoms {lo} and {hi}",
             )
+        self.ring_pairs.add((lo, hi))
         self._add_edge(a, b, ring_bond)
 
     # -- main loop -----------------------------------------------------
 
-    def run(self) -> tuple[MoleculeGraph, list[ParseDiagnostic]]:
+    def run(self) -> MoleculeGraph:
         s = self.text
         if not s:
             self.fail(DiagnosticKind.UNKNOWN_ATOM, 0, "empty SMILES string")
@@ -411,8 +410,7 @@ class _Parser:
                 # The atom, and its bond to the previous one.
                 idx = len(self.nodes)
                 self.nodes.append(node)
-                self.atoms.append((aromatic, explicit_h, position))
-                self.orders.append(0.0)
+                self.atoms.append((aromatic, explicit_h, position, self.prev))
                 if self.prev is not None:
                     # The new atom has no bonds yet, so this one is no duplicate.
                     self._add_edge(self.prev, idx, self.pending)
@@ -485,31 +483,29 @@ class _Parser:
             )
         if not self.nodes:  # only '.' separators: nothing to encode
             self.fail(DiagnosticKind.UNKNOWN_ATOM, 0, "no atoms in SMILES string")
-        graph = MoleculeGraph(tuple(self.nodes), tuple(self.edges))
-        return graph, self._valence_warnings()
+        return MoleculeGraph(tuple(self.nodes), tuple(self.edges))
 
-    def _valence_warnings(self) -> list[ParseDiagnostic]:
-        warnings = []
-        for node, (aromatic, explicit_h, position), order in zip(
-            self.nodes, self.atoms, self.orders
-        ):
-            valence = _MAX_VALENCE.get(node.atomic_number)
-            if valence is None:
-                continue
-            usage = order + explicit_h
-            # Aromatic atoms get one unit of slack so delocalized systems
-            # (pyrrole-type N-H) do not warn without kekulization.
-            allowed = valence + abs(node.formal_charge) + (1.0 if aromatic else 0.0)
-            if usage > allowed + 1e-9:
-                warnings.append(
-                    ParseDiagnostic(
-                        DiagnosticKind.VALENCE_WARNING,
-                        position,
-                        f"bond order total {usage:g} exceeds {allowed:g} "
-                        f"for element {node.atomic_number}",
-                    )
-                )
-        return warnings
+
+def _valence_warnings(graph: MoleculeGraph, atoms: list[tuple]) -> list[ParseDiagnostic]:
+    """A ``VALENCE_WARNING`` per atom whose bonds and explicit H exceed its allowance."""
+    orders = [0.0] * graph.num_nodes
+    for e in graph.edges:
+        orders[e.u] += _BOND_ORDER[e.bond_type]
+        orders[e.v] += _BOND_ORDER[e.bond_type]
+    warnings = []
+    for node, (aromatic, explicit_h, position, _), order in zip(graph.nodes, atoms, orders):
+        z = node.atomic_number
+        valence = _MAX_VALENCE.get(z)
+        if valence is None:
+            continue
+        usage = order + explicit_h
+        # Aromatic atoms get one unit of slack so delocalized systems
+        # (pyrrole-type N-H) do not warn without kekulization.
+        allowed = valence + abs(node.formal_charge) + (1.0 if aromatic else 0.0)
+        if usage > allowed + 1e-9:
+            message = f"bond order total {usage:g} exceeds {allowed:g} for element {z}"
+            warnings.append(ParseDiagnostic(DiagnosticKind.VALENCE_WARNING, position, message))
+    return warnings
 
 
 def parse_with_diagnostics(text: str) -> tuple[MoleculeGraph, list[ParseDiagnostic]]:
@@ -527,15 +523,17 @@ def parse_with_diagnostics(text: str) -> tuple[MoleculeGraph, list[ParseDiagnost
         SmilesParseError: on the first hard error (unknown atom, bad bond or
             charge, unclosed ring or branch).
     """
-    return _Parser(text.strip()).run()
+    parser = _Parser(text.strip())
+    graph = parser.run()
+    return graph, _valence_warnings(graph, parser.atoms)
 
 
 def parse_smiles(text: str) -> MoleculeGraph:
     """Parse a SMILES string into a :class:`MoleculeGraph`.
 
-    Same contract as :func:`parse_with_diagnostics` with warnings dropped.
+    Same contract as :func:`parse_with_diagnostics` without the valence check.
     """
-    return parse_with_diagnostics(text)[0]
+    return _Parser(text.strip()).run()
 
 
 @dataclass(frozen=True)

@@ -622,9 +622,10 @@ def _contrastive_batch(
     tag: int,
     dropout_rng: np.random.Generator | None,
 ) -> tuple[Tape, Tensor]:
-    """NT-Xent over the two views :func:`~molcontrast.augment.augment_pair`
-    draws of each molecule ``graphs[i]``, gathered from ``pack``, the
-    :class:`GraphBatch` of all of ``graphs``."""
+    """NT-Xent over two views of each molecule ``graphs[i]``, drawn in turn
+    by :func:`~molcontrast.augment.draw_view` from the molecule's stream for
+    this epoch and gathered from ``pack``, the :class:`GraphBatch` of all
+    of ``graphs``."""
     views = []
     for i in map(int, indices):
         rng = derive_rng(cfg.seed, tag, epoch, i)

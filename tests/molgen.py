@@ -41,12 +41,25 @@ PLAIN_SUBSTITUENTS = (
 )
 
 
+# How many distinct SMILES the recipe can write; asking for more would draw
+# forever.
+MAX_MOLECULES = len({
+    core.format(x=x, y=y)
+    for core in CORES
+    for x in OXY_SUBSTITUENTS + PLAIN_SUBSTITUENTS
+    for y in OXY_SUBSTITUENTS + PLAIN_SUBSTITUENTS
+})
+
+
 def contains_oxygen(g: MoleculeGraph) -> bool:
     return any(node.atomic_number == 8 for node in g.nodes)
 
 
 def make_molecules(n: int, seed: int) -> list[tuple[str, MoleculeGraph]]:
-    """``n`` unique parseable molecules, deterministic in ``seed``."""
+    """``n`` unique parseable molecules, deterministic in ``seed``; at most
+    :data:`MAX_MOLECULES`."""
+    if n > MAX_MOLECULES:
+        raise ValueError(f"the recipe writes {MAX_MOLECULES} distinct molecules, not {n}")
     rng = np.random.default_rng(seed)
     seen: set[str] = set()
     out: list[tuple[str, MoleculeGraph]] = []

@@ -1527,16 +1527,20 @@ def test_inference_identical_for_any_thread_count(backbone):
 def test_inference_parts_submit_no_products():
     # At hidden 512 a 128-molecule batch's products are above the gate.  The
     # pool has a thread more than the parts need, so a part that split its
-    # products would show here instead of waiting on itself.
+    # products would show here instead of waiting on itself.  Each embed
+    # matches the same molecules embedded on one worker.
     graphs = [g for _, g in make_molecules(200, seed=43)]
     model = EncoderModel.initialize(EncoderConfig(num_layers=2, hidden_dim=512, latent_dim=32), 44)
+
+    def embed(corpus, workers, pool=None):
+        return _with_workers(workers, lambda: embed_molecules(model, corpus), pool).tobytes()
+
     pool = _CountingPool(3)
-    alone = _with_workers(2, lambda: embed_molecules(model, graphs[:100]), pool)
+    assert embed(graphs[:100], 2, pool) == embed(graphs[:100], 1)
     assert pool.parts and set(pool.parts) == {ad._matmul_block}  # one batch splits
     pool = _CountingPool(3)
-    both = _with_workers(2, lambda: embed_molecules(model, graphs), pool)
+    assert embed(graphs, 2, pool) == embed(graphs, 1)
     assert pool.parts == [encoder_module._forward_batches]
-    assert alone.tobytes() == both[:100].tobytes()
 
 
 _PAPER_WIDTH_INFERENCE_SCRIPT = """
@@ -1602,16 +1606,9 @@ _SPLIT_TESTS = (
     "test_pretrain_checkpoints_identical_across_blas_threads",
     "test_paper_width_pretrain_identical_for_any_threads",
     "test_inference_identical_for_any_thread_count",
+    "test_inference_parts_submit_no_products",
     "test_paper_width_inference_on_two_threads_finishes",
 )
-_CORENAME_SCRIPT = """
-import ctypes, glob, os
-import numpy as np
-lib = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_-*.so")
-name = ctypes.CDLL(lib[0]).scipy_openblas_get_corename64_
-name.restype = ctypes.c_char_p
-print(name().decode())
-"""
 
 
 def _cpu_flags() -> set[str]:
@@ -1628,7 +1625,7 @@ def _cpu_flags() -> set[str]:
 def _corename(env) -> str:
     """The kernel OpenBLAS runs in a process started with ``env``."""
     proc = subprocess.run(
-        [sys.executable, "-c", _CORENAME_SCRIPT],
+        [sys.executable, str(Path(__file__).with_name("blas_core.py"))],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     return proc.stdout.strip()

@@ -1,6 +1,9 @@
 """Parser tests: golden corpus, diagnostics, corpus CSV loading."""
 
 import csv
+import hashlib
+import random
+import time
 from collections import Counter
 
 import pytest
@@ -17,7 +20,6 @@ from molcontrast.graph import (
     BondType,
     Chirality,
     MoleculeGraph,
-    format_graph,
 )
 from molcontrast.smiles import (
     DiagnosticKind,
@@ -197,16 +199,26 @@ def mixed_corpus():
     return rows
 
 
+def test_molgen_refuses_more_molecules_than_its_recipe_writes():
+    from molgen import MAX_MOLECULES, make_molecules
+
+    assert MAX_MOLECULES == 3920  # 7 cores x 35 substituents + 3 x 35 x 35
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="writes 3920 distinct molecules, not 3921"):
+        make_molecules(MAX_MOLECULES + 1, 0)
+    assert time.perf_counter() - start < 1.0
+
+
 def _outcome(text):
-    """The parse of ``text`` as text: the graph listing and warnings, or
-    the hard diagnostic."""
+    """The parse of ``text`` as text: the graph (every node field, every
+    edge in order) and warnings, or the hard diagnostic."""
     try:
         graph, warnings = parse_with_diagnostics(text)
     except SmilesParseError as exc:
         return str(exc.diagnostic)
     # Each edge passes the constructor's own checks unchanged.
     assert all(BondEdge(e.u, e.v, e.bond_type, e.direction) == e for e in graph.edges)
-    return format_graph(graph), [str(w) for w in warnings]
+    return repr(graph), [str(w) for w in warnings]
 
 
 def _edge_by_edge(n, bonds):
@@ -222,14 +234,19 @@ def test_chain_longer_than_the_edge_cache_parses_as_built():
         assert parse_smiles("C" * n) == expected
 
 
-def test_macrocycle_of_ring_closures_parses_as_built():
-    # Atom k opens %(10 + k) with a double bond, atom n - 1 - k closes it.
-    n, rings = smiles._BOND_EDGE_CACHE + 100, 40
-    text = (
+def _macrocycle(n, rings):
+    """``n`` carbons in a chain; atom k opens %(10 + k) with a double bond,
+    atom n - 1 - k closes it."""
+    return (
         "".join(f"C=%{10 + k}" for k in range(rings))
         + "C" * (n - 2 * rings)
         + "".join(f"C%{10 + k}" for k in reversed(range(rings)))
     )
+
+
+def test_macrocycle_of_ring_closures_parses_as_built():
+    n, rings = smiles._BOND_EDGE_CACHE + 100, 40
+    text = _macrocycle(n, rings)
     bonds = [(i, i + 1, BondType.SINGLE) for i in range(n - 1)]
     bonds += [(k, n - 1 - k, BondType.DOUBLE) for k in range(rings)]
     assert parse_smiles(text) == _edge_by_edge(n, bonds)
@@ -259,6 +276,111 @@ def test_second_pass_builds_no_edge(mixed_corpus, tmp_path):
     assert len(first.failures) == 88
 
 
+# -- one digest of every parse ----------------------------------------------
+
+# Atoms and bond symbols of the random strings below.
+_ATOMS = (
+    "C", "C", "c", "c", "N", "n", "O", "S", "Cl", "Br",
+    "[nH]", "[C@@H]", "[O-]", "[NH4+]", "[13CH3]",
+)
+_BONDS = ("", "", "", "", "=", "#", "/", "\\", ":", "-")
+# Any token in any order: mostly strings that fail somewhere.
+_SOUP = (*_ATOMS, "1", "1", "2", "2", "3", "%10", "(", ")", *_BONDS[4:], ".")
+
+
+def _soup(rng):
+    return "".join(rng.choices(_SOUP, k=rng.randint(1, 24)))
+
+
+def _ringy(rng):
+    """Balanced branches and paired ring digits, so that ring closures,
+    repeated bonds and valence warnings are common."""
+    out, depth, digits = [rng.choice(_ATOMS)], 0, Counter()
+    for _ in range(rng.randint(0, 40)):
+        r = rng.random()
+        if r < 0.5:
+            out.append(rng.choice(_BONDS) + rng.choice(_ATOMS))
+        elif r < 0.75:
+            digit = rng.choice("1234") if rng.random() < 0.9 else "%10"
+            digits[digit] += 1
+            out.append(rng.choice(_BONDS) + digit)
+        elif r < 0.85:
+            out.append("(" + rng.choice(_BONDS) + rng.choice(_ATOMS))
+            depth += 1
+        elif r < 0.95 and depth:
+            out.append(")")
+            depth -= 1
+        elif r < 0.97:
+            out.append("." + rng.choice(_ATOMS))
+    out += [digit for digit, k in digits.items() if k % 2]
+    return "".join(out) + ")" * depth
+
+
+def _ring_stress():
+    """Molecules with many ring closures, and closures that repeat a bond."""
+    fused = "".join(f"C{d}" for d in "123456789") + "CC" + "".join(f"C{d}" for d in "987654321")
+    repeats = [f"C1{mid}C1" for mid in ("", "C", "(C)", "(C1)", "=C", "CC")]
+    repeats += ["C12CCC12", "C12CC21", "C(C1)1", "C1CC1C1C1", "C%10C%10", "C1.C1", "C11"]
+    return [
+        *("c1ccc(cc1)" * k for k in (1, 2, 50, 500)),
+        "C1CCCCC1" * 300,
+        fused * 20,
+        _macrocycle(300, 40),
+        *repeats,
+    ]
+
+
+def _best_of_three(text):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        parse_smiles(text)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_ring_closures_parse_in_linear_time():
+    # 12,000 atoms and 2,000 ring closures against a 12,000-atom chain.
+    rings, chain = _best_of_three("c1ccc(cc1)" * 2000), _best_of_three("C" * 12_000)
+    assert rings < 5 * chain, (rings, chain)
+
+
+def test_only_parse_with_diagnostics_checks_valence(mixed_corpus, tmp_path, monkeypatch):
+    calls = []
+    check = smiles._valence_warnings
+
+    def counted(graph, atoms):
+        calls.append(graph)
+        return check(graph, atoms)
+
+    monkeypatch.setattr(smiles, "_valence_warnings", counted)
+    path = tmp_path / "mixed.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([["smiles"], *([t] for t in mixed_corpus)])
+    assert len(parse_corpus(path).rows) == len(mixed_corpus) - 88
+    parse_smiles("C(C)(C)(C)(C)C")
+    assert calls == []
+    for k, text in enumerate(("CCO", "C(C)(C)(C)(C)C", "c1ccccc1"), 1):
+        parse_with_diagnostics(text)
+        assert len(calls) == k
+
+
+# A change to any graph, diagnostic or warning moves this digest.
+PINNED_PARSES = "d13bba95528c1f02642afbccc9e78d7611b3b6e7e3996a0d50393b8a92d67712"
+
+
+def test_every_parse_is_pinned(mixed_corpus):
+    # Graphs, diagnostics and warnings of the golden corpus, the mixed corpus,
+    # ring-heavy molecules and 24,000 seeded random strings.
+    rng = random.Random(31)
+    texts = [g.smiles for g in GOLDEN] + mixed_corpus + _ring_stress()
+    texts += [_soup(rng) for _ in range(12_000)] + [_ringy(rng) for _ in range(12_000)]
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(f"{text}\n{_outcome(text)!r}\n".encode())
+    assert digest.hexdigest() == PINNED_PARSES
+
+
 # -- hard errors ------------------------------------------------------------
 
 MALFORMED = [
@@ -285,6 +407,11 @@ MALFORMED = [
     ("[CH\u00b2]", DiagnosticKind.UNKNOWN_ATOM, 0),
     ("C%\u00b9\u00b2CC%\u00b9\u00b2", DiagnosticKind.UNCLOSED_RING, 1),
     ("C\u0663CC\u0663", DiagnosticKind.UNKNOWN_ATOM, 1),
+    # A ring closure repeating a ring bond or a chain bond, or closing on itself.
+    ("C1C1", DiagnosticKind.BAD_BOND, 3),
+    ("C12CCC12", DiagnosticKind.BAD_BOND, 7),
+    ("C1(C1)", DiagnosticKind.BAD_BOND, 4),
+    ("C11", DiagnosticKind.BAD_BOND, 2),
 ]
 
 
