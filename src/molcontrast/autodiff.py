@@ -44,15 +44,16 @@ returns one ``g`` for two operands hands on a shared array, and views
 owned.  So a closure returns fresh arrays, views or its own ``g``, never an
 array it keeps nor an array beside a view of it.  An owned gradient takes
 later addends in place, ``np.add(acc, g, out=acc)``, and an owned ``g`` is
-gated or scaled in place by ``linear``'s ReLU, ``relu`` and ``dropout``.
+gated or scaled in place by ``linear``'s ReLU and by ``dropout``.
 Each in-place site runs the ufunc and operand order of the copying
 expression it replaces, so gradients are bit-identical whichever way a
 gradient goes, apart from which NaN payload an in-place sum of two NaNs
 keeps.
 
-A recorded ReLU (``relu``, or ``linear`` with ``act="relu"``) keeps one bit
-per element, ``np.packbits(out > 0)``, for its backward gate, in place of a
-float array; a pass that records nothing (inference) packs nothing.
+Activations run only inside :func:`linear`'s record.  A recorded ReLU
+keeps one bit per element, ``np.packbits(out > 0)``, for its backward gate,
+in place of a float array; a pass that records nothing (inference) packs
+nothing.  A recorded softplus keeps its pre-activation.
 
 Every scatter (segment sums and means, the embedding-lookup backward, the
 node states of :func:`message_sum` and their gradient) adds the rows that
@@ -101,9 +102,7 @@ __all__ = [
     "backward",
     "embedding_lookup",
     "linear",
-    "relu",
     "logistic",
-    "softplus",
     "segment_sum",
     "segment_mean",
     "message_sum",
@@ -400,19 +399,18 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``b``, which sums every output element in the same order as the whole
     product does, as long as the block runs on the same kernels and starts
     where the whole product's row tiles do.  So every cut falls on a
-    multiple of ``_ROW_QUANTUM`` rows, a block has at least one quantum and
-    at least ``_BLOCK_MACS`` multiply-adds, and a width that is not a
-    multiple of 8 is not split: OpenBLAS's SkylakeX dgemm kernels compute
-    the last ``n % 8`` columns in row tiles counted from the start of each
-    call, so a block edge moves their bits (its sgemm kernels showed no
-    such edge).
+    multiple of ``_ROW_QUANTUM`` rows, and a block has at least one quantum
+    and at least ``_BLOCK_MACS`` multiply-adds.  A one-column product is
+    not split: numpy runs it as a matrix-vector product (gemv), whose
+    SkylakeX, Haswell and Sandybridge kernels moved bits at a block edge
+    when ``a`` was a transposed view.
     """
     if np.may_share_memory(a, b):
         b = b.copy()
     m, k = a.shape
     n = b.shape[1]
     pool, parts = _free_pool(), 1
-    if pool is not None and n % 8 == 0:
+    if pool is not None and n > 1:
         parts = min(_workers, m // _ROW_QUANTUM, m * k * n // _BLOCK_MACS)
     if parts < 2:
         return a @ b
@@ -758,21 +756,21 @@ def linear(
     tape: Tape, x: Tensor, w: Tensor, b: Tensor, act: str | None = None
 ) -> Tensor:
     """Affine map ``x @ w + b`` with shapes [n,a] x [a,k] + [k], followed
-    by ReLU in the same record when ``act`` is ``"relu"``.
+    in the same record by ``act``: None, ``"relu"`` or ``"softplus"``.
 
-    The fused ReLU runs in place on the product buffer, so no other op ever
-    sees the pre-activation.  The record holds ``x`` and ``w``, which the
-    backward multiplies by, and with the ReLU a one-bit mask of
-    ``out > 0``, whose gate it reads; an unrecorded pass builds no mask.
-    The backward computes ``dw`` first and lets go of ``x`` before it
-    allocates ``dx``, so it can run only once.  Its output and gradients
-    equal ``relu(linear(...))`` bit for bit: the forward is the same
-    ``np.maximum``, and the backward gates ``g`` by ``out > 0``, which holds
-    exactly when the pre-activation is ``> 0`` (NaN and -0.0 too), in place
-    when the walk owns ``g``.
+    The record holds ``x`` and ``w``, which the backward multiplies by.
+    ReLU runs in place on the product buffer and keeps a one-bit mask of
+    ``out > 0`` (none on an unrecorded pass) to gate ``g``, in place when
+    the walk owns it; the gate holds exactly where the pre-activation is
+    ``> 0`` (NaN and -0.0 too).  Softplus, ``log(1 + exp(y))`` with the
+    linear branch above y = 30, keeps the pre-activation ``y`` and scales
+    ``g`` by ``logistic(y)``.  Either way output and gradients equal
+    ``linear`` then a separate activation record, bit for bit.  The
+    backward computes ``dw`` first and lets go of ``x`` before it allocates
+    ``dx``, so it can run only once.
     """
-    if act not in (None, "relu"):
-        raise ValueError(f"unknown activation {act!r}; expected None or 'relu'")
+    if act not in (None, "relu", "softplus"):
+        raise ValueError(f"unknown activation {act!r}; expected None, 'relu' or 'softplus'")
     _check_2d("x", x)
     _check_2d("w", w)
     if x.data.shape[1] != w.data.shape[0]:
@@ -786,17 +784,22 @@ def linear(
     xd, wd = x.data, w.data
     y = _matmul(xd, wd)
     y += b.data
-    if act:
+    bits = pre = None
+    if act == "relu":
         np.maximum(y, 0, out=y)
+        if any(tape._tracked(t) for t in (x, w, b)):
+            bits = np.packbits(y > 0, axis=None)
+    elif act:
+        pre, y = y, np.where(y > 30, y, np.log1p(np.exp(np.minimum(y, 30))))
     out = Tensor(y)
-    recorded = act and any(tape._tracked(t) for t in (x, w, b))
-    bits = np.packbits(y > 0, axis=None) if recorded else None
     b_dtype = b.data.dtype
     saved = [xd]  # the one backward call takes it
 
     def bwd(g: np.ndarray, owned: bool):
         if bits is not None:
             g = _gate(g, bits, owned)
+        elif pre is not None:
+            g = (g * logistic(pre)).astype(pre.dtype)
         db = g.sum(axis=0, dtype=np.float64).astype(b_dtype)
         dw = _matmul(saved.pop().T, g)  # x dies here, before dx is allocated
         return (_matmul(g, wd.T), dw, db)
@@ -808,20 +811,6 @@ def linear(
 # -- elementwise ops ---------------------------------------------------
 
 
-def relu(tape: Tape, x: Tensor) -> Tensor:
-    """``max(x, 0)``; a recorded op keeps a one-bit mask of ``out > 0`` for
-    its backward gate, which holds exactly where ``x > 0``."""
-    y = np.maximum(x.data, 0)
-    out = Tensor(y)
-    bits = np.packbits(y > 0, axis=None) if tape._tracked(x) else None
-
-    def bwd(g: np.ndarray, owned: bool):
-        return (_gate(g, bits, owned),)
-
-    tape._record(out, (x,), bwd)
-    return out
-
-
 def logistic(x) -> np.ndarray:
     """``1 / (1 + exp(-x))`` in float64, for any ``x`` including +-inf.
 
@@ -831,19 +820,6 @@ def logistic(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def softplus(tape: Tape, x: Tensor) -> Tensor:
-    """``log(1 + exp(x))`` with the linear branch above x = 30."""
-    xd = x.data
-    out_data = np.where(xd > 30, xd, np.log1p(np.exp(np.minimum(xd, 30))))
-    out = Tensor(out_data.astype(xd.dtype))
-
-    def bwd(g: np.ndarray, owned: bool):
-        return ((g * logistic(xd)).astype(xd.dtype),)
-
-    tape._record(out, (x,), bwd)
-    return out
 
 
 def sum(tape: Tape, x: Tensor) -> Tensor:  # noqa: A001 - numpy-style name
@@ -968,7 +944,10 @@ def _away_from_kink(rng: np.random.Generator, shape, margin: float = 1e-3):
 
 def gradcheck_report(seed: int = 0, eps: float = 1e-4) -> dict[str, float]:
     """Run the gradient oracle over every tape op, the NT-Xent loss and the
-    fine-tune loss of each task kind; returns op -> max relative error.
+    fine-tune loss of each task kind; returns case -> max relative error.
+    ``linear`` is checked plain, and as ``relu`` and ``softplus`` with each
+    activation on an identity map, so those two cases check the records
+    that models run.
 
     Each op is exercised on random inputs through a fixed random projection
     to a scalar, so every output element influences the loss.
@@ -1009,15 +988,17 @@ def gradcheck_report(seed: int = 0, eps: float = 1e-4) -> dict[str, float]:
         lambda tape, p: project(tape, linear(tape, p[0], p[1], p[2]), r_nk),
         [x0, w, b],
     )
+    # The activations run inside ``linear``; an identity map isolates them.
+    eye, zeros = Tensor(np.eye(d)), Tensor(np.zeros(d))
     cases["relu"] = (
-        lambda tape, p: project(tape, relu(tape, p[0]), r_nd),
+        lambda tape, p: project(tape, linear(tape, p[0], eye, zeros, "relu"), r_nd),
         [_away_from_kink(rng, (n, d))],
     )
     sp_in = rng.uniform(-4, 4, (n, d))
     sp_in[0, 0] = 33.0  # exercise the overflow-safe linear branch
     sp_in[0, 1] = -33.0
     cases["softplus"] = (
-        lambda tape, p: project(tape, softplus(tape, p[0]), r_nd),
+        lambda tape, p: project(tape, linear(tape, p[0], eye, zeros, "softplus"), r_nd),
         [sp_in],
     )
     r_3d = rng.standard_normal((3, d))

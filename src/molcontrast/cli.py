@@ -85,7 +85,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # not UTF-8, or a NUL byte in the path
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -170,7 +170,10 @@ def _out_dir(args: argparse.Namespace) -> Path:
     command calls this once, after its work has succeeded, so a run that
     fails leaves no directory behind."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out}: cannot create it: {exc}") from exc
     _write_text(out / "config_resolved.txt", "\n".join(_resolved_lines(args)) + "\n")
     return out
 
@@ -771,12 +774,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         # --out is created after the work; a file in its place, or in place
-        # of a directory above it, or a value config_resolved.txt cannot
-        # hold, would end it there.
+        # of a directory above it, a NUL byte, or a value
+        # config_resolved.txt cannot hold, would end it there.
         if getattr(args, "out", None) is not None:
             _resolved_lines(args)
+            if "\0" in args.out:
+                raise ConfigError(f"--out {args.out!r}: a path cannot hold a NUL byte")
             out = Path(args.out).absolute()
-            existing = next(p for p in (out, *out.parents) if p.exists())
+            try:
+                existing = next(p for p in (out, *out.parents) if p.exists())
+            except OSError as exc:  # a name too long, or a directory it may not search
+                raise ConfigError(f"--out {args.out}: {exc}") from exc
             if not existing.is_dir():
                 raise ConfigError(f"--out {args.out}: {existing} is not a directory")
         if args.threads is not None:
@@ -785,14 +793,23 @@ def main(argv: list[str] | None = None) -> int:
             set_threads(args.threads)
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        return _report("config error", exc, 1)
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+        return _report("data error", exc, 2)
     except NumericAbort as exc:
-        print(f"numeric abort: {exc}", file=sys.stderr)
-        return 3
+        return _report("numeric abort", exc, 3)
+
+
+# Every character ``str.splitlines`` breaks at, mapped to its escape.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _report(kind: str, exc: Exception, code: int) -> int:
+    """Print ``kind: exc`` as one stderr line, and return the exit code: a
+    message that quotes a path or value from the command line escapes its
+    line breaks."""
+    print(f"{kind}: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

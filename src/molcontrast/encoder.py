@@ -25,9 +25,10 @@ Every stack of affine maps (GIN's inner MLP, GCN's single map, and the
 projection and prediction heads) runs through one ``_mlp``, which reads
 ``{prefix}weight{s}`` and ``{prefix}bias{s}`` for each suffix ``s``;
 ``parameter_layout`` lists the same names and shapes through the matching
-``_mlp_layout``.  Each ReLU is fused into the ``linear`` before it, and
-GIN's self term into its aggregate, so every activation is one array, and
-the tape holds it only while a backward still reads it.
+``_mlp_layout``.  Each activation (ReLU, or a head's softplus) is fused
+into the ``linear`` before it, and GIN's self term into its aggregate, so
+every layer output is one array, and the tape holds it only while a
+backward still reads it.
 
 Dropout, between layers and after each hidden head layer, runs if and only
 if a stream ``rng`` is passed (training steps pass one) and its rate is
@@ -490,30 +491,27 @@ def _mlp(
     x: Tensor,
     prefix: str,
     suffixes: Sequence[str],
-    act: Callable[[Tape, Tensor], Tensor] = ad.relu,
+    act: str = "relu",
     rng: np.random.Generator | None = None,
     rate: float = 0.0,
     act_last: bool = False,
 ) -> Tensor:
     """One ``linear`` per suffix ``s``, on ``{prefix}weight{s}`` and
     ``{prefix}bias{s}`` (see :func:`_mlp_layout`).  Between each two run
-    ``act`` and then, when given a stream ``rng``, dropout at ``rate``;
-    after the last run ``act`` only when ``act_last``.  ReLU is fused into
-    its ``linear``, so the pre-activation is never kept."""
-    fused = "relu" if act is ad.relu else None
+    ``act`` (an ``ad.linear`` activation name) and then, when given a
+    stream ``rng``, dropout at ``rate``; after the last run ``act`` only
+    when ``act_last``.  Each activation runs inside its ``linear``'s
+    record."""
     for i, s in enumerate(suffixes):
         if i and rng is not None:
             x = ad.dropout(tape, x, rate, rng)
-        active = act_last or i < len(suffixes) - 1
         x = ad.linear(
             tape,
             x,
             model.params[f"{prefix}weight{s}"],
             model.params[f"{prefix}bias{s}"],
-            fused if active else None,
+            act if act_last or i < len(suffixes) - 1 else None,
         )
-        if active and fused is None:
-            x = act(tape, x)
     return x
 
 
@@ -584,8 +582,9 @@ def predict(
     head = model.head
     if head is None:
         raise ValueError("model has no prediction head; call add_head first")
-    act = ad.relu if head.activation == "relu" else ad.softplus
-    return _mlp(tape, model, h, "head.", _head_suffixes(head), act, rng, head.dropout)
+    return _mlp(
+        tape, model, h, "head.", _head_suffixes(head), head.activation, rng, head.dropout
+    )
 
 
 def frozen_forward(

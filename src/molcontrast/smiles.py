@@ -30,6 +30,7 @@ valence, on the finished graph; problems are soft and surface as
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache
@@ -579,7 +580,8 @@ def _read_smiles_csv(
     whose cell a short row lacks.
     """
     path = Path(path)
-    if not path.exists():
+    # Unlike Path.exists, False for a name too long or holding a NUL byte.
+    if not os.path.exists(path):
         raise DataError(f"corpus file not found: {path}")
     parsed: list[tuple[CorpusRow, list[str]]] = []
     failures: list[CorpusFailure] = []

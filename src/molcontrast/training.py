@@ -424,7 +424,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
         data = Path(path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     header = len(CHECKPOINT_MAGIC) + 4 + 8
     if len(data) < header:

@@ -1,21 +1,22 @@
 """Generic tape ops that no model records any more: ``matmul_t``, ``add``,
-``sub``, ``mul`` and ``scale``, and the ``constant`` tensors they take, as
-``molcontrast.autodiff`` had them, built on ``Tape._record``.
+``sub``, ``mul``, ``scale``, ``relu`` and ``softplus``, and the ``constant``
+tensors they take, as ``molcontrast.autodiff`` had them, built on
+``Tape._record``.
 
-The fused losses (``contrastive.nt_xent`` and the fine-tune loss) and
-``encoder.embed_nodes`` replaced chains of these records; the reference
-chains in ``contrastive_oracle.py`` and ``supervised_oracle.py`` are built
-from them, and so are the tests of ``backward``'s accumulation and
-gradient-ownership rules.  Only constants broadcast: an elementwise op
-raises ``ValueError`` when a tracked operand's shape differs from its
-output's.
+The fused losses (``contrastive.nt_xent`` and the fine-tune loss),
+``encoder.embed_nodes`` and the activations inside ``linear`` replaced
+chains of these records; the reference chains in ``contrastive_oracle.py``
+and ``supervised_oracle.py`` are built from them, and so are the tests of
+``backward``'s accumulation and gradient-ownership rules.  Only constants
+broadcast: an elementwise op raises ``ValueError`` when a tracked operand's
+shape differs from its output's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from molcontrast.autodiff import Tape, Tensor, _check_2d, _matmul, _mul
+from molcontrast.autodiff import Tape, Tensor, _check_2d, _gate, _matmul, _mul, logistic
 
 
 def constant(values, dtype=np.float32) -> Tensor:
@@ -100,6 +101,33 @@ def scale(tape: Tape, x: Tensor, factor: float) -> Tensor:
 
     def bwd(g: np.ndarray, owned: bool):
         return (_mul(g, factor, owned),)
+
+    tape._record(out, (x,), bwd)
+    return out
+
+
+def relu(tape: Tape, x: Tensor) -> Tensor:
+    """``max(x, 0)``; a recorded op keeps a one-bit mask of ``out > 0`` for
+    its backward gate, which holds exactly where ``x > 0``."""
+    y = np.maximum(x.data, 0)
+    out = Tensor(y)
+    bits = np.packbits(y > 0, axis=None) if tape._tracked(x) else None
+
+    def bwd(g: np.ndarray, owned: bool):
+        return (_gate(g, bits, owned),)
+
+    tape._record(out, (x,), bwd)
+    return out
+
+
+def softplus(tape: Tape, x: Tensor) -> Tensor:
+    """``log(1 + exp(x))`` with the linear branch above x = 30."""
+    xd = x.data
+    out_data = np.where(xd > 30, xd, np.log1p(np.exp(np.minimum(xd, 30))))
+    out = Tensor(out_data.astype(xd.dtype))
+
+    def bwd(g: np.ndarray, owned: bool):
+        return ((g * logistic(xd)).astype(xd.dtype),)
 
     tape._record(out, (x,), bwd)
     return out

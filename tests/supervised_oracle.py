@@ -39,11 +39,10 @@ def masked_loss(
         basis = diff_basis(out.data.shape[1] // 2)
         d = chain_ops.matmul_t(tape, out, chain_ops.constant(basis))
         sign = chain_ops.constant((1.0 - 2.0 * labels).astype(np.float32))
-        per = ad.softplus(tape, chain_ops.mul(tape, d, sign))
+        per = chain_ops.softplus(tape, chain_ops.mul(tape, d, sign))
     else:
         diff = chain_ops.sub(tape, out, chain_ops.constant(labels.astype(np.float32)))
-        per = chain_ops.add(
-            tape, ad.relu(tape, diff), ad.relu(tape, chain_ops.scale(tape, diff, -1.0))
-        )
+        negated = chain_ops.scale(tape, diff, -1.0)
+        per = chain_ops.add(tape, chain_ops.relu(tape, diff), chain_ops.relu(tape, negated))
     masked = chain_ops.mul(tape, per, mask)
     return chain_ops.scale(tape, ad.sum(tape, masked), 1.0 / max(count, 1))

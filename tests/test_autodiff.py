@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import contrastive_oracle
-from chain_ops import add, constant, matmul_t, mul, scale, sub
+from chain_ops import add, constant, matmul_t, mul, relu, scale, softplus, sub
 from molcontrast import autodiff as ad
 from molcontrast.autodiff import (
     IndexPlan,
@@ -27,10 +27,8 @@ from molcontrast.autodiff import (
     linear,
     message_sum,
     numeric_gradients,
-    relu,
     segment_mean,
     segment_sum,
-    softplus,
     tensor,
 )
 from molcontrast.autodiff import _scatter_add
@@ -127,10 +125,11 @@ def test_matmul_t_forward():
 
 def test_softplus_overflow_safe():
     tape = Tape()
-    y = softplus(tape, tensor([100.0, -100.0, 0.0]))
-    np.testing.assert_allclose(y.data[0], 100.0, rtol=1e-6)
-    assert y.data[1] == pytest.approx(0.0, abs=1e-6)
-    assert y.data[2] == pytest.approx(np.log(2.0), rel=1e-6)
+    eye, zeros = tensor(np.eye(3)), tensor(np.zeros(3))
+    (y,) = linear(tape, tensor([[100.0, -100.0, 0.0]]), eye, zeros, act="softplus").data
+    np.testing.assert_allclose(y[0], 100.0, rtol=1e-6)
+    assert y[1] == pytest.approx(0.0, abs=1e-6)
+    assert y[2] == pytest.approx(np.log(2.0), rel=1e-6)
 
 
 def test_elementwise_forward():
@@ -460,13 +459,16 @@ def test_message_sum_is_one_record_and_skips_constant_tables():
 # -- fused ops: one record, one buffer, the bits of the unfused chain ------
 
 _SPECIALS = [np.nan, np.inf, -np.inf, -0.0]
+# Around softplus's switch to its linear branch at 30.
+_BEYOND_30 = [30.0, 31.5, -31.5, 45.0, -45.0]
 
 
-def _with_specials(draw, shape, dtype):
+def _with_specials(draw, shape, dtype, extra=()):
     """A ``shape`` array of ``dtype`` whose values mix NaN, +-inf and -0.0
-    with finite floats."""
+    (and any ``extra`` values) with finite floats."""
     values = st.one_of(
-        st.sampled_from(_SPECIALS), st.floats(-8, 8, width=32, allow_subnormal=False)
+        st.sampled_from(_SPECIALS + list(extra)),
+        st.floats(-8, 8, width=32, allow_subnormal=False),
     )
     return draw(arrays(dtype, shape, elements=values))
 
@@ -483,17 +485,20 @@ def _run_bytes(build, inputs, upstream):
     return [out.data.tobytes()] + [grads[t].tobytes() for t in ts]
 
 
+@pytest.mark.parametrize("act", ["relu", "softplus"])
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_fused_linear_relu_matches_linear_then_relu_bitwise(data):
+def test_fused_linear_matches_linear_then_activation_bitwise(act, data):
     dtype = data.draw(st.sampled_from([np.float32, np.float64]))
     n, a, k = (data.draw(st.integers(1, 5)) for _ in range(3))
     inputs = [
-        _with_specials(data.draw, shape, dtype) for shape in ((n, a), (a, k), (k,))
+        _with_specials(data.draw, shape, dtype, _BEYOND_30)
+        for shape in ((n, a), (a, k), (k,))
     ]
     upstream = _spread_rows(n, k, dtype, data.draw(st.integers(0, 2**16)))
-    fused = _run_bytes(lambda tape, t: linear(tape, *t, act="relu"), inputs, upstream)
-    chain = _run_bytes(lambda tape, t: relu(tape, linear(tape, *t)), inputs, upstream)
+    chain_act = {"relu": relu, "softplus": softplus}[act]
+    fused = _run_bytes(lambda tape, t: linear(tape, *t, act=act), inputs, upstream)
+    chain = _run_bytes(lambda tape, t: chain_act(tape, linear(tape, *t)), inputs, upstream)
     assert fused == chain
 
 
@@ -502,9 +507,10 @@ def test_fused_linear_is_one_record_and_rejects_other_activations():
     x = tensor(np.ones((2, 3)), requires_grad=True)
     w, b = tensor(np.ones((3, 4))), tensor(np.zeros(4))
     linear(tape, x, w, b, act="relu")
-    assert len(tape) == 1
+    linear(tape, x, w, b, act="softplus")
+    assert len(tape) == 2
     with pytest.raises(ValueError, match="activation"):
-        linear(tape, x, w, b, act="softplus")
+        linear(tape, x, w, b, act="tanh")
 
 
 @settings(max_examples=120, deadline=None)
@@ -600,6 +606,7 @@ def test_no_backward_writes_into_its_incoming_gradient():
         lambda tape: embedding_lookup(tape, table, [0, 3, 3, 5, 1]),
         lambda tape: linear(tape, x, w, b),
         lambda tape: linear(tape, x, w, b, act="relu"),
+        lambda tape: linear(tape, x, w, b, act="softplus"),
         lambda tape: relu(tape, x),
         lambda tape: softplus(tape, x),
         lambda tape: segment_sum(tape, x, seg, 3),
@@ -621,7 +628,7 @@ def test_no_backward_writes_into_its_incoming_gradient():
     # told it does not own its gradient, its twin that it does.
     tapes = Tape(), Tape()
     outs = [[build(tape) for build in builds] for tape in tapes]
-    assert len(tapes[0]) == len(tapes[1]) == 19
+    assert len(tapes[0]) == len(tapes[1]) == 20
     for out, record, twin in zip(outs[0], *(tape._records for tape in tapes)):
         assert record.out == out.key
         g = rng.standard_normal(out.data.shape)
@@ -659,10 +666,12 @@ def test_backward_closures_capture_only_the_arrays_they_read():
     c = constant(rng.uniform(0.5, 2, (4, 3)))
     tape = Tape()
     relu_out = linear(tape, x, w, b, act="relu")
+    softplus_out = linear(tape, x, w, b, act="softplus")
     relu_only = relu(tape, x)
     cases = [  # (output, the arrays its backward reads)
         (linear(tape, x, w, b), [x, w]),
         (relu_out, [x, w]),
+        (softplus_out, [x, w]),
         (mul(tape, x, c), [c]),
         (mul(tape, c, x), [c]),
         (matmul_t(tape, x, c), [c]),
@@ -673,8 +682,8 @@ def test_backward_closures_capture_only_the_arrays_they_read():
         (embedding_lookup(tape, x, [0, 3, 3]), []),
     ]
     # Of the operands and outputs, each backward holds just what it reads
-    # (besides them, segment_mean holds its segment counts, and each ReLU
-    # one bit per element of ``out > 0``).
+    # (besides them, segment_mean holds its segment counts, each ReLU one
+    # bit per element of ``out > 0``, and softplus its pre-activation).
     tensors = {id(t.data) for t in (x, w, c, *(out for out, _ in cases))}
     records = {r.out: r for r in tape._records}
     for out, reads in cases:
@@ -686,6 +695,9 @@ def test_backward_closures_capture_only_the_arrays_they_read():
             (bits,) = (a for key, a in held.items() if key not in tensors)
             assert bits.dtype == np.uint8 and bits.shape == (2,)  # 12 bits
             assert bits.tobytes() == np.packbits(out.data > 0, axis=None).tobytes()
+        if out is softplus_out:
+            (pre,) = (a for key, a in held.items() if key not in tensors)
+            assert pre.tobytes() == linear(Tape(), x, w, b).data.tobytes()
 
 
 def test_nt_xent_closure_keeps_what_the_chain_it_replaced_kept():
@@ -1018,10 +1030,11 @@ def test_backward_square_via_mul():
 
 def test_backward_relu_gate():
     tape = Tape()
-    x = tensor([2.0, -3.0], requires_grad=True, dtype=np.float64)
-    loss = tsum(tape, relu(tape, x))
+    x = tensor([[2.0, -3.0]], requires_grad=True, dtype=np.float64)
+    eye, zeros = (tensor(a, dtype=np.float64) for a in (np.eye(2), np.zeros(2)))
+    loss = tsum(tape, linear(tape, x, eye, zeros, act="relu"))
     grads = backward(tape, loss)
-    np.testing.assert_allclose(grads[x], [1.0, 0.0])
+    np.testing.assert_allclose(grads[x], [[1.0, 0.0]])
 
 
 def test_backward_requires_scalar_loss():
@@ -1248,7 +1261,7 @@ def _with_workers(n, fn, pool=None):
         (512, 2800, 1024, [120, 120, 144, 128]),  # its dw = x.T @ g
         (256, 256, 1024, [120, 136]),  # 2^26 multiply-adds: two blocks' worth
         (32, 64, 128, [32]),  # fixture-size product: under the gate
-        (2800, 512, 1020, [2800]),  # width not a multiple of 8
+        (2800, 512, 1020, [696, 696, 696, 712]),  # a width not a multiple of 8 too
         (3, 5000, 5000, [3]),  # one block would be a single row
         (72, 2048, 1024, [24, 24, 24]),  # three quanta: three of four workers
     ],
@@ -1262,6 +1275,21 @@ def test_matmul_splits_only_above_the_gate(m, k, n, blocks):
     assert pool.blocks == blocks[1:]  # the calling thread computes block 0
     assert got.dtype == np.float32
     assert got.tobytes() == (a @ b).tobytes()
+
+
+@needs_pinned_blas
+def test_matmul_never_splits_one_column(monkeypatch):
+    # numpy runs a one-column product as a matrix-vector product (gemv),
+    # whose bits a block edge moved on the SkylakeX, Haswell and
+    # Sandybridge kernels; two columns are a gemm.
+    monkeypatch.setattr(ad, "_BLOCK_MACS", 1 << 21)
+    a = np.random.default_rng(0).standard_normal((2800, 4096)).astype(np.float32)
+    for n, blocks in ((1, []), (2, [696, 696, 712])):
+        b = np.ones((4096, n), dtype=np.float32)
+        pool = _CountingPool(4)
+        got = _with_workers(4, lambda: ad._matmul(a, b), pool)
+        assert pool.blocks == blocks
+        assert got.tobytes() == (a @ b).tobytes()
 
 
 @needs_pinned_blas
@@ -1284,15 +1312,15 @@ def test_matmul_blocks_take_the_callers_error_state():
 @example(700, 64, 0, 28, "b.T", "float64", False, 2)  # dx = g @ w.T
 @example(5, 32, 0, 28, "c", "float64", True, 3)  # five rows: under a quantum, unsplit
 @example(3, 32, 0, 28, "a.T", "float64", True, 4)  # fewer rows than workers
-@example(1400, 128, 1, 28, "c", "float64", False, 5)  # 1023 wide: unsplit
+@example(1400, 128, 1, 28, "c", "float64", False, 5)  # 1023 wide
 @example(1400, 128, 0, 28, "c", "float32", False, 6)  # the same in sgemm
 @example(512, 128, 0, 28, "a.T", "float32", False, 7)
 @example(700, 64, 0, 28, "b.T", "float32", False, 8)
 @example(1400, 127, 0, 28, "c", "float32", False, 9)  # 1016 wide: 8k, k odd
 @example(700, 125, 0, 28, "b.T", "float32", True, 10)  # 1000 wide
 @example(5, 31, 0, 28, "c", "float32", True, 11)  # 248 wide, five rows
-@example(1400, 128, 1, 28, "c", "float32", False, 12)  # 1023 wide: unsplit
-@example(700, 64, 3, 28, "b.T", "float32", True, 13)  # 509 wide: unsplit
+@example(1400, 128, 1, 28, "c", "float32", False, 12)  # the same in sgemm
+@example(700, 64, 3, 28, "b.T", "float32", True, 13)  # 509 wide
 @example(8, 8, 0, 23, "a.T", "float32", True, 14)  # bond tables' grad counts.T @ g
 @example(8, 64, 0, 23, "a.T", "float32", True, 15)  # the same, 512 wide
 @example(50, 32, 0, 23, "c", "float32", True, 16)  # cut at row 24, not 25

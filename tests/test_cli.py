@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import molcontrast.cli as cli_module
+from molcontrast import autodiff as ad
 from molcontrast.autodiff import gradcheck_report
 from molcontrast.cli import build_parser, load_config_file, main
 from molcontrast.datasets import scaffold_split
@@ -235,6 +236,101 @@ def test_out_below_a_file_is_a_config_error_before_the_work(tmp_path, capsys):
     assert err.startswith("config error:") and len(err.splitlines()) == 1, err
     assert "--out" in err and captured.out == ""
     assert data.is_file()
+
+
+@pytest.mark.parametrize(
+    "command, line, error",
+    [
+        ("embed", "checkpoint = a\0b.bin", "data error: cannot read checkpoint"),
+        ("split", "out = o\0x", "config error: --out"),
+        ("augment", "out = o\0x", "config error: --out"),
+    ],
+)
+def test_nul_byte_paths_end_in_one_line(command, line, error, tmp_path, monkeypatch, capsys):
+    # Real data, so each run gets as far as the path: the checkpoint is
+    # read after the corpus, and --out is checked before the work.
+    monkeypatch.chdir(tmp_path)
+    write_corpus_csv(tmp_path / "c.csv", 24, seed=1)
+    (tmp_path / "run.cfg").write_text(line + "\n", encoding="utf-8")
+    rc = main([command, "--data", "c.csv", "--config", "run.cfg"])
+    captured = capsys.readouterr()
+    assert rc == (2 if error.startswith("data") else 1)
+    assert captured.err.startswith(error) and captured.err.count("\n") == 1, captured.err
+    assert sorted(os.listdir(tmp_path)) == ["c.csv", "run.cfg"]
+
+
+def test_a_config_path_with_a_nul_byte_is_a_config_error(capsys):
+    assert main(["split", "--data", "absent.csv", "--config", "x\0y"]) == 1
+    assert capsys.readouterr().err.startswith("config error: cannot read config file")
+
+
+def _fuzzed_flags() -> dict[str, list[tuple[str, type]]]:
+    """Every int, float and string flag (but --data) of each subcommand
+    that reads --data, with its type; booleans take no value."""
+    _, index = build_parser()
+    flags = {}
+    for command, sp in index.items():
+        actions = [a for a in sp._actions if a.option_strings and a.nargs != 0]
+        if any(a.dest == "data" for a in actions):
+            flags[command] = [
+                (a.option_strings[0], a.type or str)
+                for a in actions
+                if a.dest not in ("data", "help")
+            ]
+    return flags
+
+
+_FUZZED = _fuzzed_flags()
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZED)))
+    chosen = draw(st.lists(st.sampled_from(_FUZZED[command]), unique=True, max_size=6))
+    argv = [command, "--data=absent.csv"]
+    for flag, kind in chosen:
+        if flag == "--threads":  # values that start no threads
+            value = draw(st.integers(max_value=0) | st.integers(1, 2))
+        elif kind is int:
+            value = draw(st.integers(-(2**64), 2**64))
+        elif kind is float:
+            value = draw(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+        else:  # long enough, past 255 bytes, for a name the OS refuses
+            value = draw(st.text() | st.text(min_size=256, max_size=300))
+        argv.append(f"{flag}={value!r}" if kind is float else f"{flag}={value}")
+    return argv
+
+
+def test_fuzzed_commands_cover_every_flag_that_takes_a_value():
+    assert sorted(_FUZZED) == [
+        "ablate_aug", "ablate_temp", "augment", "embed", "finetune", "pretrain",
+        "retrieve", "split",
+    ]
+    assert ("--threads", int) in _FUZZED["split"] and ("--lr", float) in _FUZZED["pretrain"]
+    assert ("--checkpoint", str) in _FUZZED["embed"] and ("--config", str) in _FUZZED["split"]
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(argv=_fuzzed_argv())
+def test_arbitrary_flag_values_end_in_an_exit_code_and_one_line(argv, tmp_path, monkeypatch):
+    # --data names an absent file, so no run gets past reading it: each
+    # ends in a config error (1) or a data error (2), never a traceback.
+    monkeypatch.chdir(tmp_path)
+    err, out = io.StringIO(), io.StringIO()
+    workers = ad._workers, ad._pool
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            rc = main(argv)
+    finally:
+        ad._workers, ad._pool = workers
+    text = err.getvalue()
+    assert rc in (1, 2), (rc, text)
+    assert len(text.splitlines()) == 1 and text.endswith("\n"), text
+    assert out.getvalue() == "" and os.listdir(tmp_path) == []
 
 
 SWEEP_BASES = {

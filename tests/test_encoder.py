@@ -645,6 +645,33 @@ def test_predict_two_hidden_layers_and_softplus():
     assert np.isfinite(out.data).all()
 
 
+@pytest.mark.parametrize("activation", ["relu", "softplus"])
+def test_head_layer_is_one_tape_record(activation):
+    # Each head layer is one ``linear`` record with its activation inside;
+    # outputs and gradients equal the chain that records the activation on
+    # its own.
+    model = EncoderModel.initialize(small_config(), 0)
+    head = HeadSpec("regression", 1, hidden_layers=2, hidden_dim=6, activation=activation)
+    model.add_head(head, 1)
+    h = tensor(np.random.default_rng(2).standard_normal((3, 8)) * 20, requires_grad=True)
+    tape = Tape()
+    out = predict(tape, model, h)
+    assert len(tape) == 3  # two hidden layers and the output layer
+    grads = backward(tape, ad.sum(tape, out))
+
+    chain_act = {"relu": chain_ops.relu, "softplus": chain_ops.softplus}[activation]
+    tape, x = Tape(), h
+    for s in ("0", "1", "_out"):
+        x = ad.linear(tape, x, model.params[f"head.weight{s}"], model.params[f"head.bias{s}"])
+        if s != "_out":
+            x = chain_act(tape, x)
+    assert x.data.tobytes() == out.data.tobytes()
+    chain_grads = backward(tape, ad.sum(tape, x))
+    assert grads.keys() == chain_grads.keys()
+    for t, g in grads.items():
+        assert g.tobytes() == chain_grads[t].tobytes()
+
+
 # -- gradients through the full stack ----------------------------------------
 
 

@@ -111,6 +111,10 @@ MATRIX: tuple[tuple[str, list[str]], ...] = (
                              "--checkpoint", "pretrain_gcn/checkpoint.bin"]),
     ("finetune_masked", ["finetune", "--data", MASKED, "--epochs", "4", "--batch", "32",
                          "--head-hidden", "16", "--checkpoint", "pretrain_gin/checkpoint.bin"]),
+    # Two softplus hidden layers with dropout: each layer's activation runs
+    # inside its linear record.
+    ("finetune_softplus", [*_FINETUNE, "--activation", "softplus", "--n-layer", "2",
+                           "--dropout", "0.1", "--checkpoint", "pretrain_gin/checkpoint.bin"]),
     ("embed", ["embed", "--data", CORPUS, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
     ("embed_mixed", ["embed", "--data", MIXED, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
     ("embed_long", ["embed", "--data", LONG, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
