@@ -27,7 +27,15 @@ from pathlib import Path
 from .augment import STRATEGIES, AugmentSpec, augment_view, derive_rng
 from .autodiff import gradcheck_report, set_threads
 from .datasets import Split, _fractions_problem, load_labeled_csv, scaffold_split
-from .encoder import ACTIVATIONS, BACKBONES, TASK_KINDS, EncoderConfig, embed_molecules
+from .encoder import (
+    ACTIVATIONS,
+    BACKBONES,
+    TASK_KINDS,
+    EncoderConfig,
+    HeadSpec,
+    _check_model_size,
+    embed_molecules,
+)
 from .errors import ConfigError, DataError, NumericAbort
 from .fileio import atomic_write, write_csv
 from .fingerprints import _check_retrieval, retrieval_analysis
@@ -268,6 +276,12 @@ def _encoder_config(args: argparse.Namespace, dropout: float = 0.0) -> EncoderCo
     )
 
 
+def _head_bound(task: str, cfg: FinetuneConfig) -> HeadSpec:
+    """The prediction head that ``cfg`` builds for one task of kind
+    ``task``: before the data is read, the smallest head the run can draw."""
+    return HeadSpec(task, 1, cfg.n_layer, cfg.hidden_dim, cfg.activation, cfg.dropout)
+
+
 def _load_molecules(path: str, task: str | None = None):
     """The corpus (no ``task``) or labeled dataset at ``path``.  Rows that
     fail to parse are skipped with one warning; none left is a data error."""
@@ -317,6 +331,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
         val_fraction=args.val_fraction,
         seed=args.seed,
     )
+    _check_model_size(cfg.encoder)
     corpus = _load_molecules(args.data)
     result = pretrain(corpus.graphs, cfg)
     out = _out_dir(args)
@@ -368,6 +383,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     augment = _augment_spec(args) if args.augment else None
     # Encoder flags apply only without a checkpoint, which fixes the encoder.
     encoder = None if args.checkpoint else _encoder_config(args)
+    _check_model_size(encoder, _head_bound(args.task, cfg))
     dataset = _load_molecules(args.data, args.task)
     checkpoint = load_checkpoint(args.checkpoint) if args.checkpoint else None
     result = finetune(dataset, cfg, checkpoint=checkpoint, encoder=encoder, augment=augment)
@@ -592,6 +608,7 @@ def _ablation_sweep(args, column, values, vary, label) -> int:
         seed=args.seed,
         free_values=args.free_values,
     )
+    _check_model_size(pre_cfg.encoder, _head_bound(args.task, ft_cfg))
     dataset = _load_molecules(args.data, args.task)
     rows = []
     for value in values:

@@ -37,6 +37,7 @@ above 0.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -384,6 +385,49 @@ def parameter_layout(
     yield from _mlp_layout("projection.", _TWO_LAYER, (h, h, config.latent_dim))
     if head is not None:
         yield from _head_layout(h, head)
+
+
+def _parameter_count(config: EncoderConfig | None, head: HeadSpec | None = None) -> int:
+    """The number of values in ``parameter_layout(config, head)``, in closed
+    form over Python ints, so that a config of 10**12 layers is counted
+    without listing them.  With no ``config`` (an encoder that a checkpoint
+    fixes), the head's alone, on an input of width 1."""
+    count, width = 0, 1
+    if config is not None:
+        h, latent = config.hidden_dim, config.latent_dim
+        layer = (NUM_BOND_TYPES + NUM_BOND_DIRECTIONS) * h
+        layer += 4 * h * h + 3 * h if config.backbone == "gin" else h * h + h
+        count = (NUM_ATOM_TYPES + NUM_CHIRALITY_TYPES) * h + config.num_layers * layer
+        count += h * h + h + h * latent + latent
+        width = h
+    if head is not None:
+        k, out = head.hidden_dim, head.out_dim
+        count += width * k + k + (head.hidden_layers - 1) * (k * k + k) + k * out + out
+    return count
+
+
+def _memory_bytes() -> int:
+    """This machine's physical memory, or, where the system does not say,
+    the largest array numpy can index."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        pages = page_size = -1
+    if pages > 0 and page_size > 0:
+        return pages * page_size
+    return int(np.iinfo(np.intp).max)
+
+
+def _check_model_size(config: EncoderConfig | None, head: HeadSpec | None = None) -> None:
+    """Refuse a model whose float32 parameters (see :func:`_parameter_count`)
+    need more bytes than :func:`_memory_bytes`, before anything is drawn."""
+    count = _parameter_count(config, head)
+    limit = _memory_bytes()
+    if 4 * count > limit:
+        raise ConfigError(
+            f"the model has {count:,} parameters, {4 * count:,} bytes as float32, "
+            f"more than this machine's {limit:,} bytes of memory"
+        )
 
 
 def _draw(layout, rng: np.random.Generator) -> dict[str, Tensor]:

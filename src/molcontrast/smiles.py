@@ -138,13 +138,19 @@ def _bond_edge(
     return BondEdge.between(a, b, bond_type, direction)
 
 
+def _bare_node(sym: str) -> AtomNode:
+    return _atom_node(_ELEMENTS[sym.capitalize()], Chirality.UNSPECIFIED, 0)
+
+
 # Bare (unbracketed) atoms of the organic subset and their aromatic
-# lowercase forms: (node, aromatic).  ``Cl`` and ``Br`` are the only
-# two-letter symbols.
-_ORGANIC: dict[str, tuple[AtomNode, bool]] = {
-    sym: (_atom_node(_ELEMENTS[sym.capitalize()], Chirality.UNSPECIFIED, 0), sym.islower())
-    for sym in ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I", *"bcnops")
+# lowercase forms, by first letter: (node, aromatic, two-letter form).
+# ``Cl`` and ``Br`` are the only two-letter symbols; their form is (second
+# letter, node), and it wins over the one-letter atom.
+_ORGANIC: dict[str, tuple[AtomNode, bool, tuple[str, AtomNode] | None]] = {
+    sym: (_bare_node(sym), sym.islower(), None) for sym in "BCNOPSFIbcnops"
 }
+_ORGANIC["C"] = (_bare_node("C"), False, ("l", _bare_node("Cl")))
+_ORGANIC["B"] = (_bare_node("B"), False, ("r", _bare_node("Br")))
 # Aromatic symbols allowed inside brackets.
 _AROMATIC_BRACKET = frozenset({"b", "c", "n", "o", "p", "s", "se", "as", "te"})
 # SMILES digits are ASCII only; ``str.isdigit`` also accepts other scripts.
@@ -169,6 +175,11 @@ _BOND_SYMBOLS: dict[str, tuple[BondType, BondDirection]] = {
     "\\": (BondType.SINGLE, BondDirection.END_DOWN_RIGHT),
 }
 
+# The chain bond's fields, as globals that the loop reads without an
+# attribute lookup on the enum class.
+_SINGLE, _AROMATIC = BondType.SINGLE, BondType.AROMATIC
+_NO_DIRECTION = BondDirection.NONE
+
 _BOND_ORDER = {
     BondType.SINGLE: 1.0,
     BondType.DOUBLE: 2.0,
@@ -177,314 +188,273 @@ _BOND_ORDER = {
 }
 
 
-@dataclass
-class _Pending:
-    """A bond symbol waiting for its right-hand atom or ring digit."""
-
-    bond_type: BondType
-    direction: BondDirection
-    position: int
+def _fail(text: str, kind: DiagnosticKind, position: int, message: str) -> NoReturn:
+    raise SmilesParseError(ParseDiagnostic(kind, position, message), text)
 
 
-@dataclass
-class _RingOpen:
-    atom: int
-    bond: _Pending | None
-    position: int
+def _digits(s: str, i: int) -> tuple[str, int]:
+    """The run of digits starting at ``i``, and the index after it."""
+    end = i
+    while end < len(s) and s[end] in _DIGITS:
+        end += 1
+    return s[i:end], end
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.nodes: list[AtomNode] = []
-        # Per node: (aromatic, explicit hydrogen count, position, chain parent).
-        self.atoms: list[tuple[bool, int, int, int | None]] = []
-        self.edges: list[BondEdge] = []
-        self.ring_pairs: set[tuple[int, int]] = set()
-        self.prev: int | None = None
-        self.pending: _Pending | None = None
-        self.branches: list[tuple[int, int]] = []
-        self.rings: dict[int, _RingOpen] = {}
+# -- bracket atoms ---------------------------------------------------------
 
-    def fail(self, kind: DiagnosticKind, position: int, message: str) -> NoReturn:
-        raise SmilesParseError(ParseDiagnostic(kind, position, message), self.text)
 
-    def _no_pending(self, message: str) -> None:
-        """Fail at the pending bond symbol, if there is one."""
-        if self.pending is not None:
-            self.fail(DiagnosticKind.BAD_BOND, self.pending.position, message)
+def _bracket_atom(s: str, start: int) -> tuple[AtomNode, bool, int, int]:
+    """(node, aromatic, explicit hydrogen count, index after it) of the
+    bracket atom whose ``[`` is at ``start``."""
+    _, i = _digits(s, start + 1)  # isotope, discarded
+    atomic_number, aromatic, i = _bracket_symbol(s, i, start)
+    chirality, i = _bracket_chirality(s, i)
+    explicit_h = 0
+    if i < len(s) and s[i] == "H":
+        digits, i = _digits(s, i + 1)
+        explicit_h = int(digits) if digits else 1
+    charge, i = _bracket_charge(s, i)
+    if i < len(s) and s[i] == ":":  # atom class, discarded
+        digits, end = _digits(s, i + 1)
+        if not digits:
+            _fail(s, DiagnosticKind.UNKNOWN_ATOM, i + 1, "malformed atom class")
+        i = end
+    if i >= len(s) or s[i] != "]":
+        _fail(s, DiagnosticKind.UNKNOWN_ATOM, start, "unterminated bracket atom")
+    return _atom_node(atomic_number, chirality, charge), aromatic, explicit_h, i + 1
 
-    def _digits(self, i: int) -> tuple[str, int]:
-        """The run of digits starting at ``i``, and the index after it."""
-        s, end = self.text, i
-        while end < len(s) and s[end] in _DIGITS:
-            end += 1
-        return s[i:end], end
 
-    # -- atom scanning -------------------------------------------------
+def _bracket_symbol(s: str, i: int, start: int) -> tuple[int, bool, int]:
+    if i >= len(s):
+        _fail(s, DiagnosticKind.UNKNOWN_ATOM, start, "unterminated bracket atom")
+    ch = s[i]
+    if ch.islower():
+        two = s[i : i + 2]
+        if two in _AROMATIC_BRACKET:
+            return _ELEMENTS[two.capitalize()], True, i + 2
+        if ch in _AROMATIC_BRACKET:
+            return _ELEMENTS[ch.upper()], True, i + 1
+        _fail(s, DiagnosticKind.UNKNOWN_ATOM, i, f"unknown aromatic symbol {ch!r}")
+    if ch.isupper():
+        two = s[i : i + 2]
+        if len(two) == 2 and two[1].islower() and two in _ELEMENTS:
+            return _ELEMENTS[two], False, i + 2
+        if ch in _ELEMENTS:
+            return _ELEMENTS[ch], False, i + 1
+        _fail(s, DiagnosticKind.UNKNOWN_ATOM, i, f"unknown element {two!r}")
+    _fail(s, DiagnosticKind.UNKNOWN_ATOM, i, f"expected element symbol, got {ch!r}")
 
-    # Bare organic-subset atoms are scanned in :meth:`run`'s loop.
 
-    def _scan_bracket(self) -> tuple[AtomNode, bool, int, int]:
-        """(node, aromatic, explicit hydrogen count, position) of the
-        bracket atom at ``pos``; moves ``pos`` past it."""
-        s, start = self.text, self.pos
-        _, i = self._digits(start + 1)  # isotope, discarded
-        atomic_number, aromatic, i = self._bracket_symbol(i, start)
-        chirality, i = self._bracket_chirality(i)
-        explicit_h = 0
-        if i < len(s) and s[i] == "H":
-            digits, i = self._digits(i + 1)
-            explicit_h = int(digits) if digits else 1
-        charge, i = self._bracket_charge(i)
-        if i < len(s) and s[i] == ":":  # atom class, discarded
-            digits, end = self._digits(i + 1)
-            if not digits:
-                self.fail(DiagnosticKind.UNKNOWN_ATOM, i + 1, "malformed atom class")
-            i = end
-        if i >= len(s) or s[i] != "]":
-            self.fail(DiagnosticKind.UNKNOWN_ATOM, start, "unterminated bracket atom")
-        self.pos = i + 1
-        return _atom_node(atomic_number, chirality, charge), aromatic, explicit_h, start
+def _bracket_chirality(s: str, i: int) -> tuple[Chirality, int]:
+    if i >= len(s) or s[i] != "@":
+        return Chirality.UNSPECIFIED, i
+    if s.startswith("@@", i):
+        return Chirality.TETRAHEDRAL_CW, i + 2
+    tag = s[i + 1 : i + 3]
+    if tag in _EXTENDED_STEREO:
+        _fail(
+            s,
+            DiagnosticKind.UNKNOWN_ATOM,
+            i,
+            f"extended stereochemistry @{tag} is not supported",
+        )
+    return Chirality.TETRAHEDRAL_CCW, i + 1
 
-    def _bracket_symbol(self, i: int, start: int) -> tuple[int, bool, int]:
-        s = self.text
-        if i >= len(s):
-            self.fail(DiagnosticKind.UNKNOWN_ATOM, start, "unterminated bracket atom")
-        ch = s[i]
-        if ch.islower():
-            two = s[i : i + 2]
-            if two in _AROMATIC_BRACKET:
-                return _ELEMENTS[two.capitalize()], True, i + 2
-            if ch in _AROMATIC_BRACKET:
-                return _ELEMENTS[ch.upper()], True, i + 1
-            self.fail(
-                DiagnosticKind.UNKNOWN_ATOM, i, f"unknown aromatic symbol {ch!r}"
-            )
-        if ch.isupper():
-            two = s[i : i + 2]
-            if len(two) == 2 and two[1].islower() and two in _ELEMENTS:
-                return _ELEMENTS[two], False, i + 2
-            if ch in _ELEMENTS:
-                return _ELEMENTS[ch], False, i + 1
-            self.fail(DiagnosticKind.UNKNOWN_ATOM, i, f"unknown element {two!r}")
-        self.fail(DiagnosticKind.UNKNOWN_ATOM, i, f"expected element symbol, got {ch!r}")
 
-    def _bracket_chirality(self, i: int) -> tuple[Chirality, int]:
-        s = self.text
-        if i >= len(s) or s[i] != "@":
-            return Chirality.UNSPECIFIED, i
-        if s.startswith("@@", i):
-            return Chirality.TETRAHEDRAL_CW, i + 2
-        tag = s[i + 1 : i + 3]
-        if tag in _EXTENDED_STEREO:
-            self.fail(
-                DiagnosticKind.UNKNOWN_ATOM,
-                i,
-                f"extended stereochemistry @{tag} is not supported",
-            )
-        return Chirality.TETRAHEDRAL_CCW, i + 1
+def _bracket_charge(s: str, i: int) -> tuple[int, int]:
+    if i >= len(s) or s[i] not in "+-":
+        return 0, i
+    symbol, start = s[i], i
+    sign = 1 if symbol == "+" else -1
+    digits, i = _digits(s, i + 1)
+    if digits:
+        magnitude = int(digits)
+    else:
+        magnitude = 1
+        while i < len(s) and s[i] in "+-":
+            if s[i] != symbol:
+                _fail(s, DiagnosticKind.BAD_CHARGE, start, "mixed charge symbols")
+            magnitude += 1
+            i += 1
+    if magnitude > 15:
+        _fail(s, DiagnosticKind.BAD_CHARGE, start, f"implausible charge {sign * magnitude:+d}")
+    return sign * magnitude, i
 
-    def _bracket_charge(self, i: int) -> tuple[int, int]:
-        s = self.text
-        if i >= len(s) or s[i] not in "+-":
-            return 0, i
-        symbol, start = s[i], i
-        sign = 1 if symbol == "+" else -1
-        digits, i = self._digits(i + 1)
-        if digits:
-            magnitude = int(digits)
-        else:
-            magnitude = 1
-            while i < len(s) and s[i] in "+-":
-                if s[i] != symbol:
-                    self.fail(
-                        DiagnosticKind.BAD_CHARGE, start, "mixed charge symbols"
-                    )
-                magnitude += 1
-                i += 1
-        if magnitude > 15:
-            self.fail(
-                DiagnosticKind.BAD_CHARGE, start, f"implausible charge {sign * magnitude:+d}"
-            )
-        return sign * magnitude, i
 
-    # -- graph assembly ------------------------------------------------
+# -- ring closures ---------------------------------------------------------
 
-    def _add_edge(self, a: int, b: int, bond: _Pending | None) -> None:
-        if bond is None:
-            aromatic = self.atoms[a][0] and self.atoms[b][0]
-            bond_type = BondType.AROMATIC if aromatic else BondType.SINGLE
-            direction = BondDirection.NONE
-        else:
-            bond_type, direction = bond.bond_type, bond.direction
-        self.edges.append(_bond_edge(a, b, bond_type, direction))
 
-    def _ring_digit(self, digit: int, position: int) -> None:
-        if self.prev is None:
-            self.fail(
-                DiagnosticKind.UNCLOSED_RING, position, "ring closure before any atom"
-            )
-        open_ = self.rings.pop(digit, None)
-        if open_ is None:
-            self.rings[digit] = _RingOpen(self.prev, self.pending, position)
-            self.pending = None
-            return
-        self._close_ring(open_, position)
-
-    def _close_ring(self, open_: _RingOpen, position: int) -> None:
-        a, b = open_.atom, self.prev
-        assert b is not None
-        ring_bond: _Pending | None = None
-        # Direction markers are normalized to the open -> close orientation;
-        # the closing-side symbol reads close -> open and must be flipped.
-        if open_.bond is not None and self.pending is not None:
-            if open_.bond.bond_type != self.pending.bond_type:
-                self.fail(
-                    DiagnosticKind.BAD_BOND,
-                    position,
-                    "ring closure bond type disagrees with its opening",
-                )
-            direction = open_.bond.direction
-            closing = flip_direction(self.pending.direction)
-            if (
-                direction != BondDirection.NONE
-                and closing != BondDirection.NONE
-                and direction != closing
-            ):
-                self.fail(
-                    DiagnosticKind.BAD_BOND,
-                    position,
-                    "ring closure direction disagrees with its opening",
-                )
-            if direction == BondDirection.NONE:
-                direction = closing
-            ring_bond = _Pending(open_.bond.bond_type, direction, open_.position)
-        elif open_.bond is not None:
-            ring_bond = open_.bond
-        elif self.pending is not None:
-            ring_bond = _Pending(
-                self.pending.bond_type,
-                flip_direction(self.pending.direction),
-                self.pending.position,
-            )
-        self.pending = None
-        if a == b:
-            self.fail(DiagnosticKind.BAD_BOND, position, "bond from an atom to itself")
-        lo, hi = (a, b) if a < b else (b, a)
-        # An earlier bond of the pair is hi's chain bond or a ring closure.
-        if self.atoms[hi][3] == lo or (lo, hi) in self.ring_pairs:
-            self.fail(
+def _ring_closure(
+    s: str,
+    opened: tuple[int, tuple[BondType, BondDirection] | None, int],
+    b: int,
+    pending: tuple[BondType, BondDirection] | None,
+    position: int,
+    atoms: list[tuple[bool, int, int, int | None]],
+    ring_pairs: set[tuple[int, int]],
+) -> BondEdge:
+    """The bond that the ring digit at ``position``, read after atom ``b``
+    with the bond symbol ``pending``, closes to its opening ``opened``
+    (atom, bond symbol, position); adds the pair to ``ring_pairs``."""
+    a, bond, _ = opened
+    # Direction markers are normalized to the open -> close orientation;
+    # the closing-side symbol reads close -> open and must be flipped.
+    if bond is not None and pending is not None:
+        bond_type, direction = bond
+        if bond_type != pending[0]:
+            _fail(
+                s,
                 DiagnosticKind.BAD_BOND,
                 position,
-                f"duplicate bond between atoms {lo} and {hi}",
+                "ring closure bond type disagrees with its opening",
             )
-        self.ring_pairs.add((lo, hi))
-        self._add_edge(a, b, ring_bond)
+        closing = flip_direction(pending[1])
+        if (
+            direction != BondDirection.NONE
+            and closing != BondDirection.NONE
+            and direction != closing
+        ):
+            _fail(
+                s,
+                DiagnosticKind.BAD_BOND,
+                position,
+                "ring closure direction disagrees with its opening",
+            )
+        if direction == BondDirection.NONE:
+            direction = closing
+    elif bond is not None:
+        bond_type, direction = bond
+    elif pending is not None:
+        bond_type, direction = pending[0], flip_direction(pending[1])
+    else:
+        aromatic = atoms[a][0] and atoms[b][0]
+        bond_type = BondType.AROMATIC if aromatic else BondType.SINGLE
+        direction = BondDirection.NONE
+    if a == b:
+        _fail(s, DiagnosticKind.BAD_BOND, position, "bond from an atom to itself")
+    lo, hi = (a, b) if a < b else (b, a)
+    # An earlier bond of the pair is hi's chain bond or a ring closure.
+    if atoms[hi][3] == lo or (lo, hi) in ring_pairs:
+        _fail(s, DiagnosticKind.BAD_BOND, position, f"duplicate bond between atoms {lo} and {hi}")
+    ring_pairs.add((lo, hi))
+    return _bond_edge(a, b, bond_type, direction)
 
-    # -- main loop -----------------------------------------------------
 
-    def run(self) -> MoleculeGraph:
-        s = self.text
-        if not s:
-            self.fail(DiagnosticKind.UNKNOWN_ATOM, 0, "empty SMILES string")
-        while self.pos < len(s):
-            ch = s[self.pos]
-            if ch == "[" or ch.isalpha():
-                if ch == "[":
-                    node, aromatic, explicit_h, position = self._scan_bracket()
-                else:
-                    position, explicit_h = self.pos, 0
-                    # A two-letter symbol (Cl, Br) wins.
-                    sym = s[position : position + 2]
-                    if sym not in _ORGANIC:
-                        sym = ch
-                        if sym not in _ORGANIC:
-                            self.fail(
-                                DiagnosticKind.UNKNOWN_ATOM,
-                                position,
-                                f"unknown atom symbol {sym!r}",
-                            )
-                    self.pos = position + len(sym)
-                    node, aromatic = _ORGANIC[sym]
-                # The atom, and its bond to the previous one.
-                idx = len(self.nodes)
-                self.nodes.append(node)
-                self.atoms.append((aromatic, explicit_h, position, self.prev))
-                if self.prev is not None:
-                    # The new atom has no bonds yet, so this one is no duplicate.
-                    self._add_edge(self.prev, idx, self.pending)
-                else:
-                    self._no_pending("bond symbol with no preceding atom")
-                self.pending = None
-                self.prev = idx
-            elif ch in _BOND_SYMBOLS:
-                if self.pending is not None:
-                    self.fail(
-                        DiagnosticKind.BAD_BOND, self.pos, "two bond symbols in a row"
-                    )
-                bond_type, direction = _BOND_SYMBOLS[ch]
-                self.pending = _Pending(bond_type, direction, self.pos)
-                self.pos += 1
-            elif ch in _DIGITS:
-                self._ring_digit(int(ch), self.pos)
-                self.pos += 1
-            elif ch == "%":
-                digits, _ = self._digits(self.pos + 1)
-                if len(digits) < 2:
-                    self.fail(
-                        DiagnosticKind.UNCLOSED_RING,
-                        self.pos,
-                        "'%' ring closure needs two digits",
-                    )
-                self._ring_digit(int(digits[:2]), self.pos)
-                self.pos += 3
-            elif ch == "(":
-                if self.prev is None:
-                    self.fail(
-                        DiagnosticKind.UNCLOSED_BRANCH,
-                        self.pos,
-                        "branch opened before any atom",
-                    )
-                self._no_pending("bond symbol before a branch opening")
-                self.branches.append((self.prev, self.pos))
-                self.pos += 1
-            elif ch == ")":
-                if not self.branches:
-                    self.fail(
-                        DiagnosticKind.UNCLOSED_BRANCH,
-                        self.pos,
-                        "branch closed but never opened",
-                    )
-                self._no_pending("dangling bond symbol before ')'")
-                self.prev = self.branches.pop()[0]
-                self.pos += 1
-            elif ch == ".":
-                self._no_pending("dangling bond symbol before '.'")
-                self.prev = None
-                self.pos += 1
+# -- main loop -------------------------------------------------------------
+
+
+def _parse(s: str) -> tuple[MoleculeGraph, list[tuple[bool, int, int, int | None]]]:
+    """The graph of the (stripped) SMILES ``s``, and per atom its aromatic
+    flag, explicit hydrogen count, position and chain parent (the atom its
+    chain bond comes from, or None), which the valence check reads.
+
+    The parser's state lives in this frame's locals: the cursor ``i``, the
+    previous atom and whether it is aromatic, and the pending bond symbol
+    (type and direction, and its position), which a bond symbol sets and the
+    next atom or ring digit consumes.  Branch and ring openings are tuples.
+    Each character's branch runs its checks in a fixed order, because the
+    first check that fails names the diagnostic: a ``(`` with no previous
+    atom is an unclosed branch before its pending bond is looked at, and a
+    bracket atom is scanned before a pending bond with no atom before it is.
+    """
+    if not s:
+        _fail(s, DiagnosticKind.UNKNOWN_ATOM, 0, "empty SMILES string")
+    nodes: list[AtomNode] = []
+    atoms: list[tuple[bool, int, int, int | None]] = []
+    edges: list[BondEdge] = []
+    ring_pairs: set[tuple[int, int]] = set()
+    branches: list[tuple[int, bool, int]] = []  # (atom, aromatic, position)
+    rings: dict[int, tuple[int, tuple[BondType, BondDirection] | None, int]] = {}
+    prev: int | None = None
+    prev_aromatic = False
+    pending: tuple[BondType, BondDirection] | None = None
+    pending_at = 0
+    i, n = 0, len(s)
+    idx = -1  # the last atom's index
+    while i < n:
+        ch = s[i]
+        bare = _ORGANIC.get(ch)
+        if bare is not None or ch == "[":
+            position = i
+            if bare is None:
+                node, aromatic, explicit_h, i = _bracket_atom(s, i)
             else:
-                self.fail(
-                    DiagnosticKind.UNKNOWN_ATOM, self.pos, f"unexpected character {ch!r}"
-                )
-        self._no_pending("dangling bond symbol at end of input")
-        if self.rings:
-            digit, first = min(self.rings.items(), key=lambda kv: kv[1].position)
-            self.fail(
-                DiagnosticKind.UNCLOSED_RING,
-                first.position,
-                f"ring closure {digit} never closed",
-            )
-        if self.branches:
-            self.fail(
-                DiagnosticKind.UNCLOSED_BRANCH,
-                self.branches[-1][1],
-                "branch never closed",
-            )
-        if not self.nodes:  # only '.' separators: nothing to encode
-            self.fail(DiagnosticKind.UNKNOWN_ATOM, 0, "no atoms in SMILES string")
-        return MoleculeGraph(tuple(self.nodes), tuple(self.edges))
+                node, aromatic, two = bare
+                if two is not None and s[i + 1 : i + 2] == two[0]:
+                    node = two[1]
+                    i += 1
+                explicit_h = 0
+                i += 1
+            idx += 1
+            nodes.append(node)
+            atoms.append((aromatic, explicit_h, position, prev))
+            if prev is not None:
+                # The new atom has no bonds yet, so this one is no duplicate.
+                if pending is None:
+                    bond_type = _AROMATIC if prev_aromatic and aromatic else _SINGLE
+                    edges.append(_bond_edge(prev, idx, bond_type, _NO_DIRECTION))
+                else:
+                    edges.append(_bond_edge(prev, idx, pending[0], pending[1]))
+                    pending = None
+            elif pending is not None:
+                message = "bond symbol with no preceding atom"
+                _fail(s, DiagnosticKind.BAD_BOND, pending_at, message)
+            prev, prev_aromatic = idx, aromatic
+        elif ch == "(":
+            if prev is None:
+                _fail(s, DiagnosticKind.UNCLOSED_BRANCH, i, "branch opened before any atom")
+            if pending is not None:
+                _fail(s, DiagnosticKind.BAD_BOND, pending_at, "bond symbol before a branch opening")
+            branches.append((prev, prev_aromatic, i))
+            i += 1
+        elif ch == ")":
+            if not branches:
+                _fail(s, DiagnosticKind.UNCLOSED_BRANCH, i, "branch closed but never opened")
+            if pending is not None:
+                _fail(s, DiagnosticKind.BAD_BOND, pending_at, "dangling bond symbol before ')'")
+            prev, prev_aromatic, _ = branches.pop()
+            i += 1
+        elif ch in _DIGITS or ch == "%":
+            if ch == "%":
+                digits, _ = _digits(s, i + 1)
+                if len(digits) < 2:
+                    _fail(s, DiagnosticKind.UNCLOSED_RING, i, "'%' ring closure needs two digits")
+                digit, end = int(digits[:2]), i + 3
+            else:
+                digit, end = int(ch), i + 1
+            if prev is None:
+                _fail(s, DiagnosticKind.UNCLOSED_RING, i, "ring closure before any atom")
+            opened = rings.pop(digit, None)
+            if opened is None:
+                rings[digit] = (prev, pending, i)
+            else:
+                edges.append(_ring_closure(s, opened, prev, pending, i, atoms, ring_pairs))
+            pending = None
+            i = end
+        elif ch in _BOND_SYMBOLS:
+            if pending is not None:
+                _fail(s, DiagnosticKind.BAD_BOND, i, "two bond symbols in a row")
+            pending, pending_at = _BOND_SYMBOLS[ch], i
+            i += 1
+        elif ch == ".":
+            if pending is not None:
+                _fail(s, DiagnosticKind.BAD_BOND, pending_at, "dangling bond symbol before '.'")
+            prev = None
+            i += 1
+        elif ch.isalpha():
+            _fail(s, DiagnosticKind.UNKNOWN_ATOM, i, f"unknown atom symbol {ch!r}")
+        else:
+            _fail(s, DiagnosticKind.UNKNOWN_ATOM, i, f"unexpected character {ch!r}")
+    if pending is not None:
+        _fail(s, DiagnosticKind.BAD_BOND, pending_at, "dangling bond symbol at end of input")
+    if rings:
+        digit, (_, _, position) = min(rings.items(), key=lambda kv: kv[1][2])
+        _fail(s, DiagnosticKind.UNCLOSED_RING, position, f"ring closure {digit} never closed")
+    if branches:
+        _fail(s, DiagnosticKind.UNCLOSED_BRANCH, branches[-1][2], "branch never closed")
+    if not nodes:  # only '.' separators: nothing to encode
+        _fail(s, DiagnosticKind.UNKNOWN_ATOM, 0, "no atoms in SMILES string")
+    return MoleculeGraph(tuple(nodes), tuple(edges)), atoms
 
 
 def _valence_warnings(graph: MoleculeGraph, atoms: list[tuple]) -> list[ParseDiagnostic]:
@@ -524,9 +494,8 @@ def parse_with_diagnostics(text: str) -> tuple[MoleculeGraph, list[ParseDiagnost
         SmilesParseError: on the first hard error (unknown atom, bad bond or
             charge, unclosed ring or branch).
     """
-    parser = _Parser(text.strip())
-    graph = parser.run()
-    return graph, _valence_warnings(graph, parser.atoms)
+    graph, atoms = _parse(text.strip())
+    return graph, _valence_warnings(graph, atoms)
 
 
 def parse_smiles(text: str) -> MoleculeGraph:
@@ -534,7 +503,7 @@ def parse_smiles(text: str) -> MoleculeGraph:
 
     Same contract as :func:`parse_with_diagnostics` without the valence check.
     """
-    return _Parser(text.strip()).run()
+    return _parse(text.strip())[0]
 
 
 @dataclass(frozen=True)
@@ -601,7 +570,7 @@ def _read_smiles_csv(
                 index += 1
                 text = row[col].strip() if col < len(row) else ""
                 try:
-                    graph = parse_smiles(text)
+                    graph = _parse(text)[0]
                 except SmilesParseError as exc:
                     failures.append(CorpusFailure(index, text, exc.diagnostic))
                 else:

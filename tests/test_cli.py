@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import molcontrast.cli as cli_module
+import molcontrast.encoder as encoder_module
 from molcontrast import autodiff as ad
 from molcontrast.autodiff import gradcheck_report
 from molcontrast.cli import build_parser, load_config_file, main
@@ -165,6 +166,34 @@ def test_other_commands_validate_before_data(argv, tmp_path, capsys):
     rc = main(argv + ["--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("config error:")
+
+
+_ONE_EPOCH = ["--epochs", "1", "--warm-epochs", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pretrain", *_ONE_EPOCH, "--hidden", str(2**64)],
+        ["pretrain", *_ONE_EPOCH, "--hidden", str(2**40)],
+        ["pretrain", *_ONE_EPOCH, "--layers", str(10**12)],
+        ["finetune", "--epochs", "1", "--head-hidden", str(2**40), "--checkpoint", "{absent}"],
+        ["ablate_aug", "--pretrain-epochs", "1", "--warm-epochs", "0", "--latent", str(2**40)],
+    ],
+)
+def test_oversized_models_are_config_errors_before_anything_is_read_or_drawn(
+    argv, corpus_csv, tmp_path, monkeypatch, capsys
+):
+    def forbidden(*args, **kwargs):
+        pytest.fail("read data or drew parameters")
+
+    monkeypatch.setattr(cli_module, "_load_molecules", forbidden)
+    monkeypatch.setattr(encoder_module, "_draw", forbidden)
+    argv = [str(tmp_path / "absent.bin") if a == "{absent}" else a for a in argv]
+    assert main(argv + ["--data", str(corpus_csv), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the model has ") and err.count("\n") == 1, err
+    assert "bytes as float32" in err
 
 
 @pytest.mark.parametrize(

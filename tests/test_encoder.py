@@ -12,6 +12,7 @@ from molcontrast import autodiff as ad
 from graph_oracle import relabel
 from molcontrast.autodiff import Tape, Tensor, backward, check_gradients, dropout, tensor
 from molcontrast.contrastive import ContrastiveConfig, nt_xent
+from molcontrast.errors import ConfigError
 from molcontrast.encoder import (
     EncoderConfig,
     EncoderModel,
@@ -21,6 +22,7 @@ from molcontrast.encoder import (
     embed_nodes,
     gcn_layer,
     gin_layer,
+    parameter_layout,
     predict,
     project,
     readout,
@@ -970,3 +972,32 @@ def test_batch_plans_are_cached_and_match_index_arrays():
     assert bonds.coeff is None and gcn.coeff.shape == (e + n,)
     assert batch.graph_plan.rows == 2
     assert bonds.src.rows == batch.num_nodes
+
+
+@pytest.mark.parametrize(
+    "config, head",
+    [
+        (EncoderConfig("gin", 3, 8, 4), None),
+        (EncoderConfig("gcn", 2, 5, 3), None),
+        (EncoderConfig("gin", 1, 7, 2), HeadSpec("classification", 3, 2, 6)),
+        (EncoderConfig("gcn", 4, 3, 9), HeadSpec("regression", 2, 1, 4)),
+        (None, HeadSpec("classification", 1, 3, 5)),
+    ],
+)
+def test_parameter_count_is_the_layouts_in_closed_form(config, head):
+    if config is None:  # the head alone, on an input of width 1
+        layout = encoder_module._head_layout(1, head)
+    else:
+        layout = parameter_layout(config, head)
+    assert encoder_module._parameter_count(config, head) == sum(
+        int(np.prod(shape)) for _, shape in layout
+    )
+
+
+def test_a_model_larger_than_memory_is_refused(monkeypatch):
+    # A one-task regression head of width k on an input of width 1 holds 3k + 1.
+    monkeypatch.setattr(encoder_module, "_memory_bytes", lambda: 4000)
+    encoder_module._check_model_size(None, HeadSpec("regression", 1, 1, 333))
+    with pytest.raises(ConfigError, match="1,003 parameters, 4,012 bytes as float32, more "
+                       "than this machine's 4,000 bytes"):
+        encoder_module._check_model_size(None, HeadSpec("regression", 1, 1, 334))

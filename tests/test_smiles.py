@@ -7,8 +7,9 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import smiles_oracle
 from golden_corpus import GOLDEN
 from graph_oracle import validate
 from molcontrast import smiles
@@ -20,6 +21,7 @@ from molcontrast.graph import (
     BondType,
     Chirality,
     MoleculeGraph,
+    format_graph,
 )
 from molcontrast.smiles import (
     DiagnosticKind,
@@ -379,6 +381,131 @@ def test_every_parse_is_pinned(mixed_corpus):
     for text in texts:
         digest.update(f"{text}\n{_outcome(text)!r}\n".encode())
     assert digest.hexdigest() == PINNED_PARSES
+
+
+# -- the parser against its reference ----------------------------------------
+
+# Tokens of the grammar, weighted toward common ones; "[" stands for a
+# bracket atom drawn field by field.  Bond symbols glued to ring digits make
+# ring bonds that agree and disagree at their two ends.
+_GRAMMAR = (
+    "B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I", *"bcnops",
+    *"CCCCCCcccccNOn", *"[[[[[[",
+    *"1111222330456789", "%10", "%10", "%12", "%01", "%1", "%", "%123",
+    *"((((", *"))))", ".", "-", "=", "=", "#", ":", "/", "\\", "/", "\\",
+    "=1", "/1", "\\1", "-1", "=2", "#1", ":2",
+)
+# Characters the grammar rejects: unknown letters, a non-ASCII digit,
+# superscript and letter, punctuation and inner whitespace.
+_REJECTED = ("X", "H", "l", "r", "\u0663", "\u00b9", "\u00e9", "*", "$", " ", "]")
+# Bracket atom fields in order: isotope, symbol (some rejected), chirality
+# (with extended tags), hydrogen count, charge, atom class, closing bracket.
+_BRACKET_FIELDS = (
+    ("", "", "2", "13"),
+    ("C", "C", "c", "N", "n", "O", "S", "H", "Se", "se", "as", "Xx", "q", "8", ""),
+    ("", "", "", "@", "@@", "@TH1", "@SP2", "@@@"),
+    ("", "", "H", "H2", "H12", "H\u00b2"),
+    ("", "", "", "+", "-", "++", "--", "+-", "+2", "-3", "+15", "-16", "+++"),
+    ("", "", "", ":1", ":12", ":"),
+    ("]", "]", "]", "]", "]", ""),
+)
+_BRACKET_ATOMS = st.tuples(*map(st.sampled_from, _BRACKET_FIELDS)).map(
+    lambda fields: "[" + "".join(fields)
+)
+
+
+@st.composite
+def _smiles_like(draw):
+    """Up to 31 tokens, padded with whitespace that the parser strips.  Most
+    strings start with an atom; some start with a bond symbol or a dot, so
+    that the checks at the next character meet no previous atom."""
+    tokens = [draw(st.sampled_from(("C", "C", "c", "[", "", "=", "/", ".")))]
+    tokens += draw(st.lists(st.sampled_from(_GRAMMAR * 4 + _REJECTED), max_size=30))
+    k = tokens.count("[")
+    brackets = iter(draw(st.lists(_BRACKET_ATOMS, min_size=k, max_size=k)))
+    pad = draw(st.sampled_from(("", "", " ", "\n")))
+    return pad + "".join(next(brackets) if t == "[" else t for t in tokens) + pad
+
+
+_BONDS_OR_NONE = ("", "", "", "", "", "", "=", "#", ":", "-", "/", "\\")
+_WELL_FORMED_ATOMS = (
+    "C", "C", "c", "c", "c", "c", "N", "n", "O", "S", "Cl", "Br", "B", "b",
+    "[nH]", "[C@@H]", "[C@H]", "[O-]", "[NH4+]", "[13CH3]", "[Se]", "[as]", "[Cl:1]",
+)
+
+
+@st.composite
+def _well_formed(draw):
+    """Atoms joined by optional bond symbols, balanced branches and paired
+    ring digits, with bond symbols at either end of a ring bond: strings
+    that mostly parse, some with valence warnings."""
+    atom, bond = st.sampled_from(_WELL_FORMED_ATOMS), st.sampled_from(_BONDS_OR_NONE)
+    out, depth, unpaired = [draw(atom)], 0, set()
+    for step in draw(st.lists(st.sampled_from("aaaarrr().."), max_size=25)):
+        if step == "a":
+            out += [draw(bond), draw(atom)]
+        elif step == "r":
+            digit = draw(st.sampled_from(("1", "2", "3", "%10")))
+            out += [draw(bond), digit]
+            unpaired ^= {digit}
+        elif step == "(":
+            out += ["(", draw(bond), draw(atom)]
+            depth += 1
+        elif step == ")" and depth:
+            out.append(")")
+            depth -= 1
+        elif step == ".":
+            out += [".", draw(atom)]
+    out.append(draw(atom))
+    for digit in sorted(unpaired):
+        out += [draw(bond), digit]
+    return "".join(out) + ")" * depth
+
+
+def _reference_outcome(parse, text):
+    """``parse(text)`` as comparable values: the graph's listing and edges
+    in order with each warning's kind, position and message, or the hard
+    diagnostic's."""
+    try:
+        graph, warnings = parse(text)
+    except SmilesParseError as exc:
+        d = exc.diagnostic
+        return d.kind, d.position, d.message
+    return (
+        format_graph(graph),
+        graph.edges,
+        [(w.kind, w.position, w.message) for w in warnings],
+    )
+
+
+# Where several checks apply at one character, the first in the parser's
+# order names the diagnostic; and the bond types that the previous atom
+# decides, across a branch and at either end of a ring bond.
+_CHECK_ORDER_CASES = (
+    "=(C", "=)C", "=[Xx]", "=[C", "%1C", "C=.C", "C(=)C", "C=1CC#1", "C/1CC/1",
+    "C/1CC\\1", "C1CC/1", "C=11", "C=1#1", "C1C1", "C1CC1C1C1", "c(C)c", "C(c)c",
+    "c1ccccc1", "ClBrCCl", " C.C\n",
+)
+
+
+def _assert_agrees_with_reference(text):
+    expected = _reference_outcome(smiles_oracle.parse_with_diagnostics, text)
+    assert _reference_outcome(parse_with_diagnostics, text) == expected
+    # parse_smiles: the same graph or diagnostic, and no valence check.
+    if not isinstance(expected[0], DiagnosticKind):
+        expected = (*expected[:2], [])
+    assert _reference_outcome(lambda t: (parse_smiles(t), []), text) == expected
+
+
+@pytest.mark.parametrize("text", _CHECK_ORDER_CASES)
+def test_check_order_agrees_with_reference(text):
+    _assert_agrees_with_reference(text)
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.one_of(_smiles_like(), _well_formed()))
+def test_parser_agrees_with_its_reference(text):
+    _assert_agrees_with_reference(text)
 
 
 # -- hard errors ------------------------------------------------------------

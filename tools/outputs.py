@@ -66,10 +66,19 @@ MASKED = "../data/masked.csv"
 MIXED = "../data/mixed.csv"
 # Clean rows around one row per parse-failure kind (unknown atom, bad bond,
 # bad charge, unclosed ring, unclosed branch) and a pentavalent carbon,
-# which parses with a valence warning.
+# which parses with a valence warning.  Then clean rows through each branch
+# of the parser's loop: a bond symbol at a ring opening only, at the closing
+# only and at both; ``/`` and ``\`` across a closure, where the closing
+# symbol flips; ``%nn`` closures with bond symbols; branches that start with
+# a bond symbol; fragments; a bracket atom with every field; ``Cl`` and
+# ``Br`` next to ``C`` and ``B``.
 MIXED_SMILES = (
     "CCO", "C[Xq]", "c1ccc(cc1)O", "CC==C", "C[C+-]", "N#CC(=O)[O-]",
     "C(C)(C)(C)(C)C", "C1CC", "F/C=C\\Cl", "CC(C", "[C@@H](F)(Cl)Br",
+    "C=1CCCCC1", "C1CCCCC=1", "C=1CCCCC=1", "C/1CCCCC\\1", "C1CCCCC/1", "F/C=C/1.C\\1",
+    "C=%12CCCCC%12", "C%10CCCCC=%10", "C#%11CC#%11", "OC(=O)c1ccccc1", "CC(/F)=C/C",
+    "c1ccccc1.CCO.[Na+]", "[13CH3:2]C[15NH2+:1]C", "ClCBr", "BrB(Cl)C", "ClC(Br)=CBr",
+    "BBrCCl",
 )
 # Thousands of atoms each: chains, a branched chain and a ladder whose ends
 # are zipped together by 90 two-digit ring closures, every other one double.
