@@ -90,7 +90,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     after whitespace starts a comment; one inside a value (``C#N``) does not."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except (OSError, ValueError) as exc:  # not UTF-8, or a NUL byte in the path

@@ -80,7 +80,8 @@ def load_labeled_csv(
     """Read a labeled CSV: a ``smiles`` column, every other column a task.
 
     Blank cells are missing labels.  Unparseable rows are skipped and
-    reported.  Classification labels must be 0 or 1 where present.
+    reported.  Classification labels must be 0 or 1 where present, and
+    regression labels finite numbers.
     """
     if task_kind not in TASK_KINDS:
         raise DataError(f"unknown task kind {task_kind!r}")
@@ -110,6 +111,11 @@ def load_labeled_csv(
                 raise DataError(
                     f"row {row.index}, column {column}: classification label "
                     f"must be 0 or 1, got {cell!r}"
+                )
+            if not np.isfinite(value):
+                raise DataError(
+                    f"row {row.index}, column {column}: regression label "
+                    f"must be a finite number, got {cell!r}"
                 )
             labels.append(value)
             observed.append(True)
@@ -176,7 +182,7 @@ def scaffold_keys(graphs: Sequence[MoleculeGraph]) -> list[int]:
             labels = _fnv1a64_many([str(z).encode() for z in b.node_atomic.tolist()])
             for _ in range(_WL_ROUNDS):
                 labels = _refine_batch(b, labels)
-            per_core = np.split(labels, np.cumsum(b.graph_plan.counts)[:-1])
+            per_core = np.split(labels, b.atom_start[1:-1])
             summaries = [
                 f"{core.num_nodes}|{core.num_edges}|"
                 + ",".join(map(str, sorted(part.tolist())))

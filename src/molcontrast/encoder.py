@@ -33,6 +33,12 @@ backward still reads it.
 Dropout, between layers and after each hidden head layer, runs if and only
 if a stream ``rng`` is passed (training steps pass one) and its rate is
 above 0.
+
+A :class:`GraphBatch` stores what its graphs store: each atom's number and
+chirality, each bond once (endpoints within its molecule, type and
+direction), and where each molecule's atoms and bonds start.  The two
+directed edges of each bond and each atom's molecule, which the layers,
+the readout and the fingerprints read, are derived on first use.
 """
 
 from __future__ import annotations
@@ -176,58 +182,67 @@ class EdgeSet:
         self.bond_counts = counts.astype(np.float32)
 
 
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Where each of ``counts`` consecutive runs starts, then one past the
+    last."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
 def _spans(start: np.ndarray, ids: np.ndarray):
     """The rows ``start[i]:start[i + 1]`` of each ``i`` in ``ids``, in
-    order, and each span's length and first position among them."""
+    order, and the :func:`_offsets` of the spans among them."""
     counts = start[ids + 1] - start[ids]
-    first = np.cumsum(counts) - counts
-    return np.arange(counts.sum()) + np.repeat(start[ids] - first, counts), counts, first
+    out = _offsets(counts)
+    return np.arange(out[-1]) + np.repeat(start[ids] - out[:-1], counts), out
 
 
+@dataclass(eq=False)
 class GraphBatch:
     """A list of molecule graphs flattened into index arrays.
 
-    Undirected bonds are materialized as two directed edges; the direction
-    feature is flipped on the reversed copy so `/` and `\\` markers stay
-    orientation-consistent.
+    A batch stores what its graphs store, as int64 arrays: each atom's
+    number and chirality, each bond once in its graph's edge order (its
+    endpoints, numbered within its molecule, its type and its direction),
+    and where each molecule's atoms and bonds start, then one past the
+    last.
 
-    The index arrays are fixed for the life of a batch, so the
-    :class:`~molcontrast.autodiff.IndexPlan` of each (validated ids and
-    their scatter schedule) is built on first use and cached here: the
+    What the layers read is derived from these on first use and cached
+    here.  :attr:`edge_src`, :attr:`edge_dst`, :attr:`edge_type` and
+    :attr:`edge_dir` hold each bond as two directed edges, ``u -> v`` then
+    ``v -> u``, with atom rows numbered within the batch and the direction
+    flipped on the reversed copy so `/` and `\\` markers stay
+    orientation-consistent; :attr:`node_graph` holds each atom's molecule.
+    The :class:`~molcontrast.autodiff.IndexPlan` of each index array
+    (validated ids and their scatter schedule) is cached the same way: the
     atom, chirality and graph plans, and two :class:`EdgeSet`s, the bonds
     (:attr:`bond_edges`, for GIN) and the bonds plus one self-loop per atom
     (:attr:`gcn_edges`, for GCN).  Every layer, forward and backward, then
     shares one copy of that index work.
 
     Training packs its corpus once with :meth:`from_graphs`, and
-    :meth:`gather` copies each step's views out of that pack by per-molecule
-    offsets (derived on first use, like :attr:`bonds_by_source`), array for
-    array what :meth:`from_graphs` gives for the view graphs.
+    :meth:`gather` copies each step's views out of that pack by the stored
+    offsets, array for array what :meth:`from_graphs` gives for the view
+    graphs.  A pack that is only gathered from derives nothing.
     """
 
-    def __init__(
-        self,
-        node_atomic: np.ndarray,
-        node_chirality: np.ndarray,
-        edge_src: np.ndarray,
-        edge_dst: np.ndarray,
-        edge_type: np.ndarray,
-        edge_dir: np.ndarray,
-        node_graph: np.ndarray,
-        num_graphs: int,
-    ):
-        self.node_atomic = node_atomic
-        self.node_chirality = node_chirality
-        self.edge_src = edge_src
-        self.edge_dst = edge_dst
-        self.edge_type = edge_type
-        self.edge_dir = edge_dir
-        self.node_graph = node_graph
-        self.num_graphs = num_graphs
+    node_atomic: np.ndarray
+    node_chirality: np.ndarray
+    bond_u: np.ndarray
+    bond_v: np.ndarray
+    bond_type: np.ndarray
+    bond_dir: np.ndarray
+    atom_start: np.ndarray
+    bond_start: np.ndarray
 
     @property
     def num_nodes(self) -> int:
         return self.node_atomic.shape[0]
+
+    @property
+    def num_graphs(self) -> int:
+        return len(self.atom_start) - 1
 
     @classmethod
     def from_graphs(cls, graphs: Sequence[MoleculeGraph]) -> "GraphBatch":
@@ -239,67 +254,71 @@ class GraphBatch:
         def column(values, count: int) -> np.ndarray:
             return np.fromiter(values, dtype=np.int64, count=count)
 
-        sizes = column((len(g.nodes) for g in graphs), len(graphs))
-        offset = np.repeat(
-            np.cumsum(sizes) - sizes, column((len(g.edges) for g in graphs), len(graphs))
-        )
-        u = column((e.u for e in bonds), len(bonds)) + offset
-        v = column((e.v for e in bonds), len(bonds)) + offset
-        direction = column((e.direction for e in bonds), len(bonds))
-        # Each bond becomes u -> v then v -> u; the reversed copy sees the
-        # flipped direction marker.
         return cls(
             column((a.atomic_number for a in atoms), len(atoms)),
             column((a.chirality for a in atoms), len(atoms)),
-            np.stack([u, v], axis=1).ravel(),
-            np.stack([v, u], axis=1).ravel(),
-            np.repeat(column((e.bond_type for e in bonds), len(bonds)), 2),
-            np.stack([direction, _FLIPPED_DIRECTION[direction]], axis=1).ravel(),
-            np.repeat(np.arange(len(graphs), dtype=np.int64), sizes),
-            len(graphs),
+            column((e.u for e in bonds), len(bonds)),
+            column((e.v for e in bonds), len(bonds)),
+            column((e.bond_type for e in bonds), len(bonds)),
+            column((e.direction for e in bonds), len(bonds)),
+            _offsets(column((len(g.nodes) for g in graphs), len(graphs))),
+            _offsets(column((len(g.edges) for g in graphs), len(graphs))),
         )
 
-    @cached_property
-    def _starts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each molecule's first atom row and first bond (a pair of directed
-        rows), then one past the last."""
-        bond_graph = self.node_graph[self.edge_src[::2]]
-        return tuple(
-            np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=self.num_graphs))])
-            for owner in (self.node_graph, bond_graph)
-        )
-
-    def gather(self, ids: Sequence[int], masked: Sequence, dropped: Sequence) -> "GraphBatch":
+    def gather(
+        self, ids: Sequence[int], masked: Sequence = (), dropped: Sequence = ()
+    ) -> "GraphBatch":
         """The batch :meth:`from_graphs` builds from views of this batch's
         molecules: view ``k`` is molecule ``ids[k]`` with its atoms
         ``masked[k]`` set to the mask token (atomic number 119, chirality
         cleared) and its bonds at positions ``dropped[k]`` of its edge list
-        deleted.  Indices are local to the molecule."""
+        deleted.  Indices are local to the molecule; without ``masked`` and
+        ``dropped``, the views are the molecules."""
         ids = np.asarray(ids, dtype=np.int64)
-        (atom_rows, sizes, first_atom), (bond_rows, bonds, first_bond) = (
-            _spans(start, ids) for start in self._starts
+        (atom_rows, atom_start), (bond_rows, bond_start) = (
+            _spans(start, ids) for start in (self.atom_start, self.bond_start)
         )
         node_atomic = self.node_atomic[atom_rows]
         node_chirality = self.node_chirality[atom_rows]
-        hit = [a + base for base, atoms in zip(first_atom.tolist(), masked) for a in atoms]
+        hit = [a + base for base, atoms in zip(atom_start.tolist(), masked) for a in atoms]
         node_atomic[hit] = MASK_ATOMIC_NUMBER
         node_chirality[hit] = int(Chirality.UNSPECIFIED)
         keep = np.ones(len(bond_rows), dtype=bool)
-        keep[[p + base for base, ps in zip(first_bond.tolist(), dropped) for p in ps]] = False
-        # Both directed rows of each kept bond, u -> v then v -> u, with its
-        # atom ids moved from the molecule's rows in this batch to the view's.
-        rows = (2 * bond_rows[keep, None] + np.array([0, 1])).ravel()
-        shift = np.repeat(first_atom - self._starts[0][ids], bonds)[keep].repeat(2)
+        keep[[p + base for base, ps in zip(bond_start.tolist(), dropped) for p in ps]] = False
+        rows = bond_rows[keep]
         return GraphBatch(
             node_atomic,
             node_chirality,
-            self.edge_src[rows] + shift,
-            self.edge_dst[rows] + shift,
-            self.edge_type[rows],
-            self.edge_dir[rows],
-            np.repeat(np.arange(len(ids), dtype=np.int64), sizes),
-            len(ids),
+            self.bond_u[rows],
+            self.bond_v[rows],
+            self.bond_type[rows],
+            self.bond_dir[rows],
+            atom_start,
+            _offsets(keep)[bond_start],
         )
+
+    @cached_property
+    def _directed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each bond as ``u -> v`` then ``v -> u``, its atoms moved to their
+        rows in the batch; the reversed copy sees the flipped direction
+        marker."""
+        offset = np.repeat(self.atom_start[:-1], np.diff(self.bond_start))
+        u, v, d = self.bond_u + offset, self.bond_v + offset, self.bond_dir
+
+        def pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return np.stack([a, b], axis=1).ravel()
+
+        flipped = _FLIPPED_DIRECTION[d]
+        return pairs(u, v), pairs(v, u), np.repeat(self.bond_type, 2), pairs(d, flipped)
+
+    edge_src = property(lambda self: self._directed[0])
+    edge_dst = property(lambda self: self._directed[1])
+    edge_type = property(lambda self: self._directed[2])
+    edge_dir = property(lambda self: self._directed[3])
+
+    @cached_property
+    def node_graph(self) -> np.ndarray:
+        return np.repeat(np.arange(self.num_graphs, dtype=np.int64), np.diff(self.atom_start))
 
     @cached_property
     def atom_plan(self) -> ad.IndexPlan:
@@ -340,8 +359,7 @@ class GraphBatch:
         ``start[v]:start[v + 1]``.  The fingerprints and scaffold keys walk
         it; the encoder never does, so training never builds it."""
         order = np.argsort(self.edge_src, kind="stable")
-        start = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.edge_src, minlength=self.num_nodes), out=start[1:])
+        start = _offsets(np.bincount(self.edge_src, minlength=self.num_nodes))
         return self.edge_src[order], self.edge_dst[order], self.edge_type[order], start
 
 

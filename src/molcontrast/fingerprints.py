@@ -174,8 +174,7 @@ def _circular_bits(graphs: Sequence[MoleculeGraph], b: GraphBatch) -> np.ndarray
     """Circular bits of every molecule of ``graphs``, batched as ``b``,
     bool [molecules, nbits]."""
     in_ring = np.zeros(b.num_nodes, dtype=np.int8)
-    sizes = b.graph_plan.counts
-    for off, g in zip((np.cumsum(sizes) - sizes).tolist(), graphs):
+    for off, g in zip(b.atom_start.tolist(), graphs):
         in_ring[[off + v for v in ring_atoms(g)]] = 1
     charge = [node.formal_charge for g in graphs for node in g.nodes]
     degree = np.diff(b.bonds_by_source[3])

@@ -555,7 +555,7 @@ def _read_smiles_csv(
     parsed: list[tuple[CorpusRow, list[str]]] = []
     failures: list[CorpusFailure] = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             fields = next(reader, [])
             if "smiles" not in fields:

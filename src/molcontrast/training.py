@@ -985,14 +985,14 @@ def finetune(
     def build(chunk, drop_rng):  # a training batch of the current epoch
         if not observed[chunk].any():
             return None
-        views = [((), ())] * len(chunk)
+        edits = ()  # the molecules themselves
         if augment is not None:
-            views = [
+            edits = zip(*(
                 draw_view(graphs[i], augment, derive_rng(cfg.seed, _TAG_FT_AUGMENT, epoch, i))
                 for i in map(int, chunk)
-            ]
+            ))
         return _supervised_loss(
-            model, pack.gather(chunk, *zip(*views)), train_targets[chunk],
+            model, pack.gather(chunk, *edits), train_targets[chunk],
             observed[chunk], drop_rng,
         )
 

@@ -613,6 +613,47 @@ def test_unusable_inputs_end_in_an_exit_code(
     assert err.startswith(prefix) and len(err.splitlines()) == 1, err
 
 
+@pytest.mark.parametrize("marked", ["corpus", "labeled", "config"])
+def test_a_byte_order_mark_changes_no_output(marked, corpus_csv, labeled_csv, tmp_path):
+    # Excel's "CSV UTF-8" and some editors start a file with U+FEFF.
+    config = tmp_path / "split.cfg"
+    config.write_text("fractions = 0.6,0.2,0.2\nseed = 3\n", encoding="utf-8")
+    plain = {"corpus": corpus_csv, "labeled": labeled_csv, "config": config}[marked]
+    bom = tmp_path / f"bom-{plain.name}"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outs = []
+    for path in (plain, bom):
+        argv = {
+            "corpus": ["split", "--data", str(path)],
+            "labeled": ["finetune", "--data", str(path)] + FINETUNE_FAST,
+            "config": ["split", "--data", str(corpus_csv), "--config", str(path)],
+        }[marked]
+        outs.append(tmp_path / f"out-{len(outs)}")
+        assert main(argv + ["--out", str(outs[-1])]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        want, got = ((out / name).read_bytes() for out in outs)
+        if name == "config_resolved.txt":  # names the files it read and wrote
+            for a, b in ((bom, plain), (outs[1], outs[0])):
+                got = got.replace(str(a).encode(), str(b).encode())
+        assert got == want, name
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf", "1e999"])
+def test_a_non_finite_regression_label_is_a_data_error(value, tmp_path, capsys):
+    data = tmp_path / "labels.csv"
+    data.write_text(f"smiles,y\nCCO,1.5\nCCC,2.0\nc1ccccc1,{value}\nCCN,0.5\n")
+    argv = ["finetune", "--data", str(data), "--task", "regression",
+            "--out", str(tmp_path / "o")]
+    assert main(argv + FINETUNE_FAST) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: row 2, column y: regression label must be a finite number, "
+        f"got {value!r}"
+    ]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("epsilon, code", [(0.0, 0), (0.5, 2)])
 def test_checkpoint_gin_epsilon_must_be_zero(
     epsilon, code, corpus_csv, pretrained, tmp_path, capsys

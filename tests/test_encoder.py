@@ -40,6 +40,7 @@ from molcontrast.graph import (
     mask_token,
 )
 from molcontrast.smiles import parse_smiles
+from molgen import unlabeled_corpus
 
 
 def small_config(backbone="gin", num_layers=3, hidden_dim=8, latent_dim=4):
@@ -235,6 +236,18 @@ def test_batch_arrays_match_reference_loop_on_golden_corpus():
             assert have.dtype == np.int64 and have.shape == want.shape
             assert have.tobytes() == want.tobytes()
         assert batch.num_graphs == len(graphs)
+
+
+def test_a_pack_stores_each_bond_once():
+    # Two int64 columns per atom, four per bond (endpoints, type and
+    # direction) and two offset arrays; no directed rows, no node_graph.
+    graphs = unlabeled_corpus(2000, seed=7)
+    pack = GraphBatch.from_graphs(graphs)
+    atoms = sum(g.num_nodes for g in graphs)
+    bonds = sum(g.num_edges for g in graphs)
+    arrays = list(vars(pack).values())
+    assert all(isinstance(a, np.ndarray) and a.dtype == np.int64 for a in arrays)
+    assert sum(a.nbytes for a in arrays) == 8 * (2 * atoms + 4 * bonds + 2 * (len(graphs) + 1))
 
 
 def test_gcn_arrays_add_self_loops():

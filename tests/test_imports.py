@@ -1,8 +1,10 @@
 """Static gates: every name a library module imports is used or exported,
-every name the tape and loss modules export is read, and every tape op the
-gradient oracle checks is read outside the oracle."""
+every name a library module exports is read by the library, the benchmark,
+the tools or the README's Python examples, and every tape op the gradient
+oracle checks is read outside the oracle."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -58,6 +60,17 @@ def test_gate_flags_an_unused_import():
     assert unused_imports(source) == ["line 3: field"]
 
 
+def exports(tree: ast.Module) -> list[str]:
+    """The names a module's top-level ``__all__`` lists, if it has one."""
+    exported: list[str] = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = [e.value for e in node.value.elts]
+    return exported
+
+
 def unread_exports(module: str, sources: dict[str, str]) -> list[str]:
     """Names in ``__all__`` of ``sources[module]`` that no source reads.
 
@@ -67,12 +80,7 @@ def unread_exports(module: str, sources: dict[str, str]) -> list[str]:
     whole (``ad.segment_sum``).  An import alone is not a read.
     """
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    exported: list[str] = []
-    for node in trees[module].body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported = [e.value for e in node.value.elts]
+    exported = exports(trees[module])
     read: set[str] = set()
     for name, tree in trees.items():
         # Local names of the exported names, and of the module itself.
@@ -104,12 +112,29 @@ def unread_exports(module: str, sources: dict[str, str]) -> list[str]:
 
 
 READERS = {p.stem: p for p in SOURCES + sorted((ROOT / "perfbench").glob("*.py"))}
+EXPORTERS = [p.stem for p in SOURCES if exports(ast.parse(p.read_text(encoding="utf-8")))]
 
 
-@pytest.mark.parametrize("module", ["autodiff", "contrastive"])
+def export_readers() -> dict[str, str]:
+    """The sources of :data:`READERS` and ``tools/``, by module name, and the
+    Python blocks of README.md as one source."""
+    paths = {**READERS, **{p.stem: p for p in sorted((ROOT / "tools").glob("*.py"))}}
+    sources = {name: path.read_text(encoding="utf-8") for name, path in paths.items()}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources["README"] = "\n".join(re.findall(r"```python\n(.*?)```", readme, re.S))
+    return sources
+
+
+@pytest.mark.parametrize("module", EXPORTERS)
 def test_every_export_is_read(module):
-    sources = {name: path.read_text(encoding="utf-8") for name, path in READERS.items()}
-    assert unread_exports(module, sources) == []
+    assert unread_exports(module, export_readers()) == []
+
+
+def test_the_export_gate_reads_every_module_and_the_readme():
+    assert {"autodiff", "contrastive", "encoder", "smiles", "training"} <= set(EXPORTERS)
+    sources = export_readers()
+    assert {"run", "tracing", "outputs"} <= set(sources)
+    assert "from molcontrast.smiles import" in sources["README"]
 
 
 def test_gate_flags_an_unread_export():

@@ -621,6 +621,36 @@ def test_pretrain_needs_two_molecules():
         )
 
 
+PACK_FIELDS = {
+    "node_atomic", "node_chirality", "bond_u", "bond_v", "bond_type", "bond_dir",
+    "atom_start", "bond_start",
+}
+
+
+@pytest.mark.parametrize("loop", ["pretrain", "finetune", "finetune_augmented"])
+def test_training_gathers_from_its_pack_without_deriving_rows(loop, monkeypatch):
+    # The pack keeps only what from_graphs stored: its views, not the pack,
+    # build the directed rows, node_graph and the plans.
+    packs = []
+
+    class Recorded(GraphBatch):
+        @classmethod
+        def from_graphs(cls, graphs):
+            packs.append(super().from_graphs(graphs))
+            return packs[-1]
+
+    monkeypatch.setattr(training_module, "GraphBatch", Recorded)
+    if loop == "pretrain":
+        cfg = PretrainConfig(epochs=2, batch_size=4, warm_epochs=0,
+                             encoder=SMALL_ENCODER, val_fraction=0.25, seed=7)
+        pretrain(unlabeled_corpus(12, seed=1), cfg)
+    else:
+        augment = AugmentSpec(strategy="compose_all") if loop == "finetune_augmented" else None
+        cfg = FinetuneConfig(epochs=2, batch_size=32, hidden_dim=16, seed=0)
+        finetune(oxygen_dataset(50, seed=4), cfg, encoder=SMALL_ENCODER, augment=augment)
+    assert len(packs) == 1 and set(vars(packs[0])) == PACK_FIELDS
+
+
 def test_pretrain_smoke_and_determinism(tmp_path):
     corpus = unlabeled_corpus(12, seed=1)
     cfg = PretrainConfig(
