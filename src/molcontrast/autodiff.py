@@ -86,7 +86,7 @@ import glob
 import itertools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -370,8 +370,9 @@ def _run_parts(
     the rest (if any) on ``pool``, all under the caller's numpy error
     state, which ``fn`` enters (numpy's error state is per thread).  When
     there are several parts, each runs without the pool (see
-    :func:`_free_pool`).  Returns once every part is done; an exception in
-    any part is raised here."""
+    :func:`_free_pool`).  Returns or raises only once every part is done;
+    of the parts that raised, the first in part order has its exception
+    raised here."""
     errors = np.geterr()
     if len(parts) == 1:
         fn(*parts[0], errors)
@@ -380,8 +381,9 @@ def _run_parts(
     try:
         _as_part(fn, *parts[0], errors)
     finally:
-        for f in futures:
-            f.result()
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 def _matmul_block(a: np.ndarray, b: np.ndarray, out: np.ndarray, errors: dict) -> None:

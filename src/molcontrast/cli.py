@@ -287,17 +287,16 @@ def _load_molecules(path: str, task: str | None = None):
     fail to parse are skipped with one warning; none left is a data error."""
     if task is None:
         loaded = parse_corpus(path)
-        kept, failures = loaded.rows, loaded.failures
+        failures = loaded.failures
     else:
         loaded, failures = load_labeled_csv(path, task)
-        kept = loaded.records
     if failures:
         print(
-            f"warning: {len(failures)} of {len(kept) + len(failures)} rows "
+            f"warning: {len(failures)} of {len(loaded.rows) + len(failures)} rows "
             f"failed to parse",
             file=sys.stderr,
         )
-    if not kept:
+    if not loaded.rows:
         raise DataError(f"no parseable molecules in {path}")
     return loaded
 
@@ -583,7 +582,9 @@ def _ablation_sweep(args, column, values, vary, label) -> int:
     """Pre-train then fine-tune once per value, on the pre-training config
     ``vary(cfg, value)``; prints ``label.format(value)`` and the run's
     scores, and writes one CSV row per run to ``<command>.csv``.  The
-    configs are built first, so bad flags fail before any data is read."""
+    configs are built first, so bad flags fail before any data is read, and
+    the one scaffold split that every run fine-tunes on is made before any
+    pre-training, so too few scaffold groups fail before any training."""
     _require(args, "data")
     warm = (
         args.warm_epochs
@@ -610,10 +611,12 @@ def _ablation_sweep(args, column, values, vary, label) -> int:
     )
     _check_model_size(pre_cfg.encoder, _head_bound(args.task, ft_cfg))
     dataset = _load_molecules(args.data, args.task)
+    graphs = dataset.graphs()
+    split = scaffold_split(graphs)
     rows = []
     for value in values:
-        pre = pretrain(dataset.graphs(), vary(pre_cfg, value))
-        result = finetune(dataset, ft_cfg, checkpoint=pre.checkpoint)
+        pre = pretrain(graphs, vary(pre_cfg, value))
+        result = finetune(dataset, ft_cfg, checkpoint=pre.checkpoint, split=split)
         loss = pre.history[-1].train_loss
         val, test = result.val_metric, result.test_metric
         rows.append([value, f"{loss:.6f}", result.best_epoch, f"{val:.6f}", f"{test:.6f}"])

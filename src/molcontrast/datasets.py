@@ -1,5 +1,10 @@
 """Labeled datasets, scaffold-based splitting, and evaluation metrics.
 
+A labeled dataset holds the rows of its CSV that parsed (each row's index,
+SMILES and graph, as :func:`smiles.parse_corpus` returns them) and two
+[rows, tasks] arrays filled once as the CSV is read: float64 labels, 0.0
+where a cell is blank, and a bool mask of the cells that held a label.
+
 The scaffold of a molecule is what remains after iteratively deleting
 degree <= 1 atoms (ring systems plus the linkers between them); acyclic
 molecules reduce to the empty scaffold.  Scaffold identity is a 64-bit key
@@ -23,10 +28,9 @@ from .encoder import TASK_KINDS, GraphBatch
 from .errors import DataError
 from .fingerprints import _CHUNK, _fnv1a64_many, _refine_batch, fnv1a64
 from .graph import BondEdge, MoleculeGraph
-from .smiles import CorpusFailure, _column_positions, _read_smiles_csv
+from .smiles import CorpusFailure, CorpusRow, _column_positions, _read_smiles_csv
 
 __all__ = [
-    "LabeledRecord",
     "LabeledDataset",
     "load_labeled_csv",
     "murcko_scaffold",
@@ -42,36 +46,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LabeledRecord:
-    index: int
-    smiles: str
-    graph: MoleculeGraph
-    labels: tuple[float, ...]
-    observed: tuple[bool, ...]
-
-
-@dataclass
+@dataclass(eq=False)
 class LabeledDataset:
+    """The rows of a labeled CSV that parsed, and their labels.
+
+    ``labels[i, t]`` is row ``rows[i]``'s label for task ``task_names[t]``,
+    0.0 where its cell is blank, and ``observed[i, t]`` says whether the
+    cell held a label.  No ``__eq__`` is generated: it would compare arrays.
+    """
+
     task_kind: str  # one of encoder.TASK_KINDS
     task_names: tuple[str, ...]
-    records: list[LabeledRecord]
+    rows: list[CorpusRow]
+    labels: np.ndarray  # float64 [rows, tasks]
+    observed: np.ndarray  # bool [rows, tasks]
 
     @property
     def task_count(self) -> int:
         return len(self.task_names)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.rows)
 
     def graphs(self) -> list[MoleculeGraph]:
-        return [r.graph for r in self.records]
+        return [r.graph for r in self.rows]
 
     def label_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Labels and observation mask as [n, tasks] float/bool arrays."""
-        labels = np.array([r.labels for r in self.records], dtype=np.float64)
-        observed = np.array([r.observed for r in self.records], dtype=bool)
-        return labels, observed
+        """The stored ``labels`` and ``observed`` arrays, not copies."""
+        return self.labels, self.observed
 
 
 def load_labeled_csv(
@@ -81,7 +83,8 @@ def load_labeled_csv(
 
     Blank cells are missing labels.  Unparseable rows are skipped and
     reported.  Classification labels must be 0 or 1 where present, and
-    regression labels finite numbers.
+    regression labels finite numbers; cells are checked row by row, each
+    row's tasks in column order, and the first bad one is a data error.
     """
     if task_kind not in TASK_KINDS:
         raise DataError(f"unknown task kind {task_kind!r}")
@@ -89,17 +92,14 @@ def load_labeled_csv(
     task_names = tuple(c for c in fields if c != "smiles")
     if not task_names:
         raise DataError(f"no label columns in {path}")
-    records: list[LabeledRecord] = []
     at = _column_positions(fields)
-    for row, cells in parsed:
-        labels: list[float] = []
-        observed: list[bool] = []
-        for column in task_names:
-            j = at[column]
+    columns = [(t, column, at[column]) for t, column in enumerate(task_names)]
+    labels = np.zeros((len(parsed), len(task_names)))
+    observed = np.zeros(labels.shape, dtype=bool)
+    for i, (row, cells) in enumerate(parsed):
+        for t, column, j in columns:
             cell = cells[j].strip() if j < len(cells) else ""
             if not cell:
-                labels.append(0.0)
-                observed.append(False)
                 continue
             try:
                 value = float(cell)
@@ -117,14 +117,10 @@ def load_labeled_csv(
                     f"row {row.index}, column {column}: regression label "
                     f"must be a finite number, got {cell!r}"
                 )
-            labels.append(value)
-            observed.append(True)
-        records.append(
-            LabeledRecord(
-                row.index, row.smiles, row.graph, tuple(labels), tuple(observed)
-            )
-        )
-    return LabeledDataset(task_kind, task_names, records), failures
+            labels[i, t] = value
+            observed[i, t] = True
+    rows = [row for row, _ in parsed]
+    return LabeledDataset(task_kind, task_names, rows, labels, observed), failures
 
 
 # -- scaffolds ---------------------------------------------------------

@@ -662,31 +662,30 @@ def frozen_forward(
 
     Batches are cut at multiples of :data:`INFERENCE_BATCH` from the start
     whatever the thread count, since a row's bits may depend on its place in
-    a product's row tiles.  They are dealt across the ``set_threads``
-    workers, batch ``i`` to part ``i % parts``, and each writes its rows
-    into one output at its offset, so the output does not depend on the
-    thread count.
+    a product's row tiles.  The batches are split into contiguous runs in
+    corpus order, one for each ``set_threads`` worker but never more runs
+    than batches, and each batch writes its rows into one output at its
+    offset, so the output does not depend on the thread count.
 
     Finite but huge parameters can overflow, so each pass runs with numpy's
     floating-point warnings off and a NaN or Inf output raises
-    :class:`NumericAbort` instead.  A part stops at its first failing
-    batch; what the first failing batch in corpus order raised is raised.
+    :class:`NumericAbort` instead.  A run stops at its first failing batch,
+    and the first failing run's exception is raised, so what the first
+    failing batch in corpus order raised is raised.
     """
     frozen = model.frozen()
     out = np.empty((len(graphs), width), dtype=np.float32)
     starts = range(0, len(graphs), INFERENCE_BATCH)
     pool = ad._free_pool()
     parts = max(1, min(ad._workers, len(starts))) if pool is not None else 1
-    failed: list[tuple[int, Exception]] = []
+    cuts = [len(starts) * i // parts for i in range(parts + 1)]
     with np.errstate(all="ignore"):
         ad._run_parts(
             pool,
             _forward_batches,
-            [(starts[i::parts], INFERENCE_BATCH, graphs, frozen, forward, out, failed)
-             for i in range(parts)],
+            [(starts[lo:hi], INFERENCE_BATCH, graphs, frozen, forward, out)
+             for lo, hi in zip(cuts, cuts[1:])],
         )
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
     return out
 
 
@@ -697,26 +696,20 @@ def _forward_batches(
     frozen: EncoderModel,
     forward: Callable[[EncoderModel, GraphBatch], Tensor],
     out: np.ndarray,
-    failed: list,
     errors: dict,
 ) -> None:
     """One part of :func:`frozen_forward`: the batch of ``size`` graphs at
-    each of ``starts``, its rows written into ``out``; on the first batch
-    that raises or gives a non-finite output, appends ``(start, exception)``
-    to ``failed`` and stops."""
+    each of ``starts``, its rows written into ``out``; stops at the first
+    batch that raises or gives a non-finite output."""
     with np.errstate(**errors):
         for start in starts:
-            try:
-                batch = GraphBatch.from_graphs(graphs[start : start + size])
-                rows = forward(frozen, batch).data
-                if not np.isfinite(rows).all():
-                    raise NumericAbort(
-                        f"non-finite model output for molecules {start} to "
-                        f"{start + batch.num_graphs - 1}"
-                    )
-            except Exception as exc:  # re-raised by frozen_forward if first in order
-                failed.append((start, exc))
-                return
+            batch = GraphBatch.from_graphs(graphs[start : start + size])
+            rows = forward(frozen, batch).data
+            if not np.isfinite(rows).all():
+                raise NumericAbort(
+                    f"non-finite model output for molecules {start} to "
+                    f"{start + batch.num_graphs - 1}"
+                )
             out[start : start + len(rows)] = rows
 
 

@@ -4,14 +4,18 @@ The library fingerprints a whole batch with array operations.  This module
 keeps the plain loops it replaced, which the tests compare it against bit
 for bit: the recursive simple-path walk, the per-path label and hash loop,
 the per-atom neighbourhood refinement, and the retrieval analysis that
-fingerprints one molecule at a time.
+fingerprints one molecule at a time.  It finds ring atoms and Murcko cores
+its own way too (a search per bond, leaves peeled in rounds), so a fault in
+the library's walks shows in every comparison.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
-from molcontrast.datasets import _EMPTY_SCAFFOLD_KEY, _WL_ROUNDS, murcko_scaffold
+from molcontrast.datasets import _EMPTY_SCAFFOLD_KEY, _WL_ROUNDS
 from molcontrast.encoder import embed_molecules
 from molcontrast.fingerprints import (
     _MAX_PATH_BONDS,
@@ -24,8 +28,47 @@ from molcontrast.fingerprints import (
     _cosine_distances,
     dice,
     fnv1a64,
-    ring_atoms,
 )
+from molcontrast.graph import BondEdge, MoleculeGraph
+
+
+def ring_atoms(g):
+    """The ends of every bond whose two ends stay connected once that bond
+    is removed: one breadth-first search per bond."""
+    rings = set()
+    for e in g.edges:
+        seen = {e.u}
+        queue = deque([e.u])
+        while queue:
+            x = queue.popleft()
+            for w in g.adjacency[x]:
+                if w not in seen and {x, w} != {e.u, e.v}:
+                    seen.add(w)
+                    queue.append(w)
+        if e.v in seen:
+            rings.update((e.u, e.v))
+    return frozenset(rings)
+
+
+def murcko_scaffold(g):
+    """Delete every atom with at most one remaining neighbour, round after
+    round, until none is left; the survivors keep their order."""
+    alive = set(range(g.num_nodes))
+    while True:
+        leaves = {v for v in alive if sum(u in alive for u in g.adjacency[v]) <= 1}
+        if not leaves:
+            break
+        alive -= leaves
+    kept = sorted(alive)
+    index = {v: i for i, v in enumerate(kept)}
+    return MoleculeGraph(
+        tuple(g.nodes[v] for v in kept),
+        tuple(
+            BondEdge(index[e.u], index[e.v], e.bond_type, e.direction)
+            for e in g.edges
+            if e.u in alive and e.v in alive
+        ),
+    )
 
 
 def bond_types(g):

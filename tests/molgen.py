@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from molcontrast.datasets import LabeledDataset, LabeledRecord
+from molcontrast.datasets import LabeledDataset
 from molcontrast.graph import MoleculeGraph
-from molcontrast.smiles import parse_smiles
+from molcontrast.smiles import CorpusRow, parse_smiles
 
 # Each core is free of oxygen; {x} and {y} take substituents.
 CORES = (
@@ -81,12 +81,16 @@ def make_molecules(n: int, seed: int) -> list[tuple[str, MoleculeGraph]]:
     return out
 
 
+def _rows(n: int, seed: int) -> list[CorpusRow]:
+    return [CorpusRow(i, s, g) for i, (s, g) in enumerate(make_molecules(n, seed))]
+
+
 def oxygen_dataset(n: int, seed: int) -> LabeledDataset:
-    records = []
-    for i, (smiles, graph) in enumerate(make_molecules(n, seed)):
-        label = 1.0 if contains_oxygen(graph) else 0.0
-        records.append(LabeledRecord(i, smiles, graph, (label,), (True,)))
-    return LabeledDataset("classification", ("has_oxygen",), records)
+    rows = _rows(n, seed)
+    labels = np.array([float(contains_oxygen(r.graph)) for r in rows]).reshape(n, 1)
+    return LabeledDataset(
+        "classification", ("has_oxygen",), rows, labels, np.ones((n, 1), dtype=bool)
+    )
 
 
 def unlabeled_corpus(n: int, seed: int) -> list[MoleculeGraph]:
@@ -106,8 +110,8 @@ def write_labeled_csv(path: str | Path, n: int, seed: int) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["smiles", "has_oxygen"])
-        for record in dataset.records:
-            writer.writerow([record.smiles, int(record.labels[0])])
+        for row, label in zip(dataset.rows, dataset.labels[:, 0]):
+            writer.writerow([row.smiles, int(label)])
 
 
 def masked_dataset(n: int, seed: int, task_kind: str) -> LabeledDataset:
@@ -115,15 +119,16 @@ def masked_dataset(n: int, seed: int, task_kind: str) -> LabeledDataset:
     as the CSV loader stores a blank cell): contains oxygen and contains
     nitrogen for classification, heavy-atom and bond counts for
     regression."""
-    rng = np.random.default_rng(seed + 1)
-    records = []
-    for i, (smiles, graph) in enumerate(make_molecules(n, seed)):
-        if task_kind == "classification":
-            values = (contains_oxygen(graph), any(a.atomic_number == 7 for a in graph.nodes))
-        else:
-            values = (graph.num_nodes, len(graph.edges))
-        observed = tuple(bool(seen) for seen in rng.random(2) >= 0.2)
-        labels = tuple(float(v) if seen else 0.0 for v, seen in zip(values, observed))
-        records.append(LabeledRecord(i, smiles, graph, labels, observed))
-    names = ("has_oxygen", "has_nitrogen") if task_kind == "classification" else ("atoms", "bonds")
-    return LabeledDataset(task_kind, names, records)
+    rows = _rows(n, seed)
+    if task_kind == "classification":
+        values = [
+            (contains_oxygen(r.graph), any(a.atomic_number == 7 for a in r.graph.nodes))
+            for r in rows
+        ]
+        names = ("has_oxygen", "has_nitrogen")
+    else:
+        values = [(r.graph.num_nodes, r.graph.num_edges) for r in rows]
+        names = ("atoms", "bonds")
+    observed = np.random.default_rng(seed + 1).random((n, 2)) >= 0.2
+    labels = np.where(observed, np.array(values, dtype=float).reshape(n, 2), 0.0)
+    return LabeledDataset(task_kind, names, rows, labels, observed)

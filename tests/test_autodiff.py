@@ -4,6 +4,7 @@ import functools
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -1616,6 +1617,26 @@ def test_inference_abort_names_the_first_bad_batch_for_any_thread_count():
         messages.append(str(info.value))
     assert messages == [f"non-finite model output for molecules {2 * size} to {3 * size - 1}"] * 2
 
+
+
+def test_run_parts_waits_for_every_part_and_raises_the_first_failure():
+    # Three workers: part 0 fails on the calling thread and part 1 on the
+    # pool while part 2 sleeps.  Part 0's exception comes out, and only
+    # once part 2 has finished.
+    finished = []
+
+    def part(k, errors):
+        if k == 0:
+            raise RuntimeError("part 0")
+        if k == 1:
+            raise ValueError("part 1")
+        time.sleep(0.3)
+        finished.append(k)
+
+    with ThreadPoolExecutor(2) as pool:
+        with pytest.raises(RuntimeError, match="part 0"):
+            ad._run_parts(pool, part, [(0,), (1,), (2,)])
+        assert finished == [2]
 
 # -- every OpenBLAS kernel the host can run ------------------------------------
 

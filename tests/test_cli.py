@@ -1252,3 +1252,26 @@ def test_ablate_temp_sweeps_temperatures(labeled_csv, tmp_path, capsys):
     resolved = load_config_file(out / "config_resolved.txt")
     assert set(resolved) == ABLATE_KEYS  # no --temperature flag to record
     assert resolved["pretrain_epochs"] == "1"
+
+
+@pytest.mark.parametrize("command", ["ablate_aug", "ablate_temp"])
+def test_ablation_with_too_few_scaffolds_fails_before_pretraining(
+    command, tmp_path, monkeypatch, capsys
+):
+    # Twelve rows of four molecules on two scaffolds (benzene, cyclohexane):
+    # the split every run fine-tunes on cannot be made, which is known
+    # before any pre-training.
+    data = tmp_path / "two_scaffolds.csv"
+    molecules = ("Cc1ccccc1", "Oc1ccccc1", "CC1CCCCC1", "OC1CCCCC1")
+    data.write_text(
+        "smiles,y\n" + "".join(f"{s},{i % 2}\n" for i in range(3) for s in molecules)
+    )
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("pre-trained before the split was made")
+
+    monkeypatch.setattr(cli_module, "pretrain", forbidden)
+    rc = main([command, "--data", str(data), "--out", str(tmp_path / "o")] + ABLATE_FAST)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "data error: only 2 scaffold group(s); cannot populate three splits\n"

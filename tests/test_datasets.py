@@ -25,6 +25,8 @@ from molcontrast.errors import DataError
 from molcontrast.fingerprints import _CHUNK
 from molcontrast.graph import BondType
 from molcontrast.smiles import parse_smiles
+from test_fingerprints import ORACLE_GRAPHS
+from test_graph import random_graphs
 
 
 # -- murcko scaffold ---------------------------------------------------------
@@ -58,6 +60,17 @@ def test_ibuprofen_scaffold_is_benzene():
     core = murcko_scaffold(parse_smiles("CC(C)Cc1ccc(cc1)C(C)C(=O)O"))
     assert core.num_nodes == 6
     assert all(e.bond_type == BondType.AROMATIC for e in core.edges)
+
+
+def test_murcko_matches_oracle():
+    for g in ORACLE_GRAPHS:
+        assert murcko_scaffold(g) == oracle.murcko_scaffold(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graphs())
+def test_murcko_matches_oracle_on_any_graph(g):
+    assert murcko_scaffold(g) == oracle.murcko_scaffold(g)
 
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=[g.name for g in GOLDEN])
@@ -423,7 +436,7 @@ def test_load_labeled_reads_cells_as_dict_reader_does(tmp_path):
     p.write_text("smiles,y,z,y\nCCO,1,0,0\n\nCC,1\nCN,0,1,1,9,9\nCO\n")
     dataset, failures = load_labeled_csv(p, "classification")
     assert failures == []
-    assert [r.index for r in dataset.records] == [0, 1, 2, 3]
+    assert [r.index for r in dataset.rows] == [0, 1, 2, 3]
     assert dataset.task_names == ("y", "z", "y")
     labels, observed = dataset.label_arrays()
     np.testing.assert_array_equal(labels, [[0, 0, 0], [0, 0, 0], [1, 1, 1], [0, 0, 0]])

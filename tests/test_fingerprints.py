@@ -28,6 +28,7 @@ from molcontrast.fingerprints import (
 from molcontrast.graph import AtomNode, BondEdge, MoleculeGraph, mask_token
 from molcontrast.smiles import parse_smiles
 from molgen import unlabeled_corpus
+from test_graph import random_graphs
 
 
 def small_model(seed=0):
@@ -194,6 +195,8 @@ ORACLE_SMILES = (
     "C#CC=CC",
     "c1ccc2c(c1)[nH]c1ccccc12",
     "C12C3C4C1C5C2C3C45",  # cubane: many paths per atom
+    "C1C2CC3CC1CC(C2)C3",  # adamantane: bridged rings
+    "C1CC1CCC1CC1",  # two rings joined by a chain of bridges
 )
 _MASKED = MoleculeGraph(
     (AtomNode(6), mask_token(), AtomNode(8, formal_charge=-1), mask_token()),
@@ -235,6 +238,17 @@ def test_single_molecule_fps_match_oracle():
     for g in ORACLE_GRAPHS:
         np.testing.assert_array_equal(circular_fp(g).bits, oracle.circular_fp(g).bits)
         np.testing.assert_array_equal(path_fp(g).bits, oracle.path_fp(g).bits)
+
+
+def test_ring_atoms_match_oracle():
+    for g in ORACLE_GRAPHS:
+        assert ring_atoms(g) == oracle.ring_atoms(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graphs())
+def test_ring_atoms_match_oracle_on_any_graph(g):
+    assert ring_atoms(g) == oracle.ring_atoms(g)
 
 
 def test_fingerprint_chunks_of_no_molecules():

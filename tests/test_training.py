@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import molcontrast.training as training_module
 from molcontrast import autodiff as ad
 from molcontrast.augment import AugmentSpec
-from molcontrast.datasets import Split, SplitAssignment, scaffold_split
+from molcontrast.datasets import LabeledDataset, Split, SplitAssignment, scaffold_split
 from molcontrast.encoder import (
     EncoderConfig,
     EncoderModel,
@@ -27,7 +27,7 @@ from molcontrast.encoder import (
 )
 from molcontrast.errors import ConfigError, DataError, NumericAbort
 from molcontrast.graph import MoleculeGraph
-from molcontrast.smiles import parse_smiles
+from molcontrast.smiles import CorpusRow, parse_smiles
 from molcontrast.training import (
     CHECKPOINT_MAGIC,
     AdamState,
@@ -54,7 +54,7 @@ import chain_ops
 import supervised_oracle
 from blas_core import corename
 from golden_corpus import GOLDEN
-from molgen import masked_dataset, oxygen_dataset, unlabeled_corpus
+from molgen import make_molecules, masked_dataset, oxygen_dataset, unlabeled_corpus
 from test_autodiff import _CountingPool, _with_workers, needs_pinned_blas
 
 SMALL_ENCODER = EncoderConfig(num_layers=2, hidden_dim=8, latent_dim=4)
@@ -941,8 +941,6 @@ def test_finetune_regression_with_manual_split(tmp_path):
     # target = heavy-atom count, an easily learnable graph size signal
     corpus = unlabeled_corpus(24, seed=6)
     lines = ["smiles,size"]
-    from molgen import make_molecules
-
     for smiles, graph in make_molecules(24, seed=6):
         lines.append(f"{smiles},{graph.num_nodes}")
     p = tmp_path / "size.csv"
@@ -968,15 +966,15 @@ def test_finetune_regression_with_manual_split(tmp_path):
     assert math.isfinite(result.test_metric)
 
 
-def test_regression_finetune_predicts_the_test_split_once(monkeypatch):
-    from molcontrast.datasets import LabeledDataset, LabeledRecord
-    from molgen import make_molecules
+def _size_dataset(observed: np.ndarray) -> LabeledDataset:
+    """24 molecules labeled with their atom counts, observed where ``observed``."""
+    rows = [CorpusRow(i, s, g) for i, (s, g) in enumerate(make_molecules(24, seed=6))]
+    labels = np.array([[float(r.graph.num_nodes)] for r in rows])
+    return LabeledDataset("regression", ("size",), rows, labels, observed)
 
-    records = [
-        LabeledRecord(i, smiles, g, (float(g.num_nodes),), (True,))
-        for i, (smiles, g) in enumerate(make_molecules(24, seed=6))
-    ]
-    dataset = LabeledDataset("regression", ("size",), records)
+
+def test_regression_finetune_predicts_the_test_split_once(monkeypatch):
+    dataset = _size_dataset(np.ones((24, 1), dtype=bool))
     split = SplitAssignment(tuple([Split.TRAIN] * 16 + [Split.VALID] * 4 + [Split.TEST] * 4))
     predicted = []
     real = training_module.predict_molecules
@@ -997,14 +995,7 @@ def test_regression_finetune_predicts_the_test_split_once(monkeypatch):
 def test_finetune_skips_batches_without_an_observed_label():
     # No training molecule has a label: every batch is skipped, so nothing
     # moves and each epoch's training loss is the mean of no batch, NaN.
-    from molcontrast.datasets import LabeledDataset, LabeledRecord
-    from molgen import make_molecules
-
-    records = [
-        LabeledRecord(i, smiles, g, (float(g.num_nodes),), (i >= 16,))
-        for i, (smiles, g) in enumerate(make_molecules(24, seed=6))
-    ]
-    dataset = LabeledDataset("regression", ("size",), records)
+    dataset = _size_dataset(np.arange(24)[:, None] >= 16)
     split = SplitAssignment(tuple([Split.TRAIN] * 16 + [Split.VALID] * 4 + [Split.TEST] * 4))
     ckpt = model_to_checkpoint(EncoderModel.initialize(SMALL_ENCODER, np.random.default_rng(2)))
     cfg = FinetuneConfig(epochs=3, batch_size=32, hidden_dim=16, seed=1)

@@ -164,8 +164,8 @@ def write_inputs(data: Path) -> None:
         csv.writer(fh).writerows([
             ["smiles", *masked.task_names],
             *(
-                [r.smiles, *(int(v) if seen else "" for v, seen in zip(r.labels, r.observed))]
-                for r in masked.records
+                [row.smiles, *(int(v) if seen else "" for v, seen in zip(labels, observed))]
+                for row, labels, observed in zip(masked.rows, masked.labels, masked.observed)
             ),
         ])
 
