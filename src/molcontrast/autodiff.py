@@ -366,24 +366,26 @@ def _as_part(fn: Callable, *args) -> None:
 def _run_parts(
     pool: ThreadPoolExecutor | None, fn: Callable, parts: Sequence[tuple]
 ) -> None:
-    """``fn(*part, errors)`` for every part: the first on the calling thread,
+    """``fn(*part, errors)`` for every part: the last on the calling thread,
     the rest (if any) on ``pool``, all under the caller's numpy error
     state, which ``fn`` enters (numpy's error state is per thread).  When
     there are several parts, each runs without the pool (see
     :func:`_free_pool`).  Returns or raises only once every part is done;
     of the parts that raised, the first in part order has its exception
-    raised here."""
+    raised here.  The cuts of :func:`_matmul` and of inference round down,
+    which makes the last part the longest, so the calling thread runs it
+    rather than wait for it."""
     errors = np.geterr()
     if len(parts) == 1:
         fn(*parts[0], errors)
         return
-    futures = [pool.submit(_as_part, fn, *part, errors) for part in parts[1:]]
+    futures = [pool.submit(_as_part, fn, *part, errors) for part in parts[:-1]]
     try:
-        _as_part(fn, *parts[0], errors)
+        _as_part(fn, *parts[-1], errors)
     finally:
         wait(futures)
-    for f in futures:
-        f.result()
+        for f in futures:
+            f.result()  # an earlier part's exception replaces the last part's
 
 
 def _matmul_block(a: np.ndarray, b: np.ndarray, out: np.ndarray, errors: dict) -> None:

@@ -2,21 +2,27 @@
 
 A labeled dataset holds the rows of its CSV that parsed (each row's index,
 SMILES and graph, as :func:`smiles.parse_corpus` returns them) and two
-[rows, tasks] arrays filled once as the CSV is read: float64 labels, 0.0
-where a cell is blank, and a bool mask of the cells that held a label.
+[rows, tasks] arrays filled as the CSV is read, one row at a time: float64
+labels, 0.0 where a cell is blank, and a bool mask of the cells that held
+a label.
 
 The scaffold of a molecule is what remains after iteratively deleting
 degree <= 1 atoms (ring systems plus the linkers between them); acyclic
 molecules reduce to the empty scaffold.  Scaffold identity is a 64-bit key
 from three rounds of Weisfeiler-Leman refinement over atomic numbers and
 bond types, deliberately ignoring chirality, so distinct SMILES spellings
-of one scaffold collide.  Splitting assigns whole scaffold groups greedily
-to train, then validation, then test, largest group first, so no scaffold
-ever spans two splits.
+of one scaffold collide.  Both the deletion and the refinement run on a
+chunk of molecules packed as one :class:`~molcontrast.encoder.GraphBatch`,
+walking its ``bonds_by_source`` table for all molecules at once; no core
+is built as a graph of its own.  Splitting assigns whole scaffold groups
+greedily to train, then validation, then test, largest group first, so no
+scaffold ever spans two splits.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -24,16 +30,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoder import TASK_KINDS, GraphBatch
+from .encoder import TASK_KINDS, GraphBatch, _offsets, _spans
 from .errors import DataError
 from .fingerprints import _CHUNK, _fnv1a64_many, _refine_batch, fnv1a64
-from .graph import BondEdge, MoleculeGraph
+from .graph import MoleculeGraph
 from .smiles import CorpusFailure, CorpusRow, _column_positions, _read_smiles_csv
 
 __all__ = [
     "LabeledDataset",
     "load_labeled_csv",
-    "murcko_scaffold",
     "scaffold_keys",
     "Split",
     "SplitAssignment",
@@ -84,111 +89,134 @@ def load_labeled_csv(
     Blank cells are missing labels.  Unparseable rows are skipped and
     reported.  Classification labels must be 0 or 1 where present, and
     regression labels finite numbers; cells are checked row by row, each
-    row's tasks in column order, and the first bad one is a data error.
+    row's tasks in column order, and the first bad one is a data error,
+    raised once the whole file has been read.  Each row's labels are read
+    as the row is parsed, into buffers that grow in place.
     """
     if task_kind not in TASK_KINDS:
         raise DataError(f"unknown task kind {task_kind!r}")
-    fields, parsed, failures = _read_smiles_csv(path)
-    task_names = tuple(c for c in fields if c != "smiles")
+    task_names: tuple[str, ...] = ()
+    labels, observed = array("d"), bytearray()
+    bad: list[DataError] = []  # the first bad label, raised after the read
+
+    def cell_reader(fields: list[str]):
+        nonlocal task_names
+        task_names = tuple(c for c in fields if c != "smiles")
+        at = _column_positions(fields)
+        columns = [(t, column, at[column]) for t, column in enumerate(task_names)]
+
+        def read(row: CorpusRow, cells: list[str]) -> None:
+            values, seen = [0.0] * len(columns), bytearray(len(columns))
+            for t, column, j in columns:
+                cell = cells[j].strip() if j < len(cells) else ""
+                if cell and not bad:
+                    try:
+                        values[t], seen[t] = _label(task_kind, cell), 1
+                    except ValueError as exc:
+                        bad.append(DataError(f"row {row.index}, column {column}: {exc}"))
+            labels.extend(values)
+            observed.extend(seen)
+
+        return read
+
+    _, rows, failures = _read_smiles_csv(path, cell_reader)
     if not task_names:
         raise DataError(f"no label columns in {path}")
-    at = _column_positions(fields)
-    columns = [(t, column, at[column]) for t, column in enumerate(task_names)]
-    labels = np.zeros((len(parsed), len(task_names)))
-    observed = np.zeros(labels.shape, dtype=bool)
-    for i, (row, cells) in enumerate(parsed):
-        for t, column, j in columns:
-            cell = cells[j].strip() if j < len(cells) else ""
-            if not cell:
-                continue
-            try:
-                value = float(cell)
-            except ValueError as exc:
-                raise DataError(
-                    f"row {row.index}, column {column}: bad label {cell!r}"
-                ) from exc
-            if task_kind == "classification" and value not in (0.0, 1.0):
-                raise DataError(
-                    f"row {row.index}, column {column}: classification label "
-                    f"must be 0 or 1, got {cell!r}"
-                )
-            if not np.isfinite(value):
-                raise DataError(
-                    f"row {row.index}, column {column}: regression label "
-                    f"must be a finite number, got {cell!r}"
-                )
-            labels[i, t] = value
-            observed[i, t] = True
-    rows = [row for row, _ in parsed]
-    return LabeledDataset(task_kind, task_names, rows, labels, observed), failures
+    if bad:
+        raise bad[0]
+    return LabeledDataset(
+        task_kind,
+        task_names,
+        rows,
+        np.frombuffer(labels).reshape(-1, len(task_names)),  # float64, as array("d")
+        np.frombuffer(observed, dtype=bool).reshape(-1, len(task_names)),
+    ), failures
+
+
+def _label(task_kind: str, cell: str) -> float:
+    """The label in a non-blank cell, or a ``ValueError`` that says what is
+    wrong with it."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"bad label {cell!r}") from None
+    if task_kind == "classification" and value not in (0.0, 1.0):
+        raise ValueError(f"classification label must be 0 or 1, got {cell!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"regression label must be a finite number, got {cell!r}")
+    return value
 
 
 # -- scaffolds ---------------------------------------------------------
 
 
-def murcko_scaffold(g: MoleculeGraph) -> MoleculeGraph:
-    """Iteratively delete degree <= 1 atoms; returns the reindexed core.
+def _murcko_mask(b: GraphBatch) -> np.ndarray:
+    """Whether each atom of a batch is in its molecule's Murcko core, bool
+    [atoms]: what remains after deleting, again and again, every atom with
+    at most one distinct live neighbour, all molecules at once.
 
-    Ring atoms always keep degree >= 2, so the fixed point is the ring
-    systems plus their linkers.  Acyclic inputs give the empty graph.
-    Surviving nodes keep their features and relative order.
+    A bond listed twice between two atoms counts that neighbour once.  Ring
+    atoms always keep two live neighbours, so the core is the ring systems
+    plus their linkers; an acyclic molecule has no core atom.  Each round
+    deletes the atoms that the previous round left with one live neighbour
+    or none, so a chain costs its length, not its length times the chunk.
     """
-    degree = [len(row) for row in g.adjacency]
-    alive = [True] * g.num_nodes
-    queue = [v for v in range(g.num_nodes) if degree[v] <= 1]
-    while queue:
-        v = queue.pop()
-        if not alive[v]:
-            continue
-        alive[v] = False
-        for u in g.adjacency[v]:
-            if alive[u]:
-                degree[u] -= 1
-                if degree[u] <= 1:
-                    queue.append(u)
-    index = {}
-    nodes = []
-    for v in range(g.num_nodes):
-        if alive[v]:
-            index[v] = len(nodes)
-            nodes.append(g.nodes[v])
-    edges = tuple(
-        BondEdge(index[e.u], index[e.v], e.bond_type, e.direction)
-        for e in g.edges
-        if alive[e.u] and alive[e.v]
-    )
-    return MoleculeGraph(tuple(nodes), edges)
+    n = b.num_nodes
+    src, dst, _, _ = b.bonds_by_source
+    src, dst = np.divmod(np.unique(src * n + dst), n)  # each neighbour once
+    ptr = _offsets(np.bincount(src, minlength=n))
+    degree, alive = np.diff(ptr), np.ones(n, dtype=bool)
+    leaves = np.flatnonzero(degree <= 1)
+    while len(leaves):
+        alive[leaves] = False
+        nbr = dst[_spans(ptr, leaves)[0]]
+        nbr = nbr[alive[nbr]]
+        np.subtract.at(degree, nbr, 1)
+        leaves = np.unique(nbr[degree[nbr] <= 1])
+    return alive
 
 
 _EMPTY_SCAFFOLD_KEY = fnv1a64(b"empty-scaffold")
 _WL_ROUNDS = 3
 
 
+def _core_batch(pack: GraphBatch, core: np.ndarray) -> GraphBatch:
+    """The batch of every molecule's core: the atoms ``core`` marks, in
+    order, and the bonds between them, numbered within each core."""
+    inside = core[pack.edge_src[::2]] & core[pack.edge_dst[::2]]
+    atom_start, bond_start = _offsets(core)[pack.atom_start], _offsets(inside)[pack.bond_start]
+    base = np.repeat(atom_start[:-1], np.diff(bond_start))  # each bond's core's first row
+    rank = np.cumsum(core) - 1  # each core atom's row in the batch
+    return GraphBatch(
+        *(column[core] for column in (pack.node_atomic, pack.node_chirality)),
+        *(rank[ends[::2][inside]] - base for ends in (pack.edge_src, pack.edge_dst)),
+        *(column[inside] for column in (pack.bond_type, pack.bond_dir)),
+        atom_start,
+        bond_start,
+    )
+
+
 def scaffold_keys(graphs: Sequence[MoleculeGraph]) -> list[int]:
     """64-bit scaffold identity of every molecule, relabeling-invariant and
-    chirality-blind; each refinement round hashes every scaffold atom of a
-    chunk of molecules at once."""
+    chirality-blind.
+
+    Each chunk of molecules is packed once; its cores are read off the pack
+    as one batch, whose refinement rounds hash every core atom of the chunk
+    at once.  A core's key hashes ``"{atoms}|{bonds}|{sorted labels}"``."""
     keys: list[int] = []
     for lo in range(0, len(graphs), _CHUNK):
-        cores = [murcko_scaffold(g) for g in graphs[lo : lo + _CHUNK]]
-        rings = [core for core in cores if core.num_nodes]
-        summaries = []
-        if rings:  # a chunk of acyclic molecules has nothing to batch
-            b = GraphBatch.from_graphs(rings)
-            labels = _fnv1a64_many([str(z).encode() for z in b.node_atomic.tolist()])
-            for _ in range(_WL_ROUNDS):
-                labels = _refine_batch(b, labels)
-            per_core = np.split(labels, b.atom_start[1:-1])
-            summaries = [
-                f"{core.num_nodes}|{core.num_edges}|"
-                + ",".join(map(str, sorted(part.tolist())))
-                for part, core in zip(per_core, rings)
-            ]
-        ring_keys = iter(_fnv1a64_many([t.encode() for t in summaries]).tolist())
-        keys += [
-            next(ring_keys) if core.num_nodes else _EMPTY_SCAFFOLD_KEY
-            for core in cores
+        pack = GraphBatch.from_graphs(graphs[lo : lo + _CHUNK])
+        b = _core_batch(pack, _murcko_mask(pack))
+        labels = _fnv1a64_many([str(z).encode() for z in b.node_atomic.tolist()])
+        for _ in range(_WL_ROUNDS):
+            labels = _refine_batch(b, labels)
+        atoms, bonds = np.diff(b.atom_start).tolist(), np.diff(b.bond_start).tolist()
+        summaries = [
+            f"{n}|{m}|" + ",".join(map(str, sorted(part.tolist())))
+            for n, m, part in zip(atoms, bonds, np.split(labels, b.atom_start[1:-1]))
         ]
+        hashed = _fnv1a64_many([t.encode() for t in summaries]).tolist()
+        keys += [key if n else _EMPTY_SCAFFOLD_KEY for n, key in zip(atoms, hashed)]
     return keys
 
 

@@ -356,8 +356,11 @@ class GraphBatch:
     def bonds_by_source(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The directed bonds as a CSR table ``(src, dst, type, start)``,
         sorted by source atom: atom ``v``'s bonds are rows
-        ``start[v]:start[v + 1]``.  The fingerprints and scaffold keys walk
-        it; the encoder never does, so training never builds it."""
+        ``start[v]:start[v + 1]``.  The fingerprints walk it for ring atoms
+        (``fingerprints._ring_mask``), circular rounds and paths, and the
+        scaffold keys for Murcko cores (``datasets._murcko_mask``) and
+        their refinement rounds; the encoder never does, so training never
+        builds it."""
         order = np.argsort(self.edge_src, kind="stable")
         start = _offsets(np.bincount(self.edge_src, minlength=self.num_nodes))
         return self.edge_src[order], self.edge_dst[order], self.edge_type[order], start
@@ -664,8 +667,9 @@ def frozen_forward(
     whatever the thread count, since a row's bits may depend on its place in
     a product's row tiles.  The batches are split into contiguous runs in
     corpus order, one for each ``set_threads`` worker but never more runs
-    than batches, and each batch writes its rows into one output at its
-    offset, so the output does not depend on the thread count.
+    than batches; the calling thread runs the last, which is the longest.
+    Each batch writes its rows into one output at its offset, so the output
+    does not depend on the thread count.
 
     Finite but huge parameters can overflow, so each pass runs with numpy's
     floating-point warnings off and a NaN or Inf output raises

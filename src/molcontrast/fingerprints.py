@@ -17,14 +17,16 @@ positions are identical across platforms and runs.
 Both kinds are computed for a batch of molecules at a time, in chunks of
 ``_CHUNK`` molecules laid end to end as the encoder's
 :class:`~molcontrast.encoder.GraphBatch`, whose directed bonds sorted by
-source atom form one CSR table.  Each circular round builds the text of
-every atom of the chunk and hashes them all with one vectorised FNV-1a,
-which runs one array step per byte column over the texts sorted by
-falling length.  Paths are walked level by level: the paths of k + 1 bonds
-extend those of k bonds by every neighbour of their last atom not already
-on the path.  Each level's label rows are put in canonical direction,
-deduplicated with a lexsort, and only the distinct rows are hashed.  The
-one-molecule functions are the batch of one.
+source atom form one CSR table.  Every walk reads that table, over all
+molecules of the chunk at once.  The ring atoms of the circular invariants
+come from one bridge-finding DFS over the chunk.  Each circular round
+builds the text of every atom of the chunk and hashes them all with one
+vectorised FNV-1a, which runs one array step per byte column over the
+texts sorted by falling length.  Paths are walked level by level: the
+paths of k + 1 bonds extend those of k bonds by every neighbour of their
+last atom not already on the path.  Each level's label rows are put in
+canonical direction, deduplicated with a lexsort, and only the distinct
+rows are hashed.  The one-molecule functions are the batch of one.
 
 Retrieval analysis embeds a corpus with the encoder readout (the 512-d
 ``h``, not the contrastive projection), ranks it by cosine distance to a
@@ -46,7 +48,6 @@ from .graph import MoleculeGraph
 __all__ = [
     "fnv1a64",
     "Fingerprint",
-    "ring_atoms",
     "circular_fp",
     "path_fp",
     "fingerprint_chunks",
@@ -114,44 +115,47 @@ class Fingerprint:
         return int(self.bits.sum())
 
 
-def ring_atoms(g: MoleculeGraph) -> frozenset[int]:
-    """Atoms lying on at least one cycle (incident to a non-bridge edge)."""
-    n = g.num_nodes
-    disc = [-1] * n
-    low = [0] * n
+def _ring_mask(b: GraphBatch) -> np.ndarray:
+    """Whether each atom of a batch lies on a ring, bool [atoms]: the ends of
+    every bond that is not a bridge.
+
+    One iterative low-link DFS walks the batch's ``bonds_by_source`` rows,
+    all molecules at once.  An atom skips every row back to its DFS parent,
+    so a bond listed twice between two atoms closes no ring.  A tree bond
+    ``parent -> v`` is a bridge unless ``v``'s subtree reaches above
+    ``parent``; any other bond repeats a tree bond or closes a cycle of
+    tree bonds that are not bridges, so marking the ends of those marks
+    every ring atom.
+    """
+    _, dst, _, start = b.bonds_by_source
+    nbr, ptr = dst.tolist(), start.tolist()
+    disc, low = [-1] * b.num_nodes, [0] * b.num_nodes
+    in_ring = [False] * b.num_nodes
     timer = 0
-    bridges: set[tuple[int, int]] = set()
-    for root in range(n):
+    for root in range(b.num_nodes):
         if disc[root] != -1:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack: list[tuple[int, int, object]] = [(root, -1, iter(g.adjacency[root]))]
+        stack = [(root, -1, iter(nbr[ptr[root] : ptr[root + 1]]))]
         while stack:
             v, parent, it = stack[-1]
-            pushed = False
-            for u in it:  # type: ignore[union-attr]
+            for u in it:
                 if u == parent:
                     continue
                 if disc[u] == -1:
                     disc[u] = low[u] = timer
                     timer += 1
-                    stack.append((u, v, iter(g.adjacency[u])))
-                    pushed = True
+                    stack.append((u, v, iter(nbr[ptr[u] : ptr[u + 1]])))
                     break
                 low[v] = min(low[v], disc[u])
-            if not pushed:
+            else:
                 stack.pop()
                 if parent != -1:
                     low[parent] = min(low[parent], low[v])
-                    if low[v] > disc[parent]:
-                        bridges.add((min(parent, v), max(parent, v)))
-    in_ring: set[int] = set()
-    for e in g.edges:
-        if (e.u, e.v) not in bridges:
-            in_ring.add(e.u)
-            in_ring.add(e.v)
-    return frozenset(in_ring)
+                    if low[v] <= disc[parent]:
+                        in_ring[parent] = in_ring[v] = True
+    return np.array(in_ring, dtype=bool)
 
 
 def _refine_batch(b: GraphBatch, labels: np.ndarray) -> np.ndarray:
@@ -173,9 +177,7 @@ def _refine_batch(b: GraphBatch, labels: np.ndarray) -> np.ndarray:
 def _circular_bits(graphs: Sequence[MoleculeGraph], b: GraphBatch) -> np.ndarray:
     """Circular bits of every molecule of ``graphs``, batched as ``b``,
     bool [molecules, nbits]."""
-    in_ring = np.zeros(b.num_nodes, dtype=np.int8)
-    for off, g in zip(b.atom_start.tolist(), graphs):
-        in_ring[[off + v for v in ring_atoms(g)]] = 1
+    in_ring = _ring_mask(b).view(np.int8)
     charge = [node.formal_charge for g in graphs for node in g.nodes]
     degree = np.diff(b.bonds_by_source[3])
     inv = _fnv1a64_many(

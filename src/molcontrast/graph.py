@@ -7,7 +7,9 @@ fixed here as module constants.  Formal charge is kept on the node as parsed
 metadata but is not part of the embedded feature set.
 
 Graphs are immutable.  Edges are stored once per unordered pair with
-``u < v``; the adjacency structure is derived from the edges on first use.
+``u < v``; the adjacency structure is derived from the edges on first use,
+and augmentation's subgraph walk is the library's one reader of it (the
+fingerprints and scaffolds walk a packed batch instead).
 :class:`AtomNode` and :class:`BondEdge` are slotted value objects compared by
 value: the parser hands every equal atom the same shared node, and every
 equal bond the same shared edge while a bounded cache holds it, so object

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 from .errors import DataError
 from .graph import (
@@ -537,22 +537,24 @@ def _column_positions(fields: list[str]) -> dict[str, int]:
 
 
 def _read_smiles_csv(
-    path: str | Path
-) -> tuple[list[str], list[tuple[CorpusRow, list[str]]], list[CorpusFailure]]:
+    path: str | Path, cell_reader: Callable[[list[str]], Callable] | None = None
+) -> tuple[list[str], list[CorpusRow], list[CorpusFailure]]:
     """Read a CSV file and parse its (stripped) ``smiles`` column.
 
-    Returns the header, each parsed row with its raw CSV cells, and the rows
-    that failed to parse, both in input order.  Row indices are 0-based over
-    data rows (the header is not counted).  Cells are read as
-    ``csv.DictReader`` reads them, without a dict per row: an empty line is
-    no row, and a column name stands for its last position in the header,
-    whose cell a short row lacks.
+    Returns the header, the parsed rows and the rows that failed to parse,
+    both in input order.  Row indices are 0-based over data rows (the header
+    is not counted).  Cells are read as ``csv.DictReader`` reads them,
+    without a dict per row: an empty line is no row, and a column name
+    stands for its last position in the header, whose cell a short row
+    lacks.  ``cell_reader``, when given, is called with the header, and what
+    it returns is called with each parsed row and its raw CSV cells as the
+    row is read, so no more than one row's cells are held.
     """
     path = Path(path)
     # Unlike Path.exists, False for a name too long or holding a NUL byte.
     if not os.path.exists(path):
         raise DataError(f"corpus file not found: {path}")
-    parsed: list[tuple[CorpusRow, list[str]]] = []
+    parsed: list[CorpusRow] = []
     failures: list[CorpusFailure] = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -563,6 +565,7 @@ def _read_smiles_csv(
                     f"column 'smiles' not found in {path} (have: {', '.join(fields)})"
                 )
             col = _column_positions(fields)["smiles"]
+            read_cells = cell_reader(fields) if cell_reader else None
             index = -1
             for row in reader:
                 if not row:
@@ -574,7 +577,9 @@ def _read_smiles_csv(
                 except SmilesParseError as exc:
                     failures.append(CorpusFailure(index, text, exc.diagnostic))
                 else:
-                    parsed.append((CorpusRow(index, text, graph), row))
+                    parsed.append(CorpusRow(index, text, graph))
+                    if read_cells:
+                        read_cells(parsed[-1], row)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return fields, parsed, failures
@@ -587,5 +592,5 @@ def parse_corpus(path: str | Path) -> CorpusParseResult:
     skipped; everything else is returned in input order.  Row indices are
     0-based over data rows (the header is not counted).
     """
-    _, parsed, failures = _read_smiles_csv(path)
-    return CorpusParseResult([row for row, _ in parsed], failures)
+    _, rows, failures = _read_smiles_csv(path)
+    return CorpusParseResult(rows, failures)

@@ -1,16 +1,21 @@
 """Graph helpers that only the tests use.
 
 :func:`validate` audits a graph assembled by hand, :func:`relabel` permutes
-a graph's atoms for the invariance tests, and :func:`scaffold_key` is the
-one-molecule form of :func:`molcontrast.datasets.scaffold_keys`.  The
-library never calls them.
+a graph's atoms for the invariance tests, and :func:`ring_atoms`,
+:func:`murcko_scaffold` and :func:`scaffold_key` are the one-molecule forms
+of the library's walks over a whole chunk of molecules.  The library never
+calls them.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from molcontrast.datasets import scaffold_keys
+import numpy as np
+
+from molcontrast.datasets import _murcko_mask, scaffold_keys
+from molcontrast.encoder import GraphBatch
+from molcontrast.fingerprints import _ring_mask
 from molcontrast.graph import AtomNode, BondEdge, MoleculeGraph
 
 
@@ -55,3 +60,25 @@ def relabel(g: MoleculeGraph, perm: Sequence[int]) -> MoleculeGraph:
 def scaffold_key(g: MoleculeGraph) -> int:
     """64-bit scaffold identity; relabeling-invariant, chirality-blind."""
     return scaffold_keys([g])[0]
+
+
+def ring_atoms(g: MoleculeGraph) -> frozenset[int]:
+    """Atoms lying on at least one cycle (incident to a non-bridge edge)."""
+    return frozenset(np.flatnonzero(_ring_mask(GraphBatch.from_graphs([g]))).tolist())
+
+
+def murcko_scaffold(g: MoleculeGraph) -> MoleculeGraph:
+    """The Murcko core as a graph of its own: the atoms that iteratively
+    deleting degree <= 1 atoms leaves, renumbered in their order, with
+    their features, and the bonds between them."""
+    alive = _murcko_mask(GraphBatch.from_graphs([g])).tolist()
+    kept = [v for v in range(g.num_nodes) if alive[v]]
+    index = {v: i for i, v in enumerate(kept)}
+    return MoleculeGraph(
+        tuple(g.nodes[v] for v in kept),
+        tuple(
+            BondEdge(index[e.u], index[e.v], e.bond_type, e.direction)
+            for e in g.edges
+            if alive[e.u] and alive[e.v]
+        ),
+    )

@@ -4,18 +4,25 @@ Molecules are built from oxygen-free ring cores plus randomized
 substituents, so the contains-oxygen label depends only on the
 substituents and every scaffold group mixes both classes.  Labels are
 computed from the parsed graph, never from the construction recipe.
+
+:func:`scaled_molecules` goes past the recipe's few thousand molecules by
+joining two of them through a short linker; it writes each SMILES from its
+index alone, so a million rows stream to a CSV in bounded memory.
 """
 
 from __future__ import annotations
 
 import csv
+from functools import cache
+from math import gcd
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from molcontrast.datasets import LabeledDataset
 from molcontrast.graph import MoleculeGraph
-from molcontrast.smiles import CorpusRow, parse_smiles
+from molcontrast.smiles import CorpusRow, parse_smiles, parse_with_diagnostics
 
 # Each core is free of oxygen; {x} and {y} take substituents.
 CORES = (
@@ -41,14 +48,20 @@ PLAIN_SUBSTITUENTS = (
 )
 
 
-# How many distinct SMILES the recipe can write; asking for more would draw
+# Every distinct SMILES the recipe can write; asking for more would draw
 # forever.
-MAX_MOLECULES = len({
+RECIPE = sorted({
     core.format(x=x, y=y)
     for core in CORES
     for x in OXY_SUBSTITUENTS + PLAIN_SUBSTITUENTS
     for y in OXY_SUBSTITUENTS + PLAIN_SUBSTITUENTS
 })
+MAX_MOLECULES = len(RECIPE)
+
+# What :func:`scaled_molecules` puts between its two halves.  Each starts
+# with ``[`` and ends with ``]``, which no recipe SMILES holds, so a joined
+# SMILES splits back into its three parts one way only.
+LINKERS = ("[CH2]", "[NH]", "[CH2][CH2]", "[CH2][NH][CH2]")
 
 
 def contains_oxygen(g: MoleculeGraph) -> bool:
@@ -132,3 +145,47 @@ def masked_dataset(n: int, seed: int, task_kind: str) -> LabeledDataset:
     observed = np.random.default_rng(seed + 1).random((n, 2)) >= 0.2
     labels = np.where(observed, np.array(values, dtype=float).reshape(n, 2), 0.0)
     return LabeledDataset(task_kind, names, rows, labels, observed)
+
+
+@cache
+def _halves() -> tuple[list[str], list[str]]:
+    """The recipe SMILES whose last atom, and those whose first atom, takes
+    one more single bond without a valence warning."""
+    def clean(smiles: str) -> bool:
+        return not parse_with_diagnostics(smiles)[1]
+
+    return (
+        [s for s in RECIPE if clean(s + "C")],
+        [s for s in RECIPE if clean("C" + s)],
+    )
+
+
+def scaled_molecules(n: int, seed: int) -> Iterator[str]:
+    """``n`` distinct SMILES, deterministic in ``seed``, made one at a time.
+
+    Row ``i`` is ``left + linker + right``, decoded from ``(a * i + c) mod
+    N`` over the ``N`` combinations of the two halves and :data:`LINKERS`,
+    with ``a`` coprime to ``N``; both are drawn from ``seed``, so the rows
+    are a seeded permutation of the combinations and no seen-set is kept.
+    """
+    left, right = _halves()
+    total = len(left) * len(right) * len(LINKERS)
+    if n > total:
+        raise ValueError(f"scaled_molecules writes {total} distinct molecules, not {n}")
+    rng = np.random.default_rng(seed)
+    a = 0
+    while gcd(a, total) != 1:
+        a = int(rng.integers(1, total))
+    c = int(rng.integers(total))
+    for i in range(n):
+        rest, k = divmod((a * i + c) % total, len(LINKERS))
+        l, r = divmod(rest, len(right))
+        yield left[l] + LINKERS[k] + right[r]
+
+
+def write_scaled_csv(path: str | Path, n: int, seed: int) -> None:
+    """Stream :func:`scaled_molecules` to a one-column ``smiles`` CSV."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["smiles"])
+        writer.writerows([smiles] for smiles in scaled_molecules(n, seed))

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from golden_corpus import GOLDEN
-from graph_oracle import relabel, scaffold_key, validate
+from graph_oracle import murcko_scaffold, relabel, scaffold_key, validate
 from molgen import make_molecules, oxygen_dataset, unlabeled_corpus
 from test_contrastive import brute_force_nt_xent
 from test_datasets import pair_auc
@@ -40,7 +40,6 @@ from molcontrast.datasets import (
     Split,
     SplitAssignment,
     mae,
-    murcko_scaffold,
     rmse,
     roc_auc,
     scaffold_split,

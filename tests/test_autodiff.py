@@ -4,6 +4,7 @@ import functools
 import os
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -1273,7 +1274,7 @@ def test_matmul_splits_only_above_the_gate(m, k, n, blocks):
     b = rng.standard_normal((k, n)).astype(np.float32)
     pool = _CountingPool(4)
     got = _with_workers(4, lambda: ad._matmul(a, b), pool)
-    assert pool.blocks == blocks[1:]  # the calling thread computes block 0
+    assert pool.blocks == blocks[:-1]  # the calling thread computes the last block
     assert got.dtype == np.float32
     assert got.tobytes() == (a @ b).tobytes()
 
@@ -1285,7 +1286,7 @@ def test_matmul_never_splits_one_column(monkeypatch):
     # Sandybridge kernels; two columns are a gemm.
     monkeypatch.setattr(ad, "_BLOCK_MACS", 1 << 21)
     a = np.random.default_rng(0).standard_normal((2800, 4096)).astype(np.float32)
-    for n, blocks in ((1, []), (2, [696, 696, 712])):
+    for n, blocks in ((1, []), (2, [696, 696, 696])):
         b = np.ones((4096, n), dtype=np.float32)
         pool = _CountingPool(4)
         got = _with_workers(4, lambda: ad._matmul(a, b), pool)
@@ -1303,7 +1304,7 @@ def test_matmul_blocks_take_the_callers_error_state():
     pool = _CountingPool(4)
     with np.errstate(invalid="ignore"):
         got = _with_workers(4, lambda: ad._matmul(a, b), pool)
-    assert pool.blocks == [696, 696, 712] and np.isnan(got).all()
+    assert pool.blocks == [696, 696, 696] and np.isnan(got).all()
 
 
 @needs_pinned_blas
@@ -1380,7 +1381,7 @@ def test_product_with_own_transpose_is_gemm_for_any_thread_count(dtype, m, k):
     "rows, width, out, submitted",
     [
         (640, 64, 128, []),  # fixture-size layer: under the gate
-        (2800, 512, 1024, [272, 1408]),  # paper-size layer: dw = x.T @ g, then dx
+        (2800, 512, 1024, [240, 1392]),  # paper-size layer: dw = x.T @ g, then dx
     ],
 )
 def test_linear_backward_splits_only_above_the_gate(rows, width, out, submitted):
@@ -1399,7 +1400,7 @@ def test_linear_backward_splits_only_above_the_gate(rows, width, out, submitted)
         return backward(tape, loss)
 
     grads = _with_workers(2, run, pool)
-    assert pool.blocks == submitted  # the calling thread computes block 0
+    assert pool.blocks == submitted  # the calling thread computes the last block
     assert grads[x].dtype == grads[w].dtype == np.float32
     assert grads[x].tobytes() == (r @ w.data.T).tobytes()
     assert grads[w].tobytes() == (x.data.T @ r).tobytes()
@@ -1637,6 +1638,25 @@ def test_run_parts_waits_for_every_part_and_raises_the_first_failure():
         with pytest.raises(RuntimeError, match="part 0"):
             ad._run_parts(pool, part, [(0,), (1,), (2,)])
         assert finished == [2]
+
+
+def test_run_parts_runs_the_last_part_on_the_calling_thread():
+    # The last part runs here and the others on the pool; when the last
+    # part fails too, an earlier part's failure is what comes out.
+    caller = threading.get_ident()
+    ran = {}
+
+    def part(k, errors):
+        ran[k] = threading.get_ident()
+        if k in (1, 2):
+            raise RuntimeError(f"part {k}")
+
+    with ThreadPoolExecutor(2) as pool:
+        ad._run_parts(pool, part, [(0,), (3,)])
+        assert ran[3] == caller and ran[0] != caller
+        with pytest.raises(RuntimeError, match="part 1"):
+            ad._run_parts(pool, part, [(0,), (1,), (2,)])
+        assert ran[2] == caller and ran[1] != caller
 
 # -- every OpenBLAS kernel the host can run ------------------------------------
 

@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import fingerprint_oracle as oracle
 from golden_corpus import GOLDEN
-from graph_oracle import relabel, scaffold_key, validate
+from graph_oracle import murcko_scaffold, relabel, scaffold_key, validate
 from molcontrast.datasets import (
     Split,
     UndefinedMetric,
     load_labeled_csv,
     mae,
     mean_task_metric,
-    murcko_scaffold,
     rmse,
     roc_auc,
     scaffold_keys,
@@ -458,3 +457,23 @@ def test_load_labeled_structural_errors(tmp_path):
         load_labeled_csv(p, "ranking")
     with pytest.raises(DataError):
         load_labeled_csv(tmp_path / "missing.csv", "classification")
+
+
+def test_load_labeled_reports_errors_in_the_order_it_always_has(tmp_path):
+    # The first bad label by row, then by column, is the error; but a read
+    # error anywhere in the file comes first, and so does a file with no
+    # label column.  The undecodable byte sits past the reader's first
+    # decoded block, so the bad label is read before it.
+    rows = "CCO,1,2\nCC,x,1\n" + "CN,1,0\n" * 2000
+    p = tmp_path / "labels.csv"
+    p.write_text("smiles,y,z\n" + rows)
+    with pytest.raises(DataError, match="^row 0, column z: classification label"):
+        load_labeled_csv(p, "classification")
+    with pytest.raises(DataError, match="^row 1, column y: bad label 'x'$"):
+        load_labeled_csv(p, "regression")
+    p.write_bytes(b"smiles,y,z\n" + rows.encode() + b"C\xff,1,0\n")
+    with pytest.raises(DataError, match="^cannot read "):
+        load_labeled_csv(p, "classification")
+    p.write_bytes(b"smiles\n" + b"CCO\n" * 4000 + b"C\xff\n")
+    with pytest.raises(DataError, match="^cannot read "):
+        load_labeled_csv(p, "classification")

@@ -1,5 +1,7 @@
 """Fingerprints, Dice similarity, and the retrieval report."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import fingerprint_oracle as oracle
 from fingerprint_oracle import enumerate_simple_paths
 from golden_corpus import GOLDEN
-from graph_oracle import relabel, scaffold_key
+from graph_oracle import relabel, ring_atoms, scaffold_key
+from molcontrast.datasets import scaffold_keys
 import molcontrast.fingerprints as fingerprints
 from molcontrast.encoder import EncoderConfig, EncoderModel
 from molcontrast.errors import NumericAbort
@@ -23,9 +26,8 @@ from molcontrast.fingerprints import (
     fnv1a64,
     path_fp,
     retrieval_analysis,
-    ring_atoms,
 )
-from molcontrast.graph import AtomNode, BondEdge, MoleculeGraph, mask_token
+from molcontrast.graph import AtomNode, BondEdge, BondType, MoleculeGraph, mask_token
 from molcontrast.smiles import parse_smiles
 from molgen import unlabeled_corpus
 from test_graph import random_graphs
@@ -103,6 +105,86 @@ def test_ring_atoms_biphenyl_bridge():
     # the inter-ring bond is a bridge, but both endpoints still sit on rings
     g = parse_smiles("c1ccccc1-c1ccccc1")
     assert ring_atoms(g) == frozenset(range(12))
+
+
+# -- graphs the parser never builds -------------------------------------------
+
+
+def _hand_built(atoms, bonds):
+    return MoleculeGraph(
+        tuple(AtomNode(z) for z in atoms), tuple(BondEdge(u, v, t) for u, v, t in bonds)
+    )
+
+
+_S, _D = BondType.SINGLE, BondType.DOUBLE
+# Where "distinct neighbour" and "skip the parent" decide the answer: a bond
+# listed twice is one neighbour to the core and closes no ring.  Each entry
+# is (graph, ring atoms, scaffold key, sha256 of the packed circular bits),
+# taken from the per-molecule walks these replaced.
+HAND_BUILT = {
+    "repeated_single_pair": (
+        _hand_built([6, 6, 7], [(0, 1, _S), (0, 1, _S), (1, 2, _S)]),
+        set(),
+        2499684587622229579,
+        "04fb27562005682fa99f56490469e38c96f365790dbc159a3cda95274ec638fb",
+    ),
+    "repeated_mixed_pair": (
+        _hand_built([6, 6, 8], [(0, 1, _S), (0, 1, _D), (1, 2, _S)]),
+        set(),
+        2499684587622229579,
+        "aa1aafeaeac5fb439f0a8096cf7e9bd518506c010e99ba600be31420748ed61b",
+    ),
+    "isolated_atom": (
+        _hand_built([6, 6, 6, 17], [(0, 1, _S), (1, 2, _S), (0, 2, _S)]),
+        {0, 1, 2},
+        10918882163813593689,
+        "1a11fd89c2d8dec13d318145fcf2e6c29abd258d5b1d3ceeef00b1fe035e004e",
+    ),
+    "two_fragments": (
+        _hand_built(
+            [6, 6, 6, 7, 7, 7, 7, 8],
+            [(0, 1, _S), (1, 2, _S), (0, 2, _S), (3, 4, _S), (4, 5, _S), (5, 6, _S),
+             (3, 6, _S), (6, 7, _D)],
+        ),
+        {0, 1, 2, 3, 4, 5, 6},
+        2673081611653299609,
+        "b0d465172113c1ddb05af2dbd85148b1d17f14ead943d688e3766d6c8299783f",
+    ),
+    "bridged_rings": (
+        _hand_built(
+            [6, 6, 6, 6, 6, 6, 9],
+            [(0, 1, _S), (1, 2, _S), (0, 2, _S), (2, 3, _S), (3, 4, _S), (4, 5, _S),
+             (3, 5, _S), (5, 6, _S)],
+        ),
+        {0, 1, 2, 3, 4, 5},
+        16358124338033661400,
+        "1ce10a7af30d0b54a9850dbab4cb6be6915f1cbee311e3d32f4ef3304ee486b1",
+    ),
+    "ring_with_repeated_pair": (
+        _hand_built([6, 6, 6, 6], [(0, 1, _S), (1, 2, _S), (2, 3, _S), (0, 3, _S), (1, 2, _D)]),
+        {0, 1, 2, 3},
+        16187974018674810406,
+        "e973bfb459a0c7da038bf85c4a8afdef6d3d2cda7355bbcca533ec730c017360",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_hand_built_graphs_keep_their_rings_keys_and_bits(name):
+    g, rings, key, bits = HAND_BUILT[name]
+    assert ring_atoms(g) == rings
+    assert scaffold_key(g) == key
+    assert hashlib.sha256(np.packbits(circular_fp(g).bits).tobytes()).hexdigest() == bits
+
+
+def test_hand_built_graphs_in_one_chunk():
+    # Laid end to end in one pack, each graph still gets its own key.
+    graphs = [g for g, *_ in HAND_BUILT.values()]
+    assert scaffold_keys(graphs) == [key for _, _, key, _ in HAND_BUILT.values()]
+    circular = np.concatenate([c for c, _ in fingerprint_chunks(graphs)])
+    assert [hashlib.sha256(np.packbits(row).tobytes()).hexdigest() for row in circular] == [
+        bits for *_, bits in HAND_BUILT.values()
+    ]
 
 
 # -- circular fingerprints ---------------------------------------------------

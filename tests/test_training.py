@@ -302,7 +302,7 @@ def test_adam_pools_tiles_only_above_the_gate(sizes, submitted):
     params, _ = _with_workers(
         4, lambda: _adam_steps(adam_step, shapes, grads, 1e-3, 1e-2, AdamState()), pool
     )
-    assert pool.blocks == submitted  # tiles per pooled part; the caller runs part 0
+    assert pool.blocks == submitted  # tiles per pooled part; the caller runs the last
     for name in shapes:
         assert params[name].data.tobytes() == expected[name].data.tobytes()
 

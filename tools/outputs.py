@@ -12,13 +12,16 @@ valence warning, whose ``embed`` run shows the parser's skip count
 (stderr) and the graphs of the rows it keeps, and a corpus of molecules
 of thousands of atoms, longer than the parser's cache of shared bond
 edges holds, whose ``embed`` run covers edges built again after the cache
-evicted them.  It then runs
+evicted them.  ``retrieve`` and ``split`` run on both of these too, so the
+ring and scaffold walks see fragments and molecules thousands of atoms
+deep; the long corpus has two scaffold groups, so its split exits 2 once
+its keys are computed.  It then runs
 one fixed matrix of ``molcontrast`` commands twice: first on the working
 tree's ``src/``, then on ``src/`` of ``git archive REV`` exported to a
 temporary directory.  Each tree runs in its own directory, and every path
 a command is given is relative and reads the same in both, so the paths
 that ``config_resolved.txt`` records match too.  Both trees together take
-about 15 s on a 2-vCPU machine; the one wide pre-training run, whose Adam
+about 20 s on a 2-vCPU machine; the one wide pre-training run, whose Adam
 steps run on the worker threads, takes under 1 s of each tree's share.
 
 Prints each run's exit code and stderr in both trees, then the sha256 of
@@ -97,8 +100,8 @@ _FINETUNE = ["finetune", "--data", LABELED, "--epochs", "4", "--batch", "32",
              "--head-hidden", "16"]
 _ABLATE = ["--pretrain-epochs", "1", "--warm-epochs", "0", "--finetune-epochs", "2",
            "--batch", "16", "--finetune-batch", "32", *_ENCODER]
-_RETRIEVE = ["retrieve", "--data", CORPUS, "--checkpoint", "pretrain_gin/checkpoint.bin",
-             "--query", "CCOc1ccc(C)cc1", "--bins", "5"]
+_RETRIEVE = ["retrieve", "--checkpoint", "pretrain_gin/checkpoint.bin",
+             "--query", "CCOc1ccc(C)cc1"]
 
 # (run name, argv); each run writes to --out <run name>.  Later runs read
 # the checkpoints of the first three pre-training runs.
@@ -130,14 +133,19 @@ MATRIX: tuple[tuple[str, list[str]], ...] = (
     ("embed_large", ["embed", "--data", LARGE, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
     ("embed_large_threads_1", ["embed", "--data", LARGE, "--checkpoint",
                                "pretrain_gin/checkpoint.bin", "--threads", "1"]),
-    ("retrieve_sampled", [*_RETRIEVE, "--samples-per-bin", "4"]),
-    ("retrieve_whole_bin", _RETRIEVE),
+    ("retrieve_sampled", [*_RETRIEVE, "--data", CORPUS, "--bins", "5",
+                          "--samples-per-bin", "4"]),
+    ("retrieve_whole_bin", [*_RETRIEVE, "--data", CORPUS, "--bins", "5"]),
+    ("retrieve_mixed", [*_RETRIEVE, "--data", MIXED, "--bins", "5"]),
+    ("retrieve_long", [*_RETRIEVE, "--data", LONG, "--bins", "2"]),
     *(
         (f"augment_{strategy}", ["augment", "--data", CORPUS, "--index", "7",
                                  "--views", "3", "--strategy", strategy])
         for strategy in STRATEGIES
     ),
     ("split", ["split", "--data", CORPUS]),
+    ("split_mixed", ["split", "--data", MIXED]),
+    ("split_long", ["split", "--data", LONG]),
     ("gradcheck", ["gradcheck"]),
     ("ablate_temp", ["ablate_temp", "--data", LABELED, *_ABLATE]),
     ("ablate_aug", ["ablate_aug", "--data", LABELED, *_ABLATE]),
