@@ -1621,8 +1621,8 @@ def test_inference_abort_names_the_first_bad_batch_for_any_thread_count():
 
 
 def test_run_parts_waits_for_every_part_and_raises_the_first_failure():
-    # Three workers: part 0 fails on the calling thread and part 1 on the
-    # pool while part 2 sleeps.  Part 0's exception comes out, and only
+    # Three parts: parts 0 and 1 fail on the pool while part 2, the last,
+    # sleeps on the calling thread.  Part 0's exception comes out, and only
     # once part 2 has finished.
     finished = []
 

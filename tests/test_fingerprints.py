@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fingerprint_oracle as oracle
 from fingerprint_oracle import enumerate_simple_paths
@@ -12,13 +12,17 @@ from golden_corpus import GOLDEN
 from graph_oracle import relabel, ring_atoms, scaffold_key
 from molcontrast.datasets import scaffold_keys
 import molcontrast.fingerprints as fingerprints
-from molcontrast.encoder import EncoderConfig, EncoderModel
+from molcontrast.encoder import EncoderConfig, EncoderModel, GraphBatch
 from molcontrast.errors import NumericAbort
 from molcontrast.fingerprints import (
     _CHUNK,
     Fingerprint,
     _cosine_distances,
+    _extend,
     _fnv1a64_many,
+    _fold_decimal,
+    _hash_distinct,
+    _refine_batch,
     circular_fp,
     cosine_distance,
     dice,
@@ -29,7 +33,7 @@ from molcontrast.fingerprints import (
 )
 from molcontrast.graph import AtomNode, BondEdge, BondType, MoleculeGraph, mask_token
 from molcontrast.smiles import parse_smiles
-from molgen import unlabeled_corpus
+from molgen import make_molecules, scaled_molecules, unlabeled_corpus
 from test_graph import random_graphs
 
 
@@ -81,6 +85,90 @@ def test_fnv1a64_many_matches_scalar(lengths):
 @given(st.lists(st.binary(max_size=24), max_size=12))
 def test_fnv1a64_many_matches_scalar_on_any_bytes(texts):
     assert _fnv1a64_many(texts).tolist() == [fnv1a64(t) for t in texts]
+
+
+def _streamed(rows):
+    """The hash of every row of a uint8 table as a path grows it: the first
+    value's digits, then ``",{bond},{z}"`` for each following pair."""
+    rows = np.array(rows, dtype=np.uint8)
+    h = _fold_decimal(np.full(len(rows), fnv1a64(b""), dtype=np.uint64), rows[:, 0])
+    for j in range(1, rows.shape[1], 2):
+        h = _extend(h, rows[:, j], rows[:, j + 1])
+    return h
+
+
+def _joined(rows):
+    return [fnv1a64(",".join(map(str, row)).encode()) for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+# 1-, 2- and 3-digit values (119 is the mask token) side by side, so the
+# second and third digit steps update only some rows.
+@example([[6, 0, 119], [17, 3, 8], [119, 1, 6], [255, 2, 10], [0, 0, 0]])
+@given(
+    st.integers(0, 7).flatmap(
+        lambda bonds: st.lists(
+            st.lists(st.integers(0, 255), min_size=2 * bonds + 1, max_size=2 * bonds + 1),
+            min_size=1,
+            max_size=8,
+        )
+    )
+)
+def test_streamed_hash_matches_joined_text(rows):
+    assert _streamed(rows).tolist() == _joined(rows)
+
+
+def _invariant_text(z, d, c, r):
+    return f"{z}|{d}|{c}|{r}"
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        [],
+        [[6, 1, -1, 0]],  # a single row
+        [[8, 2, 0, 1]] * 5,  # every row equal
+        # negative charges, isolated atoms (degree 0) and repeated rows
+        [[8, 1, -1, 0], [7, 4, 1, 1], [8, 1, -1, 0], [6, 0, 0, 0], [8, 1, 1, 0],
+         [6, 0, -2, 0], [6, 0, 0, 0]],
+    ],
+)
+def test_distinct_row_hashing_matches_hashing_every_row(keys):
+    table = np.array(keys, dtype=np.int64).reshape(-1, 4)
+    want = [fnv1a64(_invariant_text(*row).encode()) for row in keys]
+    assert _hash_distinct(table, _invariant_text).tolist() == want
+
+
+def _refine_by_atom(b, labels):
+    """A refine round built and hashed one atom at a time."""
+    src, dst, bond, start = b.bonds_by_source
+    hashes = []
+    for v in range(b.num_nodes):
+        rows = range(start[v], start[v + 1])
+        pairs = sorted((int(bond[i]), int(labels[dst[i]])) for i in rows)
+        text = f"{labels[v]}|" + ";".join(f"{t},{u}" for t, u in pairs)
+        hashes.append(fnv1a64(text.encode()))
+    return hashes
+
+
+@pytest.mark.parametrize("kind", ["random", "few", "equal"])
+@pytest.mark.parametrize("smiles", [None, "C", "[Na+].[Cl-]"])
+def test_refine_round_matches_per_atom_texts(kind, smiles):
+    # Isolated atoms, ions, bonds listed twice and corpus molecules, with
+    # labels all distinct, drawn from three values (0 and 2^64 - 1 among
+    # them) or all equal.
+    if smiles is None:
+        graphs = [g for g, *_ in HAND_BUILT.values()] + ORACLE_GRAPHS[:30]
+    else:
+        graphs = [parse_smiles(smiles)]
+    b = GraphBatch.from_graphs(graphs)
+    rng = np.random.default_rng(7)
+    labels = {
+        "random": lambda: rng.integers(0, 2**64, b.num_nodes, dtype=np.uint64),
+        "few": lambda: rng.choice(np.array([0, 3, 2**64 - 1], dtype=np.uint64), b.num_nodes),
+        "equal": lambda: np.full(b.num_nodes, 2**63 + 5, dtype=np.uint64),
+    }[kind]()
+    assert _refine_batch(b, labels).tolist() == _refine_by_atom(b, labels)
 
 
 # -- ring atoms --------------------------------------------------------------
@@ -258,6 +346,39 @@ def test_hash_values_pinned(name):
     assert np.flatnonzero(circular_fp(g).bits).tolist() == circular
     assert np.flatnonzero(path_fp(g).bits).tolist() == path
     assert scaffold_key(g) == scaffold
+
+
+# sha256 of the packed circular bits, the packed path bits and the
+# little-endian uint64 scaffold keys of 2,000 molecules from each generator,
+# pinned so that a faster hash cannot move one bit of a corpus unnoticed.
+CORPUS_DIGESTS = {
+    "make_molecules": (
+        "330ecefe6c629677e011c8cf288d06ea56cb4336ac1214bc679a97532cf28f15",
+        "01ccde19a598a0d8a08e05a551814aa1042268e9b8dc3972bbc7362d75f22921",
+        "bb718247339252f181ae27c34fb8c8c209c0cb99578f0ce7a8278137d38b7986",
+    ),
+    "scaled_molecules": (
+        "53da4dcf280c2cc9879082a8bce5bed7122e86a64ca91f4669a33bbe267a7294",
+        "cec99e2a38d009bb306f3b6b695ad78c1abc3adbe12ee5795ce583671cd5e92c",
+        "c1fd53a160a71ba5677be98ae05ef423f28f945b891b5d2b36e28b9ce586641c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_DIGESTS))
+def test_corpus_bits_and_keys_pinned(name):
+    if name == "make_molecules":
+        graphs = [g for _, g in make_molecules(2000, 0)]
+    else:
+        graphs = [parse_smiles(s) for s in scaled_molecules(2000, 0)]
+    chunks = list(fingerprint_chunks(graphs))
+    circular = np.concatenate([c for c, _ in chunks])
+    path = np.concatenate([p for _, p in chunks])
+    keys = np.array(scaffold_keys(graphs), dtype="<u8")
+    assert tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in (np.packbits(circular).tobytes(), np.packbits(path).tobytes(), keys.tobytes())
+    ) == CORPUS_DIGESTS[name]
 
 
 # -- batched bits against the per-molecule oracle ---------------------------

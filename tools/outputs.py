@@ -4,7 +4,8 @@
 
 Run from anywhere inside the repository.  Writes two unlabeled corpora
 (120 molecules, and 400, whose inference batches ``embed`` runs on the
-default threads and on one), a labeled dataset and a two-task labeled
+default threads and on one, and which a whole-bin ``retrieve``
+fingerprints in several chunks), a labeled dataset and a two-task labeled
 dataset with blank (missing) labels with the working tree's
 ``tests/molgen.py``, and a hand-written corpus of clean rows, one
 malformed row per parse-failure kind and one row that parses with a
@@ -61,7 +62,8 @@ from molcontrast.augment import STRATEGIES  # noqa: E402
 from molgen import masked_dataset, write_corpus_csv, write_labeled_csv  # noqa: E402
 
 CORPUS = "../data/corpus.csv"
-# Four inference batches of 128 molecules, which run on the worker threads.
+# Four inference batches of 128 molecules, which run on the worker threads,
+# and four fingerprint chunks of a whole-bin retrieve.
 LARGE = "../data/large.csv"
 LABELED = "../data/labeled.csv"
 # Two classification tasks, about a fifth of the cells blank.
@@ -136,6 +138,7 @@ MATRIX: tuple[tuple[str, list[str]], ...] = (
     ("retrieve_sampled", [*_RETRIEVE, "--data", CORPUS, "--bins", "5",
                           "--samples-per-bin", "4"]),
     ("retrieve_whole_bin", [*_RETRIEVE, "--data", CORPUS, "--bins", "5"]),
+    ("retrieve_large", [*_RETRIEVE, "--data", LARGE, "--bins", "5"]),
     ("retrieve_mixed", [*_RETRIEVE, "--data", MIXED, "--bins", "5"]),
     ("retrieve_long", [*_RETRIEVE, "--data", LONG, "--bins", "2"]),
     *(
