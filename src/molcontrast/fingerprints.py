@@ -33,14 +33,28 @@ and of its two directions the one whose label row is not greater than
 the other's sets the bit.  The one-molecule functions are the batch of
 one.
 
-Retrieval analysis embeds a corpus with the encoder readout (the 512-d
-``h``, not the contrastive projection), ranks it by cosine distance to a
-query, partitions the ranking into equal rank-range bins, and reports
-fingerprint similarity statistics per bin plus the nearest neighbors.
+Retrieval analysis embeds a corpus with the encoder readout (``h``, of
+the config's ``hidden_dim`` columns, not the contrastive projection),
+ranks it by cosine distance to a query, partitions the ranking into equal
+rank-range bins, and reports fingerprint similarity statistics per bin
+plus the nearest neighbors.
+
+Callers rank several queries against one corpus, so the module keeps the
+last corpus embedding :func:`retrieval_analysis` computed, read-only.  A
+call reuses it when its model has the same content (a SHA-256 over the
+config's ``repr`` and every parameter's name and bytes, so editing a
+parameter in place misses) and its corpus holds the very same
+``MoleculeGraph`` objects, immutable, in the same order.  The memo holds
+the graphs by weak reference and is dropped as soon as any of them is
+freed, so it never keeps a corpus or its embedding alive; the next miss
+replaces it.  The query is embedded on every call.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -403,6 +417,55 @@ def _check_retrieval(bins: int, samples_per_bin: int | None, top_k: int) -> None
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
 
 
+# The last corpus embedding retrieval_analysis computed: (model digest,
+# weak references to the corpus graphs, read-only representations).  Each
+# entry is replaced whole, so a reader that took the entry sees one
+# consistent entry; threads racing to replace it can only lose a memo.
+_memo: tuple[bytes, list[weakref.ref], np.ndarray] | None = None
+
+
+def _model_digest(model: EncoderModel) -> bytes:
+    """SHA-256 of everything a model's embedding reads: its config and every
+    parameter's name, dtype, shape and bytes."""
+    h = hashlib.sha256(repr(model.config).encode())
+    for name, t in model.params.items():
+        a = np.ascontiguousarray(t.data)
+        h.update(f"\n{name} {a.dtype.str} {a.shape}\n".encode())
+        h.update(a)
+    return h.digest()
+
+
+def _forget(reps: np.ndarray, _dead: weakref.ref) -> None:
+    """A graph of the memo's corpus was freed, so no call can pass that
+    corpus again: drop the memo if it still holds ``reps``.  The callback
+    holds the embedding, not the entry, so an entry is in no reference
+    cycle and is freed as soon as it is replaced or dropped."""
+    global _memo
+    if _memo is not None and _memo[2] is reps:
+        _memo = None
+
+
+def _corpus_embedding(model: EncoderModel, corpus: Sequence[MoleculeGraph]) -> np.ndarray:
+    """``embed_molecules(model, corpus)``, read-only, from the memo when it
+    holds this model's embedding of exactly these graph objects."""
+    global _memo
+    digest = _model_digest(model)
+    memo = _memo
+    if memo is not None:
+        known, refs, reps = memo
+        if (
+            known == digest
+            and len(refs) == len(corpus)
+            and all(ref() is g for ref, g in zip(refs, corpus))
+        ):
+            return reps
+    reps = embed_molecules(model, list(corpus))
+    reps.flags.writeable = False
+    forget = functools.partial(_forget, reps)
+    _memo = (digest, [weakref.ref(g, forget) for g in corpus], reps)
+    return reps
+
+
 def retrieval_analysis(
     query: MoleculeGraph,
     corpus: Sequence[MoleculeGraph],
@@ -419,11 +482,18 @@ def retrieval_analysis(
     partitioned into ``bins`` near-equal rank ranges, and each bin reports
     mean/std Dice similarity to the query for both fingerprint kinds over
     the whole bin (or a seeded sample of ``samples_per_bin``).
+
+    The corpus embedding comes from the module's memo when the last call
+    that embedded one had a model of the same content and exactly these
+    graph objects in this order; otherwise it is computed and replaces the
+    memo.  The memo is dropped once any graph of its corpus is freed.  The
+    query is embedded and every representation checked on each call, so a
+    reused embedding gives the report, or the error, of a fresh one.
     """
     _check_retrieval(bins, samples_per_bin, top_k)
     if len(corpus) < bins:
         raise ValueError(f"corpus of {len(corpus)} is smaller than {bins} bins")
-    reps = embed_molecules(model, list(corpus))
+    reps = _corpus_embedding(model, corpus)
     q = embed_molecules(model, [query])[0]
     # A representation of zero norm has no direction to rank by.
     if np.linalg.norm(q.astype(np.float64)) < _MIN_NORM:

@@ -1,6 +1,8 @@
 """Fingerprints, Dice similarity, and the retrieval report."""
 
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from fingerprint_oracle import enumerate_simple_paths
 from golden_corpus import GOLDEN
 from graph_oracle import relabel, ring_atoms, scaffold_key
 from molcontrast.datasets import scaffold_keys
+import molcontrast.autodiff as ad
+import molcontrast.encoder as encoder
 import molcontrast.fingerprints as fingerprints
-from molcontrast.encoder import EncoderConfig, EncoderModel, GraphBatch
+from molcontrast.encoder import EncoderConfig, EncoderModel, GraphBatch, embed_molecules
 from molcontrast.errors import NumericAbort
 from molcontrast.fingerprints import (
     _CHUNK,
@@ -677,13 +681,137 @@ def test_retrieval_corpus_too_small():
 
 def test_retrieval_names_the_first_zero_representation(monkeypatch):
     # Representations of zero norm have no cosine distance; the first such
-    # corpus molecule is named (the query's own row here is all ones).
+    # corpus molecule is named (the query's own row here is all ones).  The
+    # second call reuses the corpus embedding and checks it again.
+    embedded = []
+
     def embed(model, graphs):
+        embedded.append(len(graphs))
         reps = np.ones((len(graphs), 4), dtype=np.float32)
         reps[2:] = 0.0
         return reps
 
     monkeypatch.setattr(fingerprints, "embed_molecules", embed)
     corpus = [parse_smiles(s) for s in ["CCO", "CCN", "CCC", "CO"]]
-    with pytest.raises(NumericAbort, match="corpus molecule 2"):
-        retrieval_analysis(corpus[0], corpus, small_model(), bins=2)
+    model = small_model()
+    for _ in range(2):
+        with pytest.raises(NumericAbort, match="corpus molecule 2"):
+            retrieval_analysis(corpus[0], corpus, model, bins=2)
+    assert embedded == [4, 1, 1]
+
+
+# -- the corpus embedding memo -----------------------------------------------
+
+MEMO_SMILES = ["CCO", "CCN", "CCC", "CO", "CN", "CC"]
+
+
+def counted_embeds(monkeypatch) -> list[int]:
+    """The sizes of the ``embed_molecules`` calls retrieval makes from now."""
+    sizes = []
+    embed = fingerprints.embed_molecules
+
+    def counted(model, graphs):
+        sizes.append(len(graphs))
+        return embed(model, graphs)
+
+    monkeypatch.setattr(fingerprints, "embed_molecules", counted)
+    return sizes
+
+
+def test_memo_hit_reports_what_a_fresh_call_reports(monkeypatch):
+    # 150 molecules are two inference batches, so two workers split them.
+    smiles = [s for s, _ in make_molecules(150, 3)]
+    corpus = [parse_smiles(s) for s in smiles]
+    model = small_model(4)
+    sizes = counted_embeds(monkeypatch)
+    before = ad._workers
+    try:
+        ad.set_threads(1)
+        retrieval_analysis(corpus[0], corpus, model, bins=5)
+        ad.set_threads(2)
+        hit = retrieval_analysis(corpus[7], corpus, model, bins=5, samples_per_bin=4)
+        # Parsed again, the graphs are other objects: the call misses.
+        again = [parse_smiles(s) for s in smiles]
+        fresh = retrieval_analysis(again[7], again, model, bins=5, samples_per_bin=4)
+    finally:
+        ad.set_threads(before)
+    assert sizes == [150, 1, 1, 150, 1]
+    assert hit == fresh
+    assert hit == oracle.retrieval_analysis(
+        corpus[7], corpus, model, bins=5, samples_per_bin=4
+    )
+
+
+def test_memo_misses_after_a_parameter_is_edited_in_place(monkeypatch):
+    corpus = [parse_smiles(s) for s in MEMO_SMILES]
+    model = small_model()
+    sizes = counted_embeds(monkeypatch)
+    first = retrieval_analysis(corpus[0], corpus, model, bins=3)
+    model.params["layers.1.mlp.bias2"].data[0] += 1.0
+    edited = retrieval_analysis(corpus[0], corpus, model, bins=3)
+    again = [parse_smiles(s) for s in MEMO_SMILES]
+    assert sizes == [6, 1, 6, 1]
+    assert edited != first
+    assert edited == retrieval_analysis(again[0], again, model, bins=3)
+
+
+def test_memo_reused_only_for_the_same_graphs_in_order(monkeypatch):
+    corpus = [parse_smiles(s) for s in MEMO_SMILES]
+    model = small_model()
+    sizes = counted_embeds(monkeypatch)
+
+    def embeds(graphs) -> bool:
+        start = len(sizes)
+        retrieval_analysis(corpus[0], graphs, model, bins=3)
+        return sizes[start:] == [len(graphs), 1]
+
+    assert embeds(corpus)
+    assert not embeds(list(corpus))
+    assert not embeds(tuple(corpus))
+    others = [
+        corpus[:2] + [parse_smiles("CCCl")] + corpus[3:],
+        corpus + [parse_smiles("CS")],
+        corpus[:-1],
+        corpus[::-1],
+        [parse_smiles(s) for s in MEMO_SMILES],
+    ]
+    for other in others:
+        assert embeds(other)
+        assert embeds(corpus)  # the miss replaced the memo
+
+
+def test_embed_molecules_runs_a_forward_pass_every_call(monkeypatch):
+    corpus = [parse_smiles(s) for s in MEMO_SMILES]
+    model = small_model()
+    retrieval_analysis(corpus[0], corpus, model, bins=3)
+    passes = []
+    represent = encoder.represent
+
+    def counted(tape, model, batch):
+        passes.append(batch.num_graphs)
+        return represent(tape, model, batch)
+
+    monkeypatch.setattr(encoder, "represent", counted)
+    first = embed_molecules(model, corpus)
+    assert np.array_equal(embed_molecules(model, corpus), first)
+    assert passes == [6, 6]
+
+
+def test_memo_keeps_no_corpus_alive():
+    corpus = [parse_smiles(s) for s in MEMO_SMILES]
+    model = small_model()
+    retrieval_analysis(parse_smiles("CS"), corpus, model, bins=3)
+    assert not fingerprints._memo[2].flags.writeable
+    reps = weakref.ref(fingerprints._memo[2])
+    graph = weakref.ref(corpus[0])
+    # A new corpus replaces the memo and frees the old embedding at once.
+    other = [parse_smiles(s) for s in MEMO_SMILES]
+    retrieval_analysis(parse_smiles("CS"), other, model, bins=3)
+    assert reps() is None
+    reps = weakref.ref(fingerprints._memo[2])
+    del corpus, other
+    # Freed by reference counts alone, before any collection.
+    assert fingerprints._memo is None
+    assert reps() is None and graph() is None
+    gc.collect()
+    assert fingerprints._memo is None
