@@ -20,8 +20,12 @@ from molcontrast.encoder import EncoderConfig, EncoderModel, GraphBatch, embed_m
 from molcontrast.errors import NumericAbort
 from molcontrast.fingerprints import (
     _CHUNK,
+    BinStat,
     Fingerprint,
+    NeighborHit,
+    RetrievalReport,
     _cosine_distances,
+    _dice_rows,
     _extend,
     _fnv1a64_many,
     _fold_decimal,
@@ -563,6 +567,29 @@ def test_dice_matches_bit_loop_oracle(seed):
     assert 0.0 <= got <= 1.0
 
 
+def bool_dice(query, rows):
+    """Dice of one bool row against every row, by summing the bools."""
+    total = int(query.sum()) + rows.sum(axis=1)
+    shared = (rows & query).sum(axis=1)
+    out = np.ones(len(rows))
+    some = total > 0
+    out[some] = 2.0 * shared[some] / total[some]
+    return out
+
+
+@pytest.mark.parametrize("nbits", [1, 13, 64, 2048])
+def test_dice_rows_match_summed_bools(nbits):
+    # Widths that are not a multiple of 8 leave padding in the last byte.
+    rng = np.random.default_rng(nbits)
+    rows = rng.random((40, nbits)) < 0.3
+    rows[3] = False
+    rows[4] = True
+    for query in (rows[0], rows[3], rows[4], np.zeros(nbits, dtype=bool)):
+        np.testing.assert_array_equal(_dice_rows(query, rows), bool_dice(query, rows))
+    empty = np.zeros((5, nbits), dtype=bool)
+    np.testing.assert_array_equal(_dice_rows(empty[0], empty), np.ones(5))
+
+
 def test_molecular_dice_similar_vs_dissimilar():
     toluene = circular_fp(parse_smiles("Cc1ccccc1"))
     ethylbenzene = circular_fp(parse_smiles("CCc1ccccc1"))
@@ -802,16 +829,101 @@ def test_memo_keeps_no_corpus_alive():
     model = small_model()
     retrieval_analysis(parse_smiles("CS"), corpus, model, bins=3)
     assert not fingerprints._memo[2].flags.writeable
-    reps = weakref.ref(fingerprints._memo[2])
+    assert not fingerprints._memo[3].flags.writeable  # the row norms
+    reps, norms = (weakref.ref(a) for a in fingerprints._memo[2:])
     graph = weakref.ref(corpus[0])
-    # A new corpus replaces the memo and frees the old embedding at once.
+    # A new corpus replaces the memo and frees the old embedding and its
+    # norms at once.
     other = [parse_smiles(s) for s in MEMO_SMILES]
     retrieval_analysis(parse_smiles("CS"), other, model, bins=3)
-    assert reps() is None
-    reps = weakref.ref(fingerprints._memo[2])
+    assert reps() is None and norms() is None
+    reps, norms = (weakref.ref(a) for a in fingerprints._memo[2:])
     del corpus, other
     # Freed by reference counts alone, before any collection.
     assert fingerprints._memo is None
-    assert reps() is None and graph() is None
+    assert reps() is None and norms() is None and graph() is None
     gc.collect()
     assert fingerprints._memo is None
+
+
+# -- one fingerprint pass a query --------------------------------------------
+
+
+def two_pass_report(query, corpus, model, bins, samples_per_bin=None, seed=0, top_k=9):
+    """The retrieval report from a fingerprint pass over the query alone and
+    one over the picks alone, with Dice summed over bool rows."""
+    reps = embed_molecules(model, list(corpus))
+    distances = _cosine_distances(embed_molecules(model, [query])[0], reps)
+    order = np.argsort(distances, kind="mergesort")
+    rng = np.random.default_rng(seed)
+    chosen = [
+        rng.choice(members, size=samples_per_bin, replace=False)
+        if samples_per_bin is not None and samples_per_bin < len(members)
+        else members
+        for members in np.array_split(order, bins)
+    ]
+    top = order[:top_k]
+    picks = np.unique(np.concatenate(chosen + [top])).tolist()
+    [(query_circular, query_path)] = fingerprint_chunks([query])
+    circular, path = (
+        np.concatenate(bits) for bits in zip(*fingerprint_chunks([corpus[i] for i in picks]))
+    )
+    dc, dp = bool_dice(query_circular[0], circular), bool_dice(query_path[0], path)
+    row = {i: r for r, i in enumerate(picks)}
+    stats = []
+    for b, members in enumerate(chosen):
+        rows = [row[i] for i in members.tolist()]
+        for kind, d in (("circular", dc[rows]), ("path", dp[rows])):
+            stats.append(BinStat(b, kind, float(np.mean(d)), float(np.std(d)), len(d)))
+    neighbors = [
+        NeighborHit(rank, i, float(distances[i]), float(dc[row[i]]), float(dp[row[i]]))
+        for rank, i in enumerate(top.tolist())
+    ]
+    return RetrievalReport(len(corpus), bins, stats, neighbors)
+
+
+@pytest.fixture(scope="module")
+def corpus_300():
+    return unlabeled_corpus(300, 21)
+
+
+# (bins, samples per bin, top k) -> molecules in the one pass, query
+# included: one short of the chunk, a full chunk, one past it, and whole
+# bins over two chunks.  The samples leave room for 5 to 8 of the top k.
+ONE_PASS = {
+    (4, 63, 8): 255,
+    (2, 125, 20): 256,
+    (3, 84, 12): 257,
+    (5, None, 9): 301,
+}
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["query_inside", "query_outside"])
+@pytest.mark.parametrize(
+    "settings", sorted(ONE_PASS, key=ONE_PASS.get), ids=lambda s: f"{ONE_PASS[s]}_in_pass"
+)
+def test_one_pass_report_matches_two_passes(monkeypatch, corpus_300, inside, settings):
+    bins, samples_per_bin, top_k = settings
+    query = corpus_300[5] if inside else parse_smiles("CC(=O)Nc1ccc(O)cc1")
+    model = small_model(3)
+    # Another corpus, kept alive, fills the memo first, so the first call
+    # below replaces its embedding and the second reuses the replacement.
+    other = unlabeled_corpus(300, 22)
+    retrieval_analysis(query, other, model, bins=2)
+    passes = []
+    chunks = fingerprints.fingerprint_chunks
+
+    def counted(graphs):
+        passes.append(len(graphs))
+        return chunks(graphs)
+
+    monkeypatch.setattr(fingerprints, "fingerprint_chunks", counted)
+    sizes = counted_embeds(monkeypatch)
+    kwargs = dict(bins=bins, samples_per_bin=samples_per_bin, seed=3, top_k=top_k)
+    miss = retrieval_analysis(query, corpus_300, model, **kwargs)
+    hit = retrieval_analysis(query, corpus_300, model, **kwargs)
+    assert sizes == [300, 1, 1]
+    assert passes == [ONE_PASS[settings]] * 2
+    want = two_pass_report(query, corpus_300, model, **kwargs)
+    assert miss == want
+    assert hit == want

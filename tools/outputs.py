@@ -4,8 +4,9 @@
 
 Run from anywhere inside the repository.  Writes two unlabeled corpora
 (120 molecules, and 400, whose inference batches ``embed`` runs on the
-default threads and on one, and which a whole-bin ``retrieve``
-fingerprints in several chunks), a labeled dataset and a two-task labeled
+default threads and on one, and which a whole-bin ``retrieve`` and one
+that samples 30 bins of 9 fingerprint, with the query, in two chunks of
+256), a labeled dataset and a two-task labeled
 dataset with blank (missing) labels with the working tree's
 ``tests/molgen.py``, and a hand-written corpus of clean rows, one
 malformed row per parse-failure kind and one row that parses with a
@@ -62,8 +63,10 @@ from molcontrast.augment import STRATEGIES  # noqa: E402
 from molgen import masked_dataset, write_corpus_csv, write_labeled_csv  # noqa: E402
 
 CORPUS = "../data/corpus.csv"
-# Four inference batches of 128 molecules, which run on the worker threads,
-# and four fingerprint chunks of a whole-bin retrieve.
+# Four inference batches of 128 molecules, which run on the worker threads.
+# A whole-bin retrieve fingerprints the query and the 400 molecules in two
+# chunks of 256; a retrieve that samples 30 bins of 9 picks 270 to 279
+# molecules, so the query and its picks take two chunks too.
 LARGE = "../data/large.csv"
 LABELED = "../data/labeled.csv"
 # Two classification tasks, about a fifth of the cells blank.
@@ -139,6 +142,8 @@ MATRIX: tuple[tuple[str, list[str]], ...] = (
                           "--samples-per-bin", "4"]),
     ("retrieve_whole_bin", [*_RETRIEVE, "--data", CORPUS, "--bins", "5"]),
     ("retrieve_large", [*_RETRIEVE, "--data", LARGE, "--bins", "5"]),
+    ("retrieve_large_sampled", [*_RETRIEVE, "--data", LARGE, "--bins", "30",
+                                "--samples-per-bin", "9"]),
     ("retrieve_mixed", [*_RETRIEVE, "--data", MIXED, "--bins", "5"]),
     ("retrieve_long", [*_RETRIEVE, "--data", LONG, "--bins", "2"]),
     *(
