@@ -13,7 +13,7 @@ from three rounds of Weisfeiler-Leman refinement over atomic numbers and
 bond types, deliberately ignoring chirality, so distinct SMILES spellings
 of one scaffold collide.  Both the deletion and the refinement run on a
 chunk of molecules packed as one :class:`~molcontrast.encoder.GraphBatch`,
-walking its ``bonds_by_source`` table for all molecules at once; no core
+walking its ``bonds_by_source()`` table for all molecules at once; no core
 is built as a graph of its own.  Splitting assigns whole scaffold groups
 greedily to train, then validation, then test, largest group first, so no
 scaffold ever spans two splits.
@@ -162,7 +162,7 @@ def _murcko_mask(b: GraphBatch) -> np.ndarray:
     or none, so a chain costs its length, not its length times the chunk.
     """
     n = b.num_nodes
-    src, dst, _, _ = b.bonds_by_source
+    src, dst, _, _ = b.bonds_by_source()
     src, dst = np.divmod(np.unique(src * n + dst), n)  # each neighbour once
     ptr = _offsets(np.bincount(src, minlength=n))
     degree, alive = np.diff(ptr), np.ones(n, dtype=bool)
@@ -208,8 +208,9 @@ def scaffold_keys(graphs: Sequence[MoleculeGraph]) -> list[int]:
         pack = GraphBatch.from_graphs(graphs[lo : lo + _CHUNK])
         b = _core_batch(pack, _murcko_mask(pack))
         labels = _fnv1a64_many([str(z).encode() for z in b.node_atomic.tolist()])
+        rows = b.bonds_by_source()
         for _ in range(_WL_ROUNDS):
-            labels = _refine_batch(b, labels)
+            labels = _refine_batch(rows, labels)
         atoms, bonds = np.diff(b.atom_start).tolist(), np.diff(b.bond_start).tolist()
         summaries = [
             f"{n}|{m}|" + ",".join(map(str, sorted(part.tolist())))

@@ -221,10 +221,11 @@ class GraphBatch:
     (:attr:`gcn_edges`, for GCN).  Every layer, forward and backward, then
     shares one copy of that index work.
 
-    Training packs its corpus once with :meth:`from_graphs`, and
-    :meth:`gather` copies each step's views out of that pack by the stored
-    offsets, array for array what :meth:`from_graphs` gives for the view
-    graphs.  A pack that is only gathered from derives nothing.
+    Training packs its corpus once with :meth:`from_graphs`, draws each
+    view on the pack's rows in :meth:`bonds_by_source` order, held for the
+    run, and :meth:`gather` copies each step's views out of the pack by the
+    stored offsets, array for array what :meth:`from_graphs` gives for the
+    view graphs.  A pack that is only gathered from derives nothing.
     """
 
     node_atomic: np.ndarray
@@ -352,18 +353,36 @@ class GraphBatch:
         coeff = 1.0 / np.sqrt(deg[src] * deg[dst])
         return EdgeSet(n, src, dst, etype, edir, coeff)
 
-    @cached_property
     def bonds_by_source(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The directed bonds as a CSR table ``(src, dst, type, start)``,
-        sorted by source atom: atom ``v``'s bonds are rows
-        ``start[v]:start[v + 1]``.  The fingerprints walk it for ring atoms
-        (``fingerprints._ring_mask``), circular rounds and paths, and the
-        scaffold keys for Murcko cores (``datasets._murcko_mask``) and
-        their refinement rounds; the encoder never does, so training never
-        builds it."""
-        order = np.argsort(self.edge_src, kind="stable")
-        start = _offsets(np.bincount(self.edge_src, minlength=self.num_nodes))
-        return self.edge_src[order], self.edge_dst[order], self.edge_type[order], start
+        sorted by source, then destination, then bond order: atom ``v``'s
+        bonds are rows ``start[v]:start[v + 1]``, its neighbours ascending.
+        Built on each call, cached nowhere; the fingerprints and the
+        scaffold keys walk it."""
+        code = self._directed_codes()
+        order = np.argsort(code, kind="stable")
+        src, dst = np.divmod(code[order], self.num_nodes)
+        dst += np.repeat(self.atom_start[:-1], np.diff(self.atom_start))[src]
+        start = _offsets(np.bincount(src, minlength=self.num_nodes))
+        return src, dst, np.tile(self.bond_type, 2)[order], start
+
+    def _directed_codes(self) -> np.ndarray:
+        """Each bond as two directed edges, ``u -> v`` for every bond, then
+        ``v -> u``, each one int64 ``src * num_nodes + dst``: the source's
+        atom row in the batch, the destination's number within its molecule,
+        so sorting orders them as :meth:`bonds_by_source` and the walk of
+        ``augment._pack_rows`` read them.  At most 12 bytes an edge."""
+        n, m = self.num_nodes, len(self.bond_u)
+        code = np.empty(2 * m, dtype=np.int64)
+        fwd, rev = code[:m], code[m:]
+        offset = np.repeat(self.atom_start[:-1], np.diff(self.bond_start))
+        np.add(self.bond_u, offset, out=fwd)
+        np.add(self.bond_v, offset, out=rev)
+        fwd *= n
+        fwd += self.bond_v
+        rev *= n
+        rev += self.bond_u
+        return code
 
 
 #: Parameter-name suffixes of the GIN inner MLP and of the projection head.

@@ -141,11 +141,11 @@ class Fingerprint:
         return int(self.bits.sum())
 
 
-def _ring_mask(b: GraphBatch) -> np.ndarray:
+def _ring_mask(rows: tuple[np.ndarray, ...]) -> np.ndarray:
     """Whether each atom of a batch lies on a ring, bool [atoms]: the ends of
     every bond that is not a bridge.
 
-    One iterative low-link DFS walks the batch's ``bonds_by_source`` rows,
+    One iterative low-link DFS walks the batch's ``bonds_by_source()`` rows,
     all molecules at once.  An atom skips every row back to its DFS parent,
     so a bond listed twice between two atoms closes no ring.  A tree bond
     ``parent -> v`` is a bridge unless ``v``'s subtree reaches above
@@ -153,12 +153,12 @@ def _ring_mask(b: GraphBatch) -> np.ndarray:
     tree bonds that are not bridges, so marking the ends of those marks
     every ring atom.
     """
-    _, dst, _, start = b.bonds_by_source
+    _, dst, _, start = rows
     nbr, ptr = dst.tolist(), start.tolist()
-    disc, low = [-1] * b.num_nodes, [0] * b.num_nodes
-    in_ring = [False] * b.num_nodes
+    n = len(ptr) - 1
+    disc, low, in_ring = [-1] * n, [0] * n, [False] * n
     timer = 0
-    for root in range(b.num_nodes):
+    for root in range(n):
         if disc[root] != -1:
             continue
         disc[root] = low[root] = timer
@@ -205,34 +205,33 @@ def _refine_text(degree: int, label: int, *pairs: int) -> str:
     return f"{label}|" + ";".join(map("{},{}".format, bonds, labels))
 
 
-def _refine_batch(b: GraphBatch, labels: np.ndarray) -> np.ndarray:
-    """One neighbourhood-hash round over every atom of a batch: each atom's
-    label re-hashed with its sorted (bond type, neighbour label) pairs.
+def _refine_batch(rows: tuple[np.ndarray, ...], labels: np.ndarray) -> np.ndarray:
+    """One neighbourhood-hash round over the atoms of a batch's
+    ``bonds_by_source()`` rows: each atom's label re-hashed with its sorted
+    (bond type, neighbour label) pairs.
 
     An atom's key row is its degree, its label and its pairs, zero-padded;
     atoms with equal rows share one text."""
-    src, dst, bond, start = b.bonds_by_source
+    src, dst, bond, start = rows
     degree = np.diff(start)
     order = np.lexsort((labels[dst], bond, src))  # rows stay sorted by source
-    keys = np.zeros((b.num_nodes, 2 + 2 * int(degree.max(initial=0))), dtype=np.uint64)
+    keys = np.zeros((len(degree), 2 + 2 * int(degree.max(initial=0))), dtype=np.uint64)
     keys[:, 0], keys[:, 1] = degree, labels
     slot = 2 + 2 * (np.arange(len(src)) - start[src])
     keys[src, slot], keys[src, slot + 1] = bond[order], labels[dst[order]]
     return _hash_distinct(keys, _refine_text)
 
 
-def _circular_bits(graphs: Sequence[MoleculeGraph], b: GraphBatch) -> np.ndarray:
-    """Circular bits of every molecule of ``graphs``, batched as ``b``,
-    bool [molecules, nbits]."""
+def _circular_bits(graphs: Sequence[MoleculeGraph], b: GraphBatch, rows) -> np.ndarray:
+    """Circular bits of every molecule of ``graphs``, batched as ``b`` with
+    ``bonds_by_source()`` rows ``rows``, bool [molecules, nbits]."""
     charge = [node.formal_charge for g in graphs for node in g.nodes]
-    keys = np.stack(
-        [b.node_atomic, np.diff(b.bonds_by_source[3]), charge, _ring_mask(b)], axis=1
-    )
+    keys = np.stack([b.node_atomic, np.diff(rows[3]), charge, _ring_mask(rows)], axis=1)
     inv = _hash_distinct(keys, lambda z, d, c, r: f"{z}|{d}|{c}|{r}")
     bits = np.zeros((b.num_graphs, _NBITS), dtype=bool)
     bits[b.node_graph, inv % _NBITS] = True
     for _ in range(_RADIUS):
-        inv = _refine_batch(b, inv)
+        inv = _refine_batch(rows, inv)
         bits[b.node_graph, inv % _NBITS] = True
     return bits
 
@@ -265,8 +264,8 @@ def _extend(h: np.ndarray, bond: np.ndarray, z: np.ndarray) -> np.ndarray:
     return h
 
 
-def _path_bits(b: GraphBatch) -> np.ndarray:
-    """Path bits of every molecule in a batch, bool [molecules, nbits].
+def _path_bits(b: GraphBatch, rows: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Path bits of every molecule in batch ``b``, bool [molecules, nbits].
 
     Level-synchronous walk: the paths of k + 1 bonds are those of k bonds
     extended by every neighbour of their last atom not already on the path.
@@ -277,7 +276,7 @@ def _path_bits(b: GraphBatch) -> np.ndarray:
     A path is a column of ``atoms`` (int32) and ``labels`` (uint8), so each
     level's gathers and compares run along contiguous rows.
     """
-    src, dst, bond, ptr = b.bonds_by_source
+    src, dst, bond, ptr = rows
     src, dst, ptr = src.astype(np.int32), dst.astype(np.int32), ptr.astype(np.int32)
     z, bond = b.node_atomic.astype(np.uint8), bond.astype(np.uint8)
     mol = b.node_graph.astype(np.int32)
@@ -323,17 +322,20 @@ def fingerprint_chunks(
     for lo in range(0, len(graphs), _CHUNK):
         chunk = graphs[lo : lo + _CHUNK]
         b = GraphBatch.from_graphs(chunk)
-        yield _circular_bits(chunk, b), _path_bits(b)
+        rows = b.bonds_by_source()
+        yield _circular_bits(chunk, b, rows), _path_bits(b, rows)
 
 
 def circular_fp(g: MoleculeGraph) -> Fingerprint:
     """Circular environment fingerprint; every round's invariants set bits."""
-    return Fingerprint("circular", _circular_bits([g], GraphBatch.from_graphs([g]))[0])
+    b = GraphBatch.from_graphs([g])
+    return Fingerprint("circular", _circular_bits([g], b, b.bonds_by_source())[0])
 
 
 def path_fp(g: MoleculeGraph) -> Fingerprint:
     """Linear-path fingerprint over canonical label sequences."""
-    return Fingerprint("path", _path_bits(GraphBatch.from_graphs([g]))[0])
+    b = GraphBatch.from_graphs([g])
+    return Fingerprint("path", _path_bits(b, b.bonds_by_source())[0])
 
 
 def dice(a: Fingerprint, b: Fingerprint) -> float:

@@ -6,10 +6,11 @@ are exactly the features the encoder embeds, so their vocabulary sizes are
 fixed here as module constants.  Formal charge is kept on the node as parsed
 metadata but is not part of the embedded feature set.
 
-Graphs are immutable.  Edges are stored once per unordered pair with
-``u < v``; the adjacency structure is derived from the edges on first use,
-and augmentation's subgraph walk is the library's one reader of it (the
-fingerprints and scaffolds walk a packed batch instead).
+Graphs are immutable and slotted, and store no neighbour lists.  Edges are
+stored once per unordered pair with ``u < v``; whatever walks a molecule's
+bonds (augmentation's subgraph walk, the fingerprints and the scaffolds)
+walks the ``bonds_by_source()`` rows of a packed
+:class:`~molcontrast.encoder.GraphBatch` instead.
 :class:`AtomNode` and :class:`BondEdge` are slotted value objects compared by
 value: the parser hands every equal atom the same shared node, and every
 equal bond the same shared edge while a bounded cache holds it, so object
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
-from typing import Sequence
 
 
 class Chirality(IntEnum):
@@ -146,19 +145,10 @@ class BondEdge:
         return (self.u, self.v, int(self.bond_type), int(self.direction))
 
 
-def _build_adjacency(
-    num_nodes: int, edges: Sequence[BondEdge]
-) -> tuple[tuple[int, ...], ...]:
-    nbrs: list[list[int]] = [[] for _ in range(num_nodes)]
-    for e in edges:
-        nbrs[e.u].append(e.v)
-        nbrs[e.v].append(e.u)
-    return tuple(tuple(sorted(set(n))) for n in nbrs)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True, weakref_slot=True)
 class MoleculeGraph:
-    """Immutable molecule graph with derived adjacency.
+    """Immutable molecule graph: its atoms and bonds, and no instance dict;
+    a weak-reference slot lets ``fingerprints._memo`` watch it.
 
     Equality ignores edge-list order; two parses that list the same bonds in
     different order compare equal.
@@ -175,11 +165,6 @@ class MoleculeGraph:
         for e in self.edges:
             if e.v >= n:
                 raise ValueError(f"edge ({e.u}, {e.v}) references node beyond {n - 1}")
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted, duplicate-free neighbours of every node, built on first use."""
-        return _build_adjacency(len(self.nodes), self.edges)
 
     @property
     def num_nodes(self) -> int:

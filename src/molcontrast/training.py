@@ -42,7 +42,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .augment import AugmentSpec, derive_rng, draw_view
+from .augment import AugmentSpec, _pack_rows, derive_rng, draw_view
 from .autodiff import Tape, Tensor, backward
 from .contrastive import ContrastiveConfig, nt_xent
 from .datasets import (
@@ -614,22 +614,21 @@ def _weighted_mean(losses: Sequence[tuple[float, int]]) -> float:
 
 def _contrastive_batch(
     model: EncoderModel,
-    graphs: Sequence[MoleculeGraph],
     pack: GraphBatch,
+    rows: tuple,
     indices: Sequence[int],
     cfg: PretrainConfig,
     epoch: int,
     tag: int,
     dropout_rng: np.random.Generator | None,
 ) -> tuple[Tape, Tensor]:
-    """NT-Xent over two views of each molecule ``graphs[i]``, drawn in turn
-    by :func:`~molcontrast.augment.draw_view` from the molecule's stream for
-    this epoch and gathered from ``pack``, the :class:`GraphBatch` of all
-    of ``graphs``."""
+    """NT-Xent over two views of each molecule ``i`` of ``pack``, drawn in
+    turn by :func:`~molcontrast.augment.draw_view` on the pack's ``rows``
+    from the molecule's stream for this epoch and gathered from ``pack``."""
     views = []
     for i in map(int, indices):
         rng = derive_rng(cfg.seed, tag, epoch, i)
-        views += [draw_view(graphs[i], cfg.augment, rng) for _ in range(2)]
+        views += [draw_view(rows, i, cfg.augment, rng) for _ in range(2)]
     batch = pack.gather(np.repeat(indices, 2), *zip(*views))
     tape = Tape()
     z = project(tape, model, represent(tape, model, batch, dropout_rng))
@@ -652,7 +651,8 @@ def pretrain(graphs: Sequence[MoleculeGraph], cfg: PretrainConfig) -> PretrainRe
     n_val = min(int(n * cfg.val_fraction), n - 2)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     model = EncoderModel.initialize(cfg.encoder, derive_rng(cfg.seed, _TAG_INIT))
-    pack = GraphBatch.from_graphs(graphs)
+    pack = GraphBatch.from_graphs(graphs)  # no graph is read after this
+    rows = _pack_rows(pack)
     state = AdamState()
     history: list[EpochTrace] = []
 
@@ -660,7 +660,7 @@ def pretrain(graphs: Sequence[MoleculeGraph], cfg: PretrainConfig) -> PretrainRe
         if len(chunk) < 2:
             return None
         tape, loss = _contrastive_batch(
-            model, graphs, pack, chunk, cfg, epoch, _TAG_AUGMENT, drop_rng
+            model, pack, rows, chunk, cfg, epoch, _TAG_AUGMENT, drop_rng
         )
         return tape, loss, len(chunk)
 
@@ -675,7 +675,7 @@ def pretrain(graphs: Sequence[MoleculeGraph], cfg: PretrainConfig) -> PretrainRe
             chunk = val_idx[start : start + cfg.batch_size]
             if len(chunk) >= 2:
                 loss = _contrastive_batch(
-                    frozen, graphs, pack, chunk, cfg, epoch, _TAG_VAL_AUGMENT, None
+                    frozen, pack, rows, chunk, cfg, epoch, _TAG_VAL_AUGMENT, None
                 )[1]
                 vals.append((float(loss.data), len(chunk)))
         history.append(EpochTrace(epoch, train_loss, _weighted_mean(vals), lr))
@@ -947,6 +947,7 @@ def finetune(
     )
 
     pack = GraphBatch.from_graphs(graphs)
+    rows = _pack_rows(pack) if augment is not None else None
     train_idx = np.array(split.train_indices, dtype=int)
     val_idx = np.array(split.valid_indices, dtype=int)
     test_idx = np.array(split.test_indices, dtype=int)
@@ -988,7 +989,7 @@ def finetune(
         edits = ()  # the molecules themselves
         if augment is not None:
             edits = zip(*(
-                draw_view(graphs[i], augment, derive_rng(cfg.seed, _TAG_FT_AUGMENT, epoch, i))
+                draw_view(rows, i, augment, derive_rng(cfg.seed, _TAG_FT_AUGMENT, epoch, i))
                 for i in map(int, chunk)
             ))
         return _supervised_loss(

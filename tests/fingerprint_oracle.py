@@ -31,17 +31,20 @@ from molcontrast.fingerprints import (
 )
 from molcontrast.graph import BondEdge, MoleculeGraph
 
+from graph_oracle import adjacency
+
 
 def ring_atoms(g):
     """The ends of every bond whose two ends stay connected once that bond
     is removed: one breadth-first search per bond."""
+    adj = adjacency(g)
     rings = set()
     for e in g.edges:
         seen = {e.u}
         queue = deque([e.u])
         while queue:
             x = queue.popleft()
-            for w in g.adjacency[x]:
+            for w in adj[x]:
                 if w not in seen and {x, w} != {e.u, e.v}:
                     seen.add(w)
                     queue.append(w)
@@ -53,9 +56,10 @@ def ring_atoms(g):
 def murcko_scaffold(g):
     """Delete every atom with at most one remaining neighbour, round after
     round, until none is left; the survivors keep their order."""
+    adj = adjacency(g)
     alive = set(range(g.num_nodes))
     while True:
-        leaves = {v for v in alive if sum(u in alive for u in g.adjacency[v]) <= 1}
+        leaves = {v for v in alive if sum(u in alive for u in adj[v]) <= 1}
         if not leaves:
             break
         alive -= leaves
@@ -83,9 +87,10 @@ def bond_types(g):
 def refine(g, labels, bond_type):
     """One neighbourhood-hash round: each atom's label re-hashed with its
     sorted (bond type, neighbour label) pairs."""
+    adj = adjacency(g)
     fresh = []
     for v in range(g.num_nodes):
-        env = sorted((bond_type[(v, u)], labels[u]) for u in g.adjacency[v])
+        env = sorted((bond_type[(v, u)], labels[u]) for u in adj[v])
         text = f"{labels[v]}|" + ";".join(f"{b},{h}" for b, h in env)
         fresh.append(fnv1a64(text.encode()))
     return fresh
@@ -94,9 +99,10 @@ def refine(g, labels, bond_type):
 def circular_fp(g):
     rings = ring_atoms(g)
     bond_type = bond_types(g)
+    adj = adjacency(g)
     inv = [
         fnv1a64(
-            f"{node.atomic_number}|{len(g.adjacency[v])}|"
+            f"{node.atomic_number}|{len(adj[v])}|"
             f"{node.formal_charge}|{int(v in rings)}".encode()
         )
         for v, node in enumerate(g.nodes)
@@ -115,6 +121,7 @@ def enumerate_simple_paths(g):
     A path is kept when its node sequence is lexicographically <= its
     reverse, which dedupes the two traversal directions.
     """
+    adj = adjacency(g)
     out = []
     path = []
 
@@ -126,7 +133,7 @@ def enumerate_simple_paths(g):
             if tup <= tup[::-1]:
                 out.append(tup)
         if len(path) <= _MAX_PATH_BONDS:
-            for u in g.adjacency[v]:
+            for u in adj[v]:
                 if u not in visited:
                     walk(u, visited)
         visited.remove(v)

@@ -1,5 +1,8 @@
 """Graph helpers that only the tests use.
 
+:func:`adjacency` lists each atom's neighbours straight from a graph's
+edges, the reference for the library's packed ``bonds_by_source()`` rows
+and the neighbour lists the per-molecule oracles walk.
 :func:`validate` audits a graph assembled by hand, :func:`relabel` permutes
 a graph's atoms for the invariance tests, and :func:`ring_atoms`,
 :func:`murcko_scaffold` and :func:`scaffold_key` are the one-molecule forms
@@ -19,13 +22,22 @@ from molcontrast.fingerprints import _ring_mask
 from molcontrast.graph import AtomNode, BondEdge, MoleculeGraph
 
 
+def adjacency(g: MoleculeGraph) -> tuple[tuple[int, ...], ...]:
+    """Sorted, duplicate-free neighbours of every atom of ``g``."""
+    nbrs: list[list[int]] = [[] for _ in range(g.num_nodes)]
+    for e in g.edges:
+        nbrs[e.u].append(e.v)
+        nbrs[e.v].append(e.u)
+    return tuple(tuple(sorted(set(n))) for n in nbrs)
+
+
 def validate(g: MoleculeGraph) -> list[str]:
     """Audit graph invariants; returns one message per violation.
 
     Checks duplicate bonds only.  The constructors reject everything else:
     :class:`BondEdge` a negative, repeated or reversed endpoint pair, and
-    :class:`MoleculeGraph` an endpoint beyond its nodes.  The adjacency is
-    derived from the edges, so it cannot disagree with them.
+    :class:`MoleculeGraph` an endpoint beyond its nodes.  A graph keeps no
+    neighbour lists, so none can disagree with its edges.
     """
     problems: list[str] = []
     seen: set[tuple[int, int]] = set()
@@ -64,7 +76,8 @@ def scaffold_key(g: MoleculeGraph) -> int:
 
 def ring_atoms(g: MoleculeGraph) -> frozenset[int]:
     """Atoms lying on at least one cycle (incident to a non-bridge edge)."""
-    return frozenset(np.flatnonzero(_ring_mask(GraphBatch.from_graphs([g]))).tolist())
+    rows = GraphBatch.from_graphs([g]).bonds_by_source()
+    return frozenset(np.flatnonzero(_ring_mask(rows)).tolist())
 
 
 def murcko_scaffold(g: MoleculeGraph) -> MoleculeGraph:

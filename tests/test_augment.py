@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import augment_oracle
 from golden_corpus import GOLDEN
-from graph_oracle import validate
+from graph_oracle import adjacency, validate
 from molgen import unlabeled_corpus
 from molcontrast import augment
 from molcontrast.augment import (
@@ -24,7 +25,14 @@ from molcontrast.augment import (
     draw_view,
 )
 from molcontrast.encoder import GraphBatch
-from molcontrast.graph import MASK_ATOMIC_NUMBER, MoleculeGraph, format_graph
+from molcontrast.graph import (
+    MASK_ATOMIC_NUMBER,
+    AtomNode,
+    BondEdge,
+    BondType,
+    MoleculeGraph,
+    format_graph,
+)
 from molcontrast.smiles import parse_smiles
 
 
@@ -169,9 +177,10 @@ def test_delete_on_edgeless_graph_is_identity():
 def test_deleted_edges_absent_from_adjacency():
     g = parse_smiles("C1CCCCC1")
     view = augment_view(g, AugmentSpec(MASK_DELETE, mask_ratio=0, delete_ratio=0.5), rng_for(9))
+    neighbours = adjacency(view.graph)
     for u, v in view.deleted_edges:
-        assert v not in view.graph.adjacency[u]
-        assert u not in view.graph.adjacency[v]
+        assert v not in neighbours[u]
+        assert u not in neighbours[v]
 
 
 # -- subgraph removal --------------------------------------------------------
@@ -234,6 +243,7 @@ def test_subgraph_spans_components_when_needed():
 def test_subgraph_connected_within_component():
     # grown region is connected whenever one component suffices
     g = parse_smiles("C1CCCCC1CCCC")  # 10 atoms, connected
+    neighbours = adjacency(g)
     for seed in range(100):
         view = augment_view(g, AugmentSpec(SUBGRAPH, subgraph_ratio=0.4), rng_for(seed))
         masked = set(view.masked_nodes)
@@ -243,7 +253,7 @@ def test_subgraph_connected_within_component():
         frontier = [start]
         while frontier:
             v = frontier.pop()
-            for u in g.adjacency[v]:
+            for u in neighbours[v]:
                 if u in masked and u not in reached:
                     reached.add(u)
                     frontier.append(u)
@@ -448,7 +458,6 @@ def test_each_view_is_one_unwalked_graph(spec, monkeypatch):
     monkeypatch.setattr(augment, "MoleculeGraph", counting)
     for i, golden in enumerate(GOLDEN):
         g = parse_smiles(golden.smiles)
-        assert "adjacency" not in vars(g)
         for seed in range(3):
             built.clear()
             view = augment_view(g, spec, derive_rng(seed, i))
@@ -456,13 +465,13 @@ def test_each_view_is_one_unwalked_graph(spec, monkeypatch):
                 assert built == []
             else:
                 assert len(built) == 1 and built[0] is view.graph
-                assert "adjacency" not in vars(view.graph)
 
 
 # -- views gathered from a packed corpus -------------------------------------
 
 PACKED = [parse_smiles(g.smiles) for g in GOLDEN] + unlabeled_corpus(30, seed=5)
 PACK = GraphBatch.from_graphs(PACKED)
+ROWS = augment._pack_rows(PACK)
 BATCH_ARRAYS = (
     "node_atomic", "node_chirality", "edge_src", "edge_dst", "edge_type", "edge_dir",
     "node_graph",
@@ -490,7 +499,7 @@ def test_gathered_views_equal_the_batched_view_graphs(ids, strategy, ratios, see
         pair = augment_pair(PACKED[i], spec, derive_rng(seed, i), i)
         rng = derive_rng(seed, i)
         for view in pair:
-            atoms, bonds = draw_view(PACKED[i], spec, rng)
+            atoms, bonds = draw_view(ROWS, i, spec, rng)
             assert atoms == view.masked_nodes
             edges = PACKED[i].edges
             assert {(edges[p].u, edges[p].v) for p in bonds} == view.deleted_edges
@@ -506,3 +515,55 @@ def test_gathered_views_equal_the_batched_view_graphs(ids, strategy, ratios, see
     for name in BATCH_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+# -- the pack walk against the graph walk ------------------------------------
+
+
+def _repeated(atoms, bonds):
+    return MoleculeGraph(tuple(map(AtomNode, atoms)), tuple(BondEdge(*b) for b in bonds))
+
+
+_S, _D = BondType.SINGLE, BondType.DOUBLE
+# Golden and corpus molecules; fragments and ions, where the walk restarts
+# from a fresh origin; bonds listed twice (the three repeated-bond graphs of
+# the fingerprint tests), whose rows repeat a neighbour; and a 3,000-atom
+# chain, whose walk runs thousands of levels and rows past index 255.
+WALKED = (
+    [parse_smiles(g.smiles) for g in GOLDEN]
+    + unlabeled_corpus(20, seed=9)
+    + [parse_smiles(s) for s in (
+        "c1ccccc1.CCO.[Na+]", "[O-]C(=O)C.[Na+]", "C1CC1.C1CC1.C", "[Cl-].[NH4+].O", "C.C.C",
+    )]
+    + [
+        _repeated([6, 6, 7], [(0, 1, _S), (0, 1, _S), (1, 2, _S)]),
+        _repeated([6, 6, 8], [(0, 1, _S), (0, 1, _D), (1, 2, _S)]),
+        _repeated([6, 6, 6, 6], [(0, 1, _S), (1, 2, _S), (2, 3, _S), (0, 3, _S), (1, 2, _D)]),
+        parse_smiles("C" * 3000),
+    ]
+)
+WALKED_ROWS = augment._pack_rows(GraphBatch.from_graphs(WALKED))
+CHAIN = len(WALKED) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    i=st.integers(0, len(WALKED) - 1),
+    strategy=st.sampled_from(STRATEGIES),
+    ratios=st.tuples(RATIOS, RATIOS, RATIOS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(i=CHAIN, strategy=SUBGRAPH, ratios=(0.0, 0.0, 1.0), seed=3)
+@example(i=CHAIN, strategy=SUBGRAPH_RANDOM, ratios=(0.0, 0.0, 0.9), seed=4)
+@example(i=CHAIN, strategy=COMPOSE_ALL, ratios=(0.6, 0.7, 0.5), seed=5)
+@example(i=CHAIN, strategy=MASK_DELETE, ratios=(0.3, 0.3, 0.0), seed=6)
+@example(i=CHAIN - 1, strategy=COMPOSE_ALL, ratios=(1.0, 1.0, 1.0), seed=7)
+@example(i=CHAIN - 4, strategy=SUBGRAPH, ratios=(0.0, 0.0, 0.9), seed=8)  # C.C.C
+def test_pack_walk_draws_what_the_graph_walk_drew(i, strategy, ratios, seed):
+    spec = AugmentSpec(strategy, *ratios)
+    rng, ref = derive_rng(seed, i), derive_rng(seed, i)
+    for _ in range(2):  # a pair: the second view starts where the first stopped
+        assert draw_view(WALKED_ROWS, i, spec, rng) == augment_oracle.draw_view(
+            WALKED[i], spec, ref
+        )
+        assert rng.bit_generator.state == ref.bit_generator.state

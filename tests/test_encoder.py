@@ -316,10 +316,11 @@ def test_bond_counts_match_per_edge_oracle_on_golden_corpus():
 def test_bond_counts_of_a_gathered_view_batch_match_per_edge_oracle():
     from golden_corpus import GOLDEN
 
-    from molcontrast.augment import AugmentSpec, augment_pair, derive_rng, draw_view
+    from molcontrast.augment import AugmentSpec, _pack_rows, augment_pair, derive_rng, draw_view
 
     corpus = [parse_smiles(g.smiles) for g in GOLDEN]
     pack = GraphBatch.from_graphs(corpus)
+    rows = _pack_rows(pack)
     spec = AugmentSpec(strategy="compose_all", mask_ratio=0.3, delete_ratio=0.3,
                        subgraph_ratio=0.3)
     ids = list(range(0, len(corpus), 3))
@@ -327,7 +328,7 @@ def test_bond_counts_of_a_gathered_view_batch_match_per_edge_oracle():
     for i in ids:
         rng = derive_rng(11, i)
         for view in augment_pair(corpus[i], spec, derive_rng(11, i)):
-            atoms, bonds = draw_view(corpus[i], spec, rng)
+            atoms, bonds = draw_view(rows, i, spec, rng)
             views.append(view.graph)
             masked.append(atoms)
             dropped.append(bonds)

@@ -149,7 +149,7 @@ def test_distinct_row_hashing_matches_hashing_every_row(keys):
 
 def _refine_by_atom(b, labels):
     """A refine round built and hashed one atom at a time."""
-    src, dst, bond, start = b.bonds_by_source
+    src, dst, bond, start = b.bonds_by_source()
     hashes = []
     for v in range(b.num_nodes):
         rows = range(start[v], start[v + 1])
@@ -176,7 +176,7 @@ def test_refine_round_matches_per_atom_texts(kind, smiles):
         "few": lambda: rng.choice(np.array([0, 3, 2**64 - 1], dtype=np.uint64), b.num_nodes),
         "equal": lambda: np.full(b.num_nodes, 2**63 + 5, dtype=np.uint64),
     }[kind]()
-    assert _refine_batch(b, labels).tolist() == _refine_by_atom(b, labels)
+    assert _refine_batch(b.bonds_by_source(), labels).tolist() == _refine_by_atom(b, labels)
 
 
 # -- ring atoms --------------------------------------------------------------

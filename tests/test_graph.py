@@ -1,9 +1,12 @@
 """Graph data model: vocabularies, invariants, relabeling, debug listing."""
 
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
-from graph_oracle import relabel, validate
+from graph_oracle import adjacency, relabel, validate
+from molcontrast.encoder import GraphBatch
 from molcontrast.graph import (
     MASK_ATOMIC_NUMBER,
     NUM_ATOM_TYPES,
@@ -113,17 +116,29 @@ def test_equality_ignores_edge_order():
     assert a != c
 
 
+def _pack_neighbours(g: MoleculeGraph) -> tuple[tuple[int, ...], ...]:
+    """Each atom's destinations in the ``bonds_by_source()`` rows of ``g``'s
+    one-graph pack, in row order."""
+    _, dst, _, start = GraphBatch.from_graphs([g]).bonds_by_source()
+    return tuple(tuple(dst[start[v] : start[v + 1]].tolist()) for v in range(g.num_nodes))
+
+
 def test_neighbors_path():
     g = _path_graph(3)
-    assert g.adjacency[0] == (1,)
-    assert g.adjacency[1] == (0, 2)
-    assert g.adjacency[2] == (1,)
+    assert adjacency(g) == _pack_neighbours(g) == ((1,), (0, 2), (1,))
 
 
 def test_neighbors_isolated():
     g = MoleculeGraph((AtomNode(11), AtomNode(17)))
-    assert g.adjacency[0] == ()
-    assert g.adjacency[1] == ()
+    assert adjacency(g) == _pack_neighbours(g) == ((), ())
+
+
+def test_graphs_keep_no_instance_dict_and_can_be_weakly_referenced():
+    g = _path_graph(3)
+    assert not hasattr(g, "__dict__")
+    assert weakref.ref(g)() is g
+    with pytest.raises(AttributeError):  # no slot, no dict: nothing can be cached on it
+        object.__setattr__(g, "adjacency", ())
 
 
 def test_edge_bounds_checked_on_construction():
@@ -164,10 +179,12 @@ def test_constructed_graphs_validate(g):
     for e in g.edges:
         implied[e.u].add(e.v)
         implied[e.v].add(e.u)
-    assert g.adjacency == tuple(tuple(sorted(row)) for row in implied)
+    neighbours = adjacency(g)
+    assert neighbours == tuple(tuple(sorted(row)) for row in implied)
+    assert _pack_neighbours(g) == neighbours  # no bond is listed twice
     for v in range(g.num_nodes):
-        for u in g.adjacency[v]:
-            assert v in g.adjacency[u]
+        for u in neighbours[v]:
+            assert v in neighbours[u]
 
 
 @given(random_graphs(), st.randoms(use_true_random=False))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import smiles_oracle
 from golden_corpus import GOLDEN
-from graph_oracle import validate
+from graph_oracle import adjacency, validate
 from molcontrast import smiles
 from molcontrast.errors import DataError
 from molcontrast.graph import (
@@ -91,7 +91,7 @@ def test_benzene_all_aromatic():
     assert g.num_nodes == 6 and g.num_edges == 6
     assert all(n.atomic_number == 6 for n in g.nodes)
     assert all(e.bond_type == BondType.AROMATIC for e in g.edges)
-    assert all(len(g.adjacency[v]) == 2 for v in range(6))
+    assert all(len(neighbours) == 2 for neighbours in adjacency(g))
 
 
 def test_acetic_acid_bond_types():

@@ -651,6 +651,50 @@ def test_training_gathers_from_its_pack_without_deriving_rows(loop, monkeypatch)
     assert len(packs) == 1 and set(vars(packs[0])) == PACK_FIELDS
 
 
+class _Sealable(list):
+    """A list of graphs that fails every read once it is sealed."""
+
+    sealed = False
+
+    def _check(self):
+        assert not self.sealed, "a graph was read after packing"
+
+    def __getitem__(self, k):
+        self._check()
+        return super().__getitem__(k)
+
+    def __iter__(self):
+        self._check()
+        return super().__iter__()
+
+    def __len__(self):
+        self._check()
+        return super().__len__()
+
+
+@pytest.mark.parametrize("strategy", ["subgraph", "compose_all", "mask_delete"])
+def test_pretrain_reads_no_graph_after_packing(strategy, monkeypatch):
+    corpus = unlabeled_corpus(12, seed=1)
+    cfg = PretrainConfig(epochs=2, batch_size=4, warm_epochs=0, encoder=SMALL_ENCODER,
+                         val_fraction=0.25, seed=7, augment=AugmentSpec(strategy))
+    want = pretrain(corpus, cfg)
+
+    class Sealing(GraphBatch):
+        @classmethod
+        def from_graphs(cls, graphs):
+            pack = super().from_graphs(graphs)
+            graphs.sealed = True
+            return pack
+
+    monkeypatch.setattr(training_module, "GraphBatch", Sealing)
+    graphs = _Sealable(corpus)
+    got = pretrain(graphs, cfg)
+    assert graphs.sealed
+    assert got.history == want.history
+    for name, arr in want.checkpoint.arrays.items():
+        assert got.checkpoint.arrays[name].tobytes() == arr.tobytes()
+
+
 def test_pretrain_smoke_and_determinism(tmp_path):
     corpus = unlabeled_corpus(12, seed=1)
     cfg = PretrainConfig(
@@ -1132,8 +1176,8 @@ def test_pretrain_validation_loss_equals_recording_forward(monkeypatch):
     calls = []
     original = training_module._contrastive_batch
 
-    def spy(model, graphs, pack, indices, cfg, epoch, tag, dropout_rng):
-        tape, loss = original(model, graphs, pack, indices, cfg, epoch, tag, dropout_rng)
+    def spy(model, pack, rows, indices, cfg, epoch, tag, dropout_rng):
+        tape, loss = original(model, pack, rows, indices, cfg, epoch, tag, dropout_rng)
         calls.append((tag, len(tape)))
         return tape, loss
 
@@ -1149,13 +1193,14 @@ def test_pretrain_validation_loss_equals_recording_forward(monkeypatch):
     perm = training_module.derive_rng(cfg.seed, training_module._TAG_SPLIT).permutation(40)
     val_idx = perm[: int(40 * cfg.val_fraction)]
     pack = GraphBatch.from_graphs(corpus)
+    rows = training_module._pack_rows(pack)
     vals = []
     for start in range(0, len(val_idx), cfg.batch_size):
         chunk = val_idx[start : start + cfg.batch_size]
         if len(chunk) < 2:
             continue
         tape, loss = training_module._contrastive_batch(
-            result.model, corpus, pack, chunk, cfg, 0,
+            result.model, pack, rows, chunk, cfg, 0,
             training_module._TAG_VAL_AUGMENT, None,
         )
         assert len(tape) > 0
@@ -1186,8 +1231,8 @@ def test_non_finite_losses_abort_with_their_batch(monkeypatch):
     )
     original = training_module._contrastive_batch
 
-    def poisoned(model, graphs, pack, indices, cfg, epoch, tag, dropout_rng):
-        tape, loss = original(model, graphs, pack, indices, cfg, epoch, tag, dropout_rng)
+    def poisoned(model, pack, rows, indices, cfg, epoch, tag, dropout_rng):
+        tape, loss = original(model, pack, rows, indices, cfg, epoch, tag, dropout_rng)
         if epoch == 1 and len(tape):
             loss = chain_ops.scale(tape, loss, float("nan"))
         return tape, loss

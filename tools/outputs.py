@@ -14,9 +14,9 @@ valence warning, whose ``embed`` run shows the parser's skip count
 (stderr) and the graphs of the rows it keeps, and a corpus of molecules
 of thousands of atoms, longer than the parser's cache of shared bond
 edges holds, whose ``embed`` run covers edges built again after the cache
-evicted them.  ``retrieve`` and ``split`` run on both of these too, so the
-ring and scaffold walks see fragments and molecules thousands of atoms
-deep; the long corpus has two scaffold groups, so its split exits 2 once
+evicted them.  ``pretrain``, ``retrieve`` and ``split`` run on both of these
+too, so the augmentation, ring and scaffold walks see fragments and
+molecules thousands of atoms deep; the long corpus has two scaffold groups, so its split exits 2 once
 its keys are computed.  It then runs
 one fixed matrix of ``molcontrast`` commands twice: first on the working
 tree's ``src/``, then on ``src/`` of ``git archive REV`` exported to a
@@ -121,6 +121,14 @@ MATRIX: tuple[tuple[str, list[str]], ...] = (
     ("pretrain_wide", ["pretrain", "--data", CORPUS, "--epochs", "2", "--batch", "32",
                        "--warm-epochs", "1", "--layers", "2", "--hidden", "384",
                        "--latent", "16", "--val-fraction", "0"]),
+    # Augmentation beyond the default strategy: compose_all on fragments and
+    # ions, whose subgraph walk restarts from a fresh origin, and
+    # subgraph_random on molecules of thousands of atoms, whose walk reads
+    # neighbour rows far past index 255.
+    ("pretrain_mixed", ["pretrain", "--data", MIXED, *_TRAIN, "--strategy", "compose_all",
+                        "--val-fraction", "0.2"]),
+    ("pretrain_long", ["pretrain", "--data", LONG, *_TRAIN, "--strategy", "subgraph_random",
+                       "--val-fraction", "0"]),
     ("finetune_classification", [*_FINETUNE, "--checkpoint", "pretrain_gin/checkpoint.bin"]),
     ("finetune_augment_cosine", [*_FINETUNE, "--augment", "--cosine-decay",
                                  "--checkpoint", "pretrain_gin_dropout/checkpoint.bin"]),
